@@ -33,8 +33,10 @@ from .power import (
 )
 from .render import Document, OutputFormat, Table, format_rational, render
 from .routing import (
+    CoreChain,
     PathClass,
     Route,
+    RouteTable,
     RoutingPolicy,
     all_pairs_summary,
     resolve_route,

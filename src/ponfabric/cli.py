@@ -97,7 +97,11 @@ def _build_parser() -> _Parser:
 def _load_scenario(path: str | None) -> Scenario:
     if path is None:
         return default_scenario()
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_scenario(text)
 
 
 def _owcpon_graph(scenario: Scenario):
@@ -288,6 +292,10 @@ def _parse_count_list(text: str, what: str) -> list[int]:
 def _cmd_sweep(scenario: Scenario, args) -> tuple[Document, int]:
     racks = _parse_count_list(args.racks, "racks")
     spines = _parse_count_list(args.spines, "spines") if args.spines else None
+    if spines is not None and len(spines) != len(racks):
+        raise ScenarioError(
+            f"--spines lists {len(spines)} counts for {len(racks)} --racks entries"
+        )
     traditional_catalog, owc_catalog = resolved_catalogs(scenario)
     results = scaling_sweep(
         racks,
@@ -375,7 +383,11 @@ def main(argv: list[str] | None = None) -> int:
     fmt = OutputFormat(args.format) if args.format else scenario.out_format
     text = render(document, fmt)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"ponfabric: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return exit_code

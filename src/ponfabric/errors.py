@@ -82,9 +82,17 @@ class PolicyExcluded(RoutingError):
 
 
 class UnknownServer(RoutingError):
-    def __init__(self, node_id: str):
+    def __init__(self, node_id: str, context: str = ""):
         self.node_id = node_id
-        super().__init__(f"not a server node: {node_id!r}")
+        super().__init__(f"{context}not a server node: {node_id!r}")
+
+
+def in_pair(error: RoutingError, src: str, dst: str) -> RoutingError:
+    """A copy of ``error`` whose message names the ``src -> dst`` pair."""
+    context = f"{src} -> {dst}: "
+    if isinstance(error, UnknownServer):
+        return UnknownServer(error.node_id, context)
+    return type(error)(f"{context}{error}")
 
 
 class TrafficError(PonFabricError):

@@ -19,6 +19,20 @@ other group, direct     9
 other group, relayed    14 (no gateway endpoint), 12 (one), 10 (both)
 external                8 (6 from the gateway AP's rack)
 ======================  =========================================
+
+Every chain is fixed by the (rack, rack) pair except its two edge links
+(server to leaf).  A ``RouteTable`` memoises, per graph and policy and on
+first use, each server's leaf and edge link, each leaf's uplink (rooftop
+transceiver, AP transceiver, NIC), each group's optical switch and
+gateway NIC, and the OLT, which is O(servers + racks + groups) pieces,
+plus one core chain per (source leaf, destination leaf) pair that is
+used.  Link lookups go through ``NetworkGraph``'s link index.
+``resolve_route`` composes one route from a table.
+``all_pairs_summary`` resolves one route per pair of server blocks
+(servers sharing a rack and a leaf) and multiplies by the block sizes,
+and ``traffic.assign`` sums demand per edge link and per core chain, so
+``summary`` and ``simulate`` cost O(servers + demand entries + rack
+pairs) instead of one chain walk per server pair.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NoRoute, PolicyExcluded, UnknownServer
+from .errors import NoRoute, PolicyExcluded, RoutingError, UnknownServer
 from .topology import Architecture, DeviceKind, NetworkGraph, Node
 
 
@@ -64,9 +78,6 @@ class Route:
     @property
     def hop_count(self) -> int:
         return len(self.links)
-
-    def reversed(self) -> "Route":
-        return Route(tuple(reversed(self.nodes)), tuple(reversed(self.links)), self.path_class)
 
 
 def _server(graph: NetworkGraph, node_id: str) -> Node:
@@ -134,21 +145,150 @@ def _olt(graph: NetworkGraph) -> Node:
     return _sole(graph.nodes_of_kind(DeviceKind.OLT), "OLT")
 
 
-def _chain(graph: NetworkGraph, node_ids: list[str], path_class: PathClass) -> Route:
+def _links(graph: NetworkGraph, node_ids: list[str]) -> tuple[str, ...]:
+    """Ids of the links joining consecutive nodes; the first gap raises."""
     links = []
     for a, b in zip(node_ids, node_ids[1:]):
         link = graph.link_between(a, b)
         if link is None:
             raise NoRoute(f"missing link {a} -- {b}")
         links.append(link.id)
-    return Route(tuple(node_ids), tuple(links), path_class)
+    return tuple(links)
 
 
-def _descent(graph: NetworkGraph, server: Node) -> list[str]:
-    """NIC-to-server half of a backhaul chain."""
-    leaf = _leaf_of(graph, server)
-    rtx, atx, nic = _uplink_of(graph, leaf)
-    return [nic.id, atx.id, rtx.id, leaf.id, server.id]
+class CoreChain:
+    """The part of a route between the source's and the destination's leaf.
+
+    ``nodes`` runs from the source leaf to the destination leaf (one leaf
+    for an intra-rack pair); ``links`` joins them.  Chains are memoised
+    per leaf pair, so identity is equality.  A plain class, not a
+    dataclass: every CLI process builds its classes at import, and a
+    dataclass takes about a millisecond to build.
+    """
+
+    __slots__ = ("nodes", "links", "path_class")
+
+    def __init__(self, nodes: tuple[str, ...], links: tuple[str, ...], path_class: PathClass):
+        self.nodes = nodes
+        self.links = links
+        self.path_class = path_class
+
+
+class RouteTable:
+    """Memoised route pieces of one graph under one routing policy.
+
+    Pieces are resolved on first use and kept: each server's leaf and edge
+    link, each leaf's uplink, each group's optical switch and gateway NIC,
+    the OLT, and the core chain of each (source leaf, destination leaf)
+    pair.  A piece that cannot be resolved raises and is not kept, so a
+    failing pair always raises what resolving it alone would raise.
+    """
+
+    def __init__(self, graph: NetworkGraph, policy: RoutingPolicy = RoutingPolicy()):
+        self.graph = graph
+        self.policy = policy
+        self._leaves: dict[str, tuple[Node, str]] = {}
+        self._uplinks: dict[str, tuple[Node, Node, Node]] = {}
+        self._found: dict[tuple, Node] = {}
+        self._intra: dict[str, CoreChain] = {}
+        self._cores: dict[tuple[str, str], CoreChain] = {}
+
+    def route(self, src: str, dst: str) -> Route:
+        """The src -> dst route; raises as ``resolve_route`` documents."""
+        parts = self.parts(src, dst)
+        if parts is None:
+            return Route((src,), (), PathClass.SAME_SERVER)
+        out_link, core, in_link = parts
+        return Route((src, *core.nodes, dst), (out_link, *core.links, in_link), core.path_class)
+
+    def parts(self, src: str, dst: str) -> tuple[str, CoreChain, str] | None:
+        """The src -> dst route split into (edge link out of ``src``, core
+        chain, edge link into ``dst``); None when ``src == dst``.
+
+        Checks run in the order of the chain rules, so the first missing
+        piece of the pair decides the error.
+        """
+        graph = self.graph
+        a = _server(graph, src)
+        b = _server(graph, dst)
+        if src == dst:
+            return None
+        leaf_a, out_link = self._leaf(a)
+        if a.rack == b.rack:
+            link = graph.link_between(leaf_a.id, dst)
+            if link is None:
+                raise NoRoute(f"missing link {leaf_a.id} -- {dst}")
+            core = self._intra.get(leaf_a.id)
+            if core is None:
+                core = self._intra[leaf_a.id] = CoreChain((leaf_a.id,), (), PathClass.INTRA_RACK)
+            return out_link, core, link.id
+        if graph.architecture is Architecture.TRADITIONAL:
+            raise NoRoute(
+                "inter-rack paths are only modeled for the optical-wireless fabric"
+            )
+        self._uplink(leaf_a)  # the source side fails before the destination side
+        leaf_b, in_link = self._leaf(b)
+        core = self._cores.get((leaf_a.id, leaf_b.id))
+        if core is None:
+            core = self._cores[(leaf_a.id, leaf_b.id)] = self._core(leaf_a, leaf_b, src, dst)
+        return out_link, core, in_link
+
+    def _leaf(self, server: Node) -> tuple[Node, str]:
+        hit = self._leaves.get(server.id)
+        if hit is None:
+            leaf = _leaf_of(self.graph, server)
+            link = self.graph.link_between(server.id, leaf.id)
+            hit = self._leaves[server.id] = (leaf, link.id)
+        return hit
+
+    def _uplink(self, leaf: Node) -> tuple[Node, Node, Node]:
+        hit = self._uplinks.get(leaf.id)
+        if hit is None:
+            hit = self._uplinks[leaf.id] = _uplink_of(self.graph, leaf)
+        return hit
+
+    def _once(self, find, *args) -> Node:
+        """``find(graph, *args)``, looked up once per table."""
+        key = (find, *args)
+        if key not in self._found:
+            self._found[key] = find(self.graph, *args)
+        return self._found[key]
+
+    def _core(self, leaf_a: Node, leaf_b: Node, src: str, dst: str) -> CoreChain:
+        """The chain between two leaves of different racks; ``src`` and
+        ``dst`` only name the pair in a policy error."""
+        graph, policy = self.graph, self.policy
+        rtx_a, atx_a, nic_a = self._uplink(leaf_a)
+        rtx_b, atx_b, nic_b = self._uplink(leaf_b)
+        ascent = [leaf_a.id, rtx_a.id, atx_a.id, nic_a.id]
+        descent = [nic_b.id, atx_b.id, rtx_b.id, leaf_b.id]
+        group_a, group_b = atx_a.group, nic_b.group
+
+        if group_a == group_b:
+            nodes = ascent + [self._once(_group_switch, group_a).id] + descent
+            return CoreChain(tuple(nodes), _links(graph, nodes), PathClass.INTER_RACK_INTRA_GROUP)
+
+        if not policy.prefer_direct_inter_group and not policy.allow_relay_fallback:
+            raise PolicyExcluded("both inter-group mechanisms are disabled")
+
+        if policy.prefer_direct_inter_group and graph.link_between(nic_a.id, nic_b.id):
+            nodes = ascent + descent
+            return CoreChain(tuple(nodes), _links(graph, nodes), PathClass.INTER_GROUP_DIRECT)
+        if not policy.allow_relay_fallback:
+            raise PolicyExcluded(
+                f"no direct link between the APs of {src} and {dst}, "
+                "and relay fallback is disabled"
+            )
+
+        olt = self._once(_olt)
+        middle: list[str] = []
+        if not nic_a.is_gateway:
+            middle += [self._once(_group_switch, group_a).id, self._once(_gateway_nic, group_a).id]
+        middle.append(olt.id)
+        if not nic_b.is_gateway:
+            middle += [self._once(_gateway_nic, group_b).id, self._once(_group_switch, group_b).id]
+        nodes = ascent + middle + descent
+        return CoreChain(tuple(nodes), _links(graph, nodes), PathClass.INTER_GROUP_RELAYED)
 
 
 def resolve_route(
@@ -162,54 +302,10 @@ def resolve_route(
     Raises ``NoRoute`` when a required element is missing (which surfaces
     the same breaches ``validate`` reports), ``PolicyExcluded`` when the
     policy forbids every mechanism available for an inter-group pair, and
-    ``UnknownServer`` for endpoints that are not server nodes.
+    ``UnknownServer`` for endpoints that are not server nodes.  Resolving
+    many pairs is cheaper through one ``RouteTable``.
     """
-    a = _server(graph, src)
-    b = _server(graph, dst)
-    if src == dst:
-        return Route((src,), (), PathClass.SAME_SERVER)
-
-    leaf_a = _leaf_of(graph, a)
-    if a.rack == b.rack:
-        return _chain(graph, [src, leaf_a.id, dst], PathClass.INTRA_RACK)
-
-    if graph.architecture is Architecture.TRADITIONAL:
-        raise NoRoute(
-            "inter-rack paths are only modeled for the optical-wireless fabric"
-        )
-
-    rtx_a, atx_a, nic_a = _uplink_of(graph, leaf_a)
-    ascent = [src, leaf_a.id, rtx_a.id, atx_a.id, nic_a.id]
-    descent = _descent(graph, b)
-    nic_b = graph.node(descent[0])
-    group_a, group_b = atx_a.group, nic_b.group
-
-    if group_a == group_b:
-        switch = _group_switch(graph, group_a)
-        return _chain(
-            graph, ascent + [switch.id] + descent, PathClass.INTER_RACK_INTRA_GROUP
-        )
-
-    if not policy.prefer_direct_inter_group and not policy.allow_relay_fallback:
-        raise PolicyExcluded("both inter-group mechanisms are disabled")
-
-    direct = graph.link_between(nic_a.id, nic_b.id)
-    if direct is not None and policy.prefer_direct_inter_group:
-        return _chain(graph, ascent + descent, PathClass.INTER_GROUP_DIRECT)
-    if not policy.allow_relay_fallback:
-        raise PolicyExcluded(
-            f"no direct link between the APs of {src} and {dst}, "
-            "and relay fallback is disabled"
-        )
-
-    olt = _olt(graph)
-    middle: list[str] = []
-    if not nic_a.is_gateway:
-        middle += [_group_switch(graph, group_a).id, _gateway_nic(graph, group_a).id]
-    middle.append(olt.id)
-    if not nic_b.is_gateway:
-        middle += [_gateway_nic(graph, group_b).id, _group_switch(graph, group_b).id]
-    return _chain(graph, ascent + middle + descent, PathClass.INTER_GROUP_RELAYED)
+    return RouteTable(graph, policy).route(src, dst)
 
 
 def route_to_external(graph: NetworkGraph, src: str) -> Route:
@@ -226,7 +322,7 @@ def route_to_external(graph: NetworkGraph, src: str) -> Route:
     if not nic.is_gateway:
         chain += [_group_switch(graph, atx.group).id, _gateway_nic(graph, atx.group).id]
     chain += [olt.id, external.id]
-    return _chain(graph, chain, PathClass.EXTERNAL)
+    return Route(tuple(chain), _links(graph, chain), PathClass.EXTERNAL)
 
 
 def all_pairs_summary(
@@ -235,11 +331,60 @@ def all_pairs_summary(
     """Histogram of (class, hop count) over all ordered server pairs.
 
     Includes the diagonal, so counts sum to the squared server count.
+    Servers that share a rack and a leaf form a block, and every pair
+    between two blocks of different racks takes the same core chain, so
+    one route per block pair is counted for all of its server pairs.
+    Within a rack, a pair routes when the source's leaf links to the
+    destination.  If any pair fails, the error of the first failing pair
+    in sorted (src, dst) order is raised.
     """
-    servers = sorted(graph.nodes_of_kind(DeviceKind.SERVER), key=lambda n: n.id)
+    table = RouteTable(graph, policy)
+    servers = sorted(node.id for node in graph.nodes_of_kind(DeviceKind.SERVER))
+    racks: dict[int | None, list[str]] = {}
+    blocks: dict[tuple[int | None, str | None], list[str]] = {}
+    for server_id in servers:
+        server = graph.node(server_id)
+        try:
+            leaf_id = _leaf_of(graph, server).id
+        except NoRoute:
+            leaf_id = None
+        racks.setdefault(server.rack, []).append(server_id)
+        blocks.setdefault((server.rack, leaf_id), []).append(server_id)
+
     histogram: Counter[tuple[PathClass, int]] = Counter()
-    for source in servers:
-        for target in servers:
-            route = resolve_route(graph, source.id, target.id, policy)
-            histogram[(route.path_class, route.hop_count)] += 1
+    failures: list[tuple[tuple[str, str], RoutingError]] = []
+
+    def count(src: str, dst: str, pairs: int) -> None:
+        """Count ``pairs`` pairs that route like src -> dst, the least of
+        them; a failure is kept instead."""
+        try:
+            route = table.route(src, dst)
+        except RoutingError as exc:
+            failures.append(((src, dst), exc))
+        else:
+            histogram[(route.path_class, route.hop_count)] += pairs
+
+    if servers:
+        histogram[(PathClass.SAME_SERVER, 0)] = len(servers)
+    for (rack, leaf_id), sources in blocks.items():
+        first = sources[0]
+        if leaf_id is None:  # every pair out of these sources fails
+            others = [s for s in servers[:2] if s != first]
+            if others:
+                count(first, others[0], 0)
+            continue
+        linked: list[str] = []
+        unlinked: list[str] = []
+        for mate in racks[rack]:
+            if mate != first:
+                (linked if graph.link_between(leaf_id, mate) else unlinked).append(mate)
+        if linked:
+            count(first, linked[0], len(sources) * len(linked))
+        if unlinked:
+            count(first, unlinked[0], 0)
+        for (other_rack, _), targets in blocks.items():
+            if other_rack != rack:
+                count(first, targets[0], len(sources) * len(targets))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return dict(histogram)

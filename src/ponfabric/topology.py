@@ -244,6 +244,9 @@ class NetworkGraph:
             if link.endpoint_a in self._node_by_id and link.endpoint_b in self._node_by_id:
                 self._adjacency[link.endpoint_a].append((link.endpoint_b, link))
                 self._adjacency[link.endpoint_b].append((link.endpoint_a, link))
+        # node id -> {neighbour id: first link to it in adjacency order},
+        # filled per node on its first ``link_between`` lookup.
+        self._link_index: dict[str, dict[str, Link]] = {}
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -307,10 +310,14 @@ class NetworkGraph:
         return tuple(link for _, link in self._adjacency.get(node_id, []))
 
     def link_between(self, a: str, b: str) -> Link | None:
-        for other, link in self._adjacency.get(a, []):
-            if other == b:
-                return link
-        return None
+        """The first link joining ``a`` and ``b`` in adjacency order, if any."""
+        index = self._link_index.get(a)
+        if index is None:
+            index = {}
+            for other, link in self._adjacency.get(a, ()):
+                index.setdefault(other, link)
+            self._link_index[a] = index
+        return index.get(b)
 
     def replace(
         self,

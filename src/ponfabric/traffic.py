@@ -4,17 +4,27 @@ Demands are fluid: each matrix entry is routed along its rule-chain route
 and its full rate is added to every link on the way, in exact rational
 arithmetic.  Demands exceeding capacity are reported as utilization above
 one, never dropped; this is an analyzer, not an admission controller.
+
+Sums run over integer numerators scaled to the least common multiple of
+the rates' denominators and are divided once at the end, which is exact
+and avoids one ``Fraction`` normalisation per hop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from math import lcm
+from typing import Iterable, Mapping, Union
 
-from .errors import NoRoute, UnknownRack
-from .routing import RoutingPolicy, resolve_route
+from .errors import RoutingError, UnknownRack, in_pair
+from .routing import CoreChain, RouteTable, RoutingPolicy
+from .routing import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
 from .topology import DeviceKind, LinkKind, NetworkGraph
+
+
+def _common_denominator(rates: Iterable[Fraction]) -> int:
+    return lcm(*(rate.denominator for rate in rates))
 
 
 @dataclass(frozen=True)
@@ -39,7 +49,9 @@ class TrafficMatrix:
         ]
 
     def total_demand(self) -> Fraction:
-        return sum(self.demands.values(), Fraction(0))
+        rates = self.demands.values()
+        scale = _common_denominator(rates)
+        return Fraction(sum(r.numerator * (scale // r.denominator) for r in rates), scale)
 
     def __add__(self, other: "TrafficMatrix") -> "TrafficMatrix":
         merged = dict(self.demands)
@@ -153,22 +165,32 @@ def assign(
     """Route every demand and accumulate per-link loads.
 
     The result is a pure sum over matrix entries, so it is independent of
-    iteration order.  Expects a graph that passes ``validate``; a missing
-    chain element raises ``NoRoute`` naming the offending pair.
+    iteration order.  Demand is summed once per edge link and once per
+    core chain (leaf pair) of a shared ``RouteTable``, and spread over the
+    chain's links afterwards.  Expects a graph that passes ``validate``; a
+    routing error names the first failing ``src -> dst`` entry in sorted
+    order.
     """
-    loads: dict[str, Fraction] = {}
-    for src, dst, rate in matrix.entries():
-        if rate == 0 or src == dst:
-            continue
+    table = RouteTable(graph, policy)
+    demands = [(src, dst, rate) for src, dst, rate in matrix.entries() if rate and src != dst]
+    scale = _common_denominator(rate for _, _, rate in demands)
+    link_units: dict[str, int] = {}  # edge links now, core links below
+    core_units: dict[CoreChain, int] = {}
+    for src, dst, rate in demands:
         try:
-            route = resolve_route(graph, src, dst, policy)
-        except NoRoute as exc:
-            raise NoRoute(f"{src} -> {dst}: {exc}") from exc
-        for link_id in route.links:
-            loads[link_id] = loads.get(link_id, Fraction(0)) + rate
+            out_link, core, in_link = table.parts(src, dst)
+        except RoutingError as exc:
+            raise in_pair(exc, src, dst) from exc
+        units = rate.numerator * (scale // rate.denominator)
+        link_units[out_link] = link_units.get(out_link, 0) + units
+        link_units[in_link] = link_units.get(in_link, 0) + units
+        core_units[core] = core_units.get(core, 0) + units
 
+    for core, units in core_units.items():
+        for link_id in core.links:
+            link_units[link_id] = link_units.get(link_id, 0) + units
     rows = tuple(
-        LinkLoad(link.id, link.kind, link.capacity, loads.get(link.id, Fraction(0)))
+        LinkLoad(link.id, link.kind, link.capacity, Fraction(link_units.get(link.id, 0), scale))
         for link in sorted(graph.links, key=lambda l: l.id)
     )
     max_utilization = max((row.utilization for row in rows), default=Fraction(0))

@@ -204,3 +204,31 @@ def test_unknown_command_exits_one(capsys):
 def test_version_flag(capsys):
     code = main(["--version"])
     assert code == 0
+
+
+def assert_one_line_failure(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_sweep_spine_count_mismatch_exits_one(capsys):
+    code, out, err = run(capsys, "sweep", "--racks", "4,8", "--spines", "4")
+    assert_one_line_failure(code, out, err)
+    assert "--spines" in err
+
+
+def test_out_to_missing_directory_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "--out", str(target), "benchmark")
+    assert_one_line_failure(code, out, err)
+    assert "cannot write output" in err
+
+
+def test_non_utf8_scenario_exits_one(tmp_path, capsys):
+    scenario = tmp_path / "latin1.txt"
+    scenario.write_bytes("[options]\n# caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "-s", str(scenario), "benchmark")
+    assert_one_line_failure(code, out, err)
+    assert "not UTF-8" in err

@@ -1,0 +1,167 @@
+"""Differential tests: the route table and the aggregated sums against the
+per-pair reference in ``oracles``, on clean and on broken graphs."""
+
+import itertools
+from dataclasses import replace
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ponfabric import (
+    DeviceKind,
+    ExplicitPairs,
+    IndexMatched,
+    NoDirectLinks,
+    OwcPonSpec,
+    RoutingPolicy,
+    RouteTable,
+    TraditionalSpec,
+    TrafficMatrix,
+    UniformPattern,
+    all_pairs_summary,
+    assign,
+    build_owc_pon,
+    build_traditional,
+    generate_traffic,
+    resolve_route,
+)
+
+from test_topology import with_extra_link, without_link, without_node
+
+POLICIES = [
+    RoutingPolicy(prefer_direct_inter_group=prefer, allow_relay_fallback=relay)
+    for prefer in (True, False)
+    for relay in (True, False)
+]
+
+
+@st.composite
+def owcpon_specs(draw):
+    groups = draw(st.integers(1, 3))
+    aps = draw(st.integers(1, 3))
+    choice = draw(st.sampled_from(["index_matched", "none", "explicit"]))
+    if choice == "index_matched":
+        adjacency = IndexMatched()
+    elif choice == "none":
+        adjacency = NoDirectLinks()
+    else:
+        ap_ids = [(g, a) for g in range(groups) for a in range(aps)]
+        candidates = [
+            (first, second)
+            for first, second in itertools.combinations(ap_ids, 2)
+            if first[0] != second[0]
+        ]
+        pairs = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+        adjacency = ExplicitPairs(tuple(pairs))
+    return OwcPonSpec(
+        num_racks=groups * aps,
+        servers_per_rack=draw(st.integers(1, 3)),
+        num_groups=groups,
+        aps_per_group=aps,
+        adjacency=adjacency,
+        gateway_ap_index=draw(st.integers(0, aps - 1)),
+        transceiver_multiplier=draw(st.integers(1, 3)),
+    )
+
+
+traditional_specs = st.builds(
+    TraditionalSpec,
+    num_spine=st.integers(1, 2),
+    num_racks=st.integers(1, 3),
+    servers_per_rack=st.integers(1, 2),
+)
+
+
+@st.composite
+def fabrics(draw):
+    """A built graph, as built or with one or two links or a node taken out
+    or a link doubled."""
+    if draw(st.integers(0, 5)):
+        graph = build_owc_pon(draw(owcpon_specs()))
+    else:
+        graph = build_traditional(draw(traditional_specs))
+    damage = draw(
+        st.sampled_from(["none", "edge link", "link", "two links", "parallel link", "node"])
+    )
+    edges = [link for link in graph.links if "/server" in link.id]
+    if damage == "edge link" and edges:
+        graph = without_link(graph, draw(st.sampled_from(edges)).id)
+    elif damage == "link" and graph.links:
+        graph = without_link(graph, draw(st.sampled_from(graph.links)).id)
+    elif damage == "two links" and len(graph.links) > 1:
+        # two breaches at once: the checks' order decides which one is named
+        for link in draw(st.lists(st.sampled_from(graph.links), min_size=2, max_size=2, unique=True)):
+            graph = without_link(graph, link.id)
+    elif damage == "parallel link" and graph.links:
+        # a second link between the same two nodes; routes keep the first
+        twin = draw(st.sampled_from(graph.links))
+        graph = with_extra_link(graph, replace(twin, id=twin.id + "/twin"))
+    elif damage == "node":
+        graph = without_node(graph, draw(st.sampled_from(graph.nodes)).id)
+    return graph
+
+
+def outcome(call):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return type(exc), str(exc)
+
+
+def endpoints(graph):
+    servers = sorted(node.id for node in graph.nodes_of_kind(DeviceKind.SERVER))
+    return servers + ["nosuch", "olt"]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(graph=fabrics(), policy=st.sampled_from(POLICIES), order=st.randoms(use_true_random=False))
+def test_routes_match_reference(graph, policy, order):
+    pairs = list(itertools.product(endpoints(graph), repeat=2))
+    order.shuffle(pairs)  # memoised pieces must not depend on resolution order
+    table = RouteTable(graph, policy)
+    for src, dst in pairs:
+        expected = outcome(lambda: oracles.reference_route(graph, src, dst, policy))
+        assert outcome(lambda: table.route(src, dst)) == expected, (src, dst)
+    for src, dst in pairs[:10]:
+        assert outcome(lambda: resolve_route(graph, src, dst, policy)) == outcome(
+            lambda: oracles.reference_route(graph, src, dst, policy)
+        )
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(graph=fabrics(), policy=st.sampled_from(POLICIES))
+def test_histograms_match_reference(graph, policy):
+    assert outcome(lambda: all_pairs_summary(graph, policy)) == outcome(
+        lambda: oracles.reference_all_pairs(graph, policy)
+    )
+
+
+@st.composite
+def fabric_and_matrix(draw):
+    graph = draw(fabrics())
+    ids = endpoints(graph)
+    servers = st.sampled_from(ids[:-2] or ids)
+    rates = st.fractions(min_value=0, max_value=10, max_denominator=12)
+    demands = draw(st.dictionaries(st.tuples(servers, servers), rates, max_size=40))
+    if not draw(st.integers(0, 3)):  # now and then, an entry naming a non-server
+        demands[draw(st.tuples(st.sampled_from(ids), st.sampled_from(ids)))] = draw(rates)
+    return graph, TrafficMatrix(demands)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(case=fabric_and_matrix(), policy=st.sampled_from(POLICIES))
+def test_link_loads_match_reference(case, policy):
+    graph, matrix = case
+    assert outcome(lambda: assign(graph, matrix, policy)) == outcome(
+        lambda: oracles.reference_assign(graph, matrix, policy)
+    )
+    assert matrix.total_demand() == sum(matrix.demands.values(), Fraction(0))
+
+
+def test_uniform_all_pairs_match_reference(default_owcpon):
+    matrix = generate_traffic(UniformPattern(Fraction(3, 7)), default_owcpon)
+    assert assign(default_owcpon, matrix) == oracles.reference_assign(default_owcpon, matrix)
+    assert all_pairs_summary(default_owcpon) == oracles.reference_all_pairs(default_owcpon)

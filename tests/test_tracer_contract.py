@@ -1,0 +1,39 @@
+"""The benchmark's tracer (``perfbench/traced.py``) wraps package functions by
+name and reads some of their positional arguments.  A traced paper-scale run
+must still succeed and print exactly what the untraced CLI prints."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PAPER = str(ROOT / "perfbench" / "scenarios" / "paper_traffic.scenario")
+
+
+def _run(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "command, spans_from",
+    [
+        (["summary"], "cli.all_pairs_summary"),
+        (["simulate", "--top", "10"], "cli.assign"),
+        (["route", "rack1/server0", "rack7/server0"], "cli.resolve_route"),
+    ],
+)
+def test_traced_run_matches_untraced(tmp_path, command, spans_from):
+    spans_path = tmp_path / "spans.json"
+    argv = ["-s", PAPER, *command]
+    traced = _run([sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans_path), *argv])
+    plain = _run([sys.executable, "-m", "ponfabric.cli", *argv])
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert plain.returncode == 0, plain.stderr.decode()
+    assert traced.stdout == plain.stdout
+    names = {span[0] for span in json.loads(spans_path.read_text(encoding="utf-8"))}
+    assert spans_from in names

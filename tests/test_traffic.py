@@ -8,6 +8,7 @@ from ponfabric import (
     DeviceKind,
     HotspotRackPattern,
     IntraRackHeavyPattern,
+    RoutingPolicy,
     TrafficMatrix,
     UniformPattern,
     assign,
@@ -15,7 +16,7 @@ from ponfabric import (
     generate_traffic,
     resolve_route,
 )
-from ponfabric.errors import NoRoute, UnknownRack
+from ponfabric.errors import NoRoute, PolicyExcluded, UnknownRack, UnknownServer
 
 from test_topology import without_link
 
@@ -124,6 +125,39 @@ class TestAssign:
         broken = without_link(default_owcpon, "rack0/txrx0--group0/ap0/txrx0")
         with pytest.raises(NoRoute, match="rack0/server0 -> rack1/server0"):
             assign(broken, TrafficMatrix({("rack0/server0", "rack1/server0"): Fraction(1)}))
+
+    def test_unknown_server_names_the_pair(self, default_owcpon):
+        matrix = TrafficMatrix({("rack0/server0", "nosuch"): Fraction(1)})
+        with pytest.raises(UnknownServer) as caught:
+            assign(default_owcpon, matrix)
+        assert str(caught.value) == "rack0/server0 -> nosuch: not a server node: 'nosuch'"
+        assert caught.value.node_id == "nosuch"
+
+    def test_policy_exclusion_names_the_pair(self, default_owcpon):
+        policy = RoutingPolicy(prefer_direct_inter_group=False, allow_relay_fallback=False)
+        matrix = TrafficMatrix({("rack1/server0", "rack5/server0"): Fraction(1)})
+        with pytest.raises(PolicyExcluded, match=r"^rack1/server0 -> rack5/server0: both"):
+            assign(default_owcpon, matrix, policy)
+
+    def test_first_failing_entry_in_sorted_order_is_named(self, default_owcpon):
+        broken = without_link(default_owcpon, "rack0/txrx0--group0/ap0/txrx0")
+        matrix = TrafficMatrix(
+            {
+                ("rack3/server0", "ghost"): Fraction(1),
+                ("rack2/server0", "rack0/server0"): Fraction(1),  # NoRoute, sorts first
+                ("rack1/server0", "ghost"): Fraction(0),  # no demand: never routed
+                ("rack0/server1", "rack0/server2"): Fraction(1),  # routes
+            }
+        )
+        with pytest.raises(NoRoute, match=r"^rack2/server0 -> rack0/server0: "):
+            assign(broken, matrix)
+
+    def test_total_demand_mixed_denominators(self):
+        matrix = TrafficMatrix(
+            {("a", "b"): Fraction(1, 3), ("b", "a"): Fraction(1, 4), ("a", "c"): Fraction(5, 6)}
+        )
+        assert matrix.total_demand() == Fraction(17, 12)
+        assert TrafficMatrix({}).total_demand() == 0
 
     def test_negative_demand_rejected(self):
         with pytest.raises(ValueError):
