@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .benchmark import (
@@ -28,13 +29,10 @@ from .errors import (
     PonFabricError,
     ScenarioError,
     SpecMismatch,
+    UnknownRack,
     ValidationFailed,
 )
-from .power import (
-    closed_form_power,
-    power_reduction,
-    scaling_sweep,
-)
+from .power import closed_form_power, scaling_sweep
 from .render import Document, OutputFormat, Table, format_rational, render
 from .routing import resolve_route, route_to_external, all_pairs_summary, PathClass
 from .scenario import Scenario, default_scenario, parse_scenario
@@ -50,10 +48,10 @@ EXIT_EVALUATION = 3
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-    validation findings, so usage problems exit 1."""
+    validation findings, so usage problems exit 1.  Like every failure they
+    print one line (``--help`` shows the usage)."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -107,7 +105,8 @@ def _load_scenario(path: str | None) -> Scenario:
 def _owcpon_graph(scenario: Scenario):
     if not scenario.selects(Architecture.OWC_PON):
         raise ScenarioError("this command needs the owcpon architecture selected")
-    return validated_graphs(scenario)[Architecture.OWC_PON]
+    owcpon_only = replace(scenario, architectures=(Architecture.OWC_PON,))
+    return validated_graphs(owcpon_only)[Architecture.OWC_PON]
 
 
 def _graph_tables(architecture: Architecture, graph) -> list[Table]:
@@ -182,24 +181,16 @@ def _cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
 def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
     if len(scenario.architectures) != 2:
         raise ScenarioError("compare needs both architectures selected")
-    traditional_catalog, owc_catalog = resolved_catalogs(scenario)
-    graphs = validated_graphs(scenario)
-    baseline = closed_form_power(
-        graphs[Architecture.TRADITIONAL], traditional_catalog, scenario.options
-    )
-    proposed = closed_form_power(
-        graphs[Architecture.OWC_PON], owc_catalog, scenario.options
-    )
-    reduction = power_reduction(baseline, proposed)
+    report = run_benchmark(scenario)
     meta = (
-        ("baseline_total_mw", baseline.total_mw),
-        ("proposed_total_mw", proposed.total_mw),
-        ("reduction_percent", reduction.percent_text),
-        ("reduction_fraction", format_rational(reduction.fraction)),
+        ("baseline_total_mw", report.traditional.total_mw),
+        ("proposed_total_mw", report.proposed.total_mw),
+        ("reduction_percent", report.reduction.percent_text),
+        ("reduction_fraction", format_rational(report.reduction.fraction)),
     )
     tables = (
-        power_table("power_traditional", baseline),
-        power_table("power_owcpon", proposed),
+        power_table("power_traditional", report.traditional),
+        power_table("power_owcpon", report.proposed),
     )
     return Document("architecture comparison", meta, tables), EXIT_OK
 
@@ -245,7 +236,10 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
         raise ScenarioError("simulate needs a [traffic] section in the scenario")
     graph = _owcpon_graph(scenario)
     if scenario.traffic.pattern is not None:
-        matrix = generate_traffic(scenario.traffic.pattern, graph)
+        try:
+            matrix = generate_traffic(scenario.traffic.pattern, graph)
+        except UnknownRack as exc:
+            raise ScenarioError(f"traffic pattern: {exc}") from exc
     else:
         matrix = TrafficMatrix(
             {(src, dst): rate for src, dst, rate in scenario.traffic.flows}

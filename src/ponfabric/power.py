@@ -42,9 +42,6 @@ class PowerCatalog:
     def get(self, kind: DeviceKind) -> int | None:
         return self.entries.get(kind)
 
-    def __getitem__(self, kind: DeviceKind) -> int:
-        return self.entries[kind]
-
     def __contains__(self, kind: DeviceKind) -> bool:
         return kind in self.entries
 
@@ -128,10 +125,6 @@ class PowerReport:
         if self.total_mw != sum(row.subtotal_mw for row in self.rows):
             raise ValueError("report total does not match its subtotals")
 
-    @property
-    def total_watts(self) -> Fraction:
-        return Fraction(self.total_mw, 1000)
-
     def row(self, kind: DeviceKind) -> PowerRow | None:
         for row in self.rows:
             if row.kind is kind:
@@ -151,10 +144,15 @@ def _row(
     return PowerRow(kind, quantity, unit, subtotal, included)
 
 
-def _report(rows: Sequence[PowerRow], options, catalog) -> PowerReport:
-    return PowerReport(
-        tuple(rows), sum(row.subtotal_mw for row in rows), options, catalog
-    )
+def _report(
+    census: Mapping[DeviceKind, int],
+    terms: Sequence[tuple[DeviceKind, bool]],
+    catalog: PowerCatalog,
+    options: PowerOptions,
+) -> PowerReport:
+    """One row per (kind, included) term, priced at its census quantity."""
+    rows = tuple(_row(kind, census.get(kind, 0), catalog, included) for kind, included in terms)
+    return PowerReport(rows, sum(row.subtotal_mw for row in rows), options, catalog)
 
 
 def traditional_power(
@@ -166,17 +164,12 @@ def traditional_power(
 
     Total = spines + leaves, plus the server transceivers when included.
     """
-    rows = [
-        _row(DeviceKind.SPINE_SWITCH, census.get(DeviceKind.SPINE_SWITCH, 0), catalog, True),
-        _row(DeviceKind.LEAF_SWITCH, census.get(DeviceKind.LEAF_SWITCH, 0), catalog, True),
-        _row(
-            DeviceKind.SERVER_TRANSCEIVER,
-            census.get(DeviceKind.SERVER_TRANSCEIVER, 0),
-            catalog,
-            options.include_server_transceivers,
-        ),
-    ]
-    return _report(rows, options, catalog)
+    terms = (
+        (DeviceKind.SPINE_SWITCH, True),
+        (DeviceKind.LEAF_SWITCH, True),
+        (DeviceKind.SERVER_TRANSCEIVER, options.include_server_transceivers),
+    )
+    return _report(census, terms, catalog, options)
 
 
 def owc_pon_power(
@@ -193,41 +186,19 @@ def owc_pon_power(
     """
     if census.get(DeviceKind.OLT, 0) == 0:
         raise MissingOlt("census has no OLT; the backhaul constant is undefined")
-    if options.nic_count_mode is NicCountMode.PER_AP:
-        nic_quantity = census.get(DeviceKind.NIC, 0)
-    else:
-        nic_quantity = census.get(DeviceKind.SERVER, 0)
-
-    rows = [
-        _row(DeviceKind.LEAF_SWITCH, census.get(DeviceKind.LEAF_SWITCH, 0), catalog, True),
-        _row(
-            DeviceKind.SERVER_TRANSCEIVER,
-            census.get(DeviceKind.SERVER_TRANSCEIVER, 0),
-            catalog,
-            options.include_server_transceivers,
-        ),
-        _row(
-            DeviceKind.RACK_TRANSCEIVER,
-            census.get(DeviceKind.RACK_TRANSCEIVER, 0),
-            catalog,
-            options.include_owc_transceivers,
-        ),
-        _row(
-            DeviceKind.AP_TRANSCEIVER,
-            census.get(DeviceKind.AP_TRANSCEIVER, 0),
-            catalog,
-            options.include_owc_transceivers,
-        ),
-        _row(DeviceKind.NIC, nic_quantity, catalog, True),
-        _row(
-            DeviceKind.OPTICAL_SWITCH,
-            census.get(DeviceKind.OPTICAL_SWITCH, 0),
-            catalog,
-            True,
-        ),
-        _row(DeviceKind.OLT, 1, catalog, True),
-    ]
-    return _report(rows, options, catalog)
+    quantities = {**census, DeviceKind.OLT: 1}
+    if options.nic_count_mode is NicCountMode.PER_SERVER:
+        quantities[DeviceKind.NIC] = census.get(DeviceKind.SERVER, 0)
+    terms = (
+        (DeviceKind.LEAF_SWITCH, True),
+        (DeviceKind.SERVER_TRANSCEIVER, options.include_server_transceivers),
+        (DeviceKind.RACK_TRANSCEIVER, options.include_owc_transceivers),
+        (DeviceKind.AP_TRANSCEIVER, options.include_owc_transceivers),
+        (DeviceKind.NIC, True),
+        (DeviceKind.OPTICAL_SWITCH, True),
+        (DeviceKind.OLT, True),
+    )
+    return _report(quantities, terms, catalog, options)
 
 
 def closed_form_power(
@@ -267,12 +238,8 @@ def per_node_power(
         if node.kind not in excluded and node.kind not in catalog:
             raise MissingCatalogEntry(node.kind)
 
-    rows = [
-        _row(kind, quantities[kind], catalog, kind not in excluded)
-        for kind in DeviceKind
-        if kind in quantities
-    ]
-    return _report(rows, options, catalog)
+    terms = [(kind, kind not in excluded) for kind in DeviceKind if kind in quantities]
+    return _report(quantities, terms, catalog, options)
 
 
 def _half_up_permille(fraction: Fraction) -> int:

@@ -7,6 +7,17 @@ sections, unknown keys, and duplicate keys are hard errors so that stale
 configuration never passes silently.  ``flow`` in ``[traffic]`` is the one
 repeatable key.
 
+Every fixed key is one row of ``KEY_TABLE``: its section, its name, the
+``Scenario`` field it sets (a dotted attribute path), and its codec, a
+pair of functions that parse the value text (with its line number for
+errors) and format the field back (``None`` omits the line).  The
+allowed-key check, ``parse_scenario`` and ``serialize_scenario`` all read
+that table, so each key is declared once and the round trip follows from
+the structure.  Only what is not a single key has its own code: the
+``profile`` that seeds the options, the rule that ``owcpon.pairs`` goes
+with ``owcpon.adjacency = explicit``, catalog overrides, and the traffic
+section.
+
 Numbers are exact: counts are integers, and every decimal (watts, Gb/s,
 fractions) allows at most three fractional digits so it converts to
 integer milli-units without rounding.  ``serialize_scenario`` emits a
@@ -18,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import InvalidValue, ParseError, UnknownKey
 from .power import PROFILES, NicCountMode, PowerOptions
@@ -42,38 +54,6 @@ from .traffic import (
 
 _SECTIONS = ("architecture", "options", "catalog", "traffic")
 
-_ARCHITECTURE_KEYS = frozenset(
-    {
-        "select",
-        "traditional.spines",
-        "traditional.racks",
-        "traditional.servers_per_rack",
-        "owcpon.racks",
-        "owcpon.servers_per_rack",
-        "owcpon.groups",
-        "owcpon.aps_per_group",
-        "owcpon.adjacency",
-        "owcpon.pairs",
-        "owcpon.gateway_ap",
-        "owcpon.transceiver_multiplier",
-        "capacity.wired",
-        "capacity.owc",
-        "capacity.fiber",
-    }
-)
-
-_OPTIONS_KEYS = frozenset(
-    {
-        "profile",
-        "include_owc_transceivers",
-        "include_server_transceivers",
-        "nic_count_mode",
-        "prefer_direct_inter_group",
-        "relay_fallback",
-        "format",
-    }
-)
-
 #: Catalog keys map to the device kinds they override; ``owc_transceiver``
 #: is shorthand for both free-space transceiver kinds.  Structural kinds
 #: (servers, the external gateway) are never priced, so they are not
@@ -86,8 +66,6 @@ CATALOG_KEYS: dict[str, tuple[DeviceKind, ...]] = {
     },
     "owc_transceiver": (DeviceKind.RACK_TRANSCEIVER, DeviceKind.AP_TRANSCEIVER),
 }
-
-_TRAFFIC_KEYS = frozenset({"pattern", "flow"})
 
 _DECIMAL_RE = re.compile(r"^\d+(\.\d{1,3})?$")
 _PAIR_RE = re.compile(r"^(\d+)\.(\d+)-(\d+)\.(\d+)$")
@@ -125,47 +103,6 @@ def default_scenario() -> Scenario:
     return Scenario()
 
 
-def _scan(text: str):
-    entries: dict[tuple[str, str], tuple[str, int]] = {}
-    flows: list[tuple[str, int]] = []
-    section: str | None = None
-    allowed = {
-        "architecture": _ARCHITECTURE_KEYS,
-        "options": _OPTIONS_KEYS,
-        "catalog": frozenset(CATALOG_KEYS),
-        "traffic": _TRAFFIC_KEYS,
-    }
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError("malformed section header", lineno)
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
-                raise UnknownKey(f"unknown section [{name}]", lineno)
-            section = name
-            continue
-        if section is None:
-            raise ParseError("key outside any section", lineno)
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key:
-            raise ParseError("expected 'key = value'", lineno)
-        if not value:
-            raise ParseError(f"empty value for '{key}'", lineno)
-        if key not in allowed[section]:
-            raise UnknownKey(f"unknown key '{key}' in [{section}]", lineno)
-        if section == "traffic" and key == "flow":
-            flows.append((value, lineno))
-            continue
-        if (section, key) in entries:
-            raise ParseError(f"duplicate key '{key}'", lineno)
-        entries[(section, key)] = (value, lineno)
-    return entries, flows
-
-
 def _parse_int(value: str, lineno: int, minimum: int = 0) -> int:
     if not re.fullmatch(r"-?\d+", value):
         raise InvalidValue(f"expected an integer, got {value!r}", lineno)
@@ -192,51 +129,6 @@ def _parse_decimal(value: str, lineno: int) -> Fraction:
     return Fraction(value)
 
 
-def _parse_choice(value: str, lineno: int, choices: dict):
-    if value not in choices:
-        raise InvalidValue(
-            f"expected one of {sorted(choices)}, got {value!r}", lineno
-        )
-    return choices[value]
-
-
-class _Entries:
-    """Typed access to scanned key-value pairs."""
-
-    def __init__(self, entries):
-        self._entries = entries
-
-    def raw(self, section: str, key: str) -> tuple[str, int] | None:
-        return self._entries.get((section, key))
-
-    def has(self, section: str, key: str) -> bool:
-        return (section, key) in self._entries
-
-    def integer(self, section, key, default, minimum=0):
-        found = self.raw(section, key)
-        if found is None:
-            return default
-        return _parse_int(found[0], found[1], minimum)
-
-    def boolean(self, section, key, default):
-        found = self.raw(section, key)
-        if found is None:
-            return default
-        return _parse_bool(found[0], found[1])
-
-    def decimal(self, section, key, default: Fraction) -> Fraction:
-        found = self.raw(section, key)
-        if found is None:
-            return default
-        return _parse_decimal(found[0], found[1])
-
-    def choice(self, section, key, default, choices: dict):
-        found = self.raw(section, key)
-        if found is None:
-            return default
-        return _parse_choice(found[0], found[1], choices)
-
-
 def _parse_pairs(value: str, lineno: int) -> ExplicitPairs:
     pairs = []
     for item in (part.strip() for part in value.split(",")):
@@ -251,33 +143,178 @@ def _parse_pairs(value: str, lineno: int) -> ExplicitPairs:
     return ExplicitPairs(tuple(pairs))
 
 
+def _with_pairs(adjacency, found: tuple[str, int] | None):
+    """``owcpon.pairs`` is required by ``adjacency = explicit`` and valid only with it."""
+    if isinstance(adjacency, ExplicitPairs):
+        if found is None:
+            raise InvalidValue("owcpon.pairs is required when adjacency = explicit")
+        return _parse_pairs(*found)
+    if found is not None:
+        raise InvalidValue("owcpon.pairs is only valid with adjacency = explicit", found[1])
+    return adjacency
+
+
+def _pairs_text(adjacency) -> str | None:
+    if not isinstance(adjacency, ExplicitPairs):
+        return None
+    return ", ".join(f"{g1}.{a1}-{g2}.{a2}" for (g1, a1), (g2, a2) in adjacency.pairs)
+
+
+def format_decimal(value: Fraction) -> str:
+    """Canonical decimal text for an exact multiple of 1/1000."""
+    milli = value * 1000
+    if milli.denominator != 1:
+        raise ValueError(f"{value} is not representable with 3 fractional digits")
+    sign = "-" if milli < 0 else ""
+    whole, frac = divmod(abs(int(milli)), 1000)
+    if frac == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{str(frac).zfill(3).rstrip('0')}"
+
+
+# Codecs: (parse(value, lineno) -> field value, format(field value) -> text).
+
+
+def _choice(choices: dict, to_text):
+    def parse(value: str, lineno: int):
+        if value not in choices:
+            raise InvalidValue(f"expected one of {sorted(choices)}, got {value!r}", lineno)
+        return choices[value]
+
+    return parse, to_text
+
+
+def _enum(kind):
+    return _choice({member.value: member for member in kind}, attrgetter("value"))
+
+
+def _positive_decimal(key: str):
+    def parse(value: str, lineno: int) -> Fraction:
+        number = _parse_decimal(value, lineno)
+        if number <= 0:
+            raise InvalidValue(f"{key} must be positive", lineno)
+        return number
+
+    return parse, format_decimal
+
+
+def _parse_fraction(value: str, lineno: int) -> Fraction:
+    fraction = _parse_decimal(value, lineno)
+    if fraction > 1:
+        raise InvalidValue("intra fraction must be within [0, 1]", lineno)
+    return fraction
+
+
+_COUNT = (_parse_int, str)
+_MULTIPLIER = (lambda value, lineno: _parse_int(value, lineno, minimum=1), str)
+_DECIMAL = (_parse_decimal, format_decimal)
+_FRACTION = (_parse_fraction, format_decimal)
+_FLAG = (_parse_bool, lambda flag: "true" if flag else "false")
+_SELECT = _choice(
+    {
+        "traditional": (Architecture.TRADITIONAL,),
+        "owcpon": (Architecture.OWC_PON,),
+        "both": (Architecture.TRADITIONAL, Architecture.OWC_PON),
+    },
+    lambda selection: "both" if len(selection) == 2 else selection[0].value,
+)
+# ``explicit`` parses to an empty placeholder that the ``owcpon.pairs`` row
+# (no parser of its own: ``_with_pairs`` applies it) fills.
+_ADJACENCIES = {
+    "index_matched": IndexMatched(),
+    "none": NoDirectLinks(),
+    "explicit": ExplicitPairs(()),
+}
+_ADJACENCY_NAMES = {type(kind): name for name, kind in _ADJACENCIES.items()}
+_ADJACENCY = _choice(_ADJACENCIES, lambda adjacency: _ADJACENCY_NAMES[type(adjacency)])
+_PAIRS = (None, _pairs_text)
+
+#: Every fixed key as (section, key, Scenario field, codec), in the order
+#: ``serialize_scenario`` emits them and ``parse_scenario`` checks them.
+KEY_TABLE = (
+    ("architecture", "select", "architectures", _SELECT),
+    ("architecture", "traditional.spines", "traditional.num_spine", _COUNT),
+    ("architecture", "traditional.racks", "traditional.num_racks", _COUNT),
+    ("architecture", "traditional.servers_per_rack", "traditional.servers_per_rack", _COUNT),
+    ("architecture", "owcpon.racks", "owcpon.num_racks", _COUNT),
+    ("architecture", "owcpon.servers_per_rack", "owcpon.servers_per_rack", _COUNT),
+    ("architecture", "owcpon.groups", "owcpon.num_groups", _COUNT),
+    ("architecture", "owcpon.aps_per_group", "owcpon.aps_per_group", _COUNT),
+    ("architecture", "owcpon.adjacency", "owcpon.adjacency", _ADJACENCY),
+    ("architecture", "owcpon.pairs", "owcpon.adjacency", _PAIRS),
+    ("architecture", "owcpon.gateway_ap", "owcpon.gateway_ap_index", _COUNT),
+    ("architecture", "owcpon.transceiver_multiplier", "owcpon.transceiver_multiplier", _MULTIPLIER),
+    ("architecture", "capacity.wired", "capacities.wired", _positive_decimal("capacity.wired")),
+    ("architecture", "capacity.owc", "capacities.owc", _positive_decimal("capacity.owc")),
+    ("architecture", "capacity.fiber", "capacities.fiber", _positive_decimal("capacity.fiber")),
+    ("options", "include_owc_transceivers", "options.include_owc_transceivers", _FLAG),
+    ("options", "include_server_transceivers", "options.include_server_transceivers", _FLAG),
+    ("options", "nic_count_mode", "options.nic_count_mode", _enum(NicCountMode)),
+    ("options", "prefer_direct_inter_group", "policy.prefer_direct_inter_group", _FLAG),
+    ("options", "relay_fallback", "policy.allow_relay_fallback", _FLAG),
+    ("options", "format", "out_format", _enum(OutputFormat)),
+)
+
+_ALLOWED = (
+    {(section, key) for section, key, _, _ in KEY_TABLE}
+    | {("catalog", key) for key in CATALOG_KEYS}
+    | {("options", "profile"), ("traffic", "pattern"), ("traffic", "flow")}
+)
+
+
+#: Traffic patterns by name: the pattern class and a codec per field.
+_PATTERNS = {
+    "uniform": (UniformPattern, (_DECIMAL,)),
+    "hotspot_rack": (HotspotRackPattern, (_COUNT, _DECIMAL)),
+    "intra_rack_heavy": (IntraRackHeavyPattern, (_FRACTION, _DECIMAL)),
+}
+
+
 def _parse_pattern(value: str, lineno: int) -> TrafficPattern:
-    tokens = value.split()
-    try:
-        if tokens[0] == "uniform" and len(tokens) == 2:
-            return UniformPattern(_parse_decimal(tokens[1], lineno))
-        if tokens[0] == "hotspot_rack" and len(tokens) == 3:
-            return HotspotRackPattern(
-                _parse_int(tokens[1], lineno), _parse_decimal(tokens[2], lineno)
-            )
-        if tokens[0] == "intra_rack_heavy" and len(tokens) == 3:
-            fraction = _parse_decimal(tokens[1], lineno)
-            if fraction > 1:
-                raise InvalidValue("intra fraction must be within [0, 1]", lineno)
-            return IntraRackHeavyPattern(fraction, _parse_decimal(tokens[2], lineno))
-    except IndexError:
-        pass
-    raise InvalidValue(
-        "expected 'uniform <gbps>', 'hotspot_rack <rack> <gbps>', or "
-        "'intra_rack_heavy <fraction> <gbps>'",
-        lineno,
-    )
+    name, *args = value.split()
+    kind, codecs = _PATTERNS.get(name, (None, ()))
+    if kind is None or len(args) != len(codecs):
+        raise InvalidValue(
+            "expected 'uniform <gbps>', 'hotspot_rack <rack> <gbps>', or "
+            "'intra_rack_heavy <fraction> <gbps>'",
+            lineno,
+        )
+    return kind(*(parse(arg, lineno) for (parse, _), arg in zip(codecs, args)))
 
 
-def _watts_to_milliwatts(value: str, lineno: int) -> int:
-    watts = _parse_decimal(value, lineno)
-    milliwatts = watts * 1000
-    return int(milliwatts)
+def _scan(text: str):
+    entries: dict[tuple[str, str], tuple[str, int]] = {}
+    flows: list[tuple[str, int]] = []
+    section: str | None = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ParseError("malformed section header", lineno)
+            name = line[1:-1].strip()
+            if name not in _SECTIONS:
+                raise UnknownKey(f"unknown section [{name}]", lineno)
+            section = name
+            continue
+        if section is None:
+            raise ParseError("key outside any section", lineno)
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise ParseError("expected 'key = value'", lineno)
+        if not value:
+            raise ParseError(f"empty value for '{key}'", lineno)
+        if (section, key) not in _ALLOWED:
+            raise UnknownKey(f"unknown key '{key}' in [{section}]", lineno)
+        if section == "traffic" and key == "flow":
+            flows.append((value, lineno))
+            continue
+        if (section, key) in entries:
+            raise ParseError(f"duplicate key '{key}'", lineno)
+        entries[(section, key)] = (value, lineno)
+    return entries, flows
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -286,122 +323,48 @@ def parse_scenario(text: str) -> Scenario:
     A file holding only ``profile = reproduction`` under ``[options]``
     resolves to the complete benchmark scenario; an empty file is an
     error because nothing selects an architecture.
+
+    The first fault found is raised, in this order: line syntax, unknown
+    sections or keys and duplicate keys, in line order; an unknown
+    ``profile``, or neither a profile nor ``select``; each ``KEY_TABLE``
+    row in table order (the ``owcpon.pairs`` row checks that pairs come
+    with, and only with, ``adjacency = explicit``); catalog overrides in
+    ``CATALOG_KEYS`` order; the traffic section.
     """
     entries, raw_flows = _scan(text)
-    table = _Entries(entries)
 
-    profile_entry = table.raw("options", "profile")
-    options = PowerOptions()
+    base = Scenario()
+    profile_entry = entries.get(("options", "profile"))
     if profile_entry is not None:
         value, lineno = profile_entry
         if value not in PROFILES:
             raise InvalidValue(
                 f"unknown profile {value!r}; named profiles: {sorted(PROFILES)}", lineno
             )
-        options = PROFILES[value]
-
-    select_entry = table.raw("architecture", "select")
-    if select_entry is not None:
-        selection = _parse_choice(
-            select_entry[0],
-            select_entry[1],
-            {
-                "traditional": (Architecture.TRADITIONAL,),
-                "owcpon": (Architecture.OWC_PON,),
-                "both": (Architecture.TRADITIONAL, Architecture.OWC_PON),
-            },
-        )
-    elif profile_entry is not None:
-        selection = (Architecture.TRADITIONAL, Architecture.OWC_PON)
-    else:
+        base = Scenario(options=PROFILES[value])
+    elif ("architecture", "select") not in entries:
         raise ParseError(
             "architecture selector required: set [architecture] select "
             "or pick an [options] profile"
         )
 
-    options = replace(
-        options,
-        include_owc_transceivers=table.boolean(
-            "options", "include_owc_transceivers", options.include_owc_transceivers
-        ),
-        include_server_transceivers=table.boolean(
-            "options",
-            "include_server_transceivers",
-            options.include_server_transceivers,
-        ),
-        nic_count_mode=table.choice(
-            "options",
-            "nic_count_mode",
-            options.nic_count_mode,
-            {mode.value: mode for mode in NicCountMode},
-        ),
-    )
-    policy = RoutingPolicy(
-        prefer_direct_inter_group=table.boolean(
-            "options", "prefer_direct_inter_group", True
-        ),
-        allow_relay_fallback=table.boolean("options", "relay_fallback", True),
-    )
-    out_format = table.choice(
-        "options",
-        "format",
-        OutputFormat.TABLE,
-        {fmt.value: fmt for fmt in OutputFormat},
-    )
-
-    traditional = TraditionalSpec(
-        num_spine=table.integer("architecture", "traditional.spines", 8),
-        num_racks=table.integer("architecture", "traditional.racks", 8),
-        servers_per_rack=table.integer("architecture", "traditional.servers_per_rack", 8),
-    )
-
-    adjacency = table.choice(
-        "architecture",
-        "owcpon.adjacency",
-        "index_matched",
-        {"index_matched": "index_matched", "none": "none", "explicit": "explicit"},
-    )
-    pairs_entry = table.raw("architecture", "owcpon.pairs")
-    if adjacency == "explicit":
-        if pairs_entry is None:
-            raise InvalidValue("owcpon.pairs is required when adjacency = explicit")
-        adjacency_obj = _parse_pairs(*pairs_entry)
-    else:
-        if pairs_entry is not None:
-            raise InvalidValue(
-                "owcpon.pairs is only valid with adjacency = explicit", pairs_entry[1]
-            )
-        adjacency_obj = IndexMatched() if adjacency == "index_matched" else NoDirectLinks()
-
-    owcpon = OwcPonSpec(
-        num_racks=table.integer("architecture", "owcpon.racks", 8),
-        servers_per_rack=table.integer("architecture", "owcpon.servers_per_rack", 8),
-        num_groups=table.integer("architecture", "owcpon.groups", 2),
-        aps_per_group=table.integer("architecture", "owcpon.aps_per_group", 4),
-        adjacency=adjacency_obj,
-        gateway_ap_index=table.integer("architecture", "owcpon.gateway_ap", 0),
-        transceiver_multiplier=table.integer(
-            "architecture", "owcpon.transceiver_multiplier", 1, minimum=1
-        ),
-    )
-
-    capacities = {}
-    for name, default in (("wired", Fraction(10)), ("owc", Fraction(10)), ("fiber", Fraction(40))):
-        value = table.decimal("architecture", f"capacity.{name}", default)
-        found = table.raw("architecture", f"capacity.{name}")
-        if value <= 0:
-            raise InvalidValue(
-                f"capacity.{name} must be positive", found[1] if found else None
-            )
-        capacities[name] = value
-    link_capacities = LinkCapacities(**capacities)
+    # Parsed values by owner ("" for Scenario itself) and attribute name.
+    fields: dict[str, dict[str, object]] = {}
+    for section, key, field, (parse, _) in KEY_TABLE:
+        found = entries.get((section, key))
+        owner, _, name = field.rpartition(".")
+        values = fields.setdefault(owner, {})
+        if parse is None:  # owcpon.pairs refines the adjacency parsed before it
+            values[name] = _with_pairs(values.get(name, attrgetter(field)(base)), found)
+        elif found is not None:
+            values[name] = parse(*found)
 
     overrides: dict[str, int] = {}
     for key, kinds in CATALOG_KEYS.items():
-        found = table.raw("catalog", key)
+        found = entries.get(("catalog", key))
         if found is None:
             continue
-        milliwatts = _watts_to_milliwatts(*found)
+        milliwatts = int(_parse_decimal(*found) * 1000)
         for kind in kinds:
             if kind.value in overrides:
                 raise InvalidValue(
@@ -410,7 +373,7 @@ def parse_scenario(text: str) -> Scenario:
                 )
             overrides[kind.value] = milliwatts
 
-    pattern_entry = table.raw("traffic", "pattern")
+    pattern_entry = entries.get(("traffic", "pattern"))
     flows: dict[tuple[str, str], Fraction] = {}
     for value, lineno in raw_flows:
         tokens = value.split()
@@ -431,82 +394,26 @@ def parse_scenario(text: str) -> Scenario:
             flows=tuple((src, dst, flows[(src, dst)]) for src, dst in sorted(flows))
         )
 
-    return Scenario(
-        architectures=selection,
-        traditional=traditional,
-        owcpon=owcpon,
-        capacities=link_capacities,
-        options=options,
-        policy=policy,
+    return replace(
+        base,
+        **fields.pop("", {}),
+        **{owner: replace(getattr(base, owner), **values) for owner, values in fields.items()},
         catalog_overrides=tuple(sorted(overrides.items())),
         traffic=traffic,
-        out_format=out_format,
     )
-
-
-def format_decimal(value: Fraction) -> str:
-    """Canonical decimal text for an exact multiple of 1/1000."""
-    milli = value * 1000
-    if milli.denominator != 1:
-        raise ValueError(f"{value} is not representable with 3 fractional digits")
-    sign = "-" if milli < 0 else ""
-    whole, frac = divmod(abs(int(milli)), 1000)
-    if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).zfill(3).rstrip('0')}"
-
-
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Emit the canonical, fully resolved form of a scenario."""
-    if len(scenario.architectures) == 2:
-        select = "both"
-    else:
-        select = scenario.architectures[0].value
-
-    spec = scenario.owcpon
-    if isinstance(spec.adjacency, IndexMatched):
-        adjacency = "index_matched"
-    elif isinstance(spec.adjacency, NoDirectLinks):
-        adjacency = "none"
-    else:
-        adjacency = "explicit"
-
-    lines = [
-        "[architecture]",
-        f"select = {select}",
-        f"traditional.spines = {scenario.traditional.num_spine}",
-        f"traditional.racks = {scenario.traditional.num_racks}",
-        f"traditional.servers_per_rack = {scenario.traditional.servers_per_rack}",
-        f"owcpon.racks = {spec.num_racks}",
-        f"owcpon.servers_per_rack = {spec.servers_per_rack}",
-        f"owcpon.groups = {spec.num_groups}",
-        f"owcpon.aps_per_group = {spec.aps_per_group}",
-        f"owcpon.adjacency = {adjacency}",
-    ]
-    if isinstance(spec.adjacency, ExplicitPairs):
-        rendered = ", ".join(
-            f"{g1}.{a1}-{g2}.{a2}" for (g1, a1), (g2, a2) in spec.adjacency.pairs
-        )
-        lines.append(f"owcpon.pairs = {rendered}")
-    lines += [
-        f"owcpon.gateway_ap = {spec.gateway_ap_index}",
-        f"owcpon.transceiver_multiplier = {spec.transceiver_multiplier}",
-        f"capacity.wired = {format_decimal(scenario.capacities.wired)}",
-        f"capacity.owc = {format_decimal(scenario.capacities.owc)}",
-        f"capacity.fiber = {format_decimal(scenario.capacities.fiber)}",
-        "",
-        "[options]",
-        f"include_owc_transceivers = {_bool_text(scenario.options.include_owc_transceivers)}",
-        f"include_server_transceivers = {_bool_text(scenario.options.include_server_transceivers)}",
-        f"nic_count_mode = {scenario.options.nic_count_mode.value}",
-        f"prefer_direct_inter_group = {_bool_text(scenario.policy.prefer_direct_inter_group)}",
-        f"relay_fallback = {_bool_text(scenario.policy.allow_relay_fallback)}",
-        f"format = {scenario.out_format.value}",
-    ]
+    lines: list[str] = []
+    section = None
+    for row_section, key, field, (_, to_text) in KEY_TABLE:
+        if row_section != section:
+            section = row_section
+            lines += ["", f"[{section}]"]
+        text = to_text(attrgetter(field)(scenario))
+        if text is not None:
+            lines.append(f"{key} = {text}")
 
     if scenario.catalog_overrides:
         lines += ["", "[catalog]"]
@@ -516,18 +423,11 @@ def serialize_scenario(scenario: Scenario) -> str:
     if scenario.traffic is not None:
         lines += ["", "[traffic]"]
         pattern = scenario.traffic.pattern
-        if isinstance(pattern, UniformPattern):
-            lines.append(f"pattern = uniform {format_decimal(pattern.gbps)}")
-        elif isinstance(pattern, HotspotRackPattern):
-            lines.append(
-                f"pattern = hotspot_rack {pattern.rack} {format_decimal(pattern.gbps)}"
-            )
-        elif isinstance(pattern, IntraRackHeavyPattern):
-            lines.append(
-                "pattern = intra_rack_heavy "
-                f"{format_decimal(pattern.intra_fraction)} {format_decimal(pattern.gbps)}"
-            )
+        for name, (kind, codecs) in _PATTERNS.items():
+            if isinstance(pattern, kind):
+                args = (to_text(arg) for (_, to_text), arg in zip(codecs, vars(pattern).values()))
+                lines.append(f"pattern = {name} {' '.join(args)}")
         for src, dst, rate in scenario.traffic.flows:
             lines.append(f"flow = {src} {dst} {format_decimal(rate)}")
 
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines[1:]) + "\n"

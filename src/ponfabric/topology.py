@@ -38,22 +38,6 @@ class DeviceKind(Enum):
     EXTERNAL_GATEWAY = "external_gateway"
 
 
-#: Kinds that carry a rack index.
-RACK_SCOPED = frozenset(
-    {
-        DeviceKind.SERVER,
-        DeviceKind.SERVER_TRANSCEIVER,
-        DeviceKind.LEAF_SWITCH,
-        DeviceKind.RACK_TRANSCEIVER,
-    }
-)
-
-#: Kinds that carry a group index.
-GROUP_SCOPED = frozenset(
-    {DeviceKind.AP_TRANSCEIVER, DeviceKind.NIC, DeviceKind.OPTICAL_SWITCH}
-)
-
-
 class LinkKind(Enum):
     WIRED = "wired"
     OWC = "owc"

@@ -10,23 +10,54 @@ The per-pair reference (``reference_route``, ``reference_all_pairs`` and
 walk per ordered server pair, neighbour scans for every lookup, and one
 ``Fraction`` addition per hop.  The differential tests hold the package's
 route table and aggregated sums to it, errors included.
+
+``reference_parse_scenario`` and ``reference_serialize_scenario`` are the
+hand-written scenario parser and serializer that the key table replaced;
+the scenario differential tests hold the table to them.
 """
 
+import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
 
 from ponfabric import (
+    PROFILES,
     Architecture,
     DeviceKind,
+    ExplicitPairs,
+    HotspotRackPattern,
+    IndexMatched,
+    IntraRackHeavyPattern,
+    LinkCapacities,
     LinkLoad,
     LinkLoadReport,
+    NicCountMode,
+    NoDirectLinks,
+    OutputFormat,
+    OwcPonSpec,
     PathClass,
+    PowerOptions,
     Route,
     RoutingPolicy,
+    Scenario,
+    TraditionalSpec,
+    TrafficSection,
+    UniformPattern,
 )
-from ponfabric.errors import NoRoute, PolicyExcluded, RoutingError, UnknownServer, in_pair
+from ponfabric.errors import (
+    InvalidValue,
+    NoRoute,
+    ParseError,
+    PolicyExcluded,
+    RoutingError,
+    UnknownKey,
+    UnknownServer,
+    in_pair,
+)
+from ponfabric.traffic import TrafficPattern
 
 
 def arithmetic_class_and_hops(spec, rack_a, rack_b, same_server, *, index_matched=True):
@@ -331,3 +362,470 @@ def reference_assign(graph, matrix, policy=RoutingPolicy()):
     max_utilization = max((row.utilization for row in rows), default=Fraction(0))
     saturated = tuple(row.link_id for row in rows if row.utilization > 1)
     return LinkLoadReport(rows, max_utilization, saturated)
+
+
+# --- scenario parser and serializer -------------------------------------------
+#
+# The hand-written ``parse_scenario``/``serialize_scenario`` that the
+# declarative key table in ``ponfabric.scenario`` replaced, kept verbatim
+# (helpers included) as the reference for the differential tests.
+
+_SECTIONS = ("architecture", "options", "catalog", "traffic")
+
+_ARCHITECTURE_KEYS = frozenset(
+    {
+        "select",
+        "traditional.spines",
+        "traditional.racks",
+        "traditional.servers_per_rack",
+        "owcpon.racks",
+        "owcpon.servers_per_rack",
+        "owcpon.groups",
+        "owcpon.aps_per_group",
+        "owcpon.adjacency",
+        "owcpon.pairs",
+        "owcpon.gateway_ap",
+        "owcpon.transceiver_multiplier",
+        "capacity.wired",
+        "capacity.owc",
+        "capacity.fiber",
+    }
+)
+
+_OPTIONS_KEYS = frozenset(
+    {
+        "profile",
+        "include_owc_transceivers",
+        "include_server_transceivers",
+        "nic_count_mode",
+        "prefer_direct_inter_group",
+        "relay_fallback",
+        "format",
+    }
+)
+
+#: Catalog keys map to the device kinds they override; ``owc_transceiver``
+#: is shorthand for both free-space transceiver kinds.  Structural kinds
+#: (servers, the external gateway) are never priced, so they are not
+#: overridable.
+CATALOG_KEYS: dict[str, tuple[DeviceKind, ...]] = {
+    **{
+        kind.value: (kind,)
+        for kind in DeviceKind
+        if kind not in (DeviceKind.SERVER, DeviceKind.EXTERNAL_GATEWAY)
+    },
+    "owc_transceiver": (DeviceKind.RACK_TRANSCEIVER, DeviceKind.AP_TRANSCEIVER),
+}
+
+_TRAFFIC_KEYS = frozenset({"pattern", "flow"})
+
+_DECIMAL_RE = re.compile(r"^\d+(\.\d{1,3})?$")
+_PAIR_RE = re.compile(r"^(\d+)\.(\d+)-(\d+)\.(\d+)$")
+
+
+def _scan(text: str):
+    entries: dict[tuple[str, str], tuple[str, int]] = {}
+    flows: list[tuple[str, int]] = []
+    section: str | None = None
+    allowed = {
+        "architecture": _ARCHITECTURE_KEYS,
+        "options": _OPTIONS_KEYS,
+        "catalog": frozenset(CATALOG_KEYS),
+        "traffic": _TRAFFIC_KEYS,
+    }
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ParseError("malformed section header", lineno)
+            name = line[1:-1].strip()
+            if name not in _SECTIONS:
+                raise UnknownKey(f"unknown section [{name}]", lineno)
+            section = name
+            continue
+        if section is None:
+            raise ParseError("key outside any section", lineno)
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise ParseError("expected 'key = value'", lineno)
+        if not value:
+            raise ParseError(f"empty value for '{key}'", lineno)
+        if key not in allowed[section]:
+            raise UnknownKey(f"unknown key '{key}' in [{section}]", lineno)
+        if section == "traffic" and key == "flow":
+            flows.append((value, lineno))
+            continue
+        if (section, key) in entries:
+            raise ParseError(f"duplicate key '{key}'", lineno)
+        entries[(section, key)] = (value, lineno)
+    return entries, flows
+
+
+def _parse_int(value: str, lineno: int, minimum: int = 0) -> int:
+    if not re.fullmatch(r"-?\d+", value):
+        raise InvalidValue(f"expected an integer, got {value!r}", lineno)
+    number = int(value)
+    if number < minimum:
+        raise InvalidValue(f"value must be >= {minimum}, got {number}", lineno)
+    return number
+
+
+def _parse_bool(value: str, lineno: int) -> bool:
+    if value == "true":
+        return True
+    if value == "false":
+        return False
+    raise InvalidValue(f"expected 'true' or 'false', got {value!r}", lineno)
+
+
+def _parse_decimal(value: str, lineno: int) -> Fraction:
+    if not _DECIMAL_RE.fullmatch(value):
+        raise InvalidValue(
+            f"expected a non-negative decimal with at most 3 fractional digits, got {value!r}",
+            lineno,
+        )
+    return Fraction(value)
+
+
+def _parse_choice(value: str, lineno: int, choices: dict):
+    if value not in choices:
+        raise InvalidValue(
+            f"expected one of {sorted(choices)}, got {value!r}", lineno
+        )
+    return choices[value]
+
+
+class _Entries:
+    """Typed access to scanned key-value pairs."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def raw(self, section: str, key: str) -> tuple[str, int] | None:
+        return self._entries.get((section, key))
+
+    def has(self, section: str, key: str) -> bool:
+        return (section, key) in self._entries
+
+    def integer(self, section, key, default, minimum=0):
+        found = self.raw(section, key)
+        if found is None:
+            return default
+        return _parse_int(found[0], found[1], minimum)
+
+    def boolean(self, section, key, default):
+        found = self.raw(section, key)
+        if found is None:
+            return default
+        return _parse_bool(found[0], found[1])
+
+    def decimal(self, section, key, default: Fraction) -> Fraction:
+        found = self.raw(section, key)
+        if found is None:
+            return default
+        return _parse_decimal(found[0], found[1])
+
+    def choice(self, section, key, default, choices: dict):
+        found = self.raw(section, key)
+        if found is None:
+            return default
+        return _parse_choice(found[0], found[1], choices)
+
+
+def _parse_pairs(value: str, lineno: int) -> ExplicitPairs:
+    pairs = []
+    for item in (part.strip() for part in value.split(",")):
+        match = _PAIR_RE.fullmatch(item)
+        if match is None:
+            raise InvalidValue(
+                f"expected pairs like '0.0-1.2' (group.ap-group.ap), got {item!r}",
+                lineno,
+            )
+        g1, a1, g2, a2 = (int(part) for part in match.groups())
+        pairs.append(((g1, a1), (g2, a2)))
+    return ExplicitPairs(tuple(pairs))
+
+
+def _parse_pattern(value: str, lineno: int) -> TrafficPattern:
+    tokens = value.split()
+    try:
+        if tokens[0] == "uniform" and len(tokens) == 2:
+            return UniformPattern(_parse_decimal(tokens[1], lineno))
+        if tokens[0] == "hotspot_rack" and len(tokens) == 3:
+            return HotspotRackPattern(
+                _parse_int(tokens[1], lineno), _parse_decimal(tokens[2], lineno)
+            )
+        if tokens[0] == "intra_rack_heavy" and len(tokens) == 3:
+            fraction = _parse_decimal(tokens[1], lineno)
+            if fraction > 1:
+                raise InvalidValue("intra fraction must be within [0, 1]", lineno)
+            return IntraRackHeavyPattern(fraction, _parse_decimal(tokens[2], lineno))
+    except IndexError:
+        pass
+    raise InvalidValue(
+        "expected 'uniform <gbps>', 'hotspot_rack <rack> <gbps>', or "
+        "'intra_rack_heavy <fraction> <gbps>'",
+        lineno,
+    )
+
+
+def _watts_to_milliwatts(value: str, lineno: int) -> int:
+    watts = _parse_decimal(value, lineno)
+    milliwatts = watts * 1000
+    return int(milliwatts)
+
+
+def reference_parse_scenario(text: str) -> Scenario:
+    """The hand-written parser the key table replaced.
+
+    A file holding only ``profile = reproduction`` under ``[options]``
+    resolves to the complete benchmark scenario; an empty file is an
+    error because nothing selects an architecture.
+    """
+    entries, raw_flows = _scan(text)
+    table = _Entries(entries)
+
+    profile_entry = table.raw("options", "profile")
+    options = PowerOptions()
+    if profile_entry is not None:
+        value, lineno = profile_entry
+        if value not in PROFILES:
+            raise InvalidValue(
+                f"unknown profile {value!r}; named profiles: {sorted(PROFILES)}", lineno
+            )
+        options = PROFILES[value]
+
+    select_entry = table.raw("architecture", "select")
+    if select_entry is not None:
+        selection = _parse_choice(
+            select_entry[0],
+            select_entry[1],
+            {
+                "traditional": (Architecture.TRADITIONAL,),
+                "owcpon": (Architecture.OWC_PON,),
+                "both": (Architecture.TRADITIONAL, Architecture.OWC_PON),
+            },
+        )
+    elif profile_entry is not None:
+        selection = (Architecture.TRADITIONAL, Architecture.OWC_PON)
+    else:
+        raise ParseError(
+            "architecture selector required: set [architecture] select "
+            "or pick an [options] profile"
+        )
+
+    options = replace(
+        options,
+        include_owc_transceivers=table.boolean(
+            "options", "include_owc_transceivers", options.include_owc_transceivers
+        ),
+        include_server_transceivers=table.boolean(
+            "options",
+            "include_server_transceivers",
+            options.include_server_transceivers,
+        ),
+        nic_count_mode=table.choice(
+            "options",
+            "nic_count_mode",
+            options.nic_count_mode,
+            {mode.value: mode for mode in NicCountMode},
+        ),
+    )
+    policy = RoutingPolicy(
+        prefer_direct_inter_group=table.boolean(
+            "options", "prefer_direct_inter_group", True
+        ),
+        allow_relay_fallback=table.boolean("options", "relay_fallback", True),
+    )
+    out_format = table.choice(
+        "options",
+        "format",
+        OutputFormat.TABLE,
+        {fmt.value: fmt for fmt in OutputFormat},
+    )
+
+    traditional = TraditionalSpec(
+        num_spine=table.integer("architecture", "traditional.spines", 8),
+        num_racks=table.integer("architecture", "traditional.racks", 8),
+        servers_per_rack=table.integer("architecture", "traditional.servers_per_rack", 8),
+    )
+
+    adjacency = table.choice(
+        "architecture",
+        "owcpon.adjacency",
+        "index_matched",
+        {"index_matched": "index_matched", "none": "none", "explicit": "explicit"},
+    )
+    pairs_entry = table.raw("architecture", "owcpon.pairs")
+    if adjacency == "explicit":
+        if pairs_entry is None:
+            raise InvalidValue("owcpon.pairs is required when adjacency = explicit")
+        adjacency_obj = _parse_pairs(*pairs_entry)
+    else:
+        if pairs_entry is not None:
+            raise InvalidValue(
+                "owcpon.pairs is only valid with adjacency = explicit", pairs_entry[1]
+            )
+        adjacency_obj = IndexMatched() if adjacency == "index_matched" else NoDirectLinks()
+
+    owcpon = OwcPonSpec(
+        num_racks=table.integer("architecture", "owcpon.racks", 8),
+        servers_per_rack=table.integer("architecture", "owcpon.servers_per_rack", 8),
+        num_groups=table.integer("architecture", "owcpon.groups", 2),
+        aps_per_group=table.integer("architecture", "owcpon.aps_per_group", 4),
+        adjacency=adjacency_obj,
+        gateway_ap_index=table.integer("architecture", "owcpon.gateway_ap", 0),
+        transceiver_multiplier=table.integer(
+            "architecture", "owcpon.transceiver_multiplier", 1, minimum=1
+        ),
+    )
+
+    capacities = {}
+    for name, default in (("wired", Fraction(10)), ("owc", Fraction(10)), ("fiber", Fraction(40))):
+        value = table.decimal("architecture", f"capacity.{name}", default)
+        found = table.raw("architecture", f"capacity.{name}")
+        if value <= 0:
+            raise InvalidValue(
+                f"capacity.{name} must be positive", found[1] if found else None
+            )
+        capacities[name] = value
+    link_capacities = LinkCapacities(**capacities)
+
+    overrides: dict[str, int] = {}
+    for key, kinds in CATALOG_KEYS.items():
+        found = table.raw("catalog", key)
+        if found is None:
+            continue
+        milliwatts = _watts_to_milliwatts(*found)
+        for kind in kinds:
+            if kind.value in overrides:
+                raise InvalidValue(
+                    f"'{key}' collides with an earlier override of {kind.value}",
+                    found[1],
+                )
+            overrides[kind.value] = milliwatts
+
+    pattern_entry = table.raw("traffic", "pattern")
+    flows: dict[tuple[str, str], Fraction] = {}
+    for value, lineno in raw_flows:
+        tokens = value.split()
+        if len(tokens) != 3:
+            raise InvalidValue("expected 'flow = <src> <dst> <gbps>'", lineno)
+        src, dst, rate = tokens[0], tokens[1], _parse_decimal(tokens[2], lineno)
+        flows[(src, dst)] = flows.get((src, dst), Fraction(0)) + rate
+    if pattern_entry is not None and flows:
+        raise InvalidValue(
+            "a traffic section takes either a pattern or flow lines, not both",
+            pattern_entry[1],
+        )
+    traffic: TrafficSection | None = None
+    if pattern_entry is not None:
+        traffic = TrafficSection(pattern=_parse_pattern(*pattern_entry))
+    elif flows:
+        traffic = TrafficSection(
+            flows=tuple((src, dst, flows[(src, dst)]) for src, dst in sorted(flows))
+        )
+
+    return Scenario(
+        architectures=selection,
+        traditional=traditional,
+        owcpon=owcpon,
+        capacities=link_capacities,
+        options=options,
+        policy=policy,
+        catalog_overrides=tuple(sorted(overrides.items())),
+        traffic=traffic,
+        out_format=out_format,
+    )
+
+
+def format_decimal(value: Fraction) -> str:
+    """Canonical decimal text for an exact multiple of 1/1000."""
+    milli = value * 1000
+    if milli.denominator != 1:
+        raise ValueError(f"{value} is not representable with 3 fractional digits")
+    sign = "-" if milli < 0 else ""
+    whole, frac = divmod(abs(int(milli)), 1000)
+    if frac == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{str(frac).zfill(3).rstrip('0')}"
+
+
+def _bool_text(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def reference_serialize_scenario(scenario: Scenario) -> str:
+    """The hand-written serializer the key table replaced."""
+    if len(scenario.architectures) == 2:
+        select = "both"
+    else:
+        select = scenario.architectures[0].value
+
+    spec = scenario.owcpon
+    if isinstance(spec.adjacency, IndexMatched):
+        adjacency = "index_matched"
+    elif isinstance(spec.adjacency, NoDirectLinks):
+        adjacency = "none"
+    else:
+        adjacency = "explicit"
+
+    lines = [
+        "[architecture]",
+        f"select = {select}",
+        f"traditional.spines = {scenario.traditional.num_spine}",
+        f"traditional.racks = {scenario.traditional.num_racks}",
+        f"traditional.servers_per_rack = {scenario.traditional.servers_per_rack}",
+        f"owcpon.racks = {spec.num_racks}",
+        f"owcpon.servers_per_rack = {spec.servers_per_rack}",
+        f"owcpon.groups = {spec.num_groups}",
+        f"owcpon.aps_per_group = {spec.aps_per_group}",
+        f"owcpon.adjacency = {adjacency}",
+    ]
+    if isinstance(spec.adjacency, ExplicitPairs):
+        rendered = ", ".join(
+            f"{g1}.{a1}-{g2}.{a2}" for (g1, a1), (g2, a2) in spec.adjacency.pairs
+        )
+        lines.append(f"owcpon.pairs = {rendered}")
+    lines += [
+        f"owcpon.gateway_ap = {spec.gateway_ap_index}",
+        f"owcpon.transceiver_multiplier = {spec.transceiver_multiplier}",
+        f"capacity.wired = {format_decimal(scenario.capacities.wired)}",
+        f"capacity.owc = {format_decimal(scenario.capacities.owc)}",
+        f"capacity.fiber = {format_decimal(scenario.capacities.fiber)}",
+        "",
+        "[options]",
+        f"include_owc_transceivers = {_bool_text(scenario.options.include_owc_transceivers)}",
+        f"include_server_transceivers = {_bool_text(scenario.options.include_server_transceivers)}",
+        f"nic_count_mode = {scenario.options.nic_count_mode.value}",
+        f"prefer_direct_inter_group = {_bool_text(scenario.policy.prefer_direct_inter_group)}",
+        f"relay_fallback = {_bool_text(scenario.policy.allow_relay_fallback)}",
+        f"format = {scenario.out_format.value}",
+    ]
+
+    if scenario.catalog_overrides:
+        lines += ["", "[catalog]"]
+        for key, milliwatts in scenario.catalog_overrides:
+            lines.append(f"{key} = {format_decimal(Fraction(milliwatts, 1000))}")
+
+    if scenario.traffic is not None:
+        lines += ["", "[traffic]"]
+        pattern = scenario.traffic.pattern
+        if isinstance(pattern, UniformPattern):
+            lines.append(f"pattern = uniform {format_decimal(pattern.gbps)}")
+        elif isinstance(pattern, HotspotRackPattern):
+            lines.append(
+                f"pattern = hotspot_rack {pattern.rack} {format_decimal(pattern.gbps)}"
+            )
+        elif isinstance(pattern, IntraRackHeavyPattern):
+            lines.append(
+                "pattern = intra_rack_heavy "
+                f"{format_decimal(pattern.intra_fraction)} {format_decimal(pattern.gbps)}"
+            )
+        for src, dst, rate in scenario.traffic.flows:
+            lines.append(f"flow = {src} {dst} {format_decimal(rate)}")
+
+    return "\n".join(lines) + "\n"

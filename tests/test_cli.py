@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ponfabric.cli import main
+from test_scenario import raw_bytes
 
 
 def run(capsys, *argv):
@@ -232,3 +237,95 @@ def test_non_utf8_scenario_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "-s", str(scenario), "benchmark")
     assert_one_line_failure(code, out, err)
     assert "not UTF-8" in err
+
+
+def write_scenario(tmp_path, text):
+    path = tmp_path / "scenario.txt"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("summary",), ("simulate",), ("route", "rack0/server0", "rack5/server1")],
+)
+def test_owcpon_commands_ignore_the_traditional_fabric(tmp_path, capsys, argv):
+    # With no spines the traditional fabric is disconnected; only the
+    # power commands look at it.
+    path = write_scenario(
+        tmp_path,
+        "[architecture]\nselect = both\ntraditional.spines = 0\n\n"
+        "[traffic]\npattern = uniform 1\n",
+    )
+    code, out, err = run(capsys, "-s", path, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, "-s", path, "benchmark")[0] == 2
+
+
+def test_hotspot_on_missing_rack_is_a_scenario_error(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path, "[architecture]\nselect = owcpon\n\n[traffic]\npattern = hotspot_rack 42 1\n"
+    )
+    code, out, err = run(capsys, "-s", path, "simulate")
+    assert_one_line_failure(code, out, err)
+    assert err == "ponfabric: scenario error: traffic pattern: rack 42 does not exist in the graph\n"
+
+
+def test_usage_error_is_one_line(capsys):
+    code, out, err = run(capsys, "sweep")
+    assert_one_line_failure(code, out, err)
+    assert "--racks" in err
+
+
+# --- error contract over generated argv ------------------------------------
+
+small = st.integers(-2, 64)
+count_list = st.lists(small, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+server = st.sampled_from(
+    ["rack0/server0", "rack7/server7", "rack1/server0", "rack99/server0", "external", "x"]
+)
+
+
+@st.composite
+def argvs(draw, scenario_path, out_dir):
+    argv = []
+    if draw(st.booleans()):
+        argv += ["-f", draw(st.sampled_from(["table", "csv", "json", "xml"]))]
+    if draw(st.booleans()):
+        argv += ["-s", scenario_path]
+    if draw(st.booleans()):
+        argv += ["--out", str(out_dir / draw(st.sampled_from(["out.txt", "missing/out.txt"])))]
+    command = draw(
+        st.sampled_from(
+            ["build", "validate", "power", "compare", "route", "summary", "simulate",
+             "sweep", "benchmark", "frobnicate"]
+        )
+    )
+    argv.append(command)
+    if command == "route":
+        argv += draw(st.lists(server, max_size=3))
+    elif command == "simulate" and draw(st.booleans()):
+        argv += ["--top", str(draw(small))]
+    elif command == "sweep":
+        for flag in ("--racks", "--spines", "--groups"):
+            if draw(st.booleans()):
+                argv += [flag, draw(count_list) if flag != "--groups" else str(draw(small))]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-5", "", "x"])))
+    return argv
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(data=st.data(), scenario=raw_bytes)
+def test_error_contract_holds_for_generated_argv(tmp_path_factory, data, scenario):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "scenario.bin"
+    path.write_bytes(scenario)
+    argv = data.draw(argvs(str(path), work))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().splitlines()) <= 1

@@ -10,6 +10,8 @@ intended output change:
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -62,9 +64,6 @@ def test_cli_output_matches_golden(case_id, capsys):
 
 
 def _record() -> None:
-    import contextlib
-    import io
-
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     for case_id in IDS:

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_parse_scenario, reference_serialize_scenario
 from ponfabric import (
+    PROFILES,
     Architecture,
     ExplicitPairs,
     IndexMatched,
@@ -23,7 +26,8 @@ from ponfabric import (
     parse_scenario,
     serialize_scenario,
 )
-from ponfabric.errors import InvalidValue, ParseError, UnknownKey
+from ponfabric.errors import InvalidValue, ParseError, ScenarioError, UnknownKey
+from ponfabric.scenario import CATALOG_KEYS, KEY_TABLE
 from ponfabric.traffic import HotspotRackPattern, IntraRackHeavyPattern
 
 
@@ -308,3 +312,173 @@ class TestRoundTrip:
     def test_serialization_is_canonical(self, scenario):
         text = serialize_scenario(scenario)
         assert serialize_scenario(parse_scenario(text)) == text
+
+
+# --- the key table against the hand-written reference -----------------------
+
+
+def outcome(parse, text):
+    """A parse result, or the raised exception's type, message and line."""
+    try:
+        return parse(text)
+    except ScenarioError as exc:
+        return type(exc), str(exc), exc.line
+
+
+FAULTY_VALUES = [
+    "-1", "0", "1", "31", "x", "1.5", "1.2345", "true", "false", "yes", "both",
+    "owcpon", "none", "explicit", "index_matched", "per_server", "csv",
+    "0.0-1.2", "0:0-1:1", "0.0-1.2, 9.9-9.9", "uniform 1", "uniform",
+    "hotspot_rack 42 1", "intra_rack_heavy 2 1", "intra_rack_heavy 0.5 1 1",
+    "bursty 1", "a b", "a b 1", "reproduction", "as-written", "nope", "١٢",
+]
+FAULTY_KEYS = [
+    "select", "profile", "bogus", "owcpon.pairs", "owcpon.adjacency", "capacity.owc",
+    "relay_fallback", "format", "olt", "owc_transceiver", "rack_transceiver",
+    "server", "pattern", "flow", "",
+]
+EXTRA_LINES = FAULTY_KEYS + [
+    "[bogus]", "[options", "[traffic]", "[catalog]", "# comment", "", "x =", "= 1",
+    "profile = as-written", "profile = nope", "owcpon.pairs = 0.0-1.1",
+    "owcpon.adjacency = explicit", "flow = a b 1", "pattern = uniform 1",
+    "owc_transceiver = 0.5", "select = owcpon", "include_owc_transceivers = true",
+]
+
+
+@st.composite
+def one_fault_texts(draw):
+    """Valid scenario text in a drawn layout, with at most one line changed.
+
+    The base is a serialized scenario with optional keys dropped, lines
+    shuffled within their sections and perhaps a profile added, so it
+    parses.  One edit then changes a value or a key, inserts, deletes or
+    duplicates a line, or leaves the text alone.  Renaming the key of an
+    explicit adjacency or of its pairs would fault both lines, so the key
+    edit leaves those two alone.
+    """
+    lines = reference_serialize_scenario(draw(scenario_strategy)).splitlines()
+    kept, section = [], []
+    for line in lines + ["[end]"]:
+        if line.startswith("["):
+            kept += draw(st.permutations(section)) if section else []
+            kept.append(line)
+            section = []
+        elif line:
+            key = line.partition(" = ")[0]
+            required = key in ("select", "owcpon.adjacency", "owcpon.pairs")
+            if required or draw(st.booleans()):
+                section.append(line)
+    lines = kept[:-1]
+    if draw(st.booleans()):
+        options = lines.index("[options]")
+        lines.insert(options + 1, f"profile = {draw(st.sampled_from(sorted(PROFILES)))}")
+    edit = draw(st.sampled_from(["none", "value", "key", "insert", "delete", "duplicate"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    key, _, value = lines[at].partition(" = ")
+    linked = "owcpon.pairs" in key or "owcpon.adjacency = explicit" == lines[at]
+    if value and (edit == "value" or edit == "key" and not linked):
+        if edit == "value":
+            value = draw(st.sampled_from(FAULTY_VALUES))
+        else:
+            key = draw(st.sampled_from(FAULTY_KEYS))
+        lines[at] = f"{key} = {value}"
+    elif edit == "insert":
+        lines.insert(at, draw(st.sampled_from(EXTRA_LINES)))
+    elif edit == "delete":
+        del lines[at]
+    elif edit == "duplicate":
+        lines.insert(at, lines[at])
+    return "\n".join(lines) + "\n"
+
+
+FRAGMENTS = [
+    "[architecture]\n", "[options]\n", "[catalog]\n", "[traffic]\n", "[bogus]\n",
+    "select = both\n", "select = owcpon\n", "profile = reproduction\n",
+    "owcpon.racks = 4\n", "owcpon.groups = 1\n", "owcpon.aps_per_group = 4\n",
+    "owcpon.adjacency = explicit\n", "owcpon.pairs = 0.0-1.1\n",
+    "owcpon.transceiver_multiplier = 2\n", "capacity.owc = 2.5\n",
+    "include_owc_transceivers = true\n", "format = json\n", "olt = 500\n",
+    "owc_transceiver = 0.4\n", "pattern = uniform 1\n", "flow = a b 1\n",
+    "# comment\n", "\n", "=\n", " = 1\n",
+]
+BASE_TEXTS = [
+    b"[options]\nprofile = reproduction\n\n[traffic]\npattern = hotspot_rack 3 1.5\n",
+    b"[architecture]\nselect = owcpon\nowcpon.adjacency = explicit\n"
+    b"owcpon.pairs = 0.0-1.2, 0.1-1.3\ncapacity.owc = 12.5\n\n"
+    b"[options]\nprofile = as-written\nformat = csv\n\n"
+    b"[catalog]\nowc_transceiver = 0.5\nolt = 500\n\n"
+    b"[traffic]\nflow = rack0/server0 rack1/server1 2.5\n",
+]
+
+
+def splice(base: bytes, edits) -> bytes:
+    for at, cut, insert in edits:
+        at %= len(base) + 1
+        base = base[:at] + insert + base[at + cut :]
+    return base
+
+
+fragment = st.sampled_from(FRAGMENTS).map(str.encode)
+# Whitespace and line breaks that str.strip, str.split and str.splitlines
+# treat specially, besides arbitrary bytes.
+inserted = st.one_of(
+    st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x1c", b"\xc2\xa0", b"\xc2\x85", b"#"]),
+    st.binary(max_size=4),
+)
+# Scenario-file bytes: a soup of fragments (three times as likely as a
+# random chunk), or a valid file with up to two spliced edits.
+raw_bytes = st.one_of(
+    st.lists(st.one_of(fragment, fragment, fragment, st.binary(max_size=8)), max_size=10).map(
+        b"".join
+    ),
+    st.builds(
+        splice,
+        st.sampled_from(BASE_TEXTS),
+        st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3), inserted), max_size=2),
+    ),
+)
+raw_texts = raw_bytes.map(lambda data: data.decode("utf-8", errors="replace"))
+
+
+class TestTableAgainstReference:
+    @settings(max_examples=80, derandomize=True)
+    @given(scenario=scenario_strategy)
+    def test_serialization_is_byte_equal(self, scenario):
+        assert serialize_scenario(scenario) == reference_serialize_scenario(scenario)
+
+    @settings(max_examples=100, derandomize=True)
+    @given(text=one_fault_texts())
+    def test_one_fault_parses_alike(self, text):
+        assert outcome(parse_scenario, text) == outcome(reference_parse_scenario, text)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(text=raw_texts)
+    def test_raw_text_raises_only_scenario_errors_and_round_trips(self, text):
+        try:
+            scenario = parse_scenario(text)
+        except ScenarioError:
+            with pytest.raises(ScenarioError):
+                reference_parse_scenario(text)
+            return
+        assert reference_parse_scenario(text) == scenario
+        assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+def test_readme_documents_exactly_the_table_keys():
+    # The README's ini block lists every key, some as commented-out
+    # examples, with trailing comments; the fixed keys in table order.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented, section = [], None
+    for line in block.splitlines():
+        line = line.strip().removeprefix("# ").split(" #", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif " = " in line:
+            documented.append((section, line.partition(" = ")[0]))
+    extra = {("options", "profile"), ("traffic", "pattern"), ("traffic", "flow")}
+    fixed = [entry for entry in documented if entry[0] != "catalog" and entry not in extra]
+    assert fixed == [(section, key) for section, key, _, _ in KEY_TABLE]
+    assert extra <= set(documented)
+    catalog = {key for section, key in documented if section == "catalog"}
+    assert catalog and catalog <= set(CATALOG_KEYS)
