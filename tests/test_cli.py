@@ -262,6 +262,14 @@ def test_owcpon_commands_ignore_the_traditional_fabric(tmp_path, capsys, argv):
     assert run(capsys, "-s", path, "benchmark")[0] == 2
 
 
+@pytest.mark.parametrize("command", ["benchmark", "power", "compare"])
+def test_power_commands_reject_a_spineless_traditional_fabric(tmp_path, capsys, command):
+    path = write_scenario(tmp_path, "[architecture]\nselect = both\ntraditional.spines = 0\n")
+    code, out, err = run(capsys, "-s", path, command)
+    assert (code, out) == (2, "")
+    assert err == "ponfabric: validation error: traditional: disconnected(rack1/leaf)\n"
+
+
 def test_hotspot_on_missing_rack_is_a_scenario_error(tmp_path, capsys):
     path = write_scenario(
         tmp_path, "[architecture]\nselect = owcpon\n\n[traffic]\npattern = hotspot_rack 42 1\n"

@@ -1,11 +1,13 @@
 """Golden CLI outputs: stdout and exit code, byte for byte.
 
 Every subcommand runs in table, csv and json on the built-in scenario,
-plus ``simulate`` on the committed paper-scale traffic scenario and a
-route to the external gateway.  The files under ``tests/golden/`` were
-recorded before the scenario key table and the shared comparison
-pipeline replaced the hand-written code; re-record them only for an
-intended output change:
+plus ``simulate`` on the committed paper-scale traffic scenario, a route
+to the external gateway, and the closed-form commands at scale:
+``benchmark``, ``power`` and ``compare`` on the 128-rack scenario and two
+sweeps with failing points.  The files under ``tests/golden/`` were
+recorded before the code they pin was rewritten (the scenario key table,
+the shared comparison pipeline, pricing from the spec); re-record them
+only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -23,6 +25,8 @@ from ponfabric.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PAPER_TRAFFIC = "perfbench/scenarios/paper_traffic.scenario"
+FABRIC_SCALE = "perfbench/scenarios/fabric_scale.scenario"
+SCENARIOS = (PAPER_TRAFFIC, FABRIC_SCALE)
 
 CASES = {
     "build": ("build",),
@@ -36,6 +40,11 @@ CASES = {
     "sweep": ("sweep", "--racks", "4,8,16"),
     "benchmark": ("benchmark",),
     "paper_traffic-simulate": ("-s", PAPER_TRAFFIC, "simulate", "--top", "10"),
+    "fabric_scale-benchmark": ("-s", FABRIC_SCALE, "benchmark"),
+    "fabric_scale-power": ("-s", FABRIC_SCALE, "power"),
+    "fabric_scale-compare": ("-s", FABRIC_SCALE, "compare"),
+    "sweep-scale": ("sweep", "--racks", "0,7,32,64,128,256", "--groups", "8"),
+    "sweep-spines": ("sweep", "--racks", "4,8", "--spines", "0,4"),
 }
 FORMATS = ("table", "csv", "json")
 IDS = [f"{case}.{fmt}" for case in CASES for fmt in FORMATS]
@@ -43,7 +52,7 @@ IDS = [f"{case}.{fmt}" for case in CASES for fmt in FORMATS]
 
 def _argv(case_id: str) -> list[str]:
     case, fmt = case_id.rsplit(".", 1)
-    argv = [str(ROOT / arg) if arg == PAPER_TRAFFIC else arg for arg in CASES[case]]
+    argv = [str(ROOT / arg) if arg in SCENARIOS else arg for arg in CASES[case]]
     return ["--format", fmt, *argv]
 
 
