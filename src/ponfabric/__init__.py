@@ -65,7 +65,10 @@ from .topology import (
     Violation,
     build_owc_pon,
     build_traditional,
+    census_of,
     device_census,
+    fabric_size,
+    spec_violations,
     validate,
 )
 from .traffic import (

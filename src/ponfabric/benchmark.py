@@ -1,8 +1,10 @@
-"""Scenario-driven evaluation: build both fabrics, price them, compare.
+"""Scenario-driven evaluation: price both fabrics from their specs, compare.
 
 The benchmark report is a deterministic record: census tables, per-kind
 power subtotals, the exact reduction fraction, and its one-decimal
 rendering.  Serializing the same scenario twice yields identical bytes.
+Graphs are built only for the commands that read one, and only under
+``GRAPH_BUDGET``.
 """
 
 from __future__ import annotations
@@ -17,22 +19,31 @@ from .power import (
     PowerCatalog,
     PowerReport,
     Reduction,
-    owc_pon_power,
+    closed_form_power,
     power_reduction,
-    traditional_power,
 )
 from .render import Document, Table, format_rational
 from .scenario import Scenario, serialize_scenario
 from .topology import (
     Architecture,
     DeviceKind,
+    FabricSpec,
     NetworkGraph,
     build_owc_pon,
     build_traditional,
-    device_census,
+    census_of,
+    fabric_size,
+    spec_violations,
     validate,
 )
 from .version import __version__
+
+# perfbench/traced.py wraps these names in this module; nothing here calls them.
+from .power import owc_pon_power, traditional_power  # noqa: F401
+from .topology import device_census  # noqa: F401
+
+#: Most nodes plus links a command may build a graph of.
+GRAPH_BUDGET = 1_000_000
 
 
 def resolved_catalogs(scenario: Scenario) -> tuple[PowerCatalog, PowerCatalog]:
@@ -46,17 +57,34 @@ def resolved_catalogs(scenario: Scenario) -> tuple[PowerCatalog, PowerCatalog]:
     )
 
 
-def build_graphs(scenario: Scenario) -> dict[Architecture, NetworkGraph]:
-    """Build every architecture the scenario selects."""
-    graphs: dict[Architecture, NetworkGraph] = {}
+def selected_specs(scenario: Scenario) -> dict[Architecture, FabricSpec]:
+    """The spec of every architecture the scenario selects, traditional first."""
+    specs: dict[Architecture, FabricSpec] = {}
     if scenario.selects(Architecture.TRADITIONAL):
-        graphs[Architecture.TRADITIONAL] = build_traditional(
-            scenario.traditional, scenario.capacities
-        )
+        specs[Architecture.TRADITIONAL] = scenario.traditional
     if scenario.selects(Architecture.OWC_PON):
-        graphs[Architecture.OWC_PON] = build_owc_pon(
-            scenario.owcpon, scenario.capacities
-        )
+        specs[Architecture.OWC_PON] = scenario.owcpon
+    return specs
+
+
+def build_graphs(scenario: Scenario) -> dict[Architecture, NetworkGraph]:
+    """Build every architecture the scenario selects.
+
+    Every spec is checked and sized first, so an inadmissible spec or a
+    fabric over ``GRAPH_BUDGET`` fails before anything is allocated.
+    """
+    specs = selected_specs(scenario)
+    sizes = {architecture: fabric_size(spec) for architecture, spec in specs.items()}
+    for architecture, (nodes, links) in sizes.items():
+        if nodes + links > GRAPH_BUDGET:
+            raise ScenarioError(
+                f"{architecture.value} fabric would have {nodes} nodes and "
+                f"{links} links, over the {GRAPH_BUDGET} budget"
+            )
+    graphs: dict[Architecture, NetworkGraph] = {}
+    for architecture, spec in specs.items():
+        build = build_traditional if architecture is Architecture.TRADITIONAL else build_owc_pon
+        graphs[architecture] = build(spec, scenario.capacities)
     return graphs
 
 
@@ -67,6 +95,18 @@ def validated_graphs(scenario: Scenario) -> dict[Architecture, NetworkGraph]:
         if violations:
             raise ValidationFailed(architecture, violations)
     return graphs
+
+
+def validated_censuses(scenario: Scenario) -> dict[Architecture, dict[DeviceKind, int]]:
+    """The census of every selected fabric, failing as ``validated_graphs``
+    would: spec errors of any fabric first, then validation findings."""
+    specs = selected_specs(scenario)
+    censuses = {architecture: census_of(spec) for architecture, spec in specs.items()}
+    for architecture, spec in specs.items():
+        violations = spec_violations(spec)
+        if violations:
+            raise ValidationFailed(architecture, violations)
+    return censuses
 
 
 @dataclass(frozen=True)
@@ -86,12 +126,9 @@ def run_benchmark(scenario: Scenario) -> BenchmarkReport:
     if len(scenario.architectures) != 2:
         raise ScenarioError("the benchmark needs both architectures selected")
     traditional_catalog, owc_catalog = resolved_catalogs(scenario)
-    graphs = validated_graphs(scenario)
-
-    trad_census = device_census(graphs[Architecture.TRADITIONAL])
-    owc_census = device_census(graphs[Architecture.OWC_PON])
-    trad_report = traditional_power(trad_census, traditional_catalog, scenario.options)
-    owc_report = owc_pon_power(owc_census, owc_catalog, scenario.options)
+    censuses = validated_censuses(scenario)
+    trad_report = closed_form_power(scenario.traditional, traditional_catalog, scenario.options)
+    owc_report = closed_form_power(scenario.owcpon, owc_catalog, scenario.options)
     reduction = power_reduction(trad_report, owc_report)
 
     notes = []
@@ -104,8 +141,8 @@ def run_benchmark(scenario: Scenario) -> BenchmarkReport:
     return BenchmarkReport(
         version=__version__,
         scenario_text=serialize_scenario(scenario),
-        traditional_census=trad_census,
-        proposed_census=owc_census,
+        traditional_census=censuses[Architecture.TRADITIONAL],
+        proposed_census=censuses[Architecture.OWC_PON],
         traditional=trad_report,
         proposed=owc_report,
         reduction=reduction,

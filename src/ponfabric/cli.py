@@ -22,6 +22,8 @@ from .benchmark import (
     power_table,
     resolved_catalogs,
     run_benchmark,
+    selected_specs,
+    validated_censuses,
     validated_graphs,
 )
 from .errors import (
@@ -167,13 +169,14 @@ def _cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:
 
 def _cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
     catalogs = dict(zip((Architecture.TRADITIONAL, Architecture.OWC_PON), resolved_catalogs(scenario)))
-    graphs = validated_graphs(scenario)
+    censuses = validated_censuses(scenario)
+    specs = selected_specs(scenario)
     meta = []
     tables = []
-    for architecture, graph in graphs.items():
-        report = closed_form_power(graph, catalogs[architecture], scenario.options)
+    for architecture, census in censuses.items():
+        report = closed_form_power(specs[architecture], catalogs[architecture], scenario.options)
         meta.append((f"{architecture.value}_total_mw", report.total_mw))
-        tables.append(census_table(f"census_{architecture.value}", device_census(graph)))
+        tables.append(census_table(f"census_{architecture.value}", census))
         tables.append(power_table(f"power_{architecture.value}", report))
     return Document("power evaluation", tuple(meta), tuple(tables)), EXIT_OK
 
@@ -299,7 +302,6 @@ def _cmd_sweep(scenario: Scenario, args) -> tuple[Document, int]:
         traditional_catalog=traditional_catalog,
         owc_pon_catalog=owc_catalog,
         options=scenario.options,
-        capacities=scenario.capacities,
     )
     rows = []
     for result in results:

@@ -14,16 +14,15 @@ from typing import Mapping, Sequence
 
 from .errors import MissingCatalogEntry, MissingOlt, PonFabricError, SpecMismatch, ZeroBaseline
 from .topology import (
-    Architecture,
     DeviceKind,
-    LinkCapacities,
+    FabricSpec,
     NetworkGraph,
     OwcPonSpec,
     TraditionalSpec,
-    build_owc_pon,
-    build_traditional,
-    device_census,
+    census_of,
 )
+# perfbench/traced.py wraps these names in this module; nothing here calls them.
+from .topology import build_owc_pon, build_traditional, device_census  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -202,13 +201,13 @@ def owc_pon_power(
 
 
 def closed_form_power(
-    graph: NetworkGraph,
+    spec: FabricSpec,
     catalog: PowerCatalog,
     options: PowerOptions = PowerOptions(),
 ) -> PowerReport:
-    """Dispatch to the architecture's closed-form evaluator."""
-    census = device_census(graph)
-    if graph.architecture is Architecture.TRADITIONAL:
+    """Price the fabric ``spec`` builds with its architecture's closed form."""
+    census = census_of(spec)
+    if isinstance(spec, TraditionalSpec):
         return traditional_power(census, catalog, options)
     return owc_pon_power(census, catalog, options)
 
@@ -301,12 +300,12 @@ def scaling_sweep(
     traditional_catalog: PowerCatalog = TRADITIONAL_CATALOG,
     owc_pon_catalog: PowerCatalog = OWC_PON_CATALOG,
     options: PowerOptions = PowerOptions(),
-    capacities: LinkCapacities = LinkCapacities(),
 ) -> tuple[SweepResult, ...]:
     """Evaluate both architectures across a family of rack counts.
 
     Spine counts default to the rack count (one spine per leaf, the
-    benchmark pairing).  A point whose parameters are inadmissible is
+    benchmark pairing).  Each point is priced from its specs' censuses;
+    no graph is built.  A point whose parameters are inadmissible is
     marked failed without aborting the rest of the sweep.
     """
     if spine_counts is not None and len(spine_counts) != len(rack_counts):
@@ -323,16 +322,10 @@ def scaling_sweep(
                 aps = 0
             else:
                 raise SpecMismatch(f"{racks} racks cannot be split into zero groups")
-            trad_graph = build_traditional(
-                TraditionalSpec(spines, racks, servers_per_rack), capacities
-            )
-            owc_graph = build_owc_pon(
-                OwcPonSpec(racks, servers_per_rack, num_groups, aps), capacities
-            )
-            trad = traditional_power(
-                device_census(trad_graph), traditional_catalog, options
-            )
-            owc = owc_pon_power(device_census(owc_graph), owc_pon_catalog, options)
+            trad_census = census_of(TraditionalSpec(spines, racks, servers_per_rack))
+            owc_census = census_of(OwcPonSpec(racks, servers_per_rack, num_groups, aps))
+            trad = traditional_power(trad_census, traditional_catalog, options)
+            owc = owc_pon_power(owc_census, owc_pon_catalog, options)
             reduction = power_reduction(trad, owc)
         except (PonFabricError, ValueError) as exc:
             results.append(SweepResult(point, None, None, None, str(exc)))

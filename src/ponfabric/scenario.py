@@ -67,8 +67,8 @@ CATALOG_KEYS: dict[str, tuple[DeviceKind, ...]] = {
     "owc_transceiver": (DeviceKind.RACK_TRANSCEIVER, DeviceKind.AP_TRANSCEIVER),
 }
 
-_DECIMAL_RE = re.compile(r"^\d+(\.\d{1,3})?$")
-_PAIR_RE = re.compile(r"^(\d+)\.(\d+)-(\d+)\.(\d+)$")
+_DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]{1,3})?$")
+_PAIR_RE = re.compile(r"^([0-9]+)\.([0-9]+)-([0-9]+)\.([0-9]+)$")
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def default_scenario() -> Scenario:
 
 
 def _parse_int(value: str, lineno: int, minimum: int = 0) -> int:
-    if not re.fullmatch(r"-?\d+", value):
+    if not re.fullmatch(r"-?[0-9]+", value):
         raise InvalidValue(f"expected an integer, got {value!r}", lineno)
     number = int(value)
     if number < minimum:

@@ -370,20 +370,26 @@ def build_traditional(
     return NetworkGraph(nodes, links, Architecture.TRADITIONAL, spec, capacities)
 
 
-def _direct_pairs(spec: OwcPonSpec) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Resolve the adjacency policy into concrete cross-group AP pairs."""
+def _check_owc_pon(spec: OwcPonSpec) -> int:
+    """Raise what ``build_owc_pon`` raises for ``spec``, in the same order,
+    and return the number of direct inter-group links it would build."""
+    if spec.num_groups * spec.aps_per_group != spec.num_racks:
+        raise SpecMismatch(
+            f"num_groups ({spec.num_groups}) x aps_per_group "
+            f"({spec.aps_per_group}) must equal num_racks ({spec.num_racks})"
+        )
+    if spec.num_groups > 0 and spec.gateway_ap_index >= spec.aps_per_group:
+        raise SpecMismatch(
+            f"gateway_ap_index {spec.gateway_ap_index} is outside the "
+            f"{spec.aps_per_group} APs of each group"
+        )
     adjacency = spec.adjacency
     if isinstance(adjacency, NoDirectLinks):
-        return []
+        return 0
     if isinstance(adjacency, IndexMatched):
-        return [
-            ((g1, a), (g2, a))
-            for g1, g2 in itertools.combinations(range(spec.num_groups), 2)
-            for a in range(spec.aps_per_group)
-        ]
+        return spec.num_groups * (spec.num_groups - 1) // 2 * spec.aps_per_group
     if isinstance(adjacency, ExplicitPairs):
         seen: set[frozenset[tuple[int, int]]] = set()
-        pairs = []
         for first, second in adjacency.pairs:
             for group, ap in (first, second):
                 if not (0 <= group < spec.num_groups) or not (
@@ -400,8 +406,7 @@ def _direct_pairs(spec: OwcPonSpec) -> list[tuple[tuple[int, int], tuple[int, in
             if key in seen:
                 raise BadAdjacency(f"duplicate pair {first}-{second}")
             seen.add(key)
-            pairs.append((first, second))
-        return pairs
+        return len(adjacency.pairs)
     raise TypeError(f"unsupported adjacency policy: {adjacency!r}")
 
 
@@ -417,17 +422,15 @@ def build_owc_pon(
     OLT.  Direct NIC-to-NIC fiber links follow the adjacency policy, and
     one external gateway hangs off the OLT.
     """
-    if spec.num_groups * spec.aps_per_group != spec.num_racks:
-        raise SpecMismatch(
-            f"num_groups ({spec.num_groups}) x aps_per_group "
-            f"({spec.aps_per_group}) must equal num_racks ({spec.num_racks})"
-        )
-    if spec.num_groups > 0 and spec.gateway_ap_index >= spec.aps_per_group:
-        raise SpecMismatch(
-            f"gateway_ap_index {spec.gateway_ap_index} is outside the "
-            f"{spec.aps_per_group} APs of each group"
-        )
-    direct_pairs = _direct_pairs(spec)
+    _check_owc_pon(spec)
+    if isinstance(spec.adjacency, IndexMatched):
+        direct_pairs = [
+            ((g1, a), (g2, a))
+            for g1, g2 in itertools.combinations(range(spec.num_groups), 2)
+            for a in range(spec.aps_per_group)
+        ]
+    else:
+        direct_pairs = getattr(spec.adjacency, "pairs", ())
 
     nodes: list[Node] = []
     links: list[Link] = []
@@ -511,6 +514,44 @@ def device_census(graph: NetworkGraph) -> dict[DeviceKind, int]:
     return {kind: counts.get(kind, 0) for kind in DeviceKind}
 
 
+def _census_and_links(spec: FabricSpec) -> tuple[dict[DeviceKind, int], int]:
+    """The census and link count of the graph built from ``spec``, by
+    arithmetic; raises what the builder raises."""
+    counts = dict.fromkeys(DeviceKind, 0)
+    racks, servers = spec.num_racks, spec.num_racks * spec.servers_per_rack
+    counts[DeviceKind.LEAF_SWITCH] = racks
+    counts[DeviceKind.SERVER] = counts[DeviceKind.SERVER_TRANSCEIVER] = servers
+    if isinstance(spec, TraditionalSpec):
+        counts[DeviceKind.SPINE_SWITCH] = spec.num_spine
+        return counts, servers + racks * spec.num_spine
+    direct = _check_owc_pon(spec)
+    planes, aps = spec.transceiver_multiplier, spec.num_groups * spec.aps_per_group
+    counts[DeviceKind.RACK_TRANSCEIVER] = racks * planes
+    counts[DeviceKind.AP_TRANSCEIVER] = aps * planes
+    counts[DeviceKind.NIC] = aps
+    counts[DeviceKind.OPTICAL_SWITCH] = spec.num_groups
+    counts[DeviceKind.OLT] = counts[DeviceKind.EXTERNAL_GATEWAY] = 1
+    # server, rooftop uplink, free-space, AP-to-NIC, NIC-to-switch,
+    # gateway-to-OLT, direct and OLT-to-external links
+    links = servers + 2 * racks * planes + aps * planes + aps + spec.num_groups + direct + 1
+    return counts, links
+
+
+def census_of(spec: FabricSpec) -> dict[DeviceKind, int]:
+    """``device_census`` of the graph ``spec`` builds, without building it.
+
+    Raises the builder's ``SpecMismatch``/``BadAdjacency`` for an
+    inadmissible spec.
+    """
+    return _census_and_links(spec)[0]
+
+
+def fabric_size(spec: FabricSpec) -> tuple[int, int]:
+    """(nodes, links) of the graph ``spec`` builds, without building it."""
+    census, links = _census_and_links(spec)
+    return sum(census.values()), links
+
+
 @dataclass(frozen=True)
 class Violation:
     """One structural rule breach found by ``validate``."""
@@ -533,14 +574,33 @@ def _check_endpoints(graph: NetworkGraph, out: list[Violation]) -> None:
                 )
 
 
-def _check_rack(graph: NetworkGraph, rack: int, servers_expected: int, out) -> None:
-    leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
+def _node_finder(graph: NetworkGraph):
+    """Group the nodes in one pass the ways the rules look them up.
+
+    ``find(kind, "rack", r)``, ``find(kind, "group", g)``,
+    ``find(kind, "ap", g, a)`` and ``find(kind, "gateway", g)`` return
+    what ``graph.find_nodes(kind, rack=r)``, ``(group=g)``,
+    ``(group=g, ap=a)`` and ``(group=g, gateway=True)`` would, in node order.
+    """
+    groups: dict[tuple, list[Node]] = {}
+    for node in graph.nodes:
+        kind = node.kind
+        keys = [(kind, "rack", node.rack), (kind, "group", node.group), (kind, "ap", node.group, node.ap)]
+        if node.is_gateway:
+            keys.append((kind, "gateway", node.group))
+        for key in keys:
+            groups.setdefault(key, []).append(node)
+    return lambda *key: groups.get(key, ())
+
+
+def _check_rack(graph: NetworkGraph, find, rack: int, servers_expected: int, out) -> None:
+    leaves = find(DeviceKind.LEAF_SWITCH, "rack", rack)
     if len(leaves) != 1:
         code = "missing_leaf" if not leaves else "duplicate_leaf"
         out.append(Violation(code, f"rack:{rack}", f"rack {rack} has {len(leaves)} leaf switches"))
         return
     leaf = leaves[0]
-    servers = graph.find_nodes(DeviceKind.SERVER, rack=rack)
+    servers = find(DeviceKind.SERVER, "rack", rack)
     if len(servers) != servers_expected:
         out.append(
             Violation(
@@ -574,10 +634,10 @@ def _check_rack(graph: NetworkGraph, rack: int, servers_expected: int, out) -> N
             )
 
 
-def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
+def _check_rack_transceivers(graph: NetworkGraph, find, spec: OwcPonSpec, out) -> None:
     expected = spec.transceiver_multiplier
     for rack in range(spec.num_racks):
-        rtxs = graph.find_nodes(DeviceKind.RACK_TRANSCEIVER, rack=rack)
+        rtxs = find(DeviceKind.RACK_TRANSCEIVER, "rack", rack)
         if len(rtxs) != expected:
             code = (
                 "missing_rack_transceiver"
@@ -593,7 +653,7 @@ def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None
             )
             continue
         g, a = divmod(rack, spec.aps_per_group)
-        leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
+        leaves = find(DeviceKind.LEAF_SWITCH, "rack", rack)
         for rtx in rtxs:
             if leaves and not any(
                 link.kind is LinkKind.WIRED and link.touches(leaves[0].id)
@@ -625,10 +685,10 @@ def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None
                 )
 
 
-def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
+def _check_groups(graph: NetworkGraph, find, spec: OwcPonSpec, out) -> None:
     olts = graph.nodes_of_kind(DeviceKind.OLT)
     for g in range(spec.num_groups):
-        switches = graph.find_nodes(DeviceKind.OPTICAL_SWITCH, group=g)
+        switches = find(DeviceKind.OPTICAL_SWITCH, "group", g)
         if len(switches) != 1:
             code = "missing_optical_switch" if not switches else "duplicate_optical_switch"
             out.append(
@@ -641,7 +701,7 @@ def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
         switch = switches[0] if len(switches) == 1 else None
 
         for a in range(spec.aps_per_group):
-            nics = graph.find_nodes(DeviceKind.NIC, group=g, ap=a)
+            nics = find(DeviceKind.NIC, "ap", g, a)
             if len(nics) != 1:
                 code = "missing_ap_nic" if not nics else "duplicate_ap_nic"
                 out.append(
@@ -653,7 +713,7 @@ def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
                 )
                 continue
             nic = nics[0]
-            atxs = graph.find_nodes(DeviceKind.AP_TRANSCEIVER, group=g, ap=a)
+            atxs = find(DeviceKind.AP_TRANSCEIVER, "ap", g, a)
             if len(atxs) != spec.transceiver_multiplier:
                 out.append(
                     Violation(
@@ -686,7 +746,7 @@ def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
                         )
                     )
 
-        gateways = graph.find_nodes(DeviceKind.NIC, group=g, gateway=True)
+        gateways = find(DeviceKind.NIC, "gateway", g)
         if len(gateways) != 1:
             code = "missing_gateway" if not gateways else "duplicate_gateway"
             out.append(
@@ -760,7 +820,7 @@ def _check_backhaul_core(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
             )
 
 
-def _check_spine_mesh(graph: NetworkGraph, spec: TraditionalSpec, out) -> None:
+def _check_spine_mesh(graph: NetworkGraph, find, spec: TraditionalSpec, out) -> None:
     spines = graph.nodes_of_kind(DeviceKind.SPINE_SWITCH)
     if len(spines) != spec.num_spine:
         out.append(
@@ -771,13 +831,13 @@ def _check_spine_mesh(graph: NetworkGraph, spec: TraditionalSpec, out) -> None:
             )
         )
     for rack in range(spec.num_racks):
-        leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
+        leaves = find(DeviceKind.LEAF_SWITCH, "rack", rack)
         if len(leaves) != 1:
             continue  # already reported by the rack check
+        leaf = leaves[0].id
+        neighbours = Counter(link.other(leaf) for link in graph.links_of(leaf))
         for spine in spines:
-            count = sum(
-                1 for link in graph.links_of(leaves[0].id) if link.touches(spine.id)
-            )
+            count = neighbours[spine.id]
             if count != 1:
                 out.append(
                     Violation(
@@ -824,20 +884,33 @@ def validate(graph: NetworkGraph) -> list[Violation]:
     out: list[Violation] = []
     _check_endpoints(graph, out)
     spec = graph.spec
-
+    find = _node_finder(graph)
+    for rack in range(spec.num_racks):
+        _check_rack(graph, find, rack, spec.servers_per_rack, out)
     if graph.architecture is Architecture.TRADITIONAL:
-        assert isinstance(spec, TraditionalSpec)
-        for rack in range(spec.num_racks):
-            _check_rack(graph, rack, spec.servers_per_rack, out)
-        _check_spine_mesh(graph, spec, out)
+        _check_spine_mesh(graph, find, spec, out)
     else:
-        assert isinstance(spec, OwcPonSpec)
-        for rack in range(spec.num_racks):
-            _check_rack(graph, rack, spec.servers_per_rack, out)
-        _check_rack_transceivers(graph, spec, out)
-        _check_groups(graph, spec, out)
+        _check_rack_transceivers(graph, find, spec, out)
+        _check_groups(graph, find, spec, out)
         _check_backhaul_core(graph, spec, out)
 
-    if not out and getattr(spec, "num_racks", 0) > 0:
+    if not out and spec.num_racks > 0:
         _check_connected(graph, out)
     return out
+
+
+def spec_violations(spec: FabricSpec) -> list[Violation]:
+    """``validate`` of the graph ``spec`` builds, without building it.
+
+    Built graphs keep every construction rule, so the only finding is
+    reachability: without spines, every traditional rack but the first is
+    cut off from rack 0's leaf.  Raises the builder's errors for an
+    inadmissible spec.
+    """
+    if isinstance(spec, OwcPonSpec):
+        _check_owc_pon(spec)
+    elif spec.num_spine == 0 and spec.num_racks >= 2:
+        unreachable = (spec.num_racks - 1) * (1 + spec.servers_per_rack)
+        message = f"{unreachable} nodes unreachable from 'rack0/leaf'"
+        return [Violation("disconnected", "rack1/leaf", message)]
+    return []

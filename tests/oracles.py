@@ -14,49 +14,83 @@ route table and aggregated sums to it, errors included.
 ``reference_parse_scenario`` and ``reference_serialize_scenario`` are the
 hand-written scenario parser and serializer that the key table replaced;
 the scenario differential tests hold the table to them.
+
+``reference_validate``, ``reference_run_benchmark``, ``reference_cmd_power``
+and ``reference_scaling_sweep`` are the graph path that the closed-form
+census replaced: build each fabric, validate it with per-rack, per-group
+and per-AP scans, and count its nodes.  The census tests hold
+``census_of``, ``spec_violations``, the linear ``validate`` and the
+closed-form pipelines to them.
 """
 
 import re
-from collections import Counter
-from dataclasses import replace
+from collections import Counter, deque
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Sequence
 
 import networkx as nx
 
 from ponfabric import (
+    OWC_PON_CATALOG,
     PROFILES,
+    TRADITIONAL_CATALOG,
     Architecture,
+    BenchmarkReport,
     DeviceKind,
+    Document,
     ExplicitPairs,
     HotspotRackPattern,
     IndexMatched,
     IntraRackHeavyPattern,
     LinkCapacities,
+    LinkKind,
     LinkLoad,
     LinkLoadReport,
+    NetworkGraph,
     NicCountMode,
     NoDirectLinks,
     OutputFormat,
     OwcPonSpec,
     PathClass,
+    PowerCatalog,
     PowerOptions,
+    PowerReport,
     Route,
     RoutingPolicy,
     Scenario,
+    SweepPoint,
+    SweepResult,
     TraditionalSpec,
     TrafficSection,
     UniformPattern,
+    Violation,
+    build_owc_pon,
+    build_traditional,
+    device_census,
+    owc_pon_power,
+    power_reduction,
+    resolved_catalogs,
+    serialize_scenario,
+    traditional_power,
 )
+from ponfabric.benchmark import census_table, power_table
+from ponfabric.cli import EXIT_OK
 from ponfabric.errors import (
     InvalidValue,
     NoRoute,
     ParseError,
     PolicyExcluded,
+    PonFabricError,
     RoutingError,
+    ScenarioError,
+    SpecMismatch,
     UnknownKey,
     UnknownServer,
+    ValidationFailed,
     in_pair,
 )
+from ponfabric.version import __version__
 from ponfabric.traffic import TrafficPattern
 
 
@@ -829,3 +863,463 @@ def reference_serialize_scenario(scenario: Scenario) -> str:
             lines.append(f"flow = {src} {dst} {format_decimal(rate)}")
 
     return "\n".join(lines) + "\n"
+
+
+# --- the graph path that the closed form replaced ---------------------------
+#
+# ``reference_validate`` is the scan-per-rack/group/AP validator; the
+# pipelines below build and validate full graphs and count their nodes,
+# as ``run_benchmark``, ``scaling_sweep`` and the ``power`` command did
+# before they priced censuses computed from the specs.
+
+
+def _check_endpoints(graph: NetworkGraph, out: list[Violation]) -> None:
+    for link in graph.links:
+        for endpoint in (link.endpoint_a, link.endpoint_b):
+            if not graph.has_node(endpoint):
+                out.append(
+                    Violation(
+                        "dangling_link",
+                        f"link:{link.id}",
+                        f"link {link.id!r} references missing node {endpoint!r}",
+                    )
+                )
+
+
+def _check_rack(graph: NetworkGraph, rack: int, servers_expected: int, out) -> None:
+    leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
+    if len(leaves) != 1:
+        code = "missing_leaf" if not leaves else "duplicate_leaf"
+        out.append(Violation(code, f"rack:{rack}", f"rack {rack} has {len(leaves)} leaf switches"))
+        return
+    leaf = leaves[0]
+    servers = graph.find_nodes(DeviceKind.SERVER, rack=rack)
+    if len(servers) != servers_expected:
+        out.append(
+            Violation(
+                "server_count",
+                f"rack:{rack}",
+                f"rack {rack} has {len(servers)} servers, expected {servers_expected}",
+            )
+        )
+    for server in servers:
+        txrx_id = f"{server.id}/txrx"
+        if not graph.has_node(txrx_id) or graph.node(txrx_id).kind is not DeviceKind.SERVER_TRANSCEIVER:
+            out.append(
+                Violation(
+                    "missing_server_transceiver",
+                    server.id,
+                    f"server {server.id} has no transceiver node",
+                )
+            )
+        wired = [
+            link
+            for link in graph.links_of(server.id)
+            if link.kind is LinkKind.WIRED and link.touches(leaf.id)
+        ]
+        if len(wired) != 1:
+            out.append(
+                Violation(
+                    "server_wiring",
+                    server.id,
+                    f"server {server.id} has {len(wired)} wired links to its leaf",
+                )
+            )
+
+
+def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
+    expected = spec.transceiver_multiplier
+    for rack in range(spec.num_racks):
+        rtxs = graph.find_nodes(DeviceKind.RACK_TRANSCEIVER, rack=rack)
+        if len(rtxs) != expected:
+            code = (
+                "missing_rack_transceiver"
+                if len(rtxs) < expected
+                else "extra_rack_transceiver"
+            )
+            out.append(
+                Violation(
+                    code,
+                    f"rack:{rack}",
+                    f"rack {rack} has {len(rtxs)} rooftop transceivers, expected {expected}",
+                )
+            )
+            continue
+        g, a = divmod(rack, spec.aps_per_group)
+        leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
+        for rtx in rtxs:
+            if leaves and not any(
+                link.kind is LinkKind.WIRED and link.touches(leaves[0].id)
+                for link in graph.links_of(rtx.id)
+            ):
+                out.append(
+                    Violation(
+                        "rack_uplink",
+                        rtx.id,
+                        f"{rtx.id} is not wired to its leaf switch",
+                    )
+                )
+            owc = [link for link in graph.links_of(rtx.id) if link.kind is LinkKind.OWC]
+            lands_on_ap = [
+                link
+                for link in owc
+                if graph.has_node(link.other(rtx.id))
+                and graph.node(link.other(rtx.id)).kind is DeviceKind.AP_TRANSCEIVER
+                and graph.node(link.other(rtx.id)).group == g
+                and graph.node(link.other(rtx.id)).ap == a
+            ]
+            if len(lands_on_ap) != 1:
+                out.append(
+                    Violation(
+                        "owc_wiring",
+                        rtx.id,
+                        f"{rtx.id} has {len(lands_on_ap)} free-space links to its AP",
+                    )
+                )
+
+
+def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
+    olts = graph.nodes_of_kind(DeviceKind.OLT)
+    for g in range(spec.num_groups):
+        switches = graph.find_nodes(DeviceKind.OPTICAL_SWITCH, group=g)
+        if len(switches) != 1:
+            code = "missing_optical_switch" if not switches else "duplicate_optical_switch"
+            out.append(
+                Violation(
+                    code,
+                    f"group:{g}",
+                    f"group {g} has {len(switches)} optical switches",
+                )
+            )
+        switch = switches[0] if len(switches) == 1 else None
+
+        for a in range(spec.aps_per_group):
+            nics = graph.find_nodes(DeviceKind.NIC, group=g, ap=a)
+            if len(nics) != 1:
+                code = "missing_ap_nic" if not nics else "duplicate_ap_nic"
+                out.append(
+                    Violation(
+                        code,
+                        f"group:{g}/ap:{a}",
+                        f"AP {a} of group {g} has {len(nics)} NICs",
+                    )
+                )
+                continue
+            nic = nics[0]
+            atxs = graph.find_nodes(DeviceKind.AP_TRANSCEIVER, group=g, ap=a)
+            if len(atxs) != spec.transceiver_multiplier:
+                out.append(
+                    Violation(
+                        "ap_transceiver_count",
+                        f"group:{g}/ap:{a}",
+                        f"AP {a} of group {g} has {len(atxs)} transceivers, "
+                        f"expected {spec.transceiver_multiplier}",
+                    )
+                )
+            for atx in atxs:
+                if graph.link_between(atx.id, nic.id) is None:
+                    out.append(
+                        Violation(
+                            "ap_wiring",
+                            atx.id,
+                            f"{atx.id} has no fiber link to its NIC",
+                        )
+                    )
+            if switch is not None:
+                to_switch = [
+                    link for link in graph.links_of(nic.id) if link.touches(switch.id)
+                ]
+                if len(to_switch) != 1:
+                    out.append(
+                        Violation(
+                            "orphan_nic",
+                            nic.id,
+                            f"{nic.id} has {len(to_switch)} links to its group's "
+                            "optical switch, expected 1",
+                        )
+                    )
+
+        gateways = graph.find_nodes(DeviceKind.NIC, group=g, gateway=True)
+        if len(gateways) != 1:
+            code = "missing_gateway" if not gateways else "duplicate_gateway"
+            out.append(
+                Violation(
+                    code,
+                    f"group:{g}",
+                    f"group {g} has {len(gateways)} gateway NICs",
+                )
+            )
+        elif len(olts) == 1:
+            if graph.link_between(gateways[0].id, olts[0].id) is None:
+                out.append(
+                    Violation(
+                        "missing_olt_uplink",
+                        f"group:{g}",
+                        f"gateway NIC of group {g} has no link to the OLT",
+                    )
+                )
+
+
+def _check_backhaul_core(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
+    olts = graph.nodes_of_kind(DeviceKind.OLT)
+    if len(olts) != 1:
+        code = "missing_olt" if not olts else "duplicate_olt"
+        out.append(Violation(code, "olt", f"graph has {len(olts)} OLT nodes"))
+    externals = graph.nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY)
+    if len(externals) != 1:
+        code = "missing_external" if not externals else "duplicate_external"
+        out.append(
+            Violation(code, "external", f"graph has {len(externals)} external gateways")
+        )
+    if len(olts) == 1 and len(externals) == 1:
+        if graph.link_between(olts[0].id, externals[0].id) is None:
+            out.append(
+                Violation(
+                    "missing_external_uplink",
+                    "olt",
+                    "the OLT has no link to the external gateway",
+                )
+            )
+
+    for link in graph.links:
+        if link.kind is not LinkKind.OWC:
+            continue
+        kinds = set()
+        for endpoint in (link.endpoint_a, link.endpoint_b):
+            if graph.has_node(endpoint):
+                kinds.add(graph.node(endpoint).kind)
+        if kinds != {DeviceKind.RACK_TRANSCEIVER, DeviceKind.AP_TRANSCEIVER}:
+            out.append(
+                Violation(
+                    "bad_owc_endpoints",
+                    f"link:{link.id}",
+                    "free-space links must pair a rooftop transceiver with an AP transceiver",
+                )
+            )
+
+    for link in graph.links:
+        if link.kind is not LinkKind.FIBER:
+            continue
+        if not (graph.has_node(link.endpoint_a) and graph.has_node(link.endpoint_b)):
+            continue
+        a, b = graph.node(link.endpoint_a), graph.node(link.endpoint_b)
+        if a.kind is DeviceKind.NIC and b.kind is DeviceKind.NIC and a.group == b.group:
+            out.append(
+                Violation(
+                    "same_group_direct_link",
+                    f"link:{link.id}",
+                    "direct NIC-to-NIC links must cross groups",
+                )
+            )
+
+
+def _check_spine_mesh(graph: NetworkGraph, spec: TraditionalSpec, out) -> None:
+    spines = graph.nodes_of_kind(DeviceKind.SPINE_SWITCH)
+    if len(spines) != spec.num_spine:
+        out.append(
+            Violation(
+                "spine_count",
+                "spine",
+                f"graph has {len(spines)} spine switches, expected {spec.num_spine}",
+            )
+        )
+    for rack in range(spec.num_racks):
+        leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
+        if len(leaves) != 1:
+            continue  # already reported by the rack check
+        for spine in spines:
+            count = sum(
+                1 for link in graph.links_of(leaves[0].id) if link.touches(spine.id)
+            )
+            if count != 1:
+                out.append(
+                    Violation(
+                        "spine_mesh",
+                        f"rack:{rack}",
+                        f"leaf of rack {rack} has {count} links to {spine.id}",
+                    )
+                )
+
+
+def _check_connected(graph: NetworkGraph, out) -> None:
+    # Server transceivers are linkless accounting nodes; reachability is
+    # asserted over everything else.
+    relevant = [n.id for n in graph.nodes if n.kind is not DeviceKind.SERVER_TRANSCEIVER]
+    if not relevant:
+        return
+    seen = {relevant[0]}
+    queue = deque([relevant[0]])
+    while queue:
+        current = queue.popleft()
+        for other, _ in graph.neighbors(current):
+            if other.id not in seen:
+                seen.add(other.id)
+                queue.append(other.id)
+    unreachable = [node_id for node_id in relevant if node_id not in seen]
+    if unreachable:
+        out.append(
+            Violation(
+                "disconnected",
+                unreachable[0],
+                f"{len(unreachable)} nodes unreachable from {relevant[0]!r}",
+            )
+        )
+
+
+def reference_validate(graph: NetworkGraph) -> list[Violation]:
+    """Check the graph against its spec's construction rules.
+
+    Returns an empty list for a well-formed graph.  Violations are data,
+    not exceptions.  Global connectivity is asserted only when every
+    structural rule passed; on broken graphs a reachability failure is a
+    consequence of the structural breach, not a second finding.
+    """
+    out: list[Violation] = []
+    _check_endpoints(graph, out)
+    spec = graph.spec
+
+    if graph.architecture is Architecture.TRADITIONAL:
+        assert isinstance(spec, TraditionalSpec)
+        for rack in range(spec.num_racks):
+            _check_rack(graph, rack, spec.servers_per_rack, out)
+        _check_spine_mesh(graph, spec, out)
+    else:
+        assert isinstance(spec, OwcPonSpec)
+        for rack in range(spec.num_racks):
+            _check_rack(graph, rack, spec.servers_per_rack, out)
+        _check_rack_transceivers(graph, spec, out)
+        _check_groups(graph, spec, out)
+        _check_backhaul_core(graph, spec, out)
+
+    if not out and getattr(spec, "num_racks", 0) > 0:
+        _check_connected(graph, out)
+    return out
+
+
+def reference_build_graphs(scenario: Scenario) -> dict[Architecture, NetworkGraph]:
+    """Build every architecture the scenario selects."""
+    graphs: dict[Architecture, NetworkGraph] = {}
+    if scenario.selects(Architecture.TRADITIONAL):
+        graphs[Architecture.TRADITIONAL] = build_traditional(
+            scenario.traditional, scenario.capacities
+        )
+    if scenario.selects(Architecture.OWC_PON):
+        graphs[Architecture.OWC_PON] = build_owc_pon(
+            scenario.owcpon, scenario.capacities
+        )
+    return graphs
+
+
+def reference_validated_graphs(scenario: Scenario) -> dict[Architecture, NetworkGraph]:
+    graphs = reference_build_graphs(scenario)
+    for architecture, graph in graphs.items():
+        violations = reference_validate(graph)
+        if violations:
+            raise ValidationFailed(architecture, violations)
+    return graphs
+
+
+def reference_run_benchmark(scenario: Scenario) -> BenchmarkReport:
+    """Evaluate both architectures under one scenario and compare them."""
+    if len(scenario.architectures) != 2:
+        raise ScenarioError("the benchmark needs both architectures selected")
+    traditional_catalog, owc_catalog = resolved_catalogs(scenario)
+    graphs = reference_validated_graphs(scenario)
+
+    trad_census = device_census(graphs[Architecture.TRADITIONAL])
+    owc_census = device_census(graphs[Architecture.OWC_PON])
+    trad_report = traditional_power(trad_census, traditional_catalog, scenario.options)
+    owc_report = owc_pon_power(owc_census, owc_catalog, scenario.options)
+    reduction = power_reduction(trad_report, owc_report)
+
+    notes = []
+    if scenario.options.nic_count_mode is NicCountMode.PER_SERVER:
+        notes.append(
+            "non-reproducing: per-server NIC counting inflates the NIC term; "
+            "the headline reduction assumes one NIC per AP"
+        )
+
+    return BenchmarkReport(
+        version=__version__,
+        scenario_text=serialize_scenario(scenario),
+        traditional_census=trad_census,
+        proposed_census=owc_census,
+        traditional=trad_report,
+        proposed=owc_report,
+        reduction=reduction,
+        notes=tuple(notes),
+    )
+
+
+def reference_closed_form_power(
+    graph: NetworkGraph,
+    catalog: PowerCatalog,
+    options: PowerOptions = PowerOptions(),
+) -> PowerReport:
+    """Dispatch to the architecture's closed-form evaluator."""
+    census = device_census(graph)
+    if graph.architecture is Architecture.TRADITIONAL:
+        return traditional_power(census, catalog, options)
+    return owc_pon_power(census, catalog, options)
+
+
+def reference_scaling_sweep(
+    rack_counts: Sequence[int],
+    *,
+    servers_per_rack: int = 8,
+    num_groups: int = 2,
+    spine_counts: Sequence[int] | None = None,
+    traditional_catalog: PowerCatalog = TRADITIONAL_CATALOG,
+    owc_pon_catalog: PowerCatalog = OWC_PON_CATALOG,
+    options: PowerOptions = PowerOptions(),
+    capacities: LinkCapacities = LinkCapacities(),
+) -> tuple[SweepResult, ...]:
+    """Evaluate both architectures across a family of rack counts.
+
+    Spine counts default to the rack count (one spine per leaf, the
+    benchmark pairing).  A point whose parameters are inadmissible is
+    marked failed without aborting the rest of the sweep.
+    """
+    if spine_counts is not None and len(spine_counts) != len(rack_counts):
+        raise ValueError("spine_counts must match rack_counts in length")
+
+    results = []
+    for index, racks in enumerate(rack_counts):
+        spines = spine_counts[index] if spine_counts is not None else racks
+        point = SweepPoint(racks, servers_per_rack, num_groups, spines)
+        try:
+            if num_groups > 0:
+                aps = racks // num_groups
+            elif racks == 0:
+                aps = 0
+            else:
+                raise SpecMismatch(f"{racks} racks cannot be split into zero groups")
+            trad_graph = build_traditional(
+                TraditionalSpec(spines, racks, servers_per_rack), capacities
+            )
+            owc_graph = build_owc_pon(
+                OwcPonSpec(racks, servers_per_rack, num_groups, aps), capacities
+            )
+            trad = traditional_power(
+                device_census(trad_graph), traditional_catalog, options
+            )
+            owc = owc_pon_power(device_census(owc_graph), owc_pon_catalog, options)
+            reduction = power_reduction(trad, owc)
+        except (PonFabricError, ValueError) as exc:
+            results.append(SweepResult(point, None, None, None, str(exc)))
+            continue
+        results.append(SweepResult(point, trad, owc, reduction, None))
+    return tuple(results)
+
+
+def reference_cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
+    catalogs = dict(zip((Architecture.TRADITIONAL, Architecture.OWC_PON), resolved_catalogs(scenario)))
+    graphs = reference_validated_graphs(scenario)
+    meta = []
+    tables = []
+    for architecture, graph in graphs.items():
+        report = reference_closed_form_power(graph, catalogs[architecture], scenario.options)
+        meta.append((f"{architecture.value}_total_mw", report.total_mw))
+        tables.append(census_table(f"census_{architecture.value}", device_census(graph)))
+        tables.append(power_table(f"power_{architecture.value}", report))
+    return Document("power evaluation", tuple(meta), tuple(tables)), EXIT_OK

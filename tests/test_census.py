@@ -1,0 +1,221 @@
+"""Differential tests: the closed-form census, verdict and pricing against
+the graph path in ``oracles``, and the linear ``validate`` against the
+scanning one, on admissible, inadmissible and damaged fabrics."""
+
+import itertools
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from ponfabric import (
+    Architecture,
+    ExplicitPairs,
+    IndexMatched,
+    NetworkGraph,
+    NicCountMode,
+    NoDirectLinks,
+    OwcPonSpec,
+    PowerOptions,
+    Scenario,
+    TraditionalSpec,
+    build_owc_pon,
+    build_traditional,
+    device_census,
+    resolved_catalogs,
+    run_benchmark,
+    scaling_sweep,
+    validate,
+)
+from ponfabric.cli import _cmd_power
+from ponfabric.topology import census_of, fabric_size, spec_violations
+
+from test_route_table import outcome
+from test_topology import with_extra_link, with_extra_node, without_link, without_node
+
+
+traditional_specs = st.builds(
+    TraditionalSpec,
+    num_spine=st.integers(0, 5),
+    num_racks=st.integers(0, 6),
+    servers_per_rack=st.integers(0, 3),
+)
+
+
+@st.composite
+def explicit_pairs(draw, groups, aps, fault):
+    """Valid cross-group pairs, plus one duplicate, same-group or
+    out-of-range pair when ``fault`` asks for it."""
+    ap_ids = [(g, a) for g in range(groups) for a in range(aps)]
+    candidates = [
+        (first, second)
+        for first, second in itertools.combinations(ap_ids, 2)
+        if first[0] != second[0]
+    ]
+    pairs = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=6)) if candidates else []
+    bad = None
+    if fault == "duplicate" and pairs:
+        first, second = draw(st.sampled_from(pairs))
+        bad = draw(st.sampled_from([(first, second), (second, first)]))
+    elif fault == "same group" and ap_ids:
+        g, a = draw(st.sampled_from(ap_ids))
+        bad = ((g, a), (g, draw(st.integers(0, aps - 1))))
+    elif fault == "out of range":
+        outside = draw(st.sampled_from([(groups, 0), (0, aps), (-1, 0), (0, -1)]))
+        inside = draw(st.sampled_from(ap_ids)) if ap_ids else (0, 0)
+        bad = draw(st.sampled_from([(outside, inside), (inside, outside)]))
+    if bad is not None:
+        pairs.insert(draw(st.integers(0, len(pairs))), bad)
+    return ExplicitPairs(tuple(pairs))
+
+
+@st.composite
+def owcpon_specs(draw, admissible=False):
+    """Specs the builder accepts, and (unless ``admissible``) specs it
+    rejects: racks off the groups x APs product (so not divisible by the
+    groups), a gateway index past the APs, and bad explicit pairs."""
+    groups = draw(st.integers(0, 4))
+    aps = draw(st.integers(1 if admissible and groups else 0, 4))
+    racks = groups * aps
+    gateway = draw(st.integers(0, max(aps - 1, 0)))
+    fault = "none"
+    if not admissible:
+        fault = draw(st.sampled_from(["none", "racks", "gateway", "duplicate", "same group", "out of range"]))
+        if fault == "racks":
+            racks = draw(st.integers(0, 13))
+        elif fault == "gateway":
+            gateway = draw(st.integers(aps, aps + 2))
+    choice = draw(st.sampled_from(["index_matched", "none", "explicit"]))
+    if choice == "index_matched":
+        adjacency = IndexMatched()
+    elif choice == "none":
+        adjacency = NoDirectLinks()
+    else:
+        adjacency = draw(explicit_pairs(groups, aps, fault))
+    return OwcPonSpec(
+        num_racks=racks,
+        servers_per_rack=draw(st.integers(0, 3)),
+        num_groups=groups,
+        aps_per_group=aps,
+        adjacency=adjacency,
+        gateway_ap_index=gateway,
+        transceiver_multiplier=draw(st.integers(1, 3)),
+    )
+
+
+def build(spec):
+    if isinstance(spec, TraditionalSpec):
+        return build_traditional(spec)
+    return build_owc_pon(spec)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spec=st.one_of(traditional_specs, owcpon_specs()))
+def test_census_and_verdict_match_the_built_graph(spec):
+    built = outcome(lambda: build(spec))
+    if not isinstance(built, NetworkGraph):
+        assert built[0] is not TypeError
+        for closed_form in (census_of, fabric_size, spec_violations):
+            assert outcome(lambda: closed_form(spec)) == built
+        return
+    assert census_of(spec) == device_census(built)
+    assert fabric_size(spec) == (len(built.nodes), len(built.links))
+    verdict = oracles.reference_validate(built)
+    assert spec_violations(spec) == verdict
+    assert validate(built) == verdict
+
+
+def test_spineless_traditional_is_the_only_failing_build():
+    assert spec_violations(TraditionalSpec(num_spine=0, num_racks=1)) == []
+    (violation,) = spec_violations(TraditionalSpec(num_spine=0, num_racks=3, servers_per_rack=2))
+    assert (violation.code, violation.subject) == ("disconnected", "rack1/leaf")
+    assert violation.message == "6 nodes unreachable from 'rack0/leaf'"
+
+
+@st.composite
+def damaged_fabrics(draw):
+    """A built graph, as built or with one or two links or a node taken
+    out, a link doubled, or a node doubled under a new id."""
+    graph = build(draw(st.one_of(traditional_specs, owcpon_specs(admissible=True))))
+    damage = draw(st.sampled_from(["none", "link", "two links", "parallel link", "node", "twin node"]))
+    if damage == "link" and graph.links:
+        graph = without_link(graph, draw(st.sampled_from(graph.links)).id)
+    elif damage == "two links" and len(graph.links) > 1:
+        for link in draw(st.lists(st.sampled_from(graph.links), min_size=2, max_size=2, unique=True)):
+            graph = without_link(graph, link.id)
+    elif damage == "parallel link" and graph.links:
+        twin = draw(st.sampled_from(graph.links))
+        graph = with_extra_link(graph, replace(twin, id=twin.id + "/twin"))
+    elif damage == "node" and graph.nodes:
+        graph = without_node(graph, draw(st.sampled_from(graph.nodes)).id)
+    elif damage == "twin node" and graph.nodes:
+        twin = draw(st.sampled_from(graph.nodes))
+        graph = with_extra_node(graph, replace(twin, id=twin.id + "/twin"))
+    return graph
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(graph=damaged_fabrics())
+def test_validate_matches_reference_on_damaged_graphs(graph):
+    assert validate(graph) == oracles.reference_validate(graph)
+
+
+options = st.builds(
+    PowerOptions,
+    include_owc_transceivers=st.booleans(),
+    include_server_transceivers=st.booleans(),
+    nic_count_mode=st.sampled_from(list(NicCountMode)),
+)
+catalog_overrides = st.dictionaries(
+    st.sampled_from(["olt", "nic", "leaf_switch", "spine_switch", "optical_switch", "rack_transceiver"]),
+    st.integers(0, 2_000_000),
+    max_size=3,
+).map(lambda d: tuple(sorted(d.items())))
+
+scenarios = st.builds(
+    Scenario,
+    architectures=st.sampled_from(
+        [(Architecture.TRADITIONAL, Architecture.OWC_PON)] * 3
+        + [(Architecture.TRADITIONAL,), (Architecture.OWC_PON,)]
+    ),
+    traditional=traditional_specs,
+    owcpon=owcpon_specs(admissible=True) | owcpon_specs(),
+    options=options,
+    catalog_overrides=catalog_overrides,
+)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(scenario=scenarios)
+def test_benchmark_and_power_match_the_graph_path(scenario):
+    assert outcome(lambda: run_benchmark(scenario)) == outcome(
+        lambda: oracles.reference_run_benchmark(scenario)
+    )
+    assert outcome(lambda: _cmd_power(scenario, None)) == outcome(
+        lambda: oracles.reference_cmd_power(scenario, None)
+    )
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(
+    racks=st.lists(st.integers(-1, 13), max_size=5),
+    groups=st.integers(-1, 4),
+    servers=st.integers(-1, 3),
+    spines=st.none() | st.lists(st.integers(-1, 5), max_size=5),
+    options=options,
+    overrides=catalog_overrides,
+)
+def test_sweep_matches_the_graph_path(racks, groups, servers, spines, options, overrides):
+    traditional_catalog, owc_catalog = resolved_catalogs(Scenario(catalog_overrides=overrides))
+    kwargs = dict(
+        servers_per_rack=servers,
+        num_groups=groups,
+        spine_counts=spines,
+        traditional_catalog=traditional_catalog,
+        owc_pon_catalog=owc_catalog,
+        options=options,
+    )
+    assert outcome(lambda: scaling_sweep(racks, **kwargs)) == outcome(
+        lambda: oracles.reference_scaling_sweep(racks, **kwargs)
+    )

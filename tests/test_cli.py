@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ponfabric.topology
+from ponfabric import TraditionalSpec
 from ponfabric.cli import main
+from ponfabric.topology import fabric_size
 from test_scenario import raw_bytes
 
 
@@ -268,6 +271,84 @@ def test_power_commands_reject_a_spineless_traditional_fabric(tmp_path, capsys, 
     code, out, err = run(capsys, "-s", path, command)
     assert (code, out) == (2, "")
     assert err == "ponfabric: validation error: traditional: disconnected(rack1/leaf)\n"
+
+
+HUGE_OWCPON = (
+    "owcpon.racks = 10000000\nowcpon.groups = 2\nowcpon.aps_per_group = 5000000\n"
+    "owcpon.adjacency = none\n"
+)
+
+
+@pytest.fixture
+def no_graphs(monkeypatch):
+    """Fail any attempt to build a graph, at its first node."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(ponfabric.topology, "Node", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build",),
+        ("validate",),
+        ("route", "rack0/server0", "rack1/server0"),
+        ("summary",),
+        ("simulate",),
+    ],
+)
+def test_graph_commands_refuse_a_fabric_over_budget(tmp_path, capsys, no_graphs, argv):
+    path = write_scenario(
+        tmp_path,
+        "[architecture]\nselect = owcpon\n" + HUGE_OWCPON + "\n[traffic]\npattern = uniform 1\n",
+    )
+    code, out, err = run(capsys, "-s", path, *argv)
+    assert_one_line_failure(code, out, err)
+    assert err == (
+        "ponfabric: scenario error: owcpon fabric would have 200000004 nodes and "
+        "120000003 links, over the 1000000 budget\n"
+    )
+
+
+def test_size_guard_checks_every_selected_fabric(tmp_path, capsys, no_graphs):
+    path = write_scenario(
+        tmp_path, "[architecture]\nselect = both\ntraditional.racks = 1000\ntraditional.spines = 1000\n"
+    )
+    code, out, err = run(capsys, "-s", path, "build")
+    assert_one_line_failure(code, out, err)
+    assert "traditional fabric would have 18000 nodes and 1008000 links" in err
+    # 512 racks x 512 spines is within the budget
+    assert fabric_size(TraditionalSpec(512, 512, 8)) == (9216, 266240)
+
+
+def test_spec_errors_win_over_the_size_guard(tmp_path, capsys, no_graphs):
+    path = write_scenario(tmp_path, "[architecture]\nselect = owcpon\nowcpon.racks = 10000000\n")
+    code, out, err = run(capsys, "-s", path, "build")
+    assert (code, out) == (2, "")
+    assert "must equal num_racks (10000000)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("benchmark",), ("power",), ("compare",), ("sweep", "--racks", "8,10000000", "--groups", "2")],
+)
+def test_closed_form_commands_build_no_graph_at_any_size(tmp_path, capsys, no_graphs, argv):
+    path = write_scenario(
+        tmp_path,
+        "[architecture]\nselect = both\ntraditional.racks = 10000000\n"
+        "traditional.spines = 10000000\n" + HUGE_OWCPON,
+    )
+    code, out, err = run(capsys, "-s", path, *argv)
+    assert (code, err) == (0, "")
+
+
+def test_non_ascii_digits_are_rejected(tmp_path, capsys):
+    path = write_scenario(tmp_path, "[architecture]\nselect = owcpon\nowcpon.racks = \u0668\n")
+    code, out, err = run(capsys, "-s", path, "build")
+    assert_one_line_failure(code, out, err)
+    assert err == "ponfabric: scenario error: line 3: expected an integer, got '\u0668'\n"
 
 
 def test_hotspot_on_missing_rack_is_a_scenario_error(tmp_path, capsys):

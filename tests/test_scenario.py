@@ -170,6 +170,16 @@ class TestParseErrors:
                 5,
             ),
             ("[options]\nprofile = reproduction\n\n[traffic]\nflow = a b\n", InvalidValue, 5),
+            # digits are ASCII only: Arabic-Indic eight, twelve point five
+            ("[architecture]\nselect = owcpon\nowcpon.racks = \u0668\n", InvalidValue, 3),
+            ("[architecture]\nselect = both\ncapacity.owc = \u0661\u0662.\u0665\n", InvalidValue, 3),
+            (
+                "[architecture]\nselect = owcpon\nowcpon.adjacency = explicit\n"
+                "owcpon.pairs = 0.0-1.\u0660\n",
+                InvalidValue,
+                4,
+            ),
+            ("[options]\nprofile = reproduction\n\n[catalog]\nolt = \u0664\n", InvalidValue, 5),
         ],
     )
     def test_error_with_line(self, text, error, line):

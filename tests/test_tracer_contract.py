@@ -25,6 +25,9 @@ def _run(argv):
         (["summary"], "cli.all_pairs_summary"),
         (["simulate", "--top", "10"], "cli.assign"),
         (["route", "rack1/server0", "rack7/server0"], "cli.resolve_route"),
+        (["benchmark"], "cli.run_benchmark"),
+        (["power"], "cli.closed_form_power"),
+        (["sweep", "--racks", "4,8,16"], "cli.scaling_sweep"),
     ],
 )
 def test_traced_run_matches_untraced(tmp_path, command, spans_from):
