@@ -2,11 +2,12 @@
 
 Every subcommand runs in table, csv and json on the built-in scenario,
 plus ``simulate`` on the committed paper-scale traffic scenario, a route
-to the external gateway, and the closed-form commands at scale:
-``benchmark``, ``power`` and ``compare`` on the 128-rack scenario and two
-sweeps with failing points.  The files under ``tests/golden/`` were
-recorded before the code they pin was rewritten (the scenario key table,
-the shared comparison pipeline, pricing from the spec); re-record them
+to the external gateway, the closed-form commands at scale (``benchmark``,
+``power``, ``compare`` and ``validate`` on the 128-rack scenario, two
+sweeps with failing points), and ``validate`` on a fabric without spines,
+which has a finding.  The files under ``tests/golden/`` were recorded
+before the code they pin was rewritten (the scenario key table, the shared
+comparison pipeline, pricing and validating from the spec); re-record them
 only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -26,7 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PAPER_TRAFFIC = "perfbench/scenarios/paper_traffic.scenario"
 FABRIC_SCALE = "perfbench/scenarios/fabric_scale.scenario"
-SCENARIOS = (PAPER_TRAFFIC, FABRIC_SCALE)
+NO_SPINES = "tests/golden/no_spines.scenario"
+SCENARIOS = (PAPER_TRAFFIC, FABRIC_SCALE, NO_SPINES)
 
 CASES = {
     "build": ("build",),
@@ -43,6 +45,8 @@ CASES = {
     "fabric_scale-benchmark": ("-s", FABRIC_SCALE, "benchmark"),
     "fabric_scale-power": ("-s", FABRIC_SCALE, "power"),
     "fabric_scale-compare": ("-s", FABRIC_SCALE, "compare"),
+    "fabric_scale-validate": ("-s", FABRIC_SCALE, "validate"),
+    "no_spines-validate": ("-s", NO_SPINES, "validate"),
     "sweep-scale": ("sweep", "--racks", "0,7,32,64,128,256", "--groups", "8"),
     "sweep-spines": ("sweep", "--racks", "4,8", "--spines", "0,4"),
 }
