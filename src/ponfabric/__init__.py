@@ -9,7 +9,6 @@ from .benchmark import (
     build_graphs,
     resolved_catalogs,
     run_benchmark,
-    validated_graphs,
 )
 from .power import (
     OWC_PON_CATALOG,

@@ -231,6 +231,9 @@ class NetworkGraph:
         # node id -> {neighbour id: first link to it in adjacency order},
         # filled per node on its first ``link_between`` lookup.
         self._link_index: dict[str, dict[str, Link]] = {}
+        # kind -> (nodes by rack, nodes by group), in node order, filled
+        # per kind on its first ``find_nodes`` lookup by rack or group.
+        self._scope_index: dict[DeviceKind, tuple[dict, dict]] = {}
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -270,9 +273,19 @@ class NetworkGraph:
         ap: int | None = None,
         gateway: bool | None = None,
     ) -> tuple[Node, ...]:
-        """Nodes of ``kind`` matching every given attribute filter."""
+        """Nodes of ``kind`` matching every given attribute filter, in node order."""
+        if rack is None and group is None:
+            candidates = self._by_kind[kind]
+        else:
+            if kind not in self._scope_index:
+                by_rack, by_group = self._scope_index[kind] = ({}, {})
+                for node in self._by_kind[kind]:
+                    by_rack.setdefault(node.rack, []).append(node)
+                    by_group.setdefault(node.group, []).append(node)
+            by_rack, by_group = self._scope_index[kind]
+            candidates = by_rack.get(rack, ()) if rack is not None else by_group.get(group, ())
         out = []
-        for node in self._by_kind[kind]:
+        for node in candidates:
             if rack is not None and node.rack != rack:
                 continue
             if group is not None and node.group != group:
@@ -574,33 +587,14 @@ def _check_endpoints(graph: NetworkGraph, out: list[Violation]) -> None:
                 )
 
 
-def _node_finder(graph: NetworkGraph):
-    """Group the nodes in one pass the ways the rules look them up.
-
-    ``find(kind, "rack", r)``, ``find(kind, "group", g)``,
-    ``find(kind, "ap", g, a)`` and ``find(kind, "gateway", g)`` return
-    what ``graph.find_nodes(kind, rack=r)``, ``(group=g)``,
-    ``(group=g, ap=a)`` and ``(group=g, gateway=True)`` would, in node order.
-    """
-    groups: dict[tuple, list[Node]] = {}
-    for node in graph.nodes:
-        kind = node.kind
-        keys = [(kind, "rack", node.rack), (kind, "group", node.group), (kind, "ap", node.group, node.ap)]
-        if node.is_gateway:
-            keys.append((kind, "gateway", node.group))
-        for key in keys:
-            groups.setdefault(key, []).append(node)
-    return lambda *key: groups.get(key, ())
-
-
-def _check_rack(graph: NetworkGraph, find, rack: int, servers_expected: int, out) -> None:
-    leaves = find(DeviceKind.LEAF_SWITCH, "rack", rack)
+def _check_rack(graph: NetworkGraph, rack: int, servers_expected: int, out) -> None:
+    leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
     if len(leaves) != 1:
         code = "missing_leaf" if not leaves else "duplicate_leaf"
         out.append(Violation(code, f"rack:{rack}", f"rack {rack} has {len(leaves)} leaf switches"))
         return
     leaf = leaves[0]
-    servers = find(DeviceKind.SERVER, "rack", rack)
+    servers = graph.find_nodes(DeviceKind.SERVER, rack=rack)
     if len(servers) != servers_expected:
         out.append(
             Violation(
@@ -634,10 +628,10 @@ def _check_rack(graph: NetworkGraph, find, rack: int, servers_expected: int, out
             )
 
 
-def _check_rack_transceivers(graph: NetworkGraph, find, spec: OwcPonSpec, out) -> None:
+def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
     expected = spec.transceiver_multiplier
     for rack in range(spec.num_racks):
-        rtxs = find(DeviceKind.RACK_TRANSCEIVER, "rack", rack)
+        rtxs = graph.find_nodes(DeviceKind.RACK_TRANSCEIVER, rack=rack)
         if len(rtxs) != expected:
             code = (
                 "missing_rack_transceiver"
@@ -653,7 +647,7 @@ def _check_rack_transceivers(graph: NetworkGraph, find, spec: OwcPonSpec, out) -
             )
             continue
         g, a = divmod(rack, spec.aps_per_group)
-        leaves = find(DeviceKind.LEAF_SWITCH, "rack", rack)
+        leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
         for rtx in rtxs:
             if leaves and not any(
                 link.kind is LinkKind.WIRED and link.touches(leaves[0].id)
@@ -685,10 +679,10 @@ def _check_rack_transceivers(graph: NetworkGraph, find, spec: OwcPonSpec, out) -
                 )
 
 
-def _check_groups(graph: NetworkGraph, find, spec: OwcPonSpec, out) -> None:
+def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
     olts = graph.nodes_of_kind(DeviceKind.OLT)
     for g in range(spec.num_groups):
-        switches = find(DeviceKind.OPTICAL_SWITCH, "group", g)
+        switches = graph.find_nodes(DeviceKind.OPTICAL_SWITCH, group=g)
         if len(switches) != 1:
             code = "missing_optical_switch" if not switches else "duplicate_optical_switch"
             out.append(
@@ -701,7 +695,7 @@ def _check_groups(graph: NetworkGraph, find, spec: OwcPonSpec, out) -> None:
         switch = switches[0] if len(switches) == 1 else None
 
         for a in range(spec.aps_per_group):
-            nics = find(DeviceKind.NIC, "ap", g, a)
+            nics = graph.find_nodes(DeviceKind.NIC, group=g, ap=a)
             if len(nics) != 1:
                 code = "missing_ap_nic" if not nics else "duplicate_ap_nic"
                 out.append(
@@ -713,7 +707,7 @@ def _check_groups(graph: NetworkGraph, find, spec: OwcPonSpec, out) -> None:
                 )
                 continue
             nic = nics[0]
-            atxs = find(DeviceKind.AP_TRANSCEIVER, "ap", g, a)
+            atxs = graph.find_nodes(DeviceKind.AP_TRANSCEIVER, group=g, ap=a)
             if len(atxs) != spec.transceiver_multiplier:
                 out.append(
                     Violation(
@@ -746,7 +740,7 @@ def _check_groups(graph: NetworkGraph, find, spec: OwcPonSpec, out) -> None:
                         )
                     )
 
-        gateways = find(DeviceKind.NIC, "gateway", g)
+        gateways = graph.find_nodes(DeviceKind.NIC, group=g, gateway=True)
         if len(gateways) != 1:
             code = "missing_gateway" if not gateways else "duplicate_gateway"
             out.append(
@@ -820,7 +814,7 @@ def _check_backhaul_core(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
             )
 
 
-def _check_spine_mesh(graph: NetworkGraph, find, spec: TraditionalSpec, out) -> None:
+def _check_spine_mesh(graph: NetworkGraph, spec: TraditionalSpec, out) -> None:
     spines = graph.nodes_of_kind(DeviceKind.SPINE_SWITCH)
     if len(spines) != spec.num_spine:
         out.append(
@@ -831,7 +825,7 @@ def _check_spine_mesh(graph: NetworkGraph, find, spec: TraditionalSpec, out) -> 
             )
         )
     for rack in range(spec.num_racks):
-        leaves = find(DeviceKind.LEAF_SWITCH, "rack", rack)
+        leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
         if len(leaves) != 1:
             continue  # already reported by the rack check
         leaf = leaves[0].id
@@ -884,14 +878,13 @@ def validate(graph: NetworkGraph) -> list[Violation]:
     out: list[Violation] = []
     _check_endpoints(graph, out)
     spec = graph.spec
-    find = _node_finder(graph)
     for rack in range(spec.num_racks):
-        _check_rack(graph, find, rack, spec.servers_per_rack, out)
+        _check_rack(graph, rack, spec.servers_per_rack, out)
     if graph.architecture is Architecture.TRADITIONAL:
-        _check_spine_mesh(graph, find, spec, out)
+        _check_spine_mesh(graph, spec, out)
     else:
-        _check_rack_transceivers(graph, find, spec, out)
-        _check_groups(graph, find, spec, out)
+        _check_rack_transceivers(graph, spec, out)
+        _check_groups(graph, spec, out)
         _check_backhaul_core(graph, spec, out)
 
     if not out and spec.num_racks > 0:

@@ -53,12 +53,6 @@ class TrafficMatrix:
         scale = _common_denominator(rates)
         return Fraction(sum(r.numerator * (scale // r.denominator) for r in rates), scale)
 
-    def __add__(self, other: "TrafficMatrix") -> "TrafficMatrix":
-        merged = dict(self.demands)
-        for key, value in other.demands.items():
-            merged[key] = merged.get(key, Fraction(0)) + value
-        return TrafficMatrix(merged)
-
 
 @dataclass(frozen=True)
 class UniformPattern:

@@ -5,6 +5,10 @@ classes come from rack/group arithmetic alone, expected hop counts from a
 networkx breadth-first search over the per-pair permitted subgraph, and
 expected link loads from per-pair accumulation over those search paths.
 
+``reference_find_nodes`` is the node lookup that scans every node of a
+kind, which ``NetworkGraph.find_nodes`` replaced with a rack and group
+index; the oracles below look nodes up through it.
+
 The per-pair reference (``reference_route``, ``reference_all_pairs`` and
 ``reference_assign``) is the slow path the route table replaced: one chain
 walk per ordered server pair, neighbour scans for every lookup, and one
@@ -15,12 +19,12 @@ route table and aggregated sums to it, errors included.
 hand-written scenario parser and serializer that the key table replaced;
 the scenario differential tests hold the table to them.
 
-``reference_validate``, ``reference_run_benchmark``, ``reference_cmd_power``
-and ``reference_scaling_sweep`` are the graph path that the closed-form
-census replaced: build each fabric, validate it with per-rack, per-group
-and per-AP scans, and count its nodes.  The census tests hold
-``census_of``, ``spec_violations``, the linear ``validate`` and the
-closed-form pipelines to them.
+``reference_validate``, ``reference_run_benchmark``, ``reference_cmd_power``,
+``reference_cmd_validate`` and ``reference_scaling_sweep`` are the graph
+path that the closed-form census and verdict replaced: build each fabric,
+validate it with per-rack, per-group and per-AP scans, and count its
+nodes.  The census tests hold ``census_of``, ``spec_violations``, the
+indexed ``validate`` and the closed-form pipelines and commands to them.
 """
 
 import re
@@ -61,6 +65,7 @@ from ponfabric import (
     Scenario,
     SweepPoint,
     SweepResult,
+    Table,
     TraditionalSpec,
     TrafficSection,
     UniformPattern,
@@ -75,7 +80,7 @@ from ponfabric import (
     traditional_power,
 )
 from ponfabric.benchmark import census_table, power_table
-from ponfabric.cli import EXIT_OK
+from ponfabric.cli import EXIT_OK, EXIT_VALIDATION
 from ponfabric.errors import (
     InvalidValue,
     NoRoute,
@@ -244,6 +249,33 @@ def accumulate_uniform_loads(graph, rate: Fraction) -> dict[str, Fraction]:
     return loads
 
 
+# --- node lookup by scan ------------------------------------------------------
+
+
+def reference_find_nodes(
+    graph: NetworkGraph,
+    kind: DeviceKind,
+    *,
+    rack: int | None = None,
+    group: int | None = None,
+    ap: int | None = None,
+    gateway: bool | None = None,
+) -> tuple:
+    """Nodes of ``kind`` matching every given attribute filter."""
+    out = []
+    for node in graph.nodes_of_kind(kind):
+        if rack is not None and node.rack != rack:
+            continue
+        if group is not None and node.group != group:
+            continue
+        if ap is not None and node.ap != ap:
+            continue
+        if gateway is not None and node.is_gateway != gateway:
+            continue
+        out.append(node)
+    return tuple(out)
+
+
 # --- per-pair reference resolver ---------------------------------------------
 
 
@@ -296,14 +328,14 @@ def _uplink_of(graph, leaf):
 
 def _group_switch(graph, group):
     return _sole(
-        graph.find_nodes(DeviceKind.OPTICAL_SWITCH, group=group),
+        reference_find_nodes(graph, DeviceKind.OPTICAL_SWITCH, group=group),
         f"optical switch in group {group}",
     )
 
 
 def _gateway_nic(graph, group):
     return _sole(
-        graph.find_nodes(DeviceKind.NIC, group=group, gateway=True),
+        reference_find_nodes(graph, DeviceKind.NIC, group=group, gateway=True),
         f"gateway NIC in group {group}",
     )
 
@@ -869,8 +901,8 @@ def reference_serialize_scenario(scenario: Scenario) -> str:
 #
 # ``reference_validate`` is the scan-per-rack/group/AP validator; the
 # pipelines below build and validate full graphs and count their nodes,
-# as ``run_benchmark``, ``scaling_sweep`` and the ``power`` command did
-# before they priced censuses computed from the specs.
+# as ``run_benchmark``, ``scaling_sweep`` and the ``power`` and
+# ``validate`` commands did before they worked from the specs.
 
 
 def _check_endpoints(graph: NetworkGraph, out: list[Violation]) -> None:
@@ -887,13 +919,13 @@ def _check_endpoints(graph: NetworkGraph, out: list[Violation]) -> None:
 
 
 def _check_rack(graph: NetworkGraph, rack: int, servers_expected: int, out) -> None:
-    leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
+    leaves = reference_find_nodes(graph, DeviceKind.LEAF_SWITCH, rack=rack)
     if len(leaves) != 1:
         code = "missing_leaf" if not leaves else "duplicate_leaf"
         out.append(Violation(code, f"rack:{rack}", f"rack {rack} has {len(leaves)} leaf switches"))
         return
     leaf = leaves[0]
-    servers = graph.find_nodes(DeviceKind.SERVER, rack=rack)
+    servers = reference_find_nodes(graph, DeviceKind.SERVER, rack=rack)
     if len(servers) != servers_expected:
         out.append(
             Violation(
@@ -930,7 +962,7 @@ def _check_rack(graph: NetworkGraph, rack: int, servers_expected: int, out) -> N
 def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
     expected = spec.transceiver_multiplier
     for rack in range(spec.num_racks):
-        rtxs = graph.find_nodes(DeviceKind.RACK_TRANSCEIVER, rack=rack)
+        rtxs = reference_find_nodes(graph, DeviceKind.RACK_TRANSCEIVER, rack=rack)
         if len(rtxs) != expected:
             code = (
                 "missing_rack_transceiver"
@@ -946,7 +978,7 @@ def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None
             )
             continue
         g, a = divmod(rack, spec.aps_per_group)
-        leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
+        leaves = reference_find_nodes(graph, DeviceKind.LEAF_SWITCH, rack=rack)
         for rtx in rtxs:
             if leaves and not any(
                 link.kind is LinkKind.WIRED and link.touches(leaves[0].id)
@@ -981,7 +1013,7 @@ def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None
 def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
     olts = graph.nodes_of_kind(DeviceKind.OLT)
     for g in range(spec.num_groups):
-        switches = graph.find_nodes(DeviceKind.OPTICAL_SWITCH, group=g)
+        switches = reference_find_nodes(graph, DeviceKind.OPTICAL_SWITCH, group=g)
         if len(switches) != 1:
             code = "missing_optical_switch" if not switches else "duplicate_optical_switch"
             out.append(
@@ -994,7 +1026,7 @@ def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
         switch = switches[0] if len(switches) == 1 else None
 
         for a in range(spec.aps_per_group):
-            nics = graph.find_nodes(DeviceKind.NIC, group=g, ap=a)
+            nics = reference_find_nodes(graph, DeviceKind.NIC, group=g, ap=a)
             if len(nics) != 1:
                 code = "missing_ap_nic" if not nics else "duplicate_ap_nic"
                 out.append(
@@ -1006,7 +1038,7 @@ def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
                 )
                 continue
             nic = nics[0]
-            atxs = graph.find_nodes(DeviceKind.AP_TRANSCEIVER, group=g, ap=a)
+            atxs = reference_find_nodes(graph, DeviceKind.AP_TRANSCEIVER, group=g, ap=a)
             if len(atxs) != spec.transceiver_multiplier:
                 out.append(
                     Violation(
@@ -1039,7 +1071,7 @@ def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
                         )
                     )
 
-        gateways = graph.find_nodes(DeviceKind.NIC, group=g, gateway=True)
+        gateways = reference_find_nodes(graph, DeviceKind.NIC, group=g, gateway=True)
         if len(gateways) != 1:
             code = "missing_gateway" if not gateways else "duplicate_gateway"
             out.append(
@@ -1124,7 +1156,7 @@ def _check_spine_mesh(graph: NetworkGraph, spec: TraditionalSpec, out) -> None:
             )
         )
     for rack in range(spec.num_racks):
-        leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
+        leaves = reference_find_nodes(graph, DeviceKind.LEAF_SWITCH, rack=rack)
         if len(leaves) != 1:
             continue  # already reported by the rack check
         for spine in spines:
@@ -1310,6 +1342,26 @@ def reference_scaling_sweep(
             continue
         results.append(SweepResult(point, trad, owc, reduction, None))
     return tuple(results)
+
+
+def reference_cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:
+    graphs = reference_build_graphs(scenario)
+    tables = []
+    meta = []
+    total = 0
+    for architecture, graph in graphs.items():
+        violations = reference_validate(graph)
+        total += len(violations)
+        meta.append((f"{architecture.value}_violations", len(violations)))
+        tables.append(
+            Table(
+                f"violations_{architecture.value}",
+                ("code", "subject", "message"),
+                tuple((v.code, v.subject, v.message) for v in violations),
+            )
+        )
+    doc = Document("structural validation", tuple(meta), tuple(tables))
+    return doc, (EXIT_VALIDATION if total else EXIT_OK)
 
 
 def reference_cmd_power(scenario: Scenario, args) -> tuple[Document, int]:

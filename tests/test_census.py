@@ -1,6 +1,7 @@
-"""Differential tests: the closed-form census, verdict and pricing against
-the graph path in ``oracles``, and the linear ``validate`` against the
-scanning one, on admissible, inadmissible and damaged fabrics."""
+"""Differential tests: the closed-form census, verdict and pricing, and
+the commands built on them, against the graph path in ``oracles``; the
+indexed ``validate`` and ``find_nodes`` against the scanning ones, on
+admissible, inadmissible and damaged fabrics."""
 
 import itertools
 from dataclasses import replace
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 import oracles
 from ponfabric import (
     Architecture,
+    DeviceKind,
     ExplicitPairs,
     IndexMatched,
     NetworkGraph,
     NicCountMode,
     NoDirectLinks,
+    OutputFormat,
     OwcPonSpec,
     PowerOptions,
     Scenario,
@@ -23,12 +26,13 @@ from ponfabric import (
     build_owc_pon,
     build_traditional,
     device_census,
+    render,
     resolved_catalogs,
     run_benchmark,
     scaling_sweep,
     validate,
 )
-from ponfabric.cli import _cmd_power
+from ponfabric.cli import _cmd_power, _cmd_validate
 from ponfabric.topology import census_of, fabric_size, spec_violations
 
 from test_route_table import outcome
@@ -161,6 +165,32 @@ def test_validate_matches_reference_on_damaged_graphs(graph):
     assert validate(graph) == oracles.reference_validate(graph)
 
 
+def lookups(spec):
+    """``find_nodes`` filters: none, each attribute alone, group with ap or
+    gateway, rack with group; values in range and one past either end."""
+    racks = range(-1, spec.num_racks + 1)
+    groups = range(-1, getattr(spec, "num_groups", 1) + 1)
+    aps = range(-1, getattr(spec, "aps_per_group", 1) + 1)
+    yield {}
+    yield from ({"rack": r} for r in racks)
+    yield from ({"group": g} for g in groups)
+    yield from ({"group": g, "ap": a} for g in groups for a in aps)
+    yield from ({"group": g, "gateway": flag} for g in groups for flag in (True, False))
+    yield from ({"ap": a} for a in aps)
+    yield from ({"gateway": flag} for flag in (True, False))
+    yield from ({"rack": r, "group": g} for r in racks for g in groups)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(graph=damaged_fabrics())
+def test_find_nodes_matches_the_scan(graph):
+    for kind in DeviceKind:
+        for filters in lookups(graph.spec):
+            assert graph.find_nodes(kind, **filters) == oracles.reference_find_nodes(
+                graph, kind, **filters
+            ), (kind, filters)
+
+
 options = st.builds(
     PowerOptions,
     include_owc_transceivers=st.booleans(),
@@ -194,6 +224,18 @@ def test_benchmark_and_power_match_the_graph_path(scenario):
     )
     assert outcome(lambda: _cmd_power(scenario, None)) == outcome(
         lambda: oracles.reference_cmd_power(scenario, None)
+    )
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(scenario=scenarios)
+def test_validate_command_matches_the_graph_path(scenario):
+    def rendered(command):
+        document, code = command(scenario, None)
+        return code, [render(document, fmt) for fmt in OutputFormat]
+
+    assert outcome(lambda: rendered(_cmd_validate)) == outcome(
+        lambda: rendered(oracles.reference_cmd_validate)
     )
 
 

@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ponfabric.benchmark
+import ponfabric.cli
 import ponfabric.topology
 from ponfabric import TraditionalSpec
 from ponfabric.cli import main
@@ -254,7 +257,7 @@ def write_scenario(tmp_path, text):
 )
 def test_owcpon_commands_ignore_the_traditional_fabric(tmp_path, capsys, argv):
     # With no spines the traditional fabric is disconnected; only the
-    # power commands look at it.
+    # power commands and validate look at it.
     path = write_scenario(
         tmp_path,
         "[architecture]\nselect = both\ntraditional.spines = 0\n\n"
@@ -293,7 +296,6 @@ def no_graphs(monkeypatch):
     "argv",
     [
         ("build",),
-        ("validate",),
         ("route", "rack0/server0", "rack1/server0"),
         ("summary",),
         ("simulate",),
@@ -332,7 +334,13 @@ def test_spec_errors_win_over_the_size_guard(tmp_path, capsys, no_graphs):
 
 @pytest.mark.parametrize(
     "argv",
-    [("benchmark",), ("power",), ("compare",), ("sweep", "--racks", "8,10000000", "--groups", "2")],
+    [
+        ("benchmark",),
+        ("power",),
+        ("compare",),
+        ("sweep", "--racks", "8,10000000", "--groups", "2"),
+        ("validate",),
+    ],
 )
 def test_closed_form_commands_build_no_graph_at_any_size(tmp_path, capsys, no_graphs, argv):
     path = write_scenario(
@@ -341,6 +349,35 @@ def test_closed_form_commands_build_no_graph_at_any_size(tmp_path, capsys, no_gr
         "traditional.spines = 10000000\n" + HUGE_OWCPON,
     )
     code, out, err = run(capsys, "-s", path, *argv)
+    assert (code, err) == (0, "")
+
+
+PAPER_TRAFFIC = str(
+    Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "paper_traffic.scenario"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build",),
+        ("validate",),
+        ("power",),
+        ("compare",),
+        ("route", "rack1/server0", "rack7/server0"),
+        ("summary",),
+        ("simulate",),
+        ("sweep", "--racks", "4,8,16"),
+        ("benchmark",),
+    ],
+)
+def test_no_command_validates_a_built_graph(monkeypatch, capsys, argv):
+    def refuse(graph):
+        raise AssertionError("a built graph was validated")
+
+    monkeypatch.setattr(ponfabric.cli, "validate", refuse)
+    monkeypatch.setattr(ponfabric.benchmark, "validate", refuse)
+    code, out, err = run(capsys, "-s", PAPER_TRAFFIC, *argv)
     assert (code, err) == (0, "")
 
 

@@ -28,6 +28,7 @@ def _run(argv):
         (["benchmark"], "cli.run_benchmark"),
         (["power"], "cli.closed_form_power"),
         (["sweep", "--racks", "4,8,16"], "cli.scaling_sweep"),
+        (["validate"], "cli.render"),
     ],
 )
 def test_traced_run_matches_untraced(tmp_path, command, spans_from):

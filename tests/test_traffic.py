@@ -176,7 +176,10 @@ class TestAssignProperties:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(first=small_matrix, second=small_matrix)
     def test_additivity(self, default_owcpon, first, second):
-        combined = assign(default_owcpon, first + second)
+        merged = dict(first.demands)
+        for key, rate in second.demands.items():
+            merged[key] = merged.get(key, Fraction(0)) + rate
+        combined = assign(default_owcpon, TrafficMatrix(merged))
         left = assign(default_owcpon, first)
         right = assign(default_owcpon, second)
         for row, l_row, r_row in zip(combined.rows, left.rows, right.rows):
