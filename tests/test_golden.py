@@ -4,11 +4,14 @@ Every subcommand runs in table, csv and json on the built-in scenario,
 plus ``simulate`` on the committed paper-scale traffic scenario, a route
 to the external gateway, the closed-form commands at scale (``benchmark``,
 ``power``, ``compare`` and ``validate`` on the 128-rack scenario, two
-sweeps with failing points), and ``validate`` on a fabric without spines,
-which has a finding.  The files under ``tests/golden/`` were recorded
-before the code they pin was rewritten (the scenario key table, the shared
-comparison pipeline, pricing and validating from the spec); re-record them
-only for an intended output change:
+sweeps with failing points), ``validate`` on a fabric without spines,
+which has a finding, and ``summary`` on the 128-rack and 16-rack benchmark
+scenarios and on a 12-rack fabric with explicit direct links and a gateway
+AP off index 0, which reaches every histogram row.  The files under
+``tests/golden/`` were recorded before the code they pin was rewritten
+(the scenario key table, the shared comparison pipeline, pricing,
+validating and summarising from the spec); re-record them only for an
+intended output change:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -27,8 +30,10 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PAPER_TRAFFIC = "perfbench/scenarios/paper_traffic.scenario"
 FABRIC_SCALE = "perfbench/scenarios/fabric_scale.scenario"
+ALLPAIRS_UNIFORM = "perfbench/scenarios/allpairs_uniform.scenario"
 NO_SPINES = "tests/golden/no_spines.scenario"
-SCENARIOS = (PAPER_TRAFFIC, FABRIC_SCALE, NO_SPINES)
+SUMMARY_EXPLICIT = "tests/golden/summary_explicit.scenario"
+SCENARIOS = (PAPER_TRAFFIC, FABRIC_SCALE, ALLPAIRS_UNIFORM, NO_SPINES, SUMMARY_EXPLICIT)
 
 CASES = {
     "build": ("build",),
@@ -46,6 +51,9 @@ CASES = {
     "fabric_scale-power": ("-s", FABRIC_SCALE, "power"),
     "fabric_scale-compare": ("-s", FABRIC_SCALE, "compare"),
     "fabric_scale-validate": ("-s", FABRIC_SCALE, "validate"),
+    "fabric_scale-summary": ("-s", FABRIC_SCALE, "summary"),
+    "allpairs_uniform-summary": ("-s", ALLPAIRS_UNIFORM, "summary"),
+    "summary_explicit-summary": ("-s", SUMMARY_EXPLICIT, "summary"),
     "no_spines-validate": ("-s", NO_SPINES, "validate"),
     "sweep-scale": ("sweep", "--racks", "0,7,32,64,128,256", "--groups", "8"),
     "sweep-spines": ("sweep", "--racks", "4,8", "--spines", "0,4"),
