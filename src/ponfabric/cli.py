@@ -35,9 +35,9 @@ from .errors import (
 )
 from .power import closed_form_power, scaling_sweep
 from .render import Document, OutputFormat, Table, format_rational, render
-from .routing import resolve_route, route_to_external, all_pairs_summary, PathClass
+from .routing import resolve_route, route_to_external, all_pairs_summary
 from .scenario import Scenario, default_scenario, parse_scenario
-from .topology import Architecture, DeviceKind, device_census, spec_violations
+from .topology import Architecture, DeviceKind, OwcPonSpec, device_census, spec_violations
 from .traffic import TrafficMatrix, assign, bottlenecks, generate_traffic
 from .version import __version__
 
@@ -106,9 +106,14 @@ def _load_scenario(path: str | None) -> Scenario:
     return parse_scenario(text)
 
 
-def _owcpon_graph(scenario: Scenario):
+def _owcpon_spec(scenario: Scenario) -> OwcPonSpec:
     if not scenario.selects(Architecture.OWC_PON):
         raise ScenarioError("this command needs the owcpon architecture selected")
+    return scenario.owcpon
+
+
+def _owcpon_graph(scenario: Scenario):
+    _owcpon_spec(scenario)
     owcpon_only = replace(scenario, architectures=(Architecture.OWC_PON,))
     return build_graphs(owcpon_only)[Architecture.OWC_PON]
 
@@ -221,15 +226,8 @@ def _cmd_route(scenario: Scenario, args) -> tuple[Document, int]:
 
 
 def _cmd_summary(scenario: Scenario, args) -> tuple[Document, int]:
-    graph = _owcpon_graph(scenario)
-    histogram = all_pairs_summary(graph, scenario.policy)
-    order = {path_class: i for i, path_class in enumerate(PathClass)}
-    rows = tuple(
-        (path_class.value, hops, count)
-        for (path_class, hops), count in sorted(
-            histogram.items(), key=lambda item: (order[item[0][0]], item[0][1])
-        )
-    )
+    histogram = all_pairs_summary(_owcpon_spec(scenario), scenario.policy)
+    rows = tuple((cls.value, hops, pairs) for (cls, hops), pairs in histogram.items())
     total = sum(histogram.values())
     table = Table("pair_histogram", ("class", "hop_count", "pairs"), rows)
     return Document("all-pairs summary", (("ordered_pairs", total),), (table,)), EXIT_OK

@@ -316,12 +316,9 @@ def scaling_sweep(
         spines = spine_counts[index] if spine_counts is not None else racks
         point = SweepPoint(racks, servers_per_rack, num_groups, spines)
         try:
-            if num_groups > 0:
-                aps = racks // num_groups
-            elif racks == 0:
-                aps = 0
-            else:
+            if num_groups == 0 and racks > 0:
                 raise SpecMismatch(f"{racks} racks cannot be split into zero groups")
+            aps = racks // num_groups if num_groups > 0 else 0
             trad_census = census_of(TraditionalSpec(spines, racks, servers_per_rack))
             owc_census = census_of(OwcPonSpec(racks, servers_per_rack, num_groups, aps))
             trad = traditional_power(trad_census, traditional_catalog, options)

@@ -27,22 +27,25 @@ transceiver, AP transceiver, NIC), each group's optical switch and
 gateway NIC, and the OLT, which is O(servers + racks + groups) pieces,
 plus one core chain per (source leaf, destination leaf) pair that is
 used.  Link lookups go through ``NetworkGraph``'s link index.
-``resolve_route`` composes one route from a table.
-``all_pairs_summary`` resolves one route per pair of server blocks
-(servers sharing a rack and a leaf) and multiplies by the block sizes,
-and ``traffic.assign`` sums demand per edge link and per core chain, so
-``summary`` and ``simulate`` cost O(servers + demand entries + rack
-pairs) instead of one chain walk per server pair.
+``resolve_route`` composes one route from a table, and ``traffic.assign``
+sums demand per edge link and per core chain, so ``simulate`` costs
+O(servers + demand entries + rack pairs), not a chain walk per server
+pair.  ``all_pairs_summary`` counts the classes above from the spec and
+the policy alone, with no graph and no table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
-from .errors import NoRoute, PolicyExcluded, RoutingError, UnknownServer
-from .topology import Architecture, DeviceKind, NetworkGraph, Node
+from .errors import NoRoute, PolicyExcluded, UnknownServer
+from .topology import Architecture, DeviceKind, IndexMatched, NetworkGraph, Node, OwcPonSpec
+from .topology import _check_owc_pon  # the builder's spec checks, which summary shares
+
+
+_UNLINKED = "no direct link between the APs of {} and {}, and relay fallback is disabled"
 
 
 class PathClass(Enum):
@@ -182,6 +185,7 @@ class RouteTable:
     the OLT, and the core chain of each (source leaf, destination leaf)
     pair.  A piece that cannot be resolved raises and is not kept, so a
     failing pair always raises what resolving it alone would raise.
+    ``route`` and ``simulate`` resolve through a table; ``summary`` needs none.
     """
 
     def __init__(self, graph: NetworkGraph, policy: RoutingPolicy = RoutingPolicy()):
@@ -275,10 +279,7 @@ class RouteTable:
             nodes = ascent + descent
             return CoreChain(tuple(nodes), _links(graph, nodes), PathClass.INTER_GROUP_DIRECT)
         if not policy.allow_relay_fallback:
-            raise PolicyExcluded(
-                f"no direct link between the APs of {src} and {dst}, "
-                "and relay fallback is disabled"
-            )
+            raise PolicyExcluded(_UNLINKED.format(src, dst))
 
         olt = self._once(_olt)
         middle: list[str] = []
@@ -325,66 +326,68 @@ def route_to_external(graph: NetworkGraph, src: str) -> Route:
     return Route(tuple(chain), _links(graph, chain), PathClass.EXTERNAL)
 
 
+def _least_by_text(spans: list[tuple[int, int]], excluded) -> int:
+    """The number in the half-open intervals ``spans``, bar ``excluded``,
+    whose decimal text sorts first.  Numbers of one length sort by text as
+    by value, so the first one not excluded of each length is a candidate."""
+    candidates: list[int] = []
+    for lo, hi in spans:
+        while lo < hi:
+            top = min(hi, 10 ** len(str(lo)))  # up to the first number one digit longer
+            candidates += islice((n for n in range(lo, top) if n not in excluded), 1)
+            lo = top
+    return min(candidates, key=str)
+
+
+def _first_unlinked_pair(spec: OwcPonSpec) -> PolicyExcluded:
+    """The error of the first server pair, in sorted (src, dst) order, whose
+    APs share no direct link: ``rack{R}/server0 -> rack{S}/server0``, with
+    R least by text among racks missing a link to another group and S the
+    least such rack for R (``rack10`` sorts before ``rack9``)."""
+    racks, aps = spec.num_racks, spec.aps_per_group
+    partners: dict[int, set[int]] = {}  # rack -> racks its AP has direct links to
+    for (g1, a1), (g2, a2) in getattr(spec.adjacency, "pairs", ()):
+        partners.setdefault(g1 * aps + a1, set()).add(g2 * aps + a2)
+        partners.setdefault(g2 * aps + a2, set()).add(g1 * aps + a1)
+    linked_to_all = {r for r, ends in partners.items() if len(ends) == racks - aps}
+    src = _least_by_text([(0, racks)], linked_to_all)
+    if isinstance(spec.adjacency, IndexMatched):
+        partners[src] = range(src % aps, racks, aps)
+    start, end = src // aps * aps, (src // aps + 1) * aps  # src's group
+    dst = _least_by_text([(0, start), (end, racks)], partners.get(src, ()))
+    return PolicyExcluded(_UNLINKED.format(f"rack{src}/server0", f"rack{dst}/server0"))
+
+
 def all_pairs_summary(
-    graph: NetworkGraph, policy: RoutingPolicy = RoutingPolicy()
+    spec: OwcPonSpec, policy: RoutingPolicy = RoutingPolicy()
 ) -> dict[tuple[PathClass, int], int]:
-    """Histogram of (class, hop count) over all ordered server pairs.
-
-    Includes the diagonal, so counts sum to the squared server count.
-    Servers that share a rack and a leaf form a block, and every pair
-    between two blocks of different racks takes the same core chain, so
-    one route per block pair is counted for all of its server pairs.
-    Within a rack, a pair routes when the source's leaf links to the
-    destination.  If any pair fails, the error of the first failing pair
-    in sorted (src, dst) order is raised.
-    """
-    table = RouteTable(graph, policy)
-    servers = sorted(node.id for node in graph.nodes_of_kind(DeviceKind.SERVER))
-    racks: dict[int | None, list[str]] = {}
-    blocks: dict[tuple[int | None, str | None], list[str]] = {}
-    for server_id in servers:
-        server = graph.node(server_id)
-        try:
-            leaf_id = _leaf_of(graph, server).id
-        except NoRoute:
-            leaf_id = None
-        racks.setdefault(server.rack, []).append(server_id)
-        blocks.setdefault((server.rack, leaf_id), []).append(server_id)
-
-    histogram: Counter[tuple[PathClass, int]] = Counter()
-    failures: list[tuple[tuple[str, str], RoutingError]] = []
-
-    def count(src: str, dst: str, pairs: int) -> None:
-        """Count ``pairs`` pairs that route like src -> dst, the least of
-        them; a failure is kept instead."""
-        try:
-            route = table.route(src, dst)
-        except RoutingError as exc:
-            failures.append(((src, dst), exc))
-        else:
-            histogram[(route.path_class, route.hop_count)] += pairs
-
-    if servers:
-        histogram[(PathClass.SAME_SERVER, 0)] = len(servers)
-    for (rack, leaf_id), sources in blocks.items():
-        first = sources[0]
-        if leaf_id is None:  # every pair out of these sources fails
-            others = [s for s in servers[:2] if s != first]
-            if others:
-                count(first, others[0], 0)
-            continue
-        linked: list[str] = []
-        unlinked: list[str] = []
-        for mate in racks[rack]:
-            if mate != first:
-                (linked if graph.link_between(leaf_id, mate) else unlinked).append(mate)
-        if linked:
-            count(first, linked[0], len(sources) * len(linked))
-        if unlinked:
-            count(first, unlinked[0], 0)
-        for (other_rack, _), targets in blocks.items():
-            if other_rack != rack:
-                count(first, targets[0], len(sources) * len(targets))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return dict(histogram)
+    """Histogram of (class, hop count) over all ordered server pairs of the
+    fabric ``spec`` builds, by arithmetic on the spec, keyed in class then
+    hop order, empty classes left out.  Raises what building the fabric,
+    then routing the first failing pair in sorted (src, dst) order, would."""
+    direct = _check_owc_pon(spec)
+    racks, servers, aps = spec.num_racks, spec.servers_per_rack, spec.aps_per_group
+    group_pairs, gateway = spec.num_groups * (spec.num_groups - 1), spec.gateway_ap_index
+    # ordered inter-group rack pairs by hops: two, one or no gateway-AP ends
+    relayed = {10: group_pairs, 12: 2 * group_pairs * (aps - 1), 14: group_pairs * (aps - 1) ** 2}
+    if not policy.prefer_direct_inter_group:
+        direct = 0
+    elif isinstance(spec.adjacency, IndexMatched):  # links join same-index APs
+        relayed[10], relayed[14] = 0, group_pairs * (aps - 1) * (aps - 2)
+    else:
+        for (_, a1), (_, a2) in getattr(spec.adjacency, "pairs", ()):
+            relayed[14 - 2 * ((a1 == gateway) + (a2 == gateway))] -= 2
+    if servers and group_pairs:
+        if not policy.prefer_direct_inter_group and not policy.allow_relay_fallback:
+            raise PolicyExcluded("both inter-group mechanisms are disabled")
+        if not policy.allow_relay_fallback and any(relayed.values()):
+            raise _first_unlinked_pair(spec)
+    block = servers * servers  # server pairs per ordered rack pair
+    histogram = {
+        (PathClass.SAME_SERVER, 0): racks * servers,
+        (PathClass.INTRA_RACK, 2): racks * servers * (servers - 1),
+        (PathClass.INTER_RACK_INTRA_GROUP, 10): racks * (aps - 1) * block,
+        (PathClass.INTER_GROUP_DIRECT, 9): 2 * direct * block,
+        **{(PathClass.INTER_GROUP_RELAYED, hops): n * block for hops, n in relayed.items()},
+    }
+    return {key: pairs for key, pairs in histogram.items() if pairs}

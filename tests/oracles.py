@@ -13,7 +13,10 @@ The per-pair reference (``reference_route``, ``reference_all_pairs`` and
 ``reference_assign``) is the slow path the route table replaced: one chain
 walk per ordered server pair, neighbour scans for every lookup, and one
 ``Fraction`` addition per hop.  The differential tests hold the package's
-route table and aggregated sums to it, errors included.
+route table and aggregated sums to it, and the closed-form
+``all_pairs_summary`` to ``reference_all_pairs`` on the built graph,
+errors included; ``outcome`` turns a raised error into a comparable
+value.
 
 ``reference_parse_scenario`` and ``reference_serialize_scenario`` are the
 hand-written scenario parser and serializer that the key table replaced;
@@ -23,8 +26,11 @@ the scenario differential tests hold the table to them.
 ``reference_cmd_validate`` and ``reference_scaling_sweep`` are the graph
 path that the closed-form census and verdict replaced: build each fabric,
 validate it with per-rack, per-group and per-AP scans, and count its
-nodes.  The census tests hold ``census_of``, ``spec_violations``, the
-indexed ``validate`` and the closed-form pipelines and commands to them.
+nodes.  ``reference_scaling_sweep`` splits racks into groups by the
+current rule: zero groups fail only when there are racks, and a negative
+group count is left to ``OwcPonSpec`` to reject.  The census tests hold
+``census_of``, ``spec_violations``, the indexed ``validate`` and the
+closed-form pipelines and commands to them.
 """
 
 import re
@@ -97,6 +103,15 @@ from ponfabric.errors import (
 )
 from ponfabric.version import __version__
 from ponfabric.traffic import TrafficPattern
+
+
+def outcome(call):
+    """The call's result, or the type and message of what it raised, so a
+    differential test compares both sides' errors as well as their values."""
+    try:
+        return call()
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return type(exc), str(exc)
 
 
 def arithmetic_class_and_hops(spec, rack_a, rack_b, same_server, *, index_matched=True):
@@ -1320,12 +1335,9 @@ def reference_scaling_sweep(
         spines = spine_counts[index] if spine_counts is not None else racks
         point = SweepPoint(racks, servers_per_rack, num_groups, spines)
         try:
-            if num_groups > 0:
-                aps = racks // num_groups
-            elif racks == 0:
-                aps = 0
-            else:
+            if num_groups == 0 and racks > 0:
                 raise SpecMismatch(f"{racks} racks cannot be split into zero groups")
+            aps = racks // num_groups if num_groups > 0 else 0
             trad_graph = build_traditional(
                 TraditionalSpec(spines, racks, servers_per_rack), capacities
             )

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import outcome
 from ponfabric import (
     Architecture,
     DeviceKind,
@@ -35,7 +36,6 @@ from ponfabric import (
 from ponfabric.cli import _cmd_power, _cmd_validate
 from ponfabric.topology import census_of, fabric_size, spec_violations
 
-from test_route_table import outcome
 from test_topology import with_extra_link, with_extra_node, without_link, without_node
 
 

@@ -297,7 +297,6 @@ def no_graphs(monkeypatch):
     [
         ("build",),
         ("route", "rack0/server0", "rack1/server0"),
-        ("summary",),
         ("simulate",),
     ],
 )
@@ -340,6 +339,7 @@ def test_spec_errors_win_over_the_size_guard(tmp_path, capsys, no_graphs):
         ("compare",),
         ("sweep", "--racks", "8,10000000", "--groups", "2"),
         ("validate",),
+        ("summary",),
     ],
 )
 def test_closed_form_commands_build_no_graph_at_any_size(tmp_path, capsys, no_graphs, argv):
@@ -350,6 +350,38 @@ def test_closed_form_commands_build_no_graph_at_any_size(tmp_path, capsys, no_gr
     )
     code, out, err = run(capsys, "-s", path, *argv)
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "owcpon, pair",
+    [
+        (HUGE_OWCPON, "rack0/server0 and rack5000000/server0"),
+        (
+            "owcpon.racks = 16\nowcpon.groups = 2\nowcpon.aps_per_group = 8\n",
+            "rack0/server0 and rack10/server0",
+        ),
+    ],
+    ids=["10M racks", "16 racks"],
+)
+def test_summary_names_the_first_pair_relay_off_cuts(tmp_path, capsys, no_graphs, owcpon, pair):
+    # server ids sort as text, so rack10 comes before rack9
+    path = write_scenario(
+        tmp_path,
+        "[architecture]\nselect = owcpon\n" + owcpon + "\n[options]\nrelay_fallback = false\n",
+    )
+    code, out, err = run(capsys, "-s", path, "summary")
+    assert (code, out) == (3, "")
+    assert err == (
+        f"ponfabric: evaluation error: no direct link between the APs of {pair}, "
+        "and relay fallback is disabled\n"
+    )
+
+
+def test_summary_needs_the_owcpon_fabric(tmp_path, capsys, no_graphs):
+    path = write_scenario(tmp_path, "[architecture]\nselect = traditional\n")
+    code, out, err = run(capsys, "-s", path, "summary")
+    assert_one_line_failure(code, out, err)
+    assert err == "ponfabric: scenario error: this command needs the owcpon architecture selected\n"
 
 
 PAPER_TRAFFIC = str(

@@ -316,6 +316,12 @@ class TestScalingSweep:
         assert [r.error is None for r in results] == [True, False, True]
         assert "num_groups" in results[1].error
 
+    def test_negative_group_count_is_rejected_as_negative(self):
+        errors = [result.error for result in scaling_sweep([8, 0], num_groups=-1)]
+        assert errors == ["num_groups must be >= 0"] * 2
+        (result,) = scaling_sweep([8], num_groups=0)
+        assert result.error == "8 racks cannot be split into zero groups"
+
     def test_explicit_spine_counts(self):
         (result,) = scaling_sweep([8], spine_counts=[2])
         assert result.traditional.row(DeviceKind.SPINE_SWITCH).quantity == 2

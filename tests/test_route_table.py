@@ -1,5 +1,7 @@
 """Differential tests: the route table and the aggregated sums against the
-per-pair reference in ``oracles``, on clean and on broken graphs."""
+per-pair reference in ``oracles``, on clean and on broken graphs, and the
+closed-form all-pairs histogram against every pair resolved on the built
+graph."""
 
 import itertools
 from dataclasses import replace
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import outcome
 from ponfabric import (
     DeviceKind,
     ExplicitPairs,
@@ -28,6 +31,7 @@ from ponfabric import (
     resolve_route,
 )
 
+from test_census import owcpon_specs as census_specs
 from test_topology import with_extra_link, without_link, without_node
 
 POLICIES = [
@@ -103,14 +107,6 @@ def fabrics(draw):
     return graph
 
 
-def outcome(call):
-    """The call's result, or the type and message of what it raised."""
-    try:
-        return call()
-    except Exception as exc:  # compared, never swallowed: both sides must agree
-        return type(exc), str(exc)
-
-
 def endpoints(graph):
     servers = sorted(node.id for node in graph.nodes_of_kind(DeviceKind.SERVER))
     return servers + ["nosuch", "olt"]
@@ -131,12 +127,17 @@ def test_routes_match_reference(graph, policy, order):
         )
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
-@given(graph=fabrics(), policy=st.sampled_from(POLICIES))
-def test_histograms_match_reference(graph, policy):
-    assert outcome(lambda: all_pairs_summary(graph, policy)) == outcome(
-        lambda: oracles.reference_all_pairs(graph, policy)
-    )
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spec=census_specs())
+def test_histograms_match_reference(spec):
+    """The closed-form histogram against every pair resolved on the built
+    graph, under all four policies; inadmissible specs raise alike."""
+    graph = outcome(lambda: build_owc_pon(spec))
+    for policy in POLICIES:
+        expected = graph if isinstance(graph, tuple) else outcome(
+            lambda: oracles.reference_all_pairs(graph, policy)
+        )
+        assert outcome(lambda: all_pairs_summary(spec, policy)) == expected, policy
 
 
 @st.composite
@@ -164,4 +165,4 @@ def test_link_loads_match_reference(case, policy):
 def test_uniform_all_pairs_match_reference(default_owcpon):
     matrix = generate_traffic(UniformPattern(Fraction(3, 7)), default_owcpon)
     assert assign(default_owcpon, matrix) == oracles.reference_assign(default_owcpon, matrix)
-    assert all_pairs_summary(default_owcpon) == oracles.reference_all_pairs(default_owcpon)
+    assert all_pairs_summary(default_owcpon.spec) == oracles.reference_all_pairs(default_owcpon)

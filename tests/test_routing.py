@@ -4,6 +4,8 @@ from hypothesis import given, settings
 import oracles
 from ponfabric import (
     DeviceKind,
+    ExplicitPairs,
+    IndexMatched,
     NoDirectLinks,
     OwcPonSpec,
     PathClass,
@@ -169,8 +171,8 @@ class TestSymmetry:
 
 
 class TestAllPairsSummary:
-    def test_default_histogram(self, default_owcpon):
-        histogram = all_pairs_summary(default_owcpon)
+    def test_default_histogram(self):
+        histogram = all_pairs_summary(OwcPonSpec())
         # Counts derived by enumerating the construction rules by hand:
         # 64 diagonal pairs, 64*7 intra-rack, 64*24 intra-group,
         # 64*8 index-matched direct, and of the 64*24 relayed pairs the
@@ -186,27 +188,45 @@ class TestAllPairsSummary:
         }
         assert sum(histogram.values()) == 64 * 64
 
-    def test_matches_arithmetic_enumeration(self, default_owcpon):
-        spec = default_owcpon.spec
-        expected = {}
-        for rack_a in range(spec.num_racks):
-            for idx_a in range(spec.servers_per_rack):
-                for rack_b in range(spec.num_racks):
-                    for idx_b in range(spec.servers_per_rack):
-                        key = oracles.arithmetic_class_and_hops(
-                            spec,
-                            rack_a,
-                            rack_b,
-                            rack_a == rack_b and idx_a == idx_b,
-                        )
-                        expected[key] = expected.get(key, 0) + 1
-        assert all_pairs_summary(default_owcpon) == expected
+    def test_matches_arithmetic_enumeration(self):
+        for index_matched in (True, False):
+            spec = OwcPonSpec(adjacency=IndexMatched() if index_matched else NoDirectLinks())
+            expected = {}
+            for rack_a in range(spec.num_racks):
+                for idx_a in range(spec.servers_per_rack):
+                    for rack_b in range(spec.num_racks):
+                        for idx_b in range(spec.servers_per_rack):
+                            key = oracles.arithmetic_class_and_hops(
+                                spec,
+                                rack_a,
+                                rack_b,
+                                rack_a == rack_b and idx_a == idx_b,
+                                index_matched=index_matched,
+                            )
+                            expected[key] = expected.get(key, 0) + 1
+            assert all_pairs_summary(spec) == expected, spec
 
     def test_no_direct_links_histogram(self):
-        graph = build_owc_pon(OwcPonSpec(adjacency=NoDirectLinks()))
-        histogram = all_pairs_summary(graph)
+        histogram = all_pairs_summary(OwcPonSpec(adjacency=NoDirectLinks()))
         assert (PathClass.INTER_GROUP_DIRECT, 9) not in histogram
         assert histogram[(PathClass.INTER_GROUP_RELAYED, 10)] == 128  # both gateways
+
+    def test_first_unlinked_pair_is_least_by_text(self):
+        # Racks 0 and 1 reach every AP of the other group, so no pair out
+        # of them fails; of the rest, rack10 sorts before rack2.
+        links = [((0, 0), (1, ap)) for ap in range(6)] + [((0, 1), (1, ap)) for ap in range(6)]
+        spec = OwcPonSpec(12, 1, 2, 6, ExplicitPairs(tuple(links)))
+        policy = RoutingPolicy(allow_relay_fallback=False)
+        message = (
+            "no direct link between the APs of rack10/server0 and rack2/server0, "
+            "and relay fallback is disabled"
+        )
+        graph = build_owc_pon(spec)
+        assert oracles.outcome(lambda: all_pairs_summary(spec, policy)) == (PolicyExcluded, message)
+        assert oracles.outcome(lambda: oracles.reference_all_pairs(graph, policy)) == (
+            PolicyExcluded,
+            message,
+        )
 
 
 class TestTotality:
