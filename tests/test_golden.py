@@ -4,14 +4,15 @@ Every subcommand runs in table, csv and json on the built-in scenario,
 plus ``simulate`` on the committed paper-scale traffic scenario, a route
 to the external gateway, the closed-form commands at scale (``benchmark``,
 ``power``, ``compare`` and ``validate`` on the 128-rack scenario, two
-sweeps with failing points), ``validate`` on a fabric without spines,
-which has a finding, and ``summary`` on the 128-rack and 16-rack benchmark
-scenarios and on a 12-rack fabric with explicit direct links and a gateway
-AP off index 0, which reaches every histogram row.  The files under
+sweeps with failing points), ``validate`` and ``build`` on a fabric
+without spines, which has a finding, ``summary`` on the 128-rack and
+16-rack benchmark scenarios, and ``summary`` and ``build`` on a 12-rack
+fabric with explicit direct links, a gateway AP off index 0 and two
+transceiver planes, which reaches every histogram row.  The files under
 ``tests/golden/`` were recorded before the code they pin was rewritten
 (the scenario key table, the shared comparison pipeline, pricing,
-validating and summarising from the spec); re-record them only for an
-intended output change:
+validating and summarising from the spec, and ``build``'s census from
+the spec); re-record them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -55,6 +56,8 @@ CASES = {
     "allpairs_uniform-summary": ("-s", ALLPAIRS_UNIFORM, "summary"),
     "summary_explicit-summary": ("-s", SUMMARY_EXPLICIT, "summary"),
     "no_spines-validate": ("-s", NO_SPINES, "validate"),
+    "no_spines-build": ("-s", NO_SPINES, "build"),
+    "summary_explicit-build": ("-s", SUMMARY_EXPLICIT, "build"),
     "sweep-scale": ("sweep", "--racks", "0,7,32,64,128,256", "--groups", "8"),
     "sweep-spines": ("sweep", "--racks", "4,8", "--spines", "0,4"),
 }
