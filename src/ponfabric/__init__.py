@@ -64,11 +64,10 @@ from .topology import (
     Violation,
     build_owc_pon,
     build_traditional,
-    census_of,
     device_census,
     fabric_size,
-    spec_violations,
     validate,
+    validate_graph,
 )
 from .traffic import (
     HotspotRackPattern,

@@ -19,8 +19,9 @@ from .power import (
     PowerCatalog,
     PowerReport,
     Reduction,
-    closed_form_power,
+    owc_pon_power,
     power_reduction,
+    traditional_power,
 )
 from .render import Document, Table, format_rational
 from .scenario import Scenario, serialize_scenario
@@ -31,15 +32,11 @@ from .topology import (
     NetworkGraph,
     build_owc_pon,
     build_traditional,
-    census_of,
+    device_census,
     fabric_size,
-    spec_violations,
+    validate,
 )
 from .version import __version__
-
-# perfbench/traced.py wraps these names in this module; nothing here calls them.
-from .power import owc_pon_power, traditional_power  # noqa: F401
-from .topology import device_census, validate  # noqa: F401
 
 #: Most nodes plus links a command may build a graph of.
 GRAPH_BUDGET = 1_000_000
@@ -91,9 +88,9 @@ def validated_censuses(scenario: Scenario) -> dict[Architecture, dict[DeviceKind
     """The census of every selected fabric: spec errors of any fabric
     first, then the first fabric with validation findings."""
     specs = selected_specs(scenario)
-    censuses = {architecture: census_of(spec) for architecture, spec in specs.items()}
+    censuses = {architecture: device_census(spec) for architecture, spec in specs.items()}
     for architecture, spec in specs.items():
-        violations = spec_violations(spec)
+        violations = validate(spec)
         if violations:
             raise ValidationFailed(architecture, violations)
     return censuses
@@ -117,8 +114,10 @@ def run_benchmark(scenario: Scenario) -> BenchmarkReport:
         raise ScenarioError("the benchmark needs both architectures selected")
     traditional_catalog, owc_catalog = resolved_catalogs(scenario)
     censuses = validated_censuses(scenario)
-    trad_report = closed_form_power(scenario.traditional, traditional_catalog, scenario.options)
-    owc_report = closed_form_power(scenario.owcpon, owc_catalog, scenario.options)
+    trad_census = censuses[Architecture.TRADITIONAL]
+    owc_census = censuses[Architecture.OWC_PON]
+    trad_report = traditional_power(trad_census, traditional_catalog, scenario.options)
+    owc_report = owc_pon_power(owc_census, owc_catalog, scenario.options)
     reduction = power_reduction(trad_report, owc_report)
 
     notes = []
@@ -131,8 +130,8 @@ def run_benchmark(scenario: Scenario) -> BenchmarkReport:
     return BenchmarkReport(
         version=__version__,
         scenario_text=serialize_scenario(scenario),
-        traditional_census=censuses[Architecture.TRADITIONAL],
-        proposed_census=censuses[Architecture.OWC_PON],
+        traditional_census=trad_census,
+        proposed_census=owc_census,
         traditional=trad_report,
         proposed=owc_report,
         reduction=reduction,

@@ -37,12 +37,9 @@ from .power import closed_form_power, scaling_sweep
 from .render import Document, OutputFormat, Table, format_rational, render
 from .routing import resolve_route, route_to_external, all_pairs_summary
 from .scenario import Scenario, default_scenario, parse_scenario
-from .topology import Architecture, DeviceKind, OwcPonSpec, device_census, spec_violations
+from .topology import Architecture, DeviceKind, OwcPonSpec, device_census, validate
 from .traffic import TrafficMatrix, assign, bottlenecks, generate_traffic
 from .version import __version__
-
-# perfbench/traced.py wraps this name in this module; nothing here calls it.
-from .topology import validate  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,7 +136,7 @@ def _graph_tables(architecture: Architecture, graph) -> list[Table]:
         ("id", "kind", "capacity_gbps"),
         tuple((link.id, link.kind.value, format_rational(link.capacity)) for link in graph.links),
     )
-    census = census_table(f"census_{architecture.value}", device_census(graph))
+    census = census_table(f"census_{architecture.value}", device_census(graph.spec))
     return [census, nodes, links]
 
 
@@ -159,7 +156,7 @@ def _cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:
     meta = []
     total = 0
     for architecture, spec in selected_specs(scenario).items():
-        violations = spec_violations(spec)
+        violations = validate(spec)
         total += len(violations)
         meta.append((f"{architecture.value}_violations", len(violations)))
         tables.append(

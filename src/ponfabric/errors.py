@@ -42,7 +42,7 @@ class BadAdjacency(PonFabricError):
 
 
 class ValidationFailed(PonFabricError):
-    """A built graph failed structural validation."""
+    """A fabric spec failed structural validation."""
 
     def __init__(self, architecture, violations):
         self.architecture = architecture

@@ -19,10 +19,10 @@ from .topology import (
     NetworkGraph,
     OwcPonSpec,
     TraditionalSpec,
-    census_of,
+    device_census,
 )
 # perfbench/traced.py wraps these names in this module; nothing here calls them.
-from .topology import build_owc_pon, build_traditional, device_census  # noqa: F401
+from .topology import build_owc_pon, build_traditional  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def closed_form_power(
     options: PowerOptions = PowerOptions(),
 ) -> PowerReport:
     """Price the fabric ``spec`` builds with its architecture's closed form."""
-    census = census_of(spec)
+    census = device_census(spec)
     if isinstance(spec, TraditionalSpec):
         return traditional_power(census, catalog, options)
     return owc_pon_power(census, catalog, options)
@@ -319,8 +319,8 @@ def scaling_sweep(
             if num_groups == 0 and racks > 0:
                 raise SpecMismatch(f"{racks} racks cannot be split into zero groups")
             aps = racks // num_groups if num_groups > 0 else 0
-            trad_census = census_of(TraditionalSpec(spines, racks, servers_per_rack))
-            owc_census = census_of(OwcPonSpec(racks, servers_per_rack, num_groups, aps))
+            trad_census = device_census(TraditionalSpec(spines, racks, servers_per_rack))
+            owc_census = device_census(OwcPonSpec(racks, servers_per_rack, num_groups, aps))
             trad = traditional_power(trad_census, traditional_catalog, options)
             owc = owc_pon_power(owc_census, owc_pon_catalog, options)
             reduction = power_reduction(trad, owc)

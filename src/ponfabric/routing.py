@@ -301,7 +301,7 @@ def resolve_route(
     """The unique rule-chain route between two servers.
 
     Raises ``NoRoute`` when a required element is missing (which surfaces
-    the same breaches ``validate`` reports), ``PolicyExcluded`` when the
+    the same breaches ``validate_graph`` reports), ``PolicyExcluded`` when the
     policy forbids every mechanism available for an inter-group pair, and
     ``UnknownServer`` for endpoints that are not server nodes.  Resolving
     many pairs is cheaper through one ``RouteTable``.

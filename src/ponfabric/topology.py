@@ -128,7 +128,7 @@ class TraditionalSpec:
     servers_per_rack: int = 8
 
     def __post_init__(self):
-        for name in ("num_spine", "num_racks", "servers_per_rack"):
+        for name in ("num_racks", "servers_per_rack", "num_spine"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -194,7 +194,7 @@ class NetworkGraph:
 
     Construction is permissive about structure (validation is a separate,
     reporting operation) but rejects duplicate node ids.  Adjacency skips
-    links whose endpoints are missing; ``validate`` reports those.
+    links whose endpoints are missing; ``validate_graph`` reports those.
     """
 
     def __init__(
@@ -231,9 +231,6 @@ class NetworkGraph:
         # node id -> {neighbour id: first link to it in adjacency order},
         # filled per node on its first ``link_between`` lookup.
         self._link_index: dict[str, dict[str, Link]] = {}
-        # kind -> (nodes by rack, nodes by group), in node order, filled
-        # per kind on its first ``find_nodes`` lookup by rack or group.
-        self._scope_index: dict[DeviceKind, tuple[dict, dict]] = {}
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -274,18 +271,8 @@ class NetworkGraph:
         gateway: bool | None = None,
     ) -> tuple[Node, ...]:
         """Nodes of ``kind`` matching every given attribute filter, in node order."""
-        if rack is None and group is None:
-            candidates = self._by_kind[kind]
-        else:
-            if kind not in self._scope_index:
-                by_rack, by_group = self._scope_index[kind] = ({}, {})
-                for node in self._by_kind[kind]:
-                    by_rack.setdefault(node.rack, []).append(node)
-                    by_group.setdefault(node.group, []).append(node)
-            by_rack, by_group = self._scope_index[kind]
-            candidates = by_rack.get(rack, ()) if rack is not None else by_group.get(group, ())
         out = []
-        for node in candidates:
+        for node in self._by_kind[kind]:
             if rack is not None and node.rack != rack:
                 continue
             if group is not None and node.group != group:
@@ -521,12 +508,6 @@ def build_owc_pon(
     return NetworkGraph(nodes, links, Architecture.OWC_PON, spec, capacities)
 
 
-def device_census(graph: NetworkGraph) -> dict[DeviceKind, int]:
-    """Exact node count per device kind; the power model's only input."""
-    counts = Counter(node.kind for node in graph.nodes)
-    return {kind: counts.get(kind, 0) for kind in DeviceKind}
-
-
 def _census_and_links(spec: FabricSpec) -> tuple[dict[DeviceKind, int], int]:
     """The census and link count of the graph built from ``spec``, by
     arithmetic; raises what the builder raises."""
@@ -550,8 +531,9 @@ def _census_and_links(spec: FabricSpec) -> tuple[dict[DeviceKind, int], int]:
     return counts, links
 
 
-def census_of(spec: FabricSpec) -> dict[DeviceKind, int]:
-    """``device_census`` of the graph ``spec`` builds, without building it.
+def device_census(spec: FabricSpec) -> dict[DeviceKind, int]:
+    """Exact node count per device kind of the graph ``spec`` builds,
+    without building it; the power model's only input.
 
     Raises the builder's ``SpecMismatch``/``BadAdjacency`` for an
     inadmissible spec.
@@ -567,7 +549,7 @@ def fabric_size(spec: FabricSpec) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Violation:
-    """One structural rule breach found by ``validate``."""
+    """One structural rule breach found by ``validate`` or ``validate_graph``."""
 
     code: str
     subject: str
@@ -867,7 +849,7 @@ def _check_connected(graph: NetworkGraph, out) -> None:
         )
 
 
-def validate(graph: NetworkGraph) -> list[Violation]:
+def validate_graph(graph: NetworkGraph) -> list[Violation]:
     """Check the graph against its spec's construction rules.
 
     Returns an empty list for a well-formed graph.  Violations are data,
@@ -892,8 +874,8 @@ def validate(graph: NetworkGraph) -> list[Violation]:
     return out
 
 
-def spec_violations(spec: FabricSpec) -> list[Violation]:
-    """``validate`` of the graph ``spec`` builds, without building it.
+def validate(spec: FabricSpec) -> list[Violation]:
+    """``validate_graph`` of the graph ``spec`` builds, without building it.
 
     Built graphs keep every construction rule, so the only finding is
     reachability: without spines, every traditional rack but the first is

@@ -161,7 +161,7 @@ def assign(
     The result is a pure sum over matrix entries, so it is independent of
     iteration order.  Demand is summed once per edge link and once per
     core chain (leaf pair) of a shared ``RouteTable``, and spread over the
-    chain's links afterwards.  Expects a graph that passes ``validate``; a
+    chain's links afterwards.  Expects a graph that passes ``validate_graph``; a
     routing error names the first failing ``src -> dst`` entry in sorted
     order.
     """

@@ -6,8 +6,8 @@ networkx breadth-first search over the per-pair permitted subgraph, and
 expected link loads from per-pair accumulation over those search paths.
 
 ``reference_find_nodes`` is the node lookup that scans every node of a
-kind, which ``NetworkGraph.find_nodes`` replaced with a rack and group
-index; the oracles below look nodes up through it.
+kind; the oracles below look nodes up through it, so they do not share
+``NetworkGraph.find_nodes`` with the code they check.
 
 The per-pair reference (``reference_route``, ``reference_all_pairs`` and
 ``reference_assign``) is the slow path the route table replaced: one chain
@@ -22,15 +22,18 @@ value.
 hand-written scenario parser and serializer that the key table replaced;
 the scenario differential tests hold the table to them.
 
-``reference_validate``, ``reference_run_benchmark``, ``reference_cmd_power``,
-``reference_cmd_validate`` and ``reference_scaling_sweep`` are the graph
-path that the closed-form census and verdict replaced: build each fabric,
-validate it with per-rack, per-group and per-AP scans, and count its
-nodes.  ``reference_scaling_sweep`` splits racks into groups by the
-current rule: zero groups fail only when there are racks, and a negative
-group count is left to ``OwcPonSpec`` to reject.  The census tests hold
-``census_of``, ``spec_violations``, the indexed ``validate`` and the
-closed-form pipelines and commands to them.
+``reference_census``, ``reference_validate``, ``reference_run_benchmark``,
+``reference_cmd_power``, ``reference_cmd_validate`` and
+``reference_scaling_sweep`` are the graph path that the closed-form
+census and verdict replaced: build each fabric, validate it with
+per-rack, per-group and per-AP scans, and count its nodes.
+``reference_scaling_sweep`` splits racks into groups by the current
+rule: zero groups fail only when there are racks, and a negative group
+count is left to ``OwcPonSpec`` to reject.  The census tests hold
+``device_census`` and ``validate`` on the spec, ``validate_graph`` on
+built and damaged graphs, and the closed-form pipelines and commands to
+them; every test that counts a built graph counts it with
+``reference_census``.
 """
 
 import re
@@ -78,7 +81,6 @@ from ponfabric import (
     Violation,
     build_owc_pon,
     build_traditional,
-    device_census,
     owc_pon_power,
     power_reduction,
     resolved_catalogs,
@@ -914,10 +916,17 @@ def reference_serialize_scenario(scenario: Scenario) -> str:
 
 # --- the graph path that the closed form replaced ---------------------------
 #
+# ``reference_census`` counts a built graph's nodes and
 # ``reference_validate`` is the scan-per-rack/group/AP validator; the
 # pipelines below build and validate full graphs and count their nodes,
-# as ``run_benchmark``, ``scaling_sweep`` and the ``power`` and
-# ``validate`` commands did before they worked from the specs.
+# as ``run_benchmark``, ``scaling_sweep`` and the ``power``, ``validate``
+# and ``build`` commands did before they worked from the specs.
+
+
+def reference_census(graph: NetworkGraph) -> dict[DeviceKind, int]:
+    """Exact node count per device kind of a built graph."""
+    counts = Counter(node.kind for node in graph.nodes)
+    return {kind: counts.get(kind, 0) for kind in DeviceKind}
 
 
 def _check_endpoints(graph: NetworkGraph, out: list[Violation]) -> None:
@@ -1273,8 +1282,8 @@ def reference_run_benchmark(scenario: Scenario) -> BenchmarkReport:
     traditional_catalog, owc_catalog = resolved_catalogs(scenario)
     graphs = reference_validated_graphs(scenario)
 
-    trad_census = device_census(graphs[Architecture.TRADITIONAL])
-    owc_census = device_census(graphs[Architecture.OWC_PON])
+    trad_census = reference_census(graphs[Architecture.TRADITIONAL])
+    owc_census = reference_census(graphs[Architecture.OWC_PON])
     trad_report = traditional_power(trad_census, traditional_catalog, scenario.options)
     owc_report = owc_pon_power(owc_census, owc_catalog, scenario.options)
     reduction = power_reduction(trad_report, owc_report)
@@ -1304,7 +1313,7 @@ def reference_closed_form_power(
     options: PowerOptions = PowerOptions(),
 ) -> PowerReport:
     """Dispatch to the architecture's closed-form evaluator."""
-    census = device_census(graph)
+    census = reference_census(graph)
     if graph.architecture is Architecture.TRADITIONAL:
         return traditional_power(census, catalog, options)
     return owc_pon_power(census, catalog, options)
@@ -1345,9 +1354,9 @@ def reference_scaling_sweep(
                 OwcPonSpec(racks, servers_per_rack, num_groups, aps), capacities
             )
             trad = traditional_power(
-                device_census(trad_graph), traditional_catalog, options
+                reference_census(trad_graph), traditional_catalog, options
             )
-            owc = owc_pon_power(device_census(owc_graph), owc_pon_catalog, options)
+            owc = owc_pon_power(reference_census(owc_graph), owc_pon_catalog, options)
             reduction = power_reduction(trad, owc)
         except (PonFabricError, ValueError) as exc:
             results.append(SweepResult(point, None, None, None, str(exc)))
@@ -1384,6 +1393,6 @@ def reference_cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
     for architecture, graph in graphs.items():
         report = reference_closed_form_power(graph, catalogs[architecture], scenario.options)
         meta.append((f"{architecture.value}_total_mw", report.total_mw))
-        tables.append(census_table(f"census_{architecture.value}", device_census(graph)))
+        tables.append(census_table(f"census_{architecture.value}", reference_census(graph)))
         tables.append(power_table(f"power_{architecture.value}", report))
     return Document("power evaluation", tuple(meta), tuple(tables)), EXIT_OK

@@ -42,7 +42,7 @@ from ponfabric import (
     run_benchmark,
     serialize_scenario,
     traditional_power,
-    validate,
+    validate_graph,
 )
 from ponfabric.cli import main
 from test_scenario import scenario_strategy
@@ -119,7 +119,7 @@ def test_criterion_3_oracle_equivalence():
         )
         catalog = _random_catalog(rng)
         graph = build_traditional(spec)
-        closed = traditional_power(device_census(graph), catalog, options)
+        closed = traditional_power(device_census(spec), catalog, options)
         assert per_node_power(graph, catalog, options).total_mw == closed.total_mw
         checked += 1
     for _ in range(100):
@@ -138,7 +138,7 @@ def test_criterion_3_oracle_equivalence():
         )
         catalog = _random_catalog(rng)
         graph = build_owc_pon(spec)
-        closed = owc_pon_power(device_census(graph), catalog, options)
+        closed = owc_pon_power(device_census(spec), catalog, options)
         assert per_node_power(graph, catalog, options).total_mw == closed.total_mw
         checked += 1
     elapsed = time.perf_counter() - started
@@ -208,7 +208,7 @@ def test_criterion_4_routing_invariants(default_owcpon):
 
 
 def test_criterion_5_validation_suite(default_owcpon):
-    assert validate(default_owcpon) == []
+    assert validate_graph(default_owcpon) == []
 
     from ponfabric import Link, LinkKind, Node
 
@@ -245,7 +245,7 @@ def test_criterion_5_validation_suite(default_owcpon):
         ),
     }
     for name, (broken, expected) in mutations.items():
-        violations = validate(broken)
+        violations = validate_graph(broken)
         assert [(v.code, v.subject) for v in violations] == [expected], name
     _passed(5, "clean default graph; 6 mutations each yield exactly their violation")
 

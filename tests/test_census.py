@@ -1,6 +1,6 @@
 """Differential tests: the closed-form census, verdict and pricing, and
-the commands built on them, against the graph path in ``oracles``; the
-indexed ``validate`` and ``find_nodes`` against the scanning ones, on
+the commands built on them, against the graph path in ``oracles``;
+``validate_graph`` and ``find_nodes`` against the scanning ones, on
 admissible, inadmissible and damaged fabrics."""
 
 import itertools
@@ -27,14 +27,15 @@ from ponfabric import (
     build_owc_pon,
     build_traditional,
     device_census,
+    fabric_size,
     render,
     resolved_catalogs,
     run_benchmark,
     scaling_sweep,
     validate,
+    validate_graph,
 )
 from ponfabric.cli import _cmd_power, _cmd_validate
-from ponfabric.topology import census_of, fabric_size, spec_violations
 
 from test_topology import with_extra_link, with_extra_node, without_link, without_node
 
@@ -120,19 +121,19 @@ def test_census_and_verdict_match_the_built_graph(spec):
     built = outcome(lambda: build(spec))
     if not isinstance(built, NetworkGraph):
         assert built[0] is not TypeError
-        for closed_form in (census_of, fabric_size, spec_violations):
+        for closed_form in (device_census, fabric_size, validate):
             assert outcome(lambda: closed_form(spec)) == built
         return
-    assert census_of(spec) == device_census(built)
+    assert device_census(spec) == oracles.reference_census(built)
     assert fabric_size(spec) == (len(built.nodes), len(built.links))
     verdict = oracles.reference_validate(built)
-    assert spec_violations(spec) == verdict
-    assert validate(built) == verdict
+    assert validate(spec) == verdict
+    assert validate_graph(built) == verdict
 
 
 def test_spineless_traditional_is_the_only_failing_build():
-    assert spec_violations(TraditionalSpec(num_spine=0, num_racks=1)) == []
-    (violation,) = spec_violations(TraditionalSpec(num_spine=0, num_racks=3, servers_per_rack=2))
+    assert validate(TraditionalSpec(num_spine=0, num_racks=1)) == []
+    (violation,) = validate(TraditionalSpec(num_spine=0, num_racks=3, servers_per_rack=2))
     assert (violation.code, violation.subject) == ("disconnected", "rack1/leaf")
     assert violation.message == "6 nodes unreachable from 'rack0/leaf'"
 
@@ -162,7 +163,7 @@ def damaged_fabrics(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(graph=damaged_fabrics())
 def test_validate_matches_reference_on_damaged_graphs(graph):
-    assert validate(graph) == oracles.reference_validate(graph)
+    assert validate_graph(graph) == oracles.reference_validate(graph)
 
 
 def lookups(spec):

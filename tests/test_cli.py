@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ponfabric.benchmark
-import ponfabric.cli
 import ponfabric.topology
 from ponfabric import TraditionalSpec
 from ponfabric.cli import main
@@ -407,8 +405,7 @@ def test_no_command_validates_a_built_graph(monkeypatch, capsys, argv):
     def refuse(graph):
         raise AssertionError("a built graph was validated")
 
-    monkeypatch.setattr(ponfabric.cli, "validate", refuse)
-    monkeypatch.setattr(ponfabric.benchmark, "validate", refuse)
+    monkeypatch.setattr(ponfabric.topology, "validate_graph", refuse)
     code, out, err = run(capsys, "-s", PAPER_TRAFFIC, *argv)
     assert (code, err) == (0, "")
 

