@@ -8,7 +8,11 @@ sweeps with failing points), ``validate`` and ``build`` on a fabric
 without spines, which has a finding, ``summary`` on the 128-rack and
 16-rack benchmark scenarios, and ``summary`` and ``build`` on a 12-rack
 fabric with explicit direct links, a gateway AP off index 0 and two
-transceiver planes, which reaches every histogram row.  The files under
+transceiver planes, which reaches every histogram row, and ``simulate``
+on the 64-rack scenarios under ``tests/golden/sim64/``: each traffic
+pattern (zero rates, intra fractions 0 and 1, a hotspot rack the fabric
+lacks), relay fallback off, no direct links and explicit direct links.
+The files under
 ``tests/golden/`` were recorded before the code they pin was rewritten
 (the scenario key table, the shared comparison pipeline, pricing,
 validating and summarising from the spec, and ``build``'s census from
@@ -34,7 +38,21 @@ FABRIC_SCALE = "perfbench/scenarios/fabric_scale.scenario"
 ALLPAIRS_UNIFORM = "perfbench/scenarios/allpairs_uniform.scenario"
 NO_SPINES = "tests/golden/no_spines.scenario"
 SUMMARY_EXPLICIT = "tests/golden/summary_explicit.scenario"
-SCENARIOS = (PAPER_TRAFFIC, FABRIC_SCALE, ALLPAIRS_UNIFORM, NO_SPINES, SUMMARY_EXPLICIT)
+SIM64 = (
+    "uniform",
+    "uniform_zero",
+    "hotspot",
+    "hotspot_missing",
+    "intra_heavy",
+    "intra_none",
+    "intra_only",
+    "relay_off",
+    "relay_off_hotspot",
+    "no_adjacency",
+    "explicit",
+)
+SIM64_SCENARIOS = tuple(f"tests/golden/sim64/{name}.scenario" for name in SIM64)
+SCENARIOS = (PAPER_TRAFFIC, FABRIC_SCALE, ALLPAIRS_UNIFORM, NO_SPINES, SUMMARY_EXPLICIT, *SIM64_SCENARIOS)
 
 CASES = {
     "build": ("build",),
@@ -60,6 +78,10 @@ CASES = {
     "summary_explicit-build": ("-s", SUMMARY_EXPLICIT, "build"),
     "sweep-scale": ("sweep", "--racks", "0,7,32,64,128,256", "--groups", "8"),
     "sweep-spines": ("sweep", "--racks", "4,8", "--spines", "0,4"),
+    **{
+        f"sim64-{name}-simulate": ("-s", path, "simulate", "--top", "10")
+        for name, path in zip(SIM64, SIM64_SCENARIOS)
+    },
 }
 FORMATS = ("table", "csv", "json")
 IDS = [f"{case}.{fmt}" for case in CASES for fmt in FORMATS]
