@@ -74,6 +74,7 @@ from .traffic import (
     IntraRackHeavyPattern,
     LinkLoad,
     LinkLoadReport,
+    RackBlocks,
     TrafficMatrix,
     UniformPattern,
     assign,

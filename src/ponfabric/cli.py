@@ -236,7 +236,7 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
     graph = _owcpon_graph(scenario)
     if scenario.traffic.pattern is not None:
         try:
-            matrix = generate_traffic(scenario.traffic.pattern, graph)
+            matrix = generate_traffic(scenario.traffic.pattern, graph.spec)
         except UnknownRack as exc:
             raise ScenarioError(f"traffic pattern: {exc}") from exc
     else:
@@ -245,7 +245,7 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
         )
     report = assign(graph, matrix, scenario.policy)
     meta = (
-        ("demand_entries", len(matrix.demands)),
+        ("demand_entries", matrix.demand_entries()),
         ("total_demand_gbps", format_rational(matrix.total_demand())),
         ("max_utilization", format_rational(report.max_utilization)),
         ("saturated_links", len(report.saturated)),

@@ -28,10 +28,12 @@ gateway NIC, and the OLT, which is O(servers + racks + groups) pieces,
 plus one core chain per (source leaf, destination leaf) pair that is
 used.  Link lookups go through ``NetworkGraph``'s link index.
 ``resolve_route`` composes one route from a table, and ``traffic.assign``
-sums demand per edge link and per core chain, so ``simulate`` costs
-O(servers + demand entries + rack pairs), not a chain walk per server
-pair.  ``all_pairs_summary`` counts the classes above from the spec and
-the policy alone, with no graph and no table.
+routes one pair per block of demand (a rack pair of a traffic pattern,
+or one flow line) and sums per edge link and per core chain, so
+``simulate`` costs O(servers + rack pairs) for a pattern and O(flows)
+for flow lines, not a chain walk per server pair.  ``all_pairs_summary``
+counts the classes above from the spec and the policy alone, with no
+graph and no table.
 """
 
 from __future__ import annotations
@@ -84,9 +86,10 @@ class Route:
 
 
 def _server(graph: NetworkGraph, node_id: str) -> Node:
-    if not graph.has_node(node_id):
-        raise UnknownServer(node_id)
-    node = graph.node(node_id)
+    try:
+        node = graph.node(node_id)
+    except KeyError:
+        raise UnknownServer(node_id) from None
     if node.kind is not DeviceKind.SERVER:
         raise UnknownServer(node_id)
     return node
@@ -236,6 +239,15 @@ class RouteTable:
         if core is None:
             core = self._cores[(leaf_a.id, leaf_b.id)] = self._core(leaf_a, leaf_b, src, dst)
         return out_link, core, in_link
+
+    def edge_links(self, servers: tuple[str, ...]) -> tuple[str, ...]:
+        """Each server's link to its leaf; the servers must share one leaf,
+        as a rack's do, so that one core chain serves them all."""
+        hits = [self._leaf(_server(self.graph, server_id)) for server_id in servers]
+        for server_id, (leaf, _) in zip(servers, hits):
+            if leaf is not hits[0][0]:
+                raise NoRoute(f"server {server_id} is not wired to {hits[0][0].id}")
+        return tuple(link for _, link in hits)
 
     def _leaf(self, server: Node) -> tuple[Node, str]:
         hit = self._leaves.get(server.id)

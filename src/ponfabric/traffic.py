@@ -1,9 +1,13 @@
 """Flow-level traffic assignment onto resolved routes.
 
-Demands are fluid: each matrix entry is routed along its rule-chain route
-and its full rate is added to every link on the way, in exact rational
-arithmetic.  Demands exceeding capacity are reported as utilization above
-one, never dropped; this is an analyzer, not an admission controller.
+Demand comes in blocks, each server of a source group sending one rate
+to each server of a destination group but itself: a traffic pattern is
+one block per rack pair with demand, made from the spec alone
+(``RackBlocks``), and a flow line is a 1x1 block (``TrafficMatrix``).
+Demands are fluid: a block's rate is added to every link of its routes,
+in exact rational arithmetic.  Demands exceeding capacity are reported
+as utilization above one, never dropped; this is an analyzer, not an
+admission controller.
 
 Sums run over integer numerators scaled to the least common multiple of
 the rates' denominators and are divided once at the end, which is exact
@@ -15,21 +19,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import RoutingError, UnknownRack, in_pair
 from .routing import CoreChain, RouteTable, RoutingPolicy
 from .routing import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
-from .topology import DeviceKind, LinkKind, NetworkGraph
+from .topology import FabricSpec, LinkKind, NetworkGraph
+
+#: (sources, destinations, Gb/s): each source sends the rate to each
+#: destination but itself.  A group is one server or one rack's servers;
+#: a block's two groups are the same rack's or disjoint.
+Block = tuple[tuple[str, ...], tuple[str, ...], Fraction]
 
 
 def _common_denominator(rates: Iterable[Fraction]) -> int:
     return lcm(*(rate.denominator for rate in rates))
 
 
+def _weighted_sum(terms: list[tuple[Fraction, int]]) -> Fraction:
+    """Exact sum of rate x count over the (rate, count) ``terms``."""
+    scale = _common_denominator(rate for rate, _ in terms)
+    return Fraction(sum(r.numerator * (scale // r.denominator) * n for r, n in terms), scale)
+
+
 @dataclass(frozen=True)
 class TrafficMatrix:
-    """Sparse (src server, dst server) -> demand map in Gb/s."""
+    """Sparse (src server, dst server) -> demand map in Gb/s: explicit flow
+    lines, each entry a 1x1 block."""
 
     demands: Mapping[tuple[str, str], Fraction]
 
@@ -42,16 +58,46 @@ class TrafficMatrix:
             frozen[(src, dst)] = rate
         object.__setattr__(self, "demands", frozen)
 
-    def entries(self) -> list[tuple[str, str, Fraction]]:
-        return [
-            (src, dst, self.demands[(src, dst)])
-            for src, dst in sorted(self.demands)
-        ]
+    def blocks(self) -> list[Block]:
+        """A 1x1 block per entry with demand between two servers, sorted."""
+        entries = sorted(self.demands.items())
+        return [((src,), (dst,), rate) for (src, dst), rate in entries if rate and src != dst]
+
+    def demand_entries(self) -> int:
+        return len(self.demands)
 
     def total_demand(self) -> Fraction:
-        rates = self.demands.values()
-        scale = _common_denominator(rates)
-        return Fraction(sum(r.numerator * (scale // r.denominator) for r in rates), scale)
+        return _weighted_sum([(rate, 1) for rate in self.demands.values()])
+
+
+class RackBlocks(NamedTuple):
+    """Pattern demand: every server of rack ``a`` sends ``demands[(a, b)]``
+    Gb/s to every server of rack ``b`` but itself.  ``demands`` holds the
+    blocks with demand in the sorted order of their first entries,
+    ``(rack{a}/server0, rack{b}/server0)``, as ``generate_traffic`` builds
+    it; server ids follow the graphs' ``rack{r}/server{i}``.  A named
+    tuple, not a dataclass, which would cost every CLI process about a
+    millisecond at import."""
+
+    servers_per_rack: int
+    demands: Mapping[tuple[int, int], Fraction]
+
+    def blocks(self) -> Iterable[Block]:
+        n = self.servers_per_rack
+        servers: dict[int, tuple[str, ...]] = {}  # one tuple per rack, shared by its blocks
+        for (a, b), rate in self.demands.items():
+            for rack in (a, b):
+                if rack not in servers:
+                    servers[rack] = tuple(f"rack{rack}/server{i}" for i in range(n))
+            yield servers[a], servers[b], rate
+
+    def demand_entries(self) -> int:
+        n = self.servers_per_rack
+        return sum(n * (n - (a == b)) for a, b in self.demands)
+
+    def total_demand(self) -> Fraction:
+        n = self.servers_per_rack
+        return _weighted_sum([(rate, n * (n - (a == b))) for (a, b), rate in self.demands.items()])
 
 
 @dataclass(frozen=True)
@@ -85,42 +131,34 @@ class IntraRackHeavyPattern:
 TrafficPattern = Union[UniformPattern, HotspotRackPattern, IntraRackHeavyPattern]
 
 
-def generate_traffic(pattern: TrafficPattern, graph: NetworkGraph) -> TrafficMatrix:
-    """Deterministic matrix for a named pattern (no randomness)."""
-    servers = sorted(graph.nodes_of_kind(DeviceKind.SERVER), key=lambda n: n.id)
-    demands: dict[tuple[str, str], Fraction] = {}
-
+def generate_traffic(pattern: TrafficPattern, spec: FabricSpec) -> RackBlocks:
+    """The blocks of a named pattern on the fabric ``spec`` builds, one per
+    rack pair with demand (no randomness, no per-server demand)."""
+    racks, servers = spec.num_racks, spec.servers_per_rack
+    sink = None  # the one destination rack, if any
     if isinstance(pattern, UniformPattern):
-        if pattern.gbps > 0:
-            for src in servers:
-                for dst in servers:
-                    if src.id != dst.id:
-                        demands[(src.id, dst.id)] = pattern.gbps
+        intra = inter = pattern.gbps
     elif isinstance(pattern, HotspotRackPattern):
-        racks = {node.rack for node in graph.nodes if node.rack is not None}
-        if pattern.rack not in racks:
+        if not 0 <= pattern.rack < racks:
             raise UnknownRack(pattern.rack)
-        targets = [s for s in servers if s.rack == pattern.rack]
-        if pattern.gbps > 0:
-            for src in servers:
-                if src.rack == pattern.rack:
-                    continue
-                for dst in targets:
-                    demands[(src.id, dst.id)] = pattern.gbps
+        intra, inter, sink = 0, pattern.gbps, pattern.rack
     elif isinstance(pattern, IntraRackHeavyPattern):
         intra = pattern.gbps * pattern.intra_fraction
-        inter = pattern.gbps * (1 - pattern.intra_fraction)
-        for src in servers:
-            for dst in servers:
-                if src.id == dst.id:
-                    continue
-                rate = intra if src.rack == dst.rack else inter
-                if rate > 0:
-                    demands[(src.id, dst.id)] = rate
+        inter = pattern.gbps - intra
     else:
         raise TypeError(f"unsupported traffic pattern: {pattern!r}")
+    if pattern.gbps < 0:
+        raise ValueError(f"negative demand rate {pattern.gbps}")
+    intra, inter = Fraction(intra), Fraction(inter)
 
-    return TrafficMatrix(demands)
+    order = sorted(range(racks), key=str) if servers else []  # as rack{r}/server0 sorts
+    demands = {}
+    for a in order:
+        for b in order if sink is None else (sink,):
+            rate = intra if a == b else inter
+            if rate and (a != b or servers > 1):
+                demands[(a, b)] = rate
+    return RackBlocks(servers, demands)
 
 
 @dataclass(frozen=True)
@@ -153,33 +191,48 @@ class LinkLoadReport:
 
 def assign(
     graph: NetworkGraph,
-    matrix: TrafficMatrix,
+    matrix: TrafficMatrix | RackBlocks,
     policy: RoutingPolicy = RoutingPolicy(),
 ) -> LinkLoadReport:
-    """Route every demand and accumulate per-link loads.
+    """Route every block of demand and accumulate per-link loads.
 
-    The result is a pure sum over matrix entries, so it is independent of
-    iteration order.  Demand is summed once per edge link and once per
-    core chain (leaf pair) of a shared ``RouteTable``, and spread over the
-    chain's links afterwards.  Expects a graph that passes ``validate_graph``; a
-    routing error names the first failing ``src -> dst`` entry in sorted
-    order.
+    A block is routed once, through its first entry: that core chain
+    carries rate x sources x destinations, and each server's edge link the
+    rate times its count of peers in the block.  So a pattern costs
+    O(servers + rack pairs) and a flow line what routing it alone costs.
+    Expects a graph that passes ``validate_graph``, where a rack's servers
+    share one leaf (``NoRoute`` if not).  Blocks run in the sorted order of
+    their first entries, so a routing error names the first failing
+    ``src -> dst`` entry in sorted order.
     """
     table = RouteTable(graph, policy)
-    demands = [(src, dst, rate) for src, dst, rate in matrix.entries() if rate and src != dst]
-    scale = _common_denominator(rate for _, _, rate in demands)
-    link_units: dict[str, int] = {}  # edge links now, core links below
+    scale = _common_denominator(matrix.demands.values())
+    # Groups are keyed by their first server, which names one group only.
+    edges: dict[str, tuple[str, ...]] = {}  # the group's edge links
+    group_units: dict[str, int] = {}
     core_units: dict[CoreChain, int] = {}
-    for src, dst, rate in demands:
+    for srcs, dsts, rate in matrix.blocks():
+        src, first_dst = srcs[0], dsts[0]
+        own = src == first_dst  # a rack to itself: no server sends to itself
+        dst = dsts[own]  # (src, dst) is the block's first entry
         try:
-            out_link, core, in_link = table.parts(src, dst)
+            core = table.parts(src, dst)[1]
+            if src not in edges:
+                edges[src] = table.edge_links(srcs)
+            if first_dst not in edges:
+                edges[first_dst] = table.edge_links(dsts)
         except RoutingError as exc:
             raise in_pair(exc, src, dst) from exc
         units = rate.numerator * (scale // rate.denominator)
-        link_units[out_link] = link_units.get(out_link, 0) + units
-        link_units[in_link] = link_units.get(in_link, 0) + units
-        core_units[core] = core_units.get(core, 0) + units
+        peers_of_src, peers_of_dst = len(dsts) - own, len(srcs) - own
+        group_units[src] = group_units.get(src, 0) + units * peers_of_src
+        group_units[first_dst] = group_units.get(first_dst, 0) + units * peers_of_dst
+        core_units[core] = core_units.get(core, 0) + units * len(srcs) * peers_of_src
 
+    link_units: dict[str, int] = {}
+    for group, units in group_units.items():
+        for link_id in edges[group]:
+            link_units[link_id] = link_units.get(link_id, 0) + units
     for core, units in core_units.items():
         for link_id in core.links:
             link_units[link_id] = link_units.get(link_id, 0) + units
@@ -197,6 +250,7 @@ def bottlenecks(report: LinkLoadReport, top_n: int) -> list[LinkLoad]:
 
     Ties break by ascending link id; links without load never appear.
     """
+    from heapq import nsmallest  # here, so only simulate pays for importing it
+
     loaded = [row for row in report.rows if row.load > 0]
-    loaded.sort(key=lambda row: (-row.utilization, row.link_id))
-    return loaded[: max(top_n, 0)]
+    return nsmallest(max(top_n, 0), loaded, key=lambda row: (-row.utilization, row.link_id))

@@ -12,11 +12,14 @@ kind; the oracles below look nodes up through it, so they do not share
 The per-pair reference (``reference_route``, ``reference_all_pairs`` and
 ``reference_assign``) is the slow path the route table replaced: one chain
 walk per ordered server pair, neighbour scans for every lookup, and one
-``Fraction`` addition per hop.  The differential tests hold the package's
-route table and aggregated sums to it, and the closed-form
-``all_pairs_summary`` to ``reference_all_pairs`` on the built graph,
-errors included; ``outcome`` turns a raised error into a comparable
-value.
+``Fraction`` addition per hop.  ``reference_generate_traffic`` is the
+per-server pattern matrix that rack-pair blocks replaced: one ``Fraction``
+per ordered server pair with demand.  The differential tests hold the
+package's route table and aggregated sums to them, the block ``assign``
+of a pattern to ``reference_assign`` of its per-server matrix, and the
+closed-form ``all_pairs_summary`` to ``reference_all_pairs`` on the built
+graph, errors included; ``outcome`` turns a raised error into a
+comparable value.
 
 ``reference_parse_scenario`` and ``reference_serialize_scenario`` are the
 hand-written scenario parser and serializer that the key table replaced;
@@ -76,6 +79,7 @@ from ponfabric import (
     SweepResult,
     Table,
     TraditionalSpec,
+    TrafficMatrix,
     TrafficSection,
     UniformPattern,
     Violation,
@@ -99,6 +103,7 @@ from ponfabric.errors import (
     ScenarioError,
     SpecMismatch,
     UnknownKey,
+    UnknownRack,
     UnknownServer,
     ValidationFailed,
     in_pair,
@@ -425,10 +430,48 @@ def reference_all_pairs(graph, policy=RoutingPolicy()):
     return dict(histogram)
 
 
+def reference_generate_traffic(pattern: TrafficPattern, graph: NetworkGraph) -> TrafficMatrix:
+    """Deterministic matrix for a named pattern (no randomness)."""
+    servers = sorted(graph.nodes_of_kind(DeviceKind.SERVER), key=lambda n: n.id)
+    demands: dict[tuple[str, str], Fraction] = {}
+
+    if isinstance(pattern, UniformPattern):
+        if pattern.gbps > 0:
+            for src in servers:
+                for dst in servers:
+                    if src.id != dst.id:
+                        demands[(src.id, dst.id)] = pattern.gbps
+    elif isinstance(pattern, HotspotRackPattern):
+        racks = {node.rack for node in graph.nodes if node.rack is not None}
+        if pattern.rack not in racks:
+            raise UnknownRack(pattern.rack)
+        targets = [s for s in servers if s.rack == pattern.rack]
+        if pattern.gbps > 0:
+            for src in servers:
+                if src.rack == pattern.rack:
+                    continue
+                for dst in targets:
+                    demands[(src.id, dst.id)] = pattern.gbps
+    elif isinstance(pattern, IntraRackHeavyPattern):
+        intra = pattern.gbps * pattern.intra_fraction
+        inter = pattern.gbps * (1 - pattern.intra_fraction)
+        for src in servers:
+            for dst in servers:
+                if src.id == dst.id:
+                    continue
+                rate = intra if src.rack == dst.rack else inter
+                if rate > 0:
+                    demands[(src.id, dst.id)] = rate
+    else:
+        raise TypeError(f"unsupported traffic pattern: {pattern!r}")
+
+    return TrafficMatrix(demands)
+
+
 def reference_assign(graph, matrix, policy=RoutingPolicy()):
     """Link loads by routing each demand entry and adding its rate per hop."""
     loads = {}
-    for src, dst, rate in matrix.entries():
+    for (src, dst), rate in sorted(matrix.demands.items()):
         if rate == 0 or src == dst:
             continue
         try:

@@ -252,7 +252,7 @@ def test_criterion_5_validation_suite(default_owcpon):
 
 def test_criterion_6_traffic_conservation(default_owcpon):
     rate = Fraction(1)
-    matrix = generate_traffic(UniformPattern(rate), default_owcpon)
+    matrix = generate_traffic(UniformPattern(rate), default_owcpon.spec)
     report = assign(default_owcpon, matrix)
     oracle_loads = oracles.accumulate_uniform_loads(default_owcpon, rate)
     for row in report.rows:

@@ -1,7 +1,8 @@
 """Differential tests: the closed-form census, verdict and pricing, and
-the commands built on them, against the graph path in ``oracles``;
-``validate_graph`` and ``find_nodes`` against the scanning ones, on
-admissible, inadmissible and damaged fabrics."""
+the commands built on them, against the graph path in ``oracles``, and
+``validate_graph`` against the scanning one, on admissible, inadmissible
+and damaged fabrics; ``find_nodes`` against the node ids each filter must
+return on one small fabric."""
 
 import itertools
 from dataclasses import replace
@@ -182,14 +183,46 @@ def lookups(spec):
     yield from ({"rack": r, "group": g} for r in racks for g in groups)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(graph=damaged_fabrics())
-def test_find_nodes_matches_the_scan(graph):
-    for kind in DeviceKind:
-        for filters in lookups(graph.spec):
-            assert graph.find_nodes(kind, **filters) == oracles.reference_find_nodes(
-                graph, kind, **filters
-            ), (kind, filters)
+# 4 racks of one server, 2 groups of 2 APs, gateway AP 1: the node ids
+# ``find_nodes`` returns for each filter of ``lookups``, over every kind in
+# ``DeviceKind`` order.  Filters missing here match nothing.
+RACK_IDS = ["leaf", "server0", "server0/txrx", "txrx0"]
+AP_NODES = ["group0/ap0/txrx0", "group0/ap1/txrx0", "group1/ap0/txrx0", "group1/ap1/txrx0",
+            "group0/ap0/nic", "group0/ap1/nic", "group1/ap0/nic", "group1/ap1/nic"]
+FOUND = {
+    (): [f"rack{r}/{kind}" for kind in RACK_IDS for r in range(4)]
+    + AP_NODES + ["group0/switch", "group1/switch", "olt", "external"],
+    (("rack", 0),): ["rack0/leaf", "rack0/server0", "rack0/server0/txrx", "rack0/txrx0"],
+    (("rack", 1),): ["rack1/leaf", "rack1/server0", "rack1/server0/txrx", "rack1/txrx0"],
+    (("rack", 2),): ["rack2/leaf", "rack2/server0", "rack2/server0/txrx", "rack2/txrx0"],
+    (("rack", 3),): ["rack3/leaf", "rack3/server0", "rack3/server0/txrx", "rack3/txrx0"],
+    (("group", 0),): ["group0/ap0/txrx0", "group0/ap1/txrx0", "group0/ap0/nic", "group0/ap1/nic", "group0/switch"],
+    (("group", 1),): ["group1/ap0/txrx0", "group1/ap1/txrx0", "group1/ap0/nic", "group1/ap1/nic", "group1/switch"],
+    (("group", 0), ("ap", 0)): ["group0/ap0/txrx0", "group0/ap0/nic"],
+    (("group", 0), ("ap", 1)): ["group0/ap1/txrx0", "group0/ap1/nic"],
+    (("group", 1), ("ap", 0)): ["group1/ap0/txrx0", "group1/ap0/nic"],
+    (("group", 1), ("ap", 1)): ["group1/ap1/txrx0", "group1/ap1/nic"],
+    (("group", 0), ("gateway", True)): ["group0/ap1/txrx0", "group0/ap1/nic"],
+    (("group", 0), ("gateway", False)): ["group0/ap0/txrx0", "group0/ap0/nic", "group0/switch"],
+    (("group", 1), ("gateway", True)): ["group1/ap1/txrx0", "group1/ap1/nic"],
+    (("group", 1), ("gateway", False)): ["group1/ap0/txrx0", "group1/ap0/nic", "group1/switch"],
+    (("ap", 0),): ["group0/ap0/txrx0", "group1/ap0/txrx0", "group0/ap0/nic", "group1/ap0/nic"],
+    (("ap", 1),): ["group0/ap1/txrx0", "group1/ap1/txrx0", "group0/ap1/nic", "group1/ap1/nic"],
+    (("gateway", True),): ["group0/ap1/txrx0", "group1/ap1/txrx0", "group0/ap1/nic", "group1/ap1/nic"],
+    (("gateway", False),): [f"rack{r}/{kind}" for kind in RACK_IDS for r in range(4)]
+    + ["group0/ap0/txrx0", "group1/ap0/txrx0", "group0/ap0/nic", "group1/ap0/nic"]
+    + ["group0/switch", "group1/switch", "olt", "external"],
+}
+
+
+def test_find_nodes_filters():
+    spec = OwcPonSpec(num_racks=4, servers_per_rack=1, num_groups=2, aps_per_group=2, gateway_ap_index=1)
+    graph = build_owc_pon(spec)
+    for filters in lookups(spec):
+        found = [(kind, graph.find_nodes(kind, **filters)) for kind in DeviceKind]
+        assert all(node.kind is kind for kind, nodes in found for node in nodes), filters
+        ids = [node.id for _, nodes in found for node in nodes]
+        assert ids == FOUND.get(tuple(filters.items()), []), filters
 
 
 options = st.builds(

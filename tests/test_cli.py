@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import ponfabric.topology
-from ponfabric import TraditionalSpec
+from ponfabric import TraditionalSpec, TrafficMatrix
 from ponfabric.cli import main
 from ponfabric.topology import fabric_size
 from test_scenario import raw_bytes
@@ -373,6 +374,44 @@ def test_summary_names_the_first_pair_relay_off_cuts(tmp_path, capsys, no_graphs
         f"ponfabric: evaluation error: no direct link between the APs of {pair}, "
         "and relay fallback is disabled\n"
     )
+
+
+def test_simulate_names_the_first_pair_relay_off_cuts(tmp_path, capsys):
+    # 16 racks in 2 groups of 8 APs: rack0's AP has a direct link to rack8's only
+    path = write_scenario(
+        tmp_path,
+        "[architecture]\nselect = owcpon\nowcpon.racks = 16\nowcpon.servers_per_rack = 2\n"
+        "owcpon.groups = 2\nowcpon.aps_per_group = 8\n\n[options]\nrelay_fallback = false\n\n"
+        "[traffic]\npattern = uniform 1\n",
+    )
+    code, out, err = run(capsys, "-s", path, "simulate")
+    assert (code, out) == (3, "")
+    pair = "rack0/server0 -> rack10/server0"
+    assert err == (
+        f"ponfabric: evaluation error: {pair}: no direct link between the APs of "
+        f"{pair.replace(' -> ', ' and ')}, and relay fallback is disabled\n"
+    )
+
+
+def test_simulate_builds_no_per_server_pattern_demand(tmp_path, capsys, monkeypatch):
+    """Uniform traffic on 256 racks of 8 servers is 4,192,256 server pairs.
+    ``simulate`` charges it as 65,536 rack-pair blocks: the per-server
+    matrix is never built: both ways of making it raise here."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-server demand was built")
+
+    monkeypatch.setattr(oracles, "reference_generate_traffic", refuse)
+    monkeypatch.setattr(TrafficMatrix, "__post_init__", refuse)
+    path = write_scenario(
+        tmp_path,
+        "[architecture]\nselect = owcpon\nowcpon.racks = 256\nowcpon.servers_per_rack = 8\n"
+        "owcpon.groups = 32\nowcpon.aps_per_group = 8\n\n[traffic]\npattern = uniform 1\n",
+    )
+    code, out, err = run(capsys, "-s", path, "--format", "json", "simulate", "--top", "1")
+    assert (code, err) == (0, "")
+    meta = json.loads(out)["meta"]
+    assert (meta["demand_entries"], meta["total_demand_gbps"]) == (4_192_256, "4192256")
 
 
 def test_summary_needs_the_owcpon_fabric(tmp_path, capsys, no_graphs):

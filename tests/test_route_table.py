@@ -1,5 +1,6 @@
 """Differential tests: the route table and the aggregated sums against the
-per-pair reference in ``oracles``, on clean and on broken graphs, and the
+per-pair reference in ``oracles``, on clean and on broken graphs; the
+block sums of each traffic pattern against its per-server matrix; and the
 closed-form all-pairs histogram against every pair resolved on the built
 graph."""
 
@@ -7,6 +8,7 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,9 @@ from oracles import outcome
 from ponfabric import (
     DeviceKind,
     ExplicitPairs,
+    HotspotRackPattern,
     IndexMatched,
+    IntraRackHeavyPattern,
     NoDirectLinks,
     OwcPonSpec,
     RoutingPolicy,
@@ -163,6 +167,80 @@ def test_link_loads_match_reference(case, policy):
 
 
 def test_uniform_all_pairs_match_reference(default_owcpon):
-    matrix = generate_traffic(UniformPattern(Fraction(3, 7)), default_owcpon)
+    pattern = UniformPattern(Fraction(3, 7))
+    matrix = oracles.reference_generate_traffic(pattern, default_owcpon)
+    assert assign(default_owcpon, generate_traffic(pattern, default_owcpon.spec)) == (
+        oracles.reference_assign(default_owcpon, matrix)
+    )
     assert assign(default_owcpon, matrix) == oracles.reference_assign(default_owcpon, matrix)
     assert all_pairs_summary(default_owcpon.spec) == oracles.reference_all_pairs(default_owcpon)
+
+
+rates = st.just(Fraction(0)) | st.fractions(min_value=0, max_value=10, max_denominator=12)
+
+
+@st.composite
+def patterns(draw, racks):
+    """Any of the three patterns, with zero rates, intra fractions 0 and 1,
+    and hotspot racks one past either end of the fabric."""
+    kind = draw(st.sampled_from(["uniform", "hotspot", "intra"]))
+    rate = draw(rates)
+    if kind == "uniform":
+        return UniformPattern(rate)
+    if kind == "hotspot":
+        return HotspotRackPattern(draw(st.integers(-1, racks)), rate)
+    fraction = st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(0, 1, max_denominator=6)
+    return IntraRackHeavyPattern(draw(fraction), rate)
+
+
+def check_pattern(spec, pattern):
+    """The block ``assign`` of ``pattern`` against ``reference_assign`` of its
+    per-server matrix on the built graph, under all four policies, errors
+    included; and the entry count and total, by arithmetic on the blocks,
+    against the matrix's."""
+    graph = build_owc_pon(spec)
+    blocks = outcome(lambda: generate_traffic(pattern, spec))
+    matrix = outcome(lambda: oracles.reference_generate_traffic(pattern, graph))
+    if isinstance(matrix, tuple):  # a hotspot rack the fabric lacks
+        assert blocks == matrix
+        return
+    assert blocks.demand_entries() == len(matrix.demands)
+    assert blocks.total_demand() == matrix.total_demand()
+    for policy in POLICIES:
+        assert outcome(lambda: assign(graph, blocks, policy)) == outcome(
+            lambda: oracles.reference_assign(graph, matrix, policy)
+        ), policy
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(spec=census_specs(admissible=True), data=st.data())
+def test_pattern_blocks_match_reference(spec, data):
+    check_pattern(spec, data.draw(patterns(spec.num_racks)))
+
+
+EXPLICIT = OwcPonSpec(  # tests/golden/summary_explicit.scenario: every class, gateway AP 2
+    num_racks=12,
+    servers_per_rack=3,
+    num_groups=3,
+    aps_per_group=4,
+    adjacency=ExplicitPairs((((0, 0), (1, 2)), ((0, 1), (2, 1)), ((1, 0), (2, 3)), ((0, 2), (2, 2)))),
+    gateway_ap_index=2,
+    transceiver_multiplier=2,
+)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        UniformPattern(Fraction(0)),
+        UniformPattern(Fraction(5, 3)),
+        HotspotRackPattern(11, Fraction(1, 2)),
+        HotspotRackPattern(12, Fraction(1)),
+        HotspotRackPattern(3, Fraction(0)),
+        IntraRackHeavyPattern(Fraction(0), Fraction(1)),
+        IntraRackHeavyPattern(Fraction(1), Fraction(1)),
+        IntraRackHeavyPattern(Fraction(3, 4), Fraction(7, 5)),
+    ],
+)
+def test_pattern_edge_cases_match_reference(pattern):
+    check_pattern(EXPLICIT, pattern)

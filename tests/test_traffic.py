@@ -8,6 +8,7 @@ from ponfabric import (
     DeviceKind,
     HotspotRackPattern,
     IntraRackHeavyPattern,
+    OwcPonSpec,
     RoutingPolicy,
     TrafficMatrix,
     UniformPattern,
@@ -23,52 +24,68 @@ from test_topology import without_link
 
 @pytest.fixture(scope="module")
 def uniform_report(default_owcpon):
-    matrix = generate_traffic(UniformPattern(Fraction(1)), default_owcpon)
+    matrix = generate_traffic(UniformPattern(Fraction(1)), default_owcpon.spec)
     return assign(default_owcpon, matrix)
 
 
+SPEC = OwcPonSpec()  # 8 racks of 8 servers, as ``default_owcpon`` is built
+
+
 class TestGenerateTraffic:
-    def test_uniform_zero_is_empty(self, default_owcpon):
-        assert generate_traffic(UniformPattern(Fraction(0)), default_owcpon).demands == {}
+    def test_uniform_zero_is_empty(self):
+        blocks = generate_traffic(UniformPattern(Fraction(0)), SPEC)
+        assert blocks.demands == {}
+        assert (blocks.demand_entries(), blocks.total_demand()) == (0, 0)
 
-    def test_uniform_counts(self, default_owcpon):
-        matrix = generate_traffic(UniformPattern(Fraction(2)), default_owcpon)
-        assert len(matrix.demands) == 64 * 63
-        assert matrix.total_demand() == 64 * 63 * 2
+    def test_uniform_counts(self):
+        blocks = generate_traffic(UniformPattern(Fraction(2)), SPEC)
+        assert len(blocks.demands) == 8 * 8  # every ordered rack pair, each rack to itself too
+        assert blocks.demand_entries() == 64 * 63
+        assert blocks.total_demand() == 64 * 63 * 2
 
-    def test_hotspot(self, default_owcpon):
-        matrix = generate_traffic(HotspotRackPattern(3, Fraction(1)), default_owcpon)
-        assert len(matrix.demands) == 56 * 8
-        assert matrix.total_demand() == 56 * 8
-        assert all(dst.startswith("rack3/") for _, dst in matrix.demands)
-        assert not any(src.startswith("rack3/") for src, _ in matrix.demands)
+    def test_hotspot(self):
+        blocks = generate_traffic(HotspotRackPattern(3, Fraction(1)), SPEC)
+        assert list(blocks.demands) == [(a, 3) for a in (0, 1, 2, 4, 5, 6, 7)]
+        assert blocks.demand_entries() == 56 * 8
+        assert blocks.total_demand() == 56 * 8
 
-    def test_hotspot_unknown_rack(self, default_owcpon):
-        with pytest.raises(UnknownRack):
-            generate_traffic(HotspotRackPattern(99, Fraction(1)), default_owcpon)
+    def test_hotspot_unknown_rack(self):
+        for rack in (99, 8, -1):
+            with pytest.raises(UnknownRack, match=f"^rack {rack} does not exist in the graph$"):
+                generate_traffic(HotspotRackPattern(rack, Fraction(1)), SPEC)
 
-    def test_intra_rack_heavy_split(self, default_owcpon):
-        matrix = generate_traffic(
-            IntraRackHeavyPattern(Fraction(1, 2), Fraction(2)), default_owcpon
-        )
-        intra = [
-            rate
-            for (src, dst), rate in matrix.demands.items()
-            if src.split("/")[0] == dst.split("/")[0]
+    def test_intra_rack_heavy_split(self):
+        blocks = generate_traffic(IntraRackHeavyPattern(Fraction(1, 2), Fraction(2)), SPEC)
+        assert len(blocks.demands) == 64 and set(blocks.demands.values()) == {Fraction(1)}
+        assert blocks.demand_entries() == 64 * 63
+        assert blocks.total_demand() == 64 * 63
+
+    def test_intra_rack_heavy_pure(self):
+        blocks = generate_traffic(IntraRackHeavyPattern(Fraction(1), Fraction(1)), SPEC)
+        assert list(blocks.demands) == [(r, r) for r in range(8)]
+        assert blocks.demand_entries() == 448
+
+    def test_blocks_run_in_sorted_order_of_first_entry(self):
+        spec = OwcPonSpec(num_racks=12, servers_per_rack=2, num_groups=3, aps_per_group=4)
+        blocks = list(generate_traffic(UniformPattern(Fraction(1)), spec).blocks())
+        firsts = [(srcs[0], dsts[srcs[0] == dsts[0]]) for srcs, dsts, _ in blocks]
+        assert firsts == sorted(firsts)
+        assert firsts[:3] == [
+            ("rack0/server0", "rack0/server1"),
+            ("rack0/server0", "rack1/server0"),
+            ("rack0/server0", "rack10/server0"),
         ]
-        inter = [
-            rate
-            for (src, dst), rate in matrix.demands.items()
-            if src.split("/")[0] != dst.split("/")[0]
-        ]
-        assert len(intra) == 448 and set(intra) == {Fraction(1)}
-        assert len(inter) == 64 * 63 - 448 and set(inter) == {Fraction(1)}
+        assert blocks[1][:2] == (("rack0/server0", "rack0/server1"), ("rack1/server0", "rack1/server1"))
 
-    def test_intra_rack_heavy_pure(self, default_owcpon):
-        matrix = generate_traffic(
-            IntraRackHeavyPattern(Fraction(1), Fraction(1)), default_owcpon
-        )
-        assert len(matrix.demands) == 448
+    def test_one_server_per_rack_sends_nothing_inside_a_rack(self):
+        spec = OwcPonSpec(servers_per_rack=1)
+        uniform = generate_traffic(UniformPattern(Fraction(1)), spec)
+        assert all(a != b for a, b in uniform.demands) and uniform.demand_entries() == 8 * 7
+        assert generate_traffic(IntraRackHeavyPattern(Fraction(1), Fraction(1)), spec).demands == {}
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError):
+            generate_traffic(UniformPattern(Fraction(-1)), SPEC)
 
 
 class TestAssign:
@@ -200,7 +217,7 @@ class TestAssignProperties:
         expected = sum(
             (
                 rate * resolve_route(default_owcpon, src, dst).hop_count
-                for src, dst, rate in matrix.entries()
+                for (src, dst), rate in matrix.demands.items()
             ),
             Fraction(0),
         )
