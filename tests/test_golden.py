@@ -11,7 +11,11 @@ fabric with explicit direct links, a gateway AP off index 0 and two
 transceiver planes, which reaches every histogram row, and ``simulate``
 on the 64-rack scenarios under ``tests/golden/sim64/``: each traffic
 pattern (zero rates, intra fractions 0 and 1, a hotspot rack the fabric
-lacks), relay fallback off, no direct links and explicit direct links.
+lacks), relay fallback off, no direct links and explicit direct links;
+and ``simulate`` of explicit flow lines on a 64-rack fabric
+(``tests/golden/flows64*.scenario``): every path class, duplicate lines,
+zero rates and a self flow, then the same lines without relay fallback
+and with a flow to a node that is not a server.
 The files under
 ``tests/golden/`` were recorded before the code they pin was rewritten
 (the scenario key table, the shared comparison pipeline, pricing,
@@ -52,7 +56,17 @@ SIM64 = (
     "explicit",
 )
 SIM64_SCENARIOS = tuple(f"tests/golden/sim64/{name}.scenario" for name in SIM64)
-SCENARIOS = (PAPER_TRAFFIC, FABRIC_SCALE, ALLPAIRS_UNIFORM, NO_SPINES, SUMMARY_EXPLICIT, *SIM64_SCENARIOS)
+FLOWS64 = ("flows64", "flows64_relay_off", "flows64_non_server")
+FLOWS64_SCENARIOS = tuple(f"tests/golden/{name}.scenario" for name in FLOWS64)
+SCENARIOS = (
+    PAPER_TRAFFIC,
+    FABRIC_SCALE,
+    ALLPAIRS_UNIFORM,
+    NO_SPINES,
+    SUMMARY_EXPLICIT,
+    *SIM64_SCENARIOS,
+    *FLOWS64_SCENARIOS,
+)
 
 CASES = {
     "build": ("build",),
@@ -81,6 +95,10 @@ CASES = {
     **{
         f"sim64-{name}-simulate": ("-s", path, "simulate", "--top", "10")
         for name, path in zip(SIM64, SIM64_SCENARIOS)
+    },
+    **{
+        f"{name}-simulate": ("-s", path, "simulate", "--top", "10")
+        for name, path in zip(FLOWS64, FLOWS64_SCENARIOS)
     },
 }
 FORMATS = ("table", "csv", "json")
