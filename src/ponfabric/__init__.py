@@ -32,7 +32,6 @@ from .power import (
 )
 from .render import Document, OutputFormat, Table, format_rational, render
 from .routing import (
-    CoreChain,
     PathClass,
     Route,
     RouteTable,

@@ -26,24 +26,20 @@ class OutputFormat(Enum):
 
 def format_rational(value: Fraction) -> str:
     """Exact decimal when the value terminates, ``p/q`` otherwise."""
-    value = Fraction(value)
-    if value == 0:
-        return "0"
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
+    num, den = value.numerator, value.denominator
+    rest, twos, fives = den, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
         twos += 1
-    while den % 5 == 0:
-        den //= 5
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
-        return f"{value.numerator}/{value.denominator}"
+    if rest != 1:
+        return f"{num}/{den}"
     digits = max(twos, fives)
-    scaled = value * 10**digits
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(int(scaled)), 10**digits)
-    if digits == 0 or frac == 0:
+    sign = "-" if num < 0 else ""
+    whole, frac = divmod(abs(num) * 10**digits // den, 10**digits)
+    if frac == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{str(frac).zfill(digits).rstrip('0')}"
 

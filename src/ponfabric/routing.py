@@ -20,20 +20,19 @@ other group, relayed    14 (no gateway endpoint), 12 (one), 10 (both)
 external                8 (6 from the gateway AP's rack)
 ======================  =========================================
 
-Every chain is fixed by the (rack, rack) pair except its two edge links
-(server to leaf).  A ``RouteTable`` memoises, per graph and policy and on
-first use, each server's leaf and edge link, each leaf's uplink (rooftop
-transceiver, AP transceiver, NIC), each group's optical switch and
-gateway NIC, and the OLT, which is O(servers + racks + groups) pieces,
-plus one core chain per (source leaf, destination leaf) pair that is
-used.  Link lookups go through ``NetworkGraph``'s link index.
-``resolve_route`` composes one route from a table, and ``traffic.assign``
-routes one pair per block of demand (a rack pair of a traffic pattern,
-or one flow line) and sums per edge link and per core chain, so
-``simulate`` costs O(servers + rack pairs) for a pattern and O(flows)
-for flow lines, not a chain walk per server pair.  ``all_pairs_summary``
-counts the classes above from the spec and the policy alone, with no
-graph and no table.
+Between its two edge links (server to leaf) every inter-rack chain is
+the source leaf's half-route up to where routes of its class meet (the
+group's optical switch, the OLT, or its own NIC, then the direct link to
+the other NIC) and the destination leaf's half-route down.  A
+``RouteTable`` memoises, per graph and policy and on first use, each
+server's leaf and edge link, each leaf's uplink and half-routes (at most
+three up and three down), each group's optical switch and gateway NIC,
+and the OLT: O(servers + racks) pieces, whichever pairs are routed.
+``traffic.assign`` routes one pair per block of demand (a rack pair of a
+pattern, or one flow line) and sums per edge link, half-route and direct
+link, so ``simulate`` costs O(blocks) sums plus O(racks + direct links)
+half expansions.  ``all_pairs_summary`` counts the classes above from
+the spec and the policy alone, with no graph and no table.
 """
 
 from __future__ import annotations
@@ -162,22 +161,21 @@ def _links(graph: NetworkGraph, node_ids: list[str]) -> tuple[str, ...]:
     return tuple(links)
 
 
-class CoreChain:
-    """The part of a route between the source's and the destination's leaf.
+#: A stretch of a route: node ids, and the link ids reaching each from the last.
+Stretch = tuple[tuple[str, ...], tuple[str, ...]]
 
-    ``nodes`` runs from the source leaf to the destination leaf (one leaf
-    for an intra-rack pair); ``links`` joins them.  Chains are memoised
-    per leaf pair, so identity is equality.  A plain class, not a
-    dataclass: every CLI process builds its classes at import, and a
-    dataclass takes about a millisecond to build.
-    """
 
-    __slots__ = ("nodes", "links", "path_class")
+class Memo(dict):
+    """A dict that fills a missing key with ``make(key)``; when ``make``
+    raises, the key stays missing."""
 
-    def __init__(self, nodes: tuple[str, ...], links: tuple[str, ...], path_class: PathClass):
-        self.nodes = nodes
-        self.links = links
-        self.path_class = path_class
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class RouteTable:
@@ -185,123 +183,120 @@ class RouteTable:
 
     Pieces are resolved on first use and kept: each server's leaf and edge
     link, each leaf's uplink, each group's optical switch and gateway NIC,
-    the OLT, and the core chain of each (source leaf, destination leaf)
-    pair.  A piece that cannot be resolved raises and is not kept, so a
-    failing pair always raises what resolving it alone would raise.
-    ``route`` and ``simulate`` resolve through a table; ``summary`` needs none.
+    the OLT, and each leaf's half-routes, up and down, by how far up they
+    reach (``nic``, ``switch`` or ``olt``).  A piece that cannot be
+    resolved raises and is not kept, so a failing pair always raises what
+    resolving it alone would raise.
     """
 
     def __init__(self, graph: NetworkGraph, policy: RoutingPolicy = RoutingPolicy()):
         self.graph = graph
         self.policy = policy
-        self._leaves: dict[str, tuple[Node, str]] = {}
-        self._uplinks: dict[str, tuple[Node, Node, Node]] = {}
-        self._found: dict[tuple, Node] = {}
-        self._intra: dict[str, CoreChain] = {}
-        self._cores: dict[tuple[str, str], CoreChain] = {}
+        self._servers = Memo(lambda node_id: _server(graph, node_id))  # id -> node
+        self._leaves = Memo(self._leaf)  # server id -> (leaf, edge link id)
+        self._uplinks = Memo(lambda leaf_id: _uplink_of(graph, graph.node(leaf_id)))
+        self._found = Memo(lambda key: key[0](graph, *key[1:]))  # (find, *args) -> node
+        self._halves: dict[tuple[str, str, bool], Stretch] = {}
 
     def route(self, src: str, dst: str) -> Route:
         """The src -> dst route; raises as ``resolve_route`` documents."""
         parts = self.parts(src, dst)
         if parts is None:
             return Route((src,), (), PathClass.SAME_SERVER)
-        out_link, core, in_link = parts
-        return Route((src, *core.nodes, dst), (out_link, *core.links, in_link), core.path_class)
+        out_link, path_class, stretches, in_link = parts
+        nodes, links = zip(*stretches)
+        return Route((src, *sum(nodes, ()), dst), (out_link, *sum(links, ()), in_link), path_class)
 
-    def parts(self, src: str, dst: str) -> tuple[str, CoreChain, str] | None:
-        """The src -> dst route split into (edge link out of ``src``, core
-        chain, edge link into ``dst``); None when ``src == dst``.
+    def parts(self, src: str, dst: str) -> tuple[str, PathClass, tuple[Stretch, ...], str] | None:
+        """The src -> dst route as (edge link out of ``src``, class,
+        stretches, edge link into ``dst``), None when ``src == dst``: the
+        source leaf alone within a rack, else its up half-route, any direct
+        NIC link and the destination leaf's down half-route.
 
         Checks run in the order of the chain rules, so the first missing
         piece of the pair decides the error.
         """
-        graph = self.graph
-        a = _server(graph, src)
-        b = _server(graph, dst)
+        graph, policy = self.graph, self.policy
+        a = self._servers[src]
+        b = self._servers[dst]
         if src == dst:
             return None
-        leaf_a, out_link = self._leaf(a)
+        leaf_a, out_link = self._leaves[src]
         if a.rack == b.rack:
             link = graph.link_between(leaf_a.id, dst)
             if link is None:
                 raise NoRoute(f"missing link {leaf_a.id} -- {dst}")
-            core = self._intra.get(leaf_a.id)
-            if core is None:
-                core = self._intra[leaf_a.id] = CoreChain((leaf_a.id,), (), PathClass.INTRA_RACK)
-            return out_link, core, link.id
+            return out_link, PathClass.INTRA_RACK, (((leaf_a.id,), ()),), link.id
         if graph.architecture is Architecture.TRADITIONAL:
             raise NoRoute(
                 "inter-rack paths are only modeled for the optical-wireless fabric"
             )
-        self._uplink(leaf_a)  # the source side fails before the destination side
-        leaf_b, in_link = self._leaf(b)
-        core = self._cores.get((leaf_a.id, leaf_b.id))
-        if core is None:
-            core = self._cores[(leaf_a.id, leaf_b.id)] = self._core(leaf_a, leaf_b, src, dst)
-        return out_link, core, in_link
+        _, atx_a, nic_a = self._uplinks[leaf_a.id]  # the source side fails first
+        leaf_b, in_link = self._leaves[dst]
+        nic_b = self._uplinks[leaf_b.id][2]
+
+        if atx_a.group == nic_b.group:
+            up, down = self._pair(leaf_a, leaf_b, "switch")
+            return out_link, PathClass.INTER_RACK_INTRA_GROUP, (up, down), in_link
+        if not policy.prefer_direct_inter_group and not policy.allow_relay_fallback:
+            raise PolicyExcluded("both inter-group mechanisms are disabled")
+        direct = policy.prefer_direct_inter_group and graph.link_between(nic_a.id, nic_b.id)
+        if direct:
+            up, down = self._pair(leaf_a, leaf_b, "nic")
+            stretches = (up, ((nic_b.id,), (direct.id,)), down)
+            return out_link, PathClass.INTER_GROUP_DIRECT, stretches, in_link
+        if not policy.allow_relay_fallback:
+            raise PolicyExcluded(_UNLINKED.format(src, dst))
+        up, down = self._pair(leaf_a, leaf_b, "olt")
+        return out_link, PathClass.INTER_GROUP_RELAYED, (up, down), in_link
 
     def edge_links(self, servers: tuple[str, ...]) -> tuple[str, ...]:
         """Each server's link to its leaf; the servers must share one leaf,
-        as a rack's do, so that one core chain serves them all."""
-        hits = [self._leaf(_server(self.graph, server_id)) for server_id in servers]
+        as a rack's do, so that one route serves them all."""
+        hits = [self._leaves[server_id] for server_id in servers]
         for server_id, (leaf, _) in zip(servers, hits):
             if leaf is not hits[0][0]:
                 raise NoRoute(f"server {server_id} is not wired to {hits[0][0].id}")
         return tuple(link for _, link in hits)
 
-    def _leaf(self, server: Node) -> tuple[Node, str]:
-        hit = self._leaves.get(server.id)
-        if hit is None:
-            leaf = _leaf_of(self.graph, server)
-            link = self.graph.link_between(server.id, leaf.id)
-            hit = self._leaves[server.id] = (leaf, link.id)
-        return hit
+    def _leaf(self, server_id: str) -> tuple[Node, str]:
+        leaf = _leaf_of(self.graph, self._servers[server_id])
+        return leaf, self.graph.link_between(server_id, leaf.id).id
 
-    def _uplink(self, leaf: Node) -> tuple[Node, Node, Node]:
-        hit = self._uplinks.get(leaf.id)
-        if hit is None:
-            hit = self._uplinks[leaf.id] = _uplink_of(self.graph, leaf)
-        return hit
+    def _pair(self, leaf_a: Node, leaf_b: Node, kind: str) -> tuple[Stretch, Stretch]:
+        """``leaf_a``'s up and ``leaf_b``'s down half-route of ``kind``.
 
-    def _once(self, find, *args) -> Node:
-        """``find(graph, *args)``, looked up once per table."""
-        key = (find, *args)
-        if key not in self._found:
-            self._found[key] = find(self.graph, *args)
-        return self._found[key]
+        The nodes of both are found before any link is checked, and the
+        links in chain order, as resolving the whole chain at once would.
+        """
+        halves, up_key, down_key = self._halves, (leaf_a.id, kind, True), (leaf_b.id, kind, False)
+        if up_key not in halves or down_key not in halves:
+            chains = [
+                (key, self._chain(leaf, kind, key[2]))
+                for key, leaf in ((up_key, leaf_a), (down_key, leaf_b))
+                if key not in halves
+            ]
+            for key, chain in chains:
+                nodes = chain if key[2] else chain[1:]  # a down half starts past the junction
+                halves[key] = (tuple(nodes), _links(self.graph, chain))
+        return halves[up_key], halves[down_key]
 
-    def _core(self, leaf_a: Node, leaf_b: Node, src: str, dst: str) -> CoreChain:
-        """The chain between two leaves of different racks; ``src`` and
-        ``dst`` only name the pair in a policy error."""
-        graph, policy = self.graph, self.policy
-        rtx_a, atx_a, nic_a = self._uplink(leaf_a)
-        rtx_b, atx_b, nic_b = self._uplink(leaf_b)
-        ascent = [leaf_a.id, rtx_a.id, atx_a.id, nic_a.id]
-        descent = [nic_b.id, atx_b.id, rtx_b.id, leaf_b.id]
-        group_a, group_b = atx_a.group, nic_b.group
-
-        if group_a == group_b:
-            nodes = ascent + [self._once(_group_switch, group_a).id] + descent
-            return CoreChain(tuple(nodes), _links(graph, nodes), PathClass.INTER_RACK_INTRA_GROUP)
-
-        if not policy.prefer_direct_inter_group and not policy.allow_relay_fallback:
-            raise PolicyExcluded("both inter-group mechanisms are disabled")
-
-        if policy.prefer_direct_inter_group and graph.link_between(nic_a.id, nic_b.id):
-            nodes = ascent + descent
-            return CoreChain(tuple(nodes), _links(graph, nodes), PathClass.INTER_GROUP_DIRECT)
-        if not policy.allow_relay_fallback:
-            raise PolicyExcluded(_UNLINKED.format(src, dst))
-
-        olt = self._once(_olt)
-        middle: list[str] = []
-        if not nic_a.is_gateway:
-            middle += [self._once(_group_switch, group_a).id, self._once(_gateway_nic, group_a).id]
-        middle.append(olt.id)
-        if not nic_b.is_gateway:
-            middle += [self._once(_gateway_nic, group_b).id, self._once(_group_switch, group_b).id]
-        nodes = ascent + middle + descent
-        return CoreChain(tuple(nodes), _links(graph, nodes), PathClass.INTER_GROUP_RELAYED)
+    def _chain(self, leaf: Node, kind: str, up: bool) -> list[str]:
+        """Node ids from ``leaf`` up to the junction of ``kind`` (its NIC,
+        its group's optical switch, or the OLT), or down from there."""
+        rtx, atx, nic = self._uplinks[leaf.id]
+        group = atx.group if up else nic.group
+        core: list[str] = []
+        if kind == "switch":
+            core = [self._found[_group_switch, group].id]
+        elif kind == "olt":
+            olt = self._found[_olt,].id  # the OLT is found before the group's pieces
+            if not nic.is_gateway:
+                finds = (_group_switch, _gateway_nic) if up else (_gateway_nic, _group_switch)
+                core = [self._found[find, group].id for find in finds]
+            core = core + [olt] if up else [olt] + core
+        rack_side = [leaf.id, rtx.id, atx.id, nic.id]
+        return rack_side + core if up else core + rack_side[::-1]
 
 
 def resolve_route(
@@ -322,19 +317,15 @@ def resolve_route(
 
 
 def route_to_external(graph: NetworkGraph, src: str) -> Route:
-    """Route from a server to the external gateway, always via the OLT."""
+    """Route from a server to the external gateway: its leaf's up
+    half-route to the OLT, then the gateway."""
     a = _server(graph, src)
     if graph.architecture is Architecture.TRADITIONAL:
         raise NoRoute("the traditional fabric has no modeled external gateway")
     external = _sole(graph.nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY), "external gateway")
-    olt = _olt(graph)
-
-    leaf = _leaf_of(graph, a)
-    rtx, atx, nic = _uplink_of(graph, leaf)
-    chain = [src, leaf.id, rtx.id, atx.id, nic.id]
-    if not nic.is_gateway:
-        chain += [_group_switch(graph, atx.group).id, _gateway_nic(graph, atx.group).id]
-    chain += [olt.id, external.id]
+    table = RouteTable(graph)
+    table._found[_olt,]  # found before the rack's pieces
+    chain = [src, *table._chain(_leaf_of(graph, a), "olt", True), external.id]
     return Route(tuple(chain), _links(graph, chain), PathClass.EXTERNAL)
 
 

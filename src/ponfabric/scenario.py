@@ -120,13 +120,19 @@ def _parse_bool(value: str, lineno: int) -> bool:
     raise InvalidValue(f"expected 'true' or 'false', got {value!r}", lineno)
 
 
-def _parse_decimal(value: str, lineno: int) -> Fraction:
+def _parse_milli(value: str, lineno: int) -> int:
+    """The decimal ``value`` in integer thousandths."""
     if not _DECIMAL_RE.fullmatch(value):
         raise InvalidValue(
             f"expected a non-negative decimal with at most 3 fractional digits, got {value!r}",
             lineno,
         )
-    return Fraction(value)
+    whole, _, frac = value.partition(".")
+    return int(whole + frac.ljust(3, "0"))
+
+
+def _parse_decimal(value: str, lineno: int) -> Fraction:
+    return Fraction(_parse_milli(value, lineno), 1000)
 
 
 def _parse_pairs(value: str, lineno: int) -> ExplicitPairs:
@@ -364,7 +370,7 @@ def parse_scenario(text: str) -> Scenario:
         found = entries.get(("catalog", key))
         if found is None:
             continue
-        milliwatts = int(_parse_decimal(*found) * 1000)
+        milliwatts = _parse_milli(*found)
         for kind in kinds:
             if kind.value in overrides:
                 raise InvalidValue(
@@ -374,13 +380,13 @@ def parse_scenario(text: str) -> Scenario:
             overrides[kind.value] = milliwatts
 
     pattern_entry = entries.get(("traffic", "pattern"))
-    flows: dict[tuple[str, str], Fraction] = {}
+    flows: dict[tuple[str, str], int] = {}  # Gb/s in thousandths
     for value, lineno in raw_flows:
         tokens = value.split()
         if len(tokens) != 3:
             raise InvalidValue("expected 'flow = <src> <dst> <gbps>'", lineno)
-        src, dst, rate = tokens[0], tokens[1], _parse_decimal(tokens[2], lineno)
-        flows[(src, dst)] = flows.get((src, dst), Fraction(0)) + rate
+        src, dst, rate = tokens[0], tokens[1], _parse_milli(tokens[2], lineno)
+        flows[(src, dst)] = flows.get((src, dst), 0) + rate
     if pattern_entry is not None and flows:
         raise InvalidValue(
             "a traffic section takes either a pattern or flow lines, not both",
@@ -391,7 +397,7 @@ def parse_scenario(text: str) -> Scenario:
         traffic = TrafficSection(pattern=_parse_pattern(*pattern_entry))
     elif flows:
         traffic = TrafficSection(
-            flows=tuple((src, dst, flows[(src, dst)]) for src, dst in sorted(flows))
+            flows=tuple((src, dst, Fraction(flows[(src, dst)], 1000)) for src, dst in sorted(flows))
         )
 
     return replace(

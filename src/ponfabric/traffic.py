@@ -22,7 +22,7 @@ from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import RoutingError, UnknownRack, in_pair
-from .routing import CoreChain, RouteTable, RoutingPolicy
+from .routing import Memo, RouteTable, RoutingPolicy
 from .routing import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
 from .topology import FabricSpec, LinkKind, NetworkGraph
 
@@ -30,16 +30,6 @@ from .topology import FabricSpec, LinkKind, NetworkGraph
 #: destination but itself.  A group is one server or one rack's servers;
 #: a block's two groups are the same rack's or disjoint.
 Block = tuple[tuple[str, ...], tuple[str, ...], Fraction]
-
-
-def _common_denominator(rates: Iterable[Fraction]) -> int:
-    return lcm(*(rate.denominator for rate in rates))
-
-
-def _weighted_sum(terms: list[tuple[Fraction, int]]) -> Fraction:
-    """Exact sum of rate x count over the (rate, count) ``terms``."""
-    scale = _common_denominator(rate for rate, _ in terms)
-    return Fraction(sum(r.numerator * (scale // r.denominator) * n for r, n in terms), scale)
 
 
 @dataclass(frozen=True)
@@ -53,7 +43,7 @@ class TrafficMatrix:
         frozen = {}
         for (src, dst), value in self.demands.items():
             rate = value if isinstance(value, Fraction) else Fraction(value)
-            if rate < 0:
+            if rate.numerator < 0:
                 raise ValueError(f"negative demand for {src} -> {dst}")
             frozen[(src, dst)] = rate
         object.__setattr__(self, "demands", frozen)
@@ -67,7 +57,9 @@ class TrafficMatrix:
         return len(self.demands)
 
     def total_demand(self) -> Fraction:
-        return _weighted_sum([(rate, 1) for rate in self.demands.values()])
+        rates = self.demands.values()
+        scale = lcm(*(rate.denominator for rate in rates))
+        return Fraction(sum(rate.numerator * (scale // rate.denominator) for rate in rates), scale)
 
 
 class RackBlocks(NamedTuple):
@@ -75,29 +67,27 @@ class RackBlocks(NamedTuple):
     Gb/s to every server of rack ``b`` but itself.  ``demands`` holds the
     blocks with demand in the sorted order of their first entries,
     ``(rack{a}/server0, rack{b}/server0)``, as ``generate_traffic`` builds
-    it; server ids follow the graphs' ``rack{r}/server{i}``.  A named
-    tuple, not a dataclass, which would cost every CLI process about a
-    millisecond at import."""
+    it; server ids follow the graphs' ``rack{r}/server{i}``; ``entries``
+    and ``total`` count the server pairs and sum their Gb/s.  A named
+    tuple, not a dataclass, which costs every CLI process a millisecond."""
 
     servers_per_rack: int
     demands: Mapping[tuple[int, int], Fraction]
+    entries: int
+    total: Fraction
 
     def blocks(self) -> Iterable[Block]:
         n = self.servers_per_rack
-        servers: dict[int, tuple[str, ...]] = {}  # one tuple per rack, shared by its blocks
+        # one tuple per rack, shared by its blocks
+        servers = Memo(lambda rack: tuple(f"rack{rack}/server{i}" for i in range(n)))
         for (a, b), rate in self.demands.items():
-            for rack in (a, b):
-                if rack not in servers:
-                    servers[rack] = tuple(f"rack{rack}/server{i}" for i in range(n))
             yield servers[a], servers[b], rate
 
     def demand_entries(self) -> int:
-        n = self.servers_per_rack
-        return sum(n * (n - (a == b)) for a, b in self.demands)
+        return self.entries
 
     def total_demand(self) -> Fraction:
-        n = self.servers_per_rack
-        return _weighted_sum([(rate, n * (n - (a == b))) for (a, b), rate in self.demands.items()])
+        return self.total
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,10 @@ def generate_traffic(pattern: TrafficPattern, spec: FabricSpec) -> RackBlocks:
             rate = intra if a == b else inter
             if rate and (a != b or servers > 1):
                 demands[(a, b)] = rate
-    return RackBlocks(servers, demands)
+    intra_pairs = racks * servers * (servers - 1) if intra else 0  # n(n-1) per rack
+    inter_pairs = (racks - 1) * servers * servers * (racks if sink is None else 1) if inter else 0
+    total = intra * intra_pairs + inter * inter_pairs
+    return RackBlocks(servers, demands, intra_pairs + inter_pairs, total)
 
 
 @dataclass(frozen=True)
@@ -167,10 +160,10 @@ class LinkLoad:
     kind: LinkKind
     capacity: Fraction
     load: Fraction
+    utilization: Fraction = field(init=False)
 
-    @property
-    def utilization(self) -> Fraction:
-        return self.load / self.capacity
+    def __post_init__(self):
+        object.__setattr__(self, "utilization", self.load / self.capacity)
 
 
 @dataclass(frozen=True)
@@ -196,45 +189,51 @@ def assign(
 ) -> LinkLoadReport:
     """Route every block of demand and accumulate per-link loads.
 
-    A block is routed once, through its first entry: that core chain
-    carries rate x sources x destinations, and each server's edge link the
-    rate times its count of peers in the block.  So a pattern costs
-    O(servers + rack pairs) and a flow line what routing it alone costs.
+    A block is routed once, through its first entry: each stretch of that
+    route between the leaves (half-routes, a direct link) carries rate x
+    sources x destinations, and each server's edge link the rate times its
+    count of peers in the block.  Stretches become links once, at the end.
+    So a pattern costs O(rack pairs) sums plus O(racks + direct links)
+    expansions, and a flow line what routing it alone costs.
     Expects a graph that passes ``validate_graph``, where a rack's servers
     share one leaf (``NoRoute`` if not).  Blocks run in the sorted order of
     their first entries, so a routing error names the first failing
     ``src -> dst`` entry in sorted order.
     """
     table = RouteTable(graph, policy)
-    scale = _common_denominator(matrix.demands.values())
+    scale = lcm(*(rate.denominator for rate in matrix.demands.values()))
     # Groups are keyed by their first server, which names one group only.
     edges: dict[str, tuple[str, ...]] = {}  # the group's edge links
     group_units: dict[str, int] = {}
-    core_units: dict[CoreChain, int] = {}
+    stretch_units: dict[tuple[str, ...], int] = {}  # keyed by the stretch's link ids
+    last_rate = None  # pattern blocks share their rate objects
     for srcs, dsts, rate in matrix.blocks():
         src, first_dst = srcs[0], dsts[0]
         own = src == first_dst  # a rack to itself: no server sends to itself
         dst = dsts[own]  # (src, dst) is the block's first entry
         try:
-            core = table.parts(src, dst)[1]
+            stretches = table.parts(src, dst)[2]
             if src not in edges:
                 edges[src] = table.edge_links(srcs)
             if first_dst not in edges:
                 edges[first_dst] = table.edge_links(dsts)
         except RoutingError as exc:
             raise in_pair(exc, src, dst) from exc
-        units = rate.numerator * (scale // rate.denominator)
+        if rate is not last_rate:
+            last_rate, units = rate, rate.numerator * (scale // rate.denominator)
         peers_of_src, peers_of_dst = len(dsts) - own, len(srcs) - own
         group_units[src] = group_units.get(src, 0) + units * peers_of_src
         group_units[first_dst] = group_units.get(first_dst, 0) + units * peers_of_dst
-        core_units[core] = core_units.get(core, 0) + units * len(srcs) * peers_of_src
+        pair_units = units * len(srcs) * peers_of_src
+        for _, links in stretches:
+            stretch_units[links] = stretch_units.get(links, 0) + pair_units
 
     link_units: dict[str, int] = {}
     for group, units in group_units.items():
         for link_id in edges[group]:
             link_units[link_id] = link_units.get(link_id, 0) + units
-    for core, units in core_units.items():
-        for link_id in core.links:
+    for links, units in stretch_units.items():
+        for link_id in links:
             link_units[link_id] = link_units.get(link_id, 0) + units
     rows = tuple(
         LinkLoad(link.id, link.kind, link.capacity, Fraction(link_units.get(link.id, 0), scale))

@@ -21,6 +21,10 @@ closed-form ``all_pairs_summary`` to ``reference_all_pairs`` on the built
 graph, errors included; ``outcome`` turns a raised error into a
 comparable value.
 
+``reference_format_rational`` is the ``Fraction`` arithmetic that
+``render.format_rational`` replaced with integer arithmetic on the
+numerator and denominator.
+
 ``reference_parse_scenario`` and ``reference_serialize_scenario`` are the
 hand-written scenario parser and serializer that the key table replaced;
 the scenario differential tests hold the table to them.
@@ -488,6 +492,30 @@ def reference_assign(graph, matrix, policy=RoutingPolicy()):
     max_utilization = max((row.utilization for row in rows), default=Fraction(0))
     saturated = tuple(row.link_id for row in rows if row.utilization > 1)
     return LinkLoadReport(rows, max_utilization, saturated)
+
+
+def reference_format_rational(value: Fraction) -> str:
+    """Exact decimal when the value terminates, ``p/q`` otherwise."""
+    value = Fraction(value)
+    if value == 0:
+        return "0"
+    den = value.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return f"{value.numerator}/{value.denominator}"
+    digits = max(twos, fives)
+    scaled = value * 10**digits
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(int(scaled)), 10**digits)
+    if digits == 0 or frac == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{str(frac).zfill(digits).rstrip('0')}"
 
 
 # --- scenario parser and serializer -------------------------------------------

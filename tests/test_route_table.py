@@ -1,10 +1,12 @@
 """Differential tests: the route table and the aggregated sums against the
-per-pair reference in ``oracles``, on clean and on broken graphs; the
-block sums of each traffic pattern against its per-server matrix; and the
-closed-form all-pairs histogram against every pair resolved on the built
-graph."""
+per-pair reference in ``oracles``, on clean and on broken graphs and on
+seeded flow lines; the block sums of each traffic pattern against its
+per-server matrix; the closed-form all-pairs histogram against every pair
+resolved on the built graph; and the size of the table behind ``assign``,
+which keeps pieces per server and per rack, none per rack pair."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import ponfabric.traffic
 from oracles import outcome
 from ponfabric import (
     DeviceKind,
@@ -32,8 +35,10 @@ from ponfabric import (
     build_owc_pon,
     build_traditional,
     generate_traffic,
+    parse_scenario,
     resolve_route,
 )
+from ponfabric.errors import NoRoute
 
 from test_census import owcpon_specs as census_specs
 from test_topology import with_extra_link, without_link, without_node
@@ -129,6 +134,30 @@ def test_routes_match_reference(graph, policy, order):
         assert outcome(lambda: resolve_route(graph, src, dst, policy)) == outcome(
             lambda: oracles.reference_route(graph, src, dst, policy)
         )
+
+
+@pytest.mark.parametrize(
+    "links, nodes, message",
+    [
+        # a link of the source's half-route and a node of the destination's
+        (["group0/ap1/nic--group0/switch"], ["group1/switch"], "no optical switch in group 1"),
+        # the OLT is looked up before either group's pieces
+        ([], ["group0/switch", "olt"], "no OLT"),
+    ],
+)
+def test_relayed_route_reports_faults_in_chain_rule_order(links, nodes, message):
+    """Two faults on one relayed route: the one named is the one the
+    reference meets first, as it finds every node of the chain (the OLT
+    first) before it checks a link."""
+    graph = build_owc_pon(OwcPonSpec(num_racks=4, servers_per_rack=1, num_groups=2, aps_per_group=2))
+    for link_id in links:
+        graph = without_link(graph, link_id)
+    for node_id in nodes:
+        graph = without_node(graph, node_id)
+    policy = RoutingPolicy(prefer_direct_inter_group=False)
+    expected = outcome(lambda: oracles.reference_route(graph, "rack1/server0", "rack3/server0", policy))
+    assert expected == (NoRoute, f"graph has {message}")
+    assert outcome(lambda: resolve_route(graph, "rack1/server0", "rack3/server0", policy)) == expected
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -244,3 +273,79 @@ EXPLICIT = OwcPonSpec(  # tests/golden/summary_explicit.scenario: every class, g
 )
 def test_pattern_edge_cases_match_reference(pattern):
     check_pattern(EXPLICIT, pattern)
+
+
+def seeded_flow_text(seed: int) -> str:
+    """A scenario like the ``seeded_flows`` benchmark input, smaller: 64
+    racks of 8 servers in 16 groups of 4 APs, 32 random direct AP pairs, a
+    random gateway AP and 1,000 flow lines with 0 to 3 fractional digits,
+    a fifth of them repeating an earlier pair, and now and then a self
+    flow."""
+    rng = random.Random(seed)
+    pairs: set = set()
+    while len(pairs) < 32:
+        ends = sorted([(rng.randrange(16), rng.randrange(4)), (rng.randrange(16), rng.randrange(4))])
+        if ends[0][0] != ends[1][0]:
+            pairs.add(f"{ends[0][0]}.{ends[0][1]}-{ends[1][0]}.{ends[1][1]}")
+    lines = [
+        "[architecture]",
+        "select = owcpon",
+        "owcpon.racks = 64",
+        "owcpon.servers_per_rack = 8",
+        "owcpon.groups = 16",
+        "owcpon.aps_per_group = 4",
+        "owcpon.adjacency = explicit",
+        "owcpon.pairs = " + ", ".join(sorted(pairs)),
+        f"owcpon.gateway_ap = {rng.randrange(4)}",
+        "[traffic]",
+    ]
+    drawn: list = []
+    for _ in range(1000):
+        if drawn and rng.random() < 0.2:
+            src, dst = rng.choice(drawn)
+        else:
+            src, dst = (f"rack{rng.randrange(64)}/server{rng.randrange(8)}" for _ in range(2))
+            dst = src if rng.random() < 0.01 else dst
+            drawn.append((src, dst))
+        milli = rng.randint(0, 10_000)
+        rate = f"{milli // 1000}.{milli % 1000:03d}".rstrip("0").rstrip(".") or "0"
+        lines.append(f"flow = {src} {dst} {rate}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [3, 91])
+def test_seeded_flow_lines_match_reference(seed):
+    """Flow lines as ``simulate`` reads them: parsed (duplicates summed in
+    thousandths) like the reference parser, then assigned like
+    ``reference_assign`` under all four policies, errors included."""
+    text = seeded_flow_text(seed)
+    scenario = parse_scenario(text)
+    assert scenario == oracles.reference_parse_scenario(text)
+    assert len(scenario.traffic.flows) < 1000  # some lines were summed
+    graph = build_owc_pon(scenario.owcpon)
+    matrix = TrafficMatrix({(src, dst): rate for src, dst, rate in scenario.traffic.flows})
+    for policy in POLICIES:
+        assert outcome(lambda: assign(graph, matrix, policy)) == outcome(
+            lambda: oracles.reference_assign(graph, matrix, policy)
+        ), policy
+
+
+def test_assign_keeps_no_piece_per_rack_pair(monkeypatch):
+    """Uniform traffic on 256 racks is 65,280 inter-rack blocks.  The table
+    ``assign`` routes them through keeps at most six half-routes per leaf
+    (three kinds, up and down) and per-server and per-group pieces: no
+    container holds an entry per rack pair."""
+    spec = OwcPonSpec(num_racks=256, servers_per_rack=2, num_groups=32, aps_per_group=8)
+    tables = []
+
+    class Recorded(RouteTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(ponfabric.traffic, "RouteTable", Recorded)
+    report = assign(build_owc_pon(spec), generate_traffic(UniformPattern(Fraction(1)), spec))
+    assert report.max_utilization > 0
+    (table,) = tables
+    sizes = {name: len(value) for name, value in vars(table).items() if isinstance(value, dict)}
+    assert max(sizes.values()) <= 6 * spec.num_racks, sizes

@@ -461,6 +461,25 @@ class TestTableAgainstReference:
     def test_one_fault_parses_alike(self, text):
         assert outcome(parse_scenario, text) == outcome(reference_parse_scenario, text)
 
+    @settings(max_examples=150, derandomize=True)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.sampled_from(["rack0/server0", "rack1/server1"]),
+                st.sampled_from(["rack0/server0", "rack2/server0"]),
+                st.from_regex(r"[0-9]{1,4}(\.[0-9]{0,4})?", fullmatch=True)
+                | st.sampled_from(["-1", ".5", "1e3", "0x1", "00.010", "1.5 2"]),
+            ),
+            max_size=6,
+        )
+    )
+    def test_flow_lines_parse_alike(self, lines):
+        """Flow rates summed per pair in thousandths, as the reference sums
+        ``Fraction``s; malformed rates fail alike, on the same line."""
+        flows = "".join(f"flow = {src} {dst} {rate}\n" for src, dst, rate in lines)
+        text = "[options]\nprofile = reproduction\n[traffic]\n" + flows
+        assert outcome(parse_scenario, text) == outcome(reference_parse_scenario, text)
+
     @settings(max_examples=200, derandomize=True)
     @given(text=raw_texts)
     def test_raw_text_raises_only_scenario_errors_and_round_trips(self, text):

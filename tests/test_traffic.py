@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ponfabric import (
     DeviceKind,
     HotspotRackPattern,
@@ -14,6 +15,7 @@ from ponfabric import (
     UniformPattern,
     assign,
     bottlenecks,
+    format_rational,
     generate_traffic,
     resolve_route,
 )
@@ -256,3 +258,21 @@ class TestBottlenecks:
         top = bottlenecks(uniform_report, 24)
         peak = [row for row in top if row.utilization == Fraction(896, 10)]
         assert [row.link_id for row in peak] == sorted(row.link_id for row in peak)
+
+
+terminating = st.builds(
+    lambda sign, num, twos, fives, other: Fraction(sign * num, 2**twos * 5**fives * other),
+    st.sampled_from([1, -1]),
+    st.integers(0, 10**12),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.sampled_from([1, 1, 1, 3, 7, 9]),
+)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(value=terminating | st.fractions() | st.integers(-(10**9), 10**9))
+def test_format_rational_matches_reference(value):
+    """Integer arithmetic on numerator and denominator against the
+    ``Fraction`` arithmetic it replaced: decimals, ``p/q``, signs, zero."""
+    assert format_rational(value) == oracles.reference_format_rational(value)
