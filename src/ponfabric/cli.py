@@ -36,7 +36,7 @@ from .errors import (
 from .power import closed_form_power, scaling_sweep
 from .render import Document, OutputFormat, Table, format_rational, render
 from .routing import resolve_route, route_to_external, all_pairs_summary
-from .scenario import Scenario, default_scenario, parse_scenario
+from .scenario import Scenario, check_digits, default_scenario, parse_scenario
 from .topology import Architecture, DeviceKind, OwcPonSpec, device_census, validate
 from .traffic import TrafficMatrix, assign, bottlenecks, generate_traffic
 from .version import __version__
@@ -54,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def integer(text: str) -> int:
+    """An integer flag value of at most ``MAX_DIGITS`` digits (argparse
+    reports other text as an ``invalid integer value``)."""
+    try:
+        check_digits(text.strip().lstrip("+-"))
+    except ScenarioError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -86,8 +96,8 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--top", type=int, default=10, help="bottleneck rows to show")
     sweep = sub.add_parser("sweep", help="scale both architectures across rack counts")
     sweep.add_argument("--racks", required=True, help="comma list, e.g. 4,8,16")
-    sweep.add_argument("--groups", type=int, default=2)
-    sweep.add_argument("--servers-per-rack", type=int, default=8)
+    sweep.add_argument("--groups", type=integer, default=2)
+    sweep.add_argument("--servers-per-rack", type=integer, default=8)
     sweep.add_argument("--spines", help="comma list matching --racks (default: rack count)")
     sub.add_parser("benchmark", help="full two-architecture benchmark report")
     return parser
@@ -276,8 +286,11 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
 
 
 def _parse_count_list(text: str, what: str) -> list[int]:
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    for part in parts:
+        check_digits(part.lstrip("+-"))
     try:
-        return [int(part.strip()) for part in text.split(",") if part.strip()]
+        return [int(part) for part in parts]
     except ValueError as exc:
         raise ScenarioError(f"--{what} expects a comma list of integers") from exc
 

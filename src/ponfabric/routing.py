@@ -97,11 +97,9 @@ def _server(graph: NetworkGraph, node_id: str) -> Node:
 def _sole(nodes: tuple[Node, ...], what: str) -> Node:
     if not nodes:
         raise NoRoute(f"graph has no {what}")
-    if len(nodes) > 1:
-        # Multiple candidates (e.g. parallel transceiver planes): take the
-        # lowest id for determinism.
-        return min(nodes, key=lambda n: n.id)
-    return nodes[0]
+    # Of several candidates (e.g. parallel transceiver planes) the lowest
+    # id, for determinism.
+    return min(nodes, key=lambda n: n.id)
 
 
 def _leaf_of(graph: NetworkGraph, server: Node) -> Node:

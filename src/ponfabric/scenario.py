@@ -32,8 +32,8 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .errors import InvalidValue, ParseError, UnknownKey
-from .power import PROFILES, NicCountMode, PowerOptions
-from .render import OutputFormat
+from .power import PROFILES, STRUCTURAL_KINDS, NicCountMode, PowerOptions
+from .render import OutputFormat, format_rational
 from .routing import RoutingPolicy
 from .topology import (
     Architecture,
@@ -59,13 +59,16 @@ _SECTIONS = ("architecture", "options", "catalog", "traffic")
 #: (servers, the external gateway) are never priced, so they are not
 #: overridable.
 CATALOG_KEYS: dict[str, tuple[DeviceKind, ...]] = {
-    **{
-        kind.value: (kind,)
-        for kind in DeviceKind
-        if kind not in (DeviceKind.SERVER, DeviceKind.EXTERNAL_GATEWAY)
-    },
+    **{kind.value: (kind,) for kind in DeviceKind if kind not in STRUCTURAL_KINDS},
     "owc_transceiver": (DeviceKind.RACK_TRANSCEIVER, DeviceKind.AP_TRANSCEIVER),
 }
+
+#: Most digits a number in a scenario or a command-line count may have.
+#: CPython converts ints of at most 4,300 digits to and from text.  The
+#: longest number printed is a reduction fraction's exact decimal, with
+#: as many places as its denominator has factors of two: up to about
+#: 3,990 for a power total of 3·400+3 digits.
+MAX_DIGITS = 400
 
 _DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]{1,3})?$")
 _PAIR_RE = re.compile(r"^([0-9]+)\.([0-9]+)-([0-9]+)\.([0-9]+)$")
@@ -103,9 +106,17 @@ def default_scenario() -> Scenario:
     return Scenario()
 
 
+def check_digits(digits: str, lineno: int | None = None) -> str:
+    """``digits`` if there are at most ``MAX_DIGITS`` of them."""
+    if len(digits) > MAX_DIGITS:
+        raise InvalidValue(f"numbers are limited to {MAX_DIGITS} digits, got {len(digits)}", lineno)
+    return digits
+
+
 def _parse_int(value: str, lineno: int, minimum: int = 0) -> int:
     if not re.fullmatch(r"-?[0-9]+", value):
         raise InvalidValue(f"expected an integer, got {value!r}", lineno)
+    check_digits(value.lstrip("-"), lineno)
     number = int(value)
     if number < minimum:
         raise InvalidValue(f"value must be >= {minimum}, got {number}", lineno)
@@ -128,6 +139,7 @@ def _parse_milli(value: str, lineno: int) -> int:
             lineno,
         )
     whole, _, frac = value.partition(".")
+    check_digits(whole + frac, lineno)
     return int(whole + frac.ljust(3, "0"))
 
 
@@ -144,7 +156,7 @@ def _parse_pairs(value: str, lineno: int) -> ExplicitPairs:
                 f"expected pairs like '0.0-1.2' (group.ap-group.ap), got {item!r}",
                 lineno,
             )
-        g1, a1, g2, a2 = (int(part) for part in match.groups())
+        g1, a1, g2, a2 = (int(check_digits(part, lineno)) for part in match.groups())
         pairs.append(((g1, a1), (g2, a2)))
     return ExplicitPairs(tuple(pairs))
 
@@ -166,16 +178,10 @@ def _pairs_text(adjacency) -> str | None:
     return ", ".join(f"{g1}.{a1}-{g2}.{a2}" for (g1, a1), (g2, a2) in adjacency.pairs)
 
 
-def format_decimal(value: Fraction) -> str:
-    """Canonical decimal text for an exact multiple of 1/1000."""
-    milli = value * 1000
-    if milli.denominator != 1:
+def _decimal_text(value: Fraction) -> str:
+    if 1000 % value.denominator:
         raise ValueError(f"{value} is not representable with 3 fractional digits")
-    sign = "-" if milli < 0 else ""
-    whole, frac = divmod(abs(int(milli)), 1000)
-    if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).zfill(3).rstrip('0')}"
+    return format_rational(value)
 
 
 # Codecs: (parse(value, lineno) -> field value, format(field value) -> text).
@@ -201,7 +207,7 @@ def _positive_decimal(key: str):
             raise InvalidValue(f"{key} must be positive", lineno)
         return number
 
-    return parse, format_decimal
+    return parse, _decimal_text
 
 
 def _parse_fraction(value: str, lineno: int) -> Fraction:
@@ -213,8 +219,8 @@ def _parse_fraction(value: str, lineno: int) -> Fraction:
 
 _COUNT = (_parse_int, str)
 _MULTIPLIER = (lambda value, lineno: _parse_int(value, lineno, minimum=1), str)
-_DECIMAL = (_parse_decimal, format_decimal)
-_FRACTION = (_parse_fraction, format_decimal)
+_DECIMAL = (_parse_decimal, _decimal_text)
+_FRACTION = (_parse_fraction, _decimal_text)
 _FLAG = (_parse_bool, lambda flag: "true" if flag else "false")
 _SELECT = _choice(
     {
@@ -424,7 +430,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     if scenario.catalog_overrides:
         lines += ["", "[catalog]"]
         for key, milliwatts in scenario.catalog_overrides:
-            lines.append(f"{key} = {format_decimal(Fraction(milliwatts, 1000))}")
+            lines.append(f"{key} = {_decimal_text(Fraction(milliwatts, 1000))}")
 
     if scenario.traffic is not None:
         lines += ["", "[traffic]"]
@@ -434,6 +440,6 @@ def serialize_scenario(scenario: Scenario) -> str:
                 args = (to_text(arg) for (_, to_text), arg in zip(codecs, vars(pattern).values()))
                 lines.append(f"pattern = {name} {' '.join(args)}")
         for src, dst, rate in scenario.traffic.flows:
-            lines.append(f"flow = {src} {dst} {format_decimal(rate)}")
+            lines.append(f"flow = {src} {dst} {_decimal_text(rate)}")
 
     return "\n".join(lines[1:]) + "\n"

@@ -112,11 +112,7 @@ class LinkCapacities:
                 raise ValueError(f"{name} capacity must be positive")
 
     def for_kind(self, kind: LinkKind) -> Fraction:
-        return {
-            LinkKind.WIRED: self.wired,
-            LinkKind.OWC: self.owc,
-            LinkKind.FIBER: self.fiber,
-        }[kind]
+        return getattr(self, kind.value)  # the fields are named by the kinds' values
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .errors import RoutingError, UnknownRack, in_pair
+from .errors import RoutingError, ScenarioError, UnknownRack, in_pair
 from .routing import Memo, RouteTable, RoutingPolicy
 from .routing import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
 from .topology import FabricSpec, LinkKind, NetworkGraph
@@ -30,6 +30,10 @@ from .topology import FabricSpec, LinkKind, NetworkGraph
 #: destination but itself.  A group is one server or one rack's servers;
 #: a block's two groups are the same rack's or disjoint.
 Block = tuple[tuple[str, ...], tuple[str, ...], Fraction]
+
+#: Most rack-pair blocks a traffic pattern may make (1,024 racks under
+#: uniform traffic make 1,048,576).
+DEMAND_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,8 @@ TrafficPattern = Union[UniformPattern, HotspotRackPattern, IntraRackHeavyPattern
 
 def generate_traffic(pattern: TrafficPattern, spec: FabricSpec) -> RackBlocks:
     """The blocks of a named pattern on the fabric ``spec`` builds, one per
-    rack pair with demand (no randomness, no per-server demand)."""
+    rack pair with demand (no randomness, no per-server demand).  They are
+    counted first: more than ``DEMAND_BUDGET`` is refused before any is made."""
     racks, servers = spec.num_racks, spec.servers_per_rack
     sink = None  # the one destination rack, if any
     if isinstance(pattern, UniformPattern):
@@ -140,6 +145,13 @@ def generate_traffic(pattern: TrafficPattern, spec: FabricSpec) -> RackBlocks:
     if pattern.gbps < 0:
         raise ValueError(f"negative demand rate {pattern.gbps}")
     intra, inter = Fraction(intra), Fraction(inter)
+    intra_blocks = racks if intra and servers > 1 else 0
+    inter_blocks = (racks - 1) * (racks if sink is None else 1) if inter and servers else 0
+    if intra_blocks + inter_blocks > DEMAND_BUDGET:
+        raise ScenarioError(
+            f"traffic pattern would make {intra_blocks + inter_blocks} rack-pair blocks, "
+            f"over the {DEMAND_BUDGET} budget"
+        )
 
     order = sorted(range(racks), key=str) if servers else []  # as rack{r}/server0 sorts
     demands = {}
@@ -148,8 +160,8 @@ def generate_traffic(pattern: TrafficPattern, spec: FabricSpec) -> RackBlocks:
             rate = intra if a == b else inter
             if rate and (a != b or servers > 1):
                 demands[(a, b)] = rate
-    intra_pairs = racks * servers * (servers - 1) if intra else 0  # n(n-1) per rack
-    inter_pairs = (racks - 1) * servers * servers * (racks if sink is None else 1) if inter else 0
+    intra_pairs = intra_blocks * servers * (servers - 1)  # n(n-1) per rack
+    inter_pairs = inter_blocks * servers * servers
     total = intra * intra_pairs + inter * inter_pairs
     return RackBlocks(servers, demands, intra_pairs + inter_pairs, total)
 
@@ -173,13 +185,6 @@ class LinkLoadReport:
     rows: tuple[LinkLoad, ...]
     max_utilization: Fraction
     saturated: tuple[str, ...]
-    _by_id: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_id", {row.link_id: row for row in self.rows})
-
-    def load_of(self, link_id: str) -> Fraction:
-        return self._by_id[link_id].load
 
 
 def assign(

@@ -1,6 +1,11 @@
 import contextlib
 import io
 import json
+import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +16,7 @@ import oracles
 import ponfabric.topology
 from ponfabric import TraditionalSpec, TrafficMatrix
 from ponfabric.cli import main
+from ponfabric.scenario import MAX_DIGITS
 from ponfabric.topology import fabric_size
 from test_scenario import raw_bytes
 
@@ -414,6 +420,42 @@ def test_simulate_builds_no_per_server_pattern_demand(tmp_path, capsys, monkeypa
     assert (meta["demand_entries"], meta["total_demand_gbps"]) == (4_192_256, "4192256")
 
 
+SPARSE_20000_RACKS = (
+    "[architecture]\nselect = owcpon\nowcpon.racks = 20000\nowcpon.servers_per_rack = 1\n"
+    "owcpon.groups = 20000\nowcpon.aps_per_group = 1\nowcpon.adjacency = none\n\n"
+    "[traffic]\npattern = uniform 1\n"
+)
+# Runs the CLI on its arguments with the address space capped at 1.5 GB.
+CAPPED_CLI = (
+    "import resource, sys\n"
+    "cap = 1536 * 2**20\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+    "from ponfabric.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def test_simulate_refuses_pattern_demand_over_budget(tmp_path):
+    """20,000 racks of one server make a graph of 260,003 nodes plus links,
+    within its budget, but uniform traffic on them is 399,980,000 rack-pair
+    blocks, some 38 GB of demand.  Run only in a child process under a
+    memory cap, so that making the blocks fails there and not here."""
+    path = write_scenario(tmp_path, SPARSE_20000_RACKS)
+    src = Path(ponfabric.topology.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "-s", path, "simulate"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert_one_line_failure(child.returncode, child.stdout, child.stderr)
+    assert child.stderr == (
+        "ponfabric: scenario error: traffic pattern would make 399980000 rack-pair blocks, "
+        "over the 2000000 budget\n"
+    )
+
+
 def test_summary_needs_the_owcpon_fabric(tmp_path, capsys, no_graphs):
     path = write_scenario(tmp_path, "[architecture]\nselect = traditional\n")
     code, out, err = run(capsys, "-s", path, "summary")
@@ -463,6 +505,106 @@ def test_hotspot_on_missing_rack_is_a_scenario_error(tmp_path, capsys):
     code, out, err = run(capsys, "-s", path, "simulate")
     assert_one_line_failure(code, out, err)
     assert err == "ponfabric: scenario error: traffic pattern: rack 42 does not exist in the graph\n"
+
+
+OVER = "9" * (MAX_DIGITS + 1)
+TOO_LONG = f"numbers are limited to {MAX_DIGITS} digits, got {MAX_DIGITS + 1}"
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        f"[architecture]\nselect = owcpon\nowcpon.racks = {OVER}\n",
+        f"[architecture]\nselect = owcpon\nowcpon.gateway_ap = -{OVER}\n",
+        f"[architecture]\nselect = owcpon\ncapacity.wired = {OVER}\n",
+        f"[architecture]\nselect = owcpon\ncapacity.owc = {OVER[:-3]}.999\n",
+        f"[architecture]\nselect = owcpon\n[catalog]\nolt = {OVER}\n",
+        f"[architecture]\nselect = owcpon\n[traffic]\nflow = rack0/server0 rack1/server0 {OVER}\n",
+        f"[architecture]\nselect = owcpon\n[traffic]\npattern = hotspot_rack {OVER} 1\n",
+        f"[architecture]\nselect = owcpon\nowcpon.adjacency = explicit\nowcpon.pairs = 0.0-1.{OVER}\n",
+    ],
+)
+def test_scenario_numbers_over_the_digit_bound_exit_one(tmp_path, capsys, lines):
+    code, out, err = run(capsys, "-s", write_scenario(tmp_path, lines), "summary")
+    assert_one_line_failure(code, out, err)
+    assert err.endswith(f": {TOO_LONG}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--racks", f"4,{OVER}"), f"ponfabric: scenario error: {TOO_LONG}\n"),
+        (("--racks", "4", "--spines", f"-{OVER}"), f"ponfabric: scenario error: {TOO_LONG}\n"),
+        (("--racks", "4", "--groups", OVER), f"ponfabric sweep: error: argument --groups: {TOO_LONG}\n"),
+        (
+            ("--racks", "4", "--servers-per-rack", OVER),
+            f"ponfabric sweep: error: argument --servers-per-rack: {TOO_LONG}\n",
+        ),
+    ],
+)
+def test_sweep_counts_over_the_digit_bound_exit_one(capsys, flags, message):
+    code, out, err = run(capsys, "sweep", *flags)
+    assert_one_line_failure(code, out, err)
+    assert err == message
+
+
+AT = "9" * MAX_DIGITS
+POW2 = str(2 ** int(MAX_DIGITS / math.log10(2)))  # the largest with MAX_DIGITS digits
+assert len(POW2) == MAX_DIGITS
+AT_THE_BOUND = {
+    # Every count and price at the bound.
+    "nines": (
+        f"[architecture]\nselect = both\ntraditional.spines = {AT}\ntraditional.racks = {AT}\n"
+        f"traditional.servers_per_rack = {AT}\nowcpon.racks = {AT}\n"
+        f"owcpon.servers_per_rack = {AT}\nowcpon.groups = {AT}\nowcpon.aps_per_group = 1\n"
+        f"owcpon.transceiver_multiplier = {AT}\ncapacity.wired = {AT}\n"
+        f"capacity.owc = {AT[:-3]}.999\n[options]\ninclude_server_transceivers = true\n"
+        f"include_owc_transceivers = true\nnic_count_mode = per_server\n"
+        f"[catalog]\nspine_switch = {AT}\nolt = {AT}\nserver_transceiver = {AT[:-1]}.9\n"
+        f"[traffic]\npattern = uniform {AT}\n"
+    ),
+    # The baseline is a power of two times 125, and the proposed fabric
+    # 1 mW more, so the reduction's exact decimal has some 4,000 digits:
+    # the longest number any command prints.
+    "powers_of_two": (
+        f"[architecture]\nselect = both\ntraditional.spines = {POW2}\n"
+        f"traditional.racks = {POW2}\ntraditional.servers_per_rack = {POW2}\n"
+        f"owcpon.racks = {POW2}\nowcpon.servers_per_rack = {POW2}\nowcpon.groups = {POW2}\n"
+        f"owcpon.aps_per_group = 1\nowcpon.adjacency = none\n"
+        f"[options]\ninclude_server_transceivers = true\n"
+        f"[catalog]\nserver_transceiver = {POW2}\nspine_switch = 0\nleaf_switch = 0\n"
+        f"olt = 0.001\nowc_transceiver = 0\nnic = 0\noptical_switch = 0\n"
+        f"[traffic]\npattern = hotspot_rack {POW2} {AT[:-3]}.999\n"
+    ),
+    # A graph small enough to build, with rates and capacities at the bound.
+    "small_graph": (
+        f"[architecture]\nselect = both\ncapacity.wired = {POW2}\ncapacity.owc = 0.001\n"
+        f"capacity.fiber = {POW2[:-3]}.{POW2[-3:]}\n[catalog]\nspine_switch = {AT}\n"
+        f"[traffic]\nflow = rack0/server0 rack7/server3 {AT}\n"
+        f"flow = rack1/server0 rack2/server3 {POW2[:-1]}.1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_THE_BOUND))
+def test_numbers_at_the_digit_bound_never_raise(tmp_path, capsys, name):
+    path = write_scenario(tmp_path, AT_THE_BOUND[name])
+    longest = 0
+    for argv in (
+        ("build",), ("validate",), ("power",), ("compare",), ("benchmark",), ("summary",),
+        ("simulate",), ("route", "rack0/server0", "rack1/server0"),
+        ("route", "rack0/server0", "external"),
+        ("sweep", "--racks", f"{AT},{POW2}", "--spines", f"{POW2},{AT}",
+         "--groups", AT, "--servers-per-rack", AT),
+    ):
+        for fmt in ("table", "csv", "json"):
+            code, out, err = run(capsys, "-s", path, "-f", fmt, *argv)
+            assert code in (0, 1, 2, 3)
+            assert len(err.splitlines()) == (code != 0)
+            longest = max([longest, *map(len, re.findall("[0-9]+", out))])
+    assert longest < 4300
+    if name == "powers_of_two":
+        assert longest > 3900
 
 
 def test_usage_error_is_one_line(capsys):

@@ -2,10 +2,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_parse_scenario, reference_serialize_scenario
+from oracles import format_decimal, reference_parse_scenario, reference_serialize_scenario
 from ponfabric import (
     PROFILES,
     Architecture,
@@ -322,6 +322,35 @@ class TestRoundTrip:
     def test_serialization_is_canonical(self, scenario):
         text = serialize_scenario(scenario)
         assert serialize_scenario(parse_scenario(text)) == text
+
+
+# --- decimal text against the reference --------------------------------------
+
+
+def flow_rate_text(rate: Fraction) -> str:
+    """The rate of a flow line as ``serialize_scenario`` writes it."""
+    scenario = Scenario(traffic=TrafficSection(flows=(("a", "b", rate),)))
+    return serialize_scenario(scenario).splitlines()[-1].removeprefix("flow = a b ")
+
+
+@settings(max_examples=150, derandomize=True)
+@given(rate=st.integers(-(10**40), 10**40).map(lambda k: Fraction(k, 1000)))
+@example(rate=Fraction(0))
+@example(rate=Fraction(-1, 1000))
+@example(rate=Fraction(-10**60 - 5, 1000))
+def test_decimal_text_matches_the_reference(rate):
+    assert flow_rate_text(rate) == format_decimal(rate)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(rate=st.fractions().filter(lambda rate: (rate * 1000).denominator != 1))
+@example(rate=Fraction(1, 2000))
+@example(rate=Fraction(-1, 3))
+def test_decimal_text_refuses_finer_fractions(rate):
+    with pytest.raises(ValueError, match="3 fractional digits"):
+        format_decimal(rate)
+    with pytest.raises(ValueError, match="3 fractional digits"):
+        flow_rate_text(rate)
 
 
 # --- the key table against the hand-written reference -----------------------

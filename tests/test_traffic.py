@@ -132,8 +132,9 @@ class TestAssign:
             "group0/ap0/nic--group1/ap0/nic": 128,
             "olt--external": 0,
         }
+        loads = {row.link_id: row.load for row in uniform_report.rows}
         for link_id, load in expected.items():
-            assert uniform_report.load_of(link_id) == load
+            assert loads[link_id] == load
 
     def test_uniform_total_equals_demand_times_hops(self, uniform_report):
         # Sum of loads equals the hop-weighted pair count:
