@@ -25,7 +25,6 @@ from .power import (
     closed_form_power,
     format_percent,
     owc_pon_power,
-    per_node_power,
     power_reduction,
     scaling_sweep,
     traditional_power,
@@ -66,7 +65,6 @@ from .topology import (
     device_census,
     fabric_size,
     validate,
-    validate_graph,
 )
 from .traffic import (
     HotspotRackPattern,

@@ -56,14 +56,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """``text`` as an int if it is an optional sign and at most
+    ``MAX_DIGITS`` ASCII digits.  ``int`` alone also takes other scripts'
+    digits and underscores, which scenario files reject."""
+    digits = check_digits(text.strip().lstrip("+-"))
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def integer(text: str) -> int:
-    """An integer flag value of at most ``MAX_DIGITS`` digits (argparse
-    reports other text as an ``invalid integer value``)."""
+    """``_count`` as an argparse type, which reports its ``ValueError`` as
+    an ``invalid integer value``."""
     try:
-        check_digits(text.strip().lstrip("+-"))
+        return _count(text)
     except ScenarioError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -93,7 +102,7 @@ def _build_parser() -> _Parser:
     route.add_argument("dst", help="destination server id (or the external gateway)")
     sub.add_parser("summary", help="hop histogram over all ordered server pairs")
     simulate = sub.add_parser("simulate", help="assign the traffic section onto links")
-    simulate.add_argument("--top", type=int, default=10, help="bottleneck rows to show")
+    simulate.add_argument("--top", type=integer, default=10, help="bottleneck rows to show")
     sweep = sub.add_parser("sweep", help="scale both architectures across rack counts")
     sweep.add_argument("--racks", required=True, help="comma list, e.g. 4,8,16")
     sweep.add_argument("--groups", type=integer, default=2)
@@ -287,10 +296,8 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
 
 def _parse_count_list(text: str, what: str) -> list[int]:
     parts = [part.strip() for part in text.split(",") if part.strip()]
-    for part in parts:
-        check_digits(part.lstrip("+-"))
     try:
-        return [int(part) for part in parts]
+        return [_count(part) for part in parts]
     except ValueError as exc:
         raise ScenarioError(f"--{what} expects a comma list of integers") from exc
 

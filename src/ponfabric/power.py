@@ -16,7 +16,6 @@ from .errors import MissingCatalogEntry, MissingOlt, PonFabricError, SpecMismatc
 from .topology import (
     DeviceKind,
     FabricSpec,
-    NetworkGraph,
     OwcPonSpec,
     TraditionalSpec,
     device_census,
@@ -210,35 +209,6 @@ def closed_form_power(
     if isinstance(spec, TraditionalSpec):
         return traditional_power(census, catalog, options)
     return owc_pon_power(census, catalog, options)
-
-
-def per_node_power(
-    graph: NetworkGraph,
-    catalog: PowerCatalog,
-    options: PowerOptions = PowerOptions(),
-) -> PowerReport:
-    """Brute-force power: walk every node and add its catalog entry.
-
-    Honors the same inclusion flags as the closed forms and, like them,
-    never prices the structural kinds.  Its total equals the closed forms
-    exactly (with per-AP NIC counting; the per-server mode is a
-    closed-form what-if with no node-level counterpart).  Every priced
-    kind present in the graph needs a catalog entry.
-    """
-    excluded = set(STRUCTURAL_KINDS)
-    if not options.include_owc_transceivers:
-        excluded.update({DeviceKind.RACK_TRANSCEIVER, DeviceKind.AP_TRANSCEIVER})
-    if not options.include_server_transceivers:
-        excluded.add(DeviceKind.SERVER_TRANSCEIVER)
-
-    quantities: dict[DeviceKind, int] = {}
-    for node in graph.nodes:
-        quantities[node.kind] = quantities.get(node.kind, 0) + 1
-        if node.kind not in excluded and node.kind not in catalog:
-            raise MissingCatalogEntry(node.kind)
-
-    terms = [(kind, kind not in excluded) for kind in DeviceKind if kind in quantities]
-    return _report(quantities, terms, catalog, options)
 
 
 def _half_up_permille(fraction: Fraction) -> int:

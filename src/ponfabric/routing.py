@@ -305,8 +305,8 @@ def resolve_route(
 ) -> Route:
     """The unique rule-chain route between two servers.
 
-    Raises ``NoRoute`` when a required element is missing (which surfaces
-    the same breaches ``validate_graph`` reports), ``PolicyExcluded`` when the
+    Raises ``NoRoute`` when a required element is missing (a graph that
+    breaks its spec's construction rules), ``PolicyExcluded`` when the
     policy forbids every mechanism available for an inter-group pair, and
     ``UnknownServer`` for endpoints that are not server nodes.  Resolving
     many pairs is cheaper through one ``RouteTable``.

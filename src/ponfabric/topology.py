@@ -16,7 +16,6 @@ of its inputs, so identical specs always produce identical graphs.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -83,16 +82,6 @@ class Link:
             raise ValueError(f"link {self.id!r} connects a node to itself")
         if self.capacity <= 0:
             raise ValueError(f"link {self.id!r} needs a positive capacity")
-
-    def other(self, node_id: str) -> str:
-        if node_id == self.endpoint_a:
-            return self.endpoint_b
-        if node_id == self.endpoint_b:
-            return self.endpoint_a
-        raise KeyError(f"{node_id!r} is not an endpoint of {self.id!r}")
-
-    def touches(self, node_id: str) -> bool:
-        return node_id in (self.endpoint_a, self.endpoint_b)
 
 
 @dataclass(frozen=True)
@@ -188,9 +177,8 @@ FabricSpec = Union[TraditionalSpec, OwcPonSpec]
 class NetworkGraph:
     """Immutable typed multigraph of one fabric instance.
 
-    Construction is permissive about structure (validation is a separate,
-    reporting operation) but rejects duplicate node ids.  Adjacency skips
-    links whose endpoints are missing; ``validate_graph`` reports those.
+    Construction is permissive about structure but rejects duplicate node
+    ids.  Adjacency skips links whose endpoints are missing.
     """
 
     def __init__(
@@ -286,9 +274,6 @@ class NetworkGraph:
             for other, link in self._adjacency.get(node_id, [])
         )
 
-    def links_of(self, node_id: str) -> tuple[Link, ...]:
-        return tuple(link for _, link in self._adjacency.get(node_id, []))
-
     def link_between(self, a: str, b: str) -> Link | None:
         """The first link joining ``a`` and ``b`` in adjacency order, if any."""
         index = self._link_index.get(a)
@@ -298,31 +283,6 @@ class NetworkGraph:
                 index.setdefault(other, link)
             self._link_index[a] = index
         return index.get(b)
-
-    def replace(
-        self,
-        nodes: Iterable[Node] | None = None,
-        links: Iterable[Link] | None = None,
-    ) -> "NetworkGraph":
-        """A copy with substituted node or link sets (spec echo unchanged)."""
-        return NetworkGraph(
-            self._nodes if nodes is None else nodes,
-            self._links if links is None else links,
-            self._architecture,
-            self._spec,
-            self._capacities,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NetworkGraph):
-            return NotImplemented
-        return (
-            self._nodes == other._nodes
-            and self._links == other._links
-            and self._architecture == other._architecture
-            and self._spec == other._spec
-            and self._capacities == other._capacities
-        )
 
     def __repr__(self) -> str:
         return (
@@ -545,333 +505,16 @@ def fabric_size(spec: FabricSpec) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Violation:
-    """One structural rule breach found by ``validate`` or ``validate_graph``."""
+    """One structural rule breach found by ``validate``."""
 
     code: str
     subject: str
     message: str
 
 
-def _check_endpoints(graph: NetworkGraph, out: list[Violation]) -> None:
-    for link in graph.links:
-        for endpoint in (link.endpoint_a, link.endpoint_b):
-            if not graph.has_node(endpoint):
-                out.append(
-                    Violation(
-                        "dangling_link",
-                        f"link:{link.id}",
-                        f"link {link.id!r} references missing node {endpoint!r}",
-                    )
-                )
-
-
-def _check_rack(graph: NetworkGraph, rack: int, servers_expected: int, out) -> None:
-    leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
-    if len(leaves) != 1:
-        code = "missing_leaf" if not leaves else "duplicate_leaf"
-        out.append(Violation(code, f"rack:{rack}", f"rack {rack} has {len(leaves)} leaf switches"))
-        return
-    leaf = leaves[0]
-    servers = graph.find_nodes(DeviceKind.SERVER, rack=rack)
-    if len(servers) != servers_expected:
-        out.append(
-            Violation(
-                "server_count",
-                f"rack:{rack}",
-                f"rack {rack} has {len(servers)} servers, expected {servers_expected}",
-            )
-        )
-    for server in servers:
-        txrx_id = f"{server.id}/txrx"
-        if not graph.has_node(txrx_id) or graph.node(txrx_id).kind is not DeviceKind.SERVER_TRANSCEIVER:
-            out.append(
-                Violation(
-                    "missing_server_transceiver",
-                    server.id,
-                    f"server {server.id} has no transceiver node",
-                )
-            )
-        wired = [
-            link
-            for link in graph.links_of(server.id)
-            if link.kind is LinkKind.WIRED and link.touches(leaf.id)
-        ]
-        if len(wired) != 1:
-            out.append(
-                Violation(
-                    "server_wiring",
-                    server.id,
-                    f"server {server.id} has {len(wired)} wired links to its leaf",
-                )
-            )
-
-
-def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
-    expected = spec.transceiver_multiplier
-    for rack in range(spec.num_racks):
-        rtxs = graph.find_nodes(DeviceKind.RACK_TRANSCEIVER, rack=rack)
-        if len(rtxs) != expected:
-            code = (
-                "missing_rack_transceiver"
-                if len(rtxs) < expected
-                else "extra_rack_transceiver"
-            )
-            out.append(
-                Violation(
-                    code,
-                    f"rack:{rack}",
-                    f"rack {rack} has {len(rtxs)} rooftop transceivers, expected {expected}",
-                )
-            )
-            continue
-        g, a = divmod(rack, spec.aps_per_group)
-        leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
-        for rtx in rtxs:
-            if leaves and not any(
-                link.kind is LinkKind.WIRED and link.touches(leaves[0].id)
-                for link in graph.links_of(rtx.id)
-            ):
-                out.append(
-                    Violation(
-                        "rack_uplink",
-                        rtx.id,
-                        f"{rtx.id} is not wired to its leaf switch",
-                    )
-                )
-            owc = [link for link in graph.links_of(rtx.id) if link.kind is LinkKind.OWC]
-            lands_on_ap = [
-                link
-                for link in owc
-                if graph.has_node(link.other(rtx.id))
-                and graph.node(link.other(rtx.id)).kind is DeviceKind.AP_TRANSCEIVER
-                and graph.node(link.other(rtx.id)).group == g
-                and graph.node(link.other(rtx.id)).ap == a
-            ]
-            if len(lands_on_ap) != 1:
-                out.append(
-                    Violation(
-                        "owc_wiring",
-                        rtx.id,
-                        f"{rtx.id} has {len(lands_on_ap)} free-space links to its AP",
-                    )
-                )
-
-
-def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
-    olts = graph.nodes_of_kind(DeviceKind.OLT)
-    for g in range(spec.num_groups):
-        switches = graph.find_nodes(DeviceKind.OPTICAL_SWITCH, group=g)
-        if len(switches) != 1:
-            code = "missing_optical_switch" if not switches else "duplicate_optical_switch"
-            out.append(
-                Violation(
-                    code,
-                    f"group:{g}",
-                    f"group {g} has {len(switches)} optical switches",
-                )
-            )
-        switch = switches[0] if len(switches) == 1 else None
-
-        for a in range(spec.aps_per_group):
-            nics = graph.find_nodes(DeviceKind.NIC, group=g, ap=a)
-            if len(nics) != 1:
-                code = "missing_ap_nic" if not nics else "duplicate_ap_nic"
-                out.append(
-                    Violation(
-                        code,
-                        f"group:{g}/ap:{a}",
-                        f"AP {a} of group {g} has {len(nics)} NICs",
-                    )
-                )
-                continue
-            nic = nics[0]
-            atxs = graph.find_nodes(DeviceKind.AP_TRANSCEIVER, group=g, ap=a)
-            if len(atxs) != spec.transceiver_multiplier:
-                out.append(
-                    Violation(
-                        "ap_transceiver_count",
-                        f"group:{g}/ap:{a}",
-                        f"AP {a} of group {g} has {len(atxs)} transceivers, "
-                        f"expected {spec.transceiver_multiplier}",
-                    )
-                )
-            for atx in atxs:
-                if graph.link_between(atx.id, nic.id) is None:
-                    out.append(
-                        Violation(
-                            "ap_wiring",
-                            atx.id,
-                            f"{atx.id} has no fiber link to its NIC",
-                        )
-                    )
-            if switch is not None:
-                to_switch = [
-                    link for link in graph.links_of(nic.id) if link.touches(switch.id)
-                ]
-                if len(to_switch) != 1:
-                    out.append(
-                        Violation(
-                            "orphan_nic",
-                            nic.id,
-                            f"{nic.id} has {len(to_switch)} links to its group's "
-                            "optical switch, expected 1",
-                        )
-                    )
-
-        gateways = graph.find_nodes(DeviceKind.NIC, group=g, gateway=True)
-        if len(gateways) != 1:
-            code = "missing_gateway" if not gateways else "duplicate_gateway"
-            out.append(
-                Violation(
-                    code,
-                    f"group:{g}",
-                    f"group {g} has {len(gateways)} gateway NICs",
-                )
-            )
-        elif len(olts) == 1:
-            if graph.link_between(gateways[0].id, olts[0].id) is None:
-                out.append(
-                    Violation(
-                        "missing_olt_uplink",
-                        f"group:{g}",
-                        f"gateway NIC of group {g} has no link to the OLT",
-                    )
-                )
-
-
-def _check_backhaul_core(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
-    olts = graph.nodes_of_kind(DeviceKind.OLT)
-    if len(olts) != 1:
-        code = "missing_olt" if not olts else "duplicate_olt"
-        out.append(Violation(code, "olt", f"graph has {len(olts)} OLT nodes"))
-    externals = graph.nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY)
-    if len(externals) != 1:
-        code = "missing_external" if not externals else "duplicate_external"
-        out.append(
-            Violation(code, "external", f"graph has {len(externals)} external gateways")
-        )
-    if len(olts) == 1 and len(externals) == 1:
-        if graph.link_between(olts[0].id, externals[0].id) is None:
-            out.append(
-                Violation(
-                    "missing_external_uplink",
-                    "olt",
-                    "the OLT has no link to the external gateway",
-                )
-            )
-
-    for link in graph.links:
-        if link.kind is not LinkKind.OWC:
-            continue
-        kinds = set()
-        for endpoint in (link.endpoint_a, link.endpoint_b):
-            if graph.has_node(endpoint):
-                kinds.add(graph.node(endpoint).kind)
-        if kinds != {DeviceKind.RACK_TRANSCEIVER, DeviceKind.AP_TRANSCEIVER}:
-            out.append(
-                Violation(
-                    "bad_owc_endpoints",
-                    f"link:{link.id}",
-                    "free-space links must pair a rooftop transceiver with an AP transceiver",
-                )
-            )
-
-    for link in graph.links:
-        if link.kind is not LinkKind.FIBER:
-            continue
-        if not (graph.has_node(link.endpoint_a) and graph.has_node(link.endpoint_b)):
-            continue
-        a, b = graph.node(link.endpoint_a), graph.node(link.endpoint_b)
-        if a.kind is DeviceKind.NIC and b.kind is DeviceKind.NIC and a.group == b.group:
-            out.append(
-                Violation(
-                    "same_group_direct_link",
-                    f"link:{link.id}",
-                    "direct NIC-to-NIC links must cross groups",
-                )
-            )
-
-
-def _check_spine_mesh(graph: NetworkGraph, spec: TraditionalSpec, out) -> None:
-    spines = graph.nodes_of_kind(DeviceKind.SPINE_SWITCH)
-    if len(spines) != spec.num_spine:
-        out.append(
-            Violation(
-                "spine_count",
-                "spine",
-                f"graph has {len(spines)} spine switches, expected {spec.num_spine}",
-            )
-        )
-    for rack in range(spec.num_racks):
-        leaves = graph.find_nodes(DeviceKind.LEAF_SWITCH, rack=rack)
-        if len(leaves) != 1:
-            continue  # already reported by the rack check
-        leaf = leaves[0].id
-        neighbours = Counter(link.other(leaf) for link in graph.links_of(leaf))
-        for spine in spines:
-            count = neighbours[spine.id]
-            if count != 1:
-                out.append(
-                    Violation(
-                        "spine_mesh",
-                        f"rack:{rack}",
-                        f"leaf of rack {rack} has {count} links to {spine.id}",
-                    )
-                )
-
-
-def _check_connected(graph: NetworkGraph, out) -> None:
-    # Server transceivers are linkless accounting nodes; reachability is
-    # asserted over everything else.
-    relevant = [n.id for n in graph.nodes if n.kind is not DeviceKind.SERVER_TRANSCEIVER]
-    if not relevant:
-        return
-    seen = {relevant[0]}
-    queue = deque([relevant[0]])
-    while queue:
-        current = queue.popleft()
-        for other, _ in graph.neighbors(current):
-            if other.id not in seen:
-                seen.add(other.id)
-                queue.append(other.id)
-    unreachable = [node_id for node_id in relevant if node_id not in seen]
-    if unreachable:
-        out.append(
-            Violation(
-                "disconnected",
-                unreachable[0],
-                f"{len(unreachable)} nodes unreachable from {relevant[0]!r}",
-            )
-        )
-
-
-def validate_graph(graph: NetworkGraph) -> list[Violation]:
-    """Check the graph against its spec's construction rules.
-
-    Returns an empty list for a well-formed graph.  Violations are data,
-    not exceptions.  Global connectivity is asserted only when every
-    structural rule passed; on broken graphs a reachability failure is a
-    consequence of the structural breach, not a second finding.
-    """
-    out: list[Violation] = []
-    _check_endpoints(graph, out)
-    spec = graph.spec
-    for rack in range(spec.num_racks):
-        _check_rack(graph, rack, spec.servers_per_rack, out)
-    if graph.architecture is Architecture.TRADITIONAL:
-        _check_spine_mesh(graph, spec, out)
-    else:
-        _check_rack_transceivers(graph, spec, out)
-        _check_groups(graph, spec, out)
-        _check_backhaul_core(graph, spec, out)
-
-    if not out and spec.num_racks > 0:
-        _check_connected(graph, out)
-    return out
-
-
 def validate(spec: FabricSpec) -> list[Violation]:
-    """``validate_graph`` of the graph ``spec`` builds, without building it.
+    """The structural rule breaches of the graph ``spec`` builds, without
+    building it.
 
     Built graphs keep every construction rule, so the only finding is
     reachability: without spines, every traditional rack but the first is

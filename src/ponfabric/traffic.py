@@ -200,10 +200,10 @@ def assign(
     count of peers in the block.  Stretches become links once, at the end.
     So a pattern costs O(rack pairs) sums plus O(racks + direct links)
     expansions, and a flow line what routing it alone costs.
-    Expects a graph that passes ``validate_graph``, where a rack's servers
-    share one leaf (``NoRoute`` if not).  Blocks run in the sorted order of
-    their first entries, so a routing error names the first failing
-    ``src -> dst`` entry in sorted order.
+    Expects a graph that keeps its spec's construction rules, where a
+    rack's servers share one leaf (``NoRoute`` if not).  Blocks run in the
+    sorted order of their first entries, so a routing error names the
+    first failing ``src -> dst`` entry in sorted order.
     """
     table = RouteTable(graph, policy)
     scale = lcm(*(rate.denominator for rate in matrix.demands.values()))

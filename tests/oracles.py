@@ -37,10 +37,12 @@ per-rack, per-group and per-AP scans, and count its nodes.
 ``reference_scaling_sweep`` splits racks into groups by the current
 rule: zero groups fail only when there are racks, and a negative group
 count is left to ``OwcPonSpec`` to reject.  The census tests hold
-``device_census`` and ``validate`` on the spec, ``validate_graph`` on
-built and damaged graphs, and the closed-form pipelines and commands to
-them; every test that counts a built graph counts it with
-``reference_census``.
+``device_census`` and ``validate`` on the spec, and the closed-form
+pipelines and commands, to them; every test that counts a built graph
+counts it with ``reference_census``.  ``reference_validate`` is the only
+checker of built graphs: every test that checks a built or damaged graph
+checks it with this.  ``per_node_power`` prices a built graph node by
+node, the gate on the closed-form power.
 """
 
 import re
@@ -99,6 +101,7 @@ from ponfabric.benchmark import census_table, power_table
 from ponfabric.cli import EXIT_OK, EXIT_VALIDATION
 from ponfabric.errors import (
     InvalidValue,
+    MissingCatalogEntry,
     NoRoute,
     ParseError,
     PolicyExcluded,
@@ -112,6 +115,7 @@ from ponfabric.errors import (
     ValidationFailed,
     in_pair,
 )
+from ponfabric.power import STRUCTURAL_KINDS, _report
 from ponfabric.version import __version__
 from ponfabric.traffic import TrafficPattern
 
@@ -1000,6 +1004,11 @@ def reference_census(graph: NetworkGraph) -> dict[DeviceKind, int]:
     return {kind: counts.get(kind, 0) for kind in DeviceKind}
 
 
+def links_between(graph: NetworkGraph, a: str, b: str) -> list:
+    """Every link joining ``a`` and ``b``, in ``a``'s adjacency order."""
+    return [link for other, link in graph.neighbors(a) if other.id == b]
+
+
 def _check_endpoints(graph: NetworkGraph, out: list[Violation]) -> None:
     for link in graph.links:
         for endpoint in (link.endpoint_a, link.endpoint_b):
@@ -1041,8 +1050,8 @@ def _check_rack(graph: NetworkGraph, rack: int, servers_expected: int, out) -> N
             )
         wired = [
             link
-            for link in graph.links_of(server.id)
-            if link.kind is LinkKind.WIRED and link.touches(leaf.id)
+            for link in links_between(graph, server.id, leaf.id)
+            if link.kind is LinkKind.WIRED
         ]
         if len(wired) != 1:
             out.append(
@@ -1076,8 +1085,8 @@ def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None
         leaves = reference_find_nodes(graph, DeviceKind.LEAF_SWITCH, rack=rack)
         for rtx in rtxs:
             if leaves and not any(
-                link.kind is LinkKind.WIRED and link.touches(leaves[0].id)
-                for link in graph.links_of(rtx.id)
+                link.kind is LinkKind.WIRED
+                for link in links_between(graph, rtx.id, leaves[0].id)
             ):
                 out.append(
                     Violation(
@@ -1086,14 +1095,13 @@ def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None
                         f"{rtx.id} is not wired to its leaf switch",
                     )
                 )
-            owc = [link for link in graph.links_of(rtx.id) if link.kind is LinkKind.OWC]
             lands_on_ap = [
                 link
-                for link in owc
-                if graph.has_node(link.other(rtx.id))
-                and graph.node(link.other(rtx.id)).kind is DeviceKind.AP_TRANSCEIVER
-                and graph.node(link.other(rtx.id)).group == g
-                and graph.node(link.other(rtx.id)).ap == a
+                for other, link in graph.neighbors(rtx.id)
+                if link.kind is LinkKind.OWC
+                and other.kind is DeviceKind.AP_TRANSCEIVER
+                and other.group == g
+                and other.ap == a
             ]
             if len(lands_on_ap) != 1:
                 out.append(
@@ -1153,9 +1161,7 @@ def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
                         )
                     )
             if switch is not None:
-                to_switch = [
-                    link for link in graph.links_of(nic.id) if link.touches(switch.id)
-                ]
+                to_switch = links_between(graph, nic.id, switch.id)
                 if len(to_switch) != 1:
                     out.append(
                         Violation(
@@ -1255,9 +1261,7 @@ def _check_spine_mesh(graph: NetworkGraph, spec: TraditionalSpec, out) -> None:
         if len(leaves) != 1:
             continue  # already reported by the rack check
         for spine in spines:
-            count = sum(
-                1 for link in graph.links_of(leaves[0].id) if link.touches(spine.id)
-            )
+            count = len(links_between(graph, leaves[0].id, spine.id))
             if count != 1:
                 out.append(
                     Violation(
@@ -1388,6 +1392,35 @@ def reference_closed_form_power(
     if graph.architecture is Architecture.TRADITIONAL:
         return traditional_power(census, catalog, options)
     return owc_pon_power(census, catalog, options)
+
+
+def per_node_power(
+    graph: NetworkGraph,
+    catalog: PowerCatalog,
+    options: PowerOptions = PowerOptions(),
+) -> PowerReport:
+    """Brute-force power: walk every node and add its catalog entry.
+
+    Honors the same inclusion flags as the closed forms and, like them,
+    never prices the structural kinds.  Its total equals the closed forms
+    exactly (with per-AP NIC counting; the per-server mode is a
+    closed-form what-if with no node-level counterpart).  Every priced
+    kind present in the graph needs a catalog entry.
+    """
+    excluded = set(STRUCTURAL_KINDS)
+    if not options.include_owc_transceivers:
+        excluded.update({DeviceKind.RACK_TRANSCEIVER, DeviceKind.AP_TRANSCEIVER})
+    if not options.include_server_transceivers:
+        excluded.add(DeviceKind.SERVER_TRANSCEIVER)
+
+    quantities: dict[DeviceKind, int] = {}
+    for node in graph.nodes:
+        quantities[node.kind] = quantities.get(node.kind, 0) + 1
+        if node.kind not in excluded and node.kind not in catalog:
+            raise MissingCatalogEntry(node.kind)
+
+    terms = [(kind, kind not in excluded) for kind in DeviceKind if kind in quantities]
+    return _report(quantities, terms, catalog, options)
 
 
 def reference_scaling_sweep(

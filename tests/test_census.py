@@ -1,7 +1,7 @@
 """Differential tests: the closed-form census, verdict and pricing, and
-the commands built on them, against the graph path in ``oracles``, and
-``validate_graph`` against the scanning one, on admissible, inadmissible
-and damaged fabrics; ``find_nodes`` against the node ids each filter must
+the commands built on them, against the graph path in ``oracles`` on
+admissible and inadmissible fabrics; ``find_nodes`` against the scanning
+lookup on damaged fabrics, and against the node ids each filter must
 return on one small fabric."""
 
 import itertools
@@ -34,7 +34,6 @@ from ponfabric import (
     run_benchmark,
     scaling_sweep,
     validate,
-    validate_graph,
 )
 from ponfabric.cli import _cmd_power, _cmd_validate
 
@@ -129,7 +128,6 @@ def test_census_and_verdict_match_the_built_graph(spec):
     assert fabric_size(spec) == (len(built.nodes), len(built.links))
     verdict = oracles.reference_validate(built)
     assert validate(spec) == verdict
-    assert validate_graph(built) == verdict
 
 
 def test_spineless_traditional_is_the_only_failing_build():
@@ -163,8 +161,11 @@ def damaged_fabrics(draw):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(graph=damaged_fabrics())
-def test_validate_matches_reference_on_damaged_graphs(graph):
-    assert validate_graph(graph) == oracles.reference_validate(graph)
+def test_find_nodes_matches_reference_on_damaged_graphs(graph):
+    for filters in lookups(graph.spec):
+        for kind in DeviceKind:
+            expected = oracles.reference_find_nodes(graph, kind, **filters)
+            assert graph.find_nodes(kind, **filters) == expected, (kind, filters)
 
 
 def lookups(spec):

@@ -19,14 +19,13 @@ from ponfabric import (
     device_census,
     format_percent,
     owc_pon_power,
-    per_node_power,
     power_reduction,
     scaling_sweep,
     traditional_power,
 )
 from ponfabric.errors import MissingCatalogEntry, MissingOlt, ZeroBaseline
 
-from oracles import reference_census
+from oracles import per_node_power, reference_census
 from test_topology import admissible_owcpon, admissible_traditional
 
 BENCH_TRADITIONAL = {

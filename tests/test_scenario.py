@@ -1,3 +1,5 @@
+import contextlib
+import io
 from fractions import Fraction
 from pathlib import Path
 
@@ -522,11 +524,13 @@ class TestTableAgainstReference:
         assert parse_scenario(serialize_scenario(scenario)) == scenario
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_documents_exactly_the_table_keys():
     # The README's ini block lists every key, some as commented-out
     # examples, with trailing comments; the fixed keys in table order.
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
     documented, section = [], None
     for line in block.splitlines():
         line = line.strip().removeprefix("# ").split(" #", 1)[0].strip()
@@ -540,3 +544,13 @@ def test_readme_documents_exactly_the_table_keys():
     assert extra <= set(documented)
     catalog = {key for section, key in documented if section == "catalog"}
     assert catalog and catalog <= set(CATALOG_KEYS)
+
+
+def test_readme_library_example_runs():
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    reduction, bottlenecks = out.getvalue().splitlines()
+    assert reduction == "45.9%"
+    assert bottlenecks.startswith("[LinkLoad(")
