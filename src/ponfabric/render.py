@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 SCHEMA = "ponfabric/1"
 
@@ -46,6 +47,8 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Table:
+    """A named table; each row holds one cell per column."""
+
     name: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
@@ -67,16 +70,55 @@ def render(doc: Document, fmt: OutputFormat) -> str:
 
 
 def _render_json(doc: Document) -> str:
+    """The document in ``json``'s ``indent=2`` layout, without its encoder.
+
+    The object written is ``{"schema", "title", "meta": dict(doc.meta),
+    "tables": {name: [dict(zip(columns, row)), ...]}}``, so a repeated meta
+    key, table name or column keeps its first position and takes its last
+    value.  CPython serves any ``indent`` with its pure-Python encoder; here
+    each table fills one row template, built once from its column names.
+    """
+    meta = dict(doc.meta)
+    tables = {table.name: table for table in doc.tables}
     payload = {
-        "schema": SCHEMA,
-        "title": doc.title,
-        "meta": {key: value for key, value in doc.meta},
-        "tables": {
-            table.name: [dict(zip(table.columns, row)) for row in table.rows]
-            for table in doc.tables
-        },
+        "schema": _json_value(SCHEMA, "  "),
+        "title": _json_value(doc.title, "  "),
+        "meta": _json_object({k: _json_value(v, "    ") for k, v in meta.items()}, "  "),
+        "tables": _json_object({name: _json_rows(table) for name, table in tables.items()}, "  "),
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json_object(payload, "") + "\n"
+
+
+def _json_rows(table: Table) -> str:
+    """The list of ``dict(zip(columns, row))``, encoded a column at a time."""
+    last = {column: i for i, column in enumerate(table.columns)}
+    template = _json_object({column.replace("%", "%%"): "%s" for column in last}, "      ")
+    cells = [[_json_value(row[i], "        ") for row in table.rows] for i in last.values()]
+    # zip() of no columns would drop the rows; each still writes an empty object.
+    rows = zip(*cells) if cells else [()] * len(table.rows)
+    return _json_list([template % row for row in rows], "    ")
+
+
+def _json_value(value: object, indent: str) -> str:
+    """``value`` as ``indent=2`` writes it at a line indented by ``indent``."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _json_object(texts: dict[str, str], indent: str) -> str:
+    items = [f"{encode_basestring_ascii(key)}: {text}" for key, text in texts.items()]
+    return _json_list(items, indent, "{}")
+
+
+def _json_list(texts: list[str], indent: str, brackets: str = "[]") -> str:
+    """Encoded items in ``brackets``, opened on a line indented by ``indent``."""
+    if not texts:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(texts) + "\n" + indent + brackets[1]
 
 
 def _render_csv(doc: Document) -> str:
@@ -86,14 +128,12 @@ def _render_csv(doc: Document) -> str:
     if doc.meta:
         out.write("#table:meta\n")
         writer.writerow(["key", "value"])
-        for key, value in doc.meta:
-            writer.writerow([key, value])
+        writer.writerows(doc.meta)
         out.write("\n")
     for table in doc.tables:
         out.write(f"#table:{table.name}\n")
         writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow(list(row))
+        writer.writerows(table.rows)
         out.write("\n")
     return out.getvalue()
 

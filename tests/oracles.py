@@ -23,7 +23,9 @@ comparable value.
 
 ``reference_format_rational`` is the ``Fraction`` arithmetic that
 ``render.format_rational`` replaced with integer arithmetic on the
-numerator and denominator.
+numerator and denominator.  ``reference_render_json`` is the
+``json.dumps`` call that ``render._render_json``'s row templates replaced;
+``tests/test_render.py`` holds the templates to it.
 
 ``reference_parse_scenario`` and ``reference_serialize_scenario`` are the
 hand-written scenario parser and serializer that the key table replaced;
@@ -45,6 +47,7 @@ checks it with this.  ``per_node_power`` prices a built graph node by
 node, the gate on the closed-form power.
 """
 
+import json
 import re
 from collections import Counter, deque
 from dataclasses import dataclass, replace
@@ -116,6 +119,7 @@ from ponfabric.errors import (
     in_pair,
 )
 from ponfabric.power import STRUCTURAL_KINDS, _report
+from ponfabric.render import SCHEMA
 from ponfabric.version import __version__
 from ponfabric.traffic import TrafficPattern
 
@@ -496,6 +500,19 @@ def reference_assign(graph, matrix, policy=RoutingPolicy()):
     max_utilization = max((row.utilization for row in rows), default=Fraction(0))
     saturated = tuple(row.link_id for row in rows if row.utilization > 1)
     return LinkLoadReport(rows, max_utilization, saturated)
+
+
+def reference_render_json(doc: Document) -> str:
+    payload = {
+        "schema": SCHEMA,
+        "title": doc.title,
+        "meta": {key: value for key, value in doc.meta},
+        "tables": {
+            table.name: [dict(zip(table.columns, row)) for row in table.rows]
+            for table in doc.tables
+        },
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def reference_format_rational(value: Fraction) -> str:

@@ -127,6 +127,17 @@ def test_cli_output_matches_golden(case_id, capsys):
     assert out == (GOLDEN / f"{case_id}.out").read_bytes()
 
 
+JSON_GOLDENS = sorted(path for path in GOLDEN.rglob("*.json.out") if path.stat().st_size)
+
+
+@pytest.mark.parametrize("path", JSON_GOLDENS, ids=lambda path: path.name)
+def test_json_golden_has_standard_layout(path):
+    """The committed JSON is what the standard library writes with
+    ``indent=2``, whichever emitter recorded it."""
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
