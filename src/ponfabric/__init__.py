@@ -7,6 +7,7 @@ from .benchmark import (
     BenchmarkReport,
     benchmark_document,
     build_graphs,
+    closed_form_power,
     resolved_catalogs,
     run_benchmark,
 )
@@ -22,7 +23,6 @@ from .power import (
     Reduction,
     SweepPoint,
     SweepResult,
-    closed_form_power,
     format_percent,
     owc_pon_power,
     power_reduction,

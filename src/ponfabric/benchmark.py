@@ -1,10 +1,10 @@
-"""Scenario-driven evaluation: price both fabrics from their specs, compare.
+"""Scenario-driven evaluation: ``closed_form_power`` counts, judges and
+prices each selected fabric once, for ``power``, ``compare`` and ``benchmark``.
 
 The benchmark report is a deterministic record: census tables, per-kind
-power subtotals, the exact reduction fraction, and its one-decimal
-rendering.  Serializing the same scenario twice yields identical bytes.
-Graphs are built only for the commands that read one, and only under
-``GRAPH_BUDGET``.
+power subtotals, the exact reduction fraction and its one-decimal
+rendering; the same scenario always serializes to the same bytes.  Graphs
+are built only for the commands that read one, under ``GRAPH_BUDGET``.
 """
 
 from __future__ import annotations
@@ -84,16 +84,27 @@ def build_graphs(scenario: Scenario) -> dict[Architecture, NetworkGraph]:
     return graphs
 
 
-def validated_censuses(scenario: Scenario) -> dict[Architecture, dict[DeviceKind, int]]:
-    """The census of every selected fabric: spec errors of any fabric
-    first, then the first fabric with validation findings."""
+def closed_form_power(
+    scenario: Scenario,
+) -> dict[Architecture, tuple[dict[DeviceKind, int], PowerReport]]:
+    """The census and price of each selected fabric, traditional first.  All
+    specs are counted before any is judged, and all are judged before pricing."""
     specs = selected_specs(scenario)
     censuses = {architecture: device_census(spec) for architecture, spec in specs.items()}
     for architecture, spec in specs.items():
         violations = validate(spec)
         if violations:
             raise ValidationFailed(architecture, violations)
-    return censuses
+    traditional_catalog, owc_catalog = resolved_catalogs(scenario)
+    priced = {}
+    for architecture, census in censuses.items():
+        # Named here, not in a module-level table: perfbench/traced.py wraps these names.
+        if architecture is Architecture.TRADITIONAL:
+            report = traditional_power(census, traditional_catalog, scenario.options)
+        else:
+            report = owc_pon_power(census, owc_catalog, scenario.options)
+        priced[architecture] = (census, report)
+    return priced
 
 
 @dataclass(frozen=True)
@@ -112,12 +123,7 @@ def run_benchmark(scenario: Scenario) -> BenchmarkReport:
     """Evaluate both architectures under one scenario and compare them."""
     if len(scenario.architectures) != 2:
         raise ScenarioError("the benchmark needs both architectures selected")
-    traditional_catalog, owc_catalog = resolved_catalogs(scenario)
-    censuses = validated_censuses(scenario)
-    trad_census = censuses[Architecture.TRADITIONAL]
-    owc_census = censuses[Architecture.OWC_PON]
-    trad_report = traditional_power(trad_census, traditional_catalog, scenario.options)
-    owc_report = owc_pon_power(owc_census, owc_catalog, scenario.options)
+    (trad_census, trad_report), (owc_census, owc_report) = closed_form_power(scenario).values()
     reduction = power_reduction(trad_report, owc_report)
 
     notes = []

@@ -19,11 +19,11 @@ from .benchmark import (
     benchmark_document,
     build_graphs,
     census_table,
+    closed_form_power,
     power_table,
     resolved_catalogs,
     run_benchmark,
     selected_specs,
-    validated_censuses,
 )
 from .errors import (
     BadAdjacency,
@@ -33,7 +33,7 @@ from .errors import (
     UnknownRack,
     ValidationFailed,
 )
-from .power import closed_form_power, scaling_sweep
+from .power import scaling_sweep
 from .render import Document, OutputFormat, Table, format_rational, render
 from .routing import resolve_route, route_to_external, all_pairs_summary
 from .scenario import Scenario, check_digits, default_scenario, parse_scenario
@@ -190,13 +190,9 @@ def _cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:
 
 
 def _cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
-    catalogs = dict(zip((Architecture.TRADITIONAL, Architecture.OWC_PON), resolved_catalogs(scenario)))
-    censuses = validated_censuses(scenario)
-    specs = selected_specs(scenario)
     meta = []
     tables = []
-    for architecture, census in censuses.items():
-        report = closed_form_power(specs[architecture], catalogs[architecture], scenario.options)
+    for architecture, (census, report) in closed_form_power(scenario).items():
         meta.append((f"{architecture.value}_total_mw", report.total_mw))
         tables.append(census_table(f"census_{architecture.value}", census))
         tables.append(power_table(f"power_{architecture.value}", report))
@@ -304,7 +300,7 @@ def _parse_count_list(text: str, what: str) -> list[int]:
 
 def _cmd_sweep(scenario: Scenario, args) -> tuple[Document, int]:
     racks = _parse_count_list(args.racks, "racks")
-    spines = _parse_count_list(args.spines, "spines") if args.spines else None
+    spines = _parse_count_list(args.spines, "spines") if args.spines is not None else None
     if spines is not None and len(spines) != len(racks):
         raise ScenarioError(
             f"--spines lists {len(spines)} counts for {len(racks)} --racks entries"

@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 from .errors import MissingCatalogEntry, MissingOlt, PonFabricError, SpecMismatch, ZeroBaseline
 from .topology import (
     DeviceKind,
-    FabricSpec,
     OwcPonSpec,
     TraditionalSpec,
     device_census,
@@ -39,9 +38,6 @@ class PowerCatalog:
 
     def get(self, kind: DeviceKind) -> int | None:
         return self.entries.get(kind)
-
-    def __contains__(self, kind: DeviceKind) -> bool:
-        return kind in self.entries
 
     def with_overrides(self, overrides: Mapping[DeviceKind, int]) -> "PowerCatalog":
         merged = dict(self.entries)
@@ -197,18 +193,6 @@ def owc_pon_power(
         (DeviceKind.OLT, True),
     )
     return _report(quantities, terms, catalog, options)
-
-
-def closed_form_power(
-    spec: FabricSpec,
-    catalog: PowerCatalog,
-    options: PowerOptions = PowerOptions(),
-) -> PowerReport:
-    """Price the fabric ``spec`` builds with its architecture's closed form."""
-    census = device_census(spec)
-    if isinstance(spec, TraditionalSpec):
-        return traditional_power(census, catalog, options)
-    return owc_pon_power(census, catalog, options)
 
 
 def _half_up_permille(fraction: Fraction) -> int:

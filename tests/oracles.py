@@ -1433,7 +1433,7 @@ def per_node_power(
     quantities: dict[DeviceKind, int] = {}
     for node in graph.nodes:
         quantities[node.kind] = quantities.get(node.kind, 0) + 1
-        if node.kind not in excluded and node.kind not in catalog:
+        if node.kind not in excluded and catalog.get(node.kind) is None:
             raise MissingCatalogEntry(node.kind)
 
     terms = [(kind, kind not in excluded) for kind in DeviceKind if kind in quantities]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ponfabric.topology
-from ponfabric import TraditionalSpec, TrafficMatrix
+from ponfabric import OwcPonSpec, TraditionalSpec, TrafficMatrix
 from ponfabric.cli import main
 from ponfabric.scenario import MAX_DIGITS
 from ponfabric.topology import fabric_size
@@ -235,9 +235,10 @@ def assert_one_line_failure(code, out, err):
 
 
 def test_sweep_spine_count_mismatch_exits_one(capsys):
-    code, out, err = run(capsys, "sweep", "--racks", "4,8", "--spines", "4")
-    assert_one_line_failure(code, out, err)
-    assert "--spines" in err
+    for spines in ("4", ""):
+        code, out, err = run(capsys, "sweep", "--racks", "4,8", "--spines", spines)
+        assert_one_line_failure(code, out, err)
+        assert "--spines" in err
 
 
 def test_out_to_missing_directory_exits_one(tmp_path, capsys):
@@ -284,6 +285,37 @@ def test_power_commands_reject_a_spineless_traditional_fabric(tmp_path, capsys, 
     code, out, err = run(capsys, "-s", path, command)
     assert (code, out) == (2, "")
     assert err == "ponfabric: validation error: traditional: disconnected(rack1/leaf)\n"
+
+
+@pytest.mark.parametrize("command", ["power", "compare", "benchmark"])
+def test_spec_errors_come_before_verdicts(tmp_path, capsys, command):
+    # The traditional fabric comes first and fails validation, but the
+    # owcpon spec cannot even be counted, and that is reported.
+    path = write_scenario(
+        tmp_path,
+        "[architecture]\nselect = both\ntraditional.spines = 0\nowcpon.racks = 7\n",
+    )
+    code, out, err = run(capsys, "-s", path, command)
+    assert (code, out) == (2, "")
+    assert err == (
+        "ponfabric: validation error: "
+        "num_groups (2) x aps_per_group (4) must equal num_racks (7)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["power", "compare", "benchmark"])
+def test_power_commands_count_each_fabric_once(capsys, monkeypatch, command):
+    counted = []
+    count = ponfabric.topology._census_and_links
+
+    def counting(spec):
+        counted.append(type(spec))
+        return count(spec)
+
+    monkeypatch.setattr(ponfabric.topology, "_census_and_links", counting)
+    code, _, err = run(capsys, command)
+    assert (code, err) == (0, "")
+    assert counted == [TraditionalSpec, OwcPonSpec]
 
 
 HUGE_OWCPON = (

@@ -36,6 +36,8 @@ def _run(argv):
         (["benchmark"], "benchmark.traditional_power"),
         (["sweep", "--racks", "4,8,16"], "power.device_census"),
         (["build"], "cli.device_census"),
+        (["power"], "benchmark.traditional_power"),
+        (["power"], "benchmark.owc_pon_power"),
     ],
 )
 def test_traced_run_matches_untraced(tmp_path, command, spans_from):
