@@ -4,8 +4,6 @@ rule-chain routing, flow-level traffic assignment, and a scenario-driven
 benchmark CLI."""
 
 from .benchmark import (
-    BenchmarkReport,
-    benchmark_document,
     build_graphs,
     closed_form_power,
     resolved_catalogs,
@@ -20,7 +18,6 @@ from .power import (
     PowerOptions,
     PowerReport,
     PowerRow,
-    Reduction,
     SweepPoint,
     SweepResult,
     format_percent,

@@ -1,15 +1,14 @@
 """Scenario-driven evaluation: ``closed_form_power`` counts, judges and
 prices each selected fabric once, for ``power``, ``compare`` and ``benchmark``.
 
-The benchmark report is a deterministic record: census tables, per-kind
-power subtotals, the exact reduction fraction and its one-decimal
-rendering; the same scenario always serializes to the same bytes.  Graphs
-are built only for the commands that read one, under ``GRAPH_BUDGET``.
+``run_benchmark`` returns the benchmark document itself: census tables,
+per-kind power subtotals, the exact reduction fraction and its one-decimal
+rendering, and the scenario's canonical lines, so the same scenario always
+renders to the same bytes.  Graphs are built only for the commands that
+read one, under ``GRAPH_BUDGET``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import ScenarioError, ValidationFailed
 from .power import (
@@ -18,7 +17,7 @@ from .power import (
     NicCountMode,
     PowerCatalog,
     PowerReport,
-    Reduction,
+    format_percent,
     owc_pon_power,
     power_reduction,
     traditional_power,
@@ -107,44 +106,6 @@ def closed_form_power(
     return priced
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
-    version: str
-    scenario_text: str
-    traditional_census: dict[DeviceKind, int]
-    proposed_census: dict[DeviceKind, int]
-    traditional: PowerReport
-    proposed: PowerReport
-    reduction: Reduction
-    notes: tuple[str, ...]
-
-
-def run_benchmark(scenario: Scenario) -> BenchmarkReport:
-    """Evaluate both architectures under one scenario and compare them."""
-    if len(scenario.architectures) != 2:
-        raise ScenarioError("the benchmark needs both architectures selected")
-    (trad_census, trad_report), (owc_census, owc_report) = closed_form_power(scenario).values()
-    reduction = power_reduction(trad_report, owc_report)
-
-    notes = []
-    if scenario.options.nic_count_mode is NicCountMode.PER_SERVER:
-        notes.append(
-            "non-reproducing: per-server NIC counting inflates the NIC term; "
-            "the headline reduction assumes one NIC per AP"
-        )
-
-    return BenchmarkReport(
-        version=__version__,
-        scenario_text=serialize_scenario(scenario),
-        traditional_census=trad_census,
-        proposed_census=owc_census,
-        traditional=trad_report,
-        proposed=owc_report,
-        reduction=reduction,
-        notes=tuple(notes),
-    )
-
-
 def census_table(name: str, census: dict[DeviceKind, int]) -> Table:
     return Table(
         name,
@@ -168,27 +129,32 @@ def power_table(name: str, report: PowerReport) -> Table:
     return Table(name, ("device", "quantity", "unit_mw", "subtotal_mw", "included"), tuple(rows))
 
 
-def benchmark_document(report: BenchmarkReport) -> Document:
-    meta = [
-        ("version", report.version),
-        ("traditional_total_mw", report.traditional.total_mw),
-        ("proposed_total_mw", report.proposed.total_mw),
-        ("reduction_percent", report.reduction.percent_text),
-        ("reduction_fraction", format_rational(report.reduction.fraction)),
-    ]
-    tables = [
-        census_table("census_traditional", report.traditional_census),
-        census_table("census_owcpon", report.proposed_census),
-        power_table("power_traditional", report.traditional),
-        power_table("power_owcpon", report.proposed),
-    ]
-    if report.notes:
-        tables.append(Table("notes", ("note",), tuple((note,) for note in report.notes)))
-    tables.append(
-        Table(
-            "scenario",
-            ("line",),
-            tuple((line,) for line in report.scenario_text.splitlines()),
-        )
+def run_benchmark(scenario: Scenario) -> Document:
+    """Both architectures under one scenario: their censuses, their power
+    tables, the reduction, and the scenario that produced them."""
+    if len(scenario.architectures) != 2:
+        raise ScenarioError("the benchmark needs both architectures selected")
+    (trad_census, trad_report), (owc_census, owc_report) = closed_form_power(scenario).values()
+    reduction = power_reduction(trad_report, owc_report)
+    meta = (
+        ("version", __version__),
+        ("traditional_total_mw", trad_report.total_mw),
+        ("proposed_total_mw", owc_report.total_mw),
+        ("reduction_percent", format_percent(reduction)),
+        ("reduction_fraction", format_rational(reduction)),
     )
-    return Document("power consumption benchmark", tuple(meta), tuple(tables))
+    tables = [
+        census_table("census_traditional", trad_census),
+        census_table("census_owcpon", owc_census),
+        power_table("power_traditional", trad_report),
+        power_table("power_owcpon", owc_report),
+    ]
+    if scenario.options.nic_count_mode is NicCountMode.PER_SERVER:
+        note = (
+            "non-reproducing: per-server NIC counting inflates the NIC term; "
+            "the headline reduction assumes one NIC per AP"
+        )
+        tables.append(Table("notes", ("note",), ((note,),)))
+    lines = serialize_scenario(scenario).splitlines()
+    tables.append(Table("scenario", ("line",), tuple((line,) for line in lines)))
+    return Document("power consumption benchmark", meta, tuple(tables))

@@ -16,7 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .benchmark import (
-    benchmark_document,
     build_graphs,
     census_table,
     closed_form_power,
@@ -33,7 +32,7 @@ from .errors import (
     UnknownRack,
     ValidationFailed,
 )
-from .power import scaling_sweep
+from .power import format_percent, power_reduction, scaling_sweep
 from .render import Document, OutputFormat, Table, format_rational, render
 from .routing import resolve_route, route_to_external, all_pairs_summary
 from .scenario import Scenario, check_digits, default_scenario, parse_scenario
@@ -202,16 +201,17 @@ def _cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
 def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
     if len(scenario.architectures) != 2:
         raise ScenarioError("compare needs both architectures selected")
-    report = run_benchmark(scenario)
+    (_, traditional), (_, proposed) = closed_form_power(scenario).values()
+    reduction = power_reduction(traditional, proposed)
     meta = (
-        ("baseline_total_mw", report.traditional.total_mw),
-        ("proposed_total_mw", report.proposed.total_mw),
-        ("reduction_percent", report.reduction.percent_text),
-        ("reduction_fraction", format_rational(report.reduction.fraction)),
+        ("baseline_total_mw", traditional.total_mw),
+        ("proposed_total_mw", proposed.total_mw),
+        ("reduction_percent", format_percent(reduction)),
+        ("reduction_fraction", format_rational(reduction)),
     )
     tables = (
-        power_table("power_traditional", report.traditional),
-        power_table("power_owcpon", report.proposed),
+        power_table("power_traditional", traditional),
+        power_table("power_owcpon", proposed),
     )
     return Document("architecture comparison", meta, tables), EXIT_OK
 
@@ -291,9 +291,8 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
 
 
 def _parse_count_list(text: str, what: str) -> list[int]:
-    parts = [part.strip() for part in text.split(",") if part.strip()]
     try:
-        return [_count(part) for part in parts]
+        return [_count(part) for part in text.split(",")]
     except ValueError as exc:
         raise ScenarioError(f"--{what} expects a comma list of integers") from exc
 
@@ -326,7 +325,7 @@ def _cmd_sweep(scenario: Scenario, args) -> tuple[Document, int]:
                 point.num_spine,
                 result.traditional.total_mw if result.traditional else "",
                 result.proposed.total_mw if result.proposed else "",
-                result.reduction.percent_text if result.reduction else "",
+                format_percent(result.reduction) if result.error is None else "",
                 result.error or "",
             )
         )
@@ -348,8 +347,7 @@ def _cmd_sweep(scenario: Scenario, args) -> tuple[Document, int]:
 
 
 def _cmd_benchmark(scenario: Scenario, args) -> tuple[Document, int]:
-    report = run_benchmark(scenario)
-    return benchmark_document(report), EXIT_OK
+    return run_benchmark(scenario), EXIT_OK
 
 
 _COMMANDS = {

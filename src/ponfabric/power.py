@@ -108,12 +108,10 @@ class PowerRow:
 
 @dataclass(frozen=True)
 class PowerReport:
-    """Per-kind subtotals plus their exact total, echoing the inputs."""
+    """Per-kind subtotals plus their exact total."""
 
     rows: tuple[PowerRow, ...]
     total_mw: int
-    options: PowerOptions
-    catalog: PowerCatalog
 
     def __post_init__(self):
         if self.total_mw != sum(row.subtotal_mw for row in self.rows):
@@ -142,11 +140,10 @@ def _report(
     census: Mapping[DeviceKind, int],
     terms: Sequence[tuple[DeviceKind, bool]],
     catalog: PowerCatalog,
-    options: PowerOptions,
 ) -> PowerReport:
     """One row per (kind, included) term, priced at its census quantity."""
     rows = tuple(_row(kind, census.get(kind, 0), catalog, included) for kind, included in terms)
-    return PowerReport(rows, sum(row.subtotal_mw for row in rows), options, catalog)
+    return PowerReport(rows, sum(row.subtotal_mw for row in rows))
 
 
 def traditional_power(
@@ -163,7 +160,7 @@ def traditional_power(
         (DeviceKind.LEAF_SWITCH, True),
         (DeviceKind.SERVER_TRANSCEIVER, options.include_server_transceivers),
     )
-    return _report(census, terms, catalog, options)
+    return _report(census, terms, catalog)
 
 
 def owc_pon_power(
@@ -192,7 +189,7 @@ def owc_pon_power(
         (DeviceKind.OPTICAL_SWITCH, True),
         (DeviceKind.OLT, True),
     )
-    return _report(quantities, terms, catalog, options)
+    return _report(quantities, terms, catalog)
 
 
 def _half_up_permille(fraction: Fraction) -> int:
@@ -210,22 +207,13 @@ def format_percent(fraction: Fraction) -> str:
     return f"{sign}{whole}.{tenth}%"
 
 
-@dataclass(frozen=True)
-class Reduction:
-    """Relative power saving of a proposed fabric against a baseline."""
-
-    fraction: Fraction
-
-    @property
-    def percent_text(self) -> str:
-        return format_percent(self.fraction)
-
-
-def power_reduction(baseline: PowerReport, proposed: PowerReport) -> Reduction:
-    """(baseline - proposed) / baseline as an exact rational."""
+def power_reduction(baseline: PowerReport, proposed: PowerReport) -> Fraction:
+    """Relative power saving of ``proposed`` against ``baseline``,
+    (baseline - proposed) / baseline, as an exact rational; render it with
+    ``format_percent``."""
     if baseline.total_mw == 0:
         raise ZeroBaseline("baseline consumes no power")
-    return Reduction(Fraction(baseline.total_mw - proposed.total_mw, baseline.total_mw))
+    return Fraction(baseline.total_mw - proposed.total_mw, baseline.total_mw)
 
 
 @dataclass(frozen=True)
@@ -241,7 +229,7 @@ class SweepResult:
     point: SweepPoint
     traditional: PowerReport | None
     proposed: PowerReport | None
-    reduction: Reduction | None
+    reduction: Fraction | None
     error: str | None
 
 

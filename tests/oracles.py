@@ -61,7 +61,6 @@ from ponfabric import (
     PROFILES,
     TRADITIONAL_CATALOG,
     Architecture,
-    BenchmarkReport,
     DeviceKind,
     Document,
     ExplicitPairs,
@@ -94,6 +93,8 @@ from ponfabric import (
     Violation,
     build_owc_pon,
     build_traditional,
+    format_percent,
+    format_rational,
     owc_pon_power,
     power_reduction,
     resolved_catalogs,
@@ -1367,7 +1368,7 @@ def reference_validated_graphs(scenario: Scenario) -> dict[Architecture, Network
     return graphs
 
 
-def reference_run_benchmark(scenario: Scenario) -> BenchmarkReport:
+def reference_run_benchmark(scenario: Scenario) -> Document:
     """Evaluate both architectures under one scenario and compare them."""
     if len(scenario.architectures) != 2:
         raise ScenarioError("the benchmark needs both architectures selected")
@@ -1387,16 +1388,29 @@ def reference_run_benchmark(scenario: Scenario) -> BenchmarkReport:
             "the headline reduction assumes one NIC per AP"
         )
 
-    return BenchmarkReport(
-        version=__version__,
-        scenario_text=serialize_scenario(scenario),
-        traditional_census=trad_census,
-        proposed_census=owc_census,
-        traditional=trad_report,
-        proposed=owc_report,
-        reduction=reduction,
-        notes=tuple(notes),
+    meta = (
+        ("version", __version__),
+        ("traditional_total_mw", trad_report.total_mw),
+        ("proposed_total_mw", owc_report.total_mw),
+        ("reduction_percent", format_percent(reduction)),
+        ("reduction_fraction", format_rational(reduction)),
     )
+    tables = [
+        census_table("census_traditional", trad_census),
+        census_table("census_owcpon", owc_census),
+        power_table("power_traditional", trad_report),
+        power_table("power_owcpon", owc_report),
+    ]
+    if notes:
+        tables.append(Table("notes", ("note",), tuple((note,) for note in notes)))
+    tables.append(
+        Table(
+            "scenario",
+            ("line",),
+            tuple((line,) for line in serialize_scenario(scenario).splitlines()),
+        )
+    )
+    return Document("power consumption benchmark", meta, tuple(tables))
 
 
 def reference_closed_form_power(
@@ -1437,7 +1451,7 @@ def per_node_power(
             raise MissingCatalogEntry(node.kind)
 
     terms = [(kind, kind not in excluded) for kind in DeviceKind if kind in quantities]
-    return _report(quantities, terms, catalog, options)
+    return _report(quantities, terms, catalog)
 
 
 def reference_scaling_sweep(

@@ -15,6 +15,7 @@ from oracles import outcome
 from ponfabric import (
     Architecture,
     DeviceKind,
+    Document,
     ExplicitPairs,
     IndexMatched,
     NetworkGraph,
@@ -35,7 +36,7 @@ from ponfabric import (
     scaling_sweep,
     validate,
 )
-from ponfabric.cli import _cmd_power, _cmd_validate
+from ponfabric.cli import _cmd_benchmark, _cmd_compare, _cmd_power, _cmd_validate
 
 from test_topology import with_extra_link, with_extra_node, without_link, without_node
 
@@ -260,6 +261,29 @@ def test_benchmark_and_power_match_the_graph_path(scenario):
     assert outcome(lambda: _cmd_power(scenario, None)) == outcome(
         lambda: oracles.reference_cmd_power(scenario, None)
     )
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(scenario=scenarios)
+def test_compare_agrees_with_the_benchmark(scenario):
+    """``compare`` prices through ``closed_form_power`` itself, not through
+    the benchmark: its totals, reduction and power tables must be the
+    benchmark's, and so must its errors, apart from the wording of the
+    both-architectures check."""
+    benchmarked = outcome(lambda: _cmd_benchmark(scenario, None)[0])
+    compared = outcome(lambda: _cmd_compare(scenario, None)[0])
+    if not isinstance(benchmarked, Document):
+        kind, message = benchmarked
+        if message == "the benchmark needs both architectures selected":
+            benchmarked = kind, "compare needs both architectures selected"
+        assert compared == benchmarked
+        return
+    assert isinstance(compared, Document), compared
+    meta = dict(compared.meta)
+    meta["traditional_total_mw"] = meta.pop("baseline_total_mw")
+    assert meta == {name: value for name, value in benchmarked.meta if name != "version"}
+    power_tables = tuple(table for table in benchmarked.tables if table.name.startswith("power_"))
+    assert compared.tables == power_tables
 
 
 @settings(max_examples=250, derandomize=True, deadline=None)

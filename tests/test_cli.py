@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import ponfabric.benchmark
 import ponfabric.topology
 from ponfabric import OwcPonSpec, TraditionalSpec, TrafficMatrix
 from ponfabric.cli import main
@@ -210,6 +211,14 @@ def test_sweep_bad_racks_exits_one(capsys):
     assert code == 1
 
 
+def test_sweep_prints_a_zero_reduction(tmp_path, capsys):
+    # One 810 W spine and four leaves cost what the OWC-PON fabric does.
+    path = write_scenario(tmp_path, "[architecture]\nselect = both\n\n[catalog]\nspine_switch = 810\n")
+    code, out, _ = run(capsys, "-s", path, "-f", "csv", "sweep", "--racks", "4", "--spines", "1", "--groups", "2")
+    assert code == 0
+    assert "4,2,8,1,2842000,2842000,0.0%,\n" in out
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "--format", "json", "--out", str(target), "benchmark")
@@ -301,6 +310,21 @@ def test_spec_errors_come_before_verdicts(tmp_path, capsys, command):
         "ponfabric: validation error: "
         "num_groups (2) x aps_per_group (4) must equal num_racks (7)\n"
     )
+
+
+@pytest.mark.parametrize("command, serialized", [("power", 0), ("compare", 0), ("benchmark", 1)])
+def test_only_the_benchmark_serializes_the_scenario(capsys, monkeypatch, command, serialized):
+    calls = []
+    serialize = ponfabric.benchmark.serialize_scenario
+
+    def counting(scenario):
+        calls.append(scenario)
+        return serialize(scenario)
+
+    monkeypatch.setattr(ponfabric.benchmark, "serialize_scenario", counting)
+    code, _, err = run(capsys, command)
+    assert (code, err) == (0, "")
+    assert len(calls) == serialized
 
 
 @pytest.mark.parametrize("command", ["power", "compare", "benchmark"])
@@ -555,6 +579,8 @@ def test_runtime_imports_only_the_standard_library():
 
 NOT_A_LIST = "ponfabric: scenario error: --{} expects a comma list of integers\n"
 NOT_AN_INTEGER = "ponfabric {}: error: argument --{}: invalid integer value: '{}'\n"
+# Count lists with an empty item, by test id: every comma item must be a count.
+EMPTY_ITEMS = {"": "empty", ",": "comma", "4,,8": "empty-middle", "4,": "trailing-comma"}
 
 
 @pytest.mark.parametrize(
@@ -568,6 +594,11 @@ NOT_AN_INTEGER = "ponfabric {}: error: argument --{}: invalid integer value: '{}
         (None, ("sweep", "--racks", "\u0664,8"), NOT_A_LIST.format("racks")),
         (None, ("sweep", "--racks", "1_6"), NOT_A_LIST.format("racks")),
         (None, ("sweep", "--racks", "4", "--spines", "\u0664"), NOT_A_LIST.format("spines")),
+        *((None, ("sweep", "--racks", racks), NOT_A_LIST.format("racks")) for racks in EMPTY_ITEMS),
+        *(
+            (None, ("sweep", "--racks", "4,8", "--spines", spines), NOT_A_LIST.format("spines"))
+            for spines in EMPTY_ITEMS
+        ),
         (None, ("sweep", "--racks", "4", "--groups", "\u0662"), NOT_AN_INTEGER.format("sweep", "groups", "\u0662")),
         (
             None,
@@ -576,7 +607,17 @@ NOT_AN_INTEGER = "ponfabric {}: error: argument --{}: invalid integer value: '{}
         ),
         (None, ("simulate", "--top", "\u0663"), NOT_AN_INTEGER.format("simulate", "top", "\u0663")),
     ],
-    ids=["scenario", "racks", "racks-underscore", "spines", "groups", "servers-per-rack", "top"],
+    ids=[
+        "scenario",
+        "racks",
+        "racks-underscore",
+        "spines",
+        *(f"racks-{name}" for name in EMPTY_ITEMS.values()),
+        *(f"spines-{name}" for name in EMPTY_ITEMS.values()),
+        "groups",
+        "servers-per-rack",
+        "top",
+    ],
 )
 def test_non_ascii_digits_are_rejected(tmp_path, capsys, scenario, argv, message):
     if scenario is not None:

@@ -155,8 +155,8 @@ class TestReduction:
             traditional_power(BENCH_TRADITIONAL, TRADITIONAL_CATALOG, PowerOptions()),
             owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, PowerOptions()),
         )
-        assert reduction.fraction == Fraction(9_344_000 - 5_054_000, 9_344_000)
-        assert reduction.percent_text == "45.9%"
+        assert reduction == Fraction(9_344_000 - 5_054_000, 9_344_000)
+        assert format_percent(reduction) == "45.9%"
 
     def test_as_written_reduction(self):
         options = PROFILES["as-written"]
@@ -164,13 +164,13 @@ class TestReduction:
             traditional_power(BENCH_TRADITIONAL, TRADITIONAL_CATALOG, options),
             owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, options),
         )
-        assert reduction.percent_text == "45.0%"
+        assert format_percent(reduction) == "45.0%"
 
     def test_identical_reports_reduce_zero(self):
         report = traditional_power(BENCH_TRADITIONAL, TRADITIONAL_CATALOG, PowerOptions())
         reduction = power_reduction(report, report)
-        assert reduction.fraction == 0
-        assert reduction.percent_text == "0.0%"
+        assert reduction == 0
+        assert format_percent(reduction) == "0.0%"
 
     def test_zero_baseline(self):
         zero = traditional_power({}, TRADITIONAL_CATALOG, PowerOptions())
@@ -195,7 +195,7 @@ class TestReduction:
             traditional_power(BENCH_TRADITIONAL, scaled_trad, options),
             owc_pon_power(BENCH_OWCPON, scaled_owc, options),
         )
-        assert base.fraction == scaled.fraction
+        assert base == scaled
 
     def test_percent_rendering(self):
         assert format_percent(Fraction(4290, 9344)) == "45.9%"
@@ -287,7 +287,7 @@ class TestScalingSweep:
         assert result.error is None
         assert result.traditional.total_mw == 9_344_000
         assert result.proposed.total_mw == 5_054_000
-        assert result.reduction.percent_text == "45.9%"
+        assert format_percent(result.reduction) == "45.9%"
 
     def test_empty_family(self):
         assert scaling_sweep([]) == ()
@@ -309,7 +309,7 @@ class TestScalingSweep:
             )
             assert result.traditional.total_mw == trad.total_mw
             assert result.proposed.total_mw == owc.total_mw
-            assert result.reduction.fraction == power_reduction(trad, owc).fraction
+            assert result.reduction == power_reduction(trad, owc)
 
     def test_bad_point_marked_failed_without_aborting(self):
         results = scaling_sweep([4, 7, 8], num_groups=2)

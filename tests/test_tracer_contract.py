@@ -38,6 +38,7 @@ def _run(argv):
         (["build"], "cli.device_census"),
         (["power"], "benchmark.traditional_power"),
         (["power"], "benchmark.owc_pon_power"),
+        (["compare"], "cli.closed_form_power"),
     ],
 )
 def test_traced_run_matches_untraced(tmp_path, command, spans_from):
