@@ -131,17 +131,15 @@ def _uplink_of(graph: NetworkGraph, leaf: Node) -> tuple[Node, Node, Node]:
 
 
 def _group_switch(graph: NetworkGraph, group: int) -> Node:
-    return _sole(
-        graph.find_nodes(DeviceKind.OPTICAL_SWITCH, group=group),
-        f"optical switch in group {group}",
-    )
+    switches = graph.nodes_of_kind(DeviceKind.OPTICAL_SWITCH)
+    found = tuple(n for n in switches if n.group == group)
+    return _sole(found, f"optical switch in group {group}")
 
 
 def _gateway_nic(graph: NetworkGraph, group: int) -> Node:
-    return _sole(
-        graph.find_nodes(DeviceKind.NIC, group=group, gateway=True),
-        f"gateway NIC in group {group}",
-    )
+    nics = graph.nodes_of_kind(DeviceKind.NIC)
+    found = tuple(n for n in nics if n.group == group and n.is_gateway)
+    return _sole(found, f"gateway NIC in group {group}")
 
 
 def _olt(graph: NetworkGraph) -> Node:

@@ -177,23 +177,18 @@ FabricSpec = Union[TraditionalSpec, OwcPonSpec]
 class NetworkGraph:
     """Immutable typed multigraph of one fabric instance.
 
-    Construction is permissive about structure but rejects duplicate node
-    ids.  Adjacency skips links whose endpoints are missing.
+    The architecture follows from the spec's type, and each link carries
+    its own capacity.  Construction is permissive about structure but
+    rejects duplicate node ids.  Adjacency skips links whose endpoints are
+    missing.
     """
 
-    def __init__(
-        self,
-        nodes: Iterable[Node],
-        links: Iterable[Link],
-        architecture: Architecture,
-        spec: FabricSpec,
-        capacities: LinkCapacities = LinkCapacities(),
-    ):
+    def __init__(self, nodes: Iterable[Node], links: Iterable[Link], spec: FabricSpec):
         self._nodes = tuple(nodes)
         self._links = tuple(links)
-        self._architecture = architecture
         self._spec = spec
-        self._capacities = capacities
+        traditional = isinstance(spec, TraditionalSpec)
+        self._architecture = Architecture.TRADITIONAL if traditional else Architecture.OWC_PON
 
         self._node_by_id: dict[str, Node] = {}
         for node in self._nodes:
@@ -232,10 +227,6 @@ class NetworkGraph:
     def spec(self) -> FabricSpec:
         return self._spec
 
-    @property
-    def capacities(self) -> LinkCapacities:
-        return self._capacities
-
     def has_node(self, node_id: str) -> bool:
         return node_id in self._node_by_id
 
@@ -244,29 +235,6 @@ class NetworkGraph:
 
     def nodes_of_kind(self, kind: DeviceKind) -> tuple[Node, ...]:
         return tuple(self._by_kind[kind])
-
-    def find_nodes(
-        self,
-        kind: DeviceKind,
-        *,
-        rack: int | None = None,
-        group: int | None = None,
-        ap: int | None = None,
-        gateway: bool | None = None,
-    ) -> tuple[Node, ...]:
-        """Nodes of ``kind`` matching every given attribute filter, in node order."""
-        out = []
-        for node in self._by_kind[kind]:
-            if rack is not None and node.rack != rack:
-                continue
-            if group is not None and node.group != group:
-                continue
-            if ap is not None and node.ap != ap:
-                continue
-            if gateway is not None and node.is_gateway != gateway:
-                continue
-            out.append(node)
-        return tuple(out)
 
     def neighbors(self, node_id: str) -> tuple[tuple[Node, Link], ...]:
         return tuple(
@@ -295,6 +263,21 @@ def _link(a: str, b: str, kind: LinkKind, capacities: LinkCapacities) -> Link:
     return Link(f"{a}--{b}", a, b, kind, capacities.for_kind(kind))
 
 
+def _wire_rack(
+    r: int, servers_per_rack: int, capacities: LinkCapacities, nodes: list[Node], links: list[Link]
+) -> str:
+    """Append rack ``r``'s leaf, its servers with their transceiver nodes,
+    and the servers' wired links; return the leaf's id."""
+    leaf = f"rack{r}/leaf"
+    nodes.append(Node(leaf, DeviceKind.LEAF_SWITCH, rack=r))
+    for i in range(servers_per_rack):
+        server = f"rack{r}/server{i}"
+        nodes.append(Node(server, DeviceKind.SERVER, rack=r))
+        nodes.append(Node(f"{server}/txrx", DeviceKind.SERVER_TRANSCEIVER, rack=r))
+        links.append(_link(server, leaf, LinkKind.WIRED, capacities))
+    return leaf
+
+
 def build_traditional(
     spec: TraditionalSpec, capacities: LinkCapacities = LinkCapacities()
 ) -> NetworkGraph:
@@ -311,19 +294,13 @@ def build_traditional(
         nodes.append(Node(f"spine{s}", DeviceKind.SPINE_SWITCH))
 
     for r in range(spec.num_racks):
-        leaf = f"rack{r}/leaf"
-        nodes.append(Node(leaf, DeviceKind.LEAF_SWITCH, rack=r))
-        for i in range(spec.servers_per_rack):
-            server = f"rack{r}/server{i}"
-            nodes.append(Node(server, DeviceKind.SERVER, rack=r))
-            nodes.append(Node(f"{server}/txrx", DeviceKind.SERVER_TRANSCEIVER, rack=r))
-            links.append(_link(server, leaf, LinkKind.WIRED, capacities))
+        _wire_rack(r, spec.servers_per_rack, capacities, nodes, links)
 
     for r in range(spec.num_racks):
         for s in range(spec.num_spine):
             links.append(_link(f"rack{r}/leaf", f"spine{s}", LinkKind.WIRED, capacities))
 
-    return NetworkGraph(nodes, links, Architecture.TRADITIONAL, spec, capacities)
+    return NetworkGraph(nodes, links, spec)
 
 
 def _check_owc_pon(spec: OwcPonSpec) -> int:
@@ -393,13 +370,7 @@ def build_owc_pon(
     planes = range(spec.transceiver_multiplier)
 
     for r in range(spec.num_racks):
-        leaf = f"rack{r}/leaf"
-        nodes.append(Node(leaf, DeviceKind.LEAF_SWITCH, rack=r))
-        for i in range(spec.servers_per_rack):
-            server = f"rack{r}/server{i}"
-            nodes.append(Node(server, DeviceKind.SERVER, rack=r))
-            nodes.append(Node(f"{server}/txrx", DeviceKind.SERVER_TRANSCEIVER, rack=r))
-            links.append(_link(server, leaf, LinkKind.WIRED, capacities))
+        leaf = _wire_rack(r, spec.servers_per_rack, capacities, nodes, links)
         for p in planes:
             nodes.append(Node(f"rack{r}/txrx{p}", DeviceKind.RACK_TRANSCEIVER, rack=r))
             links.append(_link(f"rack{r}/txrx{p}", leaf, LinkKind.WIRED, capacities))
@@ -461,7 +432,7 @@ def build_owc_pon(
 
     links.append(_link("olt", "external", LinkKind.FIBER, capacities))
 
-    return NetworkGraph(nodes, links, Architecture.OWC_PON, spec, capacities)
+    return NetworkGraph(nodes, links, spec)
 
 
 def _census_and_links(spec: FabricSpec) -> tuple[dict[DeviceKind, int], int]:

@@ -6,8 +6,9 @@ networkx breadth-first search over the per-pair permitted subgraph, and
 expected link loads from per-pair accumulation over those search paths.
 
 ``reference_find_nodes`` is the node lookup that scans every node of a
-kind; the oracles below look nodes up through it, so they do not share
-``NetworkGraph.find_nodes`` with the code they check.
+kind and filters on its rack, group, AP and gateway flag; the oracles
+below look nodes up through it, so they do not share routing's lookups
+with the code they check.
 
 The per-pair reference (``reference_route``, ``reference_all_pairs`` and
 ``reference_assign``) is the slow path the route table replaced: one chain

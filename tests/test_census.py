@@ -1,8 +1,9 @@
 """Differential tests: the closed-form census, verdict and pricing, and
 the commands built on them, against the graph path in ``oracles`` on
-admissible and inadmissible fabrics; ``find_nodes`` against the scanning
-lookup on damaged fabrics, and against the node ids each filter must
-return on one small fabric."""
+admissible and inadmissible fabrics; routing's switch, gateway and OLT
+lookups against the oracles' on damaged fabrics, and the oracles'
+scanning lookup against the node ids each filter must return on one
+small fabric."""
 
 import itertools
 from dataclasses import replace
@@ -36,6 +37,7 @@ from ponfabric import (
     scaling_sweep,
     validate,
 )
+from ponfabric import routing
 from ponfabric.cli import _cmd_benchmark, _cmd_compare, _cmd_power, _cmd_validate
 
 from test_topology import with_extra_link, with_extra_node, without_link, without_node
@@ -162,16 +164,23 @@ def damaged_fabrics(draw):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(graph=damaged_fabrics())
-def test_find_nodes_matches_reference_on_damaged_graphs(graph):
-    for filters in lookups(graph.spec):
-        for kind in DeviceKind:
-            expected = oracles.reference_find_nodes(graph, kind, **filters)
-            assert graph.find_nodes(kind, **filters) == expected, (kind, filters)
+def test_core_lookups_match_reference_on_damaged_graphs(graph):
+    groups = range(-1, getattr(graph.spec, "num_groups", 1) + 1)
+    pairs = [
+        (routing._group_switch, oracles._group_switch),
+        (routing._gateway_nic, oracles._gateway_nic),
+    ]
+    for group, (core, reference) in itertools.product(groups, pairs):
+        expected = outcome(lambda: reference(graph, group))
+        assert outcome(lambda: core(graph, group)) == expected, (core.__name__, group)
+    olts = oracles.reference_find_nodes(graph, DeviceKind.OLT)
+    assert outcome(lambda: routing._olt(graph)) == outcome(lambda: oracles._sole(olts, "OLT"))
 
 
 def lookups(spec):
-    """``find_nodes`` filters: none, each attribute alone, group with ap or
-    gateway, rack with group; values in range and one past either end."""
+    """``reference_find_nodes`` filters: none, each attribute alone, group
+    with ap or gateway, rack with group; values in range and one past
+    either end."""
     racks = range(-1, spec.num_racks + 1)
     groups = range(-1, getattr(spec, "num_groups", 1) + 1)
     aps = range(-1, getattr(spec, "aps_per_group", 1) + 1)
@@ -186,8 +195,8 @@ def lookups(spec):
 
 
 # 4 racks of one server, 2 groups of 2 APs, gateway AP 1: the node ids
-# ``find_nodes`` returns for each filter of ``lookups``, over every kind in
-# ``DeviceKind`` order.  Filters missing here match nothing.
+# ``reference_find_nodes`` returns for each filter of ``lookups``, over
+# every kind in ``DeviceKind`` order.  Filters missing here match nothing.
 RACK_IDS = ["leaf", "server0", "server0/txrx", "txrx0"]
 AP_NODES = ["group0/ap0/txrx0", "group0/ap1/txrx0", "group1/ap0/txrx0", "group1/ap1/txrx0",
             "group0/ap0/nic", "group0/ap1/nic", "group1/ap0/nic", "group1/ap1/nic"]
@@ -217,11 +226,11 @@ FOUND = {
 }
 
 
-def test_find_nodes_filters():
+def test_reference_find_nodes_filters():
     spec = OwcPonSpec(num_racks=4, servers_per_rack=1, num_groups=2, aps_per_group=2, gateway_ap_index=1)
-    graph = build_owc_pon(spec)
+    graph, find = build_owc_pon(spec), oracles.reference_find_nodes
     for filters in lookups(spec):
-        found = [(kind, graph.find_nodes(kind, **filters)) for kind in DeviceKind]
+        found = [(kind, find(graph, kind, **filters)) for kind in DeviceKind]
         assert all(node.kind is kind for kind, nodes in found for node in nodes), filters
         ids = [node.id for _, nodes in found for node in nodes]
         assert ids == FOUND.get(tuple(filters.items()), []), filters

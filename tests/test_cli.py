@@ -219,6 +219,19 @@ def test_sweep_prints_a_zero_reduction(tmp_path, capsys):
     assert "4,2,8,1,2842000,2842000,0.0%,\n" in out
 
 
+def test_zero_priced_baseline(tmp_path, capsys):
+    text = "[options]\nprofile = reproduction\n\n[catalog]\nspine_switch = 0\nleaf_switch = 0\n"
+    path = write_scenario(tmp_path, text)
+    for command in ("compare", "benchmark"):
+        code, out, err = run(capsys, "-s", path, command)
+        assert (code, out) == (3, "")
+        assert err == "ponfabric: evaluation error: baseline consumes no power\n"
+    assert run(capsys, "-s", path, "power")[0] == 0
+    code, out, _ = run(capsys, "-s", path, "-f", "csv", "sweep", "--racks", "4,8")
+    assert code == 0
+    assert "4,2,8,4,,,,baseline consumes no power\n8,2,8,8,,,,baseline consumes no power\n" in out
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "--format", "json", "--out", str(target), "benchmark")

@@ -172,6 +172,14 @@ class TestParseErrors:
                 5,
             ),
             ("[options]\nprofile = reproduction\n\n[traffic]\nflow = a b\n", InvalidValue, 5),
+            # explicit adjacency without a pairs line: no line to blame
+            ("[architecture]\nselect = owcpon\nowcpon.adjacency = explicit\n", InvalidValue, None),
+            (
+                "[options]\nprofile = reproduction\n\n"
+                "[traffic]\npattern = intra_rack_heavy 1.5 1\n",
+                InvalidValue,
+                5,
+            ),
             # digits are ASCII only: Arabic-Indic eight, twelve point five
             ("[architecture]\nselect = owcpon\nowcpon.racks = \u0668\n", InvalidValue, 3),
             ("[architecture]\nselect = both\ncapacity.owc = \u0661\u0662.\u0665\n", InvalidValue, 3),

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ponfabric import (
+    Architecture,
     DeviceKind,
     ExplicitPairs,
     IndexMatched,
+    IntraRackHeavyPattern,
     Link,
     LinkCapacities,
     LinkKind,
@@ -15,13 +17,18 @@ from ponfabric import (
     NoDirectLinks,
     Node,
     OwcPonSpec,
+    PowerCatalog,
+    PowerReport,
+    PowerRow,
     TraditionalSpec,
     build_owc_pon,
     build_traditional,
+    device_census,
+    generate_traffic,
 )
 from ponfabric.errors import BadAdjacency, SpecMismatch
 
-from oracles import links_between, reference_census, reference_validate
+from oracles import links_between, reference_census, reference_find_nodes, reference_validate
 
 
 def census_nonzero(graph):
@@ -29,11 +36,11 @@ def census_nonzero(graph):
 
 
 def contents(graph):
-    return graph.nodes, graph.links, graph.spec, graph.capacities
+    return graph.nodes, graph.links, graph.spec
 
 
 def rebuilt(graph, nodes, links):
-    return NetworkGraph(nodes, links, graph.architecture, graph.spec, graph.capacities)
+    return NetworkGraph(nodes, links, graph.spec)
 
 
 def without_node(graph, node_id):
@@ -338,7 +345,7 @@ class TestProperties:
     def test_every_nic_reaches_its_switch_once(self, spec):
         graph = build_owc_pon(spec)
         for nic in graph.nodes_of_kind(DeviceKind.NIC):
-            switches = graph.find_nodes(DeviceKind.OPTICAL_SWITCH, group=nic.group)
+            switches = reference_find_nodes(graph, DeviceKind.OPTICAL_SWITCH, group=nic.group)
             assert len(switches) == 1
             assert len(links_between(graph, nic.id, switches[0].id)) == 1
 
@@ -356,3 +363,51 @@ class TestProperties:
     @given(spec=admissible_owcpon)
     def test_identical_specs_build_identical_graphs(self, spec):
         assert contents(build_owc_pon(spec)) == contents(build_owc_pon(spec))
+
+
+def test_architecture_follows_the_spec(default_owcpon, default_traditional):
+    assert default_traditional.architecture is Architecture.TRADITIONAL
+    assert default_owcpon.architecture is Architecture.OWC_PON
+    assert without_link(default_owcpon, "olt--external").architecture is Architecture.OWC_PON
+    assert repr(default_traditional) == "NetworkGraph(traditional, 144 nodes, 128 links)"
+    assert repr(default_owcpon) == "NetworkGraph(owcpon, 164 nodes, 103 links)"
+
+
+NOT_A_PATTERN = object()
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Link("x", "a", "a", LinkKind.WIRED, Fraction(1)), ValueError,
+         "link 'x' connects a node to itself"),
+        (lambda: Link("x", "a", "b", LinkKind.WIRED, Fraction(0)), ValueError,
+         "link 'x' needs a positive capacity"),
+        (lambda: LinkCapacities(owc=0), ValueError, "owc capacity must be positive"),
+        (lambda: OwcPonSpec(gateway_ap_index=-1), ValueError, "gateway_ap_index must be >= 0"),
+        (lambda: OwcPonSpec(transceiver_multiplier=0), ValueError,
+         "transceiver_multiplier must be >= 1"),
+        (lambda: NetworkGraph([Node("a", DeviceKind.OLT)] * 2, [], OwcPonSpec()), ValueError,
+         "duplicate node id 'a'"),
+        (lambda: device_census(OwcPonSpec(adjacency="x")), TypeError,
+         "unsupported adjacency policy: 'x'"),
+        (lambda: IntraRackHeavyPattern(Fraction(3, 2), Fraction(1)), ValueError,
+         "intra_fraction must be within [0, 1]"),
+        (lambda: generate_traffic(NOT_A_PATTERN, OwcPonSpec()), TypeError,
+         f"unsupported traffic pattern: {NOT_A_PATTERN!r}"),
+        (lambda: PowerCatalog({DeviceKind.OLT: -1}), ValueError,
+         "olt: power must be a non-negative int (mW)"),
+        (lambda: PowerReport((PowerRow(DeviceKind.OLT, 1, 5, 5, True),), 6), ValueError,
+         "report total does not match its subtotals"),
+    ],
+)
+def test_model_constructors_reject_bad_input(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_link_capacities_are_fractions():
+    wired = LinkCapacities(wired=5).wired
+    assert type(wired) is Fraction and wired == 5

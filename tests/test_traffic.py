@@ -9,6 +9,8 @@ from ponfabric import (
     DeviceKind,
     HotspotRackPattern,
     IntraRackHeavyPattern,
+    Link,
+    LinkKind,
     OwcPonSpec,
     RoutingPolicy,
     TrafficMatrix,
@@ -21,7 +23,7 @@ from ponfabric import (
 )
 from ponfabric.errors import NoRoute, PolicyExcluded, UnknownRack, UnknownServer
 
-from test_topology import without_link
+from test_topology import rebuilt, without_link
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +160,20 @@ class TestAssign:
         matrix = TrafficMatrix({("rack1/server0", "rack5/server0"): Fraction(1)})
         with pytest.raises(PolicyExcluded, match=r"^rack1/server0 -> rack5/server0: both"):
             assign(default_owcpon, matrix, policy)
+
+    def test_block_servers_must_share_a_leaf(self, default_owcpon):
+        # rack0/server1 rewired to rack1's leaf: rack 0's block cannot share one route
+        moved = Link(
+            "rack0/server1--rack1/leaf", "rack0/server1", "rack1/leaf", LinkKind.WIRED, Fraction(10)
+        )
+        links = [moved if l.id == "rack0/server1--rack0/leaf" else l for l in default_owcpon.links]
+        broken = rebuilt(default_owcpon, default_owcpon.nodes, links)
+        blocks = generate_traffic(IntraRackHeavyPattern(Fraction(0), Fraction(1)), broken.spec)
+        with pytest.raises(NoRoute) as caught:
+            assign(broken, blocks)
+        assert str(caught.value) == (
+            "rack0/server0 -> rack1/server0: server rack0/server1 is not wired to rack0/leaf"
+        )
 
     def test_first_failing_entry_in_sorted_order_is_named(self, default_owcpon):
         broken = without_link(default_owcpon, "rack0/txrx0--group0/ap0/txrx0")
