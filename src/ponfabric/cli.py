@@ -139,21 +139,29 @@ def _graph_tables(architecture: Architecture, graph) -> list[Table]:
         ("id", "kind", "rack", "group", "ap", "gateway"),
         tuple(
             (
-                node.id,
-                node.kind.value,
-                "" if node.rack is None else node.rack,
-                "" if node.group is None else node.group,
-                "" if node.ap is None else node.ap,
-                "yes" if node.is_gateway else "",
+                node_id,
+                kind.value,
+                "" if rack is None else rack,
+                "" if group is None else group,
+                "" if ap is None else ap,
+                "yes" if gateway else "",
             )
-            for node in graph.nodes
+            for node_id, kind, rack, group, ap, gateway in graph.nodes
         ),
     )
-    links = Table(
-        f"links_{architecture.value}",
-        ("id", "kind", "capacity_gbps"),
-        tuple((link.id, link.kind.value, format_rational(link.capacity)) for link in graph.links),
-    )
+    # The kind and capacity texts of each distinct (kind, capacity) pair,
+    # made once.  The key is the pair's ids, not its values: ``Enum`` and
+    # ``Fraction`` hash in Python code, a builder gives all links of a kind
+    # one ``Fraction``, and the links keep both objects alive.
+    texts: dict[tuple[int, int], tuple[str, str]] = {}
+    rows = []
+    for link_id, _, _, kind, capacity in graph.links:
+        key = id(kind), id(capacity)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = (kind.value, format_rational(capacity))
+        rows.append((link_id, *text))
+    links = Table(f"links_{architecture.value}", ("id", "kind", "capacity_gbps"), tuple(rows))
     census = census_table(f"census_{architecture.value}", device_census(graph.spec))
     return [census, nodes, links]
 

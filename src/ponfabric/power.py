@@ -32,7 +32,7 @@ class PowerCatalog:
     def __post_init__(self):
         frozen = dict(self.entries)
         for kind, value in frozen.items():
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{kind.value}: power must be a non-negative int (mW)")
         object.__setattr__(self, "entries", frozen)
 

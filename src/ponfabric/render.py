@@ -152,13 +152,12 @@ def _render_table(doc: Document) -> str:
     for table in doc.tables:
         lines.append("")
         lines.append(f"-- {table.name} --")
-        cells = [tuple(str(cell) for cell in row) for row in table.rows]
+        cells = [tuple(map(str, row)) for row in table.rows]
         widths = [
             max([len(col)] + [len(row[i]) for row in cells])
             for i, col in enumerate(table.columns)
         ]
-        lines.append("  ".join(col.ljust(widths[i]) for i, col in enumerate(table.columns)))
+        lines.append("  ".join(map(str.ljust, table.columns, widths)))
         lines.append("  ".join("-" * width for width in widths))
-        for row in cells:
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+        lines.extend("  ".join(map(str.ljust, row, widths)) for row in cells)
     return "\n".join(lines) + "\n"

@@ -58,6 +58,14 @@ class PathClass(Enum):
     EXTERNAL = "external"
 
 
+# A member read such as ``PathClass.INTRA_RACK`` runs Python code on Python
+# 3.11, about three times the cost of a plain name.  ``RouteTable.parts``
+# runs once per block of demand, so it takes its members from these names.
+_TRADITIONAL = Architecture.TRADITIONAL
+_INTRA_RACK, _INTRA_GROUP = PathClass.INTRA_RACK, PathClass.INTER_RACK_INTRA_GROUP
+_DIRECT, _RELAYED = PathClass.INTER_GROUP_DIRECT, PathClass.INTER_GROUP_RELAYED
+
+
 @dataclass(frozen=True)
 class RoutingPolicy:
     """Path selection knobs for inter-group traffic.
@@ -222,8 +230,8 @@ class RouteTable:
             link = graph.link_between(leaf_a.id, dst)
             if link is None:
                 raise NoRoute(f"missing link {leaf_a.id} -- {dst}")
-            return out_link, PathClass.INTRA_RACK, (((leaf_a.id,), ()),), link.id
-        if graph.architecture is Architecture.TRADITIONAL:
+            return out_link, _INTRA_RACK, (((leaf_a.id,), ()),), link.id
+        if graph.architecture is _TRADITIONAL:
             raise NoRoute(
                 "inter-rack paths are only modeled for the optical-wireless fabric"
             )
@@ -233,18 +241,18 @@ class RouteTable:
 
         if atx_a.group == nic_b.group:
             up, down = self._pair(leaf_a, leaf_b, "switch")
-            return out_link, PathClass.INTER_RACK_INTRA_GROUP, (up, down), in_link
+            return out_link, _INTRA_GROUP, (up, down), in_link
         if not policy.prefer_direct_inter_group and not policy.allow_relay_fallback:
             raise PolicyExcluded("both inter-group mechanisms are disabled")
         direct = policy.prefer_direct_inter_group and graph.link_between(nic_a.id, nic_b.id)
         if direct:
             up, down = self._pair(leaf_a, leaf_b, "nic")
             stretches = (up, ((nic_b.id,), (direct.id,)), down)
-            return out_link, PathClass.INTER_GROUP_DIRECT, stretches, in_link
+            return out_link, _DIRECT, stretches, in_link
         if not policy.allow_relay_fallback:
             raise PolicyExcluded(_UNLINKED.format(src, dst))
         up, down = self._pair(leaf_a, leaf_b, "olt")
-        return out_link, PathClass.INTER_GROUP_RELAYED, (up, down), in_link
+        return out_link, _RELAYED, (up, down), in_link
 
     def edge_links(self, servers: tuple[str, ...]) -> tuple[str, ...]:
         """Each server's link to its leaf; the servers must share one leaf,

@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import BadAdjacency, SpecMismatch
 
@@ -48,8 +49,7 @@ class Architecture(Enum):
     OWC_PON = "owcpon"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A single device in the fabric.
 
     ``rack``/``group``/``ap`` are set only for the kinds scoped to them;
@@ -67,21 +67,34 @@ class Node:
     is_gateway: bool = False
 
 
-@dataclass(frozen=True)
-class Link:
-    """An undirected connection between two nodes."""
-
+class _LinkFields(NamedTuple):
     id: str
     endpoint_a: str
     endpoint_b: str
     kind: LinkKind
     capacity: Fraction
 
-    def __post_init__(self):
-        if self.endpoint_a == self.endpoint_b:
-            raise ValueError(f"link {self.id!r} connects a node to itself")
-        if self.capacity <= 0:
-            raise ValueError(f"link {self.id!r} needs a positive capacity")
+
+class Link(_LinkFields):
+    """An undirected connection between two nodes.
+
+    ``Link(...)`` and ``_replace`` reject a self-loop and a capacity that
+    is not positive.  ``Link._make`` skips both checks; the builders make
+    their links with it, since their distinct endpoint ids and
+    ``LinkCapacities``' positive values cannot fail them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, endpoint_a: str, endpoint_b: str, kind: LinkKind, capacity: Fraction):
+        if endpoint_a == endpoint_b:
+            raise ValueError(f"link {id!r} connects a node to itself")
+        if capacity <= 0:
+            raise ValueError(f"link {id!r} needs a positive capacity")
+        return tuple.__new__(cls, (id, endpoint_a, endpoint_b, kind, capacity))
+
+    def _replace(self, **changes) -> Link:
+        return Link(*_LinkFields._replace(self, **changes))
 
 
 @dataclass(frozen=True)
@@ -180,7 +193,8 @@ class NetworkGraph:
     The architecture follows from the spec's type, and each link carries
     its own capacity.  Construction is permissive about structure but
     rejects duplicate node ids.  Adjacency skips links whose endpoints are
-    missing.
+    missing.  The kind and adjacency indexes, which only routing reads,
+    are built on first use.
     """
 
     def __init__(self, nodes: Iterable[Node], links: Iterable[Link], spec: FabricSpec):
@@ -190,26 +204,33 @@ class NetworkGraph:
         traditional = isinstance(spec, TraditionalSpec)
         self._architecture = Architecture.TRADITIONAL if traditional else Architecture.OWC_PON
 
-        self._node_by_id: dict[str, Node] = {}
-        for node in self._nodes:
-            if node.id in self._node_by_id:
-                raise ValueError(f"duplicate node id {node.id!r}")
-            self._node_by_id[node.id] = node
-
-        self._by_kind: dict[DeviceKind, list[Node]] = {k: [] for k in DeviceKind}
-        for node in self._nodes:
-            self._by_kind[node.kind].append(node)
-
-        self._adjacency: dict[str, list[tuple[str, Link]]] = {
-            node.id: [] for node in self._nodes
-        }
-        for link in self._links:
-            if link.endpoint_a in self._node_by_id and link.endpoint_b in self._node_by_id:
-                self._adjacency[link.endpoint_a].append((link.endpoint_b, link))
-                self._adjacency[link.endpoint_b].append((link.endpoint_a, link))
+        self._node_by_id = {node.id: node for node in self._nodes}
+        if len(self._node_by_id) < len(self._nodes):
+            seen: set[str] = set()
+            for node in self._nodes:
+                if node.id in seen:
+                    raise ValueError(f"duplicate node id {node.id!r}")
+                seen.add(node.id)
         # node id -> {neighbour id: first link to it in adjacency order},
         # filled per node on its first ``link_between`` lookup.
         self._link_index: dict[str, dict[str, Link]] = {}
+
+    @cached_property
+    def _by_kind(self) -> dict[DeviceKind, list[Node]]:
+        by_kind: dict[DeviceKind, list[Node]] = {k: [] for k in DeviceKind}
+        for node in self._nodes:
+            by_kind[node.kind].append(node)
+        return by_kind
+
+    @cached_property
+    def _adjacency(self) -> dict[str, list[tuple[str, Link]]]:
+        adjacency: dict[str, list[tuple[str, Link]]] = {node_id: [] for node_id in self._node_by_id}
+        for link in self._links:
+            a, b = link.endpoint_a, link.endpoint_b
+            if a in adjacency and b in adjacency:
+                adjacency[a].append((b, link))
+                adjacency[b].append((a, link))
+        return adjacency
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -259,22 +280,37 @@ class NetworkGraph:
         )
 
 
-def _link(a: str, b: str, kind: LinkKind, capacities: LinkCapacities) -> Link:
-    return Link(f"{a}--{b}", a, b, kind, capacities.for_kind(kind))
+# A ``DeviceKind.X`` read runs Python code on Python 3.11, about three times
+# the cost of a plain name, so the builders take the kinds they place per
+# rack, AP or server from these names, read once.
+_SPINE, _LEAF, _SERVER = DeviceKind.SPINE_SWITCH, DeviceKind.LEAF_SWITCH, DeviceKind.SERVER
+_SERVER_TXRX, _RACK_TXRX = DeviceKind.SERVER_TRANSCEIVER, DeviceKind.RACK_TRANSCEIVER
+_AP_TXRX, _NIC, _SWITCH = DeviceKind.AP_TRANSCEIVER, DeviceKind.NIC, DeviceKind.OPTICAL_SWITCH
+
+
+def _linker(kind: LinkKind, capacities: LinkCapacities) -> Callable[[str, str], Link]:
+    """A maker of ``kind`` links from ``a`` to ``b`` at that kind's
+    capacity, read once; its links skip ``Link``'s checks (see ``Link``)."""
+    capacity, make = capacities.for_kind(kind), Link._make
+    return lambda a, b: make((f"{a}--{b}", a, b, kind, capacity))
 
 
 def _wire_rack(
-    r: int, servers_per_rack: int, capacities: LinkCapacities, nodes: list[Node], links: list[Link]
+    r: int,
+    servers_per_rack: int,
+    wired: Callable[[str, str], Link],
+    nodes: list[Node],
+    links: list[Link],
 ) -> str:
     """Append rack ``r``'s leaf, its servers with their transceiver nodes,
-    and the servers' wired links; return the leaf's id."""
+    and the servers' ``wired`` links; return the leaf's id."""
     leaf = f"rack{r}/leaf"
-    nodes.append(Node(leaf, DeviceKind.LEAF_SWITCH, rack=r))
+    nodes.append(Node(leaf, _LEAF, r))
     for i in range(servers_per_rack):
         server = f"rack{r}/server{i}"
-        nodes.append(Node(server, DeviceKind.SERVER, rack=r))
-        nodes.append(Node(f"{server}/txrx", DeviceKind.SERVER_TRANSCEIVER, rack=r))
-        links.append(_link(server, leaf, LinkKind.WIRED, capacities))
+        nodes.append(Node(server, _SERVER, r))
+        nodes.append(Node(f"{server}/txrx", _SERVER_TXRX, r))
+        links.append(wired(server, leaf))
     return leaf
 
 
@@ -287,19 +323,14 @@ def build_traditional(
     is wired to its rack's leaf and carries one linkless transceiver node.
     Zero counts simply yield an empty or partial graph.
     """
-    nodes: list[Node] = []
+    wired = _linker(LinkKind.WIRED, capacities)
+    spines = [f"spine{s}" for s in range(spec.num_spine)]
+    nodes = [Node(spine, _SPINE) for spine in spines]
     links: list[Link] = []
-
-    for s in range(spec.num_spine):
-        nodes.append(Node(f"spine{s}", DeviceKind.SPINE_SWITCH))
-
-    for r in range(spec.num_racks):
-        _wire_rack(r, spec.servers_per_rack, capacities, nodes, links)
-
-    for r in range(spec.num_racks):
-        for s in range(spec.num_spine):
-            links.append(_link(f"rack{r}/leaf", f"spine{s}", LinkKind.WIRED, capacities))
-
+    leaves = [
+        _wire_rack(r, spec.servers_per_rack, wired, nodes, links) for r in range(spec.num_racks)
+    ]
+    links += [wired(leaf, spine) for leaf in leaves for spine in spines]
     return NetworkGraph(nodes, links, spec)
 
 
@@ -356,81 +387,57 @@ def build_owc_pon(
     one external gateway hangs off the OLT.
     """
     _check_owc_pon(spec)
-    if isinstance(spec.adjacency, IndexMatched):
-        direct_pairs = [
-            ((g1, a), (g2, a))
-            for g1, g2 in itertools.combinations(range(spec.num_groups), 2)
-            for a in range(spec.aps_per_group)
-        ]
-    else:
-        direct_pairs = getattr(spec.adjacency, "pairs", ())
-
     nodes: list[Node] = []
     links: list[Link] = []
+    wired = _linker(LinkKind.WIRED, capacities)
+    owc = _linker(LinkKind.OWC, capacities)
+    fiber = _linker(LinkKind.FIBER, capacities)
     planes = range(spec.transceiver_multiplier)
+    # Ids made once and shared by every link that names them: each rack's
+    # and each AP's transceivers (one per plane), and each group's NICs.
+    rooftops: list[list[str]] = []
+    ceilings: list[list[str]] = []
+    nics: list[list[str]] = []
 
     for r in range(spec.num_racks):
-        leaf = _wire_rack(r, spec.servers_per_rack, capacities, nodes, links)
-        for p in planes:
-            nodes.append(Node(f"rack{r}/txrx{p}", DeviceKind.RACK_TRANSCEIVER, rack=r))
-            links.append(_link(f"rack{r}/txrx{p}", leaf, LinkKind.WIRED, capacities))
+        leaf = _wire_rack(r, spec.servers_per_rack, wired, nodes, links)
+        rooftops.append([f"rack{r}/txrx{p}" for p in planes])
+        for rtx in rooftops[-1]:
+            nodes.append(Node(rtx, _RACK_TXRX, r))
+            links.append(wired(rtx, leaf))
 
     for g in range(spec.num_groups):
+        nics.append([])
         for a in range(spec.aps_per_group):
             gateway = a == spec.gateway_ap_index
             nic = f"group{g}/ap{a}/nic"
-            nodes.append(Node(nic, DeviceKind.NIC, group=g, ap=a, is_gateway=gateway))
-            for p in planes:
-                atx = f"group{g}/ap{a}/txrx{p}"
-                nodes.append(
-                    Node(
-                        atx,
-                        DeviceKind.AP_TRANSCEIVER,
-                        group=g,
-                        ap=a,
-                        is_gateway=gateway,
-                    )
-                )
-                links.append(_link(atx, nic, LinkKind.FIBER, capacities))
-        nodes.append(Node(f"group{g}/switch", DeviceKind.OPTICAL_SWITCH, group=g))
+            nics[-1].append(nic)
+            nodes.append(Node(nic, _NIC, group=g, ap=a, is_gateway=gateway))
+            ceilings.append([f"group{g}/ap{a}/txrx{p}" for p in planes])
+            for atx in ceilings[-1]:
+                nodes.append(Node(atx, _AP_TXRX, group=g, ap=a, is_gateway=gateway))
+                links.append(fiber(atx, nic))
+        nodes.append(Node(f"group{g}/switch", _SWITCH, group=g))
 
-    # Free-space hop: rack r's transceivers beam to its assigned AP.
-    for r in range(spec.num_racks):
-        g, a = divmod(r, spec.aps_per_group)
-        for p in planes:
-            links.append(
-                _link(
-                    f"rack{r}/txrx{p}",
-                    f"group{g}/ap{a}/txrx{p}",
-                    LinkKind.OWC,
-                    capacities,
-                )
-            )
+    # Free-space hop: rack r's transceivers beam to AP r in group-major order.
+    for rtxs, atxs in zip(rooftops, ceilings):
+        links += map(owc, rtxs, atxs)
 
-    for g in range(spec.num_groups):
-        for a in range(spec.aps_per_group):
-            links.append(
-                _link(f"group{g}/ap{a}/nic", f"group{g}/switch", LinkKind.FIBER, capacities)
-            )
+    for g, group_nics in enumerate(nics):
+        links += [fiber(nic, f"group{g}/switch") for nic in group_nics]
 
     nodes.append(Node("olt", DeviceKind.OLT))
     nodes.append(Node("external", DeviceKind.EXTERNAL_GATEWAY))
 
-    for g in range(spec.num_groups):
-        gateway_nic = f"group{g}/ap{spec.gateway_ap_index}/nic"
-        links.append(_link(gateway_nic, "olt", LinkKind.FIBER, capacities))
+    links += [fiber(group_nics[spec.gateway_ap_index], "olt") for group_nics in nics]
 
-    for (g1, a1), (g2, a2) in direct_pairs:
-        links.append(
-            _link(
-                f"group{g1}/ap{a1}/nic",
-                f"group{g2}/ap{a2}/nic",
-                LinkKind.FIBER,
-                capacities,
-            )
-        )
+    if isinstance(spec.adjacency, IndexMatched):  # same-index APs of every group pair
+        links += [fiber(a, b) for g1, g2 in itertools.combinations(nics, 2) for a, b in zip(g1, g2)]
+    else:
+        for (g1, a1), (g2, a2) in getattr(spec.adjacency, "pairs", ()):
+            links.append(fiber(f"group{g1}/ap{a1}/nic", f"group{g2}/ap{a2}/nic"))
 
-    links.append(_link("olt", "external", LinkKind.FIBER, capacities))
+    links.append(fiber("olt", "external"))
 
     return NetworkGraph(nodes, links, spec)
 

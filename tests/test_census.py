@@ -1,12 +1,13 @@
 """Differential tests: the closed-form census, verdict and pricing, and
 the commands built on them, against the graph path in ``oracles`` on
-admissible and inadmissible fabrics; routing's switch, gateway and OLT
-lookups against the oracles' on damaged fabrics, and the oracles'
-scanning lookup against the node ids each filter must return on one
-small fabric."""
+admissible and inadmissible fabrics; every builder link against the
+checked ``Link`` constructor that the builders skip; routing's switch,
+gateway and OLT lookups against the oracles' on damaged fabrics, and the
+oracles' scanning lookup against the node ids each filter must return on
+one small fabric."""
 
 import itertools
-from dataclasses import replace
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +20,12 @@ from ponfabric import (
     Document,
     ExplicitPairs,
     IndexMatched,
+    Link,
+    LinkCapacities,
     NetworkGraph,
     NicCountMode,
     NoDirectLinks,
+    Node,
     OutputFormat,
     OwcPonSpec,
     PowerOptions,
@@ -112,10 +116,10 @@ def owcpon_specs(draw, admissible=False):
     )
 
 
-def build(spec):
+def build(spec, capacities=LinkCapacities()):
     if isinstance(spec, TraditionalSpec):
-        return build_traditional(spec)
-    return build_owc_pon(spec)
+        return build_traditional(spec, capacities)
+    return build_owc_pon(spec, capacities)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -131,6 +135,24 @@ def test_census_and_verdict_match_the_built_graph(spec):
     assert fabric_size(spec) == (len(built.nodes), len(built.links))
     verdict = oracles.reference_validate(built)
     assert validate(spec) == verdict
+
+
+rates = st.fractions(min_value=Fraction(1, 1000), max_value=400)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    spec=st.one_of(traditional_specs, owcpon_specs(admissible=True)),
+    capacities=st.builds(LinkCapacities, wired=rates, owc=rates, fiber=rates),
+)
+def test_builder_links_pass_the_checked_constructor(spec, capacities):
+    """The builders make links with ``Link._make``, which skips ``Link``'s
+    checks; each must equal the same values passed through them."""
+    graph = build(spec, capacities)
+    for link in graph.links:
+        assert type(link) is Link
+        assert Link(*link) == link
+    assert all(type(node) is Node for node in graph.nodes)
 
 
 def test_spineless_traditional_is_the_only_failing_build():
@@ -153,12 +175,12 @@ def damaged_fabrics(draw):
             graph = without_link(graph, link.id)
     elif damage == "parallel link" and graph.links:
         twin = draw(st.sampled_from(graph.links))
-        graph = with_extra_link(graph, replace(twin, id=twin.id + "/twin"))
+        graph = with_extra_link(graph, twin._replace(id=twin.id + "/twin"))
     elif damage == "node" and graph.nodes:
         graph = without_node(graph, draw(st.sampled_from(graph.nodes)).id)
     elif damage == "twin node" and graph.nodes:
         twin = draw(st.sampled_from(graph.nodes))
-        graph = with_extra_node(graph, replace(twin, id=twin.id + "/twin"))
+        graph = with_extra_node(graph, twin._replace(id=twin.id + "/twin"))
     return graph
 
 

@@ -7,7 +7,6 @@ which keeps pieces per server and per rack, none per rack pair."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -110,7 +109,7 @@ def fabrics(draw):
     elif damage == "parallel link" and graph.links:
         # a second link between the same two nodes; routes keep the first
         twin = draw(st.sampled_from(graph.links))
-        graph = with_extra_link(graph, replace(twin, id=twin.id + "/twin"))
+        graph = with_extra_link(graph, twin._replace(id=twin.id + "/twin"))
     elif damage == "node":
         graph = without_node(graph, draw(st.sampled_from(graph.nodes)).id)
     return graph

@@ -397,6 +397,8 @@ NOT_A_PATTERN = object()
          f"unsupported traffic pattern: {NOT_A_PATTERN!r}"),
         (lambda: PowerCatalog({DeviceKind.OLT: -1}), ValueError,
          "olt: power must be a non-negative int (mW)"),
+        (lambda: PowerCatalog({DeviceKind.OLT: True}), ValueError,
+         "olt: power must be a non-negative int (mW)"),
         (lambda: PowerReport((PowerRow(DeviceKind.OLT, 1, 5, 5, True),), 6), ValueError,
          "report total does not match its subtotals"),
     ],
@@ -407,6 +409,30 @@ def test_model_constructors_reject_bad_input(make, error, message):
     assert type(caught.value) is error
     assert str(caught.value) == message
 
+
+def test_node_and_link_keep_their_value_contract():
+    node = Node("group0/ap1/nic", DeviceKind.NIC, group=0, ap=1, is_gateway=True)
+    link = Link("rack0/txrx0--group0/ap0/txrx0", "rack0/txrx0", "group0/ap0/txrx0",
+                LinkKind.OWC, Fraction(25, 2))
+    # the text ``repr`` gave while both were frozen dataclasses
+    assert repr(node) == (
+        "Node(id='group0/ap1/nic', kind=<DeviceKind.NIC: 'nic'>, rack=None, group=0, ap=1, "
+        "is_gateway=True)"
+    )
+    assert repr(link) == (
+        "Link(id='rack0/txrx0--group0/ap0/txrx0', endpoint_a='rack0/txrx0', "
+        "endpoint_b='group0/ap0/txrx0', kind=<LinkKind.OWC: 'owc'>, capacity=Fraction(25, 2))"
+    )
+    twin = Node(id="group0/ap1/nic", kind=DeviceKind.NIC, group=0, ap=1, is_gateway=True)
+    assert twin == node and hash(twin) == hash(node)
+    assert Link(**link._asdict()) == link and hash(Link(*link)) == hash(link)
+    for value, field in ((node, "rack"), (link, "capacity")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+    assert Node("olt", DeviceKind.OLT) == ("olt", DeviceKind.OLT, None, None, None, False)
+    with pytest.raises(ValueError, match="needs a positive capacity"):
+        link._replace(capacity=Fraction(0))
+    assert type(link._replace(id="x")) is Link
 
 def test_link_capacities_are_fractions():
     wired = LinkCapacities(wired=5).wired
