@@ -8,7 +8,10 @@ sweeps with failing points), ``validate`` and ``build`` on a fabric
 without spines, which has a finding, ``summary`` on the 128-rack and
 16-rack benchmark scenarios, and ``summary`` and ``build`` on a 12-rack
 fabric with explicit direct links, a gateway AP off index 0 and two
-transceiver planes, which reaches every histogram row, and ``simulate``
+transceiver planes, which reaches every histogram row, ``route`` on that
+fabric for each class it has (a direct link crossed against its listed
+orientation, relays of 14, 12 and 10 hops, one rack, the external
+gateway), and ``simulate``
 on the 64-rack scenarios under ``tests/golden/sim64/``: each traffic
 pattern (zero rates, intra fractions 0 and 1, a hotspot rack the fabric
 lacks), relay fallback off, no direct links and explicit direct links;
@@ -90,6 +93,12 @@ CASES = {
     "no_spines-validate": ("-s", NO_SPINES, "validate"),
     "no_spines-build": ("-s", NO_SPINES, "build"),
     "summary_explicit-build": ("-s", SUMMARY_EXPLICIT, "build"),
+    "summary_explicit-route-direct": ("-s", SUMMARY_EXPLICIT, "route", "rack6/server0", "rack0/server1"),
+    "summary_explicit-route-relayed14": ("-s", SUMMARY_EXPLICIT, "route", "rack1/server0", "rack4/server2"),
+    "summary_explicit-route-relayed12": ("-s", SUMMARY_EXPLICIT, "route", "rack1/server0", "rack6/server2"),
+    "summary_explicit-route-relayed10": ("-s", SUMMARY_EXPLICIT, "route", "rack2/server0", "rack6/server0"),
+    "summary_explicit-route-intra-rack": ("-s", SUMMARY_EXPLICIT, "route", "rack11/server2", "rack11/server0"),
+    "summary_explicit-route-external": ("-s", SUMMARY_EXPLICIT, "route", "rack1/server0", "external"),
     "sweep-scale": ("sweep", "--racks", "0,7,32,64,128,256", "--groups", "8"),
     "sweep-spines": ("sweep", "--racks", "4,8", "--spines", "0,4"),
     **{
