@@ -36,7 +36,7 @@ from .power import format_percent, power_reduction, scaling_sweep
 from .render import Document, OutputFormat, Table, format_rational, render
 from .routing import resolve_route, route_to_external, all_pairs_summary
 from .scenario import Scenario, check_digits, default_scenario, parse_scenario
-from .topology import Architecture, DeviceKind, OwcPonSpec, device_census, validate
+from .topology import Architecture, OwcPonSpec, device_census, validate
 from .traffic import TrafficMatrix, assign, bottlenecks, generate_traffic
 from .version import __version__
 
@@ -225,12 +225,11 @@ def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
 
 
 def _cmd_route(scenario: Scenario, args) -> tuple[Document, int]:
-    graph = _owcpon_graph(scenario)
-    externals = {node.id for node in graph.nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY)}
-    if args.dst in externals:
-        route = route_to_external(graph, args.src)
+    spec = _owcpon_spec(scenario)
+    if args.dst == "external":
+        route = route_to_external(spec, args.src)
     else:
-        route = resolve_route(graph, args.src, args.dst, scenario.policy)
+        route = resolve_route(spec, args.src, args.dst, scenario.policy)
     steps = []
     for index, node_id in enumerate(route.nodes):
         via = route.links[index - 1] if index > 0 else ""

@@ -2,14 +2,14 @@
 
 Routes are deterministic chains prescribed by the architecture, not
 shortest-path searches: each traffic class has exactly one sequence of
-elements that may carry it, and resolution verifies every hop exists in
-the graph.  Traffic between racks of the same group crosses the group's
-optical switch; traffic between groups uses the direct NIC-to-NIC link
-when one exists (and the policy prefers it) or relays through the OLT via
-each group's gateway NIC.  When an endpoint AP is itself the gateway, its
-NIC enters the OLT directly with no optical-switch detour.
+elements that may carry it.  Traffic between racks of the same group
+crosses the group's optical switch; traffic between groups uses the
+direct NIC-to-NIC link when one exists (and the policy prefers it) or
+relays through the OLT via each group's gateway NIC.  When an endpoint AP
+is itself the gateway, its NIC enters the OLT directly with no
+optical-switch detour.
 
-Hop counts per class on a well-formed graph:
+Hop counts per class:
 
 ======================  =========================================
 same server             0
@@ -20,30 +20,32 @@ other group, relayed    14 (no gateway endpoint), 12 (one), 10 (both)
 external                8 (6 from the gateway AP's rack)
 ======================  =========================================
 
-Between its two edge links (server to leaf) every inter-rack chain is
-the source leaf's half-route up to where routes of its class meet (the
-group's optical switch, the OLT, or its own NIC, then the direct link to
-the other NIC) and the destination leaf's half-route down.  A
-``RouteTable`` memoises, per graph and policy and on first use, each
-server's leaf and edge link, each leaf's uplink and half-routes (at most
-three up and three down), each group's optical switch and gateway NIC,
-and the OLT: O(servers + racks) pieces, whichever pairs are routed.
-``traffic.assign`` routes one pair per block of demand (a rack pair of a
-pattern, or one flow line) and sums per edge link, half-route and direct
-link, so ``simulate`` costs O(blocks) sums plus O(racks + direct links)
-half expansions.  ``all_pairs_summary`` counts the classes above from
-the spec and the policy alone, with no graph and no table.
+Every node and link on a route follows from the spec, so routes are
+named by the builders' id scheme and no graph is read: a server's rack
+comes from its id, every rack uses its first transceiver plane, and a
+direct link keeps the orientation the spec lists.  Between its two edge
+links (server to leaf) every inter-rack chain is the source leaf's
+half-route up to where routes of its class meet (the group's optical
+switch, the OLT, or its own NIC, then the direct link to the other NIC)
+and the destination leaf's half-route down.  A ``RouteTable`` keeps, per
+spec and policy, each server's rack and edge link and each rack's
+half-routes once used: O(servers + racks) pieces.  ``traffic.assign``
+routes one pair per block of demand and sums per edge link, half-route
+and direct link.  ``all_pairs_summary`` counts the classes above from
+the spec and the policy alone.  The graph walk that checks the table is
+``reference_route`` in the test oracles.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
 from .errors import NoRoute, PolicyExcluded, UnknownServer
-from .topology import Architecture, DeviceKind, IndexMatched, NetworkGraph, Node, OwcPonSpec
-from .topology import _check_owc_pon  # the builder's spec checks, which summary shares
+from .topology import FabricSpec, IndexMatched, OwcPonSpec
+from .topology import _check_owc_pon  # the builder's spec checks, which routes share
 
 
 _UNLINKED = "no direct link between the APs of {} and {}, and relay fallback is disabled"
@@ -61,7 +63,6 @@ class PathClass(Enum):
 # A member read such as ``PathClass.INTRA_RACK`` runs Python code on Python
 # 3.11, about three times the cost of a plain name.  ``RouteTable.parts``
 # runs once per block of demand, so it takes its members from these names.
-_TRADITIONAL = Architecture.TRADITIONAL
 _INTRA_RACK, _INTRA_GROUP = PathClass.INTRA_RACK, PathClass.INTER_RACK_INTRA_GROUP
 _DIRECT, _RELAYED = PathClass.INTER_GROUP_DIRECT, PathClass.INTER_GROUP_RELAYED
 
@@ -92,115 +93,38 @@ class Route:
         return len(self.links)
 
 
-def _server(graph: NetworkGraph, node_id: str) -> Node:
-    try:
-        node = graph.node(node_id)
-    except KeyError:
-        raise UnknownServer(node_id) from None
-    if node.kind is not DeviceKind.SERVER:
-        raise UnknownServer(node_id)
-    return node
-
-
-def _sole(nodes: tuple[Node, ...], what: str) -> Node:
-    if not nodes:
-        raise NoRoute(f"graph has no {what}")
-    # Of several candidates (e.g. parallel transceiver planes) the lowest
-    # id, for determinism.
-    return min(nodes, key=lambda n: n.id)
-
-
-def _leaf_of(graph: NetworkGraph, server: Node) -> Node:
-    for other, _ in graph.neighbors(server.id):
-        if other.kind is DeviceKind.LEAF_SWITCH:
-            return other
-    raise NoRoute(f"server {server.id} is not wired to a leaf switch")
-
-
-def _uplink_of(graph: NetworkGraph, leaf: Node) -> tuple[Node, Node, Node]:
-    """The leaf's backhaul chain: rooftop transceiver, AP transceiver, NIC."""
-    rtxs = tuple(
-        other
-        for other, _ in graph.neighbors(leaf.id)
-        if other.kind is DeviceKind.RACK_TRANSCEIVER
-    )
-    rtx = _sole(rtxs, f"rooftop transceiver on {leaf.id}")
-    atxs = tuple(
-        other
-        for other, _ in graph.neighbors(rtx.id)
-        if other.kind is DeviceKind.AP_TRANSCEIVER
-    )
-    atx = _sole(atxs, f"AP transceiver beamed from {rtx.id}")
-    nics = tuple(
-        other for other, _ in graph.neighbors(atx.id) if other.kind is DeviceKind.NIC
-    )
-    nic = _sole(nics, f"NIC behind {atx.id}")
-    return rtx, atx, nic
-
-
-def _group_switch(graph: NetworkGraph, group: int) -> Node:
-    switches = graph.nodes_of_kind(DeviceKind.OPTICAL_SWITCH)
-    found = tuple(n for n in switches if n.group == group)
-    return _sole(found, f"optical switch in group {group}")
-
-
-def _gateway_nic(graph: NetworkGraph, group: int) -> Node:
-    nics = graph.nodes_of_kind(DeviceKind.NIC)
-    found = tuple(n for n in nics if n.group == group and n.is_gateway)
-    return _sole(found, f"gateway NIC in group {group}")
-
-
-def _olt(graph: NetworkGraph) -> Node:
-    return _sole(graph.nodes_of_kind(DeviceKind.OLT), "OLT")
-
-
-def _links(graph: NetworkGraph, node_ids: list[str]) -> tuple[str, ...]:
-    """Ids of the links joining consecutive nodes; the first gap raises."""
-    links = []
-    for a, b in zip(node_ids, node_ids[1:]):
-        link = graph.link_between(a, b)
-        if link is None:
-            raise NoRoute(f"missing link {a} -- {b}")
-        links.append(link.id)
-    return tuple(links)
-
-
 #: A stretch of a route: node ids, and the link ids reaching each from the last.
 Stretch = tuple[tuple[str, ...], tuple[str, ...]]
 
-
-class Memo(dict):
-    """A dict that fills a missing key with ``make(key)``; when ``make``
-    raises, the key stays missing."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
+# A server id as the builders make it: decimal rack and server numbers in
+# ASCII digits, without leading zeros.
+_SERVER_ID = re.compile(r"rack(0|[1-9][0-9]*)/server(0|[1-9][0-9]*)")
 
 
 class RouteTable:
-    """Memoised route pieces of one graph under one routing policy.
-
-    Pieces are resolved on first use and kept: each server's leaf and edge
-    link, each leaf's uplink, each group's optical switch and gateway NIC,
-    the OLT, and each leaf's half-routes, up and down, by how far up they
-    reach (``nic``, ``switch`` or ``olt``).  A piece that cannot be
-    resolved raises and is not kept, so a failing pair always raises what
-    resolving it alone would raise.
+    """Route pieces of the fabric one spec builds, under one routing
+    policy, named on first use and kept: each server's rack and edge link,
+    and each rack's half-routes, up and down, by how far up they reach
+    (``nic``, ``switch`` or ``olt``).  Raises the builder's errors for an
+    inadmissible spec.
     """
 
-    def __init__(self, graph: NetworkGraph, policy: RoutingPolicy = RoutingPolicy()):
-        self.graph = graph
+    def __init__(self, spec: FabricSpec, policy: RoutingPolicy = RoutingPolicy()):
+        self.spec = spec
         self.policy = policy
-        self._servers = Memo(lambda node_id: _server(graph, node_id))  # id -> node
-        self._leaves = Memo(self._leaf)  # server id -> (leaf, edge link id)
-        self._uplinks = Memo(lambda leaf_id: _uplink_of(graph, graph.node(leaf_id)))
-        self._found = Memo(lambda key: key[0](graph, *key[1:]))  # (find, *args) -> node
-        self._halves: dict[tuple[str, str, bool], Stretch] = {}
+        self._servers: dict[str, tuple[int, str]] = {}  # id -> (rack, edge link id)
+        self._halves: dict[tuple[int, str, bool], Stretch] = {}
+        self._owcpon = isinstance(spec, OwcPonSpec)
+        # rack pair -> the racks of its direct link in the order the spec
+        # lists them; None for index-matched links, named by arithmetic
+        self._pairs: dict[tuple[int, int], tuple[int, int]] | None = {}
+        if self._owcpon:
+            _check_owc_pon(spec)
+            if isinstance(spec.adjacency, IndexMatched):
+                self._pairs = None
+            for (g1, a1), (g2, a2) in getattr(spec.adjacency, "pairs", ()):
+                ends = g1 * spec.aps_per_group + a1, g2 * spec.aps_per_group + a2
+                self._pairs[ends] = self._pairs[ends[::-1]] = ends
 
     def route(self, src: str, dst: str) -> Route:
         """The src -> dst route; raises as ``resolve_route`` documents."""
@@ -217,120 +141,125 @@ class RouteTable:
         source leaf alone within a rack, else its up half-route, any direct
         NIC link and the destination leaf's down half-route.
 
-        Checks run in the order of the chain rules, so the first missing
-        piece of the pair decides the error.
+        Checks run in the order of the chain rules, so the first rule the
+        pair breaks decides the error.
         """
-        graph, policy = self.graph, self.policy
-        a = self._servers[src]
-        b = self._servers[dst]
+        servers, policy = self._servers, self.policy
+        rack_a, out_link = servers.get(src) or self._server(src)
+        rack_b, in_link = servers.get(dst) or self._server(dst)
         if src == dst:
             return None
-        leaf_a, out_link = self._leaves[src]
-        if a.rack == b.rack:
-            link = graph.link_between(leaf_a.id, dst)
-            if link is None:
-                raise NoRoute(f"missing link {leaf_a.id} -- {dst}")
-            return out_link, _INTRA_RACK, (((leaf_a.id,), ()),), link.id
-        if graph.architecture is _TRADITIONAL:
-            raise NoRoute(
-                "inter-rack paths are only modeled for the optical-wireless fabric"
-            )
-        _, atx_a, nic_a = self._uplinks[leaf_a.id]  # the source side fails first
-        leaf_b, in_link = self._leaves[dst]
-        nic_b = self._uplinks[leaf_b.id][2]
-
-        if atx_a.group == nic_b.group:
-            up, down = self._pair(leaf_a, leaf_b, "switch")
-            return out_link, _INTRA_GROUP, (up, down), in_link
+        if rack_a == rack_b:
+            return out_link, _INTRA_RACK, (((f"rack{rack_a}/leaf",), ()),), in_link
+        if not self._owcpon:
+            raise NoRoute("inter-rack paths are only modeled for the optical-wireless fabric")
+        aps = self.spec.aps_per_group
+        if rack_a // aps == rack_b // aps:
+            stretches = self._half(rack_a, "switch", True), self._half(rack_b, "switch", False)
+            return out_link, _INTRA_GROUP, stretches, in_link
         if not policy.prefer_direct_inter_group and not policy.allow_relay_fallback:
             raise PolicyExcluded("both inter-group mechanisms are disabled")
-        direct = policy.prefer_direct_inter_group and graph.link_between(nic_a.id, nic_b.id)
+        direct = policy.prefer_direct_inter_group and self._direct(rack_a, rack_b)
         if direct:
-            up, down = self._pair(leaf_a, leaf_b, "nic")
-            stretches = (up, ((nic_b.id,), (direct.id,)), down)
-            return out_link, _DIRECT, stretches, in_link
+            up, down = self._half(rack_a, "nic", True), self._half(rack_b, "nic", False)
+            return out_link, _DIRECT, (up, direct, down), in_link
         if not policy.allow_relay_fallback:
             raise PolicyExcluded(_UNLINKED.format(src, dst))
-        up, down = self._pair(leaf_a, leaf_b, "olt")
-        return out_link, _RELAYED, (up, down), in_link
+        stretches = self._half(rack_a, "olt", True), self._half(rack_b, "olt", False)
+        return out_link, _RELAYED, stretches, in_link
 
     def edge_links(self, servers: tuple[str, ...]) -> tuple[str, ...]:
-        """Each server's link to its leaf; the servers must share one leaf,
-        as a rack's do, so that one route serves them all."""
-        hits = [self._leaves[server_id] for server_id in servers]
-        for server_id, (leaf, _) in zip(servers, hits):
-            if leaf is not hits[0][0]:
-                raise NoRoute(f"server {server_id} is not wired to {hits[0][0].id}")
-        return tuple(link for _, link in hits)
+        """Each server's link to its leaf."""
+        return tuple((self._servers.get(server) or self._server(server))[1] for server in servers)
 
-    def _leaf(self, server_id: str) -> tuple[Node, str]:
-        leaf = _leaf_of(self.graph, self._servers[server_id])
-        return leaf, self.graph.link_between(server_id, leaf.id).id
+    def _server(self, server_id: str) -> tuple[int, str]:
+        """(rack, edge link id) of a server of the fabric, from its id."""
+        match = isinstance(server_id, str) and _SERVER_ID.fullmatch(server_id)
+        if match:
+            rack, index = match.groups()
+            racks, servers = self.spec.num_racks, self.spec.servers_per_rack
+            # digit counts first: ``int`` refuses texts of over 4,300 digits
+            if len(rack) <= len(str(racks)) and len(index) <= len(str(servers)) and (
+                int(rack) < racks and int(index) < servers
+            ):
+                found = self._servers[server_id] = int(rack), f"{server_id}--rack{rack}/leaf"
+                return found
+        raise UnknownServer(server_id)
 
-    def _pair(self, leaf_a: Node, leaf_b: Node, kind: str) -> tuple[Stretch, Stretch]:
-        """``leaf_a``'s up and ``leaf_b``'s down half-route of ``kind``.
+    def _direct(self, rack_a: int, rack_b: int) -> Stretch | None:
+        """The direct link from rack_a's NIC to rack_b's, if any, as a stretch."""
+        aps = self.spec.aps_per_group
+        if self._pairs is not None:
+            ends = self._pairs.get((rack_a, rack_b))
+        else:  # same-index APs, named lower group first
+            ends = sorted((rack_a, rack_b)) if rack_a % aps == rack_b % aps else None
+        if ends is None:
+            return None
+        nic1, nic2 = (f"group{r // aps}/ap{r % aps}/nic" for r in ends)
+        return (nic2 if ends[1] == rack_b else nic1,), (f"{nic1}--{nic2}",)
 
-        The nodes of both are found before any link is checked, and the
-        links in chain order, as resolving the whole chain at once would.
-        """
-        halves, up_key, down_key = self._halves, (leaf_a.id, kind, True), (leaf_b.id, kind, False)
-        if up_key not in halves or down_key not in halves:
-            chains = [
-                (key, self._chain(leaf, kind, key[2]))
-                for key, leaf in ((up_key, leaf_a), (down_key, leaf_b))
-                if key not in halves
-            ]
-            for key, chain in chains:
-                nodes = chain if key[2] else chain[1:]  # a down half starts past the junction
-                halves[key] = (tuple(nodes), _links(self.graph, chain))
-        return halves[up_key], halves[down_key]
+    def _half(self, rack: int, kind: str, up: bool) -> Stretch:
+        """``rack``'s half-route of ``kind``: up from its leaf to the
+        junction, or down from past the junction to its leaf."""
+        key = rack, kind, up
+        half = self._halves.get(key)
+        if half is None:
+            nodes, links = self._chain(rack, kind)
+            if not up:  # a down half starts past the junction
+                nodes, links = nodes[-2::-1], links[::-1]
+            half = self._halves[key] = tuple(nodes), tuple(links)
+        return half
 
-    def _chain(self, leaf: Node, kind: str, up: bool) -> list[str]:
-        """Node ids from ``leaf`` up to the junction of ``kind`` (its NIC,
-        its group's optical switch, or the OLT), or down from there."""
-        rtx, atx, nic = self._uplinks[leaf.id]
-        group = atx.group if up else nic.group
-        core: list[str] = []
-        if kind == "switch":
-            core = [self._found[_group_switch, group].id]
-        elif kind == "olt":
-            olt = self._found[_olt,].id  # the OLT is found before the group's pieces
-            if not nic.is_gateway:
-                finds = (_group_switch, _gateway_nic) if up else (_gateway_nic, _group_switch)
-                core = [self._found[find, group].id for find in finds]
-            core = core + [olt] if up else [olt] + core
-        rack_side = [leaf.id, rtx.id, atx.id, nic.id]
-        return rack_side + core if up else core + rack_side[::-1]
+    def _chain(self, rack: int, kind: str) -> tuple[list[str], list[str]]:
+        """Node ids from ``rack``'s leaf up to the junction of ``kind`` (its
+        NIC, its group's optical switch, or the OLT) on the first plane,
+        and the link ids joining them, each named as the builder names it."""
+        group, ap = divmod(rack, self.spec.aps_per_group)
+        gateway = self.spec.gateway_ap_index
+        leaf, rtx = f"rack{rack}/leaf", f"rack{rack}/txrx0"
+        atx, nic = f"group{group}/ap{ap}/txrx0", f"group{group}/ap{ap}/nic"
+        nodes = [leaf, rtx, atx, nic]
+        links = [f"{rtx}--{leaf}", f"{rtx}--{atx}", f"{atx}--{nic}"]
+        if kind == "switch" or (kind == "olt" and ap != gateway):
+            switch = f"group{group}/switch"
+            nodes.append(switch)
+            links.append(f"{nic}--{switch}")
+        if kind == "olt":
+            if ap != gateway:
+                nic = f"group{group}/ap{gateway}/nic"
+                nodes.append(nic)
+                links.append(f"{nic}--{switch}")
+            nodes.append("olt")
+            links.append(f"{nic}--olt")
+        return nodes, links
 
 
 def resolve_route(
-    graph: NetworkGraph,
-    src: str,
-    dst: str,
-    policy: RoutingPolicy = RoutingPolicy(),
+    spec: FabricSpec, src: str, dst: str, policy: RoutingPolicy = RoutingPolicy()
 ) -> Route:
-    """The unique rule-chain route between two servers.
+    """The unique rule-chain route between two servers of the fabric
+    ``spec`` builds.
 
-    Raises ``NoRoute`` when a required element is missing (a graph that
-    breaks its spec's construction rules), ``PolicyExcluded`` when the
-    policy forbids every mechanism available for an inter-group pair, and
-    ``UnknownServer`` for endpoints that are not server nodes.  Resolving
-    many pairs is cheaper through one ``RouteTable``.
+    Raises the builder's errors for an inadmissible spec, ``UnknownServer``
+    for endpoints that are not server ids of the fabric, ``NoRoute`` for
+    racks of a traditional fabric, whose inter-rack paths are not modeled,
+    and ``PolicyExcluded`` when the policy forbids every mechanism
+    available for an inter-group pair.  Resolving many pairs is cheaper
+    through one ``RouteTable``.
     """
-    return RouteTable(graph, policy).route(src, dst)
+    return RouteTable(spec, policy).route(src, dst)
 
 
-def route_to_external(graph: NetworkGraph, src: str) -> Route:
+def route_to_external(spec: FabricSpec, src: str) -> Route:
     """Route from a server to the external gateway: its leaf's up
     half-route to the OLT, then the gateway."""
-    a = _server(graph, src)
-    if graph.architecture is Architecture.TRADITIONAL:
+    table = RouteTable(spec)
+    rack, edge_link = table._server(src)
+    if not table._owcpon:
         raise NoRoute("the traditional fabric has no modeled external gateway")
-    external = _sole(graph.nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY), "external gateway")
-    table = RouteTable(graph)
-    table._found[_olt,]  # found before the rack's pieces
-    chain = [src, *table._chain(_leaf_of(graph, a), "olt", True), external.id]
-    return Route(tuple(chain), _links(graph, chain), PathClass.EXTERNAL)
+    nodes, links = table._half(rack, "olt", True)
+    links = (edge_link, *links, "olt--external")
+    return Route((src, *nodes, "external"), links, PathClass.EXTERNAL)
 
 
 def _least_by_text(spans: list[tuple[int, int]], excluded) -> int:

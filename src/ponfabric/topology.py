@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import BadAdjacency, SpecMismatch
@@ -188,13 +187,13 @@ FabricSpec = Union[TraditionalSpec, OwcPonSpec]
 
 
 class NetworkGraph:
-    """Immutable typed multigraph of one fabric instance.
+    """Immutable typed multigraph of one fabric instance: its nodes, its
+    links and the spec that built it.
 
     The architecture follows from the spec's type, and each link carries
     its own capacity.  Construction is permissive about structure but
-    rejects duplicate node ids.  Adjacency skips links whose endpoints are
-    missing.  The kind and adjacency indexes, which only routing reads,
-    are built on first use.
+    rejects duplicate node ids.  Routing names its nodes and links from
+    the spec, so the graph keeps no index by id, kind or neighbour.
     """
 
     def __init__(self, nodes: Iterable[Node], links: Iterable[Link], spec: FabricSpec):
@@ -203,34 +202,12 @@ class NetworkGraph:
         self._spec = spec
         traditional = isinstance(spec, TraditionalSpec)
         self._architecture = Architecture.TRADITIONAL if traditional else Architecture.OWC_PON
-
-        self._node_by_id = {node.id: node for node in self._nodes}
-        if len(self._node_by_id) < len(self._nodes):
+        if len({node.id for node in self._nodes}) < len(self._nodes):
             seen: set[str] = set()
             for node in self._nodes:
                 if node.id in seen:
                     raise ValueError(f"duplicate node id {node.id!r}")
                 seen.add(node.id)
-        # node id -> {neighbour id: first link to it in adjacency order},
-        # filled per node on its first ``link_between`` lookup.
-        self._link_index: dict[str, dict[str, Link]] = {}
-
-    @cached_property
-    def _by_kind(self) -> dict[DeviceKind, list[Node]]:
-        by_kind: dict[DeviceKind, list[Node]] = {k: [] for k in DeviceKind}
-        for node in self._nodes:
-            by_kind[node.kind].append(node)
-        return by_kind
-
-    @cached_property
-    def _adjacency(self) -> dict[str, list[tuple[str, Link]]]:
-        adjacency: dict[str, list[tuple[str, Link]]] = {node_id: [] for node_id in self._node_by_id}
-        for link in self._links:
-            a, b = link.endpoint_a, link.endpoint_b
-            if a in adjacency and b in adjacency:
-                adjacency[a].append((b, link))
-                adjacency[b].append((a, link))
-        return adjacency
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -247,31 +224,6 @@ class NetworkGraph:
     @property
     def spec(self) -> FabricSpec:
         return self._spec
-
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._node_by_id
-
-    def node(self, node_id: str) -> Node:
-        return self._node_by_id[node_id]
-
-    def nodes_of_kind(self, kind: DeviceKind) -> tuple[Node, ...]:
-        return tuple(self._by_kind[kind])
-
-    def neighbors(self, node_id: str) -> tuple[tuple[Node, Link], ...]:
-        return tuple(
-            (self._node_by_id[other], link)
-            for other, link in self._adjacency.get(node_id, [])
-        )
-
-    def link_between(self, a: str, b: str) -> Link | None:
-        """The first link joining ``a`` and ``b`` in adjacency order, if any."""
-        index = self._link_index.get(a)
-        if index is None:
-            index = {}
-            for other, link in self._adjacency.get(a, ()):
-                index.setdefault(other, link)
-            self._link_index[a] = index
-        return index.get(b)
 
     def __repr__(self) -> str:
         return (
@@ -356,8 +308,9 @@ def _check_owc_pon(spec: OwcPonSpec) -> int:
         seen: set[frozenset[tuple[int, int]]] = set()
         for first, second in adjacency.pairs:
             for group, ap in (first, second):
-                if not (0 <= group < spec.num_groups) or not (
-                    0 <= ap < spec.aps_per_group
+                # a bool or a float would name an AP the builder never makes
+                if type(group) is not int or type(ap) is not int or not (
+                    0 <= group < spec.num_groups and 0 <= ap < spec.aps_per_group
                 ):
                     raise BadAdjacency(
                         f"pair references missing AP group{group}/ap{ap}"

@@ -4,10 +4,12 @@ Demand comes in blocks, each server of a source group sending one rate
 to each server of a destination group but itself: a traffic pattern is
 one block per rack pair with demand, made from the spec alone
 (``RackBlocks``), and a flow line is a 1x1 block (``TrafficMatrix``).
-Demands are fluid: a block's rate is added to every link of its routes,
-in exact rational arithmetic.  Demands exceeding capacity are reported
-as utilization above one, never dropped; this is an analyzer, not an
-admission controller.
+Routes are named from the graph's spec (see ``routing``), and the graph
+lists the links that loads are reported on.  Demands are fluid: a
+block's rate is added to every link of its routes, in exact rational
+arithmetic.  Demands exceeding capacity are reported as utilization
+above one, never dropped; this is an analyzer, not an admission
+controller.
 
 Sums run over integer numerators scaled to the least common multiple of
 the rates' denominators and are divided once at the end, which is exact
@@ -18,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .errors import RoutingError, ScenarioError, UnknownRack, in_pair
-from .routing import Memo, RouteTable, RoutingPolicy
+from .errors import NoRoute, RoutingError, ScenarioError, UnknownRack, in_pair
+from .routing import RouteTable, RoutingPolicy
 from .routing import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
 from .topology import FabricSpec, LinkKind, NetworkGraph
 
@@ -83,7 +86,8 @@ class RackBlocks(NamedTuple):
     def blocks(self) -> Iterable[Block]:
         n = self.servers_per_rack
         # one tuple per rack, shared by its blocks
-        servers = Memo(lambda rack: tuple(f"rack{rack}/server{i}" for i in range(n)))
+        racks = set(chain.from_iterable(self.demands))
+        servers = {rack: tuple(f"rack{rack}/server{i}" for i in range(n)) for rack in racks}
         for (a, b), rate in self.demands.items():
             yield servers[a], servers[b], rate
 
@@ -200,12 +204,15 @@ def assign(
     count of peers in the block.  Stretches become links once, at the end.
     So a pattern costs O(rack pairs) sums plus O(racks + direct links)
     expansions, and a flow line what routing it alone costs.
-    Expects a graph that keeps its spec's construction rules, where a
-    rack's servers share one leaf (``NoRoute`` if not).  Blocks run in the
-    sorted order of their first entries, so a routing error names the
-    first failing ``src -> dst`` entry in sorted order.
+    Routes come from ``graph.spec``; the first time a block uses a
+    stretch or a group of edge links, each of their links must be in the
+    graph (``NoRoute`` if not), so a graph that breaks its spec's
+    construction rules never yields loads on links it lacks.  Blocks run
+    in the sorted order of their first entries, so a routing error names
+    the first failing ``src -> dst`` entry in sorted order.
     """
-    table = RouteTable(graph, policy)
+    table = RouteTable(graph.spec, policy)
+    graph_links = {link.id for link in graph.links}
     scale = lcm(*(rate.denominator for rate in matrix.demands.values()))
     # Groups are keyed by their first server, which names one group only.
     edges: dict[str, tuple[str, ...]] = {}  # the group's edge links
@@ -219,9 +226,12 @@ def assign(
         try:
             stretches = table.parts(src, dst)[2]
             if src not in edges:
-                edges[src] = table.edge_links(srcs)
+                edges[src] = _in_graph(table.edge_links(srcs), graph_links)
+            for _, links in stretches:
+                if links not in stretch_units:
+                    stretch_units[_in_graph(links, graph_links)] = 0
             if first_dst not in edges:
-                edges[first_dst] = table.edge_links(dsts)
+                edges[first_dst] = _in_graph(table.edge_links(dsts), graph_links)
         except RoutingError as exc:
             raise in_pair(exc, src, dst) from exc
         if rate is not last_rate:
@@ -231,7 +241,7 @@ def assign(
         group_units[first_dst] = group_units.get(first_dst, 0) + units * peers_of_dst
         pair_units = units * len(srcs) * peers_of_src
         for _, links in stretches:
-            stretch_units[links] = stretch_units.get(links, 0) + pair_units
+            stretch_units[links] += pair_units
 
     link_units: dict[str, int] = {}
     for group, units in group_units.items():
@@ -247,6 +257,14 @@ def assign(
     max_utilization = max((row.utilization for row in rows), default=Fraction(0))
     saturated = tuple(row.link_id for row in rows if row.utilization > 1)
     return LinkLoadReport(rows, max_utilization, saturated)
+
+
+def _in_graph(link_ids: tuple[str, ...], graph_links: set[str]) -> tuple[str, ...]:
+    """``link_ids``, once each is found among ``graph_links``."""
+    for link_id in link_ids:
+        if link_id not in graph_links:
+            raise NoRoute(f"missing link {link_id}")
+    return link_ids
 
 
 def bottlenecks(report: LinkLoadReport, top_n: int) -> list[LinkLoad]:

@@ -10,13 +10,16 @@ kind and filters on its rack, group, AP and gateway flag; the oracles
 below look nodes up through it, so they do not share routing's lookups
 with the code they check.
 
-The per-pair reference (``reference_route``, ``reference_all_pairs`` and
-``reference_assign``) is the slow path the route table replaced: one chain
-walk per ordered server pair, neighbour scans for every lookup, and one
-``Fraction`` addition per hop.  ``reference_generate_traffic`` is the
-per-server pattern matrix that rack-pair blocks replaced: one ``Fraction``
-per ordered server pair with demand.  The differential tests hold the
-package's route table and aggregated sums to them, the block ``assign``
+The per-pair reference (``reference_route``, ``reference_route_to_external``,
+``reference_all_pairs`` and ``reference_assign``) is the graph walk that
+routes named from the spec replaced: one chain walk per ordered server
+pair, neighbour scans for every lookup, and one ``Fraction`` addition
+per hop.  It looks nodes and neighbours up through ``index``, a
+``GraphIndex`` of each graph, since a built graph keeps no index.
+``reference_generate_traffic`` is the per-server pattern matrix that
+rack-pair blocks replaced: one ``Fraction`` per ordered server pair with
+demand.  The differential tests hold the package's route table and
+aggregated sums to them, the block ``assign``
 of a pattern to ``reference_assign`` of its per-server matrix, and the
 closed-form ``all_pairs_summary`` to ``reference_all_pairs`` on the built
 graph, errors included; ``outcome`` turns a raised error into a
@@ -50,6 +53,7 @@ node, the gate on the closed-form power.
 
 import json
 import re
+import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -207,7 +211,7 @@ def permitted_view(graph, nxg, src, dst):
     inter-group link is the one between the endpoints' own NICs.
     """
     spec = graph.spec
-    rack_a, rack_b = graph.node(src).rack, graph.node(dst).rack
+    rack_a, rack_b = index(graph).node(src).rack, index(graph).node(dst).rack
     allowed = {src, dst}
     allowed |= _rack_side(graph, rack_a) | _rack_side(graph, rack_b)
     endpoint_nics = set()
@@ -220,13 +224,13 @@ def permitted_view(graph, nxg, src, dst):
         endpoint_nics |= nics
     for group in groups:
         allowed |= _group_side(graph, group)
-    allowed |= {n.id for n in graph.nodes_of_kind(DeviceKind.OLT)}
+    allowed |= {n.id for n in index(graph).nodes_of_kind(DeviceKind.OLT)}
 
     forbidden_edges = []
     for link in graph.links:
-        if not (graph.has_node(link.endpoint_a) and graph.has_node(link.endpoint_b)):
+        if not (index(graph).has_node(link.endpoint_a) and index(graph).has_node(link.endpoint_b)):
             continue
-        a, b = graph.node(link.endpoint_a), graph.node(link.endpoint_b)
+        a, b = index(graph).node(link.endpoint_a), index(graph).node(link.endpoint_b)
         if a.kind is DeviceKind.NIC and b.kind is DeviceKind.NIC:
             if not (link.endpoint_a in endpoint_nics and link.endpoint_b in endpoint_nics):
                 forbidden_edges.append((link.endpoint_a, link.endpoint_b))
@@ -247,16 +251,16 @@ def oracle_path(graph, nxg, src, dst) -> list[str]:
 
 def oracle_external_hop_count(graph, nxg, src) -> int:
     spec = graph.spec
-    rack = graph.node(src).rack
+    rack = index(graph).node(src).rack
     group, ap = divmod(rack, spec.aps_per_group)
     allowed = {src} | _rack_side(graph, rack)
     side, _ = _ap_side(graph, group, ap)
     allowed |= side | _group_side(graph, group)
-    allowed |= {n.id for n in graph.nodes_of_kind(DeviceKind.OLT)}
-    allowed |= {n.id for n in graph.nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY)}
+    allowed |= {n.id for n in index(graph).nodes_of_kind(DeviceKind.OLT)}
+    allowed |= {n.id for n in index(graph).nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY)}
     hidden = [node for node in nxg.nodes if node not in allowed]
     view = nx.restricted_view(nxg, hidden, [])
-    external = graph.nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY)[0].id
+    external = index(graph).nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY)[0].id
     return nx.shortest_path_length(view, src, external)
 
 
@@ -271,7 +275,7 @@ def accumulate_uniform_loads(graph, rate: Fraction) -> dict[str, Fraction]:
         frozenset((link.endpoint_a, link.endpoint_b)): link.id for link in graph.links
     }
     servers = sorted(
-        (node.id for node in graph.nodes_of_kind(DeviceKind.SERVER))
+        (node.id for node in index(graph).nodes_of_kind(DeviceKind.SERVER))
     )
     loads: dict[str, Fraction] = {}
     for src in servers:
@@ -283,6 +287,54 @@ def accumulate_uniform_loads(graph, rate: Fraction) -> dict[str, Fraction]:
                 link_id = link_of_edge[frozenset((a, b))]
                 loads[link_id] = loads.get(link_id, Fraction(0)) + rate
     return loads
+
+
+# --- node and adjacency index -------------------------------------------------
+
+
+class GraphIndex:
+    """Lookups by node id and by neighbour on a built graph, which keeps no
+    index of its own.  Adjacency skips links whose endpoints are missing."""
+
+    def __init__(self, graph: NetworkGraph):
+        self._by_id = {node.id: node for node in graph.nodes}
+        self._by_kind: dict[DeviceKind, list] = {kind: [] for kind in DeviceKind}
+        for node in graph.nodes:
+            self._by_kind[node.kind].append(node)
+        self._adjacency: dict[str, list] = {node_id: [] for node_id in self._by_id}
+        for link in graph.links:
+            a, b = link.endpoint_a, link.endpoint_b
+            if a in self._adjacency and b in self._adjacency:
+                self._adjacency[a].append((self._by_id[b], link))
+                self._adjacency[b].append((self._by_id[a], link))
+
+    def has_node(self, node_id: str) -> bool:
+        return node_id in self._by_id
+
+    def node(self, node_id: str):
+        return self._by_id[node_id]
+
+    def nodes_of_kind(self, kind: DeviceKind) -> tuple:
+        return tuple(self._by_kind[kind])
+
+    def neighbors(self, node_id: str) -> tuple:
+        """(node, link) for each link at ``node_id``, in link order."""
+        return tuple(self._adjacency.get(node_id, ()))
+
+    def link_between(self, a: str, b: str):
+        """The first link joining ``a`` and ``b`` in adjacency order, if any."""
+        return next((link for other, link in self._adjacency.get(a, ()) if other.id == b), None)
+
+
+_INDEXES: "weakref.WeakKeyDictionary[NetworkGraph, GraphIndex]" = weakref.WeakKeyDictionary()
+
+
+def index(graph: NetworkGraph) -> GraphIndex:
+    """``graph``'s index, built on first use."""
+    found = _INDEXES.get(graph)
+    if found is None:
+        found = _INDEXES[graph] = GraphIndex(graph)
+    return found
 
 
 # --- node lookup by scan ------------------------------------------------------
@@ -299,7 +351,7 @@ def reference_find_nodes(
 ) -> tuple:
     """Nodes of ``kind`` matching every given attribute filter."""
     out = []
-    for node in graph.nodes_of_kind(kind):
+    for node in index(graph).nodes_of_kind(kind):
         if rack is not None and node.rack != rack:
             continue
         if group is not None and node.group != group:
@@ -316,9 +368,9 @@ def reference_find_nodes(
 
 
 def _server(graph, node_id):
-    if not graph.has_node(node_id):
+    if not index(graph).has_node(node_id):
         raise UnknownServer(node_id)
-    node = graph.node(node_id)
+    node = index(graph).node(node_id)
     if node.kind is not DeviceKind.SERVER:
         raise UnknownServer(node_id)
     return node
@@ -332,21 +384,21 @@ def _sole(nodes, what):
 
 def _scan_link(graph, a, b):
     """First link from ``a`` to ``b`` in adjacency order, by a full scan."""
-    for other, link in graph.neighbors(a):
+    for other, link in index(graph).neighbors(a):
         if other.id == b:
             return link
     return None
 
 
 def _leaf_of(graph, server):
-    for other, _ in graph.neighbors(server.id):
+    for other, _ in index(graph).neighbors(server.id):
         if other.kind is DeviceKind.LEAF_SWITCH:
             return other
     raise NoRoute(f"server {server.id} is not wired to a leaf switch")
 
 
 def _neighbours_of_kind(graph, node, kind):
-    return tuple(other for other, _ in graph.neighbors(node.id) if other.kind is kind)
+    return tuple(other for other, _ in index(graph).neighbors(node.id) if other.kind is kind)
 
 
 def _uplink_of(graph, leaf):
@@ -423,7 +475,7 @@ def reference_route(graph, src, dst, policy=RoutingPolicy()):
             "and relay fallback is disabled"
         )
 
-    olt = _sole(graph.nodes_of_kind(DeviceKind.OLT), "OLT")
+    olt = _sole(index(graph).nodes_of_kind(DeviceKind.OLT), "OLT")
     middle = []
     if not nic_a.is_gateway:
         middle += [_group_switch(graph, group_a).id, _gateway_nic(graph, group_a).id]
@@ -433,9 +485,26 @@ def reference_route(graph, src, dst, policy=RoutingPolicy()):
     return _chain(graph, ascent + middle + descent, PathClass.INTER_GROUP_RELAYED)
 
 
+def reference_route_to_external(graph, src):
+    """The rule-chain route from one server to the external gateway: up to
+    the OLT through the group's gateway NIC unless the AP is the gateway."""
+    a = _server(graph, src)
+    if graph.architecture is Architecture.TRADITIONAL:
+        raise NoRoute("the traditional fabric has no modeled external gateway")
+    external = _sole(index(graph).nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY), "external gateway")
+    olt = _sole(index(graph).nodes_of_kind(DeviceKind.OLT), "OLT")
+    leaf = _leaf_of(graph, a)
+    rtx, atx, nic = _uplink_of(graph, leaf)
+    middle = []
+    if not nic.is_gateway:
+        middle += [_group_switch(graph, atx.group).id, _gateway_nic(graph, atx.group).id]
+    chain = [src, leaf.id, rtx.id, atx.id, nic.id, *middle, olt.id, external.id]
+    return _chain(graph, chain, PathClass.EXTERNAL)
+
+
 def reference_all_pairs(graph, policy=RoutingPolicy()):
     """(class, hop count) histogram by resolving every ordered server pair."""
-    servers = sorted(node.id for node in graph.nodes_of_kind(DeviceKind.SERVER))
+    servers = sorted(node.id for node in index(graph).nodes_of_kind(DeviceKind.SERVER))
     histogram = Counter()
     for src in servers:
         for dst in servers:
@@ -446,7 +515,7 @@ def reference_all_pairs(graph, policy=RoutingPolicy()):
 
 def reference_generate_traffic(pattern: TrafficPattern, graph: NetworkGraph) -> TrafficMatrix:
     """Deterministic matrix for a named pattern (no randomness)."""
-    servers = sorted(graph.nodes_of_kind(DeviceKind.SERVER), key=lambda n: n.id)
+    servers = sorted(index(graph).nodes_of_kind(DeviceKind.SERVER), key=lambda n: n.id)
     demands: dict[tuple[str, str], Fraction] = {}
 
     if isinstance(pattern, UniformPattern):
@@ -1025,13 +1094,13 @@ def reference_census(graph: NetworkGraph) -> dict[DeviceKind, int]:
 
 def links_between(graph: NetworkGraph, a: str, b: str) -> list:
     """Every link joining ``a`` and ``b``, in ``a``'s adjacency order."""
-    return [link for other, link in graph.neighbors(a) if other.id == b]
+    return [link for other, link in index(graph).neighbors(a) if other.id == b]
 
 
 def _check_endpoints(graph: NetworkGraph, out: list[Violation]) -> None:
     for link in graph.links:
         for endpoint in (link.endpoint_a, link.endpoint_b):
-            if not graph.has_node(endpoint):
+            if not index(graph).has_node(endpoint):
                 out.append(
                     Violation(
                         "dangling_link",
@@ -1059,7 +1128,7 @@ def _check_rack(graph: NetworkGraph, rack: int, servers_expected: int, out) -> N
         )
     for server in servers:
         txrx_id = f"{server.id}/txrx"
-        if not graph.has_node(txrx_id) or graph.node(txrx_id).kind is not DeviceKind.SERVER_TRANSCEIVER:
+        if not index(graph).has_node(txrx_id) or index(graph).node(txrx_id).kind is not DeviceKind.SERVER_TRANSCEIVER:
             out.append(
                 Violation(
                     "missing_server_transceiver",
@@ -1116,7 +1185,7 @@ def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None
                 )
             lands_on_ap = [
                 link
-                for other, link in graph.neighbors(rtx.id)
+                for other, link in index(graph).neighbors(rtx.id)
                 if link.kind is LinkKind.OWC
                 and other.kind is DeviceKind.AP_TRANSCEIVER
                 and other.group == g
@@ -1133,7 +1202,7 @@ def _check_rack_transceivers(graph: NetworkGraph, spec: OwcPonSpec, out) -> None
 
 
 def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
-    olts = graph.nodes_of_kind(DeviceKind.OLT)
+    olts = index(graph).nodes_of_kind(DeviceKind.OLT)
     for g in range(spec.num_groups):
         switches = reference_find_nodes(graph, DeviceKind.OPTICAL_SWITCH, group=g)
         if len(switches) != 1:
@@ -1171,7 +1240,7 @@ def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
                     )
                 )
             for atx in atxs:
-                if graph.link_between(atx.id, nic.id) is None:
+                if index(graph).link_between(atx.id, nic.id) is None:
                     out.append(
                         Violation(
                             "ap_wiring",
@@ -1202,7 +1271,7 @@ def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
                 )
             )
         elif len(olts) == 1:
-            if graph.link_between(gateways[0].id, olts[0].id) is None:
+            if index(graph).link_between(gateways[0].id, olts[0].id) is None:
                 out.append(
                     Violation(
                         "missing_olt_uplink",
@@ -1213,18 +1282,18 @@ def _check_groups(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
 
 
 def _check_backhaul_core(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
-    olts = graph.nodes_of_kind(DeviceKind.OLT)
+    olts = index(graph).nodes_of_kind(DeviceKind.OLT)
     if len(olts) != 1:
         code = "missing_olt" if not olts else "duplicate_olt"
         out.append(Violation(code, "olt", f"graph has {len(olts)} OLT nodes"))
-    externals = graph.nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY)
+    externals = index(graph).nodes_of_kind(DeviceKind.EXTERNAL_GATEWAY)
     if len(externals) != 1:
         code = "missing_external" if not externals else "duplicate_external"
         out.append(
             Violation(code, "external", f"graph has {len(externals)} external gateways")
         )
     if len(olts) == 1 and len(externals) == 1:
-        if graph.link_between(olts[0].id, externals[0].id) is None:
+        if index(graph).link_between(olts[0].id, externals[0].id) is None:
             out.append(
                 Violation(
                     "missing_external_uplink",
@@ -1238,8 +1307,8 @@ def _check_backhaul_core(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
             continue
         kinds = set()
         for endpoint in (link.endpoint_a, link.endpoint_b):
-            if graph.has_node(endpoint):
-                kinds.add(graph.node(endpoint).kind)
+            if index(graph).has_node(endpoint):
+                kinds.add(index(graph).node(endpoint).kind)
         if kinds != {DeviceKind.RACK_TRANSCEIVER, DeviceKind.AP_TRANSCEIVER}:
             out.append(
                 Violation(
@@ -1252,9 +1321,9 @@ def _check_backhaul_core(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
     for link in graph.links:
         if link.kind is not LinkKind.FIBER:
             continue
-        if not (graph.has_node(link.endpoint_a) and graph.has_node(link.endpoint_b)):
+        if not (index(graph).has_node(link.endpoint_a) and index(graph).has_node(link.endpoint_b)):
             continue
-        a, b = graph.node(link.endpoint_a), graph.node(link.endpoint_b)
+        a, b = index(graph).node(link.endpoint_a), index(graph).node(link.endpoint_b)
         if a.kind is DeviceKind.NIC and b.kind is DeviceKind.NIC and a.group == b.group:
             out.append(
                 Violation(
@@ -1266,7 +1335,7 @@ def _check_backhaul_core(graph: NetworkGraph, spec: OwcPonSpec, out) -> None:
 
 
 def _check_spine_mesh(graph: NetworkGraph, spec: TraditionalSpec, out) -> None:
-    spines = graph.nodes_of_kind(DeviceKind.SPINE_SWITCH)
+    spines = index(graph).nodes_of_kind(DeviceKind.SPINE_SWITCH)
     if len(spines) != spec.num_spine:
         out.append(
             Violation(
@@ -1301,7 +1370,7 @@ def _check_connected(graph: NetworkGraph, out) -> None:
     queue = deque([relevant[0]])
     while queue:
         current = queue.popleft()
-        for other, _ in graph.neighbors(current):
+        for other, _ in index(graph).neighbors(current):
             if other.id not in seen:
                 seen.add(other.id)
                 queue.append(other.id)

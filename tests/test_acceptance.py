@@ -155,13 +155,13 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_routing_invariants(default_owcpon):
     started = time.perf_counter()
     spec = default_owcpon.spec
-    servers = sorted(n.id for n in default_owcpon.nodes_of_kind(DeviceKind.SERVER))
+    servers = sorted(n.id for n in oracles.index(default_owcpon).nodes_of_kind(DeviceKind.SERVER))
     assert len(servers) == 64
 
     routes = {}
     for src in servers:
         for dst in servers:
-            routes[(src, dst)] = resolve_route(default_owcpon, src, dst)
+            routes[(src, dst)] = resolve_route(default_owcpon.spec, src, dst)
     assert len(routes) == 4096
 
     for (src, dst), route in routes.items():
@@ -189,14 +189,14 @@ def test_criterion_4_routing_invariants(default_owcpon):
     # without direct links; it runs 10 hops.
     relay_only = build_owc_pon(OwcPonSpec(adjacency=NoDirectLinks()))
     relay_nxg = oracles.to_networkx(relay_only)
-    both = resolve_route(relay_only, "rack0/server0", "rack4/server0")
+    both = resolve_route(relay_only.spec, "rack0/server0", "rack4/server0")
     assert both.hop_count == 10
     assert both.hop_count == oracles.oracle_hop_count(
         relay_only, relay_nxg, "rack0/server0", "rack4/server0"
     )
 
     for src in servers:
-        route = route_to_external(default_owcpon, src)
+        route = route_to_external(default_owcpon.spec, src)
         expected_hops = 6 if rack_of(src) % spec.aps_per_group == spec.gateway_ap_index else 8
         assert route.hop_count == expected_hops
         assert route.hop_count == oracles.oracle_external_hop_count(

@@ -1,10 +1,9 @@
 """Differential tests: the closed-form census, verdict and pricing, and
 the commands built on them, against the graph path in ``oracles`` on
 admissible and inadmissible fabrics; every builder link against the
-checked ``Link`` constructor that the builders skip; routing's switch,
-gateway and OLT lookups against the oracles' on damaged fabrics, and the
-oracles' scanning lookup against the node ids each filter must return on
-one small fabric."""
+checked ``Link`` constructor that the builders skip; and the oracles'
+scanning lookup against the node ids each filter must return on one
+small fabric."""
 
 import itertools
 from fractions import Fraction
@@ -41,10 +40,7 @@ from ponfabric import (
     scaling_sweep,
     validate,
 )
-from ponfabric import routing
 from ponfabric.cli import _cmd_benchmark, _cmd_compare, _cmd_power, _cmd_validate
-
-from test_topology import with_extra_link, with_extra_node, without_link, without_node
 
 
 traditional_specs = st.builds(
@@ -160,43 +156,6 @@ def test_spineless_traditional_is_the_only_failing_build():
     (violation,) = validate(TraditionalSpec(num_spine=0, num_racks=3, servers_per_rack=2))
     assert (violation.code, violation.subject) == ("disconnected", "rack1/leaf")
     assert violation.message == "6 nodes unreachable from 'rack0/leaf'"
-
-
-@st.composite
-def damaged_fabrics(draw):
-    """A built graph, as built or with one or two links or a node taken
-    out, a link doubled, or a node doubled under a new id."""
-    graph = build(draw(st.one_of(traditional_specs, owcpon_specs(admissible=True))))
-    damage = draw(st.sampled_from(["none", "link", "two links", "parallel link", "node", "twin node"]))
-    if damage == "link" and graph.links:
-        graph = without_link(graph, draw(st.sampled_from(graph.links)).id)
-    elif damage == "two links" and len(graph.links) > 1:
-        for link in draw(st.lists(st.sampled_from(graph.links), min_size=2, max_size=2, unique=True)):
-            graph = without_link(graph, link.id)
-    elif damage == "parallel link" and graph.links:
-        twin = draw(st.sampled_from(graph.links))
-        graph = with_extra_link(graph, twin._replace(id=twin.id + "/twin"))
-    elif damage == "node" and graph.nodes:
-        graph = without_node(graph, draw(st.sampled_from(graph.nodes)).id)
-    elif damage == "twin node" and graph.nodes:
-        twin = draw(st.sampled_from(graph.nodes))
-        graph = with_extra_node(graph, twin._replace(id=twin.id + "/twin"))
-    return graph
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(graph=damaged_fabrics())
-def test_core_lookups_match_reference_on_damaged_graphs(graph):
-    groups = range(-1, getattr(graph.spec, "num_groups", 1) + 1)
-    pairs = [
-        (routing._group_switch, oracles._group_switch),
-        (routing._gateway_nic, oracles._gateway_nic),
-    ]
-    for group, (core, reference) in itertools.product(groups, pairs):
-        expected = outcome(lambda: reference(graph, group))
-        assert outcome(lambda: core(graph, group)) == expected, (core.__name__, group)
-    olts = oracles.reference_find_nodes(graph, DeviceKind.OLT)
-    assert outcome(lambda: routing._olt(graph)) == outcome(lambda: oracles._sole(olts, "OLT"))
 
 
 def lookups(spec):

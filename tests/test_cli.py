@@ -149,6 +149,33 @@ def test_route_unknown_server_exits_three(capsys):
     assert "evaluation error" in err
 
 
+SUMMARY_EXPLICIT = str(Path(__file__).resolve().parent / "golden" / "summary_explicit.scenario")
+
+
+@pytest.mark.parametrize(
+    "node_id",
+    [
+        "olt",
+        "rack0/leaf",
+        "rack0/server0/txrx",
+        "rack01/server0",
+        "rack12/server0",
+        "rack\u0663/server0",
+        "rack" + "1" * 5000 + "/server0",
+    ],
+    ids=["olt", "leaf", "txrx", "leading zero", "past the last rack", "arabic-indic digit", "5000 digits"],
+)
+@pytest.mark.parametrize("end", ["src", "dst"])
+def test_route_refuses_ids_that_name_no_server(capsys, node_id, end):
+    """On 12 racks, an id that is another kind's, spells a rack number
+    another way or names a rack the fabric lacks is no server, at either
+    end of the route."""
+    pair = (node_id, "rack1/server0") if end == "src" else ("rack1/server0", node_id)
+    code, out, err = run(capsys, "-s", SUMMARY_EXPLICIT, "route", *pair)
+    assert (code, out) == (3, "")
+    assert err == f"ponfabric: evaluation error: not a server node: {node_id!r}\n"
+
+
 def test_summary_command(capsys):
     code, out, _ = run(capsys, "--format", "json", "summary")
     assert code == 0
@@ -375,7 +402,6 @@ def no_graphs(monkeypatch):
     "argv",
     [
         ("build",),
-        ("route", "rack0/server0", "rack1/server0"),
         ("simulate",),
     ],
 )
@@ -419,6 +445,8 @@ def test_spec_errors_win_over_the_size_guard(tmp_path, capsys, no_graphs):
         ("sweep", "--racks", "8,10000000", "--groups", "2"),
         ("validate",),
         ("summary",),
+        ("route", "rack0/server0", "rack9999999/server7"),
+        ("route", "rack9999999/server0", "external"),
     ],
 )
 def test_closed_form_commands_build_no_graph_at_any_size(tmp_path, capsys, no_graphs, argv):

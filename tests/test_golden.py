@@ -22,8 +22,8 @@ and with a flow to a node that is not a server.
 The files under
 ``tests/golden/`` were recorded before the code they pin was rewritten
 (the scenario key table, the shared comparison pipeline, pricing,
-validating and summarising from the spec, and ``build``'s census from
-the spec); re-record them only for an intended output change:
+validating and summarising from the spec, ``build``'s census from the
+spec, and routes named from the spec); re-record them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """

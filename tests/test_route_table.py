@@ -1,12 +1,15 @@
-"""Differential tests: the route table and the aggregated sums against the
-per-pair reference in ``oracles``, on clean and on broken graphs and on
-seeded flow lines; the block sums of each traffic pattern against its
-per-server matrix; the closed-form all-pairs histogram against every pair
-resolved on the built graph; and the size of the table behind ``assign``,
-which keeps pieces per server and per rack, none per rack pair."""
+"""Differential tests: routes named from the spec against the graph walk
+in ``oracles`` on the fabric the spec builds, and the aggregated sums of
+``assign`` against the per-pair reference on clean and on damaged graphs
+and on seeded flow lines; the block sums of each traffic pattern against
+its per-server matrix; the closed-form all-pairs histogram against every
+pair resolved on the built graph; and the size of the table behind
+``assign``, which keeps pieces per server and per rack, none per rack
+pair."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from ponfabric import (
     IntraRackHeavyPattern,
     NoDirectLinks,
     OwcPonSpec,
+    Route,
     RoutingPolicy,
     RouteTable,
     TraditionalSpec,
@@ -36,6 +40,7 @@ from ponfabric import (
     generate_traffic,
     parse_scenario,
     resolve_route,
+    route_to_external,
 )
 from ponfabric.errors import NoRoute
 
@@ -51,6 +56,8 @@ POLICIES = [
 
 @st.composite
 def owcpon_specs(draw):
+    """Every adjacency kind, with explicit pairs listed in either
+    orientation, every gateway index and one to three planes."""
     groups = draw(st.integers(1, 3))
     aps = draw(st.integers(1, 3))
     choice = draw(st.sampled_from(["index_matched", "none", "explicit"]))
@@ -66,7 +73,8 @@ def owcpon_specs(draw):
             if first[0] != second[0]
         ]
         pairs = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
-        adjacency = ExplicitPairs(tuple(pairs))
+        flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        adjacency = ExplicitPairs(tuple(pair[::-1] if flip else pair for pair, flip in zip(pairs, flips)))
     return OwcPonSpec(
         num_racks=groups * aps,
         servers_per_rack=draw(st.integers(1, 3)),
@@ -87,13 +95,17 @@ traditional_specs = st.builds(
 
 
 @st.composite
+def built_fabrics(draw):
+    if draw(st.integers(0, 5)):
+        return build_owc_pon(draw(owcpon_specs()))
+    return build_traditional(draw(traditional_specs))
+
+
+@st.composite
 def fabrics(draw):
     """A built graph, as built or with one or two links or a node taken out
     or a link doubled."""
-    if draw(st.integers(0, 5)):
-        graph = build_owc_pon(draw(owcpon_specs()))
-    else:
-        graph = build_traditional(draw(traditional_specs))
+    graph = draw(built_fabrics())
     damage = draw(
         st.sampled_from(["none", "edge link", "link", "two links", "parallel link", "node"])
     )
@@ -115,48 +127,42 @@ def fabrics(draw):
     return graph
 
 
+def servers_of(graph):
+    return sorted(node.id for node in oracles.index(graph).nodes_of_kind(DeviceKind.SERVER))
+
+
 def endpoints(graph):
-    servers = sorted(node.id for node in graph.nodes_of_kind(DeviceKind.SERVER))
-    return servers + ["nosuch", "olt"]
+    """The fabric's servers, then ids that name none: other kinds' nodes,
+    a rack past the last, a leading zero, a non-ASCII digit and numbers of
+    5,000 digits."""
+    others = ["nosuch", "olt", "rack0/leaf", "rack0/server0/txrx", f"rack{graph.spec.num_racks}/server0"]
+    others += ["rack01/server0", "rack0/server00", "rack\u0663/server0"]
+    others += ["rack" + "1" * 5000 + "/server0", "rack0/server" + "1" * 5000]
+    return servers_of(graph) + others
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
-@given(graph=fabrics(), policy=st.sampled_from(POLICIES), order=st.randoms(use_true_random=False))
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(graph=built_fabrics(), policy=st.sampled_from(POLICIES), order=st.randoms(use_true_random=False))
 def test_routes_match_reference(graph, policy, order):
-    pairs = list(itertools.product(endpoints(graph), repeat=2))
+    """Every ordered pair of endpoints routed by the table of the spec,
+    in shuffled order, and every endpoint's route to the external gateway,
+    against the graph walk on the fabric the spec builds, errors included;
+    an id that is not text is no server either."""
+    ids = endpoints(graph) + [7]
+    pairs = list(itertools.product(ids, repeat=2))
     order.shuffle(pairs)  # memoised pieces must not depend on resolution order
-    table = RouteTable(graph, policy)
+    table = RouteTable(graph.spec, policy)
     for src, dst in pairs:
         expected = outcome(lambda: oracles.reference_route(graph, src, dst, policy))
         assert outcome(lambda: table.route(src, dst)) == expected, (src, dst)
     for src, dst in pairs[:10]:
-        assert outcome(lambda: resolve_route(graph, src, dst, policy)) == outcome(
+        assert outcome(lambda: resolve_route(graph.spec, src, dst, policy)) == outcome(
             lambda: oracles.reference_route(graph, src, dst, policy)
         )
-
-
-@pytest.mark.parametrize(
-    "links, nodes, message",
-    [
-        # a link of the source's half-route and a node of the destination's
-        (["group0/ap1/nic--group0/switch"], ["group1/switch"], "no optical switch in group 1"),
-        # the OLT is looked up before either group's pieces
-        ([], ["group0/switch", "olt"], "no OLT"),
-    ],
-)
-def test_relayed_route_reports_faults_in_chain_rule_order(links, nodes, message):
-    """Two faults on one relayed route: the one named is the one the
-    reference meets first, as it finds every node of the chain (the OLT
-    first) before it checks a link."""
-    graph = build_owc_pon(OwcPonSpec(num_racks=4, servers_per_rack=1, num_groups=2, aps_per_group=2))
-    for link_id in links:
-        graph = without_link(graph, link_id)
-    for node_id in nodes:
-        graph = without_node(graph, node_id)
-    policy = RoutingPolicy(prefer_direct_inter_group=False)
-    expected = outcome(lambda: oracles.reference_route(graph, "rack1/server0", "rack3/server0", policy))
-    assert expected == (NoRoute, f"graph has {message}")
-    assert outcome(lambda: resolve_route(graph, "rack1/server0", "rack3/server0", policy)) == expected
+    for src in ids:
+        assert outcome(lambda: route_to_external(graph.spec, src)) == outcome(
+            lambda: oracles.reference_route_to_external(graph, src)
+        ), src
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -176,7 +182,7 @@ def test_histograms_match_reference(spec):
 def fabric_and_matrix(draw):
     graph = draw(fabrics())
     ids = endpoints(graph)
-    servers = st.sampled_from(ids[:-2] or ids)
+    servers = st.sampled_from(servers_of(graph) or ids)
     rates = st.fractions(min_value=0, max_value=10, max_denominator=12)
     demands = draw(st.dictionaries(st.tuples(servers, servers), rates, max_size=40))
     if not draw(st.integers(0, 3)):  # now and then, an entry naming a non-server
@@ -187,10 +193,26 @@ def fabric_and_matrix(draw):
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(case=fabric_and_matrix(), policy=st.sampled_from(POLICIES))
 def test_link_loads_match_reference(case, policy):
+    """``assign`` routes by the spec, so on a damaged graph it equals the
+    reference, or it fails first on a pair whose route from the spec takes
+    a link the graph lacks, or on a pair the spec gives no route (a
+    traditional inter-rack pair, or one the policy excludes), where the
+    reference names the damage it meets first."""
     graph, matrix = case
-    assert outcome(lambda: assign(graph, matrix, policy)) == outcome(
-        lambda: oracles.reference_assign(graph, matrix, policy)
-    )
+    loads = outcome(lambda: assign(graph, matrix, policy))
+    expected = outcome(lambda: oracles.reference_assign(graph, matrix, policy))
+    if loads != expected:
+        assert isinstance(loads, tuple), loads
+        src, dst, reason = re.fullmatch(r"(\S+) -> (\S+): (.*)", loads[1]).groups()
+        build = build_owc_pon if isinstance(graph.spec, OwcPonSpec) else build_traditional
+        route = outcome(lambda: oracles.reference_route(build(graph.spec), src, dst, policy))
+        if isinstance(route, Route):
+            missing = reason.removeprefix("missing link ")
+            assert loads[0] is NoRoute and missing in route.links
+            assert missing not in {link.id for link in graph.links}
+        else:
+            assert route == (loads[0], reason)
+            assert expected[1].startswith(f"{src} -> {dst}: ")
     assert matrix.total_demand() == sum(matrix.demands.values(), Fraction(0))
 
 
@@ -331,9 +353,9 @@ def test_seeded_flow_lines_match_reference(seed):
 
 def test_assign_keeps_no_piece_per_rack_pair(monkeypatch):
     """Uniform traffic on 256 racks is 65,280 inter-rack blocks.  The table
-    ``assign`` routes them through keeps at most six half-routes per leaf
-    (three kinds, up and down) and per-server and per-group pieces: no
-    container holds an entry per rack pair."""
+    ``assign`` routes them through keeps at most six half-routes per rack
+    (three kinds, up and down) and one entry per server: no container
+    holds an entry per rack pair."""
     spec = OwcPonSpec(num_racks=256, servers_per_rack=2, num_groups=32, aps_per_group=8)
     tables = []
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,31 +12,33 @@ from ponfabric import (
     OwcPonSpec,
     PathClass,
     RoutingPolicy,
+    TrafficMatrix,
     all_pairs_summary,
+    assign,
     build_owc_pon,
     resolve_route,
     route_to_external,
 )
 from ponfabric.errors import NoRoute, PolicyExcluded, UnknownServer
 
-from test_topology import admissible_owcpon, without_link, without_node
+from test_topology import admissible_owcpon, without_link
 
 
 class TestResolveRoute:
     def test_same_server(self, default_owcpon):
-        route = resolve_route(default_owcpon, "rack0/server0", "rack0/server0")
+        route = resolve_route(default_owcpon.spec, "rack0/server0", "rack0/server0")
         assert route.path_class is PathClass.SAME_SERVER
         assert route.hop_count == 0
         assert route.nodes == ("rack0/server0",)
 
     def test_intra_rack(self, default_owcpon):
-        route = resolve_route(default_owcpon, "rack0/server0", "rack0/server5")
+        route = resolve_route(default_owcpon.spec, "rack0/server0", "rack0/server5")
         assert route.path_class is PathClass.INTRA_RACK
         assert route.hop_count == 2
         assert route.nodes == ("rack0/server0", "rack0/leaf", "rack0/server5")
 
     def test_inter_rack_intra_group(self, default_owcpon):
-        route = resolve_route(default_owcpon, "rack0/server0", "rack2/server1")
+        route = resolve_route(default_owcpon.spec, "rack0/server0", "rack2/server1")
         assert route.path_class is PathClass.INTER_RACK_INTRA_GROUP
         assert route.hop_count == 10
         assert "group0/switch" in route.nodes
@@ -42,51 +46,57 @@ class TestResolveRoute:
 
     def test_inter_group_direct(self, default_owcpon):
         # racks 1 and 5 share the within-group AP index 1
-        route = resolve_route(default_owcpon, "rack1/server0", "rack5/server0")
+        route = resolve_route(default_owcpon.spec, "rack1/server0", "rack5/server0")
         assert route.path_class is PathClass.INTER_GROUP_DIRECT
         assert route.hop_count == 9
         assert "olt" not in route.nodes
 
     def test_inter_group_relayed_no_gateway_endpoint(self, default_owcpon):
-        route = resolve_route(default_owcpon, "rack1/server0", "rack7/server0")
+        route = resolve_route(default_owcpon.spec, "rack1/server0", "rack7/server0")
         assert route.path_class is PathClass.INTER_GROUP_RELAYED
         assert route.hop_count == 14
         assert "olt" in route.nodes
 
     def test_inter_group_relayed_one_gateway_endpoint(self, default_owcpon):
         # rack0 sits behind the gateway AP of group 0
-        route = resolve_route(default_owcpon, "rack0/server0", "rack5/server0")
+        route = resolve_route(default_owcpon.spec, "rack0/server0", "rack5/server0")
         assert route.path_class is PathClass.INTER_GROUP_RELAYED
         assert route.hop_count == 12
 
     def test_inter_group_relayed_both_gateway_endpoints(self):
         graph = build_owc_pon(OwcPonSpec(adjacency=NoDirectLinks()))
-        route = resolve_route(graph, "rack0/server0", "rack4/server0")
+        route = resolve_route(graph.spec, "rack0/server0", "rack4/server0")
         assert route.path_class is PathClass.INTER_GROUP_RELAYED
         assert route.hop_count == 10
 
     def test_simple_paths(self, default_owcpon):
-        servers = [n.id for n in default_owcpon.nodes_of_kind(DeviceKind.SERVER)]
+        servers = [n.id for n in oracles.index(default_owcpon).nodes_of_kind(DeviceKind.SERVER)]
         for src in servers[::8]:
             for dst in servers:
-                route = resolve_route(default_owcpon, src, dst)
+                route = resolve_route(default_owcpon.spec, src, dst)
                 assert len(set(route.nodes)) == len(route.nodes)
                 assert route.hop_count == len(route.links)
 
     def test_unknown_server(self, default_owcpon):
         with pytest.raises(UnknownServer):
-            resolve_route(default_owcpon, "rack0/server0", "rack0/server99")
+            resolve_route(default_owcpon.spec, "rack0/server0", "rack0/server99")
         with pytest.raises(UnknownServer):
-            resolve_route(default_owcpon, "olt", "rack0/server0")
+            resolve_route(default_owcpon.spec, "olt", "rack0/server0")
 
     def test_missing_owc_link_surfaces_no_route(self, default_owcpon):
+        """Routes come from the spec; a graph that lacks one of a route's
+        links cannot carry its demand."""
         broken = without_link(default_owcpon, "rack0/txrx0--group0/ap0/txrx0")
-        with pytest.raises(NoRoute):
-            resolve_route(broken, "rack0/server0", "rack1/server0")
+        flow = TrafficMatrix({("rack0/server0", "rack1/server0"): Fraction(1)})
+        with pytest.raises(NoRoute) as caught:
+            assign(broken, flow)
+        assert str(caught.value) == (
+            "rack0/server0 -> rack1/server0: missing link rack0/txrx0--group0/ap0/txrx0"
+        )
 
     def test_multiplier_uses_first_plane(self):
         graph = build_owc_pon(OwcPonSpec(transceiver_multiplier=2))
-        route = resolve_route(graph, "rack0/server0", "rack1/server0")
+        route = resolve_route(graph.spec, "rack0/server0", "rack1/server0")
         assert route.hop_count == 10
         assert "rack0/txrx0" in route.nodes
         assert "rack0/txrx1" not in route.nodes
@@ -94,40 +104,35 @@ class TestResolveRoute:
 
 class TestTraditionalRouting:
     def test_intra_rack_supported(self, default_traditional):
-        route = resolve_route(default_traditional, "rack0/server0", "rack0/server1")
+        route = resolve_route(default_traditional.spec, "rack0/server0", "rack0/server1")
         assert route.path_class is PathClass.INTRA_RACK
         assert route.hop_count == 2
 
     def test_inter_rack_not_modeled(self, default_traditional):
         with pytest.raises(NoRoute):
-            resolve_route(default_traditional, "rack0/server0", "rack1/server0")
+            resolve_route(default_traditional.spec, "rack0/server0", "rack1/server0")
 
     def test_no_external_gateway(self, default_traditional):
         with pytest.raises(NoRoute):
-            route_to_external(default_traditional, "rack0/server0")
+            route_to_external(default_traditional.spec, "rack0/server0")
 
 
 class TestRouteToExternal:
     def test_from_non_gateway_ap(self, default_owcpon):
-        route = route_to_external(default_owcpon, "rack2/server0")
+        route = route_to_external(default_owcpon.spec, "rack2/server0")
         assert route.path_class is PathClass.EXTERNAL
         assert route.hop_count == 8
         assert route.nodes[-1] == "external"
 
     def test_from_gateway_ap(self, default_owcpon):
-        route = route_to_external(default_owcpon, "rack0/server0")
+        route = route_to_external(default_owcpon.spec, "rack0/server0")
         assert route.hop_count == 6
-
-    def test_missing_external(self, default_owcpon):
-        broken = without_node(default_owcpon, "external")
-        with pytest.raises(NoRoute):
-            route_to_external(broken, "rack0/server0")
 
 
 class TestPolicy:
     def test_relay_preferred_when_direct_disabled(self, default_owcpon):
         policy = RoutingPolicy(prefer_direct_inter_group=False)
-        route = resolve_route(default_owcpon, "rack1/server0", "rack5/server0", policy)
+        route = resolve_route(default_owcpon.spec, "rack1/server0", "rack5/server0", policy)
         assert route.path_class is PathClass.INTER_GROUP_RELAYED
         assert route.hop_count == 14
 
@@ -136,35 +141,35 @@ class TestPolicy:
             prefer_direct_inter_group=False, allow_relay_fallback=False
         )
         with pytest.raises(PolicyExcluded):
-            resolve_route(default_owcpon, "rack1/server0", "rack5/server0", policy)
+            resolve_route(default_owcpon.spec, "rack1/server0", "rack5/server0", policy)
 
     def test_relay_disabled_without_direct_link(self, default_owcpon):
         policy = RoutingPolicy(allow_relay_fallback=False)
         with pytest.raises(PolicyExcluded):
-            resolve_route(default_owcpon, "rack1/server0", "rack7/server0", policy)
+            resolve_route(default_owcpon.spec, "rack1/server0", "rack7/server0", policy)
 
     def test_relay_disabled_with_direct_link(self, default_owcpon):
         policy = RoutingPolicy(allow_relay_fallback=False)
-        route = resolve_route(default_owcpon, "rack1/server0", "rack5/server0", policy)
+        route = resolve_route(default_owcpon.spec, "rack1/server0", "rack5/server0", policy)
         assert route.path_class is PathClass.INTER_GROUP_DIRECT
 
     def test_disabling_direct_never_shortens(self, default_owcpon):
         relay_only = RoutingPolicy(prefer_direct_inter_group=False)
-        servers = [n.id for n in default_owcpon.nodes_of_kind(DeviceKind.SERVER)]
+        servers = [n.id for n in oracles.index(default_owcpon).nodes_of_kind(DeviceKind.SERVER)]
         for src in servers[::4]:
             for dst in servers[::4]:
-                default_hops = resolve_route(default_owcpon, src, dst).hop_count
-                relay_hops = resolve_route(default_owcpon, src, dst, relay_only).hop_count
+                default_hops = resolve_route(default_owcpon.spec, src, dst).hop_count
+                relay_hops = resolve_route(default_owcpon.spec, src, dst, relay_only).hop_count
                 assert relay_hops >= default_hops
 
 
 class TestSymmetry:
     def test_reverse_routes_mirror(self, default_owcpon):
-        servers = [n.id for n in default_owcpon.nodes_of_kind(DeviceKind.SERVER)]
+        servers = [n.id for n in oracles.index(default_owcpon).nodes_of_kind(DeviceKind.SERVER)]
         for src in servers[::8]:
             for dst in servers[::2]:
-                forward = resolve_route(default_owcpon, src, dst)
-                backward = resolve_route(default_owcpon, dst, src)
+                forward = resolve_route(default_owcpon.spec, src, dst)
+                backward = resolve_route(default_owcpon.spec, dst, src)
                 assert forward.nodes == tuple(reversed(backward.nodes))
                 assert forward.links == tuple(reversed(backward.links))
                 assert forward.path_class is backward.path_class
@@ -234,10 +239,10 @@ class TestTotality:
     @given(spec=admissible_owcpon)
     def test_every_pair_resolves_simply_on_clean_graphs(self, spec):
         graph = build_owc_pon(spec)
-        servers = [n.id for n in graph.nodes_of_kind(DeviceKind.SERVER)]
+        servers = [n.id for n in oracles.index(graph).nodes_of_kind(DeviceKind.SERVER)]
         for src in servers:
             for dst in servers:
-                route = resolve_route(graph, src, dst)
+                route = resolve_route(graph.spec, src, dst)
                 assert len(set(route.nodes)) == len(route.nodes)
                 assert route.hop_count == len(route.links)
 
@@ -245,10 +250,10 @@ class TestTotality:
 class TestShortestPathOracle:
     def test_sampled_pairs_agree(self, default_owcpon):
         nxg = oracles.to_networkx(default_owcpon)
-        servers = [n.id for n in default_owcpon.nodes_of_kind(DeviceKind.SERVER)]
+        servers = [n.id for n in oracles.index(default_owcpon).nodes_of_kind(DeviceKind.SERVER)]
         for src in servers[::8]:
             for dst in servers[::4]:
-                route = resolve_route(default_owcpon, src, dst)
+                route = resolve_route(default_owcpon.spec, src, dst)
                 assert route.hop_count == oracles.oracle_hop_count(
                     default_owcpon, nxg, src, dst
                 )
@@ -256,7 +261,7 @@ class TestShortestPathOracle:
     def test_external_routes_agree(self, default_owcpon):
         nxg = oracles.to_networkx(default_owcpon)
         for src in ("rack0/server0", "rack3/server7", "rack4/server2"):
-            route = route_to_external(default_owcpon, src)
+            route = route_to_external(default_owcpon.spec, src)
             assert route.hop_count == oracles.oracle_external_hop_count(
                 default_owcpon, nxg, src
             )
@@ -269,5 +274,5 @@ class TestShortestPathOracle:
             ("rack1/server0", "rack4/server0"),
             ("rack1/server0", "rack7/server0"),
         ):
-            route = resolve_route(graph, src, dst)
+            route = resolve_route(graph.spec, src, dst)
             assert route.hop_count == oracles.oracle_hop_count(graph, nxg, src, dst)

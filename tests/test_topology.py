@@ -20,15 +20,18 @@ from ponfabric import (
     PowerCatalog,
     PowerReport,
     PowerRow,
+    RouteTable,
     TraditionalSpec,
+    all_pairs_summary,
     build_owc_pon,
     build_traditional,
     device_census,
     generate_traffic,
+    validate,
 )
 from ponfabric.errors import BadAdjacency, SpecMismatch
 
-from oracles import links_between, reference_census, reference_find_nodes, reference_validate
+from oracles import index, links_between, reference_census, reference_find_nodes, reference_validate
 
 
 def census_nonzero(graph):
@@ -118,13 +121,13 @@ class TestBuildOwcPon:
         direct = [
             link
             for link in default_owcpon.links
-            if default_owcpon.node(link.endpoint_a).kind is DeviceKind.NIC
-            and default_owcpon.node(link.endpoint_b).kind is DeviceKind.NIC
+            if index(default_owcpon).node(link.endpoint_a).kind is DeviceKind.NIC
+            and index(default_owcpon).node(link.endpoint_b).kind is DeviceKind.NIC
         ]
         assert len(direct) == 4
         for link in direct:
-            a = default_owcpon.node(link.endpoint_a)
-            b = default_owcpon.node(link.endpoint_b)
+            a = index(default_owcpon).node(link.endpoint_a)
+            b = index(default_owcpon).node(link.endpoint_b)
             assert a.group != b.group
             assert a.ap == b.ap
 
@@ -141,11 +144,11 @@ class TestBuildOwcPon:
             "olt": 1,
             "external_gateway": 1,
         }
-        nic_nodes = graph.nodes_of_kind(DeviceKind.NIC)
+        nic_nodes = index(graph).nodes_of_kind(DeviceKind.NIC)
         assert all(
             not (
-                graph.node(l.endpoint_a).kind is DeviceKind.NIC
-                and graph.node(l.endpoint_b).kind is DeviceKind.NIC
+                index(graph).node(l.endpoint_a).kind is DeviceKind.NIC
+                and index(graph).node(l.endpoint_b).kind is DeviceKind.NIC
             )
             for l in graph.links
         )
@@ -179,8 +182,8 @@ class TestBuildOwcPon:
         direct = {
             (link.endpoint_a, link.endpoint_b)
             for link in graph.links
-            if graph.node(link.endpoint_a).kind is DeviceKind.NIC
-            and graph.node(link.endpoint_b).kind is DeviceKind.NIC
+            if index(graph).node(link.endpoint_a).kind is DeviceKind.NIC
+            and index(graph).node(link.endpoint_b).kind is DeviceKind.NIC
         }
         assert direct == {
             ("group0/ap0/nic", "group1/ap2/nic"),
@@ -198,6 +201,20 @@ class TestBuildOwcPon:
     def test_bad_adjacency(self, pairs):
         with pytest.raises(BadAdjacency):
             build_owc_pon(OwcPonSpec(adjacency=ExplicitPairs(pairs)))
+
+    @pytest.mark.parametrize(
+        "ap, name",
+        [((True, 1), "groupTrue/ap1"), ((1.0, 1), "group1.0/ap1"), ((1, True), "group1/apTrue")],
+    )
+    def test_ap_indices_must_be_ints(self, ap, name):
+        """``True`` and ``1.0`` equal 1, but the builder would name a NIC
+        ``groupTrue/ap1`` or ``group1.0/ap1`` that no AP has, so every check
+        of the spec refuses them."""
+        spec = OwcPonSpec(adjacency=ExplicitPairs((((0, 0), ap),)))
+        for check in (build_owc_pon, validate, device_census, all_pairs_summary, RouteTable):
+            with pytest.raises(BadAdjacency) as caught:
+                check(spec)
+            assert str(caught.value) == f"pair references missing AP {name}", check
 
     def test_transceiver_multiplier(self):
         graph = build_owc_pon(OwcPonSpec(transceiver_multiplier=2))
@@ -337,14 +354,14 @@ class TestProperties:
         assert census[DeviceKind.OLT] == 1
         assert census[DeviceKind.SERVER] == spec.num_racks * spec.servers_per_rack
         assert census[DeviceKind.SERVER_TRANSCEIVER] == census[DeviceKind.SERVER]
-        gateways = [n for n in graph.nodes_of_kind(DeviceKind.NIC) if n.is_gateway]
+        gateways = [n for n in index(graph).nodes_of_kind(DeviceKind.NIC) if n.is_gateway]
         assert len(gateways) == spec.num_groups
 
     @settings(max_examples=80, derandomize=True)
     @given(spec=admissible_owcpon)
     def test_every_nic_reaches_its_switch_once(self, spec):
         graph = build_owc_pon(spec)
-        for nic in graph.nodes_of_kind(DeviceKind.NIC):
+        for nic in index(graph).nodes_of_kind(DeviceKind.NIC):
             switches = reference_find_nodes(graph, DeviceKind.OPTICAL_SWITCH, group=nic.group)
             assert len(switches) == 1
             assert len(links_between(graph, nic.id, switches[0].id)) == 1

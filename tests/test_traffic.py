@@ -101,7 +101,7 @@ class TestAssign:
 
     def test_single_demand_loads_exactly_its_route(self, default_owcpon):
         src, dst = "rack0/server0", "rack2/server3"
-        route = resolve_route(default_owcpon, src, dst)
+        route = resolve_route(default_owcpon.spec, src, dst)
         assert route.hop_count == 10
         report = assign(default_owcpon, TrafficMatrix({(src, dst): Fraction(1)}))
         for row in report.rows:
@@ -162,7 +162,8 @@ class TestAssign:
             assign(default_owcpon, matrix, policy)
 
     def test_block_servers_must_share_a_leaf(self, default_owcpon):
-        # rack0/server1 rewired to rack1's leaf: rack 0's block cannot share one route
+        # rack0/server1 rewired to rack1's leaf: the spec's edge link of rack 0's
+        # block is missing
         moved = Link(
             "rack0/server1--rack1/leaf", "rack0/server1", "rack1/leaf", LinkKind.WIRED, Fraction(10)
         )
@@ -172,7 +173,7 @@ class TestAssign:
         with pytest.raises(NoRoute) as caught:
             assign(broken, blocks)
         assert str(caught.value) == (
-            "rack0/server0 -> rack1/server0: server rack0/server1 is not wired to rack0/leaf"
+            "rack0/server0 -> rack1/server0: missing link rack0/server1--rack0/leaf"
         )
 
     def test_first_failing_entry_in_sorted_order_is_named(self, default_owcpon):
@@ -235,7 +236,7 @@ class TestAssignProperties:
         report = assign(default_owcpon, matrix)
         expected = sum(
             (
-                rate * resolve_route(default_owcpon, src, dst).hop_count
+                rate * resolve_route(default_owcpon.spec, src, dst).hop_count
                 for (src, dst), rate in matrix.demands.items()
             ),
             Fraction(0),
