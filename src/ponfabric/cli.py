@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .benchmark import (
@@ -129,7 +128,7 @@ def _owcpon_spec(scenario: Scenario) -> OwcPonSpec:
 
 def _owcpon_graph(scenario: Scenario):
     _owcpon_spec(scenario)
-    owcpon_only = replace(scenario, architectures=(Architecture.OWC_PON,))
+    owcpon_only = scenario._replace(architectures=(Architecture.OWC_PON,))
     return build_graphs(owcpon_only)[Architecture.OWC_PON]
 
 

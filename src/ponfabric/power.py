@@ -7,34 +7,28 @@ rationals and only rendered to one decimal at the edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MissingCatalogEntry, MissingOlt, PonFabricError, SpecMismatch, ZeroBaseline
-from .topology import (
-    DeviceKind,
-    OwcPonSpec,
-    TraditionalSpec,
-    device_census,
-)
+from .topology import DeviceKind, OwcPonSpec, TraditionalSpec, check_count, checked, device_census
 # perfbench/traced.py wraps these names in this module; nothing here calls them.
 from .topology import build_owc_pon, build_traditional  # noqa: F401
 
 
-@dataclass(frozen=True)
-class PowerCatalog:
-    """Per-device-kind wattage table, stored as non-negative milliwatts."""
+@checked
+class PowerCatalog(NamedTuple):
+    """Per-device-kind wattage table, stored as non-negative int milliwatts."""
 
     entries: Mapping[DeviceKind, int]
 
-    def __post_init__(self):
+    def _checked(self) -> PowerCatalog:
         frozen = dict(self.entries)
         for kind, value in frozen.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if check_count(value, f"{kind.value}: power") < 0:
                 raise ValueError(f"{kind.value}: power must be a non-negative int (mW)")
-        object.__setattr__(self, "entries", frozen)
+        return self._make((frozen,))
 
     def get(self, kind: DeviceKind) -> int | None:
         return self.entries.get(kind)
@@ -75,8 +69,7 @@ class NicCountMode(Enum):
     PER_SERVER = "per_server"
 
 
-@dataclass(frozen=True)
-class PowerOptions:
+class PowerOptions(NamedTuple):
     """Inclusion flags for the transceiver terms and the NIC counting mode.
 
     Both transceiver terms default to excluded and NICs default to one per
@@ -97,8 +90,7 @@ PROFILES: dict[str, PowerOptions] = {
 }
 
 
-@dataclass(frozen=True)
-class PowerRow:
+class PowerRow(NamedTuple):
     kind: DeviceKind
     quantity: int
     unit_mw: int
@@ -106,14 +98,14 @@ class PowerRow:
     included: bool
 
 
-@dataclass(frozen=True)
-class PowerReport:
+@checked
+class PowerReport(NamedTuple):
     """Per-kind subtotals plus their exact total."""
 
     rows: tuple[PowerRow, ...]
     total_mw: int
 
-    def __post_init__(self):
+    def _checked(self) -> None:
         if self.total_mw != sum(row.subtotal_mw for row in self.rows):
             raise ValueError("report total does not match its subtotals")
 
@@ -216,16 +208,14 @@ def power_reduction(baseline: PowerReport, proposed: PowerReport) -> Fraction:
     return Fraction(baseline.total_mw - proposed.total_mw, baseline.total_mw)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     racks: int
     servers_per_rack: int
     num_groups: int
     num_spine: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     point: SweepPoint
     traditional: PowerReport | None
     proposed: PowerReport | None

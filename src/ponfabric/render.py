@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 SCHEMA = "ponfabric/1"
 
@@ -45,8 +45,7 @@ def format_rational(value: Fraction) -> str:
     return f"{sign}{whole}.{str(frac).zfill(digits).rstrip('0')}"
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """A named table; each row holds one cell per column."""
 
     name: str
@@ -54,8 +53,7 @@ class Table:
     rows: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     title: str
     meta: tuple[tuple[str, object], ...] = ()
     tables: tuple[Table, ...] = ()

@@ -39,9 +39,9 @@ the spec and the policy alone.  The graph walk that checks the table is
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import NoRoute, PolicyExcluded, UnknownServer
 from .topology import FabricSpec, IndexMatched, OwcPonSpec
@@ -67,8 +67,7 @@ _INTRA_RACK, _INTRA_GROUP = PathClass.INTRA_RACK, PathClass.INTER_RACK_INTRA_GRO
 _DIRECT, _RELAYED = PathClass.INTER_GROUP_DIRECT, PathClass.INTER_GROUP_RELAYED
 
 
-@dataclass(frozen=True)
-class RoutingPolicy:
+class RoutingPolicy(NamedTuple):
     """Path selection knobs for inter-group traffic.
 
     With ``prefer_direct_inter_group`` a pair whose APs share a direct
@@ -80,8 +79,7 @@ class RoutingPolicy:
     allow_relay_fallback: bool = True
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """An ordered simple path: node ids plus the link ids joining them."""
 
     nodes: tuple[str, ...]

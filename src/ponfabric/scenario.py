@@ -27,9 +27,9 @@ fully resolved canonical form; parsing it back yields an equal Scenario.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import InvalidValue, ParseError, UnknownKey
 from .power import PROFILES, STRUCTURAL_KINDS, NicCountMode, PowerOptions
@@ -74,14 +74,12 @@ _DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]{1,3})?$")
 _PAIR_RE = re.compile(r"^([0-9]+)\.([0-9]+)-([0-9]+)\.([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class TrafficSection:
+class TrafficSection(NamedTuple):
     pattern: TrafficPattern | None = None
     flows: tuple[tuple[str, str, Fraction], ...] = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A fully resolved run description; the input to every command."""
 
     architectures: tuple[Architecture, ...] = (
@@ -406,10 +404,9 @@ def parse_scenario(text: str) -> Scenario:
             flows=tuple((src, dst, Fraction(flows[(src, dst)], 1000)) for src, dst in sorted(flows))
         )
 
-    return replace(
-        base,
+    return base._replace(
         **fields.pop("", {}),
-        **{owner: replace(getattr(base, owner), **values) for owner, values in fields.items()},
+        **{owner: getattr(base, owner)._replace(**values) for owner, values in fields.items()},
         catalog_overrides=tuple(sorted(overrides.items())),
         traffic=traffic,
     )
@@ -437,7 +434,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         pattern = scenario.traffic.pattern
         for name, (kind, codecs) in _PATTERNS.items():
             if isinstance(pattern, kind):
-                args = (to_text(arg) for (_, to_text), arg in zip(codecs, vars(pattern).values()))
+                args = (to_text(arg) for (_, to_text), arg in zip(codecs, pattern))
                 lines.append(f"pattern = {name} {' '.join(args)}")
         for src, dst, rate in scenario.traffic.flows:
             lines.append(f"flow = {src} {dst} {_decimal_text(rate)}")

@@ -15,13 +15,46 @@ of its inputs, so identical specs always produce identical graphs.
 
 from __future__ import annotations
 
+import gc
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import wraps
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import BadAdjacency, SpecMismatch
+
+
+def checked(record: type) -> type:
+    """The named tuple class ``record``, with ``record(...)`` and ``_replace``
+    passing each new value to its ``_checked``, which raises, or returns a
+    normalised copy made with ``_make`` (which skips it), or None to keep it."""
+    new, replace = record.__new__, record._replace
+
+    @wraps(new)  # keeps the fields' signature for ``help`` and ``inspect``
+    def checked_new(cls, *args, **kwargs):
+        value = new(cls, *args, **kwargs)
+        return value._checked() or value
+
+    record.__new__ = checked_new
+    record._replace = lambda self, **changes: record(*replace(self, **changes))
+    return record
+
+
+def check_count(value: object, name: str, minimum: int | None = None) -> int:
+    """``value`` if an int, not a bool, of at least ``minimum``, else an error naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
+
+
+def check_rate(value: object, name: str) -> int | Fraction:
+    """``value`` if an int, not a bool, or a ``Fraction``, else an error naming ``name``."""
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int or a Fraction, not {type(value).__name__}")
+    return value
 
 
 class DeviceKind(Enum):
@@ -66,15 +99,8 @@ class Node(NamedTuple):
     is_gateway: bool = False
 
 
-class _LinkFields(NamedTuple):
-    id: str
-    endpoint_a: str
-    endpoint_b: str
-    kind: LinkKind
-    capacity: Fraction
-
-
-class Link(_LinkFields):
+@checked
+class Link(NamedTuple):
     """An undirected connection between two nodes.
 
     ``Link(...)`` and ``_replace`` reject a self-loop and a capacity that
@@ -83,86 +109,105 @@ class Link(_LinkFields):
     ``LinkCapacities``' positive values cannot fail them.
     """
 
-    __slots__ = ()
+    id: str
+    endpoint_a: str
+    endpoint_b: str
+    kind: LinkKind
+    capacity: Fraction
 
-    def __new__(cls, id: str, endpoint_a: str, endpoint_b: str, kind: LinkKind, capacity: Fraction):
-        if endpoint_a == endpoint_b:
-            raise ValueError(f"link {id!r} connects a node to itself")
-        if capacity <= 0:
-            raise ValueError(f"link {id!r} needs a positive capacity")
-        return tuple.__new__(cls, (id, endpoint_a, endpoint_b, kind, capacity))
-
-    def _replace(self, **changes) -> Link:
-        return Link(*_LinkFields._replace(self, **changes))
+    def _checked(self) -> None:
+        if self.endpoint_a == self.endpoint_b:
+            raise ValueError(f"link {self.id!r} connects a node to itself")
+        if self.capacity <= 0:
+            raise ValueError(f"link {self.id!r} needs a positive capacity")
 
 
-@dataclass(frozen=True)
-class LinkCapacities:
-    """Default per-kind link capacities in Gb/s, overridable per scenario."""
+@checked
+class LinkCapacities(NamedTuple):
+    """Per-kind link capacities in Gb/s, ints or ``Fraction``s, kept as ``Fraction``s."""
 
     wired: Fraction = Fraction(10)
     owc: Fraction = Fraction(10)
     fiber: Fraction = Fraction(40)
 
-    def __post_init__(self):
-        for name in ("wired", "owc", "fiber"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
-            if getattr(self, name) <= 0:
+    def _checked(self) -> LinkCapacities:
+        for name, value in zip(self._fields, self):
+            if check_rate(value, name) <= 0:
                 raise ValueError(f"{name} capacity must be positive")
+        return self._make(map(Fraction, self))
 
     def for_kind(self, kind: LinkKind) -> Fraction:
         return getattr(self, kind.value)  # the fields are named by the kinds' values
 
 
-@dataclass(frozen=True)
-class TraditionalSpec:
+@checked
+class TraditionalSpec(NamedTuple):
     """Parameters of the spine-and-leaf fabric (one leaf per rack)."""
 
     num_spine: int = 8
     num_racks: int = 8
     servers_per_rack: int = 8
 
-    def __post_init__(self):
+    def _checked(self) -> None:
         for name in ("num_racks", "servers_per_rack", "num_spine"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            check_count(getattr(self, name), name, 0)
 
 
-@dataclass(frozen=True)
-class IndexMatched:
+class _Marker:
+    """A parameterless adjacency policy, equal to its class's instances only."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self)
+
+    def __hash__(self) -> int:
+        return hash(type(self).__name__)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
+
+class IndexMatched(_Marker):
     """Direct inter-group links between same-index APs of every group pair."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NoDirectLinks:
+
+class NoDirectLinks(_Marker):
     """No direct inter-group links; cross-group traffic relays via the OLT."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ExplicitPairs:
+
+@checked
+class ExplicitPairs(NamedTuple):
     """Direct inter-group links between explicitly listed AP pairs.
 
-    Each pair is ``((group_a, ap_a), (group_b, ap_b))`` with the two APs in
-    distinct groups.
+    Each pair is ``((group_a, ap_a), (group_b, ap_b))`` of ints, with the
+    two APs in distinct groups (the fabric's checks hold the second rule).
     """
 
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+    def _checked(self) -> None:
+        for first, second in self.pairs:
+            for index in (*first, *second):
+                check_count(index, "each index in pairs")
 
 
 InterGroupAdjacency = Union[IndexMatched, ExplicitPairs, NoDirectLinks]
 
 
-@dataclass(frozen=True)
-class OwcPonSpec:
+@checked
+class OwcPonSpec(NamedTuple):
     """Parameters of the optical-wireless fabric with PON backhaul.
 
     ``num_groups * aps_per_group`` must equal ``num_racks``: each AP serves
     exactly one rack (rack ``r`` maps to group ``r // aps_per_group``, AP
     ``r % aps_per_group``).  ``transceiver_multiplier`` creates that many
     parallel rack/AP transceiver pairs per rack; routing always uses the
-    first pair.
+    first pair.  Every count is an int.
     """
 
     num_racks: int = 8
@@ -173,14 +218,10 @@ class OwcPonSpec:
     gateway_ap_index: int = 0
     transceiver_multiplier: int = 1
 
-    def __post_init__(self):
-        for name in ("num_racks", "servers_per_rack", "num_groups", "aps_per_group"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.gateway_ap_index < 0:
-            raise ValueError("gateway_ap_index must be >= 0")
-        if self.transceiver_multiplier < 1:
-            raise ValueError("transceiver_multiplier must be >= 1")
+    def _checked(self) -> None:
+        for name, value in zip(self._fields, self):
+            if name != "adjacency":
+                check_count(value, name, 1 if name == "transceiver_multiplier" else 0)
 
 
 FabricSpec = Union[TraditionalSpec, OwcPonSpec]
@@ -247,6 +288,23 @@ def _linker(kind: LinkKind, capacities: LinkCapacities) -> Callable[[str, str], 
     return lambda a, b: make((f"{a}--{b}", a, b, kind, capacity))
 
 
+def _gc_paused(build: Callable[..., NetworkGraph]) -> Callable[..., NetworkGraph]:
+    """``build`` with the cyclic collector paused, then put back as it was:
+    each link holds GC-tracked objects, which every collection would rescan."""
+
+    @wraps(build)
+    def paused(*args, **kwargs) -> NetworkGraph:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 def _wire_rack(
     r: int,
     servers_per_rack: int,
@@ -266,6 +324,7 @@ def _wire_rack(
     return leaf
 
 
+@_gc_paused
 def build_traditional(
     spec: TraditionalSpec, capacities: LinkCapacities = LinkCapacities()
 ) -> NetworkGraph:
@@ -308,10 +367,7 @@ def _check_owc_pon(spec: OwcPonSpec) -> int:
         seen: set[frozenset[tuple[int, int]]] = set()
         for first, second in adjacency.pairs:
             for group, ap in (first, second):
-                # a bool or a float would name an AP the builder never makes
-                if type(group) is not int or type(ap) is not int or not (
-                    0 <= group < spec.num_groups and 0 <= ap < spec.aps_per_group
-                ):
+                if not (0 <= group < spec.num_groups and 0 <= ap < spec.aps_per_group):
                     raise BadAdjacency(
                         f"pair references missing AP group{group}/ap{ap}"
                     )
@@ -327,6 +383,7 @@ def _check_owc_pon(spec: OwcPonSpec) -> int:
     raise TypeError(f"unsupported adjacency policy: {adjacency!r}")
 
 
+@_gc_paused
 def build_owc_pon(
     spec: OwcPonSpec, capacities: LinkCapacities = LinkCapacities()
 ) -> NetworkGraph:
@@ -434,8 +491,7 @@ def fabric_size(spec: FabricSpec) -> tuple[int, int]:
     return sum(census.values()), links
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One structural rule breach found by ``validate``."""
 
     code: str

@@ -18,7 +18,7 @@ and avoids one ``Fraction`` normalisation per hop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 from .errors import NoRoute, RoutingError, ScenarioError, UnknownRack, in_pair
 from .routing import RouteTable, RoutingPolicy
 from .routing import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
-from .topology import FabricSpec, LinkKind, NetworkGraph
+from .topology import FabricSpec, LinkKind, NetworkGraph, check_count, check_rate, checked
 
 #: (sources, destinations, Gb/s): each source sends the rate to each
 #: destination but itself.  A group is one server or one rack's servers;
@@ -39,21 +39,21 @@ Block = tuple[tuple[str, ...], tuple[str, ...], Fraction]
 DEMAND_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class TrafficMatrix:
+@checked
+class TrafficMatrix(NamedTuple):
     """Sparse (src server, dst server) -> demand map in Gb/s: explicit flow
     lines, each entry a 1x1 block."""
 
     demands: Mapping[tuple[str, str], Fraction]
 
-    def __post_init__(self):
+    def _checked(self) -> TrafficMatrix:
         frozen = {}
         for (src, dst), value in self.demands.items():
             rate = value if isinstance(value, Fraction) else Fraction(value)
             if rate.numerator < 0:
                 raise ValueError(f"negative demand for {src} -> {dst}")
             frozen[(src, dst)] = rate
-        object.__setattr__(self, "demands", frozen)
+        return self._make((frozen,))
 
     def blocks(self) -> list[Block]:
         """A 1x1 block per entry with demand between two servers, sorted."""
@@ -75,8 +75,7 @@ class RackBlocks(NamedTuple):
     blocks with demand in the sorted order of their first entries,
     ``(rack{a}/server0, rack{b}/server0)``, as ``generate_traffic`` builds
     it; server ids follow the graphs' ``rack{r}/server{i}``; ``entries``
-    and ``total`` count the server pairs and sum their Gb/s.  A named
-    tuple, not a dataclass, which costs every CLI process a millisecond."""
+    and ``total`` count the server pairs and sum their Gb/s."""
 
     servers_per_rack: int
     demands: Mapping[tuple[int, int], Fraction]
@@ -98,32 +97,40 @@ class RackBlocks(NamedTuple):
         return self.total
 
 
-@dataclass(frozen=True)
-class UniformPattern:
+@checked
+class UniformPattern(NamedTuple):
     """Every ordered pair of distinct servers sends ``gbps``."""
 
     gbps: Fraction
 
+    def _checked(self) -> None:
+        check_rate(self.gbps, "gbps")
 
-@dataclass(frozen=True)
-class HotspotRackPattern:
+
+@checked
+class HotspotRackPattern(NamedTuple):
     """Every server outside ``rack`` sends ``gbps`` to each of its servers."""
 
     rack: int
     gbps: Fraction
 
+    def _checked(self) -> None:
+        check_count(self.rack, "rack")
+        check_rate(self.gbps, "gbps")
 
-@dataclass(frozen=True)
-class IntraRackHeavyPattern:
+
+@checked
+class IntraRackHeavyPattern(NamedTuple):
     """Ordered pairs send ``gbps * intra_fraction`` within a rack and
     ``gbps * (1 - intra_fraction)`` across racks."""
 
     intra_fraction: Fraction
     gbps: Fraction
 
-    def __post_init__(self):
-        if not 0 <= self.intra_fraction <= 1:
+    def _checked(self) -> None:
+        if not 0 <= check_rate(self.intra_fraction, "intra_fraction") <= 1:
             raise ValueError("intra_fraction must be within [0, 1]")
+        check_rate(self.gbps, "gbps")
 
 
 TrafficPattern = Union[UniformPattern, HotspotRackPattern, IntraRackHeavyPattern]
@@ -170,20 +177,23 @@ def generate_traffic(pattern: TrafficPattern, spec: FabricSpec) -> RackBlocks:
     return RackBlocks(servers, demands, intra_pairs + inter_pairs, total)
 
 
-@dataclass(frozen=True)
-class LinkLoad:
-    link_id: str
-    kind: LinkKind
-    capacity: Fraction
-    load: Fraction
-    utilization: Fraction = field(init=False)
+class LinkLoad(namedtuple("LinkLoad", "link_id kind capacity load utilization")):
+    """One link's load, and its ``utilization``, the ``Fraction`` ``load /
+    capacity``, which neither ``LinkLoad(...)`` nor ``_replace`` takes."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "utilization", self.load / self.capacity)
+    __slots__ = ()
+
+    def __new__(cls, link_id: str, kind: LinkKind, capacity: Fraction, load: Fraction):
+        return tuple.__new__(cls, (link_id, kind, capacity, load, load / capacity))
+
+    def _replace(self, **changes) -> LinkLoad:
+        return LinkLoad(**dict(zip(self._fields[:4], self), **changes))
+
+    def __getnewargs__(self) -> tuple:  # what ``pickle`` and ``copy`` pass to ``__new__``
+        return self[:4]
 
 
-@dataclass(frozen=True)
-class LinkLoadReport:
+class LinkLoadReport(NamedTuple):
     """Per-link aggregate loads, one row per link, sorted by link id."""
 
     rows: tuple[LinkLoad, ...]

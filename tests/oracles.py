@@ -55,7 +55,7 @@ import json
 import re
 import weakref
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -863,8 +863,7 @@ def reference_parse_scenario(text: str) -> Scenario:
             "or pick an [options] profile"
         )
 
-    options = replace(
-        options,
+    options = options._replace(
         include_owc_transceivers=table.boolean(
             "options", "include_owc_transceivers", options.include_owc_transceivers
         ),

@@ -7,7 +7,6 @@ hand computation and from the oracles in ``oracles.py``, never from the
 code under test.
 """
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -53,7 +52,7 @@ from test_topology import (
 
 
 def replace_options(scenario, options):
-    return dataclasses.replace(scenario, options=options)
+    return scenario._replace(options=options)
 
 
 def _passed(criterion: int, detail: str) -> None:

@@ -229,8 +229,10 @@ catalog_overrides = st.dictionaries(
     max_size=3,
 ).map(lambda d: tuple(sorted(d.items())))
 
+# ``builds`` draws every field of a named tuple it is given, defaults
+# included; through a lambda, the fields not listed keep their defaults.
 scenarios = st.builds(
-    Scenario,
+    lambda **fields: Scenario(**fields),
     architectures=st.sampled_from(
         [(Architecture.TRADITIONAL, Architecture.OWC_PON)] * 3
         + [(Architecture.TRADITIONAL,), (Architecture.OWC_PON,)]

@@ -510,7 +510,7 @@ def test_simulate_builds_no_per_server_pattern_demand(tmp_path, capsys, monkeypa
         raise AssertionError("per-server demand was built")
 
     monkeypatch.setattr(oracles, "reference_generate_traffic", refuse)
-    monkeypatch.setattr(TrafficMatrix, "__post_init__", refuse)
+    monkeypatch.setattr(TrafficMatrix, "_checked", refuse)
     path = write_scenario(
         tmp_path,
         "[architecture]\nselect = owcpon\nowcpon.racks = 256\nowcpon.servers_per_rack = 8\n"

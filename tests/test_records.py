@@ -1,6 +1,10 @@
 """The value contract of the package's public records: the ``repr`` of each
-one, recorded while they were frozen dataclasses, stays as it was."""
+one, recorded while they were frozen dataclasses, stays as it was; equal
+values hash equal, fields cannot be assigned, and ``_replace`` runs the
+constructor's checks."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -159,3 +163,91 @@ def test_repr_is_unchanged(name):
     make, text = RECORDS[name]
     assert type(make()).__name__ == name
     assert repr(make()) == text
+
+
+# --- the contract that holds now that they are named tuples and slotted classes ---
+
+UNHASHABLE = {"PowerCatalog", "TrafficMatrix"}  # they hold a dict, as they did before
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_equal_values_hash_equal_and_copy_equal(name):
+    make, _ = RECORDS[name]
+    assert make() == make() and copy.deepcopy(make()) == make()
+    assert pickle.loads(pickle.dumps(make())) == make()
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(make())
+    else:
+        assert hash(make()) == hash(copy.deepcopy(make()))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_fields_cannot_be_assigned(name):
+    value = RECORDS[name][0]()
+    for field in getattr(value, "_fields", ("anything",)):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
+#: (a value, the change ``_replace`` makes, the error, its message)
+BROKEN_REPLACEMENTS = [
+    (LinkCapacities(), {"owc": 0}, ValueError, "owc capacity must be positive"),
+    (LinkCapacities(), {"fiber": 0.5}, TypeError, "fiber must be an int or a Fraction, not float"),
+    (TraditionalSpec(), {"num_racks": -1}, ValueError, "num_racks must be >= 0"),
+    (OwcPonSpec(), {"transceiver_multiplier": 0}, ValueError, "transceiver_multiplier must be >= 1"),
+    (OwcPonSpec(), {"num_groups": 2.0}, TypeError, "num_groups must be an int, not float"),
+    (PAIRS, {"pairs": (((0, 0), (1, True)),)}, TypeError,
+     "each index in pairs must be an int, not bool"),
+    (PowerCatalog({}), {"entries": {DeviceKind.OLT: -1}}, ValueError,
+     "olt: power must be a non-negative int (mW)"),
+    (PowerReport((ROW,), 360_000), {"total_mw": 1}, ValueError,
+     "report total does not match its subtotals"),
+    (TrafficMatrix({}), {"demands": {("a", "b"): -1}}, ValueError, "negative demand for a -> b"),
+    (UniformPattern(1), {"gbps": None}, TypeError, "gbps must be an int or a Fraction, not NoneType"),
+    (HotspotRackPattern(0, 1), {"rack": True}, TypeError, "rack must be an int, not bool"),
+    (IntraRackHeavyPattern(0, 1), {"intra_fraction": Fraction(3, 2)}, ValueError,
+     "intra_fraction must be within [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("value, change, error, message", BROKEN_REPLACEMENTS)
+def test_replace_keeps_the_constructor_checks(value, change, error, message):
+    with pytest.raises(error) as caught:
+        value._replace(**change)
+    assert type(caught.value) is error and str(caught.value) == message
+    with pytest.raises(error):
+        type(value)(**{**value._asdict(), **change})
+
+
+def test_replace_keeps_normalising_and_deriving():
+    wired = LinkCapacities()._replace(wired=5).wired
+    assert type(wired) is Fraction and wired == 5
+    assert PowerCatalog({})._replace(entries={DeviceKind.OLT: 1}).get(DeviceKind.OLT) == 1
+    assert LOAD._replace(load=Fraction(20)).utilization == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        LOAD._replace(utilization=Fraction(1))
+    with pytest.raises(TypeError):
+        LinkLoad("a--b", LinkKind.FIBER, Fraction(40), Fraction(10), Fraction(1))
+    assert Scenario()._replace(traffic=None) == Scenario()
+
+
+def test_parameterless_adjacencies_compare_by_type():
+    assert IndexMatched() == IndexMatched() and hash(IndexMatched()) == hash(IndexMatched())
+    assert NoDirectLinks() == NoDirectLinks()
+    assert IndexMatched() != NoDirectLinks() and NoDirectLinks() != IndexMatched()
+    for marker in (IndexMatched(), NoDirectLinks()):
+        assert marker and marker != () and () != marker
+        assert len({marker, type(marker)()}) == 1
+    assert len({IndexMatched(), NoDirectLinks()}) == 2
+
+
+def test_records_are_tuples_equal_to_their_values():
+    """The API change: a record equals a plain tuple of its values, and
+    unpacks and indexes like one."""
+    assert UniformPattern(Fraction(1)) == (Fraction(1),)
+    assert tuple(TraditionalSpec()) == (8, 8, 8)
+    racks, _, groups, aps, *_ = OwcPonSpec()
+    assert (racks, groups, aps) == (8, 2, 4)

@@ -25,6 +25,7 @@ from ponfabric import (
     HotspotRackPattern,
     IndexMatched,
     IntraRackHeavyPattern,
+    LinkLoadReport,
     NoDirectLinks,
     OwcPonSpec,
     Route,
@@ -202,7 +203,7 @@ def test_link_loads_match_reference(case, policy):
     loads = outcome(lambda: assign(graph, matrix, policy))
     expected = outcome(lambda: oracles.reference_assign(graph, matrix, policy))
     if loads != expected:
-        assert isinstance(loads, tuple), loads
+        assert not isinstance(loads, LinkLoadReport), loads  # so it is an error
         src, dst, reason = re.fullmatch(r"(\S+) -> (\S+): (.*)", loads[1]).groups()
         build = build_owc_pon if isinstance(graph.spec, OwcPonSpec) else build_traditional
         route = outcome(lambda: oracles.reference_route(build(graph.spec), src, dst, policy))
@@ -251,7 +252,7 @@ def check_pattern(spec, pattern):
     graph = build_owc_pon(spec)
     blocks = outcome(lambda: generate_traffic(pattern, spec))
     matrix = outcome(lambda: oracles.reference_generate_traffic(pattern, graph))
-    if isinstance(matrix, tuple):  # a hotspot rack the fabric lacks
+    if not isinstance(matrix, TrafficMatrix):  # a hotspot rack the fabric lacks
         assert blocks == matrix
         return
     assert blocks.demand_entries() == len(matrix.demands)
