@@ -15,7 +15,6 @@ of its inputs, so identical specs always produce identical graphs.
 
 from __future__ import annotations
 
-import gc
 import itertools
 from enum import Enum
 from fractions import Fraction
@@ -288,23 +287,6 @@ def _linker(kind: LinkKind, capacities: LinkCapacities) -> Callable[[str, str], 
     return lambda a, b: make((f"{a}--{b}", a, b, kind, capacity))
 
 
-def _gc_paused(build: Callable[..., NetworkGraph]) -> Callable[..., NetworkGraph]:
-    """``build`` with the cyclic collector paused, then put back as it was:
-    each link holds GC-tracked objects, which every collection would rescan."""
-
-    @wraps(build)
-    def paused(*args, **kwargs) -> NetworkGraph:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
-
-
 def _wire_rack(
     r: int,
     servers_per_rack: int,
@@ -324,7 +306,6 @@ def _wire_rack(
     return leaf
 
 
-@_gc_paused
 def build_traditional(
     spec: TraditionalSpec, capacities: LinkCapacities = LinkCapacities()
 ) -> NetworkGraph:
@@ -367,7 +348,11 @@ def _check_owc_pon(spec: OwcPonSpec) -> int:
         seen: set[frozenset[tuple[int, int]]] = set()
         for first, second in adjacency.pairs:
             for group, ap in (first, second):
-                if not (0 <= group < spec.num_groups and 0 <= ap < spec.aps_per_group):
+                # a bool or a float would name an AP the builder never makes;
+                # ``ExplicitPairs`` refuses them, but its ``_make`` does not
+                if type(group) is not int or type(ap) is not int or not (
+                    0 <= group < spec.num_groups and 0 <= ap < spec.aps_per_group
+                ):
                     raise BadAdjacency(
                         f"pair references missing AP group{group}/ap{ap}"
                     )
@@ -383,7 +368,6 @@ def _check_owc_pon(spec: OwcPonSpec) -> int:
     raise TypeError(f"unsupported adjacency policy: {adjacency!r}")
 
 
-@_gc_paused
 def build_owc_pon(
     spec: OwcPonSpec, capacities: LinkCapacities = LinkCapacities()
 ) -> NetworkGraph:

@@ -97,6 +97,16 @@ class RackBlocks(NamedTuple):
         return self.total
 
 
+def _by_type(pattern: type) -> type:
+    """``pattern`` equal to, and hashed as, patterns of its own type only,
+    so two kinds with equal values, or a plain tuple, never match it."""
+    pattern.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
+    pattern.__ne__ = lambda self, other: not self == other
+    pattern.__hash__ = lambda self: hash((type(self).__name__, *self))
+    return pattern
+
+
+@_by_type
 @checked
 class UniformPattern(NamedTuple):
     """Every ordered pair of distinct servers sends ``gbps``."""
@@ -107,6 +117,7 @@ class UniformPattern(NamedTuple):
         check_rate(self.gbps, "gbps")
 
 
+@_by_type
 @checked
 class HotspotRackPattern(NamedTuple):
     """Every server outside ``rack`` sends ``gbps`` to each of its servers."""
@@ -119,6 +130,7 @@ class HotspotRackPattern(NamedTuple):
         check_rate(self.gbps, "gbps")
 
 
+@_by_type
 @checked
 class IntraRackHeavyPattern(NamedTuple):
     """Ordered pairs send ``gbps * intra_fraction`` within a rack and

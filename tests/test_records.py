@@ -38,6 +38,7 @@ from ponfabric import (
     TrafficSection,
     UniformPattern,
     Violation,
+    parse_scenario,
 )
 
 ROW = PowerRow(DeviceKind.NIC, 8, 45_000, 360_000, True)
@@ -244,10 +245,23 @@ def test_parameterless_adjacencies_compare_by_type():
     assert len({IndexMatched(), NoDirectLinks()}) == 2
 
 
+def test_patterns_compare_by_type():
+    """Two pattern kinds with equal values, and the scenarios holding them,
+    neither compare nor hash equal; nor does a pattern equal a plain tuple."""
+    hotspot, heavy = HotspotRackPattern(1, Fraction(1)), IntraRackHeavyPattern(1, Fraction(1))
+    assert hotspot != heavy and not hotspot == heavy and len({hotspot, heavy}) == 2
+    assert hotspot == HotspotRackPattern(1, Fraction(1)) and hash(hotspot) == hash(copy.copy(hotspot))
+    assert UniformPattern(Fraction(1)) != (Fraction(1),) and (Fraction(1),) != UniformPattern(Fraction(1))
+    hot, warm = (Scenario(traffic=TrafficSection(pattern=p)) for p in (hotspot, heavy))
+    assert hot != warm and len({hot, warm}) == 2
+    text = "[architecture]\nselect = both\n[traffic]\npattern = {} 1 1\n"
+    assert parse_scenario(text.format("hotspot_rack")) != parse_scenario(text.format("intra_rack_heavy"))
+
+
 def test_records_are_tuples_equal_to_their_values():
     """The API change: a record equals a plain tuple of its values, and
     unpacks and indexes like one."""
-    assert UniformPattern(Fraction(1)) == (Fraction(1),)
+    assert TraditionalSpec() == (8, 8, 8) and LinkCapacities(1, 2, 3) == (1, 2, 3)
     assert tuple(TraditionalSpec()) == (8, 8, 8)
     racks, _, groups, aps, *_ = OwcPonSpec()
     assert (racks, groups, aps) == (8, 2, 4)

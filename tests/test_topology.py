@@ -1,4 +1,3 @@
-import gc
 from fractions import Fraction
 
 import pytest
@@ -30,7 +29,6 @@ from ponfabric import (
     generate_traffic,
     validate,
 )
-import ponfabric.topology
 from ponfabric.errors import BadAdjacency, SpecMismatch
 
 from oracles import index, links_between, reference_census, reference_find_nodes, reference_validate
@@ -204,14 +202,27 @@ class TestBuildOwcPon:
         with pytest.raises(BadAdjacency):
             build_owc_pon(OwcPonSpec(adjacency=ExplicitPairs(pairs)))
 
-    @pytest.mark.parametrize("ap, kind", [((True, 1), "bool"), ((1.0, 1), "float"), ((1, True), "bool")])
-    def test_ap_indices_must_be_ints(self, ap, kind):
+    @pytest.mark.parametrize(
+        "ap, name, kind",
+        [
+            ((True, 1), "groupTrue/ap1", "bool"),
+            ((1.0, 1), "group1.0/ap1", "float"),
+            ((1, True), "group1/apTrue", "bool"),
+        ],
+    )
+    def test_ap_indices_must_be_ints(self, ap, name, kind):
         """``True`` and ``1.0`` equal 1, but the builder would name a NIC
         ``groupTrue/ap1`` or ``group1.0/ap1`` that no AP has, so the pair
-        list refuses them."""
+        list refuses them, and every check of the spec refuses pairs made
+        with ``_make``, which skips the pair list's check."""
         with pytest.raises(TypeError) as caught:
             ExplicitPairs((((0, 0), ap),))
         assert str(caught.value) == f"each index in pairs must be an int, not {kind}"
+        spec = OwcPonSpec(adjacency=ExplicitPairs._make(((((0, 0), ap),),)))
+        for check in (build_owc_pon, validate, device_census, all_pairs_summary, RouteTable):
+            with pytest.raises(BadAdjacency) as caught:
+                check(spec)
+            assert str(caught.value) == f"pair references missing AP {name}", check
 
     def test_transceiver_multiplier(self):
         graph = build_owc_pon(OwcPonSpec(transceiver_multiplier=2))
@@ -451,28 +462,3 @@ def test_node_and_link_keep_their_value_contract():
 def test_link_capacities_are_fractions():
     wired = LinkCapacities(wired=5).wired
     assert type(wired) is Fraction and wired == 5
-
-
-def test_builders_pause_the_collector_and_restore_it(monkeypatch):
-    """Builds run with the cyclic collector paused and leave it as they
-    found it: after a build, after one that raises, and when the caller
-    had paused it already."""
-    during = []
-    wire_rack = ponfabric.topology._wire_rack
-    monkeypatch.setattr(
-        ponfabric.topology, "_wire_rack", lambda *args: during.append(gc.isenabled()) or wire_rack(*args)
-    )
-    same_group = OwcPonSpec(adjacency=ExplicitPairs((((0, 0), (0, 1)),)))
-    assert gc.isenabled()
-    try:
-        for enabled in (True, False):
-            (gc.enable if enabled else gc.disable)()
-            build_owc_pon(OwcPonSpec())
-            build_traditional(TraditionalSpec())
-            assert gc.isenabled() is enabled
-            with pytest.raises(BadAdjacency):
-                build_owc_pon(same_group)
-            assert gc.isenabled() is enabled
-    finally:
-        gc.enable()
-    assert len(during) == 32 and not any(during)
