@@ -60,6 +60,7 @@ from .topology import (
     build_owc_pon,
     build_traditional,
     device_census,
+    fabric_links,
     fabric_size,
     validate,
 )

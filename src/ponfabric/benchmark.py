@@ -4,8 +4,9 @@ prices each selected fabric once, for ``power``, ``compare`` and ``benchmark``.
 ``run_benchmark`` returns the benchmark document itself: census tables,
 per-kind power subtotals, the exact reduction fraction and its one-decimal
 rendering, and the scenario's canonical lines, so the same scenario always
-renders to the same bytes.  Graphs are built only for the commands that
-read one, under ``GRAPH_BUDGET``.
+renders to the same bytes.  Only ``build`` builds graphs; it and
+``simulate``, which lists a fabric's links, stay under ``GRAPH_BUDGET``
+(``check_size``).
 """
 
 from __future__ import annotations
@@ -62,20 +63,26 @@ def selected_specs(scenario: Scenario) -> dict[Architecture, FabricSpec]:
     return specs
 
 
-def build_graphs(scenario: Scenario) -> dict[Architecture, NetworkGraph]:
-    """Build every architecture the scenario selects.
+def check_size(architecture: Architecture, spec: FabricSpec) -> None:
+    """Raise the builder's errors for an inadmissible ``spec``, then a
+    ``ScenarioError`` if its fabric has more than ``GRAPH_BUDGET`` nodes
+    plus links; both by arithmetic, before anything is allocated."""
+    nodes, links = fabric_size(spec)
+    if nodes + links > GRAPH_BUDGET:
+        raise ScenarioError(
+            f"{architecture.value} fabric would have {nodes} nodes and "
+            f"{links} links, over the {GRAPH_BUDGET} budget"
+        )
 
-    Every spec is checked and sized first, so an inadmissible spec or a
-    fabric over ``GRAPH_BUDGET`` fails before anything is allocated.
-    """
+
+def build_graphs(scenario: Scenario) -> dict[Architecture, NetworkGraph]:
+    """Build every architecture the scenario selects, once every spec has
+    been checked and then sized (``check_size``)."""
     specs = selected_specs(scenario)
-    sizes = {architecture: fabric_size(spec) for architecture, spec in specs.items()}
-    for architecture, (nodes, links) in sizes.items():
-        if nodes + links > GRAPH_BUDGET:
-            raise ScenarioError(
-                f"{architecture.value} fabric would have {nodes} nodes and "
-                f"{links} links, over the {GRAPH_BUDGET} budget"
-            )
+    for spec in specs.values():
+        fabric_size(spec)  # every spec's errors come before any size error
+    for architecture, spec in specs.items():
+        check_size(architecture, spec)
     graphs: dict[Architecture, NetworkGraph] = {}
     for architecture, spec in specs.items():
         build = build_traditional if architecture is Architecture.TRADITIONAL else build_owc_pon

@@ -17,6 +17,7 @@ from pathlib import Path
 from .benchmark import (
     build_graphs,
     census_table,
+    check_size,
     closed_form_power,
     power_table,
     resolved_catalogs,
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .power import format_percent, power_reduction, scaling_sweep
 from .render import Document, OutputFormat, Table, format_rational, render
-from .routing import resolve_route, route_to_external, all_pairs_summary
+from .routing import RouteTable, resolve_route, route_to_external, all_pairs_summary
 from .scenario import Scenario, check_digits, default_scenario, parse_scenario
 from .topology import Architecture, OwcPonSpec, device_census, validate
 from .traffic import TrafficMatrix, assign, bottlenecks, generate_traffic
@@ -124,12 +125,6 @@ def _owcpon_spec(scenario: Scenario) -> OwcPonSpec:
     if not scenario.selects(Architecture.OWC_PON):
         raise ScenarioError("this command needs the owcpon architecture selected")
     return scenario.owcpon
-
-
-def _owcpon_graph(scenario: Scenario):
-    _owcpon_spec(scenario)
-    owcpon_only = scenario._replace(architectures=(Architecture.OWC_PON,))
-    return build_graphs(owcpon_only)[Architecture.OWC_PON]
 
 
 def _graph_tables(architecture: Architecture, graph) -> list[Table]:
@@ -254,17 +249,18 @@ def _cmd_summary(scenario: Scenario, args) -> tuple[Document, int]:
 def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
     if scenario.traffic is None:
         raise ScenarioError("simulate needs a [traffic] section in the scenario")
-    graph = _owcpon_graph(scenario)
+    spec = _owcpon_spec(scenario)
+    check_size(Architecture.OWC_PON, spec)
     if scenario.traffic.pattern is not None:
         try:
-            matrix = generate_traffic(scenario.traffic.pattern, graph.spec)
+            matrix = generate_traffic(scenario.traffic.pattern, spec)
         except UnknownRack as exc:
             raise ScenarioError(f"traffic pattern: {exc}") from exc
     else:
         matrix = TrafficMatrix(
             {(src, dst): rate for src, dst, rate in scenario.traffic.flows}
         )
-    report = assign(graph, matrix, scenario.policy)
+    report = assign(RouteTable(spec, scenario.policy), matrix, scenario.capacities)
     meta = (
         ("demand_entries", matrix.demand_entries()),
         ("total_demand_gbps", format_rational(matrix.total_demand())),

@@ -74,7 +74,8 @@ class RoutingError(PonFabricError):
 
 
 class NoRoute(RoutingError):
-    """A structural node or link required by the route chain is missing."""
+    """The pair has no modeled route: racks of the traditional fabric, whose
+    inter-rack and external paths are not modeled."""
 
 
 class PolicyExcluded(RoutingError):

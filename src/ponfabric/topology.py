@@ -10,7 +10,9 @@ direct AP-to-AP fiber links between groups, and a single OLT that relays
 between groups and uplinks to the outside).
 
 Graphs are immutable once built; every operation here is a pure function
-of its inputs, so identical specs always produce identical graphs.
+of its inputs, so identical specs always produce identical graphs.  A
+fabric's links come from its spec alone (``fabric_links``), and the
+builders take theirs from there.
 """
 
 from __future__ import annotations
@@ -287,23 +289,13 @@ def _linker(kind: LinkKind, capacities: LinkCapacities) -> Callable[[str, str], 
     return lambda a, b: make((f"{a}--{b}", a, b, kind, capacity))
 
 
-def _wire_rack(
-    r: int,
-    servers_per_rack: int,
-    wired: Callable[[str, str], Link],
-    nodes: list[Node],
-    links: list[Link],
-) -> str:
-    """Append rack ``r``'s leaf, its servers with their transceiver nodes,
-    and the servers' ``wired`` links; return the leaf's id."""
-    leaf = f"rack{r}/leaf"
-    nodes.append(Node(leaf, _LEAF, r))
+def _rack_nodes(r: int, servers_per_rack: int) -> list[Node]:
+    """Rack ``r``'s leaf, then its servers, each with its transceiver node."""
+    nodes = [Node(f"rack{r}/leaf", _LEAF, r)]
     for i in range(servers_per_rack):
         server = f"rack{r}/server{i}"
-        nodes.append(Node(server, _SERVER, r))
-        nodes.append(Node(f"{server}/txrx", _SERVER_TXRX, r))
-        links.append(wired(server, leaf))
-    return leaf
+        nodes += [Node(server, _SERVER, r), Node(f"{server}/txrx", _SERVER_TXRX, r)]
+    return nodes
 
 
 def build_traditional(
@@ -315,15 +307,10 @@ def build_traditional(
     is wired to its rack's leaf and carries one linkless transceiver node.
     Zero counts simply yield an empty or partial graph.
     """
-    wired = _linker(LinkKind.WIRED, capacities)
-    spines = [f"spine{s}" for s in range(spec.num_spine)]
-    nodes = [Node(spine, _SPINE) for spine in spines]
-    links: list[Link] = []
-    leaves = [
-        _wire_rack(r, spec.servers_per_rack, wired, nodes, links) for r in range(spec.num_racks)
-    ]
-    links += [wired(leaf, spine) for leaf in leaves for spine in spines]
-    return NetworkGraph(nodes, links, spec)
+    nodes = [Node(f"spine{s}", _SPINE) for s in range(spec.num_spine)]
+    for r in range(spec.num_racks):
+        nodes += _rack_nodes(r, spec.servers_per_rack)
+    return NetworkGraph(nodes, fabric_links(spec, capacities), spec)
 
 
 def _check_owc_pon(spec: OwcPonSpec) -> int:
@@ -380,60 +367,66 @@ def build_owc_pon(
     OLT.  Direct NIC-to-NIC fiber links follow the adjacency policy, and
     one external gateway hangs off the OLT.
     """
-    _check_owc_pon(spec)
-    nodes: list[Node] = []
-    links: list[Link] = []
-    wired = _linker(LinkKind.WIRED, capacities)
-    owc = _linker(LinkKind.OWC, capacities)
-    fiber = _linker(LinkKind.FIBER, capacities)
+    links = fabric_links(spec, capacities)  # checks the spec first
     planes = range(spec.transceiver_multiplier)
-    # Ids made once and shared by every link that names them: each rack's
-    # and each AP's transceivers (one per plane), and each group's NICs.
-    rooftops: list[list[str]] = []
-    ceilings: list[list[str]] = []
-    nics: list[list[str]] = []
-
+    nodes: list[Node] = []
     for r in range(spec.num_racks):
-        leaf = _wire_rack(r, spec.servers_per_rack, wired, nodes, links)
-        rooftops.append([f"rack{r}/txrx{p}" for p in planes])
-        for rtx in rooftops[-1]:
-            nodes.append(Node(rtx, _RACK_TXRX, r))
-            links.append(wired(rtx, leaf))
-
+        nodes += _rack_nodes(r, spec.servers_per_rack)
+        nodes += [Node(f"rack{r}/txrx{p}", _RACK_TXRX, r) for p in planes]
     for g in range(spec.num_groups):
-        nics.append([])
         for a in range(spec.aps_per_group):
             gateway = a == spec.gateway_ap_index
-            nic = f"group{g}/ap{a}/nic"
-            nics[-1].append(nic)
-            nodes.append(Node(nic, _NIC, group=g, ap=a, is_gateway=gateway))
-            ceilings.append([f"group{g}/ap{a}/txrx{p}" for p in planes])
-            for atx in ceilings[-1]:
-                nodes.append(Node(atx, _AP_TXRX, group=g, ap=a, is_gateway=gateway))
-                links.append(fiber(atx, nic))
+            nodes.append(Node(f"group{g}/ap{a}/nic", _NIC, group=g, ap=a, is_gateway=gateway))
+            nodes += [
+                Node(f"group{g}/ap{a}/txrx{p}", _AP_TXRX, group=g, ap=a, is_gateway=gateway)
+                for p in planes
+            ]
         nodes.append(Node(f"group{g}/switch", _SWITCH, group=g))
-
-    # Free-space hop: rack r's transceivers beam to AP r in group-major order.
-    for rtxs, atxs in zip(rooftops, ceilings):
-        links += map(owc, rtxs, atxs)
-
-    for g, group_nics in enumerate(nics):
-        links += [fiber(nic, f"group{g}/switch") for nic in group_nics]
-
     nodes.append(Node("olt", DeviceKind.OLT))
     nodes.append(Node("external", DeviceKind.EXTERNAL_GATEWAY))
-
-    links += [fiber(group_nics[spec.gateway_ap_index], "olt") for group_nics in nics]
-
-    if isinstance(spec.adjacency, IndexMatched):  # same-index APs of every group pair
-        links += [fiber(a, b) for g1, g2 in itertools.combinations(nics, 2) for a, b in zip(g1, g2)]
-    else:
-        for (g1, a1), (g2, a2) in getattr(spec.adjacency, "pairs", ()):
-            links.append(fiber(f"group{g1}/ap{a1}/nic", f"group{g2}/ap{a2}/nic"))
-
-    links.append(fiber("olt", "external"))
-
     return NetworkGraph(nodes, links, spec)
+
+
+def fabric_links(spec: FabricSpec, capacities: LinkCapacities = LinkCapacities()) -> list[Link]:
+    """The links of the fabric ``spec`` builds, in the builder's order and
+    by its ids, without its nodes; raises the builder's errors for an
+    inadmissible spec."""
+    traditional = isinstance(spec, TraditionalSpec)
+    if not traditional:
+        _check_owc_pon(spec)
+    wired, owc, fiber = (_linker(kind, capacities) for kind in LinkKind)
+    planes = () if traditional else range(spec.transceiver_multiplier)
+    # Ids made once and shared by every link that names them.
+    leaves = [f"rack{r}/leaf" for r in range(spec.num_racks)]
+    rooftops = [[f"rack{r}/txrx{p}" for p in planes] for r in range(spec.num_racks)]
+    links: list[Link] = []
+    for r, (leaf, rtxs) in enumerate(zip(leaves, rooftops)):
+        links += [wired(f"rack{r}/server{i}", leaf) for i in range(spec.servers_per_rack)]
+        links += [wired(rtx, leaf) for rtx in rtxs]
+    if traditional:
+        spines = [f"spine{s}" for s in range(spec.num_spine)]
+        return links + [wired(leaf, spine) for leaf in leaves for spine in spines]
+
+    per_group = spec.aps_per_group
+    aps = [f"group{g}/ap{a}" for g in range(spec.num_groups) for a in range(per_group)]
+    ceilings = [[f"{ap}/txrx{p}" for p in planes] for ap in aps]
+    nics = [f"{ap}/nic" for ap in aps]
+    groups = [nics[g * per_group : (g + 1) * per_group] for g in range(spec.num_groups)]
+    for atxs, nic in zip(ceilings, nics):
+        links += [fiber(atx, nic) for atx in atxs]
+    for rtxs, atxs in zip(rooftops, ceilings):  # rack r beams to AP r, in group-major order
+        links += map(owc, rtxs, atxs)
+    for g, group_nics in enumerate(groups):
+        links += [fiber(nic, f"group{g}/switch") for nic in group_nics]
+    links += [fiber(group_nics[spec.gateway_ap_index], "olt") for group_nics in groups]
+    if isinstance(spec.adjacency, IndexMatched):  # same-index APs of every group pair
+        pairs = itertools.combinations(groups, 2)
+        links += [fiber(a, b) for g1, g2 in pairs for a, b in zip(g1, g2)]
+    else:
+        pairs = getattr(spec.adjacency, "pairs", ())
+        links += [fiber(groups[g1][a1], groups[g2][a2]) for (g1, a1), (g2, a2) in pairs]
+    links.append(fiber("olt", "external"))
+    return links
 
 
 def _census_and_links(spec: FabricSpec) -> tuple[dict[DeviceKind, int], int]:

@@ -4,12 +4,13 @@ Demand comes in blocks, each server of a source group sending one rate
 to each server of a destination group but itself: a traffic pattern is
 one block per rack pair with demand, made from the spec alone
 (``RackBlocks``), and a flow line is a 1x1 block (``TrafficMatrix``).
-Routes are named from the graph's spec (see ``routing``), and the graph
-lists the links that loads are reported on.  Demands are fluid: a
-block's rate is added to every link of its routes, in exact rational
-arithmetic.  Demands exceeding capacity are reported as utilization
-above one, never dropped; this is an analyzer, not an admission
-controller.
+Routes are named by a ``RouteTable`` of the fabric's spec (see
+``routing``), and loads are reported on the links that spec builds,
+listed by ``topology.fabric_links``: no graph is built.  Demands are
+fluid: a block's rate is added to every link of its routes, in exact
+rational arithmetic.  Demands exceeding capacity are reported as
+utilization above one, never dropped; this is an analyzer, not an
+admission controller.
 
 Sums run over integer numerators scaled to the least common multiple of
 the rates' denominators and are divided once at the end, which is exact
@@ -24,10 +25,11 @@ from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .errors import NoRoute, RoutingError, ScenarioError, UnknownRack, in_pair
-from .routing import RouteTable, RoutingPolicy
+from .errors import RoutingError, ScenarioError, UnknownRack, in_pair
+from .routing import RouteTable
 from .routing import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
-from .topology import FabricSpec, LinkKind, NetworkGraph, check_count, check_rate, checked
+from .topology import FabricSpec, LinkCapacities, LinkKind, check_count, check_rate, checked
+from .topology import fabric_links
 
 #: (sources, destinations, Gb/s): each source sends the rate to each
 #: destination but itself.  A group is one server or one rack's servers;
@@ -214,27 +216,22 @@ class LinkLoadReport(NamedTuple):
 
 
 def assign(
-    graph: NetworkGraph,
+    table: RouteTable,
     matrix: TrafficMatrix | RackBlocks,
-    policy: RoutingPolicy = RoutingPolicy(),
+    capacities: LinkCapacities = LinkCapacities(),
 ) -> LinkLoadReport:
-    """Route every block of demand and accumulate per-link loads.
+    """Route every block of demand through ``table`` and accumulate per-link
+    loads, one row for each link ``table.spec`` builds, at ``capacities``.
 
     A block is routed once, through its first entry: each stretch of that
     route between the leaves (half-routes, a direct link) carries rate x
     sources x destinations, and each server's edge link the rate times its
     count of peers in the block.  Stretches become links once, at the end.
     So a pattern costs O(rack pairs) sums plus O(racks + direct links)
-    expansions, and a flow line what routing it alone costs.
-    Routes come from ``graph.spec``; the first time a block uses a
-    stretch or a group of edge links, each of their links must be in the
-    graph (``NoRoute`` if not), so a graph that breaks its spec's
-    construction rules never yields loads on links it lacks.  Blocks run
+    expansions, and a flow line what routing it alone costs.  Blocks run
     in the sorted order of their first entries, so a routing error names
     the first failing ``src -> dst`` entry in sorted order.
     """
-    table = RouteTable(graph.spec, policy)
-    graph_links = {link.id for link in graph.links}
     scale = lcm(*(rate.denominator for rate in matrix.demands.values()))
     # Groups are keyed by their first server, which names one group only.
     edges: dict[str, tuple[str, ...]] = {}  # the group's edge links
@@ -248,12 +245,9 @@ def assign(
         try:
             stretches = table.parts(src, dst)[2]
             if src not in edges:
-                edges[src] = _in_graph(table.edge_links(srcs), graph_links)
-            for _, links in stretches:
-                if links not in stretch_units:
-                    stretch_units[_in_graph(links, graph_links)] = 0
+                edges[src] = table.edge_links(srcs)
             if first_dst not in edges:
-                edges[first_dst] = _in_graph(table.edge_links(dsts), graph_links)
+                edges[first_dst] = table.edge_links(dsts)
         except RoutingError as exc:
             raise in_pair(exc, src, dst) from exc
         if rate is not last_rate:
@@ -263,7 +257,7 @@ def assign(
         group_units[first_dst] = group_units.get(first_dst, 0) + units * peers_of_dst
         pair_units = units * len(srcs) * peers_of_src
         for _, links in stretches:
-            stretch_units[links] += pair_units
+            stretch_units[links] = stretch_units.get(links, 0) + pair_units
 
     link_units: dict[str, int] = {}
     for group, units in group_units.items():
@@ -272,21 +266,14 @@ def assign(
     for links, units in stretch_units.items():
         for link_id in links:
             link_units[link_id] = link_units.get(link_id, 0) + units
+    links = sorted(fabric_links(table.spec, capacities), key=lambda link: link.id)
     rows = tuple(
-        LinkLoad(link.id, link.kind, link.capacity, Fraction(link_units.get(link.id, 0), scale))
-        for link in sorted(graph.links, key=lambda l: l.id)
+        LinkLoad(link_id, kind, capacity, Fraction(link_units.get(link_id, 0), scale))
+        for link_id, _, _, kind, capacity in links
     )
     max_utilization = max((row.utilization for row in rows), default=Fraction(0))
     saturated = tuple(row.link_id for row in rows if row.utilization > 1)
     return LinkLoadReport(rows, max_utilization, saturated)
-
-
-def _in_graph(link_ids: tuple[str, ...], graph_links: set[str]) -> tuple[str, ...]:
-    """``link_ids``, once each is found among ``graph_links``."""
-    for link_id in link_ids:
-        if link_id not in graph_links:
-            raise NoRoute(f"missing link {link_id}")
-    return link_ids
 
 
 def bottlenecks(report: LinkLoadReport, top_n: int) -> list[LinkLoad]:

@@ -24,6 +24,7 @@ from ponfabric import (
     OwcPonSpec,
     PowerCatalog,
     PowerOptions,
+    RouteTable,
     TraditionalSpec,
     TrafficMatrix,
     UniformPattern,
@@ -257,7 +258,7 @@ def test_criterion_5_validation_suite(default_owcpon):
 def test_criterion_6_traffic_conservation(default_owcpon):
     rate = Fraction(1)
     matrix = generate_traffic(UniformPattern(rate), default_owcpon.spec)
-    report = assign(default_owcpon, matrix)
+    report = assign(RouteTable(default_owcpon.spec), matrix)
     oracle_loads = oracles.accumulate_uniform_loads(default_owcpon, rate)
     for row in report.rows:
         assert row.load == oracle_loads.get(row.link_id, Fraction(0)), row.link_id

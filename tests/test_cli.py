@@ -22,6 +22,7 @@ from ponfabric.cli import main
 from ponfabric.scenario import MAX_DIGITS
 from ponfabric.topology import fabric_size
 from test_scenario import raw_bytes
+import test_golden
 
 PACKAGE = Path(ponfabric.__file__).resolve().parent
 MODULES = ["ponfabric"] + [f"ponfabric.{m.name}" for m in pkgutil.iter_modules([str(PACKAGE)])]
@@ -390,12 +391,19 @@ HUGE_OWCPON = (
 
 @pytest.fixture
 def no_graphs(monkeypatch):
-    """Fail any attempt to build a graph, at its first node."""
+    """Fail any attempt to build a graph: at either builder, wherever it is
+    imported, at its first node and at the graph itself."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a graph was built")
 
     monkeypatch.setattr(ponfabric.topology, "Node", refuse)
+    monkeypatch.setattr(ponfabric.topology, "NetworkGraph", refuse)
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for builder in ("build_owc_pon", "build_traditional"):
+            if hasattr(module, builder):
+                monkeypatch.setattr(module, builder, refuse)
 
 
 @pytest.mark.parametrize(
@@ -429,11 +437,34 @@ def test_size_guard_checks_every_selected_fabric(tmp_path, capsys, no_graphs):
     assert fabric_size(TraditionalSpec(512, 512, 8)) == (9216, 266240)
 
 
-def test_spec_errors_win_over_the_size_guard(tmp_path, capsys, no_graphs):
-    path = write_scenario(tmp_path, "[architecture]\nselect = owcpon\nowcpon.racks = 10000000\n")
-    code, out, err = run(capsys, "-s", path, "build")
+@pytest.mark.parametrize("command", ["build", "simulate"])
+def test_spec_errors_win_over_the_size_guard(tmp_path, capsys, no_graphs, command):
+    """The owcpon spec error exits 2, though the traditional fabric, which
+    comes first, is over the budget."""
+    path = write_scenario(
+        tmp_path,
+        "[architecture]\nselect = both\ntraditional.racks = 10000000\n"
+        "traditional.spines = 10000000\nowcpon.racks = 10000000\n\n[traffic]\npattern = uniform 1\n",
+    )
+    code, out, err = run(capsys, "-s", path, command)
     assert (code, out) == (2, "")
     assert "must equal num_racks (10000000)" in err
+
+
+@pytest.mark.parametrize(
+    "case", ["paper_traffic-simulate", "flows64-simulate", "route", "summary_explicit-route-direct"]
+)
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_simulate_and_route_build_no_graph(capsys, no_graphs, case, fmt):
+    """``simulate`` of a pattern and of flow lines, and ``route``, print
+    their golden output with both builders, ``Node`` and ``NetworkGraph``
+    refusing to run."""
+    case_id = f"{case}.{fmt}"
+    code = main(test_golden._argv(case_id))
+    assert (code, capsys.readouterr().out) == (
+        0,
+        (test_golden.GOLDEN / f"{case_id}.out").read_text(encoding="utf-8"),
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,14 @@
 """Differential tests: routes named from the spec against the graph walk
 in ``oracles`` on the fabric the spec builds, and the aggregated sums of
-``assign`` against the per-pair reference on clean and on damaged graphs
-and on seeded flow lines; the block sums of each traffic pattern against
-its per-server matrix; the closed-form all-pairs histogram against every
-pair resolved on the built graph; and the size of the table behind
-``assign``, which keeps pieces per server and per rack, none per rack
-pair."""
+``assign`` against the per-pair reference on the built graph, at drawn
+link capacities and on seeded flow lines; the block sums of each traffic
+pattern against its per-server matrix; the closed-form all-pairs
+histogram against every pair resolved on the built graph; and the size
+of the table behind ``assign``, which keeps pieces per server and per
+rack, none per rack pair."""
 
 import itertools
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import ponfabric.traffic
 from oracles import outcome
 from ponfabric import (
     DeviceKind,
@@ -25,10 +23,9 @@ from ponfabric import (
     HotspotRackPattern,
     IndexMatched,
     IntraRackHeavyPattern,
-    LinkLoadReport,
+    LinkCapacities,
     NoDirectLinks,
     OwcPonSpec,
-    Route,
     RoutingPolicy,
     RouteTable,
     TraditionalSpec,
@@ -43,10 +40,8 @@ from ponfabric import (
     resolve_route,
     route_to_external,
 )
-from ponfabric.errors import NoRoute
 
 from test_census import owcpon_specs as census_specs
-from test_topology import with_extra_link, without_link, without_node
 
 POLICIES = [
     RoutingPolicy(prefer_direct_inter_group=prefer, allow_relay_fallback=relay)
@@ -96,36 +91,14 @@ traditional_specs = st.builds(
 
 
 @st.composite
-def built_fabrics(draw):
+def built_fabrics(draw, capacities=st.just(LinkCapacities())):
     if draw(st.integers(0, 5)):
-        return build_owc_pon(draw(owcpon_specs()))
-    return build_traditional(draw(traditional_specs))
+        return build_owc_pon(draw(owcpon_specs()), draw(capacities))
+    return build_traditional(draw(traditional_specs), draw(capacities))
 
 
-@st.composite
-def fabrics(draw):
-    """A built graph, as built or with one or two links or a node taken out
-    or a link doubled."""
-    graph = draw(built_fabrics())
-    damage = draw(
-        st.sampled_from(["none", "edge link", "link", "two links", "parallel link", "node"])
-    )
-    edges = [link for link in graph.links if "/server" in link.id]
-    if damage == "edge link" and edges:
-        graph = without_link(graph, draw(st.sampled_from(edges)).id)
-    elif damage == "link" and graph.links:
-        graph = without_link(graph, draw(st.sampled_from(graph.links)).id)
-    elif damage == "two links" and len(graph.links) > 1:
-        # two breaches at once: the checks' order decides which one is named
-        for link in draw(st.lists(st.sampled_from(graph.links), min_size=2, max_size=2, unique=True)):
-            graph = without_link(graph, link.id)
-    elif damage == "parallel link" and graph.links:
-        # a second link between the same two nodes; routes keep the first
-        twin = draw(st.sampled_from(graph.links))
-        graph = with_extra_link(graph, twin._replace(id=twin.id + "/twin"))
-    elif damage == "node":
-        graph = without_node(graph, draw(st.sampled_from(graph.nodes)).id)
-    return graph
+capacity = st.integers(1, 40) | st.fractions(Fraction(1, 12), 40, max_denominator=12)
+link_capacities = st.builds(LinkCapacities, capacity, capacity, capacity)
 
 
 def servers_of(graph):
@@ -181,49 +154,42 @@ def test_histograms_match_reference(spec):
 
 @st.composite
 def fabric_and_matrix(draw):
-    graph = draw(fabrics())
+    """A fabric built at drawn capacities, and flow lines between its
+    servers, now and then with an entry naming a non-server."""
+    capacities = draw(link_capacities)
+    graph = draw(built_fabrics(st.just(capacities)))
     ids = endpoints(graph)
     servers = st.sampled_from(servers_of(graph) or ids)
     rates = st.fractions(min_value=0, max_value=10, max_denominator=12)
     demands = draw(st.dictionaries(st.tuples(servers, servers), rates, max_size=40))
     if not draw(st.integers(0, 3)):  # now and then, an entry naming a non-server
         demands[draw(st.tuples(st.sampled_from(ids), st.sampled_from(ids)))] = draw(rates)
-    return graph, TrafficMatrix(demands)
+    return graph, capacities, TrafficMatrix(demands)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(case=fabric_and_matrix(), policy=st.sampled_from(POLICIES))
 def test_link_loads_match_reference(case, policy):
-    """``assign`` routes by the spec, so on a damaged graph it equals the
-    reference, or it fails first on a pair whose route from the spec takes
-    a link the graph lacks, or on a pair the spec gives no route (a
-    traditional inter-rack pair, or one the policy excludes), where the
-    reference names the damage it meets first."""
-    graph, matrix = case
-    loads = outcome(lambda: assign(graph, matrix, policy))
-    expected = outcome(lambda: oracles.reference_assign(graph, matrix, policy))
-    if loads != expected:
-        assert not isinstance(loads, LinkLoadReport), loads  # so it is an error
-        src, dst, reason = re.fullmatch(r"(\S+) -> (\S+): (.*)", loads[1]).groups()
-        build = build_owc_pon if isinstance(graph.spec, OwcPonSpec) else build_traditional
-        route = outcome(lambda: oracles.reference_route(build(graph.spec), src, dst, policy))
-        if isinstance(route, Route):
-            missing = reason.removeprefix("missing link ")
-            assert loads[0] is NoRoute and missing in route.links
-            assert missing not in {link.id for link in graph.links}
-        else:
-            assert route == (loads[0], reason)
-            assert expected[1].startswith(f"{src} -> {dst}: ")
+    """``assign`` through the spec's table, at the graph's capacities,
+    against the per-pair walk on the built graph: the same rows, or the
+    same error naming the same first failing entry (a traditional
+    inter-rack pair, a non-server, or a pair the policy excludes)."""
+    graph, capacities, matrix = case
+    table = RouteTable(graph.spec, policy)
+    assert outcome(lambda: assign(table, matrix, capacities)) == outcome(
+        lambda: oracles.reference_assign(graph, matrix, policy)
+    )
     assert matrix.total_demand() == sum(matrix.demands.values(), Fraction(0))
 
 
 def test_uniform_all_pairs_match_reference(default_owcpon):
     pattern = UniformPattern(Fraction(3, 7))
     matrix = oracles.reference_generate_traffic(pattern, default_owcpon)
-    assert assign(default_owcpon, generate_traffic(pattern, default_owcpon.spec)) == (
+    table = RouteTable(default_owcpon.spec)
+    assert assign(table, generate_traffic(pattern, default_owcpon.spec)) == (
         oracles.reference_assign(default_owcpon, matrix)
     )
-    assert assign(default_owcpon, matrix) == oracles.reference_assign(default_owcpon, matrix)
+    assert assign(table, matrix) == oracles.reference_assign(default_owcpon, matrix)
     assert all_pairs_summary(default_owcpon.spec) == oracles.reference_all_pairs(default_owcpon)
 
 
@@ -258,7 +224,7 @@ def check_pattern(spec, pattern):
     assert blocks.demand_entries() == len(matrix.demands)
     assert blocks.total_demand() == matrix.total_demand()
     for policy in POLICIES:
-        assert outcome(lambda: assign(graph, blocks, policy)) == outcome(
+        assert outcome(lambda: assign(RouteTable(spec, policy), blocks)) == outcome(
             lambda: oracles.reference_assign(graph, matrix, policy)
         ), policy
 
@@ -347,27 +313,19 @@ def test_seeded_flow_lines_match_reference(seed):
     graph = build_owc_pon(scenario.owcpon)
     matrix = TrafficMatrix({(src, dst): rate for src, dst, rate in scenario.traffic.flows})
     for policy in POLICIES:
-        assert outcome(lambda: assign(graph, matrix, policy)) == outcome(
+        assert outcome(lambda: assign(RouteTable(graph.spec, policy), matrix)) == outcome(
             lambda: oracles.reference_assign(graph, matrix, policy)
         ), policy
 
 
-def test_assign_keeps_no_piece_per_rack_pair(monkeypatch):
+def test_assign_keeps_no_piece_per_rack_pair():
     """Uniform traffic on 256 racks is 65,280 inter-rack blocks.  The table
     ``assign`` routes them through keeps at most six half-routes per rack
     (three kinds, up and down) and one entry per server: no container
     holds an entry per rack pair."""
     spec = OwcPonSpec(num_racks=256, servers_per_rack=2, num_groups=32, aps_per_group=8)
-    tables = []
-
-    class Recorded(RouteTable):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(self)
-
-    monkeypatch.setattr(ponfabric.traffic, "RouteTable", Recorded)
-    report = assign(build_owc_pon(spec), generate_traffic(UniformPattern(Fraction(1)), spec))
+    table = RouteTable(spec)
+    report = assign(table, generate_traffic(UniformPattern(Fraction(1)), spec))
     assert report.max_utilization > 0
-    (table,) = tables
     sizes = {name: len(value) for name, value in vars(table).items() if isinstance(value, dict)}
     assert max(sizes.values()) <= 6 * spec.num_racks, sizes

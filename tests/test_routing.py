@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 
@@ -12,16 +10,14 @@ from ponfabric import (
     OwcPonSpec,
     PathClass,
     RoutingPolicy,
-    TrafficMatrix,
     all_pairs_summary,
-    assign,
     build_owc_pon,
     resolve_route,
     route_to_external,
 )
 from ponfabric.errors import NoRoute, PolicyExcluded, UnknownServer
 
-from test_topology import admissible_owcpon, without_link
+from test_topology import admissible_owcpon
 
 
 class TestResolveRoute:
@@ -82,17 +78,6 @@ class TestResolveRoute:
             resolve_route(default_owcpon.spec, "rack0/server0", "rack0/server99")
         with pytest.raises(UnknownServer):
             resolve_route(default_owcpon.spec, "olt", "rack0/server0")
-
-    def test_missing_owc_link_surfaces_no_route(self, default_owcpon):
-        """Routes come from the spec; a graph that lacks one of a route's
-        links cannot carry its demand."""
-        broken = without_link(default_owcpon, "rack0/txrx0--group0/ap0/txrx0")
-        flow = TrafficMatrix({("rack0/server0", "rack1/server0"): Fraction(1)})
-        with pytest.raises(NoRoute) as caught:
-            assign(broken, flow)
-        assert str(caught.value) == (
-            "rack0/server0 -> rack1/server0: missing link rack0/txrx0--group0/ap0/txrx0"
-        )
 
     def test_multiplier_uses_first_plane(self):
         graph = build_owc_pon(OwcPonSpec(transceiver_multiplier=2))

@@ -1,7 +1,8 @@
 """The benchmark's tracer (``perfbench/traced.py``) wraps package functions by
-name and reads some of their positional arguments.  A traced paper-scale run
-must still succeed, print exactly what the untraced CLI prints, and call the
-function behind each per-layer metric under the name the tracer wraps."""
+name and reads some of their positional arguments.  A traced paper-scale run,
+and a traced ``simulate`` of flow lines, must still succeed, print exactly
+what the untraced CLI prints, and call the function behind each per-layer
+metric under the name the tracer wraps."""
 
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PAPER = str(ROOT / "perfbench" / "scenarios" / "paper_traffic.scenario")
+FLOWS64 = str(ROOT / "tests" / "golden" / "flows64.scenario")
 
 
 def _run(argv):
@@ -39,11 +41,12 @@ def _run(argv):
         (["power"], "benchmark.traditional_power"),
         (["power"], "benchmark.owc_pon_power"),
         (["compare"], "cli.closed_form_power"),
+        (["-s", FLOWS64, "simulate", "--top", "10"], "cli.TrafficMatrix"),
     ],
 )
 def test_traced_run_matches_untraced(tmp_path, command, spans_from):
     spans_path = tmp_path / "spans.json"
-    argv = ["-s", PAPER, *command]
+    argv = command if command[0] == "-s" else ["-s", PAPER, *command]
     traced = _run([sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans_path), *argv])
     plain = _run([sys.executable, "-m", "ponfabric.cli", *argv])
     assert traced.returncode == 0, traced.stderr.decode()

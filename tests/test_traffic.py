@@ -9,10 +9,10 @@ from ponfabric import (
     DeviceKind,
     HotspotRackPattern,
     IntraRackHeavyPattern,
-    Link,
-    LinkKind,
     OwcPonSpec,
+    RouteTable,
     RoutingPolicy,
+    TraditionalSpec,
     TrafficMatrix,
     UniformPattern,
     assign,
@@ -23,16 +23,13 @@ from ponfabric import (
 )
 from ponfabric.errors import NoRoute, PolicyExcluded, UnknownRack, UnknownServer
 
-from test_topology import rebuilt, without_link
+
+SPEC = OwcPonSpec()  # 8 racks of 8 servers in 2 groups
 
 
 @pytest.fixture(scope="module")
-def uniform_report(default_owcpon):
-    matrix = generate_traffic(UniformPattern(Fraction(1)), default_owcpon.spec)
-    return assign(default_owcpon, matrix)
-
-
-SPEC = OwcPonSpec()  # 8 racks of 8 servers, as ``default_owcpon`` is built
+def uniform_report():
+    return assign(RouteTable(SPEC), generate_traffic(UniformPattern(Fraction(1)), SPEC))
 
 
 class TestGenerateTraffic:
@@ -93,23 +90,23 @@ class TestGenerateTraffic:
 
 
 class TestAssign:
-    def test_empty_matrix(self, default_owcpon):
-        report = assign(default_owcpon, TrafficMatrix({}))
+    def test_empty_matrix(self):
+        report = assign(RouteTable(SPEC), TrafficMatrix({}))
         assert all(row.load == 0 for row in report.rows)
         assert report.max_utilization == 0
         assert report.saturated == ()
 
-    def test_single_demand_loads_exactly_its_route(self, default_owcpon):
+    def test_single_demand_loads_exactly_its_route(self):
         src, dst = "rack0/server0", "rack2/server3"
-        route = resolve_route(default_owcpon.spec, src, dst)
+        route = resolve_route(SPEC, src, dst)
         assert route.hop_count == 10
-        report = assign(default_owcpon, TrafficMatrix({(src, dst): Fraction(1)}))
+        report = assign(RouteTable(SPEC), TrafficMatrix({(src, dst): Fraction(1)}))
         for row in report.rows:
             assert row.load == (Fraction(1) if row.link_id in route.links else 0)
 
-    def test_self_demand_contributes_nothing(self, default_owcpon):
+    def test_self_demand_contributes_nothing(self):
         report = assign(
-            default_owcpon,
+            RouteTable(SPEC),
             TrafficMatrix({("rack0/server0", "rack0/server0"): Fraction(5)}),
         )
         assert all(row.load == 0 for row in report.rows)
@@ -143,51 +140,42 @@ class TestAssign:
         # 448*2 + 1536*10 + 512*9 + 768*12 + 768*14
         assert sum(row.load for row in uniform_report.rows) == 40_832
 
-    def test_no_route_names_the_pair(self, default_owcpon):
-        broken = without_link(default_owcpon, "rack0/txrx0--group0/ap0/txrx0")
-        with pytest.raises(NoRoute, match="rack0/server0 -> rack1/server0"):
-            assign(broken, TrafficMatrix({("rack0/server0", "rack1/server0"): Fraction(1)}))
+    def test_no_route_names_the_pair(self):
+        """Inter-rack paths of the traditional fabric are not modeled."""
+        matrix = TrafficMatrix({("rack0/server0", "rack1/server0"): Fraction(1)})
+        with pytest.raises(NoRoute) as caught:
+            assign(RouteTable(TraditionalSpec()), matrix)
+        assert str(caught.value) == (
+            "rack0/server0 -> rack1/server0: "
+            "inter-rack paths are only modeled for the optical-wireless fabric"
+        )
 
-    def test_unknown_server_names_the_pair(self, default_owcpon):
+    def test_unknown_server_names_the_pair(self):
         matrix = TrafficMatrix({("rack0/server0", "nosuch"): Fraction(1)})
         with pytest.raises(UnknownServer) as caught:
-            assign(default_owcpon, matrix)
+            assign(RouteTable(SPEC), matrix)
         assert str(caught.value) == "rack0/server0 -> nosuch: not a server node: 'nosuch'"
         assert caught.value.node_id == "nosuch"
 
-    def test_policy_exclusion_names_the_pair(self, default_owcpon):
+    def test_policy_exclusion_names_the_pair(self):
         policy = RoutingPolicy(prefer_direct_inter_group=False, allow_relay_fallback=False)
         matrix = TrafficMatrix({("rack1/server0", "rack5/server0"): Fraction(1)})
         with pytest.raises(PolicyExcluded, match=r"^rack1/server0 -> rack5/server0: both"):
-            assign(default_owcpon, matrix, policy)
+            assign(RouteTable(SPEC, policy), matrix)
 
-    def test_block_servers_must_share_a_leaf(self, default_owcpon):
-        # rack0/server1 rewired to rack1's leaf: the spec's edge link of rack 0's
-        # block is missing
-        moved = Link(
-            "rack0/server1--rack1/leaf", "rack0/server1", "rack1/leaf", LinkKind.WIRED, Fraction(10)
-        )
-        links = [moved if l.id == "rack0/server1--rack0/leaf" else l for l in default_owcpon.links]
-        broken = rebuilt(default_owcpon, default_owcpon.nodes, links)
-        blocks = generate_traffic(IntraRackHeavyPattern(Fraction(0), Fraction(1)), broken.spec)
-        with pytest.raises(NoRoute) as caught:
-            assign(broken, blocks)
-        assert str(caught.value) == (
-            "rack0/server0 -> rack1/server0: missing link rack0/server1--rack0/leaf"
-        )
-
-    def test_first_failing_entry_in_sorted_order_is_named(self, default_owcpon):
-        broken = without_link(default_owcpon, "rack0/txrx0--group0/ap0/txrx0")
+    def test_first_failing_entry_in_sorted_order_is_named(self):
+        policy = RoutingPolicy(prefer_direct_inter_group=False, allow_relay_fallback=False)
         matrix = TrafficMatrix(
             {
-                ("rack3/server0", "ghost"): Fraction(1),
-                ("rack2/server0", "rack0/server0"): Fraction(1),  # NoRoute, sorts first
+                ("rack3/server0", "ghost"): Fraction(1),  # UnknownServer
+                ("rack2/server0", "rack5/server0"): Fraction(1),  # PolicyExcluded, sorts first
                 ("rack1/server0", "ghost"): Fraction(0),  # no demand: never routed
+                ("rack1/server0", "rack3/server0"): Fraction(1),  # same group: routes
                 ("rack0/server1", "rack0/server2"): Fraction(1),  # routes
             }
         )
-        with pytest.raises(NoRoute, match=r"^rack2/server0 -> rack0/server0: "):
-            assign(broken, matrix)
+        with pytest.raises(PolicyExcluded, match=r"^rack2/server0 -> rack5/server0: both"):
+            assign(RouteTable(SPEC, policy), matrix)
 
     def test_total_demand_mixed_denominators(self):
         matrix = TrafficMatrix(
@@ -212,31 +200,31 @@ small_matrix = st.dictionaries(
 class TestAssignProperties:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(first=small_matrix, second=small_matrix)
-    def test_additivity(self, default_owcpon, first, second):
+    def test_additivity(self, first, second):
         merged = dict(first.demands)
         for key, rate in second.demands.items():
             merged[key] = merged.get(key, Fraction(0)) + rate
-        combined = assign(default_owcpon, TrafficMatrix(merged))
-        left = assign(default_owcpon, first)
-        right = assign(default_owcpon, second)
+        combined = assign(RouteTable(SPEC), TrafficMatrix(merged))
+        left = assign(RouteTable(SPEC), first)
+        right = assign(RouteTable(SPEC), second)
         for row, l_row, r_row in zip(combined.rows, left.rows, right.rows):
             assert row.load == l_row.load + r_row.load
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(matrix=small_matrix)
-    def test_order_independence(self, default_owcpon, matrix):
+    def test_order_independence(self, matrix):
         reversed_matrix = TrafficMatrix(
             dict(reversed(list(matrix.demands.items())))
         )
-        assert assign(default_owcpon, matrix) == assign(default_owcpon, reversed_matrix)
+        assert assign(RouteTable(SPEC), matrix) == assign(RouteTable(SPEC), reversed_matrix)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(matrix=small_matrix)
-    def test_total_load_is_hop_weighted_demand(self, default_owcpon, matrix):
-        report = assign(default_owcpon, matrix)
+    def test_total_load_is_hop_weighted_demand(self, matrix):
+        report = assign(RouteTable(SPEC), matrix)
         expected = sum(
             (
-                rate * resolve_route(default_owcpon.spec, src, dst).hop_count
+                rate * resolve_route(SPEC, src, dst).hop_count
                 for (src, dst), rate in matrix.demands.items()
             ),
             Fraction(0),
@@ -245,13 +233,13 @@ class TestAssignProperties:
 
 
 class TestBottlenecks:
-    def test_all_zero_report_is_empty(self, default_owcpon):
-        report = assign(default_owcpon, TrafficMatrix({}))
+    def test_all_zero_report_is_empty(self):
+        report = assign(RouteTable(SPEC), TrafficMatrix({}))
         assert bottlenecks(report, 5) == []
 
-    def test_single_flow_min_capacity_first(self, default_owcpon):
+    def test_single_flow_min_capacity_first(self):
         report = assign(
-            default_owcpon,
+            RouteTable(SPEC),
             TrafficMatrix({("rack0/server0", "rack2/server0"): Fraction(1)}),
         )
         top = bottlenecks(report, 3)
