@@ -143,21 +143,27 @@ def _graph_tables(architecture: Architecture, graph) -> list[Table]:
             for node_id, kind, rack, group, ap, gateway in graph.nodes
         ),
     )
-    # The kind and capacity texts of each distinct (kind, capacity) pair,
-    # made once.  The key is the pair's ids, not its values: ``Enum`` and
-    # ``Fraction`` hash in Python code, a builder gives all links of a kind
-    # one ``Fraction``, and the links keep both objects alive.
-    texts: dict[tuple[int, int], tuple[str, str]] = {}
-    rows = []
-    for link_id, _, _, kind, capacity in graph.links:
-        key = id(kind), id(capacity)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = (kind.value, format_rational(capacity))
-        rows.append((link_id, *text))
-    links = Table(f"links_{architecture.value}", ("id", "kind", "capacity_gbps"), tuple(rows))
+    columns = ("id", "kind", "capacity_gbps")
+    links = Table(f"links_{architecture.value}", columns, tuple(_link_rows(graph.links)))
     census = census_table(f"census_{architecture.value}", device_census(graph.spec))
     return [census, nodes, links]
+
+
+def _link_rows(links) -> list[tuple[str, str, str]]:
+    """The id, kind and capacity texts of each ``Link`` or ``LinkLoad``.
+    The texts of each distinct (kind, capacity) pair are made once.  The
+    key is the pair's ids, not its values: ``Enum`` and ``Fraction`` hash
+    in Python code, a builder gives all links of a kind one ``Fraction``,
+    and the links keep both objects alive."""
+    texts: dict[tuple[int, int], tuple[str, str]] = {}
+    rows = []
+    for link in links:
+        key = id(link.kind), id(link.capacity)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = (link.kind.value, format_rational(link.capacity))
+        rows.append((link[0], *text))
+    return rows
 
 
 def _cmd_build(scenario: Scenario, args) -> tuple[Document, int]:
@@ -257,9 +263,8 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
         except UnknownRack as exc:
             raise ScenarioError(f"traffic pattern: {exc}") from exc
     else:
-        matrix = TrafficMatrix(
-            {(src, dst): rate for src, dst, rate in scenario.traffic.flows}
-        )
+        flows = scenario.traffic.flows
+        matrix = TrafficMatrix({(src, dst): mbps for src, dst, mbps in flows}, scale=1000)
     report = assign(RouteTable(spec, scenario.policy), matrix, scenario.capacities)
     meta = (
         ("demand_entries", matrix.demand_entries()),
@@ -271,14 +276,8 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
         "link_loads",
         ("link", "kind", "capacity_gbps", "load_gbps", "utilization"),
         tuple(
-            (
-                row.link_id,
-                row.kind.value,
-                format_rational(row.capacity),
-                format_rational(row.load),
-                format_rational(row.utilization),
-            )
-            for row in report.rows
+            (*texts, format_rational(row.load), format_rational(row.utilization))
+            for texts, row in zip(_link_rows(report.rows), report.rows)
         ),
     )
     top = Table(

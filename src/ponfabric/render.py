@@ -13,6 +13,7 @@ import io
 import json
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -28,21 +29,25 @@ class OutputFormat(Enum):
 def format_rational(value: Fraction) -> str:
     """Exact decimal when the value terminates, ``p/q`` otherwise."""
     num, den = value.numerator, value.denominator
-    rest, twos, fives = den, 0, 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+    digits = _places(den)
+    if digits is None:
         return f"{num}/{den}"
-    digits = max(twos, fives)
     sign = "-" if num < 0 else ""
     whole, frac = divmod(abs(num) * 10**digits // den, 10**digits)
     if frac == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{str(frac).zfill(digits).rstrip('0')}"
+
+
+@lru_cache(maxsize=1024)  # a table's values share a few denominators
+def _places(den: int) -> int | None:
+    """The decimal places of 1/``den``, None if it does not terminate."""
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    return max(twos, fives) if rest == 1 else None
 
 
 class Table(NamedTuple):

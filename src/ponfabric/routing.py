@@ -151,20 +151,21 @@ class RouteTable:
             return out_link, _INTRA_RACK, (((f"rack{rack_a}/leaf",), ()),), in_link
         if not self._owcpon:
             raise NoRoute("inter-rack paths are only modeled for the optical-wireless fabric")
-        aps = self.spec.aps_per_group
+        direct, aps = None, self.spec.aps_per_group
         if rack_a // aps == rack_b // aps:
-            stretches = self._half(rack_a, "switch", True), self._half(rack_b, "switch", False)
-            return out_link, _INTRA_GROUP, stretches, in_link
-        if not policy.prefer_direct_inter_group and not policy.allow_relay_fallback:
-            raise PolicyExcluded("both inter-group mechanisms are disabled")
-        direct = policy.prefer_direct_inter_group and self._direct(rack_a, rack_b)
-        if direct:
-            up, down = self._half(rack_a, "nic", True), self._half(rack_b, "nic", False)
-            return out_link, _DIRECT, (up, direct, down), in_link
-        if not policy.allow_relay_fallback:
+            path_class, kind = _INTRA_GROUP, "switch"
+        elif policy.prefer_direct_inter_group and (direct := self._direct(rack_a, rack_b)):
+            path_class, kind = _DIRECT, "nic"
+        elif policy.allow_relay_fallback:
+            path_class, kind = _RELAYED, "olt"
+        elif policy.prefer_direct_inter_group:
             raise PolicyExcluded(_UNLINKED.format(src, dst))
-        stretches = self._half(rack_a, "olt", True), self._half(rack_b, "olt", False)
-        return out_link, _RELAYED, stretches, in_link
+        else:
+            raise PolicyExcluded("both inter-group mechanisms are disabled")
+        halves = self._halves  # looked up here, not through ``_half``: once per block of demand
+        up = halves.get((rack_a, kind, True)) or self._half(rack_a, kind, True)
+        down = halves.get((rack_b, kind, False)) or self._half(rack_b, kind, False)
+        return out_link, path_class, (up, direct, down) if direct else (up, down), in_link
 
     def edge_links(self, servers: tuple[str, ...]) -> tuple[str, ...]:
         """Each server's link to its leaf."""

@@ -20,8 +20,9 @@ section.
 
 Numbers are exact: counts are integers, and every decimal (watts, Gb/s,
 fractions) allows at most three fractional digits so it converts to
-integer milli-units without rounding.  ``serialize_scenario`` emits a
-fully resolved canonical form; parsing it back yields an equal Scenario.
+integer milli-units without rounding; flow rates stay in those integer
+Mb/s.  ``serialize_scenario`` emits a fully resolved canonical form;
+parsing it back yields an equal Scenario.
 """
 
 from __future__ import annotations
@@ -72,11 +73,15 @@ MAX_DIGITS = 400
 
 _DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]{1,3})?$")
 _PAIR_RE = re.compile(r"^([0-9]+)\.([0-9]+)-([0-9]+)\.([0-9]+)$")
+# Whole lines of "\n"-joined flow line values: two ids and a rate of at
+# most 400 digits, in printable ASCII apart from blanks and tabs.  It is
+# compiled on first use, so only files with flow lines pay for that.
+_FLOW_LINE = r"^([!-~]+)[ \t]+([!-~]+)[ \t]+([0-9]{1,397})(?:\.([0-9]{1,3}))?\n"
 
 
 class TrafficSection(NamedTuple):
     pattern: TrafficPattern | None = None
-    flows: tuple[tuple[str, str, Fraction], ...] = ()
+    flows: tuple[tuple[str, str, int], ...] = ()  # (src, dst, Mb/s)
 
 
 class Scenario(NamedTuple):
@@ -292,9 +297,31 @@ def _parse_pattern(value: str, lineno: int) -> TrafficPattern:
     return kind(*(parse(arg, lineno) for (parse, _), arg in zip(codecs, args)))
 
 
+def _parse_flows(values: list[str], linenos: list[int]) -> dict[tuple[str, str], int]:
+    """Each pair's Mb/s, summed over its flow lines.  One regex reads the
+    lines of printable ASCII; if it misses any, every line is read on its
+    own, and the first malformed one, in line order, raises."""
+    found = re.findall(_FLOW_LINE, "\n".join(values) + "\n", re.M) if values else []
+    if len(found) < len(values):
+        found = []
+        for value, lineno in zip(values, linenos):
+            tokens = value.split()
+            if len(tokens) != 3:
+                raise InvalidValue("expected 'flow = <src> <dst> <gbps>'", lineno)
+            _parse_milli(tokens[2], lineno)
+            whole, _, frac = tokens[2].partition(".")
+            found.append((tokens[0], tokens[1], whole, frac))
+    flows: dict[tuple[str, str], int] = {}
+    for src, dst, whole, frac in found:
+        pair = src, dst
+        flows[pair] = flows.get(pair, 0) + int(whole + frac.ljust(3, "0"))
+    return flows
+
+
 def _scan(text: str):
     entries: dict[tuple[str, str], tuple[str, int]] = {}
-    flows: list[tuple[str, int]] = []
+    flows: list[str] = []  # flow line values, and their line numbers
+    flow_lines: list[int] = []
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -316,15 +343,16 @@ def _scan(text: str):
             raise ParseError("expected 'key = value'", lineno)
         if not value:
             raise ParseError(f"empty value for '{key}'", lineno)
+        if key == "flow" and section == "traffic":
+            flows.append(value)
+            flow_lines.append(lineno)
+            continue
         if (section, key) not in _ALLOWED:
             raise UnknownKey(f"unknown key '{key}' in [{section}]", lineno)
-        if section == "traffic" and key == "flow":
-            flows.append((value, lineno))
-            continue
         if (section, key) in entries:
             raise ParseError(f"duplicate key '{key}'", lineno)
         entries[(section, key)] = (value, lineno)
-    return entries, flows
+    return entries, flows, flow_lines
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -341,7 +369,7 @@ def parse_scenario(text: str) -> Scenario:
     with, and only with, ``adjacency = explicit``); catalog overrides in
     ``CATALOG_KEYS`` order; the traffic section.
     """
-    entries, raw_flows = _scan(text)
+    entries, raw_flows, flow_lines = _scan(text)
 
     base = Scenario()
     profile_entry = entries.get(("options", "profile"))
@@ -384,13 +412,7 @@ def parse_scenario(text: str) -> Scenario:
             overrides[kind.value] = milliwatts
 
     pattern_entry = entries.get(("traffic", "pattern"))
-    flows: dict[tuple[str, str], int] = {}  # Gb/s in thousandths
-    for value, lineno in raw_flows:
-        tokens = value.split()
-        if len(tokens) != 3:
-            raise InvalidValue("expected 'flow = <src> <dst> <gbps>'", lineno)
-        src, dst, rate = tokens[0], tokens[1], _parse_milli(tokens[2], lineno)
-        flows[(src, dst)] = flows.get((src, dst), 0) + rate
+    flows = _parse_flows(raw_flows, flow_lines)
     if pattern_entry is not None and flows:
         raise InvalidValue(
             "a traffic section takes either a pattern or flow lines, not both",
@@ -400,9 +422,8 @@ def parse_scenario(text: str) -> Scenario:
     if pattern_entry is not None:
         traffic = TrafficSection(pattern=_parse_pattern(*pattern_entry))
     elif flows:
-        traffic = TrafficSection(
-            flows=tuple((src, dst, Fraction(flows[(src, dst)], 1000)) for src, dst in sorted(flows))
-        )
+        flow_list = [(src, dst, mbps) for (src, dst), mbps in flows.items()]
+        traffic = TrafficSection(flows=tuple(sorted(flow_list)))
 
     return base._replace(
         **fields.pop("", {}),
@@ -436,7 +457,7 @@ def serialize_scenario(scenario: Scenario) -> str:
             if isinstance(pattern, kind):
                 args = (to_text(arg) for (_, to_text), arg in zip(codecs, pattern))
                 lines.append(f"pattern = {name} {' '.join(args)}")
-        for src, dst, rate in scenario.traffic.flows:
-            lines.append(f"flow = {src} {dst} {_decimal_text(rate)}")
+        for src, dst, mbps in scenario.traffic.flows:
+            lines.append(f"flow = {src} {dst} {_decimal_text(Fraction(mbps, 1000))}")
 
     return "\n".join(lines[1:]) + "\n"

@@ -12,7 +12,7 @@ between groups and uplinks to the outside).
 Graphs are immutable once built; every operation here is a pure function
 of its inputs, so identical specs always produce identical graphs.  A
 fabric's links come from its spec alone (``fabric_links``), and the
-builders take theirs from there.
+builders take theirs, and the ids of their nodes, from the same code.
 """
 
 from __future__ import annotations
@@ -289,15 +289,6 @@ def _linker(kind: LinkKind, capacities: LinkCapacities) -> Callable[[str, str], 
     return lambda a, b: make((f"{a}--{b}", a, b, kind, capacity))
 
 
-def _rack_nodes(r: int, servers_per_rack: int) -> list[Node]:
-    """Rack ``r``'s leaf, then its servers, each with its transceiver node."""
-    nodes = [Node(f"rack{r}/leaf", _LEAF, r)]
-    for i in range(servers_per_rack):
-        server = f"rack{r}/server{i}"
-        nodes += [Node(server, _SERVER, r), Node(f"{server}/txrx", _SERVER_TXRX, r)]
-    return nodes
-
-
 def build_traditional(
     spec: TraditionalSpec, capacities: LinkCapacities = LinkCapacities()
 ) -> NetworkGraph:
@@ -307,10 +298,9 @@ def build_traditional(
     is wired to its rack's leaf and carries one linkless transceiver node.
     Zero counts simply yield an empty or partial graph.
     """
-    nodes = [Node(f"spine{s}", _SPINE) for s in range(spec.num_spine)]
-    for r in range(spec.num_racks):
-        nodes += _rack_nodes(r, spec.servers_per_rack)
-    return NetworkGraph(nodes, fabric_links(spec, capacities), spec)
+    nodes: list[Node] = []
+    links = _wire(spec, capacities, nodes)
+    return NetworkGraph(nodes, links, spec)
 
 
 def _check_owc_pon(spec: OwcPonSpec) -> int:
@@ -367,23 +357,8 @@ def build_owc_pon(
     OLT.  Direct NIC-to-NIC fiber links follow the adjacency policy, and
     one external gateway hangs off the OLT.
     """
-    links = fabric_links(spec, capacities)  # checks the spec first
-    planes = range(spec.transceiver_multiplier)
     nodes: list[Node] = []
-    for r in range(spec.num_racks):
-        nodes += _rack_nodes(r, spec.servers_per_rack)
-        nodes += [Node(f"rack{r}/txrx{p}", _RACK_TXRX, r) for p in planes]
-    for g in range(spec.num_groups):
-        for a in range(spec.aps_per_group):
-            gateway = a == spec.gateway_ap_index
-            nodes.append(Node(f"group{g}/ap{a}/nic", _NIC, group=g, ap=a, is_gateway=gateway))
-            nodes += [
-                Node(f"group{g}/ap{a}/txrx{p}", _AP_TXRX, group=g, ap=a, is_gateway=gateway)
-                for p in planes
-            ]
-        nodes.append(Node(f"group{g}/switch", _SWITCH, group=g))
-    nodes.append(Node("olt", DeviceKind.OLT))
-    nodes.append(Node("external", DeviceKind.EXTERNAL_GATEWAY))
+    links = _wire(spec, capacities, nodes)
     return NetworkGraph(nodes, links, spec)
 
 
@@ -391,34 +366,59 @@ def fabric_links(spec: FabricSpec, capacities: LinkCapacities = LinkCapacities()
     """The links of the fabric ``spec`` builds, in the builder's order and
     by its ids, without its nodes; raises the builder's errors for an
     inadmissible spec."""
+    return _wire(spec, capacities, None)
+
+
+def _wire(spec: FabricSpec, capacities: LinkCapacities, nodes: list[Node] | None) -> list[Link]:
+    """``fabric_links(spec, capacities)``; given ``nodes``, it also appends
+    the fabric's nodes there in the builder's order, their ids the very
+    strings that its links name."""
     traditional = isinstance(spec, TraditionalSpec)
     if not traditional:
         _check_owc_pon(spec)
     wired, owc, fiber = (_linker(kind, capacities) for kind in LinkKind)
     planes = () if traditional else range(spec.transceiver_multiplier)
-    # Ids made once and shared by every link that names them.
-    leaves = [f"rack{r}/leaf" for r in range(spec.num_racks)]
-    rooftops = [[f"rack{r}/txrx{p}" for p in planes] for r in range(spec.num_racks)]
+    # Ids made once and shared by every link and node that names them.
+    racks = range(spec.num_racks)
+    leaves = [f"rack{r}/leaf" for r in racks]
+    servers = [[f"rack{r}/server{i}" for i in range(spec.servers_per_rack)] for r in racks]
+    rooftops = [[f"rack{r}/txrx{p}" for p in planes] for r in racks]
+    spines = [f"spine{s}" for s in range(spec.num_spine)] if traditional else []
+    if nodes is not None:
+        nodes += [Node(spine, _SPINE) for spine in spines]
+        for r, (leaf, rack_servers, rtxs) in enumerate(zip(leaves, servers, rooftops)):
+            nodes.append(Node(leaf, _LEAF, r))
+            for server in rack_servers:
+                nodes += [Node(server, _SERVER, r), Node(f"{server}/txrx", _SERVER_TXRX, r)]
+            nodes += [Node(rtx, _RACK_TXRX, r) for rtx in rtxs]
     links: list[Link] = []
-    for r, (leaf, rtxs) in enumerate(zip(leaves, rooftops)):
-        links += [wired(f"rack{r}/server{i}", leaf) for i in range(spec.servers_per_rack)]
+    for leaf, rack_servers, rtxs in zip(leaves, servers, rooftops):
+        links += [wired(server, leaf) for server in rack_servers]
         links += [wired(rtx, leaf) for rtx in rtxs]
     if traditional:
-        spines = [f"spine{s}" for s in range(spec.num_spine)]
         return links + [wired(leaf, spine) for leaf in leaves for spine in spines]
 
-    per_group = spec.aps_per_group
+    per_group, gateway = spec.aps_per_group, spec.gateway_ap_index
     aps = [f"group{g}/ap{a}" for g in range(spec.num_groups) for a in range(per_group)]
     ceilings = [[f"{ap}/txrx{p}" for p in planes] for ap in aps]
     nics = [f"{ap}/nic" for ap in aps]
     groups = [nics[g * per_group : (g + 1) * per_group] for g in range(spec.num_groups)]
+    switches = [f"group{g}/switch" for g in range(spec.num_groups)]
+    if nodes is not None:
+        for g, switch in enumerate(switches):
+            for a, atxs in enumerate(ceilings[g * per_group : (g + 1) * per_group]):
+                on_gateway = a == gateway
+                nodes.append(Node(groups[g][a], _NIC, group=g, ap=a, is_gateway=on_gateway))
+                nodes += [Node(atx, _AP_TXRX, group=g, ap=a, is_gateway=on_gateway) for atx in atxs]
+            nodes.append(Node(switch, _SWITCH, group=g))
+        nodes += [Node("olt", DeviceKind.OLT), Node("external", DeviceKind.EXTERNAL_GATEWAY)]
     for atxs, nic in zip(ceilings, nics):
         links += [fiber(atx, nic) for atx in atxs]
     for rtxs, atxs in zip(rooftops, ceilings):  # rack r beams to AP r, in group-major order
         links += map(owc, rtxs, atxs)
-    for g, group_nics in enumerate(groups):
-        links += [fiber(nic, f"group{g}/switch") for nic in group_nics]
-    links += [fiber(group_nics[spec.gateway_ap_index], "olt") for group_nics in groups]
+    for switch, group_nics in zip(switches, groups):
+        links += [fiber(nic, switch) for nic in group_nics]
+    links += [fiber(group_nics[gateway], "olt") for group_nics in groups]
     if isinstance(spec.adjacency, IndexMatched):  # same-index APs of every group pair
         pairs = itertools.combinations(groups, 2)
         links += [fiber(a, b) for g1, g2 in pairs for a, b in zip(g1, g2)]

@@ -23,6 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import RoutingError, ScenarioError, UnknownRack, in_pair
@@ -43,32 +44,37 @@ DEMAND_BUDGET = 2_000_000
 
 @checked
 class TrafficMatrix(NamedTuple):
-    """Sparse (src server, dst server) -> demand map in Gb/s: explicit flow
-    lines, each entry a 1x1 block."""
+    """Sparse (src server, dst server) -> demand map: explicit flow lines,
+    each entry a 1x1 block of ``demands[pair] / scale`` Gb/s, its demand
+    an int or a ``Fraction`` (``scale=1000`` takes Mb/s).  The entries are
+    kept in sorted pair order."""
 
-    demands: Mapping[tuple[str, str], Fraction]
+    demands: Mapping[tuple[str, str], int | Fraction]
+    scale: int = 1
 
     def _checked(self) -> TrafficMatrix:
-        frozen = {}
-        for (src, dst), value in self.demands.items():
-            rate = value if isinstance(value, Fraction) else Fraction(value)
-            if rate.numerator < 0:
-                raise ValueError(f"negative demand for {src} -> {dst}")
-            frozen[(src, dst)] = rate
-        return self._make((frozen,))
+        check_count(self.scale, "scale", minimum=1)
+        demands = self.demands
+        rates = demands.values()
+        if not {int, Fraction}.issuperset(map(type, rates)) or min(rates, default=0) < 0:
+            for (src, dst), rate in demands.items():
+                if check_rate(rate, f"demand for {src} -> {dst}") < 0:
+                    raise ValueError(f"negative demand for {src} -> {dst}")
+        pairs = sorted(demands)
+        if pairs == list(demands):  # as parsed flow lines come
+            return self._make((dict(demands), self.scale))
+        return self._make(({pair: demands[pair] for pair in pairs}, self.scale))
 
-    def blocks(self) -> list[Block]:
+    def blocks(self) -> Iterable[Block]:
         """A 1x1 block per entry with demand between two servers, sorted."""
-        entries = sorted(self.demands.items())
-        return [((src,), (dst,), rate) for (src, dst), rate in entries if rate and src != dst]
+        entries = self.demands.items()
+        return (((src,), (dst,), rate) for (src, dst), rate in entries if rate and src != dst)
 
     def demand_entries(self) -> int:
         return len(self.demands)
 
     def total_demand(self) -> Fraction:
-        rates = self.demands.values()
-        scale = lcm(*(rate.denominator for rate in rates))
-        return Fraction(sum(rate.numerator * (scale // rate.denominator) for rate in rates), scale)
+        return Fraction(sum(self.demands.values()), self.scale)
 
 
 class RackBlocks(NamedTuple):
@@ -83,6 +89,7 @@ class RackBlocks(NamedTuple):
     demands: Mapping[tuple[int, int], Fraction]
     entries: int
     total: Fraction
+    scale = 1  # demands are in Gb/s
 
     def blocks(self) -> Iterable[Block]:
         n = self.servers_per_rack
@@ -232,7 +239,8 @@ def assign(
     in the sorted order of their first entries, so a routing error names
     the first failing ``src -> dst`` entry in sorted order.
     """
-    scale = lcm(*(rate.denominator for rate in matrix.demands.values()))
+    # every demand is a whole number of units of 1/step
+    step = lcm(*{rate.denominator for rate in matrix.demands.values()})
     # Groups are keyed by their first server, which names one group only.
     edges: dict[str, tuple[str, ...]] = {}  # the group's edge links
     group_units: dict[str, int] = {}
@@ -251,7 +259,7 @@ def assign(
         except RoutingError as exc:
             raise in_pair(exc, src, dst) from exc
         if rate is not last_rate:
-            last_rate, units = rate, rate.numerator * (scale // rate.denominator)
+            last_rate, units = rate, rate.numerator * (step // rate.denominator)
         peers_of_src, peers_of_dst = len(dsts) - own, len(srcs) - own
         group_units[src] = group_units.get(src, 0) + units * peers_of_src
         group_units[first_dst] = group_units.get(first_dst, 0) + units * peers_of_dst
@@ -267,13 +275,18 @@ def assign(
         for link_id in links:
             link_units[link_id] = link_units.get(link_id, 0) + units
     links = sorted(fabric_links(table.spec, capacities), key=lambda link: link.id)
-    rows = tuple(
-        LinkLoad(link_id, kind, capacity, Fraction(link_units.get(link_id, 0), scale))
-        for link_id, _, _, kind, capacity in links
-    )
-    max_utilization = max((row.utilization for row in rows), default=Fraction(0))
-    saturated = tuple(row.link_id for row in rows if row.utilization > 1)
-    return LinkLoadReport(rows, max_utilization, saturated)
+    scale = step * matrix.scale  # units per Gb/s
+    rows, saturated, top = [], [], (0, 1)  # top: the highest utilization, in ints
+    for link_id, _, _, kind, capacity in links:
+        units = link_units.get(link_id, 0)
+        over, under = units * capacity.denominator, scale * capacity.numerator  # utilization
+        load, utilization = Fraction(units, scale), Fraction(over, under)
+        rows.append(LinkLoad._make((link_id, kind, capacity, load, utilization)))
+        if over > under:
+            saturated.append(link_id)
+        if over * top[1] > top[0] * under:
+            top = over, under
+    return LinkLoadReport(tuple(rows), Fraction(*top), tuple(saturated))
 
 
 def bottlenecks(report: LinkLoadReport, top_n: int) -> list[LinkLoad]:
@@ -281,7 +294,8 @@ def bottlenecks(report: LinkLoadReport, top_n: int) -> list[LinkLoad]:
 
     Ties break by ascending link id; links without load never appear.
     """
-    from heapq import nsmallest  # here, so only simulate pays for importing it
+    from heapq import nlargest  # here, so only simulate pays for importing it
 
-    loaded = [row for row in report.rows if row.load > 0]
-    return nsmallest(max(top_n, 0), loaded, key=lambda row: (-row.utilization, row.link_id))
+    loaded = sorted((row for row in report.rows if row.load > 0), key=attrgetter("link_id"))
+    # ``nlargest`` is stable: rows of equal utilization keep their id order
+    return nlargest(max(top_n, 0), loaded, key=attrgetter("utilization"))

@@ -33,7 +33,9 @@ numerator and denominator.  ``reference_render_json`` is the
 
 ``reference_parse_scenario`` and ``reference_serialize_scenario`` are the
 hand-written scenario parser and serializer that the key table replaced;
-the scenario differential tests hold the table to them.
+the scenario differential tests hold the table to them.  The reference
+parser sums flow rates as ``Fraction``s of Gb/s; ``in_mbps`` turns them
+into the integer Mb/s that ``parse_scenario`` keeps.
 
 ``reference_census``, ``reference_validate``, ``reference_run_benchmark``,
 ``reference_cmd_power``, ``reference_cmd_validate`` and
@@ -824,12 +826,27 @@ def _watts_to_milliwatts(value: str, lineno: int) -> int:
     return int(milliwatts)
 
 
+def in_mbps(scenario: Scenario) -> Scenario:
+    """``scenario`` with its flow rates, ``Fraction``s of Gb/s, in Mb/s,
+    each of which must be a whole number."""
+    if scenario.traffic is None or not scenario.traffic.flows:
+        return scenario
+    flows = []
+    for src, dst, gbps in scenario.traffic.flows:
+        mbps = gbps * 1000
+        assert type(gbps) is Fraction and mbps.denominator == 1, gbps
+        flows.append((src, dst, mbps.numerator))
+    return scenario._replace(traffic=scenario.traffic._replace(flows=tuple(flows)))
+
+
 def reference_parse_scenario(text: str) -> Scenario:
     """The hand-written parser the key table replaced.
 
     A file holding only ``profile = reproduction`` under ``[options]``
     resolves to the complete benchmark scenario; an empty file is an
-    error because nothing selects an architecture.
+    error because nothing selects an architecture.  Flow rates are summed
+    as ``Fraction``s of Gb/s: ``in_mbps`` gives the record ``parse_scenario``
+    returns, which holds them in integer Mb/s.
     """
     entries, raw_flows = _scan(text)
     table = _Entries(entries)
@@ -1070,8 +1087,8 @@ def reference_serialize_scenario(scenario: Scenario) -> str:
                 "pattern = intra_rack_heavy "
                 f"{format_decimal(pattern.intra_fraction)} {format_decimal(pattern.gbps)}"
             )
-        for src, dst, rate in scenario.traffic.flows:
-            lines.append(f"flow = {src} {dst} {format_decimal(rate)}")
+        for src, dst, mbps in scenario.traffic.flows:
+            lines.append(f"flow = {src} {dst} {format_decimal(Fraction(mbps, 1000))}")
 
     return "\n".join(lines) + "\n"
 

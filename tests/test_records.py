@@ -131,7 +131,7 @@ RECORDS = {
     ),
     "TrafficMatrix": (
         lambda: TrafficMatrix({("rack0/server0", "rack1/server0"): 2}),
-        "TrafficMatrix(demands={('rack0/server0', 'rack1/server0'): Fraction(2, 1)})",
+        "TrafficMatrix(demands={('rack0/server0', 'rack1/server0'): 2}, scale=1)",
     ),
     "UniformPattern": (
         lambda: UniformPattern(Fraction(1, 2)),

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import outcome
 from ponfabric import (
+    Architecture,
     DeviceKind,
     ExplicitPairs,
     HotspotRackPattern,
@@ -28,6 +29,7 @@ from ponfabric import (
     OwcPonSpec,
     RoutingPolicy,
     RouteTable,
+    Scenario,
     TraditionalSpec,
     TrafficMatrix,
     UniformPattern,
@@ -39,6 +41,7 @@ from ponfabric import (
     parse_scenario,
     resolve_route,
     route_to_external,
+    serialize_scenario,
 )
 
 from test_census import owcpon_specs as census_specs
@@ -303,19 +306,71 @@ def seeded_flow_text(seed: int) -> str:
 
 @pytest.mark.parametrize("seed", [3, 91])
 def test_seeded_flow_lines_match_reference(seed):
-    """Flow lines as ``simulate`` reads them: parsed (duplicates summed in
-    thousandths) like the reference parser, then assigned like
-    ``reference_assign`` under all four policies, errors included."""
+    """Flow lines as ``simulate`` reads them: parsed into integer Mb/s
+    (duplicates summed) that equal the reference parser's ``Fraction``s of
+    Gb/s times 1000 exactly, then assigned at ``scale=1000`` like
+    ``reference_assign`` on the reference's ``Fraction`` matrix, under all
+    four policies, errors included."""
     text = seeded_flow_text(seed)
-    scenario = parse_scenario(text)
-    assert scenario == oracles.reference_parse_scenario(text)
+    scenario, reference = parse_scenario(text), oracles.reference_parse_scenario(text)
+    assert scenario == oracles.in_mbps(reference)
     assert len(scenario.traffic.flows) < 1000  # some lines were summed
     graph = build_owc_pon(scenario.owcpon)
-    matrix = TrafficMatrix({(src, dst): rate for src, dst, rate in scenario.traffic.flows})
+    exact = TrafficMatrix({(src, dst): gbps for src, dst, gbps in reference.traffic.flows})
+    check_flow_lines(graph, scenario.traffic.flows, exact)
+
+
+def check_flow_lines(graph, flows, exact):
+    """The parsed ``flows`` as ``simulate`` assigns them, in a matrix at
+    ``scale=1000``, against ``reference_assign`` of the ``Fraction`` matrix
+    ``exact`` of the same flows, under all four policies, errors included."""
+    assert all(type(mbps) is int for _, _, mbps in flows)
+    matrix = TrafficMatrix({(src, dst): mbps for src, dst, mbps in flows}, scale=1000)
+    assert matrix.demand_entries() == exact.demand_entries()
+    assert matrix.total_demand() == exact.total_demand()
     for policy in POLICIES:
         assert outcome(lambda: assign(RouteTable(graph.spec, policy), matrix)) == outcome(
-            lambda: oracles.reference_assign(graph, matrix, policy)
+            lambda: oracles.reference_assign(graph, exact, policy)
         ), policy
+
+
+@st.composite
+def flow_files(draw):
+    """A fabric, the scenario text of it with drawn flow lines, and the
+    ``Fraction`` matrix of those lines: rates with 0 to 3 fractional digits,
+    ``0`` and ``0.000`` among them, repeated pairs that sum, self flows,
+    and now and then an id that names no server."""
+    spec = draw(owcpon_specs())
+    if spec.adjacency == ExplicitPairs(()):  # which a scenario file writes as ``none``
+        spec = spec._replace(adjacency=NoDirectLinks())
+    graph = build_owc_pon(spec)
+    ids = endpoints(graph)
+    servers = st.sampled_from(servers_of(graph) or ids)
+    ends = st.one_of(
+        st.tuples(servers, servers),
+        st.tuples(servers, servers),
+        servers.map(lambda server: (server, server)),
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+    )
+    rates = st.sampled_from(["0", "0.000"]) | st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,3})?", fullmatch=True)
+    pairs = draw(st.lists(ends, min_size=1, max_size=6))
+    lines = draw(st.lists(st.tuples(st.sampled_from(pairs), rates), min_size=1, max_size=20))
+    exact: dict = {}
+    for pair, rate in lines:
+        exact[pair] = exact.get(pair, Fraction(0)) + Fraction(rate)
+    text = serialize_scenario(Scenario(architectures=(Architecture.OWC_PON,), owcpon=graph.spec))
+    text += "[traffic]\n" + "".join(f"flow = {src} {dst} {rate}\n" for (src, dst), rate in lines)
+    return graph, text, TrafficMatrix(exact)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=flow_files())
+def test_flow_lines_in_mbps_match_reference(case):
+    """Drawn flow lines through ``parse_scenario``, a ``scale=1000`` matrix
+    and ``assign``, against the exact ``Fraction`` matrix of the same
+    lines through ``reference_assign`` on the built graph."""
+    graph, text, exact = case
+    check_flow_lines(graph, parse_scenario(text).traffic.flows, exact)
 
 
 def test_assign_keeps_no_piece_per_rack_pair():

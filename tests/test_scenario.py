@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import format_decimal, reference_parse_scenario, reference_serialize_scenario
+from oracles import format_decimal, in_mbps, reference_parse_scenario, reference_serialize_scenario
 from ponfabric import (
     PROFILES,
     Architecture,
@@ -117,10 +117,22 @@ class TestParse:
             "flow = rack2/server0 rack3/server0 2\n"
         )
         scenario = parse_scenario(text)
-        assert scenario.traffic.flows == (
-            ("rack0/server0", "rack1/server1", Fraction(2)),
-            ("rack2/server0", "rack3/server0", Fraction(2)),
+        assert scenario.traffic.flows == (  # in Mb/s
+            ("rack0/server0", "rack1/server1", 2000),
+            ("rack2/server0", "rack3/server0", 2000),
         )
+
+    def test_flow_error_names_the_first_bad_line(self):
+        """Of 5,000 flow lines, the only bad rate, on the last line, is
+        named by its line; of two bad lines, the first is named."""
+        head = "[options]\nprofile = reproduction\n\n[traffic]\n"  # four lines
+        lines = [f"flow = rack{i % 64}/server0 rack{i % 7}/server1 {i % 10}.{i % 1000:03d}" for i in range(5000)]
+        lines[-1] = "flow = rack0/server0 rack1/server0 1.0000"
+        with pytest.raises(InvalidValue, match="^line 5004: expected a non-negative decimal"):
+            parse_scenario(head + "\n".join(lines) + "\n")
+        lines[2] = "flow = rack0/server0 1"
+        with pytest.raises(InvalidValue, match="^line 7: expected 'flow = <src> <dst> <gbps>'"):
+            parse_scenario(head + "\n".join(lines) + "\n")
 
     def test_pattern_and_flows_conflict(self):
         text = (
@@ -262,8 +274,8 @@ pattern_strategy = st.one_of(
     ),
 )
 
-flow_strategy = st.dictionaries(
-    st.tuples(node_ids, node_ids), positive_milli, min_size=1, max_size=4
+flow_strategy = st.dictionaries(  # rates in Mb/s
+    st.tuples(node_ids, node_ids), st.integers(1, 2_000_000), min_size=1, max_size=4
 ).map(
     lambda flows: TrafficSection(
         flows=tuple((src, dst, rate) for (src, dst), rate in sorted(flows.items()))
@@ -338,8 +350,8 @@ class TestRoundTrip:
 
 
 def flow_rate_text(rate: Fraction) -> str:
-    """The rate of a flow line as ``serialize_scenario`` writes it."""
-    scenario = Scenario(traffic=TrafficSection(flows=(("a", "b", rate),)))
+    """The rate of a flow line of ``rate`` Gb/s as ``serialize_scenario`` writes it."""
+    scenario = Scenario(traffic=TrafficSection(flows=(("a", "b", rate * 1000),)))
     return serialize_scenario(scenario).splitlines()[-1].removeprefix("flow = a b ")
 
 
@@ -489,6 +501,11 @@ raw_bytes = st.one_of(
 raw_texts = raw_bytes.map(lambda data: data.decode("utf-8", errors="replace"))
 
 
+def reference_parse(text: str) -> Scenario:
+    """The reference parser's scenario, its flow rates in Mb/s."""
+    return in_mbps(reference_parse_scenario(text))
+
+
 class TestTableAgainstReference:
     @settings(max_examples=80, derandomize=True)
     @given(scenario=scenario_strategy)
@@ -498,7 +515,7 @@ class TestTableAgainstReference:
     @settings(max_examples=100, derandomize=True)
     @given(text=one_fault_texts())
     def test_one_fault_parses_alike(self, text):
-        assert outcome(parse_scenario, text) == outcome(reference_parse_scenario, text)
+        assert outcome(parse_scenario, text) == outcome(reference_parse, text)
 
     @settings(max_examples=150, derandomize=True)
     @given(
@@ -517,7 +534,20 @@ class TestTableAgainstReference:
         ``Fraction``s; malformed rates fail alike, on the same line."""
         flows = "".join(f"flow = {src} {dst} {rate}\n" for src, dst, rate in lines)
         text = "[options]\nprofile = reproduction\n[traffic]\n" + flows
-        assert outcome(parse_scenario, text) == outcome(reference_parse_scenario, text)
+        assert outcome(parse_scenario, text) == outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("rate", ["9" * 397 + ".125", "9" * 399 + ".5", "9" * 400, "1\xa02"])
+    def test_flow_rates_the_one_regex_read_leaves_parse_alike(self, rate):
+        """Rates near the digit limit and a non-ASCII blank, which the
+        line-by-line read of the flow lines takes."""
+        text = f"[options]\nprofile = reproduction\n[traffic]\nflow = a b 1\nflow = a b {rate}\n"
+        assert outcome(parse_scenario, text) == outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("rate", ["9" * 398 + ".125", "9" * 401])
+    def test_flow_rates_over_the_digit_limit_are_refused(self, rate):
+        text = f"[options]\nprofile = reproduction\n[traffic]\nflow = a b 1\nflow = a b {rate}\n"
+        with pytest.raises(InvalidValue, match="^line 5: numbers are limited to 400 digits, got 401$"):
+            parse_scenario(text)
 
     @settings(max_examples=200, derandomize=True)
     @given(text=raw_texts)
@@ -526,9 +556,9 @@ class TestTableAgainstReference:
             scenario = parse_scenario(text)
         except ScenarioError:
             with pytest.raises(ScenarioError):
-                reference_parse_scenario(text)
+                reference_parse(text)
             return
-        assert reference_parse_scenario(text) == scenario
+        assert reference_parse(text) == scenario
         assert parse_scenario(serialize_scenario(scenario)) == scenario
 
 

@@ -17,6 +17,7 @@ from ponfabric import (
     OwcPonSpec,
     PowerCatalog,
     TraditionalSpec,
+    TrafficMatrix,
     UniformPattern,
     device_census,
     owc_pon_power,
@@ -40,6 +41,7 @@ COUNTS = [
     *((lambda v, i=i: pairs_with(v, i), "pairs") for i in range(4)),
     (lambda v: HotspotRackPattern(v, Fraction(1)), "rack"),
     (lambda v: PowerCatalog({DeviceKind.OLT: v}), "olt"),
+    (lambda v: TrafficMatrix({}, scale=v), "scale"),
 ]
 
 RATES = [
@@ -48,6 +50,8 @@ RATES = [
     (lambda v: HotspotRackPattern(0, v), "gbps"),
     (lambda v: IntraRackHeavyPattern(v, Fraction(1)), "intra_fraction"),
     (lambda v: IntraRackHeavyPattern(Fraction(1, 2), v), "gbps"),
+    # a demand's error names its pair
+    (lambda v: TrafficMatrix({("rack0/server0", "rack1/server0"): v}), "rack0/server0 -> rack1/server0"),
 ]
 
 NOT_A_RATE = st.booleans() | st.floats() | st.text(max_size=3) | st.none()
@@ -82,6 +86,20 @@ def test_every_field_takes_an_int(make, name):
 @pytest.mark.parametrize("make, name", RATES)
 def test_every_rate_takes_a_fraction(make, name):
     make(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("value", [0.1, True, "1.5"])
+def test_traffic_matrix_refuses_what_other_rates_refuse(value):
+    """A float, a bool and a string were stored as ``Fraction``s."""
+    demands = {("rack0/server0", "rack0/server1"): 1, ("rack0/server0", "rack1/server0"): value}
+    with pytest.raises(TypeError, match=r"^demand for rack0/server0 -> rack1/server0 must be an int"):
+        TrafficMatrix(demands, scale=1000)
+
+
+def test_traffic_matrix_scale_is_a_positive_count():
+    with pytest.raises(ValueError, match="^scale must be >= 1$"):
+        TrafficMatrix({}, scale=0)
+    assert TrafficMatrix({("a", "b"): 1500}, scale=1000).total_demand() == Fraction(3, 2)
 
 
 @settings(max_examples=60, derandomize=True)
