@@ -36,7 +36,7 @@ from .power import format_percent, power_reduction, scaling_sweep
 from .render import Document, OutputFormat, Table, format_rational, render
 from .routing import RouteTable, resolve_route, route_to_external, all_pairs_summary
 from .scenario import Scenario, check_digits, default_scenario, parse_scenario
-from .topology import Architecture, OwcPonSpec, device_census, validate
+from .topology import EXTERNAL, Architecture, OwcPonSpec, device_census, validate
 from .traffic import TrafficMatrix, assign, bottlenecks, generate_traffic
 from .version import __version__
 
@@ -226,21 +226,19 @@ def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
 
 def _cmd_route(scenario: Scenario, args) -> tuple[Document, int]:
     spec = _owcpon_spec(scenario)
-    if args.dst == "external":
+    if args.dst == EXTERNAL:
         route = route_to_external(spec, args.src)
     else:
         route = resolve_route(spec, args.src, args.dst, scenario.policy)
-    steps = []
-    for index, node_id in enumerate(route.nodes):
-        via = route.links[index - 1] if index > 0 else ""
-        steps.append((index, node_id, via))
+    # each node, with the link that reaches it
+    steps = tuple((index, *step) for index, step in enumerate(zip(route.nodes, ("", *route.links))))
     meta = (
         ("src", args.src),
         ("dst", args.dst),
         ("class", route.path_class.value),
         ("hops", route.hop_count),
     )
-    table = Table("route", ("step", "node", "via_link"), tuple(steps))
+    table = Table("route", ("step", "node", "via_link"), steps)
     return Document("route resolution", meta, (table,)), EXIT_OK
 
 

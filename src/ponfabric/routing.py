@@ -20,31 +20,33 @@ other group, relayed    14 (no gateway endpoint), 12 (one), 10 (both)
 external                8 (6 from the gateway AP's rack)
 ======================  =========================================
 
-Every node and link on a route follows from the spec, so routes are
-named by the builders' id scheme and no graph is read: a server's rack
-comes from its id, every rack uses its first transceiver plane, and a
-direct link keeps the orientation the spec lists.  Between its two edge
-links (server to leaf) every inter-rack chain is the source leaf's
-half-route up to where routes of its class meet (the group's optical
-switch, the OLT, or its own NIC, then the direct link to the other NIC)
-and the destination leaf's half-route down.  A ``RouteTable`` keeps, per
-spec and policy, each server's rack and edge link and each rack's
-half-routes once used: O(servers + racks) pieces.  ``traffic.assign``
-routes one pair per block of demand and sums per edge link, half-route
-and direct link.  ``all_pairs_summary`` counts the classes above from
-the spec and the policy alone.  The graph walk that checks the table is
+Routes follow from the spec, and no graph is read.  Their pieces are
+link ids that ``topology``, the one module that knows the id scheme,
+names: a server's edge link (its rack comes from its id), a rack's links
+up to a junction on its first transceiver plane, and the direct link
+between two NICs in the orientation the spec lists.  A route's nodes are
+walked from its link ids.  Between its two edge links (server to leaf)
+every inter-rack chain is the source leaf's half-route up to where
+routes of its class meet (the group's optical switch, the OLT, or its
+own NIC, then the direct link to the other NIC) and the destination
+leaf's half-route down.  A ``RouteTable`` keeps, per spec and policy,
+each server's rack and edge link and each rack's half-routes once used:
+O(servers + racks) pieces.  ``traffic.assign`` routes one pair per
+block of demand and sums per edge link, half-route and direct link.
+``all_pairs_summary`` counts the classes above from the spec and the
+policy alone.  The graph walk that checks the table is
 ``reference_route`` in the test oracles.
 """
 
 from __future__ import annotations
 
-import re
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
-from .errors import NoRoute, PolicyExcluded, UnknownServer
-from .topology import FabricSpec, IndexMatched, OwcPonSpec
+from .errors import NoRoute, PolicyExcluded
+from .topology import EXTERNAL, OLT, FabricSpec, IndexMatched, OwcPonSpec
+from .topology import direct_link, edge_link, link_ends, link_id, server_id, uplinks
 from .topology import _check_owc_pon  # the builder's spec checks, which routes share
 
 
@@ -91,12 +93,16 @@ class Route(NamedTuple):
         return len(self.links)
 
 
-#: A stretch of a route: node ids, and the link ids reaching each from the last.
-Stretch = tuple[tuple[str, ...], tuple[str, ...]]
+#: A stretch of a route: the ids of its links, in route order.
+Stretch = tuple[str, ...]
 
-# A server id as the builders make it: decimal rack and server numbers in
-# ASCII digits, without leading zeros.
-_SERVER_ID = re.compile(r"rack(0|[1-9][0-9]*)/server(0|[1-9][0-9]*)")
+
+def _walked(src: str, links: tuple[str, ...], path_class: PathClass) -> Route:
+    """The route from ``src`` along ``links``, its nodes walked from their ids."""
+    nodes = [src]
+    for a, b in map(link_ends, links):
+        nodes.append(b if a == nodes[-1] else a)
+    return Route(tuple(nodes), links, path_class)
 
 
 class RouteTable:
@@ -113,31 +119,30 @@ class RouteTable:
         self._servers: dict[str, tuple[int, str]] = {}  # id -> (rack, edge link id)
         self._halves: dict[tuple[int, str, bool], Stretch] = {}
         self._owcpon = isinstance(spec, OwcPonSpec)
-        # rack pair -> the racks of its direct link in the order the spec
-        # lists them; None for index-matched links, named by arithmetic
-        self._pairs: dict[tuple[int, int], tuple[int, int]] | None = {}
+        # rack pair -> its direct link, named in the orientation the spec
+        # lists, as a stretch; None for index-matched links, named by arithmetic
+        self._pairs: dict[tuple[int, int], Stretch] | None = {}
         if self._owcpon:
             _check_owc_pon(spec)
             if isinstance(spec.adjacency, IndexMatched):
                 self._pairs = None
             for (g1, a1), (g2, a2) in getattr(spec.adjacency, "pairs", ()):
                 ends = g1 * spec.aps_per_group + a1, g2 * spec.aps_per_group + a2
-                self._pairs[ends] = self._pairs[ends[::-1]] = ends
+                self._pairs[ends] = self._pairs[ends[::-1]] = (direct_link(spec, *ends),)
 
     def route(self, src: str, dst: str) -> Route:
         """The src -> dst route; raises as ``resolve_route`` documents."""
         parts = self.parts(src, dst)
         if parts is None:
-            return Route((src,), (), PathClass.SAME_SERVER)
+            return _walked(src, (), PathClass.SAME_SERVER)
         out_link, path_class, stretches, in_link = parts
-        nodes, links = zip(*stretches)
-        return Route((src, *sum(nodes, ()), dst), (out_link, *sum(links, ()), in_link), path_class)
+        return _walked(src, (out_link, *chain(*stretches), in_link), path_class)
 
     def parts(self, src: str, dst: str) -> tuple[str, PathClass, tuple[Stretch, ...], str] | None:
         """The src -> dst route as (edge link out of ``src``, class,
-        stretches, edge link into ``dst``), None when ``src == dst``: the
-        source leaf alone within a rack, else its up half-route, any direct
-        NIC link and the destination leaf's down half-route.
+        stretches, edge link into ``dst``), None when ``src == dst``: no
+        stretch within a rack, else the source leaf's up half-route, any
+        direct NIC link and the destination leaf's down half-route.
 
         Checks run in the order of the chain rules, so the first rule the
         pair breaks decides the error.
@@ -148,7 +153,7 @@ class RouteTable:
         if src == dst:
             return None
         if rack_a == rack_b:
-            return out_link, _INTRA_RACK, (((f"rack{rack_a}/leaf",), ()),), in_link
+            return out_link, _INTRA_RACK, (), in_link
         if not self._owcpon:
             raise NoRoute("inter-rack paths are only modeled for the optical-wireless fabric")
         direct, aps = None, self.spec.aps_per_group
@@ -171,66 +176,23 @@ class RouteTable:
         """Each server's link to its leaf."""
         return tuple((self._servers.get(server) or self._server(server))[1] for server in servers)
 
-    def _server(self, server_id: str) -> tuple[int, str]:
+    def _server(self, server: str) -> tuple[int, str]:
         """(rack, edge link id) of a server of the fabric, from its id."""
-        match = isinstance(server_id, str) and _SERVER_ID.fullmatch(server_id)
-        if match:
-            rack, index = match.groups()
-            racks, servers = self.spec.num_racks, self.spec.servers_per_rack
-            # digit counts first: ``int`` refuses texts of over 4,300 digits
-            if len(rack) <= len(str(racks)) and len(index) <= len(str(servers)) and (
-                int(rack) < racks and int(index) < servers
-            ):
-                found = self._servers[server_id] = int(rack), f"{server_id}--rack{rack}/leaf"
-                return found
-        raise UnknownServer(server_id)
+        return self._servers.setdefault(server, edge_link(self.spec, server))
 
     def _direct(self, rack_a: int, rack_b: int) -> Stretch | None:
         """The direct link from rack_a's NIC to rack_b's, if any, as a stretch."""
-        aps = self.spec.aps_per_group
         if self._pairs is not None:
-            ends = self._pairs.get((rack_a, rack_b))
-        else:  # same-index APs, named lower group first
-            ends = sorted((rack_a, rack_b)) if rack_a % aps == rack_b % aps else None
-        if ends is None:
-            return None
-        nic1, nic2 = (f"group{r // aps}/ap{r % aps}/nic" for r in ends)
-        return (nic2 if ends[1] == rack_b else nic1,), (f"{nic1}--{nic2}",)
+            return self._pairs.get((rack_a, rack_b))
+        if rack_a % self.spec.aps_per_group == rack_b % self.spec.aps_per_group:
+            return (direct_link(self.spec, *sorted((rack_a, rack_b))),)  # lower group first
+        return None
 
     def _half(self, rack: int, kind: str, up: bool) -> Stretch:
-        """``rack``'s half-route of ``kind``: up from its leaf to the
-        junction, or down from past the junction to its leaf."""
-        key = rack, kind, up
-        half = self._halves.get(key)
-        if half is None:
-            nodes, links = self._chain(rack, kind)
-            if not up:  # a down half starts past the junction
-                nodes, links = nodes[-2::-1], links[::-1]
-            half = self._halves[key] = tuple(nodes), tuple(links)
-        return half
-
-    def _chain(self, rack: int, kind: str) -> tuple[list[str], list[str]]:
-        """Node ids from ``rack``'s leaf up to the junction of ``kind`` (its
-        NIC, its group's optical switch, or the OLT) on the first plane,
-        and the link ids joining them, each named as the builder names it."""
-        group, ap = divmod(rack, self.spec.aps_per_group)
-        gateway = self.spec.gateway_ap_index
-        leaf, rtx = f"rack{rack}/leaf", f"rack{rack}/txrx0"
-        atx, nic = f"group{group}/ap{ap}/txrx0", f"group{group}/ap{ap}/nic"
-        nodes = [leaf, rtx, atx, nic]
-        links = [f"{rtx}--{leaf}", f"{rtx}--{atx}", f"{atx}--{nic}"]
-        if kind == "switch" or (kind == "olt" and ap != gateway):
-            switch = f"group{group}/switch"
-            nodes.append(switch)
-            links.append(f"{nic}--{switch}")
-        if kind == "olt":
-            if ap != gateway:
-                nic = f"group{group}/ap{gateway}/nic"
-                nodes.append(nic)
-                links.append(f"{nic}--{switch}")
-            nodes.append("olt")
-            links.append(f"{nic}--olt")
-        return nodes, links
+        """``rack``'s half-route of ``kind``, kept: its links up from its leaf
+        to the junction, or down from there to its leaf."""
+        links = uplinks(self.spec, rack, kind)
+        return self._halves.setdefault((rack, kind, up), links if up else links[::-1])
 
 
 def resolve_route(
@@ -253,12 +215,11 @@ def route_to_external(spec: FabricSpec, src: str) -> Route:
     """Route from a server to the external gateway: its leaf's up
     half-route to the OLT, then the gateway."""
     table = RouteTable(spec)
-    rack, edge_link = table._server(src)
+    rack, edge = table._server(src)
     if not table._owcpon:
         raise NoRoute("the traditional fabric has no modeled external gateway")
-    nodes, links = table._half(rack, "olt", True)
-    links = (edge_link, *links, "olt--external")
-    return Route((src, *nodes, "external"), links, PathClass.EXTERNAL)
+    links = (edge, *uplinks(spec, rack, "olt"), link_id(OLT, EXTERNAL))
+    return _walked(src, links, PathClass.EXTERNAL)
 
 
 def _least_by_text(spans: list[tuple[int, int]], excluded) -> int:
@@ -290,7 +251,7 @@ def _first_unlinked_pair(spec: OwcPonSpec) -> PolicyExcluded:
         partners[src] = range(src % aps, racks, aps)
     start, end = src // aps * aps, (src // aps + 1) * aps  # src's group
     dst = _least_by_text([(0, start), (end, racks)], partners.get(src, ()))
-    return PolicyExcluded(_UNLINKED.format(f"rack{src}/server0", f"rack{dst}/server0"))
+    return PolicyExcluded(_UNLINKED.format(server_id(src, 0), server_id(dst, 0)))
 
 
 def all_pairs_summary(

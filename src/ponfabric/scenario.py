@@ -233,12 +233,13 @@ _SELECT = _choice(
     },
     lambda selection: "both" if len(selection) == 2 else selection[0].value,
 )
-# ``explicit`` parses to an empty placeholder that the ``owcpon.pairs`` row
-# (no parser of its own: ``_with_pairs`` applies it) fills.
+# ``explicit`` parses to an empty placeholder, made with ``_make`` since a
+# pair list may not be empty, that the ``owcpon.pairs`` row (no parser of
+# its own: ``_with_pairs`` applies it) fills.
 _ADJACENCIES = {
     "index_matched": IndexMatched(),
     "none": NoDirectLinks(),
-    "explicit": ExplicitPairs(()),
+    "explicit": ExplicitPairs._make(((),)),
 }
 _ADJACENCY_NAMES = {type(kind): name for name, kind in _ADJACENCIES.items()}
 _ADJACENCY = _choice(_ADJACENCIES, lambda adjacency: _ADJACENCY_NAMES[type(adjacency)])

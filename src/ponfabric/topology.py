@@ -13,17 +13,25 @@ Graphs are immutable once built; every operation here is a pure function
 of its inputs, so identical specs always produce identical graphs.  A
 fabric's links come from its spec alone (``fabric_links``), and the
 builders take theirs, and the ids of their nodes, from the same code.
+
+This module is the only one that knows the id scheme: the node id
+templates, the link id rule ``a--b`` and its inverse (``link_ends``),
+and the three route pieces named from a spec, as link ids only: a
+server's edge link (``edge_link``), a rack's links up to a junction on
+its first plane (``uplinks``) and the direct link between two racks'
+NICs (``direct_link``).  Routes and traffic name every id through these.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from enum import Enum
 from fractions import Fraction
 from functools import wraps
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .errors import BadAdjacency, SpecMismatch
+from .errors import BadAdjacency, SpecMismatch, UnknownServer
 
 
 def checked(record: type) -> type:
@@ -187,11 +195,14 @@ class ExplicitPairs(NamedTuple):
 
     Each pair is ``((group_a, ap_a), (group_b, ap_b))`` of ints, with the
     two APs in distinct groups (the fabric's checks hold the second rule).
+    The list is not empty: ``NoDirectLinks()`` is the fabric without one.
     """
 
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     def _checked(self) -> None:
+        if not self.pairs:
+            raise ValueError("pairs is empty; NoDirectLinks() builds that fabric")
         for first, second in self.pairs:
             for index in (*first, *second):
                 check_count(index, "each index in pairs")
@@ -282,11 +293,78 @@ _SERVER_TXRX, _RACK_TXRX = DeviceKind.SERVER_TRANSCEIVER, DeviceKind.RACK_TRANSC
 _AP_TXRX, _NIC, _SWITCH = DeviceKind.AP_TRANSCEIVER, DeviceKind.NIC, DeviceKind.OPTICAL_SWITCH
 
 
+# The id scheme: the one place that spells node and link ids.  Each node
+# id is filled in from the indices of its spine, rack, server, group, AP
+# and transceiver plane, and each link id joins the ids of its two ends,
+# in the order the builder lists them; other modules name ids through
+# these.  They are plain functions, one line each: a bound ``str.format``
+# would cost about three times as much per call, once per node and link.
+OLT, EXTERNAL = "olt", "external"
+spine_id = lambda spine: f"spine{spine}"
+leaf_id = lambda rack: f"rack{rack}/leaf"
+server_id = lambda rack, index: f"rack{rack}/server{index}"
+server_txrx_id = lambda server: f"{server}/txrx"  # the server's linkless transceiver
+rooftop_id = lambda rack, plane: f"rack{rack}/txrx{plane}"
+ap_id = lambda group, ap: f"group{group}/ap{ap}"  # an AP's name, which the next two extend
+ceiling_id = lambda group, ap, plane: f"{ap_id(group, ap)}/txrx{plane}"
+nic_id = lambda group, ap: f"{ap_id(group, ap)}/nic"
+switch_id = lambda group: f"group{group}/switch"
+link_id = lambda a, b: f"{a}--{b}"  # ``link_ends`` inverts it
+
+
+def link_ends(link: str) -> list[str]:
+    return link.split("--")  # no node id holds ``--``
+
+
+# A server id as ``server_id`` makes it: decimal rack and server numbers in
+# ASCII digits, without leading zeros.
+_SERVER_ID = re.compile(r"rack(0|[1-9][0-9]*)/server(0|[1-9][0-9]*)")
+
+
+def _below(digits: str, count: int) -> bool:
+    """Whether the decimal ``digits`` name a number below ``count``; their
+    length is compared first, since ``int`` refuses over 4,300 digits."""
+    return len(digits) <= len(str(count)) and int(digits) < count
+
+
+def edge_link(spec: FabricSpec, server: str) -> tuple[int, str]:
+    """(rack, id of the link to its leaf) of the server ``server`` names in
+    the fabric ``spec`` builds; raises ``UnknownServer`` if it names none."""
+    match = isinstance(server, str) and _SERVER_ID.fullmatch(server)
+    if match and _below(match[1], spec.num_racks) and _below(match[2], spec.servers_per_rack):
+        return int(match[1]), link_id(server, leaf_id(match[1]))
+    raise UnknownServer(server)
+
+
+def uplinks(spec: OwcPonSpec, rack: int, junction: str) -> tuple[str, ...]:
+    """The link ids from ``rack``'s leaf up to ``junction`` on the first
+    plane: its AP's NIC (``nic``), its group's optical switch (``switch``)
+    or the OLT (``olt``), which the group's gateway NIC enters."""
+    group, ap = divmod(rack, spec.aps_per_group)
+    rtx, atx, nic = rooftop_id(rack, 0), ceiling_id(group, ap, 0), nic_id(group, ap)
+    links = [link_id(rtx, leaf_id(rack)), link_id(rtx, atx), link_id(atx, nic)]
+    gateway = nic_id(group, spec.gateway_ap_index)
+    if junction == "switch" or (junction == "olt" and nic != gateway):
+        links.append(link_id(nic, switch_id(group)))
+    if junction == "olt":
+        if nic != gateway:
+            links.append(link_id(gateway, switch_id(group)))
+        links.append(link_id(gateway, OLT))
+    return tuple(links)
+
+
+def direct_link(spec: OwcPonSpec, rack_a: int, rack_b: int) -> str:
+    """The id of the direct link from ``rack_a``'s AP's NIC to ``rack_b``'s,
+    named in that orientation."""
+    aps = spec.aps_per_group
+    return link_id(nic_id(*divmod(rack_a, aps)), nic_id(*divmod(rack_b, aps)))
+
+
 def _linker(kind: LinkKind, capacities: LinkCapacities) -> Callable[[str, str], Link]:
     """A maker of ``kind`` links from ``a`` to ``b`` at that kind's
     capacity, read once; its links skip ``Link``'s checks (see ``Link``)."""
     capacity, make = capacities.for_kind(kind), Link._make
-    return lambda a, b: make((f"{a}--{b}", a, b, kind, capacity))
+    return lambda a, b: make((link_id(a, b), a, b, kind, capacity))
 
 
 def build_traditional(
@@ -331,7 +409,7 @@ def _check_owc_pon(spec: OwcPonSpec) -> int:
                     0 <= group < spec.num_groups and 0 <= ap < spec.aps_per_group
                 ):
                     raise BadAdjacency(
-                        f"pair references missing AP group{group}/ap{ap}"
+                        f"pair references missing AP {ap_id(group, ap)}"
                     )
             if first[0] == second[0]:
                 raise BadAdjacency(
@@ -380,16 +458,16 @@ def _wire(spec: FabricSpec, capacities: LinkCapacities, nodes: list[Node] | None
     planes = () if traditional else range(spec.transceiver_multiplier)
     # Ids made once and shared by every link and node that names them.
     racks = range(spec.num_racks)
-    leaves = [f"rack{r}/leaf" for r in racks]
-    servers = [[f"rack{r}/server{i}" for i in range(spec.servers_per_rack)] for r in racks]
-    rooftops = [[f"rack{r}/txrx{p}" for p in planes] for r in racks]
-    spines = [f"spine{s}" for s in range(spec.num_spine)] if traditional else []
+    leaves = list(map(leaf_id, racks))
+    servers = [[server_id(r, i) for i in range(spec.servers_per_rack)] for r in racks]
+    rooftops = [[rooftop_id(r, p) for p in planes] for r in racks]
+    spines = list(map(spine_id, range(spec.num_spine))) if traditional else []
     if nodes is not None:
         nodes += [Node(spine, _SPINE) for spine in spines]
         for r, (leaf, rack_servers, rtxs) in enumerate(zip(leaves, servers, rooftops)):
             nodes.append(Node(leaf, _LEAF, r))
             for server in rack_servers:
-                nodes += [Node(server, _SERVER, r), Node(f"{server}/txrx", _SERVER_TXRX, r)]
+                nodes += [Node(server, _SERVER, r), Node(server_txrx_id(server), _SERVER_TXRX, r)]
             nodes += [Node(rtx, _RACK_TXRX, r) for rtx in rtxs]
     links: list[Link] = []
     for leaf, rack_servers, rtxs in zip(leaves, servers, rooftops):
@@ -399,11 +477,11 @@ def _wire(spec: FabricSpec, capacities: LinkCapacities, nodes: list[Node] | None
         return links + [wired(leaf, spine) for leaf in leaves for spine in spines]
 
     per_group, gateway = spec.aps_per_group, spec.gateway_ap_index
-    aps = [f"group{g}/ap{a}" for g in range(spec.num_groups) for a in range(per_group)]
-    ceilings = [[f"{ap}/txrx{p}" for p in planes] for ap in aps]
-    nics = [f"{ap}/nic" for ap in aps]
+    aps = [(g, a) for g in range(spec.num_groups) for a in range(per_group)]
+    ceilings = [[ceiling_id(g, a, p) for p in planes] for g, a in aps]
+    nics = [nic_id(g, a) for g, a in aps]
     groups = [nics[g * per_group : (g + 1) * per_group] for g in range(spec.num_groups)]
-    switches = [f"group{g}/switch" for g in range(spec.num_groups)]
+    switches = list(map(switch_id, range(spec.num_groups)))
     if nodes is not None:
         for g, switch in enumerate(switches):
             for a, atxs in enumerate(ceilings[g * per_group : (g + 1) * per_group]):
@@ -411,21 +489,21 @@ def _wire(spec: FabricSpec, capacities: LinkCapacities, nodes: list[Node] | None
                 nodes.append(Node(groups[g][a], _NIC, group=g, ap=a, is_gateway=on_gateway))
                 nodes += [Node(atx, _AP_TXRX, group=g, ap=a, is_gateway=on_gateway) for atx in atxs]
             nodes.append(Node(switch, _SWITCH, group=g))
-        nodes += [Node("olt", DeviceKind.OLT), Node("external", DeviceKind.EXTERNAL_GATEWAY)]
+        nodes += [Node(OLT, DeviceKind.OLT), Node(EXTERNAL, DeviceKind.EXTERNAL_GATEWAY)]
     for atxs, nic in zip(ceilings, nics):
         links += [fiber(atx, nic) for atx in atxs]
     for rtxs, atxs in zip(rooftops, ceilings):  # rack r beams to AP r, in group-major order
         links += map(owc, rtxs, atxs)
     for switch, group_nics in zip(switches, groups):
         links += [fiber(nic, switch) for nic in group_nics]
-    links += [fiber(group_nics[gateway], "olt") for group_nics in groups]
+    links += [fiber(group_nics[gateway], OLT) for group_nics in groups]
     if isinstance(spec.adjacency, IndexMatched):  # same-index APs of every group pair
         pairs = itertools.combinations(groups, 2)
         links += [fiber(a, b) for g1, g2 in pairs for a, b in zip(g1, g2)]
     else:
         pairs = getattr(spec.adjacency, "pairs", ())
         links += [fiber(groups[g1][a1], groups[g2][a2]) for (g1, a1), (g2, a2) in pairs]
-    links.append(fiber("olt", "external"))
+    links.append(fiber(OLT, EXTERNAL))
     return links
 
 
@@ -489,6 +567,6 @@ def validate(spec: FabricSpec) -> list[Violation]:
         _check_owc_pon(spec)
     elif spec.num_spine == 0 and spec.num_racks >= 2:
         unreachable = (spec.num_racks - 1) * (1 + spec.servers_per_rack)
-        message = f"{unreachable} nodes unreachable from 'rack0/leaf'"
-        return [Violation("disconnected", "rack1/leaf", message)]
+        message = f"{unreachable} nodes unreachable from {leaf_id(0)!r}"
+        return [Violation("disconnected", leaf_id(1), message)]
     return []

@@ -4,13 +4,15 @@ Demand comes in blocks, each server of a source group sending one rate
 to each server of a destination group but itself: a traffic pattern is
 one block per rack pair with demand, made from the spec alone
 (``RackBlocks``), and a flow line is a 1x1 block (``TrafficMatrix``).
-Routes are named by a ``RouteTable`` of the fabric's spec (see
-``routing``), and loads are reported on the links that spec builds,
-listed by ``topology.fabric_links``: no graph is built.  Demands are
-fluid: a block's rate is added to every link of its routes, in exact
-rational arithmetic.  Demands exceeding capacity are reported as
-utilization above one, never dropped; this is an analyzer, not an
-admission controller.
+No id is spelled here: servers are named by ``topology.server_id``, the
+stretches of a route are link ids that a ``RouteTable`` of the fabric's
+spec names through ``topology`` (see ``routing``), and loads are
+reported on the links that spec builds, listed by
+``topology.fabric_links``.  No graph is built.  Demands are fluid: a
+block's rate is added to every link of its routes, in exact rational
+arithmetic.  Demands exceeding capacity are reported as utilization
+above one, never dropped; this is an analyzer, not an admission
+controller.
 
 Sums run over integer numerators scaled to the least common multiple of
 the rates' denominators and are divided once at the end, which is exact
@@ -30,7 +32,7 @@ from .errors import RoutingError, ScenarioError, UnknownRack, in_pair
 from .routing import RouteTable
 from .routing import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
 from .topology import FabricSpec, LinkCapacities, LinkKind, check_count, check_rate, checked
-from .topology import fabric_links
+from .topology import fabric_links, server_id
 
 #: (sources, destinations, Gb/s): each source sends the rate to each
 #: destination but itself.  A group is one server or one rack's servers;
@@ -81,8 +83,8 @@ class RackBlocks(NamedTuple):
     """Pattern demand: every server of rack ``a`` sends ``demands[(a, b)]``
     Gb/s to every server of rack ``b`` but itself.  ``demands`` holds the
     blocks with demand in the sorted order of their first entries,
-    ``(rack{a}/server0, rack{b}/server0)``, as ``generate_traffic`` builds
-    it; server ids follow the graphs' ``rack{r}/server{i}``; ``entries``
+    ``(server_id(a, 0), server_id(b, 0))``, as ``generate_traffic`` builds
+    it; ``blocks`` names the servers by ``topology.server_id``; ``entries``
     and ``total`` count the server pairs and sum their Gb/s."""
 
     servers_per_rack: int
@@ -95,7 +97,7 @@ class RackBlocks(NamedTuple):
         n = self.servers_per_rack
         # one tuple per rack, shared by its blocks
         racks = set(chain.from_iterable(self.demands))
-        servers = {rack: tuple(f"rack{rack}/server{i}" for i in range(n)) for rack in racks}
+        servers = {rack: tuple(server_id(rack, i) for i in range(n)) for rack in racks}
         for (a, b), rate in self.demands.items():
             yield servers[a], servers[b], rate
 
@@ -185,7 +187,7 @@ def generate_traffic(pattern: TrafficPattern, spec: FabricSpec) -> RackBlocks:
             f"over the {DEMAND_BUDGET} budget"
         )
 
-    order = sorted(range(racks), key=str) if servers else []  # as rack{r}/server0 sorts
+    order = sorted(range(racks), key=lambda r: server_id(r, 0)) if servers else []
     demands = {}
     for a in order:
         for b in order if sink is None else (sink,):
@@ -264,7 +266,7 @@ def assign(
         group_units[src] = group_units.get(src, 0) + units * peers_of_src
         group_units[first_dst] = group_units.get(first_dst, 0) + units * peers_of_dst
         pair_units = units * len(srcs) * peers_of_src
-        for _, links in stretches:
+        for links in stretches:
             stretch_units[links] = stretch_units.get(links, 0) + pair_units
 
     link_units: dict[str, int] = {}

@@ -128,6 +128,7 @@ from ponfabric.errors import (
 )
 from ponfabric.power import STRUCTURAL_KINDS, _report
 from ponfabric.render import SCHEMA
+from ponfabric.scenario import MAX_DIGITS
 from ponfabric.version import __version__
 from ponfabric.traffic import TrafficPattern
 
@@ -712,9 +713,17 @@ def _scan(text: str):
     return entries, flows
 
 
+def _check_digits(digits: str, lineno: int) -> None:
+    """The digit limit, where ``parse_scenario`` applies it: after a number's
+    syntax, before its value."""
+    if len(digits) > MAX_DIGITS:
+        raise InvalidValue(f"numbers are limited to {MAX_DIGITS} digits, got {len(digits)}", lineno)
+
+
 def _parse_int(value: str, lineno: int, minimum: int = 0) -> int:
     if not re.fullmatch(r"-?\d+", value):
         raise InvalidValue(f"expected an integer, got {value!r}", lineno)
+    _check_digits(value.lstrip("-"), lineno)
     number = int(value)
     if number < minimum:
         raise InvalidValue(f"value must be >= {minimum}, got {number}", lineno)
@@ -735,6 +744,7 @@ def _parse_decimal(value: str, lineno: int) -> Fraction:
             f"expected a non-negative decimal with at most 3 fractional digits, got {value!r}",
             lineno,
         )
+    _check_digits(value.replace(".", ""), lineno)
     return Fraction(value)
 
 
@@ -792,7 +802,9 @@ def _parse_pairs(value: str, lineno: int) -> ExplicitPairs:
                 f"expected pairs like '0.0-1.2' (group.ap-group.ap), got {item!r}",
                 lineno,
             )
-        g1, a1, g2, a2 = (int(part) for part in match.groups())
+        for part in match.groups():
+            _check_digits(part, lineno)
+        g1, a1, g2, a2 = map(int, match.groups())
         pairs.append(((g1, a1), (g2, a2)))
     return ExplicitPairs(tuple(pairs))
 

@@ -75,7 +75,7 @@ def explicit_pairs(draw, groups, aps, fault):
         bad = draw(st.sampled_from([(outside, inside), (inside, outside)]))
     if bad is not None:
         pairs.insert(draw(st.integers(0, len(pairs))), bad)
-    return ExplicitPairs(tuple(pairs))
+    return ExplicitPairs(tuple(pairs)) if pairs else NoDirectLinks()  # an empty list is refused
 
 
 @st.composite

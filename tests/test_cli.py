@@ -588,6 +588,47 @@ def test_simulate_refuses_pattern_demand_over_budget(tmp_path):
     )
 
 
+#: (racks, groups, APs per group) of two owcpon fabrics of 8 servers per
+#: rack: the largest within ``GRAPH_BUDGET`` with one AP per group, and one
+#: far over it.
+ROUTED_FABRICS = {"1381 racks": (1381, 1381, 1), "1000000 racks": (1_000_000, 1000, 1000)}
+
+
+@pytest.mark.parametrize(
+    "fabric, src, dst, path_class, hops",
+    [
+        ("1381 racks", "rack5/server0", "rack1005/server1", "inter_group_direct", 9),
+        ("1381 racks", "rack5/server0", "external", "external", 6),
+        ("1000000 racks", "rack5/server0", "rack1005/server1", "inter_group_direct", 9),
+        ("1000000 racks", "rack0/server0", "rack999999/server7", "inter_group_relayed", 12),
+        ("1000000 racks", "rack999999/server7", "external", "external", 8),
+    ],
+)
+def test_route_on_large_fabrics_under_a_memory_cap(tmp_path, fabric, src, dst, path_class, hops):
+    """``route`` names its route from the spec, so neither the 1,381-rack
+    fabric (970,844 links) nor the 1,000,000-rack one needs memory that
+    grows with the fabric: each runs under the 1.5 GB cap."""
+    racks, groups, aps = ROUTED_FABRICS[fabric]
+    budget = ponfabric.benchmark.GRAPH_BUDGET
+    assert sum(fabric_size(OwcPonSpec(1381, 8, 1381, 1))) <= budget
+    assert sum(fabric_size(OwcPonSpec(1382, 8, 1382, 1))) > budget
+    path = write_scenario(
+        tmp_path,
+        f"[architecture]\nselect = owcpon\nowcpon.racks = {racks}\nowcpon.servers_per_rack = 8\n"
+        f"owcpon.groups = {groups}\nowcpon.aps_per_group = {aps}\n",
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "-s", path, "-f", "json", "route", src, dst],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    meta = json.loads(child.stdout)["meta"]
+    assert (meta["class"], meta["hops"]) == (path_class, hops)
+
+
 def test_summary_needs_the_owcpon_fabric(tmp_path, capsys, no_graphs):
     path = write_scenario(tmp_path, "[architecture]\nselect = traditional\n")
     code, out, err = run(capsys, "-s", path, "summary")

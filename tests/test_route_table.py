@@ -73,7 +73,8 @@ def owcpon_specs(draw):
         ]
         pairs = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
         flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-        adjacency = ExplicitPairs(tuple(pair[::-1] if flip else pair for pair, flip in zip(pairs, flips)))
+        oriented = tuple(pair[::-1] if flip else pair for pair, flip in zip(pairs, flips))
+        adjacency = ExplicitPairs(oriented) if oriented else NoDirectLinks()  # an empty list is refused
     return OwcPonSpec(
         num_racks=groups * aps,
         servers_per_rack=draw(st.integers(1, 3)),
@@ -341,8 +342,6 @@ def flow_files(draw):
     ``0`` and ``0.000`` among them, repeated pairs that sum, self flows,
     and now and then an id that names no server."""
     spec = draw(owcpon_specs())
-    if spec.adjacency == ExplicitPairs(()):  # which a scenario file writes as ``none``
-        spec = spec._replace(adjacency=NoDirectLinks())
     graph = build_owc_pon(spec)
     ids = endpoints(graph)
     servers = st.sampled_from(servers_of(graph) or ids)

@@ -543,6 +543,25 @@ class TestTableAgainstReference:
         text = f"[options]\nprofile = reproduction\n[traffic]\nflow = a b 1\nflow = a b {rate}\n"
         assert outcome(parse_scenario, text) == outcome(reference_parse, text)
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "[traffic]\nflow = a b 1\nflow = a b " + "9" * 401,
+            "[traffic]\nflow = a b " + "9" * 398 + ".125",
+            "[architecture]\nowcpon.racks = " + "9" * 401,
+            "[architecture]\nowcpon.adjacency = explicit\nowcpon.pairs = 0." + "1" * 401 + "-1.0",
+            "[catalog]\nolt = " + "4" * 400 + ".5",
+            "[traffic]\npattern = hotspot_rack " + "1" * 401 + " 1",
+        ],
+        ids=["flow rate", "flow rate with a fraction", "count", "pair index", "watts", "pattern rack"],
+    )
+    def test_numbers_over_the_digit_limit_parse_alike(self, lines):
+        """Flow rates, counts, pair indices, watts and pattern fields one
+        digit over the limit, refused alike on the same line."""
+        text = f"[options]\nprofile = reproduction\n{lines}\n"
+        assert outcome(parse_scenario, text) == outcome(reference_parse, text)
+        assert "numbers are limited to 400 digits, got 401" in outcome(parse_scenario, text)[1]
+
     @pytest.mark.parametrize("rate", ["9" * 398 + ".125", "9" * 401])
     def test_flow_rates_over_the_digit_limit_are_refused(self, rate):
         text = f"[options]\nprofile = reproduction\n[traffic]\nflow = a b 1\nflow = a b {rate}\n"

@@ -96,6 +96,16 @@ def test_traffic_matrix_refuses_what_other_rates_refuse(value):
         TrafficMatrix(demands, scale=1000)
 
 
+def test_explicit_pairs_refuse_an_empty_list():
+    """An empty pair list builds the fabric ``NoDirectLinks()`` builds, and
+    no scenario file can write it (``owcpon.pairs`` takes no empty value)."""
+    message = r"^pairs is empty; NoDirectLinks\(\) builds that fabric$"
+    with pytest.raises(ValueError, match=message):
+        ExplicitPairs(())
+    with pytest.raises(ValueError, match=message):
+        pairs_with(0, 0)._replace(pairs=())
+
+
 def test_traffic_matrix_scale_is_a_positive_count():
     with pytest.raises(ValueError, match="^scale must be >= 1$"):
         TrafficMatrix({}, scale=0)
