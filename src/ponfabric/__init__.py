@@ -3,12 +3,7 @@ PON-backhauled variant: graph construction, exact power accounting,
 rule-chain routing, flow-level traffic assignment, and a scenario-driven
 benchmark CLI."""
 
-from .benchmark import (
-    build_graphs,
-    closed_form_power,
-    resolved_catalogs,
-    run_benchmark,
-)
+from .benchmark import closed_form_power, resolved_catalogs, run_benchmark
 from .power import (
     OWC_PON_CATALOG,
     PROFILES,

@@ -4,8 +4,8 @@ prices each selected fabric once, for ``power``, ``compare`` and ``benchmark``.
 ``run_benchmark`` returns the benchmark document itself: census tables,
 per-kind power subtotals, the exact reduction fraction and its one-decimal
 rendering, and the scenario's canonical lines, so the same scenario always
-renders to the same bytes.  Only ``build`` builds graphs; it and
-``simulate``, which lists a fabric's links, stay under ``GRAPH_BUDGET``
+renders to the same bytes.  No command builds a graph; ``build`` and
+``simulate``, which list a fabric's rows, stay under ``GRAPH_BUDGET``
 (``check_size``).
 """
 
@@ -29,13 +29,12 @@ from .topology import (
     Architecture,
     DeviceKind,
     FabricSpec,
-    NetworkGraph,
-    build_owc_pon,
-    build_traditional,
     device_census,
     fabric_size,
     validate,
 )
+# perfbench/traced.py wraps these names in this module; nothing here calls them.
+from .topology import build_owc_pon, build_traditional  # noqa: F401
 from .version import __version__
 
 #: Most nodes plus links a command may build a graph of.
@@ -63,31 +62,18 @@ def selected_specs(scenario: Scenario) -> dict[Architecture, FabricSpec]:
     return specs
 
 
-def check_size(architecture: Architecture, spec: FabricSpec) -> None:
-    """Raise the builder's errors for an inadmissible ``spec``, then a
-    ``ScenarioError`` if its fabric has more than ``GRAPH_BUDGET`` nodes
-    plus links; both by arithmetic, before anything is allocated."""
-    nodes, links = fabric_size(spec)
-    if nodes + links > GRAPH_BUDGET:
-        raise ScenarioError(
-            f"{architecture.value} fabric would have {nodes} nodes and "
-            f"{links} links, over the {GRAPH_BUDGET} budget"
-        )
-
-
-def build_graphs(scenario: Scenario) -> dict[Architecture, NetworkGraph]:
-    """Build every architecture the scenario selects, once every spec has
-    been checked and then sized (``check_size``)."""
-    specs = selected_specs(scenario)
-    for spec in specs.values():
-        fabric_size(spec)  # every spec's errors come before any size error
-    for architecture, spec in specs.items():
-        check_size(architecture, spec)
-    graphs: dict[Architecture, NetworkGraph] = {}
-    for architecture, spec in specs.items():
-        build = build_traditional if architecture is Architecture.TRADITIONAL else build_owc_pon
-        graphs[architecture] = build(spec, scenario.capacities)
-    return graphs
+def check_size(specs: dict[Architecture, FabricSpec]) -> None:
+    """Raise the builder's errors for any inadmissible spec of ``specs``,
+    then a ``ScenarioError`` for the first fabric of more than
+    ``GRAPH_BUDGET`` nodes plus links; both by arithmetic, before anything
+    is allocated."""
+    sizes = {architecture: fabric_size(spec) for architecture, spec in specs.items()}
+    for architecture, (nodes, links) in sizes.items():
+        if nodes + links > GRAPH_BUDGET:
+            raise ScenarioError(
+                f"{architecture.value} fabric would have {nodes} nodes and "
+                f"{links} links, over the {GRAPH_BUDGET} budget"
+            )
 
 
 def closed_form_power(

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .benchmark import (
-    build_graphs,
     census_table,
     check_size,
     closed_form_power,
@@ -36,7 +35,7 @@ from .power import format_percent, power_reduction, scaling_sweep
 from .render import Document, OutputFormat, Table, format_rational, render
 from .routing import RouteTable, resolve_route, route_to_external, all_pairs_summary
 from .scenario import Scenario, check_digits, default_scenario, parse_scenario
-from .topology import EXTERNAL, Architecture, OwcPonSpec, device_census, validate
+from .topology import EXTERNAL, Architecture, OwcPonSpec, device_census, link_id, validate, wire
 from .traffic import TrafficMatrix, assign, bottlenecks, generate_traffic
 from .version import __version__
 
@@ -127,34 +126,23 @@ def _owcpon_spec(scenario: Scenario) -> OwcPonSpec:
     return scenario.owcpon
 
 
-def _graph_tables(architecture: Architecture, graph) -> list[Table]:
-    nodes = Table(
-        f"nodes_{architecture.value}",
-        ("id", "kind", "rack", "group", "ap", "gateway"),
-        tuple(
-            (
-                node_id,
-                kind.value,
-                "" if rack is None else rack,
-                "" if group is None else group,
-                "" if ap is None else ap,
-                "yes" if gateway else "",
-            )
-            for node_id, kind, rack, group, ap, gateway in graph.nodes
-        ),
-    )
-    columns = ("id", "kind", "capacity_gbps")
-    links = Table(f"links_{architecture.value}", columns, tuple(_link_rows(graph.links)))
-    census = census_table(f"census_{architecture.value}", device_census(graph.spec))
-    return [census, nodes, links]
+def _node_row(node_id, kind, rack="", group="", ap="", is_gateway=False) -> tuple:
+    """The ``nodes_<arch>`` row of a node, from ``Node``'s fields."""
+    return node_id, kind.value, rack, group, ap, "yes" if is_gateway else ""
+
+
+def _row_linker(kind, capacity):
+    """A maker of the ``links_<arch>`` rows of ``kind`` links at ``capacity``."""
+    kind_text, capacity_text = kind.value, format_rational(capacity)  # made once
+    return lambda a, b: (link_id(a, b), kind_text, capacity_text)
 
 
 def _link_rows(links) -> list[tuple[str, str, str]]:
-    """The id, kind and capacity texts of each ``Link`` or ``LinkLoad``.
+    """The id, kind and capacity texts of each ``LinkLoad``.
     The texts of each distinct (kind, capacity) pair are made once.  The
     key is the pair's ids, not its values: ``Enum`` and ``Fraction`` hash
-    in Python code, a builder gives all links of a kind one ``Fraction``,
-    and the links keep both objects alive."""
+    in Python code, ``fabric_links`` gives all links of a kind one
+    ``Fraction``, and the rows keep both objects alive."""
     texts: dict[tuple[int, int], tuple[str, str]] = {}
     rows = []
     for link in links:
@@ -167,13 +155,21 @@ def _link_rows(links) -> list[tuple[str, str, str]]:
 
 
 def _cmd_build(scenario: Scenario, args) -> tuple[Document, int]:
-    graphs = build_graphs(scenario)
+    """Each selected fabric's rows, made from its spec by ``wire``: no
+    ``Node``, ``Link`` or graph is made."""
+    specs = selected_specs(scenario)
+    check_size(specs)
     meta = []
     tables = []
-    for architecture, graph in graphs.items():
-        meta.append((f"{architecture.value}_nodes", len(graph.nodes)))
-        meta.append((f"{architecture.value}_links", len(graph.links)))
-        tables.extend(_graph_tables(architecture, graph))
+    for architecture, spec in specs.items():
+        name = architecture.value
+        nodes, links = wire(spec, scenario.capacities, _row_linker, _node_row)
+        meta += [(f"{name}_nodes", len(nodes)), (f"{name}_links", len(links))]
+        tables += [
+            census_table(f"census_{name}", device_census(spec)),
+            Table(f"nodes_{name}", ("id", "kind", "rack", "group", "ap", "gateway"), tuple(nodes)),
+            Table(f"links_{name}", ("id", "kind", "capacity_gbps"), tuple(links)),
+        ]
     return Document("fabric build", tuple(meta), tuple(tables)), EXIT_OK
 
 
@@ -254,7 +250,7 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
     if scenario.traffic is None:
         raise ScenarioError("simulate needs a [traffic] section in the scenario")
     spec = _owcpon_spec(scenario)
-    check_size(Architecture.OWC_PON, spec)
+    check_size({Architecture.OWC_PON: spec})
     if scenario.traffic.pattern is not None:
         try:
             matrix = generate_traffic(scenario.traffic.pattern, spec)

@@ -93,13 +93,29 @@ def _render_json(doc: Document) -> str:
 
 
 def _json_rows(table: Table) -> str:
-    """The list of ``dict(zip(columns, row))``, encoded a column at a time."""
+    """The list of ``dict(zip(columns, row))``, encoded a column at a time.
+    A column of plain text (``_plain``) has its quotes in the template."""
     last = {column: i for i, column in enumerate(table.columns)}
-    template = _json_object({column.replace("%", "%%"): "%s" for column in last}, "      ")
-    cells = [[_json_value(row[i], "        ") for row in table.rows] for i in last.values()]
+    transposed = list(zip(*table.rows)) or [()] * len(table.columns)
+    columns = [transposed[i] for i in last.values()]
+    plain = list(map(_plain, columns))
+    template = _json_object(
+        {column.replace("%", "%%"): '"%s"' if p else "%s" for column, p in zip(last, plain)},
+        "      ",
+    )
+    cells = [c if p else [_json_value(v, "        ") for v in c] for c, p in zip(columns, plain)]
     # zip() of no columns would drop the rows; each still writes an empty object.
     rows = zip(*cells) if cells else [()] * len(table.rows)
-    return _json_list([template % row for row in rows], "    ")
+    return _json_list(list(map(template.__mod__, rows)), "    ")
+
+
+def _plain(column: tuple) -> bool:
+    """Whether ``json`` writes each cell as itself between quotes: each is
+    a ``str`` of printable ASCII without ``"`` or ``\\``."""
+    if not set(map(type, column)) <= {str}:
+        return False
+    text = "".join(column)
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
 def _json_value(value: object, indent: str) -> str:

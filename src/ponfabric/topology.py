@@ -11,8 +11,8 @@ between groups and uplinks to the outside).
 
 Graphs are immutable once built; every operation here is a pure function
 of its inputs, so identical specs always produce identical graphs.  A
-fabric's links come from its spec alone (``fabric_links``), and the
-builders take theirs, and the ids of their nodes, from the same code.
+fabric's nodes and links come from its spec alone, by one walk (``wire``)
+that the builders, ``fabric_links`` and ``build``'s rows all share.
 
 This module is the only one that knows the id scheme: the node id
 templates, the link id rule ``a--b`` and its inverse (``link_ends``),
@@ -360,10 +360,10 @@ def direct_link(spec: OwcPonSpec, rack_a: int, rack_b: int) -> str:
     return link_id(nic_id(*divmod(rack_a, aps)), nic_id(*divmod(rack_b, aps)))
 
 
-def _linker(kind: LinkKind, capacities: LinkCapacities) -> Callable[[str, str], Link]:
-    """A maker of ``kind`` links from ``a`` to ``b`` at that kind's
-    capacity, read once; its links skip ``Link``'s checks (see ``Link``)."""
-    capacity, make = capacities.for_kind(kind), Link._make
+def _linker(kind: LinkKind, capacity: Fraction) -> Callable[[str, str], Link]:
+    """``wire``'s maker of ``kind`` links from ``a`` to ``b`` at
+    ``capacity``; its links skip ``Link``'s checks (see ``Link``)."""
+    make = Link._make
     return lambda a, b: make((link_id(a, b), a, b, kind, capacity))
 
 
@@ -376,9 +376,7 @@ def build_traditional(
     is wired to its rack's leaf and carries one linkless transceiver node.
     Zero counts simply yield an empty or partial graph.
     """
-    nodes: list[Node] = []
-    links = _wire(spec, capacities, nodes)
-    return NetworkGraph(nodes, links, spec)
+    return NetworkGraph(*wire(spec, capacities, _linker, Node), spec)
 
 
 def _check_owc_pon(spec: OwcPonSpec) -> int:
@@ -435,26 +433,29 @@ def build_owc_pon(
     OLT.  Direct NIC-to-NIC fiber links follow the adjacency policy, and
     one external gateway hangs off the OLT.
     """
-    nodes: list[Node] = []
-    links = _wire(spec, capacities, nodes)
-    return NetworkGraph(nodes, links, spec)
+    return NetworkGraph(*wire(spec, capacities, _linker, Node), spec)
 
 
 def fabric_links(spec: FabricSpec, capacities: LinkCapacities = LinkCapacities()) -> list[Link]:
     """The links of the fabric ``spec`` builds, in the builder's order and
     by its ids, without its nodes; raises the builder's errors for an
     inadmissible spec."""
-    return _wire(spec, capacities, None)
+    return wire(spec, capacities, _linker)[1]
 
 
-def _wire(spec: FabricSpec, capacities: LinkCapacities, nodes: list[Node] | None) -> list[Link]:
-    """``fabric_links(spec, capacities)``; given ``nodes``, it also appends
-    the fabric's nodes there in the builder's order, their ids the very
-    strings that its links name."""
+def wire(
+    spec: FabricSpec, capacities: LinkCapacities, link: Callable, node: Callable | None = None
+) -> tuple[list, list]:
+    """The (nodes, links) of the fabric ``spec`` builds, in the builder's
+    order, from the given makers: ``link(kind, capacity)`` is called once
+    per link kind and returns the maker of its links from ``a`` to ``b``;
+    ``node`` takes ``Node``'s fields, the unset ones left out by name (no
+    nodes without it).  Node ids are the very strings the links are made
+    from.  Raises the builder's errors for an inadmissible spec."""
     traditional = isinstance(spec, TraditionalSpec)
     if not traditional:
         _check_owc_pon(spec)
-    wired, owc, fiber = (_linker(kind, capacities) for kind in LinkKind)
+    wired, owc, fiber = (link(kind, capacities.for_kind(kind)) for kind in LinkKind)
     planes = () if traditional else range(spec.transceiver_multiplier)
     # Ids made once and shared by every link and node that names them.
     racks = range(spec.num_racks)
@@ -462,19 +463,20 @@ def _wire(spec: FabricSpec, capacities: LinkCapacities, nodes: list[Node] | None
     servers = [[server_id(r, i) for i in range(spec.servers_per_rack)] for r in racks]
     rooftops = [[rooftop_id(r, p) for p in planes] for r in racks]
     spines = list(map(spine_id, range(spec.num_spine))) if traditional else []
-    if nodes is not None:
-        nodes += [Node(spine, _SPINE) for spine in spines]
+    nodes = []
+    if node is not None:
+        nodes += [node(spine, _SPINE) for spine in spines]
         for r, (leaf, rack_servers, rtxs) in enumerate(zip(leaves, servers, rooftops)):
-            nodes.append(Node(leaf, _LEAF, r))
+            nodes.append(node(leaf, _LEAF, r))
             for server in rack_servers:
-                nodes += [Node(server, _SERVER, r), Node(server_txrx_id(server), _SERVER_TXRX, r)]
-            nodes += [Node(rtx, _RACK_TXRX, r) for rtx in rtxs]
-    links: list[Link] = []
+                nodes += [node(server, _SERVER, r), node(server_txrx_id(server), _SERVER_TXRX, r)]
+            nodes += [node(rtx, _RACK_TXRX, r) for rtx in rtxs]
+    links = []
     for leaf, rack_servers, rtxs in zip(leaves, servers, rooftops):
         links += [wired(server, leaf) for server in rack_servers]
         links += [wired(rtx, leaf) for rtx in rtxs]
     if traditional:
-        return links + [wired(leaf, spine) for leaf in leaves for spine in spines]
+        return nodes, links + [wired(leaf, spine) for leaf in leaves for spine in spines]
 
     per_group, gateway = spec.aps_per_group, spec.gateway_ap_index
     aps = [(g, a) for g in range(spec.num_groups) for a in range(per_group)]
@@ -482,14 +484,14 @@ def _wire(spec: FabricSpec, capacities: LinkCapacities, nodes: list[Node] | None
     nics = [nic_id(g, a) for g, a in aps]
     groups = [nics[g * per_group : (g + 1) * per_group] for g in range(spec.num_groups)]
     switches = list(map(switch_id, range(spec.num_groups)))
-    if nodes is not None:
+    if node is not None:
         for g, switch in enumerate(switches):
             for a, atxs in enumerate(ceilings[g * per_group : (g + 1) * per_group]):
                 on_gateway = a == gateway
-                nodes.append(Node(groups[g][a], _NIC, group=g, ap=a, is_gateway=on_gateway))
-                nodes += [Node(atx, _AP_TXRX, group=g, ap=a, is_gateway=on_gateway) for atx in atxs]
-            nodes.append(Node(switch, _SWITCH, group=g))
-        nodes += [Node(OLT, DeviceKind.OLT), Node(EXTERNAL, DeviceKind.EXTERNAL_GATEWAY)]
+                nodes.append(node(groups[g][a], _NIC, group=g, ap=a, is_gateway=on_gateway))
+                nodes += [node(atx, _AP_TXRX, group=g, ap=a, is_gateway=on_gateway) for atx in atxs]
+            nodes.append(node(switch, _SWITCH, group=g))
+        nodes += [node(OLT, DeviceKind.OLT), node(EXTERNAL, DeviceKind.EXTERNAL_GATEWAY)]
     for atxs, nic in zip(ceilings, nics):
         links += [fiber(atx, nic) for atx in atxs]
     for rtxs, atxs in zip(rooftops, ceilings):  # rack r beams to AP r, in group-major order
@@ -504,7 +506,7 @@ def _wire(spec: FabricSpec, capacities: LinkCapacities, nodes: list[Node] | None
         pairs = getattr(spec.adjacency, "pairs", ())
         links += [fiber(groups[g1][a1], groups[g2][a2]) for (g1, a1), (g2, a2) in pairs]
     links.append(fiber(OLT, EXTERNAL))
-    return links
+    return nodes, links
 
 
 def _census_and_links(spec: FabricSpec) -> tuple[dict[DeviceKind, int], int]:

@@ -38,10 +38,11 @@ parser sums flow rates as ``Fraction``s of Gb/s; ``in_mbps`` turns them
 into the integer Mb/s that ``parse_scenario`` keeps.
 
 ``reference_census``, ``reference_validate``, ``reference_run_benchmark``,
-``reference_cmd_power``, ``reference_cmd_validate`` and
-``reference_scaling_sweep`` are the graph path that the closed-form
-census and verdict replaced: build each fabric, validate it with
-per-rack, per-group and per-AP scans, and count its nodes.
+``reference_cmd_power``, ``reference_cmd_validate``, ``reference_cmd_build``
+and ``reference_scaling_sweep`` are the graph path that the closed-form
+census and verdict, and ``build``'s rows made from the spec, replaced:
+build each fabric, validate it with per-rack, per-group and per-AP scans,
+count its nodes, and list its nodes and links.
 ``reference_scaling_sweep`` splits racks into groups by the current
 rule: zero groups fail only when there are racks, and a negative group
 count is left to ``OwcPonSpec`` to reject.  The census tests hold
@@ -668,8 +669,8 @@ CATALOG_KEYS: dict[str, tuple[DeviceKind, ...]] = {
 
 _TRAFFIC_KEYS = frozenset({"pattern", "flow"})
 
-_DECIMAL_RE = re.compile(r"^\d+(\.\d{1,3})?$")
-_PAIR_RE = re.compile(r"^(\d+)\.(\d+)-(\d+)\.(\d+)$")
+_DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]{1,3})?$")
+_PAIR_RE = re.compile(r"^([0-9]+)\.([0-9]+)-([0-9]+)\.([0-9]+)$")
 
 
 def _scan(text: str):
@@ -721,7 +722,7 @@ def _check_digits(digits: str, lineno: int) -> None:
 
 
 def _parse_int(value: str, lineno: int, minimum: int = 0) -> int:
-    if not re.fullmatch(r"-?\d+", value):
+    if not re.fullmatch(r"-?[0-9]+", value):
         raise InvalidValue(f"expected an integer, got {value!r}", lineno)
     _check_digits(value.lstrip("-"), lineno)
     number = int(value)
@@ -1596,6 +1597,44 @@ def reference_scaling_sweep(
             continue
         results.append(SweepResult(point, trad, owc, reduction, None))
     return tuple(results)
+
+
+def reference_cmd_build(scenario: Scenario, args) -> tuple[Document, int]:
+    """``build`` on built graphs: each graph's census, nodes and links."""
+    meta = []
+    tables = []
+    for architecture, graph in reference_build_graphs(scenario).items():
+        meta.append((f"{architecture.value}_nodes", len(graph.nodes)))
+        meta.append((f"{architecture.value}_links", len(graph.links)))
+        tables.extend(_graph_tables(architecture, graph))
+    return Document("fabric build", tuple(meta), tuple(tables)), EXIT_OK
+
+
+def _graph_tables(architecture: Architecture, graph: NetworkGraph) -> list[Table]:
+    nodes = Table(
+        f"nodes_{architecture.value}",
+        ("id", "kind", "rack", "group", "ap", "gateway"),
+        tuple(
+            (
+                node_id,
+                kind.value,
+                "" if rack is None else rack,
+                "" if group is None else group,
+                "" if ap is None else ap,
+                "yes" if gateway else "",
+            )
+            for node_id, kind, rack, group, ap, gateway in graph.nodes
+        ),
+    )
+    columns = ("id", "kind", "capacity_gbps")
+    links = Table(f"links_{architecture.value}", columns, tuple(_link_rows(graph.links)))
+    census = census_table(f"census_{architecture.value}", reference_census(graph))
+    return [census, nodes, links]
+
+
+def _link_rows(links) -> list[tuple[str, str, str]]:
+    """The id, kind and capacity texts of each ``Link``."""
+    return [(link.id, link.kind.value, format_rational(link.capacity)) for link in links]
 
 
 def reference_cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:

@@ -8,7 +8,7 @@ small fabric."""
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -40,7 +40,7 @@ from ponfabric import (
     scaling_sweep,
     validate,
 )
-from ponfabric.cli import _cmd_benchmark, _cmd_compare, _cmd_power, _cmd_validate
+from ponfabric.cli import _cmd_benchmark, _cmd_build, _cmd_compare, _cmd_power, _cmd_validate
 
 
 traditional_specs = st.builds(
@@ -281,12 +281,30 @@ def test_compare_agrees_with_the_benchmark(scenario):
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(scenario=scenarios)
 def test_validate_command_matches_the_graph_path(scenario):
-    def rendered(command):
-        document, code = command(scenario, None)
-        return code, [render(document, fmt) for fmt in OutputFormat]
+    assert outcome(lambda: rendered(_cmd_validate, scenario)) == outcome(
+        lambda: rendered(oracles.reference_cmd_validate, scenario)
+    )
 
-    assert outcome(lambda: rendered(_cmd_validate)) == outcome(
-        lambda: rendered(oracles.reference_cmd_validate)
+
+def rendered(command, scenario):
+    """The exit code and the document ``command`` makes, in every format."""
+    document, code = command(scenario, None)
+    return code, [render(document, fmt) for fmt in OutputFormat]
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(scenario=scenarios, capacities=st.builds(LinkCapacities, rates, rates, rates))
+@example(
+    scenario=Scenario(owcpon=OwcPonSpec(adjacency=ExplicitPairs((((1, 3), (0, 0)),)))),
+    capacities=LinkCapacities(Fraction(1, 3), Fraction(25, 2), 40),
+)
+def test_build_command_matches_the_graph_path(scenario, capacities):
+    """``build``'s rows, made from the spec, against the rows of built
+    graphs: both fabrics, zero racks or spines, explicit pairs, several
+    planes, every gateway AP and fractional capacities."""
+    scenario = scenario._replace(capacities=capacities)
+    assert outcome(lambda: rendered(_cmd_build, scenario)) == outcome(
+        lambda: rendered(oracles.reference_cmd_build, scenario)
     )
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -452,19 +453,40 @@ def test_spec_errors_win_over_the_size_guard(tmp_path, capsys, no_graphs, comman
 
 
 @pytest.mark.parametrize(
-    "case", ["paper_traffic-simulate", "flows64-simulate", "route", "summary_explicit-route-direct"]
+    "case",
+    [
+        "paper_traffic-simulate",
+        "flows64-simulate",
+        "route",
+        "summary_explicit-route-direct",
+        "build",
+        "no_spines-build",
+        "summary_explicit-build",
+    ],
 )
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 def test_simulate_and_route_build_no_graph(capsys, no_graphs, case, fmt):
-    """``simulate`` of a pattern and of flow lines, and ``route``, print
-    their golden output with both builders, ``Node`` and ``NetworkGraph``
-    refusing to run."""
+    """``simulate`` of a pattern and of flow lines, ``route`` and ``build``
+    print their golden output with both builders, ``Node`` and
+    ``NetworkGraph`` refusing to run."""
     case_id = f"{case}.{fmt}"
     code = main(test_golden._argv(case_id))
     assert (code, capsys.readouterr().out) == (
         0,
         (test_golden.GOLDEN / f"{case_id}.out").read_text(encoding="utf-8"),
     )
+
+
+def test_fabric_scale_json_build_prints_the_benchmark_digest(capsys, no_graphs):
+    """The 128-rack JSON ``build`` that the benchmark times prints the bytes
+    whose digest ``perfbench/expected.json`` holds, with no graph built."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    expected = json.loads((perfbench / "expected.json").read_text(encoding="utf-8"))
+    scenario = str(perfbench / "scenarios" / "fabric_scale.scenario")
+    code, out, err = run(capsys, "-s", scenario, "-f", "json", "build")
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == expected["committed"]["fabric_scale/build"]["sha256"]
 
 
 @pytest.mark.parametrize(

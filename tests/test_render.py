@@ -28,6 +28,8 @@ scalars = st.one_of(
     st.none(),
     st.floats(),
 )
+# Every printable ASCII character that JSON writes as itself.
+PRINTABLE = "".join(c for c in map(chr, range(32, 127)) if c not in '"\\')
 values = st.one_of(
     scalars, st.lists(scalars, max_size=3), st.dictionaries(names, scalars, max_size=2)
 )
@@ -60,6 +62,42 @@ documents = st.builds(
             Table("t", ("a", "b", "a"), ((1, True, "x"), (-2, False, "y"))),
             Table("u", ("%s", "%%", "{}"), (("%d", "{0}", '"\\'),)),
             Table("t", ("c",), ((3,),)),
+        ),
+    )
+)
+# Both sides of the plain-column check: columns of long printable ASCII
+# text, quoted in the row template, and columns where one cell needs the
+# encoder, or is not a str, among plain ones.
+@example(
+    doc=Document(
+        "plain",
+        tables=(
+            Table(
+                "links",
+                ("id", "kind", "capacity_gbps", "printable"),
+                tuple(
+                    (f"rack{r}/server{i}--rack{r}/leaf" * 8, "wired", "12.5", PRINTABLE)
+                    for r in range(3)
+                    for i in range(4)
+                ),
+            ),
+        ),
+    )
+)
+@example(
+    doc=Document(
+        "mixed",
+        tables=(
+            Table(
+                "t",
+                ("quote", "backslash", "delete", "accent", "percent", "int", "empty"),
+                tuple(
+                    ("a", "b", "c", "d", "e", "f", "")
+                    if i != 2
+                    else ('say "hi"', "C:\\x", "\x7f", "caf\u00e9", "100%", 7, "")
+                    for i in range(5)
+                ),
+            ),
         ),
     )
 )
