@@ -1,76 +1,118 @@
 """Modeling toolkit for spine-and-leaf fabrics and their optical-wireless,
 PON-backhauled variant: graph construction, exact power accounting,
 rule-chain routing, flow-level traffic assignment, and a scenario-driven
-benchmark CLI."""
+benchmark CLI.
 
-from .benchmark import closed_form_power, resolved_catalogs, run_benchmark
-from .power import (
-    OWC_PON_CATALOG,
-    PROFILES,
-    TRADITIONAL_CATALOG,
-    NicCountMode,
-    PowerCatalog,
-    PowerOptions,
-    PowerReport,
-    PowerRow,
-    SweepPoint,
-    SweepResult,
-    format_percent,
-    owc_pon_power,
-    power_reduction,
-    scaling_sweep,
-    traditional_power,
-)
-from .render import Document, OutputFormat, Table, format_rational, render
-from .routing import (
-    PathClass,
-    Route,
-    RouteTable,
-    RoutingPolicy,
-    all_pairs_summary,
-    resolve_route,
-    route_to_external,
-)
-from .scenario import (
-    Scenario,
-    TrafficSection,
-    default_scenario,
-    parse_scenario,
-    serialize_scenario,
-)
-from .topology import (
-    Architecture,
-    DeviceKind,
-    ExplicitPairs,
-    IndexMatched,
-    Link,
-    LinkCapacities,
-    LinkKind,
-    NetworkGraph,
-    NoDirectLinks,
-    Node,
-    OwcPonSpec,
-    TraditionalSpec,
-    Violation,
-    build_owc_pon,
-    build_traditional,
-    device_census,
-    fabric_links,
-    fabric_size,
-    validate,
-)
-from .traffic import (
-    HotspotRackPattern,
-    IntraRackHeavyPattern,
-    LinkLoad,
-    LinkLoadReport,
-    RackBlocks,
-    TrafficMatrix,
-    UniformPattern,
-    assign,
-    bottlenecks,
-    generate_traffic,
-)
-from .version import __version__
+The public names resolve on first access (PEP 562): ``import ponfabric``
+loads only ``ponfabric.version``, and each submodule loads when one of its
+names is first read."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import sys
+from importlib import import_module
+
+# Each public name, by the submodule that defines it.
+_EXPORTS = {
+    "benchmark": ("closed_form_power", "resolved_catalogs", "run_benchmark"),
+    "power": (
+        "OWC_PON_CATALOG",
+        "PROFILES",
+        "TRADITIONAL_CATALOG",
+        "NicCountMode",
+        "PowerCatalog",
+        "PowerOptions",
+        "PowerReport",
+        "PowerRow",
+        "SweepPoint",
+        "SweepResult",
+        "format_percent",
+        "owc_pon_power",
+        "power_reduction",
+        "scaling_sweep",
+        "traditional_power",
+    ),
+    "render": ("Document", "OutputFormat", "Table", "format_rational", "render"),
+    "routing": (
+        "PathClass",
+        "Route",
+        "RouteTable",
+        "RoutingPolicy",
+        "all_pairs_summary",
+        "resolve_route",
+        "route_to_external",
+    ),
+    "scenario": (
+        "Scenario",
+        "TrafficSection",
+        "default_scenario",
+        "parse_scenario",
+        "serialize_scenario",
+    ),
+    "topology": (
+        "Architecture",
+        "DeviceKind",
+        "ExplicitPairs",
+        "IndexMatched",
+        "Link",
+        "LinkCapacities",
+        "LinkKind",
+        "NetworkGraph",
+        "NoDirectLinks",
+        "Node",
+        "OwcPonSpec",
+        "TraditionalSpec",
+        "Violation",
+        "build_owc_pon",
+        "build_traditional",
+        "device_census",
+        "fabric_links",
+        "fabric_size",
+        "validate",
+    ),
+    "traffic": (
+        "HotspotRackPattern",
+        "IntraRackHeavyPattern",
+        "LinkLoad",
+        "LinkLoadReport",
+        "RackBlocks",
+        "TrafficMatrix",
+        "UniformPattern",
+        "assign",
+        "bottlenecks",
+        "generate_traffic",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+# Submodules that are public names themselves (``cli`` is not).
+_SUBMODULES = ("benchmark", "errors", "power", "routing", "scenario", "topology", "traffic", "version")
+
+__all__ = sorted([*_SOURCE, *_SUBMODULES])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(type(sys)):
+    """Importing a submodule binds it as an attribute of the package, which
+    would make ``ponfabric.render`` the module ``render``, not the function
+    of that name, once ``ponfabric.render`` is imported."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "render" and isinstance(value, type(sys)):
+            value = value.render
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+from .version import __version__  # noqa: E402  (every process reads it)

@@ -12,32 +12,48 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from importlib import import_module
 
-from .benchmark import (
-    census_table,
-    check_size,
-    closed_form_power,
-    power_table,
-    resolved_catalogs,
-    run_benchmark,
-    selected_specs,
-)
-from .errors import (
-    BadAdjacency,
-    PonFabricError,
-    ScenarioError,
-    SpecMismatch,
-    UnknownRack,
-    ValidationFailed,
-)
-from .power import format_percent, power_reduction, scaling_sweep
-from .render import Document, OutputFormat, Table, format_rational, render
-from .routing import RouteTable, resolve_route, route_to_external, all_pairs_summary
-from .scenario import Scenario, check_digits, default_scenario, parse_scenario
-from .topology import EXTERNAL, Architecture, OwcPonSpec, device_census, link_id, validate, wire
-from .traffic import TrafficMatrix, assign, bottlenecks, generate_traffic
 from .version import __version__
+
+# The names the commands call, by the module that defines them.  Only the
+# parser is built at import, so ``--version``, ``--help`` and usage errors
+# load no other module; ``_bind`` binds these once the arguments parse.
+_IMPORTS = {
+    ".benchmark": (
+        "census_table",
+        "check_size",
+        "closed_form_power",
+        "power_table",
+        "resolved_catalogs",
+        "run_benchmark",
+        "selected_specs",
+    ),
+    ".errors": (
+        "BadAdjacency",
+        "PonFabricError",
+        "ScenarioError",
+        "SpecMismatch",
+        "UnknownRack",
+        "ValidationFailed",
+    ),
+    ".power": ("format_percent", "power_reduction", "scaling_sweep"),
+    ".render": ("Document", "OutputFormat", "Table", "format_rational", "render"),
+    ".routing": ("RouteTable", "resolve_route", "route_to_external", "all_pairs_summary"),
+    ".scenario": ("Scenario", "check_digits", "default_scenario", "parse_scenario"),
+    ".topology": (
+        "EXTERNAL",
+        "Architecture",
+        "OwcPonSpec",
+        "device_census",
+        "link_id",
+        "validate",
+        "wire",
+    ),
+    ".traffic": ("TrafficMatrix", "assign", "bottlenecks", "generate_traffic"),
+    "pathlib": ("Path",),
+}
+_LAZY = {name for names in _IMPORTS.values() for name in names}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,6 +70,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _bind() -> None:
+    """Bind the names in ``_IMPORTS`` that are not bound yet: a name that
+    is already bound, such as one that ``perfbench/traced.py`` replaced
+    before ``main`` ran, is kept."""
+    namespace = globals()
+    for module, names in _IMPORTS.items():
+        source = import_module(module, __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    """The names in ``_IMPORTS``, bound on first access (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind()
+    return globals()[name]
+
+
 def _count(text: str) -> int:
     """``text`` as an int if it is an optional sign and at most
     ``MAX_DIGITS`` ASCII digits.  ``int`` alone also takes other scripts'
@@ -66,7 +101,9 @@ def _count(text: str) -> int:
 
 def integer(text: str) -> int:
     """``_count`` as an argparse type, which reports its ``ValueError`` as
-    an ``invalid integer value``."""
+    an ``invalid integer value``.  It runs while the arguments parse, so it
+    binds ``_count``'s names itself."""
+    _bind()
     try:
         return _count(text)
     except ScenarioError as exc:
@@ -85,7 +122,7 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "-f",
         "--format",
-        choices=[fmt.value for fmt in OutputFormat],
+        choices=("json", "csv", "table"),  # OutputFormat's values, in its order
         help="output format (overrides the scenario's choice)",
     )
     parser.add_argument("--out", metavar="PATH", help="write output to a file")
@@ -118,6 +155,25 @@ def _load_scenario(path: str | None) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_scenario(text)
+
+
+_COMMANDS = {}
+
+
+def _command(name: str):
+    """Register the decorated function as the subcommand ``name``.  What is
+    registered binds the command names before it runs, so it can also be
+    called without ``main``."""
+
+    def register(run):
+        def command(scenario: Scenario, args) -> tuple[Document, int]:
+            _bind()
+            return run(scenario, args)
+
+        _COMMANDS[name] = command
+        return command
+
+    return register
 
 
 def _owcpon_spec(scenario: Scenario) -> OwcPonSpec:
@@ -154,6 +210,7 @@ def _link_rows(links) -> list[tuple[str, str, str]]:
     return rows
 
 
+@_command("build")
 def _cmd_build(scenario: Scenario, args) -> tuple[Document, int]:
     """Each selected fabric's rows, made from its spec by ``wire``: no
     ``Node``, ``Link`` or graph is made."""
@@ -173,6 +230,7 @@ def _cmd_build(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("fabric build", tuple(meta), tuple(tables)), EXIT_OK
 
 
+@_command("validate")
 def _cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:
     tables = []
     meta = []
@@ -192,6 +250,7 @@ def _cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:
     return doc, (EXIT_VALIDATION if total else EXIT_OK)
 
 
+@_command("power")
 def _cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
     meta = []
     tables = []
@@ -202,6 +261,7 @@ def _cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("power evaluation", tuple(meta), tuple(tables)), EXIT_OK
 
 
+@_command("compare")
 def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
     if len(scenario.architectures) != 2:
         raise ScenarioError("compare needs both architectures selected")
@@ -220,6 +280,7 @@ def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("architecture comparison", meta, tables), EXIT_OK
 
 
+@_command("route")
 def _cmd_route(scenario: Scenario, args) -> tuple[Document, int]:
     spec = _owcpon_spec(scenario)
     if args.dst == EXTERNAL:
@@ -238,6 +299,7 @@ def _cmd_route(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("route resolution", meta, (table,)), EXIT_OK
 
 
+@_command("summary")
 def _cmd_summary(scenario: Scenario, args) -> tuple[Document, int]:
     histogram = all_pairs_summary(_owcpon_spec(scenario), scenario.policy)
     rows = tuple((cls.value, hops, pairs) for (cls, hops), pairs in histogram.items())
@@ -246,6 +308,7 @@ def _cmd_summary(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("all-pairs summary", (("ordered_pairs", total),), (table,)), EXIT_OK
 
 
+@_command("simulate")
 def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
     if scenario.traffic is None:
         raise ScenarioError("simulate needs a [traffic] section in the scenario")
@@ -292,6 +355,7 @@ def _parse_count_list(text: str, what: str) -> list[int]:
         raise ScenarioError(f"--{what} expects a comma list of integers") from exc
 
 
+@_command("sweep")
 def _cmd_sweep(scenario: Scenario, args) -> tuple[Document, int]:
     racks = _parse_count_list(args.racks, "racks")
     spines = _parse_count_list(args.spines, "spines") if args.spines is not None else None
@@ -341,21 +405,9 @@ def _cmd_sweep(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("scaling sweep", (("points", len(results)),), (table,)), EXIT_OK
 
 
+@_command("benchmark")
 def _cmd_benchmark(scenario: Scenario, args) -> tuple[Document, int]:
     return run_benchmark(scenario), EXIT_OK
-
-
-_COMMANDS = {
-    "build": _cmd_build,
-    "validate": _cmd_validate,
-    "power": _cmd_power,
-    "compare": _cmd_compare,
-    "route": _cmd_route,
-    "summary": _cmd_summary,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "benchmark": _cmd_benchmark,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -365,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    _bind()
     try:
         scenario = _load_scenario(args.scenario)
         document, exit_code = _COMMANDS[args.command](scenario, args)

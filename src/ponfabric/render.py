@@ -8,14 +8,11 @@ floats, and rationals are formatted canonically.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 SCHEMA = "ponfabric/1"
 
@@ -80,33 +77,56 @@ def _render_json(doc: Document) -> str:
     key, table name or column keeps its first position and takes its last
     value.  CPython serves any ``indent`` with its pure-Python encoder; here
     each table fills one row template, built once from its column names.
+    The text is one list of pieces, joined once: each member of an object
+    or a list is written with a trailing comma, and ``_close`` drops the
+    last one's.
     """
-    meta = dict(doc.meta)
-    tables = {table.name: table for table in doc.tables}
-    payload = {
-        "schema": _json_value(SCHEMA, "  "),
-        "title": _json_value(doc.title, "  "),
-        "meta": _json_object({k: _json_value(v, "    ") for k, v in meta.items()}, "  "),
-        "tables": _json_object({name: _json_rows(table) for name, table in tables.items()}, "  "),
-    }
-    return _json_object(payload, "") + "\n"
+    global _quote
+    from json.encoder import encode_basestring_ascii as _quote  # json loads on first use
+
+    out = ['{\n  "schema": ', _json_value(SCHEMA, "  "), ',\n  "title": ', _json_value(doc.title, "  ")]
+    out.append(',\n  "meta": {')
+    out += [f"\n    {_quote(key)}: {_json_value(value, '    ')}," for key, value in dict(doc.meta).items()]
+    _close(out, "\n  }")
+    out.append(',\n  "tables": {')
+    for table in {table.name: table for table in doc.tables}.values():
+        out.append(f"\n    {_quote(table.name)}: [")
+        out += _json_rows(table)
+        _close(out, "\n    ]")
+        out.append(",")
+    _close(out, "\n  }")
+    out.append("\n}\n")
+    return "".join(out)
 
 
-def _json_rows(table: Table) -> str:
-    """The list of ``dict(zip(columns, row))``, encoded a column at a time.
-    A column of plain text (``_plain``) has its quotes in the template."""
+def _close(out: list[str], bracket: str) -> None:
+    """End the object or list whose members end ``out``: the last member
+    loses its comma, or, with no members, ``bracket`` closes the opening
+    line."""
+    if out[-1].endswith(","):
+        out[-1] = out[-1][:-1] + bracket
+    else:
+        out[-1] += bracket[-1]
+
+
+def _json_rows(table: Table) -> Iterable[str]:
+    """The members of the list of ``dict(zip(columns, row))``, encoded a
+    column at a time.  A column of plain text (``_plain``) has its quotes
+    in the row template."""
     last = {column: i for i, column in enumerate(table.columns)}
     transposed = list(zip(*table.rows)) or [()] * len(table.columns)
     columns = [transposed[i] for i in last.values()]
     plain = list(map(_plain, columns))
-    template = _json_object(
-        {column.replace("%", "%%"): '"%s"' if p else "%s" for column, p in zip(last, plain)},
-        "      ",
-    )
+    template = ["\n      {"]
+    template += [
+        "\n        " + _quote(column.replace("%", "%%")) + (': "%s",' if p else ": %s,")
+        for column, p in zip(last, plain)
+    ]
+    _close(template, "\n      }")
     cells = [c if p else [_json_value(v, "        ") for v in c] for c, p in zip(columns, plain)]
     # zip() of no columns would drop the rows; each still writes an empty object.
     rows = zip(*cells) if cells else [()] * len(table.rows)
-    return _json_list(list(map(template.__mod__, rows)), "    ")
+    return map(("".join(template) + ",").__mod__, rows)
 
 
 def _plain(column: tuple) -> bool:
@@ -121,26 +141,17 @@ def _plain(column: tuple) -> bool:
 def _json_value(value: object, indent: str) -> str:
     """``value`` as ``indent=2`` writes it at a line indented by ``indent``."""
     if type(value) is str:
-        return encode_basestring_ascii(value)
+        return _quote(value)
     if type(value) is int:
         return int.__repr__(value)
+    import json
+
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
-def _json_object(texts: dict[str, str], indent: str) -> str:
-    items = [f"{encode_basestring_ascii(key)}: {text}" for key, text in texts.items()]
-    return _json_list(items, indent, "{}")
-
-
-def _json_list(texts: list[str], indent: str, brackets: str = "[]") -> str:
-    """Encoded items in ``brackets``, opened on a line indented by ``indent``."""
-    if not texts:
-        return brackets
-    inner = "\n" + indent + "  "
-    return brackets[0] + inner + ("," + inner).join(texts) + "\n" + indent + brackets[1]
-
-
 def _render_csv(doc: Document) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     out.write(f"#title:{doc.title}\n")

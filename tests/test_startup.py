@@ -1,14 +1,20 @@
-"""Start-up: the command line loads no more of the standard library than
-it uses.  At the paper's sizes a CLI process is mostly start-up, and
-``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis`` and
-``tokenize``."""
+"""Start-up: the command line loads no more of the standard library, or of
+the package, than it uses.  At the paper's sizes a CLI process is mostly
+start-up: ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis`` and
+``tokenize``, and without bytecode files every package module loaded is
+compiled from source."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from ponfabric import __version__
+import pytest
+
+import ponfabric
+from ponfabric import OutputFormat, __version__
+from ponfabric.cli import _build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PATHS = [str(SRC), os.environ.get("PYTHONPATH")]
@@ -35,3 +41,119 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 def test_version_runs_as_a_module():
     done = run("-m", "ponfabric.cli", "--version")
     assert (done.returncode, done.stdout, done.stderr) == (0, f"ponfabric {__version__}\n", "")
+
+
+# Runs ``python -m ponfabric.cli`` on its arguments, as ``-m`` does, then
+# names on a last stderr line the modules its interpreter holds.
+CLI_AS_MAIN = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('ponfabric.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print('modules:', *sys.modules, file=sys.stderr)\n"
+)
+
+
+def cli_modules(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of the CLI run as ``__main__`` on ``argv`` and the
+    modules it added to a bare interpreter's."""
+    done = run("-c", CLI_AS_MAIN, *argv)
+    last = done.stderr.splitlines()[-1].split()
+    assert last[0] == "modules:", done.stderr
+    return done.returncode, set(last[1:]) - modules_after("pass")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--version"], 0), (["--help"], 0), (["bogus"], 1), (["summary", "--help"], 0)],
+)
+def test_version_help_and_usage_errors_load_only_the_package_and_version(argv, code):
+    exit_code, added = cli_modules(*argv)
+    assert exit_code == code
+    assert {name for name in added if name.startswith("ponfabric")} == {"ponfabric", "ponfabric.version"}
+
+
+def test_a_table_command_loads_neither_json_nor_csv():
+    exit_code, added = cli_modules("-f", "table", "summary")
+    assert exit_code == 0
+    assert "ponfabric.render" in added
+    assert not added & {"json", "csv"}, sorted(added & {"json", "csv"})
+
+
+# The installed ``ponfabric`` script: ``cli`` imported as a module.
+ENTRY_POINT = "import sys\nfrom ponfabric.cli import main\nsys.exit(main())\n"
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["-f", "json", "benchmark"], ["bogus"]])
+def test_the_entry_point_prints_what_the_module_prints(argv):
+    script = run("-c", ENTRY_POINT, *argv)
+    module = run("-m", "ponfabric.cli", *argv)
+    assert (script.returncode, script.stdout, script.stderr) == (module.returncode, module.stdout, module.stderr)
+    assert script.stdout or script.stderr
+
+
+def test_the_format_choices_are_the_output_formats_in_order():
+    (action,) = [action for action in _build_parser()._actions if action.dest == "format"]
+    assert list(action.choices) == [fmt.value for fmt in OutputFormat]
+
+
+# ``ponfabric.__all__`` before its names were resolved on first access.
+ALL = [
+    "Architecture", "DeviceKind", "Document", "ExplicitPairs", "HotspotRackPattern",
+    "IndexMatched", "IntraRackHeavyPattern", "Link", "LinkCapacities", "LinkKind", "LinkLoad",
+    "LinkLoadReport", "NetworkGraph", "NicCountMode", "NoDirectLinks", "Node", "OWC_PON_CATALOG",
+    "OutputFormat", "OwcPonSpec", "PROFILES", "PathClass", "PowerCatalog", "PowerOptions",
+    "PowerReport", "PowerRow", "RackBlocks", "Route", "RouteTable", "RoutingPolicy", "Scenario",
+    "SweepPoint", "SweepResult", "TRADITIONAL_CATALOG", "Table", "TraditionalSpec",
+    "TrafficMatrix", "TrafficSection", "UniformPattern", "Violation", "all_pairs_summary",
+    "assign", "benchmark", "bottlenecks", "build_owc_pon", "build_traditional",
+    "closed_form_power", "default_scenario", "device_census", "errors", "fabric_links",
+    "fabric_size", "format_percent", "format_rational", "generate_traffic", "owc_pon_power",
+    "parse_scenario", "power", "power_reduction", "render", "resolve_route", "resolved_catalogs",
+    "route_to_external", "routing", "run_benchmark", "scaling_sweep", "scenario",
+    "serialize_scenario", "topology", "traditional_power", "traffic", "validate", "version",
+]
+
+# The submodule each name was imported from, as the package did on import.
+SOURCES = {
+    "benchmark": "closed_form_power resolved_catalogs run_benchmark",
+    "power": "OWC_PON_CATALOG PROFILES TRADITIONAL_CATALOG NicCountMode PowerCatalog PowerOptions "
+    "PowerReport PowerRow SweepPoint SweepResult format_percent owc_pon_power power_reduction "
+    "scaling_sweep traditional_power",
+    "render": "Document OutputFormat Table format_rational render",
+    "routing": "PathClass Route RouteTable RoutingPolicy all_pairs_summary resolve_route route_to_external",
+    "scenario": "Scenario TrafficSection default_scenario parse_scenario serialize_scenario",
+    "topology": "Architecture DeviceKind ExplicitPairs IndexMatched Link LinkCapacities LinkKind "
+    "NetworkGraph NoDirectLinks Node OwcPonSpec TraditionalSpec Violation build_owc_pon "
+    "build_traditional device_census fabric_links fabric_size validate",
+    "traffic": "HotspotRackPattern IntraRackHeavyPattern LinkLoad LinkLoadReport RackBlocks "
+    "TrafficMatrix UniformPattern assign bottlenecks generate_traffic",
+}
+SUBMODULES = ["benchmark", "errors", "power", "routing", "scenario", "topology", "traffic", "version"]
+
+
+def test_all_keeps_its_names():
+    assert ponfabric.__all__ == ALL
+    assert sorted([*" ".join(SOURCES.values()).split(), *SUBMODULES]) == ALL
+
+
+def test_each_name_is_the_object_its_submodule_defines():
+    for module, names in SOURCES.items():
+        source = importlib.import_module(f"ponfabric.{module}")
+        for name in names.split():
+            assert getattr(ponfabric, name) is getattr(source, name), name
+    for name in SUBMODULES:
+        assert getattr(ponfabric, name) is importlib.import_module(f"ponfabric.{name}"), name
+
+
+@pytest.mark.parametrize("first", ["ponfabric.render", "ponfabric.scenario", "ponfabric.cli", "ponfabric"])
+def test_render_is_the_function_in_any_import_order(first):
+    check = (
+        f"import {first}\n"
+        "from ponfabric import render\n"
+        "import ponfabric, ponfabric.render as imported\n"
+        "assert render.__name__ == 'render' and callable(render), render\n"
+        "assert ponfabric.render is render is imported\n"
+    )
+    done = run("-c", check)
+    assert done.returncode == 0, done.stderr
