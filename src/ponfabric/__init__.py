@@ -15,11 +15,8 @@ _EXPORTS = {
     "benchmark": ("closed_form_power", "resolved_catalogs", "run_benchmark"),
     "power": (
         "OWC_PON_CATALOG",
-        "PROFILES",
         "TRADITIONAL_CATALOG",
-        "NicCountMode",
         "PowerCatalog",
-        "PowerOptions",
         "PowerReport",
         "PowerRow",
         "SweepPoint",
@@ -35,14 +32,20 @@ _EXPORTS = {
         "PathClass",
         "Route",
         "RouteTable",
-        "RoutingPolicy",
         "all_pairs_summary",
         "resolve_route",
         "route_to_external",
     ),
     "scenario": (
+        "HotspotRackPattern",
+        "IntraRackHeavyPattern",
+        "NicCountMode",
+        "PROFILES",
+        "PowerOptions",
+        "RoutingPolicy",
         "Scenario",
         "TrafficSection",
+        "UniformPattern",
         "default_scenario",
         "parse_scenario",
         "serialize_scenario",
@@ -69,13 +72,10 @@ _EXPORTS = {
         "validate",
     ),
     "traffic": (
-        "HotspotRackPattern",
-        "IntraRackHeavyPattern",
         "LinkLoad",
         "LinkLoadReport",
         "RackBlocks",
         "TrafficMatrix",
-        "UniformPattern",
         "assign",
         "bottlenecks",
         "generate_traffic",

@@ -6,7 +6,9 @@ per-kind power subtotals, the exact reduction fraction and its one-decimal
 rendering, and the scenario's canonical lines, so the same scenario always
 renders to the same bytes.  No command builds a graph; ``build`` and
 ``simulate``, which list a fabric's rows, stay under ``GRAPH_BUDGET``
-(``check_size``).
+(``check_size``).  Those two live next to ``fabric_size`` in ``topology``,
+and ``selected_specs`` with the scenario it reads, so that commands which
+price nothing need not load this module; all three are re-exported here.
 """
 
 from __future__ import annotations
@@ -24,22 +26,12 @@ from .power import (
     traditional_power,
 )
 from .render import Document, Table, format_rational
-from .scenario import Scenario, serialize_scenario
-from .topology import (
-    Architecture,
-    DeviceKind,
-    FabricSpec,
-    device_census,
-    fabric_size,
-    validate,
-)
+from .scenario import Scenario, selected_specs, serialize_scenario
+from .topology import GRAPH_BUDGET, check_size  # noqa: F401  (re-exported)
+from .topology import Architecture, DeviceKind, device_census, validate
 # perfbench/traced.py wraps these names in this module; nothing here calls them.
 from .topology import build_owc_pon, build_traditional  # noqa: F401
 from .version import __version__
-
-#: Most nodes plus links a command may build a graph of.
-GRAPH_BUDGET = 1_000_000
-
 
 def resolved_catalogs(scenario: Scenario) -> tuple[PowerCatalog, PowerCatalog]:
     """Built-in catalogs with the scenario's overrides applied to both."""
@@ -50,30 +42,6 @@ def resolved_catalogs(scenario: Scenario) -> tuple[PowerCatalog, PowerCatalog]:
         TRADITIONAL_CATALOG.with_overrides(overrides),
         OWC_PON_CATALOG.with_overrides(overrides),
     )
-
-
-def selected_specs(scenario: Scenario) -> dict[Architecture, FabricSpec]:
-    """The spec of every architecture the scenario selects, traditional first."""
-    specs: dict[Architecture, FabricSpec] = {}
-    if scenario.selects(Architecture.TRADITIONAL):
-        specs[Architecture.TRADITIONAL] = scenario.traditional
-    if scenario.selects(Architecture.OWC_PON):
-        specs[Architecture.OWC_PON] = scenario.owcpon
-    return specs
-
-
-def check_size(specs: dict[Architecture, FabricSpec]) -> None:
-    """Raise the builder's errors for any inadmissible spec of ``specs``,
-    then a ``ScenarioError`` for the first fabric of more than
-    ``GRAPH_BUDGET`` nodes plus links; both by arithmetic, before anything
-    is allocated."""
-    sizes = {architecture: fabric_size(spec) for architecture, spec in specs.items()}
-    for architecture, (nodes, links) in sizes.items():
-        if nodes + links > GRAPH_BUDGET:
-            raise ScenarioError(
-                f"{architecture.value} fabric would have {nodes} nodes and "
-                f"{links} links, over the {GRAPH_BUDGET} budget"
-            )
 
 
 def closed_form_power(

@@ -18,42 +18,21 @@ from .version import __version__
 
 # The names the commands call, by the module that defines them.  Only the
 # parser is built at import, so ``--version``, ``--help`` and usage errors
-# load no other module; ``_bind`` binds these once the arguments parse.
+# load no other module.  Once the arguments parse, ``main`` binds the names
+# of the ``_BASE`` modules, and each command those of the modules it lists.
 _IMPORTS = {
-    ".benchmark": (
-        "census_table",
-        "check_size",
-        "closed_form_power",
-        "power_table",
-        "resolved_catalogs",
-        "run_benchmark",
-        "selected_specs",
-    ),
-    ".errors": (
-        "BadAdjacency",
-        "PonFabricError",
-        "ScenarioError",
-        "SpecMismatch",
-        "UnknownRack",
-        "ValidationFailed",
-    ),
-    ".power": ("format_percent", "power_reduction", "scaling_sweep"),
-    ".render": ("Document", "OutputFormat", "Table", "format_rational", "render"),
-    ".routing": ("RouteTable", "resolve_route", "route_to_external", "all_pairs_summary"),
-    ".scenario": ("Scenario", "check_digits", "default_scenario", "parse_scenario"),
-    ".topology": (
-        "EXTERNAL",
-        "Architecture",
-        "OwcPonSpec",
-        "device_census",
-        "link_id",
-        "validate",
-        "wire",
-    ),
-    ".traffic": ("TrafficMatrix", "assign", "bottlenecks", "generate_traffic"),
-    "pathlib": ("Path",),
+    ".benchmark": "census_table closed_form_power power_table resolved_catalogs run_benchmark",
+    ".errors": "BadAdjacency PonFabricError ScenarioError SpecMismatch UnknownRack ValidationFailed",
+    ".power": "format_percent power_reduction scaling_sweep",
+    ".render": "Document OutputFormat Table format_rational render",
+    ".routing": "RouteTable resolve_route route_to_external all_pairs_summary",
+    ".scenario": "Scenario check_digits default_scenario parse_scenario selected_specs",
+    ".topology": "EXTERNAL Architecture OwcPonSpec check_size device_census link_id validate wire",
+    ".traffic": "TrafficMatrix assign bottlenecks generate_traffic",
+    "pathlib": "Path",
 }
-_LAZY = {name for names in _IMPORTS.values() for name in names}
+_LAZY = {name: module for module, names in _IMPORTS.items() for name in names.split()}
+_BASE = (".errors", ".render", ".scenario", ".topology", "pathlib")  # what every command reads
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,14 +49,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _bind() -> None:
-    """Bind the names in ``_IMPORTS`` that are not bound yet: a name that
-    is already bound, such as one that ``perfbench/traced.py`` replaced
-    before ``main`` ran, is kept."""
+def _bind(*modules: str) -> None:
+    """Bind the names ``_IMPORTS`` lists for ``modules`` that are not bound
+    yet: a name that is already bound, such as one that
+    ``perfbench/traced.py`` replaced before ``main`` ran, is kept."""
     namespace = globals()
-    for module, names in _IMPORTS.items():
+    for module in modules:
         source = import_module(module, __package__)
-        for name in names:
+        for name in _IMPORTS[module].split():
             namespace.setdefault(name, getattr(source, name))
 
 
@@ -85,7 +64,7 @@ def __getattr__(name: str):
     """The names in ``_IMPORTS``, bound on first access (PEP 562)."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind()
+    _bind(_LAZY[name])
     return globals()[name]
 
 
@@ -103,7 +82,7 @@ def integer(text: str) -> int:
     """``_count`` as an argparse type, which reports its ``ValueError`` as
     an ``invalid integer value``.  It runs while the arguments parse, so it
     binds ``_count``'s names itself."""
-    _bind()
+    _bind(".errors", ".scenario")
     try:
         return _count(text)
     except ScenarioError as exc:
@@ -160,14 +139,15 @@ def _load_scenario(path: str | None) -> Scenario:
 _COMMANDS = {}
 
 
-def _command(name: str):
-    """Register the decorated function as the subcommand ``name``.  What is
-    registered binds the command names before it runs, so it can also be
-    called without ``main``."""
+def _command(name: str, *modules: str):
+    """Register the decorated function as the subcommand ``name``, which
+    calls names of the ``_BASE`` modules and of ``modules``.  What is
+    registered binds them before it runs, so it can also be called without
+    ``main``."""
 
     def register(run):
         def command(scenario: Scenario, args) -> tuple[Document, int]:
-            _bind()
+            _bind(*_BASE, *modules)
             return run(scenario, args)
 
         _COMMANDS[name] = command
@@ -210,7 +190,7 @@ def _link_rows(links) -> list[tuple[str, str, str]]:
     return rows
 
 
-@_command("build")
+@_command("build", ".benchmark")
 def _cmd_build(scenario: Scenario, args) -> tuple[Document, int]:
     """Each selected fabric's rows, made from its spec by ``wire``: no
     ``Node``, ``Link`` or graph is made."""
@@ -250,7 +230,7 @@ def _cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:
     return doc, (EXIT_VALIDATION if total else EXIT_OK)
 
 
-@_command("power")
+@_command("power", ".benchmark")
 def _cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
     meta = []
     tables = []
@@ -261,7 +241,7 @@ def _cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("power evaluation", tuple(meta), tuple(tables)), EXIT_OK
 
 
-@_command("compare")
+@_command("compare", ".benchmark", ".power")
 def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
     if len(scenario.architectures) != 2:
         raise ScenarioError("compare needs both architectures selected")
@@ -280,7 +260,7 @@ def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("architecture comparison", meta, tables), EXIT_OK
 
 
-@_command("route")
+@_command("route", ".routing")
 def _cmd_route(scenario: Scenario, args) -> tuple[Document, int]:
     spec = _owcpon_spec(scenario)
     if args.dst == EXTERNAL:
@@ -299,7 +279,7 @@ def _cmd_route(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("route resolution", meta, (table,)), EXIT_OK
 
 
-@_command("summary")
+@_command("summary", ".routing")
 def _cmd_summary(scenario: Scenario, args) -> tuple[Document, int]:
     histogram = all_pairs_summary(_owcpon_spec(scenario), scenario.policy)
     rows = tuple((cls.value, hops, pairs) for (cls, hops), pairs in histogram.items())
@@ -308,7 +288,7 @@ def _cmd_summary(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("all-pairs summary", (("ordered_pairs", total),), (table,)), EXIT_OK
 
 
-@_command("simulate")
+@_command("simulate", ".routing", ".traffic")
 def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
     if scenario.traffic is None:
         raise ScenarioError("simulate needs a [traffic] section in the scenario")
@@ -355,7 +335,7 @@ def _parse_count_list(text: str, what: str) -> list[int]:
         raise ScenarioError(f"--{what} expects a comma list of integers") from exc
 
 
-@_command("sweep")
+@_command("sweep", ".benchmark", ".power")
 def _cmd_sweep(scenario: Scenario, args) -> tuple[Document, int]:
     racks = _parse_count_list(args.racks, "racks")
     spines = _parse_count_list(args.spines, "spines") if args.spines is not None else None
@@ -405,7 +385,7 @@ def _cmd_sweep(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("scaling sweep", (("points", len(results)),), (table,)), EXIT_OK
 
 
-@_command("benchmark")
+@_command("benchmark", ".benchmark")
 def _cmd_benchmark(scenario: Scenario, args) -> tuple[Document, int]:
     return run_benchmark(scenario), EXIT_OK
 
@@ -417,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    _bind()
+    _bind(*_BASE)
     try:
         scenario = _load_scenario(args.scenario)
         document, exit_code = _COMMANDS[args.command](scenario, args)

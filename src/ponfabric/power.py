@@ -7,11 +7,12 @@ rationals and only rendered to one decimal at the edge.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MissingCatalogEntry, MissingOlt, PonFabricError, SpecMismatch, ZeroBaseline
+# The option records are defined with the scenario that holds them.
+from .scenario import PROFILES, STRUCTURAL_KINDS, NicCountMode, PowerOptions  # noqa: F401
 from .topology import DeviceKind, OwcPonSpec, TraditionalSpec, check_count, checked, device_census
 # perfbench/traced.py wraps these names in this module; nothing here calls them.
 from .topology import build_owc_pon, build_traditional  # noqa: F401
@@ -39,10 +40,6 @@ class PowerCatalog(NamedTuple):
         return PowerCatalog(merged)
 
 
-# Servers and the external gateway are structural boundary devices; the
-# networking power model never prices them, in either architecture.
-STRUCTURAL_KINDS = frozenset({DeviceKind.SERVER, DeviceKind.EXTERNAL_GATEWAY})
-
 TRADITIONAL_CATALOG = PowerCatalog(
     {
         DeviceKind.SPINE_SWITCH: 660_000,
@@ -62,32 +59,6 @@ OWC_PON_CATALOG = PowerCatalog(
         DeviceKind.OPTICAL_SWITCH: 75_000,
     }
 )
-
-
-class NicCountMode(Enum):
-    PER_AP = "per_ap"
-    PER_SERVER = "per_server"
-
-
-class PowerOptions(NamedTuple):
-    """Inclusion flags for the transceiver terms and the NIC counting mode.
-
-    Both transceiver terms default to excluded and NICs default to one per
-    AP; that combination is the benchmark default.  ``per_server`` NIC
-    counting is a what-if that charges one NIC per server instead.
-    """
-
-    include_owc_transceivers: bool = False
-    include_server_transceivers: bool = False
-    nic_count_mode: NicCountMode = NicCountMode.PER_AP
-
-
-#: The only named option profiles.  "reproduction" is the benchmark
-#: default; "as-written" additionally charges the server transceivers.
-PROFILES: dict[str, PowerOptions] = {
-    "reproduction": PowerOptions(),
-    "as-written": PowerOptions(include_server_transceivers=True),
-}
 
 
 class PowerRow(NamedTuple):

@@ -45,6 +45,7 @@ from itertools import chain, islice
 from typing import NamedTuple
 
 from .errors import NoRoute, PolicyExcluded
+from .scenario import RoutingPolicy  # defined with the scenario that holds it
 from .topology import EXTERNAL, OLT, FabricSpec, IndexMatched, OwcPonSpec
 from .topology import direct_link, edge_link, link_ends, link_id, server_id, uplinks
 from .topology import _check_owc_pon  # the builder's spec checks, which routes share
@@ -67,18 +68,6 @@ class PathClass(Enum):
 # runs once per block of demand, so it takes its members from these names.
 _INTRA_RACK, _INTRA_GROUP = PathClass.INTRA_RACK, PathClass.INTER_RACK_INTRA_GROUP
 _DIRECT, _RELAYED = PathClass.INTER_GROUP_DIRECT, PathClass.INTER_GROUP_RELAYED
-
-
-class RoutingPolicy(NamedTuple):
-    """Path selection knobs for inter-group traffic.
-
-    With ``prefer_direct_inter_group`` a pair whose APs share a direct
-    fiber link uses it; otherwise (or when no such link exists) the pair
-    relays through the OLT if ``allow_relay_fallback`` permits.
-    """
-
-    prefer_direct_inter_group: bool = True
-    allow_relay_fallback: bool = True
 
 
 class Route(NamedTuple):

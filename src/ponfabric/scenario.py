@@ -28,30 +28,124 @@ parsing it back yields an equal Scenario.
 from __future__ import annotations
 
 import re
+from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
 from .errors import InvalidValue, ParseError, UnknownKey
-from .power import PROFILES, STRUCTURAL_KINDS, NicCountMode, PowerOptions
 from .render import OutputFormat, format_rational
-from .routing import RoutingPolicy
 from .topology import (
     Architecture,
     DeviceKind,
     ExplicitPairs,
+    FabricSpec,
     IndexMatched,
     LinkCapacities,
     NoDirectLinks,
     OwcPonSpec,
     TraditionalSpec,
+    check_count,
+    check_rate,
+    checked,
 )
-from .traffic import (
-    HotspotRackPattern,
-    IntraRackHeavyPattern,
-    TrafficPattern,
-    UniformPattern,
-)
+
+# The records below are the scenario's fields that the engines read.  They
+# live here, where they are parsed, and ``power``, ``routing`` and
+# ``traffic`` re-export them, so reading a scenario loads none of those.
+
+# Servers and the external gateway are structural boundary devices; the
+# networking power model never prices them, in either architecture.
+STRUCTURAL_KINDS = frozenset({DeviceKind.SERVER, DeviceKind.EXTERNAL_GATEWAY})
+
+
+class NicCountMode(Enum):
+    PER_AP = "per_ap"
+    PER_SERVER = "per_server"
+
+
+class PowerOptions(NamedTuple):
+    """Inclusion flags for the transceiver terms and the NIC counting mode.
+
+    Both transceiver terms default to excluded and NICs default to one per
+    AP; that combination is the benchmark default.  ``per_server`` NIC
+    counting is a what-if that charges one NIC per server instead.
+    """
+
+    include_owc_transceivers: bool = False
+    include_server_transceivers: bool = False
+    nic_count_mode: NicCountMode = NicCountMode.PER_AP
+
+
+#: The only named option profiles.  "reproduction" is the benchmark
+#: default; "as-written" additionally charges the server transceivers.
+PROFILES: dict[str, PowerOptions] = {
+    "reproduction": PowerOptions(),
+    "as-written": PowerOptions(include_server_transceivers=True),
+}
+
+
+class RoutingPolicy(NamedTuple):
+    """Path selection knobs for inter-group traffic.
+
+    With ``prefer_direct_inter_group`` a pair whose APs share a direct
+    fiber link uses it; otherwise (or when no such link exists) the pair
+    relays through the OLT if ``allow_relay_fallback`` permits.
+    """
+
+    prefer_direct_inter_group: bool = True
+    allow_relay_fallback: bool = True
+
+
+def _by_type(pattern: type) -> type:
+    """``pattern`` equal to, and hashed as, patterns of its own type only,
+    so two kinds with equal values, or a plain tuple, never match it."""
+    pattern.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
+    pattern.__ne__ = lambda self, other: not self == other
+    pattern.__hash__ = lambda self: hash((type(self).__name__, *self))
+    return pattern
+
+
+@_by_type
+@checked
+class UniformPattern(NamedTuple):
+    """Every ordered pair of distinct servers sends ``gbps``."""
+
+    gbps: Fraction
+
+    def _checked(self) -> None:
+        check_rate(self.gbps, "gbps")
+
+
+@_by_type
+@checked
+class HotspotRackPattern(NamedTuple):
+    """Every server outside ``rack`` sends ``gbps`` to each of its servers."""
+
+    rack: int
+    gbps: Fraction
+
+    def _checked(self) -> None:
+        check_count(self.rack, "rack")
+        check_rate(self.gbps, "gbps")
+
+
+@_by_type
+@checked
+class IntraRackHeavyPattern(NamedTuple):
+    """Ordered pairs send ``gbps * intra_fraction`` within a rack and
+    ``gbps * (1 - intra_fraction)`` across racks."""
+
+    intra_fraction: Fraction
+    gbps: Fraction
+
+    def _checked(self) -> None:
+        if not 0 <= check_rate(self.intra_fraction, "intra_fraction") <= 1:
+            raise ValueError("intra_fraction must be within [0, 1]")
+        check_rate(self.gbps, "gbps")
+
+
+TrafficPattern = Union[UniformPattern, HotspotRackPattern, IntraRackHeavyPattern]
 
 _SECTIONS = ("architecture", "options", "catalog", "traffic")
 
@@ -102,6 +196,16 @@ class Scenario(NamedTuple):
 
     def selects(self, architecture: Architecture) -> bool:
         return architecture in self.architectures
+
+
+def selected_specs(scenario: Scenario) -> dict[Architecture, FabricSpec]:
+    """The spec of every architecture the scenario selects, traditional first."""
+    specs: dict[Architecture, FabricSpec] = {}
+    if scenario.selects(Architecture.TRADITIONAL):
+        specs[Architecture.TRADITIONAL] = scenario.traditional
+    if scenario.selects(Architecture.OWC_PON):
+        specs[Architecture.OWC_PON] = scenario.owcpon
+    return specs
 
 
 def default_scenario() -> Scenario:

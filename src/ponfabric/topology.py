@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import wraps
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .errors import BadAdjacency, SpecMismatch, UnknownServer
+from .errors import BadAdjacency, ScenarioError, SpecMismatch, UnknownServer
 
 
 def checked(record: type) -> type:
@@ -546,6 +546,24 @@ def fabric_size(spec: FabricSpec) -> tuple[int, int]:
     """(nodes, links) of the graph ``spec`` builds, without building it."""
     census, links = _census_and_links(spec)
     return sum(census.values()), links
+
+
+#: Most nodes plus links a command may build a graph of, or list the rows of.
+GRAPH_BUDGET = 1_000_000
+
+
+def check_size(specs: dict[Architecture, FabricSpec]) -> None:
+    """Raise the builder's errors for any inadmissible spec of ``specs``,
+    then a ``ScenarioError`` for the first fabric of more than
+    ``GRAPH_BUDGET`` nodes plus links; both by arithmetic, before anything
+    is allocated."""
+    sizes = {architecture: fabric_size(spec) for architecture, spec in specs.items()}
+    for architecture, (nodes, links) in sizes.items():
+        if nodes + links > GRAPH_BUDGET:
+            raise ScenarioError(
+                f"{architecture.value} fabric would have {nodes} nodes and "
+                f"{links} links, over the {GRAPH_BUDGET} budget"
+            )
 
 
 class Violation(NamedTuple):

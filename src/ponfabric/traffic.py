@@ -26,11 +26,14 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import RoutingError, ScenarioError, UnknownRack, in_pair
 from .routing import RouteTable
 from .routing import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
+# The pattern records are defined with the scenario that holds them.
+from .scenario import HotspotRackPattern, IntraRackHeavyPattern, TrafficPattern, UniformPattern
+from .scenario import _by_type  # noqa: F401
 from .topology import FabricSpec, LinkCapacities, LinkKind, check_count, check_rate, checked
 from .topology import fabric_links, server_id
 
@@ -106,57 +109,6 @@ class RackBlocks(NamedTuple):
 
     def total_demand(self) -> Fraction:
         return self.total
-
-
-def _by_type(pattern: type) -> type:
-    """``pattern`` equal to, and hashed as, patterns of its own type only,
-    so two kinds with equal values, or a plain tuple, never match it."""
-    pattern.__eq__ = lambda self, other: type(other) is type(self) and tuple.__eq__(self, other)
-    pattern.__ne__ = lambda self, other: not self == other
-    pattern.__hash__ = lambda self: hash((type(self).__name__, *self))
-    return pattern
-
-
-@_by_type
-@checked
-class UniformPattern(NamedTuple):
-    """Every ordered pair of distinct servers sends ``gbps``."""
-
-    gbps: Fraction
-
-    def _checked(self) -> None:
-        check_rate(self.gbps, "gbps")
-
-
-@_by_type
-@checked
-class HotspotRackPattern(NamedTuple):
-    """Every server outside ``rack`` sends ``gbps`` to each of its servers."""
-
-    rack: int
-    gbps: Fraction
-
-    def _checked(self) -> None:
-        check_count(self.rack, "rack")
-        check_rate(self.gbps, "gbps")
-
-
-@_by_type
-@checked
-class IntraRackHeavyPattern(NamedTuple):
-    """Ordered pairs send ``gbps * intra_fraction`` within a rack and
-    ``gbps * (1 - intra_fraction)`` across racks."""
-
-    intra_fraction: Fraction
-    gbps: Fraction
-
-    def _checked(self) -> None:
-        if not 0 <= check_rate(self.intra_fraction, "intra_fraction") <= 1:
-            raise ValueError("intra_fraction must be within [0, 1]")
-        check_rate(self.gbps, "gbps")
-
-
-TrafficPattern = Union[UniformPattern, HotspotRackPattern, IntraRackHeavyPattern]
 
 
 def generate_traffic(pattern: TrafficPattern, spec: FabricSpec) -> RackBlocks:

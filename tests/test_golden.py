@@ -1,7 +1,8 @@
 """Golden CLI outputs: stdout and exit code, byte for byte.
 
 Every subcommand runs in table, csv and json on the built-in scenario,
-plus ``simulate`` on the committed paper-scale traffic scenario, a route
+plus ``simulate`` and ``benchmark`` (whose scenario table then lists
+the traffic section) on the committed paper-scale traffic scenario, a route
 to the external gateway, the closed-form commands at scale (``benchmark``,
 ``power``, ``compare`` and ``validate`` on the 128-rack scenario, two
 sweeps with failing points), ``validate`` and ``build`` on a fabric
@@ -83,6 +84,7 @@ CASES = {
     "sweep": ("sweep", "--racks", "4,8,16"),
     "benchmark": ("benchmark",),
     "paper_traffic-simulate": ("-s", PAPER_TRAFFIC, "simulate", "--top", "10"),
+    "paper_traffic-benchmark": ("-s", PAPER_TRAFFIC, "benchmark"),
     "fabric_scale-benchmark": ("-s", FABRIC_SCALE, "benchmark"),
     "fabric_scale-power": ("-s", FABRIC_SCALE, "power"),
     "fabric_scale-compare": ("-s", FABRIC_SCALE, "compare"),

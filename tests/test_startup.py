@@ -4,7 +4,9 @@ start-up: ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and without bytecode files every package module loaded is
 compiled from source."""
 
+import functools
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +18,8 @@ import ponfabric
 from ponfabric import OutputFormat, __version__
 from ponfabric.cli import _build_parser
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PATHS = [str(SRC), os.environ.get("PYTHONPATH")]
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, PATHS))}
 
@@ -32,8 +35,14 @@ def modules_after(statement: str) -> set[str]:
     return set(done.stdout.split())
 
 
+@functools.cache
+def bare_modules() -> frozenset[str]:
+    """The modules a bare interpreter holds."""
+    return frozenset(modules_after("pass"))
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    added = modules_after("import ponfabric.cli") - modules_after("pass")
+    added = modules_after("import ponfabric.cli") - bare_modules()
     assert "ponfabric.cli" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added)
 
@@ -54,13 +63,13 @@ CLI_AS_MAIN = (
 )
 
 
-def cli_modules(*argv: str) -> tuple[int, set[str]]:
-    """The exit code of the CLI run as ``__main__`` on ``argv`` and the
-    modules it added to a bare interpreter's."""
+def cli_modules(*argv: str) -> tuple[int, set[str], str]:
+    """The exit code of the CLI run as ``__main__`` on ``argv``, the
+    modules it added to a bare interpreter's, and its stdout."""
     done = run("-c", CLI_AS_MAIN, *argv)
     last = done.stderr.splitlines()[-1].split()
     assert last[0] == "modules:", done.stderr
-    return done.returncode, set(last[1:]) - modules_after("pass")
+    return done.returncode, set(last[1:]) - bare_modules(), done.stdout
 
 
 @pytest.mark.parametrize(
@@ -68,16 +77,99 @@ def cli_modules(*argv: str) -> tuple[int, set[str]]:
     [(["--version"], 0), (["--help"], 0), (["bogus"], 1), (["summary", "--help"], 0)],
 )
 def test_version_help_and_usage_errors_load_only_the_package_and_version(argv, code):
-    exit_code, added = cli_modules(*argv)
+    exit_code, added, _ = cli_modules(*argv)
     assert exit_code == code
     assert {name for name in added if name.startswith("ponfabric")} == {"ponfabric", "ponfabric.version"}
 
 
 def test_a_table_command_loads_neither_json_nor_csv():
-    exit_code, added = cli_modules("-f", "table", "summary")
+    exit_code, added, _ = cli_modules("-f", "table", "summary")
     assert exit_code == 0
     assert "ponfabric.render" in added
     assert not added & {"json", "csv"}, sorted(added & {"json", "csv"})
+
+
+PAPER = str(ROOT / "perfbench" / "scenarios" / "paper_traffic.scenario")
+GOLDEN = ROOT / "tests" / "golden"
+# The package modules a command loads beyond the package, ``version`` and
+# ``cli``: every command reads a scenario and renders, the commands that
+# route load ``routing``, and those that price load ``power`` and ``benchmark``.
+READS = {"errors", "render", "scenario", "topology"}
+ROUTES = READS | {"routing"}
+PRICES = READS | {"power", "benchmark"}
+
+# Each subcommand on the paper's scenario with uniform traffic, the table
+# golden its stdout equals, the modules it loads and those it must not.
+# ``--top`` and ``--groups`` parse through ``integer``, which binds names
+# while the arguments parse.
+MATRIX = [
+    (["build"], "build", PRICES, {"routing", "traffic"}),
+    (["validate"], "validate", READS, {"routing", "traffic", "power", "benchmark"}),
+    (["power"], "power", PRICES, {"routing", "traffic"}),
+    (["compare"], "compare", PRICES, {"routing", "traffic"}),
+    (["route", "rack1/server0", "rack7/server0"], "route", ROUTES, {"power", "traffic", "benchmark"}),
+    (["summary"], "summary", ROUTES, {"power", "traffic", "benchmark"}),
+    (["simulate", "--top", "10"], "paper_traffic-simulate", ROUTES | {"traffic"}, {"power", "benchmark"}),
+    (["sweep", "--racks", "4,8,16", "--groups", "2"], "sweep", PRICES, {"routing", "traffic"}),
+    (["benchmark"], "paper_traffic-benchmark", PRICES, {"routing", "traffic"}),
+]
+
+
+@pytest.mark.parametrize("argv, golden, loads, skips", MATRIX, ids=[row[0][0] for row in MATRIX])
+def test_each_command_loads_only_the_modules_it_runs(argv, golden, loads, skips):
+    """Run in a fresh interpreter, where no earlier command has bound the
+    CLI's names: a command that forgot to bind one fails here, though it
+    passes the in-process golden tests once another command has bound it."""
+    exit_code, added, stdout = cli_modules("-f", "table", "-s", PAPER, *argv)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    assert exit_code == codes[f"{golden}.table"]
+    assert stdout == (GOLDEN / f"{golden}.table.out").read_text(encoding="utf-8")
+    package = {name.partition(".")[2] for name in added if name.startswith("ponfabric.")}
+    assert not package & skips, sorted(package & skips)
+    assert package == loads | {"version"}
+
+
+# Names defined in one module and re-exported, as the same object, by
+# modules that callers import them from: home -> re-exporter -> names.
+MOVED = {
+    "scenario": {
+        "power": "NicCountMode PROFILES PowerOptions STRUCTURAL_KINDS",
+        "routing": "RoutingPolicy",
+        "traffic": "HotspotRackPattern IntraRackHeavyPattern TrafficPattern UniformPattern _by_type",
+        "benchmark": "selected_specs",
+    },
+    "topology": {"benchmark": "GRAPH_BUDGET check_size"},
+}
+IDENTITY = "".join(
+    f"assert ponfabric.{old}.{name} is ponfabric.{new}.{name}, {name!r}\n"
+    for new, olds in MOVED.items()
+    for old, names in olds.items()
+    for name in names.split()
+)
+# Patterns equal patterns of their own kind only, whichever module loaded first.
+PATTERNS_BY_TYPE = (
+    "from fractions import Fraction\n"
+    "from ponfabric.traffic import HotspotRackPattern, IntraRackHeavyPattern, UniformPattern\n"
+    "assert UniformPattern(Fraction(1)) != (Fraction(1),) and (Fraction(1),) != UniformPattern(Fraction(1))\n"
+    "assert not UniformPattern(Fraction(1)) == (Fraction(1),)\n"
+    "hotspot, heavy = HotspotRackPattern(1, Fraction(2)), IntraRackHeavyPattern(Fraction(1), Fraction(2))\n"
+    "assert tuple(hotspot) == tuple(heavy) and hotspot != heavy and len({hotspot, heavy}) == 2\n"
+    "assert hotspot == HotspotRackPattern(1, 2) and hash(hotspot) == hash(HotspotRackPattern(1, 2))\n"
+)
+
+
+ENGINES = ["power", "routing", "traffic", "scenario", "benchmark", "topology"]
+
+
+@pytest.mark.parametrize("first", ENGINES)
+def test_modules_import_in_any_order_and_share_the_moved_names(first):
+    check = (
+        f"import ponfabric.{first}\n"
+        f"import ponfabric.{', ponfabric.'.join(ENGINES)}\n"
+        f"{IDENTITY}{PATTERNS_BY_TYPE}"
+    )
+    done = run("-c", check)
+    assert done.returncode == 0, done.stderr
 
 
 # The installed ``ponfabric`` script: ``cli`` imported as a module.
