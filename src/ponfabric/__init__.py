@@ -12,10 +12,9 @@ from importlib import import_module
 
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
-    "benchmark": ("closed_form_power", "resolved_catalogs", "run_benchmark"),
+    "benchmark": ("closed_form_power", "resolved_catalog", "run_benchmark"),
     "power": (
-        "OWC_PON_CATALOG",
-        "TRADITIONAL_CATALOG",
+        "CATALOG",
         "PowerCatalog",
         "PowerReport",
         "PowerRow",

@@ -7,16 +7,16 @@ rendering, and the scenario's canonical lines, so the same scenario always
 renders to the same bytes.  No command builds a graph; ``build`` and
 ``simulate``, which list a fabric's rows, stay under ``GRAPH_BUDGET``
 (``check_size``).  Those two live next to ``fabric_size`` in ``topology``,
-and ``selected_specs`` with the scenario it reads, so that commands which
-price nothing need not load this module; all three are re-exported here.
+``census_table`` next to ``device_census``, and ``selected_specs`` with the
+scenario it reads, so that commands which price nothing need not load this
+module; all four are re-exported here.
 """
 
 from __future__ import annotations
 
 from .errors import ScenarioError, ValidationFailed
 from .power import (
-    OWC_PON_CATALOG,
-    TRADITIONAL_CATALOG,
+    CATALOG,
     NicCountMode,
     PowerCatalog,
     PowerReport,
@@ -28,19 +28,16 @@ from .power import (
 from .render import Document, Table, format_rational
 from .scenario import Scenario, selected_specs, serialize_scenario
 from .topology import GRAPH_BUDGET, check_size  # noqa: F401  (re-exported)
-from .topology import Architecture, DeviceKind, device_census, validate
+from .topology import Architecture, DeviceKind, census_table, device_census, validate
 # perfbench/traced.py wraps these names in this module; nothing here calls them.
 from .topology import build_owc_pon, build_traditional  # noqa: F401
 from .version import __version__
 
-def resolved_catalogs(scenario: Scenario) -> tuple[PowerCatalog, PowerCatalog]:
-    """Built-in catalogs with the scenario's overrides applied to both."""
-    overrides = {
-        DeviceKind(key): milliwatts for key, milliwatts in scenario.catalog_overrides
-    }
-    return (
-        TRADITIONAL_CATALOG.with_overrides(overrides),
-        OWC_PON_CATALOG.with_overrides(overrides),
+
+def resolved_catalog(scenario: Scenario) -> PowerCatalog:
+    """The built-in catalog with the scenario's overrides applied."""
+    return CATALOG.with_overrides(
+        {DeviceKind(key): milliwatts for key, milliwatts in scenario.catalog_overrides}
     )
 
 
@@ -55,24 +52,16 @@ def closed_form_power(
         violations = validate(spec)
         if violations:
             raise ValidationFailed(architecture, violations)
-    traditional_catalog, owc_catalog = resolved_catalogs(scenario)
+    catalog = resolved_catalog(scenario)
     priced = {}
     for architecture, census in censuses.items():
         # Named here, not in a module-level table: perfbench/traced.py wraps these names.
         if architecture is Architecture.TRADITIONAL:
-            report = traditional_power(census, traditional_catalog, scenario.options)
+            report = traditional_power(census, catalog, scenario.options)
         else:
-            report = owc_pon_power(census, owc_catalog, scenario.options)
+            report = owc_pon_power(census, catalog, scenario.options)
         priced[architecture] = (census, report)
     return priced
-
-
-def census_table(name: str, census: dict[DeviceKind, int]) -> Table:
-    return Table(
-        name,
-        ("device", "count"),
-        tuple((kind.value, census[kind]) for kind in DeviceKind),
-    )
 
 
 def power_table(name: str, report: PowerReport) -> Table:

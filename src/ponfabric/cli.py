@@ -21,13 +21,14 @@ from .version import __version__
 # load no other module.  Once the arguments parse, ``main`` binds the names
 # of the ``_BASE`` modules, and each command those of the modules it lists.
 _IMPORTS = {
-    ".benchmark": "census_table closed_form_power power_table resolved_catalogs run_benchmark",
+    ".benchmark": "closed_form_power power_table resolved_catalog run_benchmark",
     ".errors": "BadAdjacency PonFabricError ScenarioError SpecMismatch UnknownRack ValidationFailed",
     ".power": "format_percent power_reduction scaling_sweep",
     ".render": "Document OutputFormat Table format_rational render",
     ".routing": "RouteTable resolve_route route_to_external all_pairs_summary",
     ".scenario": "Scenario check_digits default_scenario parse_scenario selected_specs",
-    ".topology": "EXTERNAL Architecture OwcPonSpec check_size device_census link_id validate wire",
+    ".topology": "EXTERNAL Architecture LinkKind OwcPonSpec census_table check_size device_census "
+    "link_id validate wire",
     ".traffic": "TrafficMatrix assign bottlenecks generate_traffic",
     "pathlib": "Path",
 }
@@ -173,24 +174,7 @@ def _row_linker(kind, capacity):
     return lambda a, b: (link_id(a, b), kind_text, capacity_text)
 
 
-def _link_rows(links) -> list[tuple[str, str, str]]:
-    """The id, kind and capacity texts of each ``LinkLoad``.
-    The texts of each distinct (kind, capacity) pair are made once.  The
-    key is the pair's ids, not its values: ``Enum`` and ``Fraction`` hash
-    in Python code, ``fabric_links`` gives all links of a kind one
-    ``Fraction``, and the rows keep both objects alive."""
-    texts: dict[tuple[int, int], tuple[str, str]] = {}
-    rows = []
-    for link in links:
-        key = id(link.kind), id(link.capacity)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = (link.kind.value, format_rational(link.capacity))
-        rows.append((link[0], *text))
-    return rows
-
-
-@_command("build", ".benchmark")
+@_command("build")
 def _cmd_build(scenario: Scenario, args) -> tuple[Document, int]:
     """Each selected fabric's rows, made from its spec by ``wire``: no
     ``Node``, ``Link`` or graph is made."""
@@ -303,6 +287,9 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
         flows = scenario.traffic.flows
         matrix = TrafficMatrix({(src, dst): mbps for src, dst, mbps in flows}, scale=1000)
     report = assign(RouteTable(spec, scenario.policy), matrix, scenario.capacities)
+    # ``fabric_links`` gives every link of a kind that kind's capacity
+    capacity = scenario.capacities.for_kind
+    texts = {kind: (kind.value, format_rational(capacity(kind))) for kind in LinkKind}
     meta = (
         ("demand_entries", matrix.demand_entries()),
         ("total_demand_gbps", format_rational(matrix.total_demand())),
@@ -313,8 +300,8 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
         "link_loads",
         ("link", "kind", "capacity_gbps", "load_gbps", "utilization"),
         tuple(
-            (*texts, format_rational(row.load), format_rational(row.utilization))
-            for texts, row in zip(_link_rows(report.rows), report.rows)
+            (link, *texts[kind], format_rational(load), format_rational(utilization))
+            for link, kind, _, load, utilization in report.rows
         ),
     )
     top = Table(
@@ -343,14 +330,12 @@ def _cmd_sweep(scenario: Scenario, args) -> tuple[Document, int]:
         raise ScenarioError(
             f"--spines lists {len(spines)} counts for {len(racks)} --racks entries"
         )
-    traditional_catalog, owc_catalog = resolved_catalogs(scenario)
     results = scaling_sweep(
         racks,
         servers_per_rack=args.servers_per_rack,
         num_groups=args.groups,
         spine_counts=spines,
-        traditional_catalog=traditional_catalog,
-        owc_pon_catalog=owc_catalog,
+        catalog=resolved_catalog(scenario),
         options=scenario.options,
     )
     rows = []

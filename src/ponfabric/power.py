@@ -40,23 +40,18 @@ class PowerCatalog(NamedTuple):
         return PowerCatalog(merged)
 
 
-TRADITIONAL_CATALOG = PowerCatalog(
+# One price per device kind, whichever fabric charges it: the leaf switch
+# and the server transceiver are priced alike in both.
+CATALOG = PowerCatalog(
     {
         DeviceKind.SPINE_SWITCH: 660_000,
         DeviceKind.LEAF_SWITCH: 508_000,
         DeviceKind.SERVER_TRANSCEIVER: 3_000,
-    }
-)
-
-OWC_PON_CATALOG = PowerCatalog(
-    {
         DeviceKind.RACK_TRANSCEIVER: 400,
         DeviceKind.AP_TRANSCEIVER: 400,
-        DeviceKind.LEAF_SWITCH: 508_000,
-        DeviceKind.OLT: 480_000,
-        DeviceKind.SERVER_TRANSCEIVER: 3_000,
         DeviceKind.NIC: 45_000,
         DeviceKind.OPTICAL_SWITCH: 75_000,
+        DeviceKind.OLT: 480_000,
     }
 )
 
@@ -111,7 +106,7 @@ def _report(
 
 def traditional_power(
     census: Mapping[DeviceKind, int],
-    catalog: PowerCatalog = TRADITIONAL_CATALOG,
+    catalog: PowerCatalog = CATALOG,
     options: PowerOptions = PowerOptions(),
 ) -> PowerReport:
     """Closed-form power of the spine-and-leaf fabric.
@@ -128,7 +123,7 @@ def traditional_power(
 
 def owc_pon_power(
     census: Mapping[DeviceKind, int],
-    catalog: PowerCatalog = OWC_PON_CATALOG,
+    catalog: PowerCatalog = CATALOG,
     options: PowerOptions = PowerOptions(),
 ) -> PowerReport:
     """Closed-form power of the optical-wireless fabric with PON backhaul.
@@ -200,8 +195,7 @@ def scaling_sweep(
     servers_per_rack: int = 8,
     num_groups: int = 2,
     spine_counts: Sequence[int] | None = None,
-    traditional_catalog: PowerCatalog = TRADITIONAL_CATALOG,
-    owc_pon_catalog: PowerCatalog = OWC_PON_CATALOG,
+    catalog: PowerCatalog = CATALOG,
     options: PowerOptions = PowerOptions(),
 ) -> tuple[SweepResult, ...]:
     """Evaluate both architectures across a family of rack counts.
@@ -224,8 +218,8 @@ def scaling_sweep(
             aps = racks // num_groups if num_groups > 0 else 0
             trad_census = device_census(TraditionalSpec(spines, racks, servers_per_rack))
             owc_census = device_census(OwcPonSpec(racks, servers_per_rack, num_groups, aps))
-            trad = traditional_power(trad_census, traditional_catalog, options)
-            owc = owc_pon_power(owc_census, owc_pon_catalog, options)
+            trad = traditional_power(trad_census, catalog, options)
+            owc = owc_pon_power(owc_census, catalog, options)
             reduction = power_reduction(trad, owc)
         except (PonFabricError, ValueError) as exc:
             results.append(SweepResult(point, None, None, None, str(exc)))

@@ -32,6 +32,7 @@ from functools import wraps
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import BadAdjacency, ScenarioError, SpecMismatch, UnknownServer
+from .render import Table
 
 
 def checked(record: type) -> type:
@@ -540,6 +541,12 @@ def device_census(spec: FabricSpec) -> dict[DeviceKind, int]:
     inadmissible spec.
     """
     return _census_and_links(spec)[0]
+
+
+def census_table(name: str, census: dict[DeviceKind, int]) -> Table:
+    """The ``census_<arch>`` table: the count of each device kind, in ``DeviceKind`` order."""
+    rows = tuple((kind.value, census[kind]) for kind in DeviceKind)
+    return Table(name, ("device", "count"), rows)
 
 
 def fabric_size(spec: FabricSpec) -> tuple[int, int]:

@@ -52,6 +52,12 @@ counts it with ``reference_census``.  ``reference_validate`` is the only
 checker of built graphs: every test that checks a built or damaged graph
 checks it with this.  ``per_node_power`` prices a built graph node by
 node, the gate on the closed-form power.
+
+``TRADITIONAL_CATALOG`` and ``OWC_PON_CATALOG`` are the per-fabric price
+tables that ``power.CATALOG`` replaced, and ``reference_catalogs`` applies a
+scenario's overrides to both.  The reference benchmark, ``power`` command
+and sweep price with them, so a scenario's ``[catalog]`` section is held
+to the old pricing.
 """
 
 import json
@@ -65,9 +71,7 @@ from typing import Sequence
 import networkx as nx
 
 from ponfabric import (
-    OWC_PON_CATALOG,
     PROFILES,
-    TRADITIONAL_CATALOG,
     Architecture,
     DeviceKind,
     Document,
@@ -105,11 +109,10 @@ from ponfabric import (
     format_rational,
     owc_pon_power,
     power_reduction,
-    resolved_catalogs,
     serialize_scenario,
     traditional_power,
 )
-from ponfabric.benchmark import census_table, power_table
+from ponfabric.benchmark import power_table
 from ponfabric.cli import EXIT_OK, EXIT_VALIDATION
 from ponfabric.errors import (
     InvalidValue,
@@ -130,6 +133,7 @@ from ponfabric.errors import (
 from ponfabric.power import STRUCTURAL_KINDS, _report
 from ponfabric.render import SCHEMA
 from ponfabric.scenario import MAX_DIGITS
+from ponfabric.topology import census_table
 from ponfabric.version import __version__
 from ponfabric.traffic import TrafficPattern
 
@@ -1458,6 +1462,39 @@ def reference_build_graphs(scenario: Scenario) -> dict[Architecture, NetworkGrap
     return graphs
 
 
+TRADITIONAL_CATALOG = PowerCatalog(
+    {
+        DeviceKind.SPINE_SWITCH: 660_000,
+        DeviceKind.LEAF_SWITCH: 508_000,
+        DeviceKind.SERVER_TRANSCEIVER: 3_000,
+    }
+)
+
+OWC_PON_CATALOG = PowerCatalog(
+    {
+        DeviceKind.RACK_TRANSCEIVER: 400,
+        DeviceKind.AP_TRANSCEIVER: 400,
+        DeviceKind.LEAF_SWITCH: 508_000,
+        DeviceKind.OLT: 480_000,
+        DeviceKind.SERVER_TRANSCEIVER: 3_000,
+        DeviceKind.NIC: 45_000,
+        DeviceKind.OPTICAL_SWITCH: 75_000,
+    }
+)
+
+
+def reference_catalogs(scenario: Scenario) -> tuple[PowerCatalog, PowerCatalog]:
+    """The traditional and owcpon catalogs with the scenario's overrides
+    applied to both."""
+    overrides = {
+        DeviceKind(key): milliwatts for key, milliwatts in scenario.catalog_overrides
+    }
+    return (
+        TRADITIONAL_CATALOG.with_overrides(overrides),
+        OWC_PON_CATALOG.with_overrides(overrides),
+    )
+
+
 def reference_validated_graphs(scenario: Scenario) -> dict[Architecture, NetworkGraph]:
     graphs = reference_build_graphs(scenario)
     for architecture, graph in graphs.items():
@@ -1471,7 +1508,7 @@ def reference_run_benchmark(scenario: Scenario) -> Document:
     """Evaluate both architectures under one scenario and compare them."""
     if len(scenario.architectures) != 2:
         raise ScenarioError("the benchmark needs both architectures selected")
-    traditional_catalog, owc_catalog = resolved_catalogs(scenario)
+    traditional_catalog, owc_catalog = reference_catalogs(scenario)
     graphs = reference_validated_graphs(scenario)
 
     trad_census = reference_census(graphs[Architecture.TRADITIONAL])
@@ -1658,7 +1695,7 @@ def reference_cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:
 
 
 def reference_cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
-    catalogs = dict(zip((Architecture.TRADITIONAL, Architecture.OWC_PON), resolved_catalogs(scenario)))
+    catalogs = dict(zip((Architecture.TRADITIONAL, Architecture.OWC_PON), reference_catalogs(scenario)))
     graphs = reference_validated_graphs(scenario)
     meta = []
     tables = []

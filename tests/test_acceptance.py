@@ -15,9 +15,7 @@ from hypothesis import given, settings
 
 import oracles
 from ponfabric import (
-    OWC_PON_CATALOG,
     PROFILES,
-    TRADITIONAL_CATALOG,
     DeviceKind,
     NicCountMode,
     NoDirectLinks,

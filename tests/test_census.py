@@ -35,7 +35,7 @@ from ponfabric import (
     device_census,
     fabric_size,
     render,
-    resolved_catalogs,
+    resolved_catalog,
     run_benchmark,
     scaling_sweep,
     validate,
@@ -318,15 +318,13 @@ def test_build_command_matches_the_graph_path(scenario, capacities):
     overrides=catalog_overrides,
 )
 def test_sweep_matches_the_graph_path(racks, groups, servers, spines, options, overrides):
-    traditional_catalog, owc_catalog = resolved_catalogs(Scenario(catalog_overrides=overrides))
-    kwargs = dict(
-        servers_per_rack=servers,
-        num_groups=groups,
-        spine_counts=spines,
-        traditional_catalog=traditional_catalog,
-        owc_pon_catalog=owc_catalog,
-        options=options,
-    )
-    assert outcome(lambda: scaling_sweep(racks, **kwargs)) == outcome(
-        lambda: oracles.reference_scaling_sweep(racks, **kwargs)
+    scenario = Scenario(catalog_overrides=overrides)
+    traditional_catalog, owc_catalog = oracles.reference_catalogs(scenario)
+    kwargs = dict(servers_per_rack=servers, num_groups=groups, spine_counts=spines, options=options)
+    assert outcome(
+        lambda: scaling_sweep(racks, catalog=resolved_catalog(scenario), **kwargs)
+    ) == outcome(
+        lambda: oracles.reference_scaling_sweep(
+            racks, traditional_catalog=traditional_catalog, owc_pon_catalog=owc_catalog, **kwargs
+        )
     )

@@ -1,13 +1,14 @@
+import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ponfabric import (
-    OWC_PON_CATALOG,
+    CATALOG,
     PROFILES,
-    TRADITIONAL_CATALOG,
     DeviceKind,
     NicCountMode,
     OwcPonSpec,
@@ -50,20 +51,20 @@ class TestTraditionalPower:
     def test_with_server_transceivers(self):
         report = traditional_power(
             BENCH_TRADITIONAL,
-            TRADITIONAL_CATALOG,
+            CATALOG,
             PowerOptions(include_server_transceivers=True),
         )
         # 8*660 + 8*508 + 64*3 watts, computed by hand
         assert report.total_mw == 9_536_000
 
     def test_without_server_transceivers(self):
-        report = traditional_power(BENCH_TRADITIONAL, TRADITIONAL_CATALOG, PowerOptions())
+        report = traditional_power(BENCH_TRADITIONAL, CATALOG, PowerOptions())
         assert report.total_mw == 9_344_000  # 8*660 + 8*508 watts
         assert report.row(DeviceKind.SERVER_TRANSCEIVER).subtotal_mw == 0
         assert not report.row(DeviceKind.SERVER_TRANSCEIVER).included
 
     def test_all_zero(self):
-        assert traditional_power({}, TRADITIONAL_CATALOG, PowerOptions()).total_mw == 0
+        assert traditional_power({}, CATALOG, PowerOptions()).total_mw == 0
 
     def test_missing_catalog_entry(self):
         catalog = PowerCatalog({DeviceKind.LEAF_SWITCH: 508_000})
@@ -80,36 +81,36 @@ class TestTraditionalPower:
 
 class TestOwcPonPower:
     def test_reproduction_profile(self):
-        report = owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, PROFILES["reproduction"])
+        report = owc_pon_power(BENCH_OWCPON, CATALOG, PROFILES["reproduction"])
         # 480 + 2*75 + 8*45 + 8*508 watts, computed by hand
         assert report.total_mw == 5_054_000
 
     def test_as_written_profile(self):
-        report = owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, PROFILES["as-written"])
+        report = owc_pon_power(BENCH_OWCPON, CATALOG, PROFILES["as-written"])
         assert report.total_mw == 5_246_000  # 5054 + 64*3 watts
 
     def test_per_server_nic_mode(self):
         options = PowerOptions(
             include_server_transceivers=True, nic_count_mode=NicCountMode.PER_SERVER
         )
-        report = owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, options)
+        report = owc_pon_power(BENCH_OWCPON, CATALOG, options)
         # 480 + 150 + 64*45 + 4064 + 192 watts: the per-server NIC reading
         assert report.total_mw == 7_766_000
         assert report.row(DeviceKind.NIC).quantity == 64
 
     def test_owc_transceivers_included(self):
         options = PowerOptions(include_owc_transceivers=True)
-        report = owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, options)
+        report = owc_pon_power(BENCH_OWCPON, CATALOG, options)
         assert report.total_mw == 5_054_000 + 16 * 400  # 16 transceivers at 0.4 W
 
     def test_missing_olt(self):
         census = dict(BENCH_OWCPON)
         census[DeviceKind.OLT] = 0
         with pytest.raises(MissingOlt):
-            owc_pon_power(census, OWC_PON_CATALOG, PowerOptions())
+            owc_pon_power(census, CATALOG, PowerOptions())
 
     def test_olt_charged_once(self):
-        report = owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, PowerOptions())
+        report = owc_pon_power(BENCH_OWCPON, CATALOG, PowerOptions())
         assert report.row(DeviceKind.OLT).quantity == 1
         assert report.row(DeviceKind.OLT).subtotal_mw == 480_000
 
@@ -117,9 +118,9 @@ class TestOwcPonPower:
 class TestPerNodePower:
     def test_matches_traditional_closed_form(self, default_traditional):
         for options in (PowerOptions(), PROFILES["as-written"]):
-            node_sum = per_node_power(default_traditional, TRADITIONAL_CATALOG, options)
+            node_sum = per_node_power(default_traditional, CATALOG, options)
             closed = traditional_power(
-                device_census(default_traditional.spec), TRADITIONAL_CATALOG, options
+                device_census(default_traditional.spec), CATALOG, options
             )
             assert node_sum.total_mw == closed.total_mw
 
@@ -129,13 +130,13 @@ class TestPerNodePower:
             PROFILES["as-written"],
             PowerOptions(include_owc_transceivers=True, include_server_transceivers=True),
         ):
-            node_sum = per_node_power(default_owcpon, OWC_PON_CATALOG, options)
-            closed = owc_pon_power(device_census(default_owcpon.spec), OWC_PON_CATALOG, options)
+            node_sum = per_node_power(default_owcpon, CATALOG, options)
+            closed = owc_pon_power(device_census(default_owcpon.spec), CATALOG, options)
             assert node_sum.total_mw == closed.total_mw
 
     def test_empty_graph(self):
         graph = build_traditional(TraditionalSpec(0, 0, 0))
-        assert per_node_power(graph, TRADITIONAL_CATALOG, PowerOptions()).total_mw == 0
+        assert per_node_power(graph, CATALOG, PowerOptions()).total_mw == 0
 
     def test_missing_entry_for_present_kind(self, default_owcpon):
         catalog = PowerCatalog({DeviceKind.LEAF_SWITCH: 508_000})
@@ -143,7 +144,7 @@ class TestPerNodePower:
             per_node_power(default_owcpon, catalog, PowerOptions())
 
     def test_excluded_kind_needs_no_entry(self, default_traditional):
-        entries = dict(TRADITIONAL_CATALOG.entries)
+        entries = dict(CATALOG.entries)
         del entries[DeviceKind.SERVER_TRANSCEIVER]
         report = per_node_power(default_traditional, PowerCatalog(entries), PowerOptions())
         assert report.total_mw == 9_344_000
@@ -152,8 +153,8 @@ class TestPerNodePower:
 class TestReduction:
     def test_benchmark_reduction(self):
         reduction = power_reduction(
-            traditional_power(BENCH_TRADITIONAL, TRADITIONAL_CATALOG, PowerOptions()),
-            owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, PowerOptions()),
+            traditional_power(BENCH_TRADITIONAL, CATALOG, PowerOptions()),
+            owc_pon_power(BENCH_OWCPON, CATALOG, PowerOptions()),
         )
         assert reduction == Fraction(9_344_000 - 5_054_000, 9_344_000)
         assert format_percent(reduction) == "45.9%"
@@ -161,39 +162,34 @@ class TestReduction:
     def test_as_written_reduction(self):
         options = PROFILES["as-written"]
         reduction = power_reduction(
-            traditional_power(BENCH_TRADITIONAL, TRADITIONAL_CATALOG, options),
-            owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, options),
+            traditional_power(BENCH_TRADITIONAL, CATALOG, options),
+            owc_pon_power(BENCH_OWCPON, CATALOG, options),
         )
         assert format_percent(reduction) == "45.0%"
 
     def test_identical_reports_reduce_zero(self):
-        report = traditional_power(BENCH_TRADITIONAL, TRADITIONAL_CATALOG, PowerOptions())
+        report = traditional_power(BENCH_TRADITIONAL, CATALOG, PowerOptions())
         reduction = power_reduction(report, report)
         assert reduction == 0
         assert format_percent(reduction) == "0.0%"
 
     def test_zero_baseline(self):
-        zero = traditional_power({}, TRADITIONAL_CATALOG, PowerOptions())
-        other = traditional_power(BENCH_TRADITIONAL, TRADITIONAL_CATALOG, PowerOptions())
+        zero = traditional_power({}, CATALOG, PowerOptions())
+        other = traditional_power(BENCH_TRADITIONAL, CATALOG, PowerOptions())
         with pytest.raises(ZeroBaseline):
             power_reduction(zero, other)
 
     def test_scale_invariance(self):
         options = PowerOptions()
         base = power_reduction(
-            traditional_power(BENCH_TRADITIONAL, TRADITIONAL_CATALOG, options),
-            owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, options),
+            traditional_power(BENCH_TRADITIONAL, CATALOG, options),
+            owc_pon_power(BENCH_OWCPON, CATALOG, options),
         )
         scale = 7
-        scaled_trad = PowerCatalog(
-            {k: v * scale for k, v in TRADITIONAL_CATALOG.entries.items()}
-        )
-        scaled_owc = PowerCatalog(
-            {k: v * scale for k, v in OWC_PON_CATALOG.entries.items()}
-        )
+        scaled_catalog = PowerCatalog({k: v * scale for k, v in CATALOG.entries.items()})
         scaled = power_reduction(
-            traditional_power(BENCH_TRADITIONAL, scaled_trad, options),
-            owc_pon_power(BENCH_OWCPON, scaled_owc, options),
+            traditional_power(BENCH_TRADITIONAL, scaled_catalog, options),
+            owc_pon_power(BENCH_OWCPON, scaled_catalog, options),
         )
         assert base == scaled
 
@@ -240,7 +236,7 @@ class TestOracleEquivalence:
 class TestAlgebraicProperties:
     def test_monotonicity_in_counted_kinds(self):
         options = PROFILES["as-written"]
-        base = owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, options).total_mw
+        base = owc_pon_power(BENCH_OWCPON, CATALOG, options).total_mw
         for kind in (
             DeviceKind.LEAF_SWITCH,
             DeviceKind.NIC,
@@ -249,34 +245,34 @@ class TestAlgebraicProperties:
         ):
             bumped = dict(BENCH_OWCPON)
             bumped[kind] = bumped[kind] + 1
-            assert owc_pon_power(bumped, OWC_PON_CATALOG, options).total_mw > base
+            assert owc_pon_power(bumped, CATALOG, options).total_mw > base
 
     def test_excluded_kind_does_not_move_total(self):
-        base = owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, PowerOptions()).total_mw
+        base = owc_pon_power(BENCH_OWCPON, CATALOG, PowerOptions()).total_mw
         bumped = dict(BENCH_OWCPON)
         bumped[DeviceKind.SERVER_TRANSCEIVER] += 10
-        assert owc_pon_power(bumped, OWC_PON_CATALOG, PowerOptions()).total_mw == base
+        assert owc_pon_power(bumped, CATALOG, PowerOptions()).total_mw == base
 
     @settings(max_examples=40, derandomize=True)
     @given(spec=admissible_traditional, factor=st.integers(1, 9))
     def test_linearity(self, spec, factor):
         census = device_census(spec)
         options = PROFILES["as-written"]
-        base = traditional_power(census, TRADITIONAL_CATALOG, options).total_mw
+        base = traditional_power(census, CATALOG, options).total_mw
         scaled_catalog = PowerCatalog(
-            {k: v * factor for k, v in TRADITIONAL_CATALOG.entries.items()}
+            {k: v * factor for k, v in CATALOG.entries.items()}
         )
         assert traditional_power(census, scaled_catalog, options).total_mw == base * factor
 
     def test_exclusion_flag_delta_is_exact(self):
-        excluded = owc_pon_power(BENCH_OWCPON, OWC_PON_CATALOG, PowerOptions()).total_mw
+        excluded = owc_pon_power(BENCH_OWCPON, CATALOG, PowerOptions()).total_mw
         included = owc_pon_power(
-            BENCH_OWCPON, OWC_PON_CATALOG, PowerOptions(include_server_transceivers=True)
+            BENCH_OWCPON, CATALOG, PowerOptions(include_server_transceivers=True)
         ).total_mw
         assert included - excluded == 64 * 3_000
 
         with_owc = owc_pon_power(
-            BENCH_OWCPON, OWC_PON_CATALOG, PowerOptions(include_owc_transceivers=True)
+            BENCH_OWCPON, CATALOG, PowerOptions(include_owc_transceivers=True)
         ).total_mw
         assert with_owc - excluded == (8 + 8) * 400
 
@@ -299,12 +295,12 @@ class TestScalingSweep:
             racks = result.point.racks
             trad = traditional_power(
                 reference_census(build_traditional(TraditionalSpec(racks, racks, 8))),
-                TRADITIONAL_CATALOG,
+                CATALOG,
                 PowerOptions(),
             )
             owc = owc_pon_power(
                 reference_census(build_owc_pon(OwcPonSpec(racks, 8, 2, racks // 2))),
-                OWC_PON_CATALOG,
+                CATALOG,
                 PowerOptions(),
             )
             assert result.traditional.total_mw == trad.total_mw
@@ -336,3 +332,29 @@ class TestScalingSweep:
 
     def test_deterministic(self):
         assert scaling_sweep([4, 8]) == scaling_sweep([4, 8])
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_catalog_is_the_catalog():
+    """The README's catalog table lists each priced kind once, in the
+    catalog's order, at the catalog's price, with the fabrics whose closed
+    form charges it when every option is included."""
+    section = README.read_text(encoding="utf-8").split("### Default power catalog (watts)\n", 1)[1]
+    lines = itertools.dropwhile(lambda line: not line.startswith("|"), section.splitlines())
+    table = list(itertools.takewhile(lambda line: line.startswith("|"), lines))
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table[2:]]
+    assert [(DeviceKind(kind), Fraction(watts) * 1000) for kind, watts, _ in rows] == list(
+        CATALOG.entries.items()
+    )
+
+    everything = PowerOptions(include_owc_transceivers=True, include_server_transceivers=True)
+    census = dict.fromkeys(DeviceKind, 1)
+    charged = {
+        "traditional": {row.kind for row in traditional_power(census, CATALOG, everything).rows},
+        "owcpon": {row.kind for row in owc_pon_power(census, CATALOG, everything).rows},
+    }
+    for kind, _, fabrics in rows:
+        expected = {"traditional", "owcpon"} if fabrics == "both" else {fabrics}
+        assert {name for name, kinds in charged.items() if DeviceKind(kind) in kinds} == expected, kind

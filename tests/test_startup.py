@@ -103,7 +103,7 @@ PRICES = READS | {"power", "benchmark"}
 # ``--top`` and ``--groups`` parse through ``integer``, which binds names
 # while the arguments parse.
 MATRIX = [
-    (["build"], "build", PRICES, {"routing", "traffic"}),
+    (["build"], "build", READS, {"routing", "traffic", "power", "benchmark"}),
     (["validate"], "validate", READS, {"routing", "traffic", "power", "benchmark"}),
     (["power"], "power", PRICES, {"routing", "traffic"}),
     (["compare"], "compare", PRICES, {"routing", "traffic"}),
@@ -138,7 +138,7 @@ MOVED = {
         "traffic": "HotspotRackPattern IntraRackHeavyPattern TrafficPattern UniformPattern _by_type",
         "benchmark": "selected_specs",
     },
-    "topology": {"benchmark": "GRAPH_BUDGET check_size"},
+    "topology": {"benchmark": "GRAPH_BUDGET census_table check_size"},
 }
 IDENTITY = "".join(
     f"assert ponfabric.{old}.{name} is ponfabric.{new}.{name}, {name!r}\n"
@@ -191,25 +191,25 @@ def test_the_format_choices_are_the_output_formats_in_order():
 
 # ``ponfabric.__all__`` before its names were resolved on first access.
 ALL = [
-    "Architecture", "DeviceKind", "Document", "ExplicitPairs", "HotspotRackPattern",
+    "Architecture", "CATALOG", "DeviceKind", "Document", "ExplicitPairs", "HotspotRackPattern",
     "IndexMatched", "IntraRackHeavyPattern", "Link", "LinkCapacities", "LinkKind", "LinkLoad",
-    "LinkLoadReport", "NetworkGraph", "NicCountMode", "NoDirectLinks", "Node", "OWC_PON_CATALOG",
+    "LinkLoadReport", "NetworkGraph", "NicCountMode", "NoDirectLinks", "Node",
     "OutputFormat", "OwcPonSpec", "PROFILES", "PathClass", "PowerCatalog", "PowerOptions",
     "PowerReport", "PowerRow", "RackBlocks", "Route", "RouteTable", "RoutingPolicy", "Scenario",
-    "SweepPoint", "SweepResult", "TRADITIONAL_CATALOG", "Table", "TraditionalSpec",
+    "SweepPoint", "SweepResult", "Table", "TraditionalSpec",
     "TrafficMatrix", "TrafficSection", "UniformPattern", "Violation", "all_pairs_summary",
     "assign", "benchmark", "bottlenecks", "build_owc_pon", "build_traditional",
     "closed_form_power", "default_scenario", "device_census", "errors", "fabric_links",
     "fabric_size", "format_percent", "format_rational", "generate_traffic", "owc_pon_power",
-    "parse_scenario", "power", "power_reduction", "render", "resolve_route", "resolved_catalogs",
+    "parse_scenario", "power", "power_reduction", "render", "resolve_route", "resolved_catalog",
     "route_to_external", "routing", "run_benchmark", "scaling_sweep", "scenario",
     "serialize_scenario", "topology", "traditional_power", "traffic", "validate", "version",
 ]
 
 # The submodule each name was imported from, as the package did on import.
 SOURCES = {
-    "benchmark": "closed_form_power resolved_catalogs run_benchmark",
-    "power": "OWC_PON_CATALOG PROFILES TRADITIONAL_CATALOG NicCountMode PowerCatalog PowerOptions "
+    "benchmark": "closed_form_power resolved_catalog run_benchmark",
+    "power": "CATALOG PROFILES NicCountMode PowerCatalog PowerOptions "
     "PowerReport PowerRow SweepPoint SweepResult format_percent owc_pon_power power_reduction "
     "scaling_sweep traditional_power",
     "render": "Document OutputFormat Table format_rational render",
