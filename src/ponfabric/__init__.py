@@ -8,7 +8,6 @@ loads only ``ponfabric.version``, and each submodule loads when one of its
 names is first read."""
 
 import sys
-from importlib import import_module
 
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
@@ -27,14 +26,9 @@ _EXPORTS = {
         "traditional_power",
     ),
     "render": ("Document", "OutputFormat", "Table", "format_rational", "render"),
-    "routing": (
-        "PathClass",
-        "Route",
-        "RouteTable",
-        "all_pairs_summary",
-        "resolve_route",
-        "route_to_external",
-    ),
+    "graph": ("Link", "NetworkGraph", "Node", "build_owc_pon", "build_traditional", "fabric_links"),
+    "route_table": ("Route", "RouteTable", "resolve_route", "route_to_external"),
+    "routing": ("PathClass", "all_pairs_summary"),
     "scenario": (
         "HotspotRackPattern",
         "IntraRackHeavyPattern",
@@ -54,19 +48,13 @@ _EXPORTS = {
         "DeviceKind",
         "ExplicitPairs",
         "IndexMatched",
-        "Link",
         "LinkCapacities",
         "LinkKind",
-        "NetworkGraph",
         "NoDirectLinks",
-        "Node",
         "OwcPonSpec",
         "TraditionalSpec",
         "Violation",
-        "build_owc_pon",
-        "build_traditional",
         "device_census",
-        "fabric_links",
         "fabric_size",
         "validate",
     ),
@@ -87,14 +75,35 @@ _SUBMODULES = ("benchmark", "errors", "power", "routing", "scenario", "topology"
 __all__ = sorted([*_SOURCE, *_SUBMODULES])
 
 
+# Modules are loaded by ``__import__``, which an ``import`` statement calls
+# and ``-X importtime`` logs, not by ``importlib.import_module``, which it
+# does not.
 def __getattr__(name: str):
     if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")
+        __import__(f"{__name__}.{name}")
+        return sys.modules[f"{__name__}.{name}"]
     if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    value = getattr(__import__(_SOURCE[name], globals(), None, (name,), 1), name)
     globals()[name] = value
     return value
+
+
+def _moved(namespace: dict, module: str, names: str):
+    """The ``__getattr__`` (PEP 562) of the package module whose globals
+    are ``namespace``: each of ``names``, moved to the sibling ``module``
+    that fewer commands load, is read from it on each access.  It is not
+    kept, so a name patched in ``module`` reads patched here too, and
+    unpatched once restored; one set here (as the tracer sets its
+    wrappers) is a global, which shadows the hook."""
+    moved = frozenset(names.split())
+
+    def __getattr__(name: str):
+        if name not in moved:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        return getattr(__import__(module, namespace, None, (name,), 1), name)
+
+    return __getattr__
 
 
 def __dir__() -> list[str]:

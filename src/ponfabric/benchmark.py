@@ -14,6 +14,7 @@ module; all four are re-exported here.
 
 from __future__ import annotations
 
+from . import _moved
 from .errors import ScenarioError, ValidationFailed
 from .power import (
     CATALOG,
@@ -29,9 +30,11 @@ from .render import Document, Table, format_rational
 from .scenario import Scenario, selected_specs, serialize_scenario
 from .topology import GRAPH_BUDGET, check_size  # noqa: F401  (re-exported)
 from .topology import Architecture, DeviceKind, census_table, device_census, validate
-# perfbench/traced.py wraps these names in this module; nothing here calls them.
-from .topology import build_owc_pon, build_traditional  # noqa: F401
 from .version import __version__
+
+# perfbench/traced.py wraps these names in this module; nothing here calls
+# them, so ``graph`` loads only when they are read.
+__getattr__ = _moved(globals(), "graph", "build_owc_pon build_traditional")
 
 
 def resolved_catalog(scenario: Scenario) -> PowerCatalog:

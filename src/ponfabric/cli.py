@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import import_module
 
 from .version import __version__
 
@@ -23,12 +22,14 @@ from .version import __version__
 _IMPORTS = {
     ".benchmark": "closed_form_power power_table resolved_catalog run_benchmark",
     ".errors": "BadAdjacency PonFabricError ScenarioError SpecMismatch UnknownRack ValidationFailed",
+    ".graph": "wire",
     ".power": "format_percent power_reduction scaling_sweep",
     ".render": "Document OutputFormat Table format_rational render",
-    ".routing": "RouteTable resolve_route route_to_external all_pairs_summary",
+    ".route_table": "RouteTable resolve_route route_to_external",
+    ".routing": "all_pairs_summary",
     ".scenario": "Scenario check_digits default_scenario parse_scenario selected_specs",
     ".topology": "EXTERNAL Architecture LinkKind OwcPonSpec census_table check_size device_census "
-    "link_id validate wire",
+    "link_id validate",
     ".traffic": "TrafficMatrix assign bottlenecks generate_traffic",
     "pathlib": "Path",
 }
@@ -53,11 +54,15 @@ class _Parser(argparse.ArgumentParser):
 def _bind(*modules: str) -> None:
     """Bind the names ``_IMPORTS`` lists for ``modules`` that are not bound
     yet: a name that is already bound, such as one that
-    ``perfbench/traced.py`` replaced before ``main`` ran, is kept."""
+    ``perfbench/traced.py`` replaced before ``main`` ran, is kept.  Each
+    module is loaded as an ``import`` statement loads it, by ``__import__``,
+    which ``-X importtime`` logs and ``importlib.import_module`` does not."""
     namespace = globals()
     for module in modules:
-        source = import_module(module, __package__)
-        for name in _IMPORTS[module].split():
+        names = _IMPORTS[module].split()
+        name = module.lstrip(".")
+        source = __import__(name, namespace, None, names, len(module) - len(name))
+        for name in names:
             namespace.setdefault(name, getattr(source, name))
 
 
@@ -174,7 +179,7 @@ def _row_linker(kind, capacity):
     return lambda a, b: (link_id(a, b), kind_text, capacity_text)
 
 
-@_command("build")
+@_command("build", ".graph")
 def _cmd_build(scenario: Scenario, args) -> tuple[Document, int]:
     """Each selected fabric's rows, made from its spec by ``wire``: no
     ``Node``, ``Link`` or graph is made."""
@@ -244,7 +249,7 @@ def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("architecture comparison", meta, tables), EXIT_OK
 
 
-@_command("route", ".routing")
+@_command("route", ".route_table")
 def _cmd_route(scenario: Scenario, args) -> tuple[Document, int]:
     spec = _owcpon_spec(scenario)
     if args.dst == EXTERNAL:
@@ -272,7 +277,7 @@ def _cmd_summary(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("all-pairs summary", (("ordered_pairs", total),), (table,)), EXIT_OK
 
 
-@_command("simulate", ".routing", ".traffic")
+@_command("simulate", ".route_table", ".traffic")
 def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
     if scenario.traffic is None:
         raise ScenarioError("simulate needs a [traffic] section in the scenario")

@@ -1,0 +1,171 @@
+"""Routes as link and node ids: the route table and the one-pair resolvers.
+
+The routes follow the chain rules ``routing`` sets out.  A ``RouteTable``
+keeps, per spec and policy, each server's rack and edge link and each
+rack's half-routes once used: O(servers + racks) pieces.
+``traffic.assign`` routes one pair per block of demand through it and
+sums per edge link, half-route and direct link.  Only ``route`` and
+``simulate`` load this module; ``routing`` keeps the path classes and
+``summary``'s arithmetic, and answers for each name defined here, as the
+same object.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+from typing import NamedTuple
+
+from .errors import NoRoute, PolicyExcluded
+from .routing import _UNLINKED, PathClass
+from .scenario import RoutingPolicy  # defined with the scenario that holds it
+from .topology import EXTERNAL, OLT, FabricSpec, IndexMatched, OwcPonSpec
+from .topology import direct_link, edge_link, link_ends, link_id, uplinks
+from .topology import _check_owc_pon  # the builder's spec checks, which routes share
+
+
+# A member read such as ``PathClass.INTRA_RACK`` runs Python code on Python
+# 3.11, about three times the cost of a plain name.  ``RouteTable.parts``
+# runs once per block of demand, so it takes its members from these names.
+_INTRA_RACK, _INTRA_GROUP = PathClass.INTRA_RACK, PathClass.INTER_RACK_INTRA_GROUP
+_DIRECT, _RELAYED = PathClass.INTER_GROUP_DIRECT, PathClass.INTER_GROUP_RELAYED
+
+
+class Route(NamedTuple):
+    """An ordered simple path: node ids plus the link ids joining them."""
+
+    nodes: tuple[str, ...]
+    links: tuple[str, ...]
+    path_class: PathClass
+
+    @property
+    def hop_count(self) -> int:
+        return len(self.links)
+
+
+#: A stretch of a route: the ids of its links, in route order.
+Stretch = tuple[str, ...]
+
+
+def _walked(src: str, links: tuple[str, ...], path_class: PathClass) -> Route:
+    """The route from ``src`` along ``links``, its nodes walked from their ids."""
+    nodes = [src]
+    for a, b in map(link_ends, links):
+        nodes.append(b if a == nodes[-1] else a)
+    return Route(tuple(nodes), links, path_class)
+
+
+class RouteTable:
+    """Route pieces of the fabric one spec builds, under one routing
+    policy, named on first use and kept: each server's rack and edge link,
+    and each rack's half-routes, up and down, by how far up they reach
+    (``nic``, ``switch`` or ``olt``).  Raises the builder's errors for an
+    inadmissible spec.
+    """
+
+    def __init__(self, spec: FabricSpec, policy: RoutingPolicy = RoutingPolicy()):
+        self.spec = spec
+        self.policy = policy
+        self._servers: dict[str, tuple[int, str]] = {}  # id -> (rack, edge link id)
+        self._halves: dict[tuple[int, str, bool], Stretch] = {}
+        self._owcpon = isinstance(spec, OwcPonSpec)
+        # rack pair -> its direct link, named in the orientation the spec
+        # lists, as a stretch; None for index-matched links, named by arithmetic
+        self._pairs: dict[tuple[int, int], Stretch] | None = {}
+        if self._owcpon:
+            _check_owc_pon(spec)
+            if isinstance(spec.adjacency, IndexMatched):
+                self._pairs = None
+            for (g1, a1), (g2, a2) in getattr(spec.adjacency, "pairs", ()):
+                ends = g1 * spec.aps_per_group + a1, g2 * spec.aps_per_group + a2
+                self._pairs[ends] = self._pairs[ends[::-1]] = (direct_link(spec, *ends),)
+
+    def route(self, src: str, dst: str) -> Route:
+        """The src -> dst route; raises as ``resolve_route`` documents."""
+        parts = self.parts(src, dst)
+        if parts is None:
+            return _walked(src, (), PathClass.SAME_SERVER)
+        out_link, path_class, stretches, in_link = parts
+        return _walked(src, (out_link, *chain(*stretches), in_link), path_class)
+
+    def parts(self, src: str, dst: str) -> tuple[str, PathClass, tuple[Stretch, ...], str] | None:
+        """The src -> dst route as (edge link out of ``src``, class,
+        stretches, edge link into ``dst``), None when ``src == dst``: no
+        stretch within a rack, else the source leaf's up half-route, any
+        direct NIC link and the destination leaf's down half-route.
+
+        Checks run in the order of the chain rules, so the first rule the
+        pair breaks decides the error.
+        """
+        servers, policy = self._servers, self.policy
+        rack_a, out_link = servers.get(src) or self._server(src)
+        rack_b, in_link = servers.get(dst) or self._server(dst)
+        if src == dst:
+            return None
+        if rack_a == rack_b:
+            return out_link, _INTRA_RACK, (), in_link
+        if not self._owcpon:
+            raise NoRoute("inter-rack paths are only modeled for the optical-wireless fabric")
+        direct, aps = None, self.spec.aps_per_group
+        if rack_a // aps == rack_b // aps:
+            path_class, kind = _INTRA_GROUP, "switch"
+        elif policy.prefer_direct_inter_group and (direct := self._direct(rack_a, rack_b)):
+            path_class, kind = _DIRECT, "nic"
+        elif policy.allow_relay_fallback:
+            path_class, kind = _RELAYED, "olt"
+        elif policy.prefer_direct_inter_group:
+            raise PolicyExcluded(_UNLINKED.format(src, dst))
+        else:
+            raise PolicyExcluded("both inter-group mechanisms are disabled")
+        halves = self._halves  # looked up here, not through ``_half``: once per block of demand
+        up = halves.get((rack_a, kind, True)) or self._half(rack_a, kind, True)
+        down = halves.get((rack_b, kind, False)) or self._half(rack_b, kind, False)
+        return out_link, path_class, (up, direct, down) if direct else (up, down), in_link
+
+    def edge_links(self, servers: tuple[str, ...]) -> tuple[str, ...]:
+        """Each server's link to its leaf."""
+        return tuple((self._servers.get(server) or self._server(server))[1] for server in servers)
+
+    def _server(self, server: str) -> tuple[int, str]:
+        """(rack, edge link id) of a server of the fabric, from its id."""
+        return self._servers.setdefault(server, edge_link(self.spec, server))
+
+    def _direct(self, rack_a: int, rack_b: int) -> Stretch | None:
+        """The direct link from rack_a's NIC to rack_b's, if any, as a stretch."""
+        if self._pairs is not None:
+            return self._pairs.get((rack_a, rack_b))
+        if rack_a % self.spec.aps_per_group == rack_b % self.spec.aps_per_group:
+            return (direct_link(self.spec, *sorted((rack_a, rack_b))),)  # lower group first
+        return None
+
+    def _half(self, rack: int, kind: str, up: bool) -> Stretch:
+        """``rack``'s half-route of ``kind``, kept: its links up from its leaf
+        to the junction, or down from there to its leaf."""
+        links = uplinks(self.spec, rack, kind)
+        return self._halves.setdefault((rack, kind, up), links if up else links[::-1])
+
+
+def resolve_route(
+    spec: FabricSpec, src: str, dst: str, policy: RoutingPolicy = RoutingPolicy()
+) -> Route:
+    """The unique rule-chain route between two servers of the fabric
+    ``spec`` builds.
+
+    Raises the builder's errors for an inadmissible spec, ``UnknownServer``
+    for endpoints that are not server ids of the fabric, ``NoRoute`` for
+    racks of a traditional fabric, whose inter-rack paths are not modeled,
+    and ``PolicyExcluded`` when the policy forbids every mechanism
+    available for an inter-group pair.  Resolving many pairs is cheaper
+    through one ``RouteTable``.
+    """
+    return RouteTable(spec, policy).route(src, dst)
+
+
+def route_to_external(spec: FabricSpec, src: str) -> Route:
+    """Route from a server to the external gateway: its leaf's up
+    half-route to the OLT, then the gateway."""
+    table = RouteTable(spec)
+    rack, edge = table._server(src)
+    if not table._owcpon:
+        raise NoRoute("the traditional fabric has no modeled external gateway")
+    links = (edge, *uplinks(spec, rack, "olt"), link_id(OLT, EXTERNAL))
+    return _walked(src, links, PathClass.EXTERNAL)

@@ -8,7 +8,7 @@ No id is spelled here: servers are named by ``topology.server_id``, the
 stretches of a route are link ids that a ``RouteTable`` of the fabric's
 spec names through ``topology`` (see ``routing``), and loads are
 reported on the links that spec builds, listed by
-``topology.fabric_links``.  No graph is built.  Demands are fluid: a
+``graph.fabric_links``.  No graph is built.  Demands are fluid: a
 block's rate is added to every link of its routes, in exact rational
 arithmetic.  Demands exceeding capacity are reported as utilization
 above one, never dropped; this is an analyzer, not an admission
@@ -29,13 +29,13 @@ from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import RoutingError, ScenarioError, UnknownRack, in_pair
-from .routing import RouteTable
-from .routing import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
+from .graph import fabric_links
+from .route_table import RouteTable
+from .route_table import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
 # The pattern records are defined with the scenario that holds them.
 from .scenario import HotspotRackPattern, IntraRackHeavyPattern, TrafficPattern, UniformPattern
 from .scenario import _by_type  # noqa: F401
-from .topology import FabricSpec, LinkCapacities, LinkKind, check_count, check_rate, checked
-from .topology import fabric_links, server_id
+from .topology import FabricSpec, LinkCapacities, LinkKind, check_count, check_rate, checked, server_id
 
 #: (sources, destinations, Gb/s): each source sends the rate to each
 #: destination but itself.  A group is one server or one rack's servers;

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ponfabric.benchmark
+import ponfabric.graph
 import ponfabric.topology
 from ponfabric import OwcPonSpec, TraditionalSpec, TrafficMatrix
 from ponfabric.cli import main
@@ -398,12 +399,14 @@ def no_graphs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a graph was built")
 
-    monkeypatch.setattr(ponfabric.topology, "Node", refuse)
-    monkeypatch.setattr(ponfabric.topology, "NetworkGraph", refuse)
+    monkeypatch.setattr(ponfabric.graph, "Node", refuse)
+    monkeypatch.setattr(ponfabric.graph, "NetworkGraph", refuse)
     for name in MODULES:
         module = importlib.import_module(name)
         for builder in ("build_owc_pon", "build_traditional"):
-            if hasattr(module, builder):
+            # where it is bound: a module that reads it from ``graph`` on
+            # access reads the patched builder, and the restored one after
+            if builder in vars(module):
                 monkeypatch.setattr(module, builder, refuse)
 
 

@@ -86,32 +86,60 @@ def test_a_table_command_loads_neither_json_nor_csv():
     exit_code, added, _ = cli_modules("-f", "table", "summary")
     assert exit_code == 0
     assert "ponfabric.render" in added
-    assert not added & {"json", "csv"}, sorted(added & {"json", "csv"})
+    writers = added & {"json", "csv", "ponfabric.writers"}
+    assert not writers, sorted(writers)
+
+
+@pytest.mark.parametrize("fmt, other", [("json", "csv"), ("csv", "json")])
+def test_a_json_or_csv_command_loads_the_writers_and_its_format_only(fmt, other):
+    exit_code, added, _ = cli_modules("-f", fmt, "summary")
+    assert exit_code == 0
+    assert {"ponfabric.writers", fmt} <= added, sorted(added)
+    assert other not in added
 
 
 PAPER = str(ROOT / "perfbench" / "scenarios" / "paper_traffic.scenario")
 GOLDEN = ROOT / "tests" / "golden"
 # The package modules a command loads beyond the package, ``version`` and
 # ``cli``: every command reads a scenario and renders, the commands that
-# route load ``routing``, and those that price load ``power`` and ``benchmark``.
+# route load ``routing``, those that price load ``power`` and ``benchmark``,
+# those that list a fabric's rows the walk (``graph``), and those that
+# resolve routes the route table (``route_table``).  A table loads no
+# writer (``writers``).
 READS = {"errors", "render", "scenario", "topology"}
 ROUTES = READS | {"routing"}
 PRICES = READS | {"power", "benchmark"}
+SPLIT_OFF = {"graph", "route_table", "writers"}
 
 # Each subcommand on the paper's scenario with uniform traffic, the table
 # golden its stdout equals, the modules it loads and those it must not.
 # ``--top`` and ``--groups`` parse through ``integer``, which binds names
 # while the arguments parse.
 MATRIX = [
-    (["build"], "build", READS, {"routing", "traffic", "power", "benchmark"}),
-    (["validate"], "validate", READS, {"routing", "traffic", "power", "benchmark"}),
-    (["power"], "power", PRICES, {"routing", "traffic"}),
-    (["compare"], "compare", PRICES, {"routing", "traffic"}),
-    (["route", "rack1/server0", "rack7/server0"], "route", ROUTES, {"power", "traffic", "benchmark"}),
-    (["summary"], "summary", ROUTES, {"power", "traffic", "benchmark"}),
-    (["simulate", "--top", "10"], "paper_traffic-simulate", ROUTES | {"traffic"}, {"power", "benchmark"}),
-    (["sweep", "--racks", "4,8,16", "--groups", "2"], "sweep", PRICES, {"routing", "traffic"}),
-    (["benchmark"], "paper_traffic-benchmark", PRICES, {"routing", "traffic"}),
+    (["build"], "build", READS | {"graph"}, {"routing", "traffic", "power", "benchmark", "route_table"}),
+    (["validate"], "validate", READS, {"routing", "traffic", "power", "benchmark", *SPLIT_OFF}),
+    (["power"], "power", PRICES, {"routing", "traffic", *SPLIT_OFF}),
+    (["compare"], "compare", PRICES, {"routing", "traffic", *SPLIT_OFF}),
+    (
+        ["route", "rack1/server0", "rack7/server0"],
+        "route",
+        ROUTES | {"route_table"},
+        {"power", "traffic", "benchmark", "graph", "writers"},
+    ),
+    (["summary"], "summary", ROUTES, {"power", "traffic", "benchmark", *SPLIT_OFF}),
+    (
+        ["simulate", "--top", "10"],
+        "paper_traffic-simulate",
+        ROUTES | {"route_table", "graph", "traffic"},
+        {"power", "benchmark", "writers"},
+    ),
+    (
+        ["sweep", "--racks", "4,8,16", "--groups", "2"],
+        "sweep",
+        PRICES,
+        {"routing", "traffic", *SPLIT_OFF},
+    ),
+    (["benchmark"], "paper_traffic-benchmark", PRICES, {"routing", "traffic", *SPLIT_OFF}),
 ]
 
 
@@ -127,6 +155,36 @@ def test_each_command_loads_only_the_modules_it_runs(argv, golden, loads, skips)
     package = {name.partition(".")[2] for name in added if name.startswith("ponfabric.")}
     assert not package & skips, sorted(package & skips)
     assert package == loads | {"version"}
+
+
+def test_importtime_lists_every_package_module_a_command_loads():
+    """``-X importtime`` logs what ``__import__`` loads, so start-up figures
+    taken with it cover the whole package, whichever path loaded a module."""
+    done = run("-X", "importtime", "-m", "ponfabric.cli", "-s", PAPER, "summary")
+    assert done.returncode == 0, done.stderr
+    logged = {
+        line.rpartition("|")[2].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    exit_code, added, _ = cli_modules("-s", PAPER, "summary")
+    assert exit_code == 0
+    loaded = {name for name in added if name.partition(".")[0] == "ponfabric"}
+    assert {name for name in logged if name.partition(".")[0] == "ponfabric"} == loaded
+    assert "ponfabric.routing" in loaded
+
+
+def test_a_paper_scale_summary_compiles_at_most_1900_lines():
+    """Without bytecode files, each package module a process loads is
+    compiled from source, ``cli.py`` included: a paper-scale ``summary``
+    must not compile the walk, the route table or the writers."""
+    exit_code, added, _ = cli_modules("-s", PAPER, "summary")
+    assert exit_code == 0
+    package = [name for name in added if name.partition(".")[0] == "ponfabric"]
+    names = {name.partition(".")[2] or "__init__" for name in package}
+    files = [SRC / "ponfabric" / f"{name}.py" for name in sorted(names | {"cli"})]
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
+    assert lines <= 1900, (lines, sorted(names))
 
 
 # Names defined in one module and re-exported, as the same object, by
@@ -158,7 +216,7 @@ PATTERNS_BY_TYPE = (
 )
 
 
-ENGINES = ["power", "routing", "traffic", "scenario", "benchmark", "topology"]
+ENGINES = ["power", "routing", "traffic", "scenario", "benchmark", "topology", "graph", "route_table", "writers"]
 
 
 @pytest.mark.parametrize("first", ENGINES)
@@ -167,6 +225,42 @@ def test_modules_import_in_any_order_and_share_the_moved_names(first):
         f"import ponfabric.{first}\n"
         f"import ponfabric.{', ponfabric.'.join(ENGINES)}\n"
         f"{IDENTITY}{PATTERNS_BY_TYPE}"
+    )
+    done = run("-c", check)
+    assert done.returncode == 0, done.stderr
+
+
+# Names moved to a module that fewer commands load, answered for, as the
+# same object, by the modules that held or imported them: home -> old -> names.
+SPLIT = {
+    "graph": {
+        "topology": "Link NetworkGraph Node build_owc_pon build_traditional fabric_links wire _linker "
+        "_SPINE _LEAF _SERVER _SERVER_TXRX _RACK_TXRX _AP_TXRX _NIC _SWITCH",
+        "power": "build_owc_pon build_traditional",
+        "benchmark": "build_owc_pon build_traditional",
+    },
+    "route_table": {
+        "routing": "Route RouteTable Stretch resolve_route route_to_external _walked "
+        "_INTRA_RACK _INTRA_GROUP _DIRECT _RELAYED",
+    },
+    "writers": {"render": "_render_json _render_csv _close _json_rows _json_value _plain"},
+}
+
+
+SPLIT_CASES = [(home, old, names) for home, olds in SPLIT.items() for old, names in olds.items()]
+
+
+@pytest.mark.parametrize("home, old, names", SPLIT_CASES, ids=[f"{old}-{home}" for home, old, _ in SPLIT_CASES])
+def test_split_names_load_their_module_when_read(home, old, names):
+    check = (
+        "import sys\n"
+        f"import ponfabric.{old}\n"
+        f"old = sys.modules['ponfabric.{old}']  # ``ponfabric.render`` is the function\n"
+        f"assert 'ponfabric.{home}' not in sys.modules\n"
+        "assert not hasattr(old, 'no_such_name')\n"
+        f"import ponfabric.{home} as home\n"
+        f"for name in {names.split()!r}:\n"
+        "    assert getattr(old, name) is getattr(home, name), name\n"
     )
     done = run("-c", check)
     assert done.returncode == 0, done.stderr
