@@ -3,107 +3,57 @@ PON-backhauled variant: graph construction, exact power accounting,
 rule-chain routing, flow-level traffic assignment, and a scenario-driven
 benchmark CLI.
 
-The public names resolve on first access (PEP 562): ``import ponfabric``
-loads only ``ponfabric.version``, and each submodule loads when one of its
+The public names resolve on access (PEP 562): ``import ponfabric`` loads
+only ``ponfabric.version``, and each submodule loads when one of its
 names is first read."""
 
 import sys
 
-# Each public name, by the submodule that defines it.
-_EXPORTS = {
-    "benchmark": ("closed_form_power", "resolved_catalog", "run_benchmark"),
-    "power": (
-        "CATALOG",
-        "PowerCatalog",
-        "PowerReport",
-        "PowerRow",
-        "SweepPoint",
-        "SweepResult",
-        "format_percent",
-        "owc_pon_power",
-        "power_reduction",
-        "scaling_sweep",
-        "traditional_power",
-    ),
-    "render": ("Document", "OutputFormat", "Table", "format_rational", "render"),
-    "graph": ("Link", "NetworkGraph", "Node", "build_owc_pon", "build_traditional", "fabric_links"),
-    "route_table": ("Route", "RouteTable", "resolve_route", "route_to_external"),
-    "routing": ("PathClass", "all_pairs_summary"),
-    "scenario": (
-        "HotspotRackPattern",
-        "IntraRackHeavyPattern",
-        "NicCountMode",
-        "PROFILES",
-        "PowerOptions",
-        "RoutingPolicy",
-        "Scenario",
-        "TrafficSection",
-        "UniformPattern",
-        "default_scenario",
-        "parse_scenario",
-        "serialize_scenario",
-    ),
-    "topology": (
-        "Architecture",
-        "DeviceKind",
-        "ExplicitPairs",
-        "IndexMatched",
-        "LinkCapacities",
-        "LinkKind",
-        "NoDirectLinks",
-        "OwcPonSpec",
-        "TraditionalSpec",
-        "Violation",
-        "device_census",
-        "fabric_size",
-        "validate",
-    ),
-    "traffic": (
-        "LinkLoad",
-        "LinkLoadReport",
-        "RackBlocks",
-        "TrafficMatrix",
-        "assign",
-        "bottlenecks",
-        "generate_traffic",
-    ),
-}
-_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-# Submodules that are public names themselves (``cli`` is not).
-_SUBMODULES = ("benchmark", "errors", "power", "routing", "scenario", "topology", "traffic", "version")
 
-__all__ = sorted([*_SOURCE, *_SUBMODULES])
-
-
-# Modules are loaded by ``__import__``, which an ``import`` statement calls
-# and ``-X importtime`` logs, not by ``importlib.import_module``, which it
-# does not.
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        __import__(f"{__name__}.{name}")
-        return sys.modules[f"{__name__}.{name}"]
-    if name not in _SOURCE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(__import__(_SOURCE[name], globals(), None, (name,), 1), name)
-    globals()[name] = value
-    return value
-
-
-def _moved(namespace: dict, module: str, names: str):
-    """The ``__getattr__`` (PEP 562) of the package module whose globals
-    are ``namespace``: each of ``names``, moved to the sibling ``module``
-    that fewer commands load, is read from it on each access.  It is not
-    kept, so a name patched in ``module`` reads patched here too, and
-    unpatched once restored; one set here (as the tracer sets its
-    wrappers) is a global, which shadows the hook."""
-    moved = frozenset(names.split())
+def _read_through(namespace: dict, homes: dict[str, str]):
+    """The ``__getattr__`` (PEP 562) of the module whose globals are
+    ``namespace``: each name that ``homes`` lists under a module (dots
+    first for a relative one, as in ``from .graph import``) is read from
+    that module on each access, which loads it.  The names listed under
+    ``.`` are the package's submodules themselves.  No value is kept, so a
+    name patched in its module reads patched here too, and unpatched once
+    restored; one bound here (as the tracer binds its wrappers) is a
+    global, which shadows the hook.  Modules load by ``__import__``, as an
+    ``import`` statement loads them, which ``-X importtime`` logs and
+    ``importlib.import_module`` does not."""
+    home = {name: module for module, names in homes.items() for name in names.split()}
 
     def __getattr__(name: str):
-        if name not in moved:
+        if name not in home:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        return getattr(__import__(module, namespace, None, (name,), 1), name)
+        module = home[name]
+        path = module.lstrip(".")
+        source = __import__(path or name, namespace, None, (), len(module) - len(path))
+        return getattr(source, name) if path else source
 
     return __getattr__
+
+
+# Each public name, by the module that defines it; ``.`` lists the
+# submodules that are public names themselves (``cli`` is not).
+_EXPORTS = {
+    ".": "benchmark errors power routing scenario topology traffic version",
+    ".benchmark": "closed_form_power resolved_catalog run_benchmark",
+    ".power": "CATALOG PowerCatalog PowerReport PowerRow SweepPoint SweepResult format_percent owc_pon_power "
+    "power_reduction scaling_sweep traditional_power",
+    ".render": "Document OutputFormat Table format_rational render",
+    ".graph": "Link NetworkGraph Node build_owc_pon build_traditional fabric_links",
+    ".route_table": "Route RouteTable resolve_route route_to_external",
+    ".routing": "PathClass all_pairs_summary",
+    ".scenario": "HotspotRackPattern IntraRackHeavyPattern NicCountMode PROFILES PowerOptions RoutingPolicy "
+    "Scenario TrafficSection UniformPattern default_scenario parse_scenario serialize_scenario",
+    ".topology": "Architecture DeviceKind ExplicitPairs IndexMatched LinkCapacities LinkKind NoDirectLinks "
+    "OwcPonSpec TraditionalSpec Violation device_census fabric_size validate",
+    ".traffic": "LinkLoad LinkLoadReport RackBlocks TrafficMatrix assign bottlenecks generate_traffic",
+}
+
+__all__ = sorted(" ".join(_EXPORTS.values()).split())
+__getattr__ = _read_through(globals(), _EXPORTS)
 
 
 def __dir__() -> list[str]:
@@ -113,12 +63,12 @@ def __dir__() -> list[str]:
 class _Package(type(sys)):
     """Importing a submodule binds it as an attribute of the package, which
     would make ``ponfabric.render`` the module ``render``, not the function
-    of that name, once ``ponfabric.render`` is imported."""
+    of that name, once ``ponfabric.render`` is imported.  That binding is
+    skipped, so the function is read through ``__getattr__`` like any name."""
 
     def __setattr__(self, name: str, value) -> None:
-        if name == "render" and isinstance(value, type(sys)):
-            value = value.render
-        super().__setattr__(name, value)
+        if not (name == "render" and isinstance(value, type(sys))):
+            super().__setattr__(name, value)
 
 
 sys.modules[__name__].__class__ = _Package

@@ -6,15 +6,13 @@ per-kind power subtotals, the exact reduction fraction and its one-decimal
 rendering, and the scenario's canonical lines, so the same scenario always
 renders to the same bytes.  No command builds a graph; ``build`` and
 ``simulate``, which list a fabric's rows, stay under ``GRAPH_BUDGET``
-(``check_size``).  Those two live next to ``fabric_size`` in ``topology``,
-``census_table`` next to ``device_census``, and ``selected_specs`` with the
-scenario it reads, so that commands which price nothing need not load this
-module; all four are re-exported here.
+(``check_size``), which live next to ``fabric_size`` in ``topology`` so
+that commands which price nothing need not load this module.
 """
 
 from __future__ import annotations
 
-from . import _moved
+from . import _read_through
 from .errors import ScenarioError, ValidationFailed
 from .power import (
     CATALOG,
@@ -28,13 +26,12 @@ from .power import (
 )
 from .render import Document, Table, format_rational
 from .scenario import Scenario, selected_specs, serialize_scenario
-from .topology import GRAPH_BUDGET, check_size  # noqa: F401  (re-exported)
 from .topology import Architecture, DeviceKind, census_table, device_census, validate
 from .version import __version__
 
 # perfbench/traced.py wraps these names in this module; nothing here calls
 # them, so ``graph`` loads only when they are read.
-__getattr__ = _moved(globals(), "graph", "build_owc_pon build_traditional")
+__getattr__ = _read_through(globals(), {".graph": "build_owc_pon build_traditional"})
 
 
 def resolved_catalog(scenario: Scenario) -> PowerCatalog:

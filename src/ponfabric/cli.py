@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import _read_through
 from .version import __version__
 
 # The names the commands call, by the module that defines them.  Only the
 # parser is built at import, so ``--version``, ``--help`` and usage errors
 # load no other module.  Once the arguments parse, ``main`` binds the names
-# of the ``_BASE`` modules, and each command those of the modules it lists.
+# of the ``_BASE`` modules, and each command those of the modules it lists;
+# until then each is read from its module on access.
 _IMPORTS = {
     ".benchmark": "closed_form_power power_table resolved_catalog run_benchmark",
     ".errors": "BadAdjacency PonFabricError ScenarioError SpecMismatch UnknownRack ValidationFailed",
@@ -33,8 +35,8 @@ _IMPORTS = {
     ".traffic": "TrafficMatrix assign bottlenecks generate_traffic",
     "pathlib": "Path",
 }
-_LAZY = {name: module for module, names in _IMPORTS.items() for name in names.split()}
 _BASE = (".errors", ".render", ".scenario", ".topology", "pathlib")  # what every command reads
+__getattr__ = _read_through(globals(), _IMPORTS)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,25 +55,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _bind(*modules: str) -> None:
     """Bind the names ``_IMPORTS`` lists for ``modules`` that are not bound
-    yet: a name that is already bound, such as one that
-    ``perfbench/traced.py`` replaced before ``main`` ran, is kept.  Each
-    module is loaded as an ``import`` statement loads it, by ``__import__``,
-    which ``-X importtime`` logs and ``importlib.import_module`` does not."""
+    yet, each read through ``__getattr__``: a name that is already bound,
+    such as one that ``perfbench/traced.py`` replaced before ``main`` ran,
+    is kept."""
     namespace = globals()
     for module in modules:
-        names = _IMPORTS[module].split()
-        name = module.lstrip(".")
-        source = __import__(name, namespace, None, names, len(module) - len(name))
-        for name in names:
-            namespace.setdefault(name, getattr(source, name))
-
-
-def __getattr__(name: str):
-    """The names in ``_IMPORTS``, bound on first access (PEP 562)."""
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_LAZY[name])
-    return globals()[name]
+        for name in _IMPORTS[module].split():
+            namespace.setdefault(name, __getattr__(name))
 
 
 def _count(text: str) -> int:

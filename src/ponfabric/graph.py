@@ -6,8 +6,6 @@ share; its ids are spelled by ``topology``'s id scheme.  Graphs are
 immutable once built, and identical specs build identical graphs.  Only
 ``build``, ``simulate`` and library callers load this module: every
 other command reads the spec through ``topology``'s arithmetic.
-``topology`` still answers for each name defined here, as the same
-object.
 """
 
 from __future__ import annotations

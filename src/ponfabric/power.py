@@ -10,15 +10,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from . import _moved
+from . import _read_through
 from .errors import MissingCatalogEntry, MissingOlt, PonFabricError, SpecMismatch, ZeroBaseline
 # The option records are defined with the scenario that holds them.
-from .scenario import PROFILES, STRUCTURAL_KINDS, NicCountMode, PowerOptions  # noqa: F401
+from .scenario import NicCountMode, PowerOptions
 from .topology import DeviceKind, OwcPonSpec, TraditionalSpec, check_count, checked, device_census
 
 # perfbench/traced.py wraps these names in this module; nothing here calls
 # them, so ``graph`` loads only when they are read.
-__getattr__ = _moved(globals(), "graph", "build_owc_pon build_traditional")
+__getattr__ = _read_through(globals(), {".graph": "build_owc_pon build_traditional"})
 
 
 @checked

@@ -14,12 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import _moved
-
 SCHEMA = "ponfabric/1"
-
-# Names moved to ``writers``: each is read from there, which loads it, on access.
-__getattr__ = _moved(globals(), "writers", "_render_json _render_csv _close _json_rows _json_value _plain")
 
 
 class OutputFormat(Enum):

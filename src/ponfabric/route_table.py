@@ -6,8 +6,7 @@ rack's half-routes once used: O(servers + racks) pieces.
 ``traffic.assign`` routes one pair per block of demand through it and
 sums per edge link, half-route and direct link.  Only ``route`` and
 ``simulate`` load this module; ``routing`` keeps the path classes and
-``summary``'s arithmetic, and answers for each name defined here, as the
-same object.
+``summary``'s arithmetic.
 """
 
 from __future__ import annotations

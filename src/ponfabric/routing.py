@@ -31,10 +31,9 @@ routes of its class meet (the group's optical switch, the OLT, or its
 own NIC, then the direct link to the other NIC) and the destination
 leaf's half-route down.  ``RouteTable`` and the one-pair resolvers
 (``resolve_route``, ``route_to_external``) live in ``route_table``, which
-only ``route`` and ``simulate`` load; reading one of their names here
-loads it.  ``all_pairs_summary`` counts the classes above from the spec
-and the policy alone.  The graph walk that checks the table is
-``reference_route`` in the test oracles.
+only ``route`` and ``simulate`` load.  ``all_pairs_summary`` counts the
+classes above from the spec and the policy alone.  The graph walk that
+checks the table is ``reference_route`` in the test oracles.
 """
 
 from __future__ import annotations
@@ -42,19 +41,15 @@ from __future__ import annotations
 from enum import Enum
 from itertools import islice
 
-from . import _moved
+from . import _read_through
 from .errors import PolicyExcluded
 from .scenario import RoutingPolicy  # defined with the scenario that holds it
 from .topology import IndexMatched, OwcPonSpec, server_id
 from .topology import _check_owc_pon  # the builder's spec checks, which routes share
 
-# Names moved to ``route_table``: each is read from there, which loads it, on access.
-__getattr__ = _moved(
-    globals(),
-    "route_table",
-    "Route RouteTable Stretch resolve_route route_to_external _walked"
-    " _INTRA_RACK _INTRA_GROUP _DIRECT _RELAYED",
-)
+# perfbench/traced.py wraps this name in this module; nothing here calls
+# it, so ``route_table`` loads only when it is read.
+__getattr__ = _read_through(globals(), {".route_table": "resolve_route"})
 
 
 _UNLINKED = "no direct link between the APs of {} and {}, and relay fallback is disabled"

@@ -52,7 +52,7 @@ from .topology import (
 
 # The records below are the scenario's fields that the engines read.  They
 # live here, where they are parsed, and ``power``, ``routing`` and
-# ``traffic`` re-export them, so reading a scenario loads none of those.
+# ``traffic`` import them from here, so reading a scenario loads none of those.
 
 # Servers and the external gateway are structural boundary devices; the
 # networking power model never prices them, in either architecture.

@@ -13,8 +13,7 @@ Every operation here is a pure function of its inputs, and each count,
 census and structural verdict follows from the spec by arithmetic.  The
 walk that lists a fabric's nodes and links (``wire``) and the graph API
 built from it (``Node``, ``Link``, ``NetworkGraph`` and the two builders)
-live in ``graph``, which only the commands that list rows load; reading
-one of those names here loads it.
+live in ``graph``, which only the commands that list rows load.
 
 This module is the only one that knows the id scheme: the node id
 templates, the link id rule ``a--b`` and its inverse (``link_ends``),
@@ -32,17 +31,8 @@ from fractions import Fraction
 from functools import wraps
 from typing import NamedTuple, Union
 
-from . import _moved
 from .errors import BadAdjacency, ScenarioError, SpecMismatch, UnknownServer
 from .render import Table
-
-# Names moved to ``graph``: each is read from there, which loads it, on access.
-__getattr__ = _moved(
-    globals(),
-    "graph",
-    "Link NetworkGraph Node build_owc_pon build_traditional fabric_links wire _linker"
-    " _SPINE _LEAF _SERVER _SERVER_TXRX _RACK_TXRX _AP_TXRX _NIC _SWITCH",
-)
 
 
 def checked(record: type) -> type:

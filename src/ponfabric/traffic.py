@@ -34,7 +34,6 @@ from .route_table import RouteTable
 from .route_table import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
 # The pattern records are defined with the scenario that holds them.
 from .scenario import HotspotRackPattern, IntraRackHeavyPattern, TrafficPattern, UniformPattern
-from .scenario import _by_type  # noqa: F401
 from .topology import FabricSpec, LinkCapacities, LinkKind, check_count, check_rate, checked, server_id
 
 #: (sources, destinations, Gb/s): each source sends the rate to each

@@ -1,8 +1,7 @@
 """The JSON and CSV writers of ``render``, which loads this module only
 when one of those formats is asked for; a table needs neither.  Each
 writer also imports its standard-library module (``json``, ``csv``) on
-first use, so a CSV document loads no ``json``.  ``render`` answers for
-each name defined here, as the same object.
+first use, so a CSV document loads no ``json``.
 """
 
 from __future__ import annotations

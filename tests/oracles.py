@@ -130,9 +130,9 @@ from ponfabric.errors import (
     ValidationFailed,
     in_pair,
 )
-from ponfabric.power import STRUCTURAL_KINDS, _report
+from ponfabric.power import _report
 from ponfabric.render import SCHEMA
-from ponfabric.scenario import MAX_DIGITS
+from ponfabric.scenario import MAX_DIGITS, STRUCTURAL_KINDS
 from ponfabric.topology import census_table
 from ponfabric.version import __version__
 from ponfabric.traffic import TrafficPattern

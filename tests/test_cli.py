@@ -634,7 +634,7 @@ def test_route_on_large_fabrics_under_a_memory_cap(tmp_path, fabric, src, dst, p
     fabric (970,844 links) nor the 1,000,000-rack one needs memory that
     grows with the fabric: each runs under the 1.5 GB cap."""
     racks, groups, aps = ROUTED_FABRICS[fabric]
-    budget = ponfabric.benchmark.GRAPH_BUDGET
+    budget = ponfabric.topology.GRAPH_BUDGET
     assert sum(fabric_size(OwcPonSpec(1381, 8, 1381, 1))) <= budget
     assert sum(fabric_size(OwcPonSpec(1382, 8, 1382, 1))) > budget
     path = write_scenario(

@@ -29,7 +29,7 @@ from ponfabric import (
     serialize_scenario,
 )
 from ponfabric.errors import InvalidValue, ParseError, ScenarioError, UnknownKey
-from ponfabric.scenario import CATALOG_KEYS, KEY_TABLE
+from ponfabric.scenario import CATALOG_KEYS, KEY_TABLE, MAX_DIGITS
 from ponfabric.traffic import HotspotRackPattern, IntraRackHeavyPattern
 
 
@@ -251,18 +251,23 @@ node_ids = st.from_regex(r"[a-z][a-z0-9/]{0,8}", fullmatch=True)
 milli = st.integers(0, 2_000_000).map(lambda k: Fraction(k, 1000))
 positive_milli = st.integers(1, 2_000_000).map(lambda k: Fraction(k, 1000))
 
+
+def counts(minimum: int = 0):
+    """Counts, indices and milliwatts: small ones half the time, else any
+    the parser takes, up to ``MAX_DIGITS`` digits (most often that many)."""
+    return st.integers(minimum, 30) | st.integers(minimum, 10**MAX_DIGITS - 1)
+
+
+ap_strategy = st.tuples(counts(), counts())  # (group, AP index), in any group
 adjacency_strategy = st.one_of(
     st.just(IndexMatched()),
     st.just(NoDirectLinks()),
-    st.lists(
-        st.tuples(
-            st.tuples(st.just(0), st.integers(0, 4)),
-            st.tuples(st.just(1), st.integers(0, 4)),
-        ),
-        min_size=1,
-        max_size=3,
-    ).map(lambda pairs: ExplicitPairs(tuple(pairs))),
+    st.lists(st.tuples(ap_strategy, ap_strategy), min_size=1, max_size=3).map(
+        lambda pairs: ExplicitPairs(tuple(pairs))
+    ),
 )
+# Every kind a [catalog] key prices; ``owc_transceiver`` prices two of them.
+PRICED_KINDS = sorted({kind.value for kinds in CATALOG_KEYS.values() for kind in kinds})
 
 pattern_strategy = st.one_of(
     st.builds(UniformPattern, milli),
@@ -299,19 +304,19 @@ scenario_strategy = st.builds(
     ),
     traditional=st.builds(
         TraditionalSpec,
-        num_spine=st.integers(0, 30),
-        num_racks=st.integers(0, 30),
-        servers_per_rack=st.integers(0, 30),
+        num_spine=counts(),
+        num_racks=counts(),
+        servers_per_rack=counts(),
     ),
     owcpon=st.builds(
         OwcPonSpec,
-        num_racks=st.integers(0, 30),
-        servers_per_rack=st.integers(0, 30),
-        num_groups=st.integers(0, 6),
-        aps_per_group=st.integers(0, 6),
+        num_racks=counts(),
+        servers_per_rack=counts(),
+        num_groups=counts(),
+        aps_per_group=counts(),
         adjacency=adjacency_strategy,
-        gateway_ap_index=st.integers(0, 5),
-        transceiver_multiplier=st.integers(1, 4),
+        gateway_ap_index=counts(),
+        transceiver_multiplier=counts(1),
     ),
     capacities=st.builds(LinkCapacities, positive_milli, positive_milli, positive_milli),
     options=st.builds(
@@ -321,13 +326,9 @@ scenario_strategy = st.builds(
         nic_count_mode=st.sampled_from(list(NicCountMode)),
     ),
     policy=st.builds(RoutingPolicy, st.booleans(), st.booleans()),
-    catalog_overrides=st.dictionaries(
-        st.sampled_from(
-            ["olt", "nic", "leaf_switch", "spine_switch", "optical_switch"]
-        ),
-        st.integers(0, 2_000_000),
-        max_size=3,
-    ).map(lambda d: tuple(sorted(d.items()))),
+    catalog_overrides=st.dictionaries(st.sampled_from(PRICED_KINDS), counts()).map(
+        lambda d: tuple(sorted(d.items()))
+    ),
     traffic=traffic_strategy,
     out_format=st.sampled_from(list(OutputFormat)),
 )

@@ -4,6 +4,7 @@ start-up: ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and without bytecode files every package module loaded is
 compiled from source."""
 
+import ast
 import functools
 import importlib
 import json
@@ -187,16 +188,16 @@ def test_a_paper_scale_summary_compiles_at_most_1900_lines():
     assert lines <= 1900, (lines, sorted(names))
 
 
-# Names defined in one module and re-exported, as the same object, by
-# modules that callers import them from: home -> re-exporter -> names.
+# Names defined in one module and imported, as the same object, by modules
+# that call them: home -> importer -> names.
 MOVED = {
     "scenario": {
-        "power": "NicCountMode PROFILES PowerOptions STRUCTURAL_KINDS",
+        "power": "NicCountMode PowerOptions",
         "routing": "RoutingPolicy",
-        "traffic": "HotspotRackPattern IntraRackHeavyPattern TrafficPattern UniformPattern _by_type",
+        "traffic": "HotspotRackPattern IntraRackHeavyPattern TrafficPattern UniformPattern",
         "benchmark": "selected_specs",
     },
-    "topology": {"benchmark": "GRAPH_BUDGET census_table check_size"},
+    "topology": {"benchmark": "census_table"},
 }
 IDENTITY = "".join(
     f"assert ponfabric.{old}.{name} is ponfabric.{new}.{name}, {name!r}\n"
@@ -230,37 +231,81 @@ def test_modules_import_in_any_order_and_share_the_moved_names(first):
     assert done.returncode == 0, done.stderr
 
 
-# Names moved to a module that fewer commands load, answered for, as the
-# same object, by the modules that held or imported them: home -> old -> names.
-SPLIT = {
-    "graph": {
-        "topology": "Link NetworkGraph Node build_owc_pon build_traditional fabric_links wire _linker "
-        "_SPINE _LEAF _SERVER _SERVER_TXRX _RACK_TXRX _AP_TXRX _NIC _SWITCH",
-        "power": "build_owc_pon build_traditional",
-        "benchmark": "build_owc_pon build_traditional",
-    },
-    "route_table": {
-        "routing": "Route RouteTable Stretch resolve_route route_to_external _walked "
-        "_INTRA_RACK _INTRA_GROUP _DIRECT _RELAYED",
-    },
-    "writers": {"render": "_render_json _render_csv _close _json_rows _json_value _plain"},
-}
+def traced_sites() -> dict[str, tuple[str, ...]]:
+    """``perfbench/traced.py``'s ``SITES``, read from its source: each
+    module, by its name in the package, and the names wrapped there."""
+    tree = ast.parse((ROOT / "perfbench" / "traced.py").read_text(encoding="utf-8"))
+    (sites,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(target) for target in node.targets] == ["SITES"]
+    ]
+    return {key.attr: ast.literal_eval(names) for key, names in zip(sites.keys, sites.values)}
 
 
-SPLIT_CASES = [(home, old, names) for home, olds in SPLIT.items() for old, names in olds.items()]
+SITES = {module: names for module, names in traced_sites().items() if module != "cli"}
+SPLIT_OFF_PATHS = sorted(f"ponfabric.{name}" for name in SPLIT_OFF)
 
 
-@pytest.mark.parametrize("home, old, names", SPLIT_CASES, ids=[f"{old}-{home}" for home, old, _ in SPLIT_CASES])
-def test_split_names_load_their_module_when_read(home, old, names):
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_each_name_the_tracer_wraps_is_read_from_its_home_module(site):
+    """A module the tracer wraps names in answers for each as the object its
+    home module defines, and a split-off module that importing the site did
+    not load loads when, and only when, a name it defines is read."""
     check = (
         "import sys\n"
-        f"import ponfabric.{old}\n"
-        f"old = sys.modules['ponfabric.{old}']  # ``ponfabric.render`` is the function\n"
-        f"assert 'ponfabric.{home}' not in sys.modules\n"
-        "assert not hasattr(old, 'no_such_name')\n"
-        f"import ponfabric.{home} as home\n"
-        f"for name in {names.split()!r}:\n"
-        "    assert getattr(old, name) is getattr(home, name), name\n"
+        f"import ponfabric.{site}\n"
+        f"site = sys.modules['ponfabric.{site}']\n"
+        f"split = set({SPLIT_OFF_PATHS!r})\n"
+        "expected = split & set(sys.modules)\n"
+        f"for name in {SITES[site]!r}:\n"
+        "    loaded = set(sys.modules)\n"
+        "    value = getattr(site, name)\n"
+        "    home = value.__module__\n"
+        "    assert value is vars(sys.modules[home])[name], name\n"
+        "    assert set(sys.modules) - loaded <= {home}, (name, set(sys.modules) - loaded)\n"
+        "    expected |= split & {home}\n"
+        "assert split & set(sys.modules) == expected, split & set(sys.modules)\n"
+    )
+    done = run("-c", check)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_module_answers_for_no_name_it_neither_defines_nor_imports():
+    check = (
+        "import sys\n"
+        "import ponfabric.topology, ponfabric.routing\n"
+        "render = sys.modules['ponfabric.render']  # ``ponfabric.render`` is the function\n"
+        "for module, name in [(ponfabric.topology, 'Node'), (render, '_render_json'), "
+        "(ponfabric.routing, 'RouteTable')]:\n"
+        "    assert not hasattr(module, name), (module.__name__, name)\n"
+        f"assert not set({SPLIT_OFF_PATHS!r}) & set(sys.modules)\n"
+    )
+    done = run("-c", check)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize(
+    "module, home, name",
+    [
+        ("ponfabric", "graph", "build_owc_pon"),
+        ("ponfabric.cli", "graph", "wire"),
+        ("ponfabric.power", "graph", "build_owc_pon"),
+        ("ponfabric", "render", "render"),
+    ],
+)
+def test_a_lazy_name_reads_its_home_module_on_each_access(module, home, name):
+    """A name read while its home module's attribute is patched reads the
+    patch, and the real object once the patch is undone: nothing keeps it."""
+    check = (
+        "import sys\n"
+        f"import {module}, ponfabric.{home}\n"
+        f"module, home = sys.modules[{module!r}], sys.modules['ponfabric.{home}']\n"
+        f"real = home.{name}\n"
+        f"home.{name} = stand_in = object()\n"
+        f"assert module.{name} is stand_in\n"
+        f"home.{name} = real\n"
+        f"assert module.{name} is real\n"
     )
     done = run("-c", check)
     assert done.returncode == 0, done.stderr
@@ -300,20 +345,20 @@ ALL = [
     "serialize_scenario", "topology", "traditional_power", "traffic", "validate", "version",
 ]
 
-# The submodule each name was imported from, as the package did on import.
+# The submodule that defines each name.
 SOURCES = {
     "benchmark": "closed_form_power resolved_catalog run_benchmark",
-    "power": "CATALOG PROFILES NicCountMode PowerCatalog PowerOptions "
-    "PowerReport PowerRow SweepPoint SweepResult format_percent owc_pon_power power_reduction "
-    "scaling_sweep traditional_power",
+    "graph": "Link NetworkGraph Node build_owc_pon build_traditional fabric_links",
+    "power": "CATALOG PowerCatalog PowerReport PowerRow SweepPoint SweepResult format_percent "
+    "owc_pon_power power_reduction scaling_sweep traditional_power",
     "render": "Document OutputFormat Table format_rational render",
-    "routing": "PathClass Route RouteTable RoutingPolicy all_pairs_summary resolve_route route_to_external",
-    "scenario": "Scenario TrafficSection default_scenario parse_scenario serialize_scenario",
-    "topology": "Architecture DeviceKind ExplicitPairs IndexMatched Link LinkCapacities LinkKind "
-    "NetworkGraph NoDirectLinks Node OwcPonSpec TraditionalSpec Violation build_owc_pon "
-    "build_traditional device_census fabric_links fabric_size validate",
-    "traffic": "HotspotRackPattern IntraRackHeavyPattern LinkLoad LinkLoadReport RackBlocks "
-    "TrafficMatrix UniformPattern assign bottlenecks generate_traffic",
+    "route_table": "Route RouteTable resolve_route route_to_external",
+    "routing": "PathClass all_pairs_summary",
+    "scenario": "HotspotRackPattern IntraRackHeavyPattern NicCountMode PROFILES PowerOptions RoutingPolicy "
+    "Scenario TrafficSection UniformPattern default_scenario parse_scenario serialize_scenario",
+    "topology": "Architecture DeviceKind ExplicitPairs IndexMatched LinkCapacities LinkKind NoDirectLinks "
+    "OwcPonSpec TraditionalSpec Violation device_census fabric_size validate",
+    "traffic": "LinkLoad LinkLoadReport RackBlocks TrafficMatrix assign bottlenecks generate_traffic",
 }
 SUBMODULES = ["benchmark", "errors", "power", "routing", "scenario", "topology", "traffic", "version"]
 
