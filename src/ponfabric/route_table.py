@@ -1,12 +1,13 @@
 """Routes as link and node ids: the route table and the one-pair resolvers.
 
-The routes follow the chain rules ``routing`` sets out.  A ``RouteTable``
-keeps, per spec and policy, each server's rack and edge link and each
-rack's half-routes once used: O(servers + racks) pieces.
-``traffic.assign`` routes one pair per block of demand through it and
-sums per edge link, half-route and direct link.  Only ``route`` and
-``simulate`` load this module; ``routing`` keeps the path classes and
-``summary``'s arithmetic.
+The routes follow the chain rules ``routing`` sets out, which
+``RouteTable.keys`` alone applies.  A table keeps, per spec and policy,
+each server's rack and edge link once used and each explicit direct
+link's racks: O(servers + direct links) pieces.  ``traffic.assign`` takes
+one pair's keys per flow or block of demand and sums per edge link, per
+rack and junction and per direct link.  Only ``route`` and ``simulate``
+load this module; ``routing`` keeps the path classes and ``summary``'s
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .topology import _check_owc_pon  # the builder's spec checks, which routes 
 
 
 # A member read such as ``PathClass.INTRA_RACK`` runs Python code on Python
-# 3.11, about three times the cost of a plain name.  ``RouteTable.parts``
-# runs once per block of demand, so it takes its members from these names.
+# 3.11, about three times the cost of a plain name.  ``RouteTable.keys``
+# runs once per flow or block of demand, so it takes its members from these names.
 _INTRA_RACK, _INTRA_GROUP = PathClass.INTRA_RACK, PathClass.INTER_RACK_INTRA_GROUP
 _DIRECT, _RELAYED = PathClass.INTER_GROUP_DIRECT, PathClass.INTER_GROUP_RELAYED
 
@@ -44,6 +45,11 @@ class Route(NamedTuple):
 #: A stretch of a route: the ids of its links, in route order.
 Stretch = tuple[str, ...]
 
+#: A route as keys: (edge link out of the source, class, source rack,
+#: destination rack, junction, direct link's racks, edge link into the
+#: destination); see ``RouteTable.keys``.
+Keys = tuple[str, PathClass, int, int, str | None, tuple[int, int] | None, str]
+
 
 def _walked(src: str, links: tuple[str, ...], path_class: PathClass) -> Route:
     """The route from ``src`` along ``links``, its nodes walked from their ids."""
@@ -54,29 +60,29 @@ def _walked(src: str, links: tuple[str, ...], path_class: PathClass) -> Route:
 
 
 class RouteTable:
-    """Route pieces of the fabric one spec builds, under one routing
-    policy, named on first use and kept: each server's rack and edge link,
-    and each rack's half-routes, up and down, by how far up they reach
-    (``nic``, ``switch`` or ``olt``).  Raises the builder's errors for an
-    inadmissible spec.
+    """Routes of the fabric one spec builds, under one routing policy, as
+    keys: each server's rack and edge link, named on first use and kept,
+    and each inter-rack pair's racks, the junction its class meets at
+    (``switch``, ``nic`` or ``olt``) and its direct link's racks, if any.
+    ``parts`` and ``route`` name the links between the edge links from
+    these keys.  Raises the builder's errors for an inadmissible spec.
     """
 
     def __init__(self, spec: FabricSpec, policy: RoutingPolicy = RoutingPolicy()):
         self.spec = spec
         self.policy = policy
         self._servers: dict[str, tuple[int, str]] = {}  # id -> (rack, edge link id)
-        self._halves: dict[tuple[int, str, bool], Stretch] = {}
         self._owcpon = isinstance(spec, OwcPonSpec)
-        # rack pair -> its direct link, named in the orientation the spec
-        # lists, as a stretch; None for index-matched links, named by arithmetic
-        self._pairs: dict[tuple[int, int], Stretch] | None = {}
+        # rack pair -> its direct link's racks, in the orientation the spec
+        # lists; None for index-matched links, which join racks of one AP index
+        self._pairs: dict[tuple[int, int], tuple[int, int]] | None = {}
         if self._owcpon:
             _check_owc_pon(spec)
             if isinstance(spec.adjacency, IndexMatched):
                 self._pairs = None
             for (g1, a1), (g2, a2) in getattr(spec.adjacency, "pairs", ()):
                 ends = g1 * spec.aps_per_group + a1, g2 * spec.aps_per_group + a2
-                self._pairs[ends] = self._pairs[ends[::-1]] = (direct_link(spec, *ends),)
+                self._pairs[ends] = self._pairs[ends[::-1]] = ends
 
     def route(self, src: str, dst: str) -> Route:
         """The src -> dst route; raises as ``resolve_route`` documents."""
@@ -89,8 +95,25 @@ class RouteTable:
     def parts(self, src: str, dst: str) -> tuple[str, PathClass, tuple[Stretch, ...], str] | None:
         """The src -> dst route as (edge link out of ``src``, class,
         stretches, edge link into ``dst``), None when ``src == dst``: no
-        stretch within a rack, else the source leaf's up half-route, any
-        direct NIC link and the destination leaf's down half-route.
+        stretch within a rack, else the source leaf's links up to the
+        junction, any direct NIC link and the destination leaf's links
+        down from the junction."""
+        keys = self.keys(src, dst)
+        if keys is None:
+            return None
+        out_link, path_class, rack_a, rack_b, junction, direct, in_link = keys
+        if junction is None:
+            return out_link, path_class, (), in_link
+        up, down = uplinks(self.spec, rack_a, junction), uplinks(self.spec, rack_b, junction)[::-1]
+        stretches = (up, (direct_link(self.spec, *direct),), down) if direct else (up, down)
+        return out_link, path_class, stretches, in_link
+
+    def keys(self, src: str, dst: str) -> Keys | None:
+        """The src -> dst route as keys, None when ``src == dst``: (edge
+        link out of ``src``, class, source rack, destination rack, junction,
+        the racks of the direct link in the orientation ``direct_link``
+        names it, edge link into ``dst``).  The junction is None within a
+        rack, and the direct link None unless the class is direct.
 
         Checks run in the order of the chain rules, so the first rule the
         pair breaks decides the error.
@@ -101,46 +124,34 @@ class RouteTable:
         if src == dst:
             return None
         if rack_a == rack_b:
-            return out_link, _INTRA_RACK, (), in_link
+            return out_link, _INTRA_RACK, rack_a, rack_b, None, None, in_link
         if not self._owcpon:
             raise NoRoute("inter-rack paths are only modeled for the optical-wireless fabric")
         direct, aps = None, self.spec.aps_per_group
         if rack_a // aps == rack_b // aps:
-            path_class, kind = _INTRA_GROUP, "switch"
+            path_class, junction = _INTRA_GROUP, "switch"
         elif policy.prefer_direct_inter_group and (direct := self._direct(rack_a, rack_b)):
-            path_class, kind = _DIRECT, "nic"
+            path_class, junction = _DIRECT, "nic"
         elif policy.allow_relay_fallback:
-            path_class, kind = _RELAYED, "olt"
+            path_class, junction = _RELAYED, "olt"
         elif policy.prefer_direct_inter_group:
             raise PolicyExcluded(_UNLINKED.format(src, dst))
         else:
             raise PolicyExcluded("both inter-group mechanisms are disabled")
-        halves = self._halves  # looked up here, not through ``_half``: once per block of demand
-        up = halves.get((rack_a, kind, True)) or self._half(rack_a, kind, True)
-        down = halves.get((rack_b, kind, False)) or self._half(rack_b, kind, False)
-        return out_link, path_class, (up, direct, down) if direct else (up, down), in_link
-
-    def edge_links(self, servers: tuple[str, ...]) -> tuple[str, ...]:
-        """Each server's link to its leaf."""
-        return tuple((self._servers.get(server) or self._server(server))[1] for server in servers)
+        return out_link, path_class, rack_a, rack_b, junction, direct, in_link
 
     def _server(self, server: str) -> tuple[int, str]:
         """(rack, edge link id) of a server of the fabric, from its id."""
         return self._servers.setdefault(server, edge_link(self.spec, server))
 
-    def _direct(self, rack_a: int, rack_b: int) -> Stretch | None:
-        """The direct link from rack_a's NIC to rack_b's, if any, as a stretch."""
+    def _direct(self, rack_a: int, rack_b: int) -> tuple[int, int] | None:
+        """The racks of the direct link between rack_a's NIC and rack_b's,
+        if any, in the orientation it is named."""
         if self._pairs is not None:
             return self._pairs.get((rack_a, rack_b))
         if rack_a % self.spec.aps_per_group == rack_b % self.spec.aps_per_group:
-            return (direct_link(self.spec, *sorted((rack_a, rack_b))),)  # lower group first
+            return (rack_a, rack_b) if rack_a < rack_b else (rack_b, rack_a)  # lower group first
         return None
-
-    def _half(self, rack: int, kind: str, up: bool) -> Stretch:
-        """``rack``'s half-route of ``kind``, kept: its links up from its leaf
-        to the junction, or down from there to its leaf."""
-        links = uplinks(self.spec, rack, kind)
-        return self._halves.setdefault((rack, kind, up), links if up else links[::-1])
 
 
 def resolve_route(

@@ -429,6 +429,11 @@ def _scan(text: str):
     flow_lines: list[int] = []
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
+        # a flow line as written, taken as the general path below takes it
+        if section == "traffic" and raw.startswith("flow = ") and (value := raw[7:].strip()):
+            flows.append(value)
+            flow_lines.append(lineno)
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,22 +1,23 @@
 """Flow-level traffic assignment onto resolved routes.
 
-Demand comes in blocks, each server of a source group sending one rate
-to each server of a destination group but itself: a traffic pattern is
-one block per rack pair with demand, made from the spec alone
-(``RackBlocks``), and a flow line is a 1x1 block (``TrafficMatrix``).
-No id is spelled here: servers are named by ``topology.server_id``, the
-stretches of a route are link ids that a ``RouteTable`` of the fabric's
-spec names through ``topology`` (see ``routing``), and loads are
-reported on the links that spec builds, listed by
-``graph.fabric_links``.  No graph is built.  Demands are fluid: a
-block's rate is added to every link of its routes, in exact rational
-arithmetic.  Demands exceeding capacity are reported as utilization
-above one, never dropped; this is an analyzer, not an admission
-controller.
+Demand comes as flow entries, one server sending a rate to another
+(``TrafficMatrix``), or in blocks, each server of a source rack sending
+one rate to each server of a destination rack but itself: a traffic
+pattern is one block per rack pair with demand, made from the spec alone
+(``RackBlocks``).  No id is spelled here: servers are named by
+``topology.server_id``, routes are read as keys that a ``RouteTable`` of
+the fabric's spec resolves (see ``routing``), their links are named
+through ``topology``, and loads are reported on the links that spec
+builds, listed by ``graph.fabric_links``.  No graph is built.  Demands
+are fluid: an entry's rate is added to every link of its route, in exact
+rational arithmetic.  Demands exceeding capacity are reported as
+utilization above one, never dropped; this is an analyzer, not an
+admission controller.
 
 Sums run over integer numerators scaled to the least common multiple of
-the rates' denominators and are divided once at the end, which is exact
-and avoids one ``Fraction`` normalisation per hop.
+the rates' denominators, per edge link, per rack and junction and per
+direct link, and are divided once at the end, which is exact and avoids
+one ``Fraction`` normalisation per hop.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from .route_table import RouteTable
 from .route_table import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
 # The pattern records are defined with the scenario that holds them.
 from .scenario import HotspotRackPattern, IntraRackHeavyPattern, TrafficPattern, UniformPattern
-from .topology import FabricSpec, LinkCapacities, LinkKind, check_count, check_rate, checked, server_id
+from .topology import FabricSpec, LinkCapacities, LinkKind, check_count, check_rate, checked
+from .topology import direct_link, edge_link, server_id, uplinks
 
 #: (sources, destinations, Gb/s): each source sends the rate to each
-#: destination but itself.  A group is one server or one rack's servers;
-#: a block's two groups are the same rack's or disjoint.
+#: destination but itself.  Each group is one rack's servers, so a
+#: block's two groups are the same rack's or disjoint.
 Block = tuple[tuple[str, ...], tuple[str, ...], Fraction]
 
 #: Most rack-pair blocks a traffic pattern may make (1,024 racks under
@@ -49,7 +51,7 @@ DEMAND_BUDGET = 2_000_000
 @checked
 class TrafficMatrix(NamedTuple):
     """Sparse (src server, dst server) -> demand map: explicit flow lines,
-    each entry a 1x1 block of ``demands[pair] / scale`` Gb/s, its demand
+    each entry ``demands[pair] / scale`` Gb/s, its demand
     an int or a ``Fraction`` (``scale=1000`` takes Mb/s).  The entries are
     kept in sorted pair order."""
 
@@ -68,11 +70,6 @@ class TrafficMatrix(NamedTuple):
         if pairs == list(demands):  # as parsed flow lines come
             return self._make((dict(demands), self.scale))
         return self._make(({pair: demands[pair] for pair in pairs}, self.scale))
-
-    def blocks(self) -> Iterable[Block]:
-        """A 1x1 block per entry with demand between two servers, sorted."""
-        entries = self.demands.items()
-        return (((src,), (dst,), rate) for (src, dst), rate in entries if rate and src != dst)
 
     def demand_entries(self) -> int:
         return len(self.demands)
@@ -180,54 +177,70 @@ def assign(
     matrix: TrafficMatrix | RackBlocks,
     capacities: LinkCapacities = LinkCapacities(),
 ) -> LinkLoadReport:
-    """Route every block of demand through ``table`` and accumulate per-link
-    loads, one row for each link ``table.spec`` builds, at ``capacities``.
+    """Route every flow or block of demand through ``table`` and accumulate
+    per-link loads, one row for each link ``table.spec`` builds, at
+    ``capacities``.
 
-    A block is routed once, through its first entry: each stretch of that
-    route between the leaves (half-routes, a direct link) carries rate x
-    sources x destinations, and each server's edge link the rate times its
-    count of peers in the block.  Stretches become links once, at the end.
-    So a pattern costs O(rack pairs) sums plus O(racks + direct links)
-    expansions, and a flow line what routing it alone costs.  Blocks run
-    in the sorted order of their first entries, so a routing error names
-    the first failing ``src -> dst`` entry in sorted order.
+    An entry's route is read as keys (``RouteTable.keys``), and its rate is
+    added, in integer units, to its two edge links, to its source and
+    destination racks in the list of its junction, indexed by rack, and to
+    its direct link, if any.  A link's load is undirected, so one list per
+    junction takes both directions.  A block is routed once, through its
+    first entry, which stands for its n x n server pairs between racks; each
+    server's edge link then carries n entries' rate per block between racks
+    and n - 1 per direction within one.  Each (rack, junction) and each
+    direct link with units becomes its links once, at the end.  So a flow
+    costs a handful of integer sums, a pattern O(rack pairs) of them, and
+    the links O(servers + racks + direct links) expansions.  Entries run in
+    sorted order, and blocks in the sorted order of their first entries, so
+    a routing error names the first failing ``src -> dst`` entry in sorted
+    order.
     """
     # every demand is a whole number of units of 1/step
     step = lcm(*{rate.denominator for rate in matrix.demands.values()})
-    # Groups are keyed by their first server, which names one group only.
-    edges: dict[str, tuple[str, ...]] = {}  # the group's edge links
-    group_units: dict[str, int] = {}
-    stretch_units: dict[tuple[str, ...], int] = {}  # keyed by the stretch's link ids
+    spec, keys, flows = table.spec, table.keys, isinstance(matrix, TrafficMatrix)
+    # units per rack, up or down, by junction (None within a rack)
+    halves = {junction: [0] * spec.num_racks for junction in (None, "switch", "nic", "olt")}
+    link_units: dict[str, int] = {}  # per link: flows' edge links first
+    direct_units: dict[tuple[int, int], int] = {}  # per direct link, by its racks
+    entries = matrix.demands.items() if flows else (
+        ((srcs[0], dsts[srcs[0] == dsts[0]]), rate) for srcs, dsts, rate in matrix.blocks()
+    )  # a block's first entry stands for the block
     last_rate = None  # pattern blocks share their rate objects
-    for srcs, dsts, rate in matrix.blocks():
-        src, first_dst = srcs[0], dsts[0]
-        own = src == first_dst  # a rack to itself: no server sends to itself
-        dst = dsts[own]  # (src, dst) is the block's first entry
+    for (src, dst), rate in entries:
+        if not rate or src == dst:
+            continue
         try:
-            stretches = table.parts(src, dst)[2]
-            if src not in edges:
-                edges[src] = table.edge_links(srcs)
-            if first_dst not in edges:
-                edges[first_dst] = table.edge_links(dsts)
+            out_link, _, rack_a, rack_b, junction, direct, in_link = keys(src, dst)
         except RoutingError as exc:
             raise in_pair(exc, src, dst) from exc
         if rate is not last_rate:
             last_rate, units = rate, rate.numerator * (step // rate.denominator)
-        peers_of_src, peers_of_dst = len(dsts) - own, len(srcs) - own
-        group_units[src] = group_units.get(src, 0) + units * peers_of_src
-        group_units[first_dst] = group_units.get(first_dst, 0) + units * peers_of_dst
-        pair_units = units * len(srcs) * peers_of_src
-        for links in stretches:
-            stretch_units[links] = stretch_units.get(links, 0) + pair_units
+        if flows:
+            link_units[out_link] = link_units.get(out_link, 0) + units
+            link_units[in_link] = link_units.get(in_link, 0) + units
+        sums = halves[junction]
+        sums[rack_a] += units
+        sums[rack_b] += units
+        if direct:
+            direct_units[direct] = direct_units.get(direct, 0) + units
 
-    link_units: dict[str, int] = {}
-    for group, units in group_units.items():
-        for link_id in edges[group]:
-            link_units[link_id] = link_units.get(link_id, 0) + units
-    for links, units in stretch_units.items():
-        for link_id in links:
-            link_units[link_id] = link_units.get(link_id, 0) + units
-    links = sorted(fabric_links(table.spec, capacities), key=lambda link: link.id)
+    within, weight = halves.pop(None), 1  # weight: the server pairs an entry stands for
+    if not flows:
+        n = matrix.servers_per_rack
+        weight, servers = n * n, range(n)
+        for rack, units in enumerate(within):
+            units = n * sum(per_rack[rack] for per_rack in halves.values()) + (n - 1) * units
+            for i in servers if units else ():
+                link_units[edge_link(spec, server_id(rack, i))[1]] = units
+    for junction, sums in halves.items():
+        for rack, units in enumerate(sums):
+            for link_id in uplinks(spec, rack, junction) if units else ():
+                link_units[link_id] = link_units.get(link_id, 0) + units * weight
+    for racks, units in direct_units.items():
+        link_id = direct_link(spec, *racks)
+        link_units[link_id] = link_units.get(link_id, 0) + units * weight
+    links = sorted(fabric_links(spec, capacities), key=lambda link: link.id)
     scale = step * matrix.scale  # units per Gb/s
     rows, saturated, top = [], [], (0, 1)  # top: the highest utilization, in ints
     for link_id, _, _, kind, capacity in links:
@@ -249,6 +262,6 @@ def bottlenecks(report: LinkLoadReport, top_n: int) -> list[LinkLoad]:
     """
     from heapq import nlargest  # here, so only simulate pays for importing it
 
-    loaded = sorted((row for row in report.rows if row.load > 0), key=attrgetter("link_id"))
+    loaded = (row for row in report.rows if row.load > 0)  # in link id order
     # ``nlargest`` is stable: rows of equal utilization keep their id order
     return nlargest(max(top_n, 0), loaded, key=attrgetter("utilization"))

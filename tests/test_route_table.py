@@ -3,12 +3,14 @@ in ``oracles`` on the fabric the spec builds, and the aggregated sums of
 ``assign`` against the per-pair reference on the built graph, at drawn
 link capacities and on seeded flow lines; the block sums of each traffic
 pattern against its per-server matrix; the closed-form all-pairs
-histogram against every pair resolved on the built graph; and the size
-of the table behind ``assign``, which keeps pieces per server and per
-rack, none per rack pair."""
+histogram against every pair resolved on the built graph; ``keys``,
+``parts`` and ``route`` of one table against each other; and the size of
+what ``assign`` and its table keep, which grows with servers, racks and
+direct links, not with rack pairs or flows."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from ponfabric import (
     LinkCapacities,
     NoDirectLinks,
     OwcPonSpec,
+    PathClass,
     RoutingPolicy,
     RouteTable,
     Scenario,
@@ -44,6 +47,7 @@ from ponfabric import (
     serialize_scenario,
 )
 
+from ponfabric.topology import direct_link, edge_link, fabric_size, server_id, uplinks
 from test_census import owcpon_specs as census_specs
 
 POLICIES = [
@@ -372,14 +376,88 @@ def test_flow_lines_in_mbps_match_reference(case):
     check_flow_lines(graph, parse_scenario(text).traffic.flows, exact)
 
 
-def test_assign_keeps_no_piece_per_rack_pair():
-    """Uniform traffic on 256 racks is 65,280 inter-rack blocks.  The table
-    ``assign`` routes them through keeps at most six half-routes per rack
-    (three kinds, up and down) and one entry per server: no container
-    holds an entry per rack pair."""
+JUNCTIONS = {
+    PathClass.INTRA_RACK: None,
+    PathClass.INTER_RACK_INTRA_GROUP: "switch",
+    PathClass.INTER_GROUP_DIRECT: "nic",
+    PathClass.INTER_GROUP_RELAYED: "olt",
+}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(spec=owcpon_specs(), policy=st.sampled_from(POLICIES))
+def test_keys_parts_and_route_agree(spec, policy):
+    """On every ordered pair of the spec's servers and of two ids that name
+    none, ``keys``, ``parts`` and ``route`` raise alike, or name the same
+    route: the racks and edge links of its two servers, the junction of its
+    class, the direct link's racks for a direct pair alone, and the links up
+    to the junction and down from it between the edge links."""
+    table = RouteTable(spec, policy)
+    racks, servers = range(spec.num_racks), range(spec.servers_per_rack)
+    ids = [server_id(rack, i) for rack in racks for i in servers] + ["nosuch", f"rack{spec.num_racks}/server0"]
+    for src, dst in itertools.product(ids, repeat=2):
+        keys = outcome(lambda: table.keys(src, dst))
+        parts, route = outcome(lambda: table.parts(src, dst)), outcome(lambda: table.route(src, dst))
+        if keys is None:  # the same server
+            assert parts is None and route.links == () and route.path_class is PathClass.SAME_SERVER
+            continue
+        if len(keys) == 2:  # what it raised
+            assert parts == route == keys, (src, dst)
+            continue
+        out_link, path_class, rack_a, rack_b, junction, direct, in_link = keys
+        assert (rack_a, out_link) == edge_link(spec, src) and (rack_b, in_link) == edge_link(spec, dst)
+        assert junction == JUNCTIONS[path_class] and (direct is not None) == (junction == "nic")
+        if junction is None:
+            stretches = ()
+        else:
+            up, down = uplinks(spec, rack_a, junction), uplinks(spec, rack_b, junction)[::-1]
+            stretches = (up, (direct_link(spec, *direct),), down) if direct else (up, down)
+            assert {rack_a, rack_b} == set(direct or (rack_a, rack_b))
+        assert parts == (out_link, path_class, stretches, in_link), (src, dst)
+        assert route.links == (out_link, *itertools.chain(*stretches), in_link)
+        assert route.path_class is path_class
+
+
+def kept_sizes(function, *args):
+    """``function(*args)``, and the size of each dict, list and set among
+    its locals as it returns."""
+    sizes, previous = {}, sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is function.__code__:
+            sizes.update(
+                (name, len(value))
+                for name, value in frame.f_locals.items()
+                if isinstance(value, (dict, list, set))
+            )
+
+    sys.setprofile(profile)
+    try:
+        result = function(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, sizes
+
+
+@pytest.mark.parametrize("traffic", ["uniform", "flows"])
+def test_assign_keeps_no_piece_per_rack_pair_or_flow(traffic):
+    """Uniform traffic on 256 racks is 65,280 inter-rack blocks, and the
+    flow matrix over 19,000 flows between random servers.  Neither
+    ``assign`` nor the table it routes them through keeps a container that
+    grows with them: the table keeps at most one entry per server, and
+    ``assign`` at most one per link of the fabric, 5,537 here."""
     spec = OwcPonSpec(num_racks=256, servers_per_rack=2, num_groups=32, aps_per_group=8)
+    if traffic == "uniform":
+        matrix = generate_traffic(UniformPattern(Fraction(1)), spec)
+    else:
+        rng, servers = random.Random(5), [server_id(rack, i) for rack in range(256) for i in range(2)]
+        matrix = TrafficMatrix({(rng.choice(servers), rng.choice(servers)): 1 for _ in range(20_000)})
+        assert len(matrix.demands) > 19_000
     table = RouteTable(spec)
-    report = assign(table, generate_traffic(UniformPattern(Fraction(1)), spec))
+    report, sizes = kept_sizes(assign, table, matrix, LinkCapacities())
     assert report.max_utilization > 0
-    sizes = {name: len(value) for name, value in vars(table).items() if isinstance(value, dict)}
-    assert max(sizes.values()) <= 6 * spec.num_racks, sizes
+    links = fabric_size(spec)[1]
+    assert links == 5_537 and len(report.rows) == links
+    assert sizes and max(sizes.values()) <= links, sizes
+    kept = {name: len(value) for name, value in vars(table).items() if isinstance(value, dict)}
+    assert max(kept.values()) <= 256 * 2, kept

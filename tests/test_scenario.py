@@ -554,6 +554,33 @@ class TestTableAgainstReference:
     @pytest.mark.parametrize(
         "lines",
         [
+            "flow = \t \xa0",
+            "flow = rack0/server0 rack1/server0 1\nflow = ",
+            "flow =x",
+            "flow =rack0/server0 rack1/server0 1",
+            "flow  = a b 1",
+            "flow  = rack0/server0 rack1/server0 1",
+            " flow = rack0/server0 rack1/server0 1 \xa0",
+            "flow = a = b 1",
+            "flow = rack0/server0 rack1/server0\x0b1",
+            "flow = rack0/server0\x1crack1/server0 1",
+            "flow = rack0/server0 rack1/server0 1\x0b",
+            "[architecture]\nflow = a b 1",
+            "[architecture]\nflow = rack0/server0 rack1/server0 1",
+        ],
+    )
+    def test_flow_lines_near_the_scanner_short_path_parse_alike(self, lines):
+        """Lines the scanner takes as flow lines at once, and lines close to
+        them that it leaves to the general path: a value of blanks alone, no
+        blank before or after ``=``, two blanks before it, a leading blank,
+        a second ``=``, ``splitlines`` boundaries inside a line, and a flow
+        line in another section."""
+        text = f"[options]\nprofile = reproduction\n[traffic]\n{lines}\n"
+        assert outcome(parse_scenario, text) == outcome(reference_parse, text)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
             "[traffic]\nflow = a b 1\nflow = a b " + "9" * 401,
             "[traffic]\nflow = a b " + "9" * 398 + ".125",
             "[architecture]\nowcpon.racks = " + "9" * 401,
