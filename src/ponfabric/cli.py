@@ -10,16 +10,15 @@ validation failure, 3 evaluation error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import _read_through
 from .version import __version__
 
-# The names the commands call, by the module that defines them.  Only the
-# parser is built at import, so ``--version``, ``--help`` and usage errors
-# load no other module.  Once the arguments parse, ``main`` binds the names
-# of the ``_BASE`` modules, and each command those of the modules it lists;
+# The names the commands call, by the module that defines them.  Nothing
+# else loads at import, so ``--version``, ``--help`` and usage errors load
+# no other module.  Once the arguments parse, ``main`` binds the names of
+# the ``_BASE`` modules, and each command those of the modules it lists;
 # until then each is read from its module on access.
 _IMPORTS = {
     ".benchmark": "closed_form_power power_table resolved_catalog run_benchmark",
@@ -44,30 +43,27 @@ EXIT_VALIDATION = 2
 EXIT_EVALUATION = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-    validation findings, so usage problems exit 1.  Like every failure they
-    print one line (``--help`` shows the usage)."""
-
-    def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _bind(*modules: str) -> None:
-    """Bind the names ``_IMPORTS`` lists for ``modules`` that are not bound
-    yet, each read through ``__getattr__``: a name that is already bound,
-    such as one that ``perfbench/traced.py`` replaced before ``main`` ran,
-    is kept."""
+    """Bind the names ``_IMPORTS`` lists for ``modules``, each read through
+    ``__getattr__``, unless a name holds a value ``_bind`` did not bind:
+    one that ``perfbench/traced.py`` replaced before ``main`` ran is kept,
+    and one patched in its home module since the last call is read anew."""
     namespace = globals()
     for module in modules:
         for name in _IMPORTS[module].split():
-            namespace.setdefault(name, __getattr__(name))
+            if namespace.get(name) is _BOUND.get(name):
+                namespace[name] = _BOUND[name] = __getattr__(name)
+
+
+_BOUND = {}  # each name ``_bind`` bound, with the value it bound last
 
 
 def _count(text: str) -> int:
     """``text`` as an int if it is an optional sign and at most
     ``MAX_DIGITS`` ASCII digits.  ``int`` alone also takes other scripts'
-    digits and underscores, which scenario files reject."""
+    digits and underscores, which scenario files reject.  It also runs
+    while the arguments parse, so it binds the names it reads itself."""
+    _bind(".errors", ".scenario")
     digits = check_digits(text.strip().lstrip("+-"))
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid integer {text!r}")
@@ -76,50 +72,120 @@ def _count(text: str) -> int:
 
 def integer(text: str) -> int:
     """``_count`` as an argparse type, which reports its ``ValueError`` as
-    an ``invalid integer value``.  It runs while the arguments parse, so it
-    binds ``_count``'s names itself."""
-    _bind(".errors", ".scenario")
+    an ``invalid integer value``."""
     try:
         return _count(text)
     except ScenarioError as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ponfabric", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"ponfabric {__version__}")
-    parser.add_argument(
-        "-s",
-        "--scenario",
-        metavar="PATH",
-        help="scenario file (defaults to the built-in benchmark scenario)",
-    )
-    parser.add_argument(
-        "-f",
-        "--format",
-        choices=("json", "csv", "table"),  # OutputFormat's values, in its order
-        help="output format (overrides the scenario's choice)",
-    )
-    parser.add_argument("--out", metavar="PATH", help="write output to a file")
+def _argument(*flags: str, **keywords) -> tuple:
+    """The flags and keywords of one ``add_argument`` call."""
+    return flags, keywords
 
+
+_FORMATS = ("json", "csv", "table")  # OutputFormat's values, in its order
+# Each command's help and arguments, in the order ``--help`` lists the
+# commands, and the global options under ``None``: the flags and keywords
+# of each ``add_argument`` call, where a flag with no dash names a
+# positional.  ``_build_parser`` and ``_parse`` both read them.
+_ARGUMENTS = {
+    None: (
+        __doc__,
+        _argument("-s", "--scenario", metavar="PATH", help="scenario file (defaults to the built-in benchmark scenario)"),
+        _argument("-f", "--format", choices=_FORMATS, help="output format (overrides the scenario's choice)"),
+        _argument("--out", metavar="PATH", help="write output to a file"),
+    ),
+    "build": ("emit graphs and device census",),
+    "validate": ("check structural rules; exit 2 on violations",),
+    "power": ("evaluate power for the selected architectures",),
+    "compare": ("power of both architectures plus the reduction",),
+    "route": (
+        "resolve one route on the owcpon fabric",
+        _argument("src", help="source server id"),
+        _argument("dst", help="destination server id (or the external gateway)"),
+    ),
+    "summary": ("hop histogram over all ordered server pairs",),
+    "simulate": (
+        "assign the traffic section onto links",
+        _argument("--top", type=integer, default=10, help="bottleneck rows to show"),
+    ),
+    "sweep": (
+        "scale both architectures across rack counts",
+        _argument("--racks", required=True, help="comma list, e.g. 4,8,16"),
+        _argument("--groups", type=integer, default=2),
+        _argument("--servers-per-rack", type=integer, default=8),
+        _argument("--spines", help="comma list matching --racks (default: rack count)"),
+    ),
+    "benchmark": ("full two-architecture benchmark report",),
+}
+
+
+def _dest(flags: tuple[str, ...]) -> str:
+    """The attribute argparse stores an argument of ``flags`` under."""
+    return flags[-1].lstrip("-").replace("-", "_")
+
+
+def _build_parser():
+    """The parser of the argv ``_parse`` declines: help, ``--version``,
+    abbreviations, ``--opt=value`` and usage errors print what argparse
+    prints, and only they load it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse defaults to exit code 2 on usage errors; we reserve 2 for
+        validation findings, so usage problems exit 1.  Like every failure they
+        print one line (``--help`` shows the usage)."""
+
+        def error(self, message):
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = _Parser(prog="ponfabric", description=_ARGUMENTS[None][0])
+    parser.add_argument("--version", action="version", version=f"ponfabric {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("build", help="emit graphs and device census")
-    sub.add_parser("validate", help="check structural rules; exit 2 on violations")
-    sub.add_parser("power", help="evaluate power for the selected architectures")
-    sub.add_parser("compare", help="power of both architectures plus the reduction")
-    route = sub.add_parser("route", help="resolve one route on the owcpon fabric")
-    route.add_argument("src", help="source server id")
-    route.add_argument("dst", help="destination server id (or the external gateway)")
-    sub.add_parser("summary", help="hop histogram over all ordered server pairs")
-    simulate = sub.add_parser("simulate", help="assign the traffic section onto links")
-    simulate.add_argument("--top", type=integer, default=10, help="bottleneck rows to show")
-    sweep = sub.add_parser("sweep", help="scale both architectures across rack counts")
-    sweep.add_argument("--racks", required=True, help="comma list, e.g. 4,8,16")
-    sweep.add_argument("--groups", type=integer, default=2)
-    sweep.add_argument("--servers-per-rack", type=integer, default=8)
-    sweep.add_argument("--spines", help="comma list matching --racks (default: rack count)")
-    sub.add_parser("benchmark", help="full two-architecture benchmark report")
+    for scope, (text, *specs) in _ARGUMENTS.items():
+        scope_parser = parser if scope is None else sub.add_parser(scope, help=text)
+        for flags, keywords in specs:
+            scope_parser.add_argument(*flags, **keywords)
     return parser
+
+
+def _parse(argv: list[str]):
+    """``argv`` as ``_build_parser().parse_args`` reads it, if it has only
+    the shapes scripts write: global options, one command word, then that
+    command's options and positionals, each option's full flag followed by
+    a value that does not start with ``-`` (an integer as ``_count`` reads
+    it).  Else None, and argparse parses it: this reports no error itself."""
+    values, words, positionals = {}, iter(argv), []
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        specs = _ARGUMENTS.get(positionals[0] if positionals else None, ())[1:]
+        flags, keywords = next((spec for spec in specs if word in spec[0]), ((), {}))
+        value = next(words, "-")
+        if not flags or value.startswith("-") or value not in keywords.get("choices", (value,)):
+            return None
+        if "type" in keywords:
+            try:
+                value = _count(value)
+            except (ValueError, ScenarioError):
+                return None
+        values[_dest(flags)] = value
+    command, *positionals = positionals or [""]  # no command word reads as an unknown one
+    specs = (*_ARGUMENTS[None][1:], *_ARGUMENTS.get(command, "")[1:])
+    names = [flags[0] for flags, _ in specs if flags[0][0] != "-"]
+    if command not in _ARGUMENTS or len(positionals) != len(names):
+        return None
+    values.update(zip(names, positionals), command=command)
+    if any(keywords.get("required") and _dest(flags) not in values for flags, keywords in specs):
+        return None
+    values = {_dest(flags): keywords.get("default") for flags, keywords in specs} | values
+    from types import SimpleNamespace
+
+    return SimpleNamespace(**values)
 
 
 def _load_scenario(path: str | None) -> Scenario:
@@ -371,9 +437,8 @@ def _cmd_benchmark(scenario: Scenario, args) -> tuple[Document, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

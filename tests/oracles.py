@@ -53,6 +53,11 @@ checker of built graphs: every test that checks a built or damaged graph
 checks it with this.  ``per_node_power`` prices a built graph node by
 node, the gate on the closed-form power.
 
+``reference_parser`` is the command line's argparse parser as it was
+written out call by call before one table of arguments fed both it and
+the CLI's direct parse; the tests hold help, ``--version`` and usage
+errors to what it prints.
+
 ``TRADITIONAL_CATALOG`` and ``OWC_PON_CATALOG`` are the per-fabric price
 tables that ``power.CATALOG`` replaced, and ``reference_catalogs`` applies a
 scenario's overrides to both.  The reference benchmark, ``power`` command
@@ -1705,3 +1710,42 @@ def reference_cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
         tables.append(census_table(f"census_{architecture.value}", reference_census(graph)))
         tables.append(power_table(f"power_{architecture.value}", report))
     return Document("power evaluation", tuple(meta), tuple(tables)), EXIT_OK
+
+
+def reference_parser():
+    """The CLI's parser, each argument added by hand; usage errors exit 1."""
+    import argparse
+
+    from ponfabric import cli
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="ponfabric", description=cli.__doc__)
+    parser.add_argument("--version", action="version", version=f"ponfabric {cli.__version__}")
+    parser.add_argument(
+        "-s", "--scenario", metavar="PATH", help="scenario file (defaults to the built-in benchmark scenario)"
+    )
+    parser.add_argument(
+        "-f", "--format", choices=("json", "csv", "table"), help="output format (overrides the scenario's choice)"
+    )
+    parser.add_argument("--out", metavar="PATH", help="write output to a file")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("build", help="emit graphs and device census")
+    sub.add_parser("validate", help="check structural rules; exit 2 on violations")
+    sub.add_parser("power", help="evaluate power for the selected architectures")
+    sub.add_parser("compare", help="power of both architectures plus the reduction")
+    route = sub.add_parser("route", help="resolve one route on the owcpon fabric")
+    route.add_argument("src", help="source server id")
+    route.add_argument("dst", help="destination server id (or the external gateway)")
+    sub.add_parser("summary", help="hop histogram over all ordered server pairs")
+    simulate = sub.add_parser("simulate", help="assign the traffic section onto links")
+    simulate.add_argument("--top", type=cli.integer, default=10, help="bottleneck rows to show")
+    sweep = sub.add_parser("sweep", help="scale both architectures across rack counts")
+    sweep.add_argument("--racks", required=True, help="comma list, e.g. 4,8,16")
+    sweep.add_argument("--groups", type=cli.integer, default=2)
+    sweep.add_argument("--servers-per-rack", type=cli.integer, default=8)
+    sweep.add_argument("--spines", help="comma list matching --racks (default: rack count)")
+    sub.add_parser("benchmark", help="full two-architecture benchmark report")
+    return parser

@@ -12,19 +12,20 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import ponfabric.benchmark
 import ponfabric.graph
 import ponfabric.topology
-from ponfabric import OwcPonSpec, TraditionalSpec, TrafficMatrix
+from ponfabric import OwcPonSpec, TraditionalSpec, TrafficMatrix, cli
 from ponfabric.cli import main
 from ponfabric.scenario import MAX_DIGITS
 from ponfabric.topology import fabric_size
 from test_scenario import raw_bytes
 import test_golden
+import test_startup
 
 PACKAGE = Path(ponfabric.__file__).resolve().parent
 MODULES = ["ponfabric"] + [f"ponfabric.{m.name}" for m in pkgutil.iter_modules([str(PACKAGE)])]
@@ -889,15 +890,27 @@ server = st.sampled_from(
 )
 
 
+def spelled(draw, value, flag, short=None, abbreviation=None) -> list[str]:
+    """``flag`` with ``value`` in one of the forms argparse reads: after the
+    flag or ``short``, after ``=``, attached to ``short``, or after an
+    abbreviation.  The direct parse reads only the first two."""
+    forms = [[flag, value], [f"{flag}={value}"]]
+    if short:
+        forms += [[short, value], [short + value]]
+    if abbreviation:
+        forms.append([abbreviation, value])
+    return draw(st.sampled_from(forms))
+
+
 @st.composite
 def argvs(draw, scenario_path, out_dir):
     argv = []
     if draw(st.booleans()):
-        argv += ["-f", draw(st.sampled_from(["table", "csv", "json", "xml"]))]
+        argv += spelled(draw, draw(st.sampled_from(["table", "csv", "json", "xml"])), "--format", "-f", "--form")
     if draw(st.booleans()):
-        argv += ["-s", scenario_path]
+        argv += spelled(draw, scenario_path, "--scenario", "-s", "--scen")
     if draw(st.booleans()):
-        argv += ["--out", str(out_dir / draw(st.sampled_from(["out.txt", "missing/out.txt"])))]
+        argv += spelled(draw, str(out_dir / draw(st.sampled_from(["out.txt", "missing/out.txt"]))), "--out")
     command = draw(
         st.sampled_from(
             ["build", "validate", "power", "compare", "route", "summary", "simulate",
@@ -908,13 +921,14 @@ def argvs(draw, scenario_path, out_dir):
     if command == "route":
         argv += draw(st.lists(server, max_size=3))
     elif command == "simulate" and draw(st.booleans()):
-        argv += ["--top", str(draw(small))]
+        argv += spelled(draw, str(draw(small)), "--top", abbreviation="--to")
     elif command == "sweep":
         for flag in ("--racks", "--spines", "--groups"):
             if draw(st.booleans()):
-                argv += [flag, draw(count_list) if flag != "--groups" else str(draw(small))]
+                argv += spelled(draw, draw(count_list) if flag != "--groups" else str(draw(small)), flag)
     if draw(st.integers(0, 4)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-5", "", "x"])))
+        junk = st.sampled_from(["--bogus", "-5", "", "x", "--", "-h", "-x"])
+        argv.insert(draw(st.integers(0, len(argv))), draw(junk))
     return argv
 
 
@@ -932,3 +946,116 @@ def test_error_contract_holds_for_generated_argv(tmp_path_factory, data, scenari
     assert "Traceback" not in err.getvalue()
     if code:
         assert len(err.getvalue().splitlines()) <= 1
+
+
+# --- the direct parse against argparse --------------------------------------
+
+COMMANDS = ["build", "validate", "power", "compare", "route", "summary", "simulate", "sweep", "benchmark"]
+GLOBAL_FLAGS = ["-s", "--scenario", "-f", "--format", "--out"]
+COMMAND_FLAGS = {"simulate": ["--top"], "sweep": ["--racks", "--groups", "--servers-per-rack", "--spines"]}
+FORMATS = ["json", "csv", "table"]
+COUNTS = ["3", "0", "+4", " 7", "٣", "1_0", "1" * (MAX_DIGITS + 1), "9" * MAX_DIGITS]
+PATHS = ["perfbench/scenarios/paper_traffic.scenario", "/missing/x.scenario", "out.txt"]
+WORDS = ["", "-5", "a b", "x", "4,8,16", "rack1/server0", "external", *PATHS, *FORMATS, "xml", *COUNTS]
+VOCABULARY = [
+    *GLOBAL_FLAGS,
+    *(flag for flags in COMMAND_FLAGS.values() for flag in flags),
+    # abbreviations, ``=`` forms, attached short values
+    "--scen", "--form", "--ou", "--to", "--rac", "--gr", "--serv", "--sp",
+    "--format=json", "--top=3", "--racks=4,8", "--scenario=x", "-sx", "-fjson", "-f=csv",
+    "--", "-h", "--help", "--version", "--bogus", "frobnicate",
+    *COMMANDS,
+    *WORDS,
+]
+VALUES = {"-f": FORMATS, "--format": FORMATS, "--top": COUNTS, "--groups": COUNTS, "--servers-per-rack": COUNTS}
+
+
+@st.composite
+def scripted_argvs(draw):
+    """Global options, a command word, its options and route's positionals:
+    most often the words each takes, the rest from the whole vocabulary."""
+
+    def often(words):
+        return draw(st.sampled_from(VOCABULARY if draw(st.integers(0, 4)) == 0 else words))
+
+    def option(flags):
+        flag = draw(st.sampled_from(flags))
+        return [flag, often(VALUES.get(flag, WORDS))]
+
+    argv = [word for _ in range(draw(st.integers(0, 3))) for word in option(GLOBAL_FLAGS)]
+    command = draw(st.sampled_from(COMMANDS))
+    argv.append(command)
+    flags = COMMAND_FLAGS.get(command)
+    if command == "sweep" and draw(st.integers(0, 4)):
+        argv += option(["--racks"])  # required
+    for _ in range(draw(st.integers(0, 3)) if flags else 0):
+        argv += option(flags)
+    if command == "route":
+        argv += [often(WORDS) for _ in range(draw(st.sampled_from([2, 2, 2, 0, 1, 3])))]
+    return argv
+
+
+@st.composite
+def edited(draw, argvs):
+    """An argv of ``argvs`` with up to two words inserted, replaced or deleted."""
+    argv = draw(argvs)
+    for _ in range(draw(st.integers(1, 2))):
+        at, word = draw(st.integers(0, len(argv))), draw(st.sampled_from(VOCABULARY))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, word)
+        elif edit == "replace":
+            argv[at] = word
+        else:
+            del argv[at]
+    return argv
+
+
+def argparse_reads(argv: list[str]) -> dict:
+    """``vars`` of what the argparse parser reads from ``argv``, which must parse."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}: {err.getvalue()}")
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(argv=st.one_of(scripted_argvs(), edited(scripted_argvs()), st.lists(st.sampled_from(VOCABULARY), max_size=6)))
+def test_the_direct_parse_reads_what_argparse_reads(argv):
+    """Whatever the direct parse accepts, argparse accepts and reads the same."""
+    direct = cli._parse(argv)
+    event("accepted" if direct is not None else "declined")
+    if direct is not None:
+        assert vars(direct) == argparse_reads(argv)
+
+
+# Each argv that ``perfbench/run.py`` runs, by its own functions.
+BENCHMARK_ARGV = (
+    "import json, sys\n"
+    "sys.path.insert(0, 'perfbench')\n"
+    "import run\n"
+    "invocations = [*run.paper_invocations(), *(inv for workload in run.WORKLOADS "
+    "for inv in run.own_invocations(workload, 'generated.scenario')), run.VERSION]\n"
+    "print(json.dumps([inv.argv for inv in invocations]))\n"
+)
+
+
+def test_the_direct_parse_reads_every_argv_scripts_write():
+    """The golden cases, the start-up matrix and the benchmark's invocations
+    bar ``--version`` parse without argparse, as argparse reads them."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", BENCHMARK_ARGV], cwd=root, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    *benchmark, version = json.loads(done.stdout)
+    assert version == ["--version"] and len(benchmark) >= 10
+    golden = [test_golden._argv(case_id) for case_id in test_golden.IDS]
+    matrix = [["-f", "table", "-s", test_startup.PAPER, *row[0]] for row in test_startup.MATRIX]
+    for argv in [*golden, *matrix, *benchmark]:
+        direct = cli._parse(argv)
+        assert direct is not None, argv
+        assert vars(direct) == argparse_reads(argv)
+    assert cli._parse(version) is None

@@ -248,15 +248,17 @@ class TestSerialize:
 
 
 node_ids = st.from_regex(r"[a-z][a-z0-9/]{0,8}", fullmatch=True)
-milli = st.integers(0, 2_000_000).map(lambda k: Fraction(k, 1000))
-positive_milli = st.integers(1, 2_000_000).map(lambda k: Fraction(k, 1000))
 
 
-def counts(minimum: int = 0):
-    """Counts, indices and milliwatts: small ones half the time, else any
-    the parser takes, up to ``MAX_DIGITS`` digits (most often that many)."""
-    return st.integers(minimum, 30) | st.integers(minimum, 10**MAX_DIGITS - 1)
+def counts(minimum: int = 0, small: int = 30):
+    """Counts, indices, milliwatts and rates in thousandths: up to ``small``
+    half the time, else any the parser takes, up to ``MAX_DIGITS`` digits
+    (most often that many)."""
+    return st.integers(minimum, small) | st.integers(minimum, 10**MAX_DIGITS - 1)
 
+
+milli = counts(0, 2_000_000).map(lambda k: Fraction(k, 1000))
+positive_milli = counts(1, 2_000_000).map(lambda k: Fraction(k, 1000))
 
 ap_strategy = st.tuples(counts(), counts())  # (group, AP index), in any group
 adjacency_strategy = st.one_of(
@@ -280,7 +282,7 @@ pattern_strategy = st.one_of(
 )
 
 flow_strategy = st.dictionaries(  # rates in Mb/s
-    st.tuples(node_ids, node_ids), st.integers(1, 2_000_000), min_size=1, max_size=4
+    st.tuples(node_ids, node_ids), counts(1, 2_000_000), min_size=1, max_size=4
 ).map(
     lambda flows: TrafficSection(
         flows=tuple((src, dst, rate) for (src, dst), rate in sorted(flows.items()))

@@ -5,7 +5,9 @@ start-up: ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis`` and
 compiled from source."""
 
 import ast
+import contextlib
 import functools
+import io
 import importlib
 import json
 import os
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import ponfabric
 from ponfabric import OutputFormat, __version__
 from ponfabric.cli import _build_parser
@@ -156,6 +159,75 @@ def test_each_command_loads_only_the_modules_it_runs(argv, golden, loads, skips)
     package = {name.partition(".")[2] for name in added if name.startswith("ponfabric.")}
     assert not package & skips, sorted(package & skips)
     assert package == loads | {"version"}
+    parser = added & {"argparse", "gettext", "locale"}  # the argv parses without argparse
+    assert not parser, sorted(parser)
+
+
+# Argv that only argparse reads: help, the version, abbreviations, ``=``
+# forms and usage errors.
+DECLINED = [
+    ["--version"],
+    ["--help"],
+    ["-h"],
+    ["summary", "--help"],
+    ["sweep", "-h"],
+    ["route", "--help"],
+    ["bogus"],
+    [],
+    ["sweep"],
+    ["route", "rack1/server0"],
+    ["simulate", "--top", "-5", "--to"],
+    ["-f", "xml", "build"],
+    ["sweep", "--racks", "4", "--groups", "1" * 401],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+def test_help_version_and_usage_errors_print_what_the_reference_parser_prints(monkeypatch, argv):
+    """The parser built from the argument table prints, byte for byte, what
+    the parser written out call by call printed, with the same exit code."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exited, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        oracles.reference_parser().parse_args(argv)
+    done = subprocess.run(
+        [sys.executable, "-m", "ponfabric.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**ENV, "COLUMNS": "80"},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (exited.value.code or 0, out.getvalue(), err.getvalue())
+
+
+def test_a_name_patched_after_a_command_reaches_the_next_one():
+    """``main`` binds anew each name whose value it bound itself: after an
+    in-process ``build``, a patch of ``ponfabric.graph.wire`` reaches the next
+    ``build``, and so does undoing it.  A name bound before ``main`` ran, as
+    ``perfbench/traced.py`` binds its wrappers, is kept."""
+    check = (
+        "import contextlib, io\n"
+        "import ponfabric.cli as cli, ponfabric.graph as graph, ponfabric.scenario as scenario\n"
+        "real, wired, read = graph.wire, [], []\n"
+        "def wire(*args):\n"
+        "    wired.append(args[0])\n"
+        "    return real(*args)\n"
+        "def default_scenario():\n"
+        "    read.append(1)\n"
+        "    return scenario.default_scenario()\n"
+        "cli.default_scenario = default_scenario\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['build']) == 0\n"
+        "    graph.wire = wire\n"
+        "    assert cli.main(['build']) == 0\n"
+        "    assert cli.wire is wire and len(wired) == 2, wired\n"
+        "    graph.wire = real\n"
+        "    assert cli.main(['build']) == 0\n"
+        "assert cli.wire is real and len(wired) == 2, wired\n"
+        "assert cli.default_scenario is default_scenario and read == [1, 1, 1], read\n"
+    )
+    done = run("-c", check)
+    assert done.returncode == 0, done.stderr
 
 
 def test_importtime_lists_every_package_module_a_command_loads():
@@ -315,7 +387,9 @@ def test_a_lazy_name_reads_its_home_module_on_each_access(module, home, name):
 ENTRY_POINT = "import sys\nfrom ponfabric.cli import main\nsys.exit(main())\n"
 
 
-@pytest.mark.parametrize("argv", [["--version"], ["-f", "json", "benchmark"], ["bogus"]])
+@pytest.mark.parametrize(
+    "argv", [["--version"], ["-f", "json", "benchmark"], ["bogus"], ["sweep", "--racks=4,8,16"], ["-h"]]
+)
 def test_the_entry_point_prints_what_the_module_prints(argv):
     script = run("-c", ENTRY_POINT, *argv)
     module = run("-m", "ponfabric.cli", *argv)
