@@ -10,6 +10,7 @@ validation failure, 3 evaluation error.
 
 from __future__ import annotations
 
+import os
 import sys
 
 from . import _read_through
@@ -87,6 +88,9 @@ def _argument(*flags: str, **keywords) -> tuple:
 
 
 _FORMATS = ("json", "csv", "table")  # OutputFormat's values, in its order
+# ``main`` answers the argv of this flag alone itself, where argparse would
+# print the version on one line.
+_VERSION = _argument("--version", action="version", version=f"ponfabric {__version__}")
 # Each command's help and arguments, in the order ``--help`` lists the
 # commands, and the global options under ``None``: the flags and keywords
 # of each ``add_argument`` call, where a flag with no dash names a
@@ -94,6 +98,7 @@ _FORMATS = ("json", "csv", "table")  # OutputFormat's values, in its order
 _ARGUMENTS = {
     None: (
         __doc__,
+        _VERSION,
         _argument("-s", "--scenario", metavar="PATH", help="scenario file (defaults to the built-in benchmark scenario)"),
         _argument("-f", "--format", choices=_FORMATS, help="output format (overrides the scenario's choice)"),
         _argument("--out", metavar="PATH", help="write output to a file"),
@@ -121,6 +126,8 @@ _ARGUMENTS = {
     ),
     "benchmark": ("full two-architecture benchmark report",),
 }
+# The rows ``_parse`` reads: all but ``--version``'s, which argparse acts on.
+_PARSED = {scope: [spec for spec in rows[1:] if "action" not in spec[1]] for scope, rows in _ARGUMENTS.items()}
 
 
 def _dest(flags: tuple[str, ...]) -> str:
@@ -129,9 +136,9 @@ def _dest(flags: tuple[str, ...]) -> str:
 
 
 def _build_parser():
-    """The parser of the argv ``_parse`` declines: help, ``--version``,
-    abbreviations, ``--opt=value`` and usage errors print what argparse
-    prints, and only they load it."""
+    """The parser of the argv ``_parse`` declines: help, ``--version`` where
+    ``main`` does not answer it, abbreviations, ``--opt=value`` and usage
+    errors print what argparse prints, and only they load it."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -143,7 +150,6 @@ def _build_parser():
             self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
     parser = _Parser(prog="ponfabric", description=_ARGUMENTS[None][0])
-    parser.add_argument("--version", action="version", version=f"ponfabric {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for scope, (text, *specs) in _ARGUMENTS.items():
         scope_parser = parser if scope is None else sub.add_parser(scope, help=text)
@@ -163,7 +169,7 @@ def _parse(argv: list[str]):
         if not word.startswith("-"):
             positionals.append(word)
             continue
-        specs = _ARGUMENTS.get(positionals[0] if positionals else None, ())[1:]
+        specs = _PARSED.get(positionals[0] if positionals else None, ())
         flags, keywords = next((spec for spec in specs if word in spec[0]), ((), {}))
         value = next(words, "-")
         if not flags or value.startswith("-") or value not in keywords.get("choices", (value,)):
@@ -175,7 +181,7 @@ def _parse(argv: list[str]):
                 return None
         values[_dest(flags)] = value
     command, *positionals = positionals or [""]  # no command word reads as an unknown one
-    specs = (*_ARGUMENTS[None][1:], *_ARGUMENTS.get(command, "")[1:])
+    specs = (*_PARSED[None], *_PARSED.get(command, ()))
     names = [flags[0] for flags, _ in specs if flags[0][0] != "-"]
     if command not in _ARGUMENTS or len(positionals) != len(names):
         return None
@@ -436,9 +442,45 @@ def _cmd_benchmark(scenario: Scenario, args) -> tuple[Document, int]:
     return run_benchmark(scenario), EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+def _width() -> int:
+    """The width argparse wraps text to, as ``shutil.get_terminal_size``
+    reads it: ``COLUMNS``, or 80 where stdout is no terminal, less 2.  It
+    is 0 where argparse is left to read it: on a terminal, or for a
+    ``COLUMNS`` that is not a plain count."""
+    if columns := os.environ.get("COLUMNS"):
+        return int(columns) - 2 if columns.isdecimal() and len(columns) < 9 else 0
+    return 0 if sys.__stdout__ is not None and sys.__stdout__.isatty() else 78
+
+
+def _write(text: str, stream) -> None:
+    """Write ``text`` to ``stream`` and flush it.  If that fails, the
+    stream's descriptor is pointed at ``os.devnull`` before the error is
+    raised, so that the flush at exit writes nothing and reports nothing.
+    A closed stream (None) raises ``OSError``."""
+    if stream is None:
+        raise OSError("stdout is closed")
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+        raise
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    flags, keywords = _VERSION
+    if argv == list(flags) and len(keywords["version"]) <= max(_width(), 11):
+        # what argparse's version action prints where it fits one line: to
+        # stderr if stdout is closed, and a failed write ignored
+        try:
+            _write(keywords["version"] + "\n", sys.stdout or sys.stderr)
+        except OSError:
+            pass
+        return EXIT_OK
+    try:
+        args = _parse(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -461,14 +503,14 @@ def main(argv: list[str] | None = None) -> int:
 
     fmt = OutputFormat(args.format) if args.format else scenario.out_format
     text = render(document, fmt)
-    if args.out:
-        try:
+    try:
+        if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"ponfabric: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+        else:
+            _write(text, sys.stdout)
+    except OSError as exc:
+        print(f"ponfabric: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return exit_code
 
 

@@ -1042,9 +1042,10 @@ BENCHMARK_ARGV = (
 )
 
 
-def test_the_direct_parse_reads_every_argv_scripts_write():
+def test_the_direct_parse_reads_every_argv_scripts_write(monkeypatch, capsys):
     """The golden cases, the start-up matrix and the benchmark's invocations
-    bar ``--version`` parse without argparse, as argparse reads them."""
+    bar ``--version`` parse without argparse, as argparse reads them, and
+    ``main`` answers ``--version`` without argparse."""
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", BENCHMARK_ARGV], cwd=root, capture_output=True, text=True, timeout=60
@@ -1059,3 +1060,24 @@ def test_the_direct_parse_reads_every_argv_scripts_write():
         assert direct is not None, argv
         assert vars(direct) == argparse_reads(argv)
     assert cli._parse(version) is None
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_build_parser", None)
+    assert main(version) == 0
+    assert capsys.readouterr() == (f"ponfabric {ponfabric.__version__}\n", "")
+
+
+# Each command of the start-up matrix with buffered stdout, and one unbuffered.
+WRITES = [(row[0], "") for row in test_startup.MATRIX] + [(["validate"], "1")]
+
+
+@pytest.mark.parametrize("failure", test_startup.WRITE_FAILURES)
+@pytest.mark.parametrize("argv, unbuffered", WRITES, ids=[f"{argv[0]}-{flag or 0}" for argv, flag in WRITES])
+def test_a_failed_stdout_write_exits_one_with_one_line(argv, unbuffered, failure):
+    """A closed stdout, a full device and a pipe whose reader has closed
+    fail the write, or with buffered stdout its flush: either exits 1 with
+    one line, and nothing more is reported at exit."""
+    code, out, err = test_startup.run_to(
+        failure, "-m", "ponfabric.cli", "-s", test_startup.PAPER, *argv, PYTHONUNBUFFERED=unbuffered
+    )
+    assert_one_line_failure(code, out, err)
+    assert err.startswith("ponfabric: cannot write output: "), err

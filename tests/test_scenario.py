@@ -1,6 +1,8 @@
 import contextlib
 import io
+from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -14,11 +16,9 @@ from ponfabric import (
     ExplicitPairs,
     IndexMatched,
     LinkCapacities,
-    NicCountMode,
     NoDirectLinks,
     OutputFormat,
     OwcPonSpec,
-    PowerOptions,
     RoutingPolicy,
     Scenario,
     TraditionalSpec,
@@ -295,44 +295,74 @@ traffic_strategy = st.one_of(
     flow_strategy,
 )
 
-scenario_strategy = st.builds(
-    Scenario,
-    architectures=st.sampled_from(
+
+def accepts(parse, text: str) -> bool:
+    """Whether the ``KEY_TABLE`` parser ``parse`` takes ``text``."""
+    try:
+        parse(text, 1)
+    except ScenarioError:
+        return False
+    return True
+
+
+# The values of the fields whose codecs are choices of records rather than
+# of enum members.
+STRUCTURED = {
+    "architectures": st.sampled_from(
         [
             (Architecture.TRADITIONAL,),
             (Architecture.OWC_PON,),
             (Architecture.TRADITIONAL, Architecture.OWC_PON),
         ]
     ),
-    traditional=st.builds(
-        TraditionalSpec,
-        num_spine=counts(),
-        num_racks=counts(),
-        servers_per_rack=counts(),
-    ),
-    owcpon=st.builds(
-        OwcPonSpec,
-        num_racks=counts(),
-        servers_per_rack=counts(),
-        num_groups=counts(),
-        aps_per_group=counts(),
-        adjacency=adjacency_strategy,
-        gateway_ap_index=counts(),
-        transceiver_multiplier=counts(1),
-    ),
-    capacities=st.builds(LinkCapacities, positive_milli, positive_milli, positive_milli),
-    options=st.builds(
-        PowerOptions,
-        include_owc_transceivers=st.booleans(),
-        include_server_transceivers=st.booleans(),
-        nic_count_mode=st.sampled_from(list(NicCountMode)),
-    ),
-    policy=st.builds(RoutingPolicy, st.booleans(), st.booleans()),
+    "owcpon.adjacency": adjacency_strategy,
+}
+
+
+def field_values(field: str, parse) -> st.SearchStrategy:
+    """The values of the ``Scenario`` field that a ``KEY_TABLE`` row sets,
+    by the type of its default: every member of an enum, both flags, and
+    counts or thousandths from 0, or from the least above 0 where the row's
+    parser refuses 0."""
+    default = attrgetter(field)(Scenario())
+    least = 0 if accepts(parse, "0") else 1
+    if isinstance(default, Enum):
+        return st.sampled_from(list(type(default)))
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return counts(least)
+    if isinstance(default, Fraction):
+        return positive_milli if least else milli
+    return STRUCTURED[field]
+
+
+# Each [architecture] and [options] field, by its dotted path in
+# ``Scenario``, and its values, drawn by its ``KEY_TABLE`` row: a key added
+# with a codec of a kind above is drawn with no change here.  The
+# ``owcpon.pairs`` row, which has no parser, rides on the adjacency.
+KEY_VALUES = {field: field_values(field, parse) for _, _, field, (parse, _) in KEY_TABLE if parse}
+
+
+def scenario_of(values: dict[str, object], **others) -> Scenario:
+    """The default scenario with each dotted field of ``values`` set, through
+    the records' own ``_replace``, and ``others``."""
+    owners: dict[str, dict[str, object]] = {}
+    for field, value in values.items():
+        owner, _, name = field.rpartition(".")
+        owners.setdefault(owner, {})[name] = value
+    base = Scenario()
+    records = {owner: getattr(base, owner)._replace(**fields) for owner, fields in owners.items() if owner}
+    return base._replace(**owners.get("", {}), **records, **others)
+
+
+scenario_strategy = st.builds(
+    scenario_of,
+    st.fixed_dictionaries(KEY_VALUES),
     catalog_overrides=st.dictionaries(st.sampled_from(PRICED_KINDS), counts()).map(
         lambda d: tuple(sorted(d.items()))
     ),
     traffic=traffic_strategy,
-    out_format=st.sampled_from(list(OutputFormat)),
 )
 
 

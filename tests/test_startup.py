@@ -25,11 +25,41 @@ from ponfabric.cli import _build_parser
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PATHS = [str(SRC), os.environ.get("PYTHONPATH")]
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, PATHS))}
+# Without ``COLUMNS``, argparse wraps to 80 columns where stdout is a pipe.
+ENV = {name: value for name, value in os.environ.items() if name != "COLUMNS"}
+ENV["PYTHONPATH"] = os.pathsep.join(filter(None, PATHS))
 
 
 def run(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=ENV, timeout=60)
+
+
+WRITE_FAILURES = ["closed", "full", "broken"]
+
+
+def run_to(stdout: str, *args: str, **env: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of the interpreter run on ``args``
+    with ``env`` added to ``ENV``, its stdout a pipe (``"pipe"``) or one of
+    ``WRITE_FAILURES``: closed, ``/dev/full`` or a pipe whose reader has
+    closed.  Only a pipe's stdout is read."""
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    command = dict(args=[sys.executable, *args], stderr=subprocess.PIPE, text=True, env={**ENV, **env}, timeout=60)
+    if stdout == "pipe":
+        done = subprocess.run(**command, stdout=subprocess.PIPE)
+    elif stdout == "closed":
+        done = subprocess.run(**command, preexec_fn=lambda: os.close(1))
+    elif stdout == "full":
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(**command, stdout=full)
+    else:
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            done = subprocess.run(**command, stdout=writer)
+        finally:
+            os.close(writer)
+    return done.returncode, done.stdout or "", done.stderr
 
 
 def modules_after(statement: str) -> set[str]:
@@ -76,14 +106,23 @@ def cli_modules(*argv: str) -> tuple[int, set[str], str]:
     return done.returncode, set(last[1:]) - bare_modules(), done.stdout
 
 
+PARSER = {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [(["--version"], 0), (["--help"], 0), (["bogus"], 1), (["summary", "--help"], 0)],
 )
 def test_version_help_and_usage_errors_load_only_the_package_and_version(argv, code):
+    """``--version`` alone is answered from the argument table; help and
+    usage errors load argparse."""
     exit_code, added, _ = cli_modules(*argv)
     assert exit_code == code
     assert {name for name in added if name.startswith("ponfabric")} == {"ponfabric", "ponfabric.version"}
+    if argv == ["--version"]:
+        assert not added & PARSER, sorted(added & PARSER)
+    else:
+        assert "argparse" in added
 
 
 def test_a_table_command_loads_neither_json_nor_csv():
@@ -159,14 +198,14 @@ def test_each_command_loads_only_the_modules_it_runs(argv, golden, loads, skips)
     package = {name.partition(".")[2] for name in added if name.startswith("ponfabric.")}
     assert not package & skips, sorted(package & skips)
     assert package == loads | {"version"}
-    parser = added & {"argparse", "gettext", "locale"}  # the argv parses without argparse
-    assert not parser, sorted(parser)
+    assert not added & PARSER, sorted(added & PARSER)  # the argv parses without argparse
 
 
-# Argv that only argparse reads: help, the version, abbreviations, ``=``
-# forms and usage errors.
+# Argv that only argparse reads: help, the version with other arguments,
+# abbreviations, ``=`` forms and usage errors.
 DECLINED = [
-    ["--version"],
+    ["-s", "x", "--version"],
+    ["summary", "--version"],
     ["--help"],
     ["-h"],
     ["summary", "--help"],
@@ -198,6 +237,35 @@ def test_help_version_and_usage_errors_print_what_the_reference_parser_prints(mo
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (exited.value.code or 0, out.getvalue(), err.getvalue())
+
+
+# ``--version`` as the reference parser reads it, in a fresh interpreter.
+REFERENCE_VERSION = (
+    f"import sys; sys.path.insert(0, {str(ROOT / 'tests')!r})\n"
+    "import oracles\n"
+    "oracles.reference_parser().parse_args(['--version'])\n"
+)
+
+
+@pytest.mark.parametrize(
+    "stdout, columns",
+    [("pipe", None), ("pipe", "80"), ("pipe", "17"), ("pipe", "16"), ("pipe", "10")]
+    + [(failure, None) for failure in WRITE_FAILURES],
+)
+def test_version_prints_what_argparse_prints(stdout, columns):
+    """``main`` answers ``--version`` where argparse prints it on one line
+    (17 columns or more), and argparse answers it where it wraps the line.
+    Either way the bytes and the exit code are argparse's, and so they are
+    where the write fails: argparse then writes to stderr if stdout is
+    closed, and else ignores the failure.  With buffered stdout, the
+    failure shows at the flush, where the answer ignores it as well."""
+    env = {"PYTHONUNBUFFERED": "1"} | ({"COLUMNS": columns} if columns else {})
+    done = run_to(stdout, "-m", "ponfabric.cli", "--version", **env)
+    assert done[0] == 0 and "Traceback" not in done[2], done
+    assert run_to(stdout, "-m", "ponfabric.cli", "--version", **env | {"PYTHONUNBUFFERED": ""}) == done
+    if stdout != "pipe" and sys.version_info < (3, 11):
+        pytest.skip("argparse ignores a failed write from Python 3.11 on")
+    assert done == run_to(stdout, "-c", REFERENCE_VERSION, **env)
 
 
 def test_a_name_patched_after_a_command_reaches_the_next_one():
