@@ -43,7 +43,7 @@ _EXPORTS = {
     "power_reduction scaling_sweep traditional_power",
     ".render": "Document OutputFormat Table format_rational render",
     ".graph": "Link NetworkGraph Node build_owc_pon build_traditional fabric_links",
-    ".route_table": "Route RouteTable resolve_route route_to_external",
+    ".route_table": "Route RouteTable resolve_route",
     ".routing": "PathClass all_pairs_summary",
     ".scenario": "HotspotRackPattern IntraRackHeavyPattern NicCountMode PROFILES PowerOptions RoutingPolicy "
     "Scenario TrafficSection UniformPattern default_scenario parse_scenario serialize_scenario",

@@ -27,11 +27,10 @@ _IMPORTS = {
     ".graph": "wire",
     ".power": "format_percent power_reduction scaling_sweep",
     ".render": "Document OutputFormat Table format_rational render",
-    ".route_table": "RouteTable resolve_route route_to_external",
+    ".route_table": "RouteTable resolve_route",
     ".routing": "all_pairs_summary",
     ".scenario": "Scenario check_digits default_scenario parse_scenario selected_specs",
-    ".topology": "EXTERNAL Architecture LinkKind OwcPonSpec census_table check_size device_census "
-    "link_id validate",
+    ".topology": "Architecture LinkKind OwcPonSpec census_table check_size device_census link_id validate",
     ".traffic": "TrafficMatrix assign bottlenecks generate_traffic",
     "pathlib": "Path",
 }
@@ -142,12 +141,15 @@ def _build_parser():
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-        validation findings, so usage problems exit 1.  Like every failure they
-        print one line (``--help`` shows the usage)."""
+        """Usage errors exit 1, not argparse's 2, which validation findings
+        exit with; like every failure they print one line (``--help`` shows
+        the usage).  Help is written as a command's output is, by ``_write``."""
 
         def error(self, message):
             self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+        def print_help(self, file=None):
+            _write(self.format_help(), file or sys.stdout)
 
     parser = _Parser(prog="ponfabric", description=_ARGUMENTS[None][0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,10 +267,8 @@ def _cmd_build(scenario: Scenario, args) -> tuple[Document, int]:
 def _cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:
     tables = []
     meta = []
-    total = 0
     for architecture, spec in selected_specs(scenario).items():
         violations = validate(spec)
-        total += len(violations)
         meta.append((f"{architecture.value}_violations", len(violations)))
         tables.append(
             Table(
@@ -278,7 +278,7 @@ def _cmd_validate(scenario: Scenario, args) -> tuple[Document, int]:
             )
         )
     doc = Document("structural validation", tuple(meta), tuple(tables))
-    return doc, (EXIT_VALIDATION if total else EXIT_OK)
+    return doc, (EXIT_VALIDATION if any(table.rows for table in tables) else EXIT_OK)
 
 
 @_command("power", ".benchmark")
@@ -313,11 +313,7 @@ def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
 
 @_command("route", ".route_table")
 def _cmd_route(scenario: Scenario, args) -> tuple[Document, int]:
-    spec = _owcpon_spec(scenario)
-    if args.dst == EXTERNAL:
-        route = route_to_external(spec, args.src)
-    else:
-        route = resolve_route(spec, args.src, args.dst, scenario.policy)
+    route = resolve_route(_owcpon_spec(scenario), args.src, args.dst, scenario.policy)
     # each node, with the link that reaches it
     steps = tuple((index, *step) for index, step in enumerate(zip(route.nodes, ("", *route.links))))
     meta = (
@@ -483,6 +479,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:  # help not written
+        print(f"ponfabric: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     _bind(*_BASE)
     try:

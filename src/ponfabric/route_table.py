@@ -1,4 +1,4 @@
-"""Routes as link and node ids: the route table and the one-pair resolvers.
+"""Routes as link and node ids: the route table and the one-pair resolver.
 
 The routes follow the chain rules ``routing`` sets out, which
 ``RouteTable.keys`` alone applies.  A table keeps, per spec and policy,
@@ -12,7 +12,6 @@ arithmetic.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import NoRoute, PolicyExcluded
@@ -42,9 +41,6 @@ class Route(NamedTuple):
         return len(self.links)
 
 
-#: A stretch of a route: the ids of its links, in route order.
-Stretch = tuple[str, ...]
-
 #: A route as keys: (edge link out of the source, class, source rack,
 #: destination rack, junction, direct link's racks, edge link into the
 #: destination); see ``RouteTable.keys``.
@@ -64,8 +60,8 @@ class RouteTable:
     keys: each server's rack and edge link, named on first use and kept,
     and each inter-rack pair's racks, the junction its class meets at
     (``switch``, ``nic`` or ``olt``) and its direct link's racks, if any.
-    ``parts`` and ``route`` name the links between the edge links from
-    these keys.  Raises the builder's errors for an inadmissible spec.
+    ``route`` alone names the links between the edge links from these
+    keys.  Raises the builder's errors for an inadmissible spec.
     """
 
     def __init__(self, spec: FabricSpec, policy: RoutingPolicy = RoutingPolicy()):
@@ -85,28 +81,28 @@ class RouteTable:
                 self._pairs[ends] = self._pairs[ends[::-1]] = ends
 
     def route(self, src: str, dst: str) -> Route:
-        """The src -> dst route; raises as ``resolve_route`` documents."""
-        parts = self.parts(src, dst)
-        if parts is None:
-            return _walked(src, (), PathClass.SAME_SERVER)
-        out_link, path_class, stretches, in_link = parts
-        return _walked(src, (out_link, *chain(*stretches), in_link), path_class)
-
-    def parts(self, src: str, dst: str) -> tuple[str, PathClass, tuple[Stretch, ...], str] | None:
-        """The src -> dst route as (edge link out of ``src``, class,
-        stretches, edge link into ``dst``), None when ``src == dst``: no
-        stretch within a rack, else the source leaf's links up to the
-        junction, any direct NIC link and the destination leaf's links
-        down from the junction."""
+        """The src -> dst route, ``dst`` a server or ``EXTERNAL``; raises as
+        ``resolve_route`` documents.  Between its edge links, a route between
+        racks takes the source leaf's links up to the junction, any direct
+        NIC link and the destination leaf's links down from the junction;
+        one to the gateway takes the links up to the OLT, then the OLT's."""
+        spec = self.spec
+        if dst == EXTERNAL:  # the policy has no say: there is one way out
+            rack, out_link = self._server(src)
+            if not self._owcpon:
+                raise NoRoute("the traditional fabric has no modeled external gateway")
+            links = (out_link, *uplinks(spec, rack, "olt"), link_id(OLT, EXTERNAL))
+            return _walked(src, links, PathClass.EXTERNAL)
         keys = self.keys(src, dst)
         if keys is None:
-            return None
+            return _walked(src, (), PathClass.SAME_SERVER)
         out_link, path_class, rack_a, rack_b, junction, direct, in_link = keys
-        if junction is None:
-            return out_link, path_class, (), in_link
-        up, down = uplinks(self.spec, rack_a, junction), uplinks(self.spec, rack_b, junction)[::-1]
-        stretches = (up, (direct_link(self.spec, *direct),), down) if direct else (up, down)
-        return out_link, path_class, stretches, in_link
+        links = [out_link]
+        if junction is not None:
+            links += uplinks(spec, rack_a, junction)
+            links += [direct_link(spec, *direct)] if direct else []
+            links += uplinks(spec, rack_b, junction)[::-1]
+        return _walked(src, (*links, in_link), path_class)
 
     def keys(self, src: str, dst: str) -> Keys | None:
         """The src -> dst route as keys, None when ``src == dst``: (edge
@@ -158,24 +154,14 @@ def resolve_route(
     spec: FabricSpec, src: str, dst: str, policy: RoutingPolicy = RoutingPolicy()
 ) -> Route:
     """The unique rule-chain route between two servers of the fabric
-    ``spec`` builds.
+    ``spec`` builds, or from a server to the external gateway when ``dst``
+    is ``EXTERNAL``, which no policy changes.
 
     Raises the builder's errors for an inadmissible spec, ``UnknownServer``
     for endpoints that are not server ids of the fabric, ``NoRoute`` for
-    racks of a traditional fabric, whose inter-rack paths are not modeled,
-    and ``PolicyExcluded`` when the policy forbids every mechanism
-    available for an inter-group pair.  Resolving many pairs is cheaper
-    through one ``RouteTable``.
+    racks of a traditional fabric, whose inter-rack paths and gateway are
+    not modeled, and ``PolicyExcluded`` when the policy forbids every
+    mechanism available for an inter-group pair.  Resolving many pairs is
+    cheaper through one ``RouteTable``.
     """
     return RouteTable(spec, policy).route(src, dst)
-
-
-def route_to_external(spec: FabricSpec, src: str) -> Route:
-    """Route from a server to the external gateway: its leaf's up
-    half-route to the OLT, then the gateway."""
-    table = RouteTable(spec)
-    rack, edge = table._server(src)
-    if not table._owcpon:
-        raise NoRoute("the traditional fabric has no modeled external gateway")
-    links = (edge, *uplinks(spec, rack, "olt"), link_id(OLT, EXTERNAL))
-    return _walked(src, links, PathClass.EXTERNAL)

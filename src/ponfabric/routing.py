@@ -29,9 +29,9 @@ walked from its link ids.  Between its two edge links (server to leaf)
 every inter-rack chain is the source leaf's half-route up to where
 routes of its class meet (the group's optical switch, the OLT, or its
 own NIC, then the direct link to the other NIC) and the destination
-leaf's half-route down.  ``RouteTable`` and the one-pair resolvers
-(``resolve_route``, ``route_to_external``) live in ``route_table``, which
-only ``route`` and ``simulate`` load.  ``all_pairs_summary`` counts the
+leaf's half-route down.  ``RouteTable`` and ``resolve_route``, whose
+``dst`` may be ``"external"``, live in ``route_table``, which only
+``route`` and ``simulate`` load.  ``all_pairs_summary`` counts the
 classes above from the spec and the policy alone.  The graph walk that
 checks the table is ``reference_route`` in the test oracles.
 """

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import RoutingError, ScenarioError, UnknownRack, in_pair
 from .graph import fabric_links
@@ -37,11 +37,6 @@ from .route_table import resolve_route  # noqa: F401  (perfbench/traced.py wraps
 from .scenario import HotspotRackPattern, IntraRackHeavyPattern, TrafficPattern, UniformPattern
 from .topology import FabricSpec, LinkCapacities, LinkKind, check_count, check_rate, checked
 from .topology import direct_link, edge_link, server_id, uplinks
-
-#: (sources, destinations, Gb/s): each source sends the rate to each
-#: destination but itself.  Each group is one rack's servers, so a
-#: block's two groups are the same rack's or disjoint.
-Block = tuple[tuple[str, ...], tuple[str, ...], Fraction]
 
 #: Most rack-pair blocks a traffic pattern may make (1,024 racks under
 #: uniform traffic make 1,048,576).
@@ -83,22 +78,14 @@ class RackBlocks(NamedTuple):
     Gb/s to every server of rack ``b`` but itself.  ``demands`` holds the
     blocks with demand in the sorted order of their first entries,
     ``(server_id(a, 0), server_id(b, 0))``, as ``generate_traffic`` builds
-    it; ``blocks`` names the servers by ``topology.server_id``; ``entries``
-    and ``total`` count the server pairs and sum their Gb/s."""
+    it; ``entries`` and ``total`` count the server pairs and sum their
+    Gb/s."""
 
     servers_per_rack: int
     demands: Mapping[tuple[int, int], Fraction]
     entries: int
     total: Fraction
     scale = 1  # demands are in Gb/s
-
-    def blocks(self) -> Iterable[Block]:
-        n = self.servers_per_rack
-        # one tuple per rack, shared by its blocks
-        racks = set(chain.from_iterable(self.demands))
-        servers = {rack: tuple(server_id(rack, i) for i in range(n)) for rack in racks}
-        for (a, b), rate in self.demands.items():
-            yield servers[a], servers[b], rate
 
     def demand_entries(self) -> int:
         return self.entries
@@ -203,9 +190,11 @@ def assign(
     halves = {junction: [0] * spec.num_racks for junction in (None, "switch", "nic", "olt")}
     link_units: dict[str, int] = {}  # per link: flows' edge links first
     direct_units: dict[tuple[int, int], int] = {}  # per direct link, by its racks
-    entries = matrix.demands.items() if flows else (
-        ((srcs[0], dsts[srcs[0] == dsts[0]]), rate) for srcs, dsts, rate in matrix.blocks()
-    )  # a block's first entry stands for the block
+    entries = matrix.demands.items()
+    if not flows:  # a block's first entry stands for the block
+        racks = set(chain.from_iterable(matrix.demands))
+        ids = {rack: (server_id(rack, 0), server_id(rack, 1)) for rack in racks}  # each rack's first two
+        entries = (((ids[a][0], ids[b][a == b]), rate) for (a, b), rate in entries)
     last_rate = None  # pattern blocks share their rate objects
     for (src, dst), rate in entries:
         if not rate or src == dst:

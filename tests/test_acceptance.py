@@ -35,12 +35,12 @@ from ponfabric import (
     owc_pon_power,
     parse_scenario,
     resolve_route,
-    route_to_external,
     run_benchmark,
     serialize_scenario,
     traditional_power,
 )
 from ponfabric.cli import main
+from ponfabric.topology import EXTERNAL
 from test_scenario import scenario_strategy
 from test_topology import (
     with_extra_link,
@@ -194,7 +194,7 @@ def test_criterion_4_routing_invariants(default_owcpon):
     )
 
     for src in servers:
-        route = route_to_external(default_owcpon.spec, src)
+        route = resolve_route(default_owcpon.spec, src, EXTERNAL)
         expected_hops = 6 if rack_of(src) % spec.aps_per_group == spec.gateway_ap_index else 8
         assert route.hop_count == expected_hops
         assert route.hop_count == oracles.oracle_external_hop_count(

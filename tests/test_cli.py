@@ -24,7 +24,7 @@ from ponfabric.cli import main
 from ponfabric.scenario import MAX_DIGITS
 from ponfabric.topology import fabric_size
 from test_scenario import raw_bytes
-import test_golden
+import golden_cases
 import test_startup
 
 PACKAGE = Path(ponfabric.__file__).resolve().parent
@@ -226,6 +226,17 @@ def test_simulate_with_flows(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["meta"]["total_demand_gbps"] == "2.5"
+
+
+def test_a_flow_to_the_external_gateway_exits_three(tmp_path, capsys):
+    """``route`` resolves a route to ``external``; a flow line does not."""
+    scenario = tmp_path / "flows.txt"
+    scenario.write_text(
+        "[options]\nprofile = reproduction\n\n[traffic]\nflow = rack0/server0 external 1\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "-s", str(scenario), "simulate")
+    assert (code, out) == (3, "")
+    assert err == "ponfabric: evaluation error: rack0/server0 -> external: not a server node: 'external'\n"
 
 
 def test_sweep_command(capsys):
@@ -474,10 +485,10 @@ def test_simulate_and_route_build_no_graph(capsys, no_graphs, case, fmt):
     print their golden output with both builders, ``Node`` and
     ``NetworkGraph`` refusing to run."""
     case_id = f"{case}.{fmt}"
-    code = main(test_golden._argv(case_id))
+    code = main(golden_cases.argv(case_id))
     assert (code, capsys.readouterr().out) == (
         0,
-        (test_golden.GOLDEN / f"{case_id}.out").read_text(encoding="utf-8"),
+        (golden_cases.GOLDEN / f"{case_id}.out").read_text(encoding="utf-8"),
     )
 
 
@@ -1053,7 +1064,7 @@ def test_the_direct_parse_reads_every_argv_scripts_write(monkeypatch, capsys):
     assert done.returncode == 0, done.stderr
     *benchmark, version = json.loads(done.stdout)
     assert version == ["--version"] and len(benchmark) >= 10
-    golden = [test_golden._argv(case_id) for case_id in test_golden.IDS]
+    golden = [golden_cases.argv(case_id) for case_id in golden_cases.IDS]
     matrix = [["-f", "table", "-s", test_startup.PAPER, *row[0]] for row in test_startup.MATRIX]
     for argv in [*golden, *matrix, *benchmark]:
         direct = cli._parse(argv)
@@ -1068,10 +1079,11 @@ def test_the_direct_parse_reads_every_argv_scripts_write(monkeypatch, capsys):
 
 # Each command of the start-up matrix with buffered stdout, and one unbuffered.
 WRITES = [(row[0], "") for row in test_startup.MATRIX] + [(["validate"], "1")]
+WRITE_IDS = [f"{name}-0" for name in test_startup.MATRIX_IDS] + ["validate-1"]
 
 
 @pytest.mark.parametrize("failure", test_startup.WRITE_FAILURES)
-@pytest.mark.parametrize("argv, unbuffered", WRITES, ids=[f"{argv[0]}-{flag or 0}" for argv, flag in WRITES])
+@pytest.mark.parametrize("argv, unbuffered", WRITES, ids=WRITE_IDS)
 def test_a_failed_stdout_write_exits_one_with_one_line(argv, unbuffered, failure):
     """A closed stdout, a full device and a pipe whose reader has closed
     fail the write, or with buffered stdout its flush: either exits 1 with
@@ -1079,5 +1091,17 @@ def test_a_failed_stdout_write_exits_one_with_one_line(argv, unbuffered, failure
     code, out, err = test_startup.run_to(
         failure, "-m", "ponfabric.cli", "-s", test_startup.PAPER, *argv, PYTHONUNBUFFERED=unbuffered
     )
+    assert_one_line_failure(code, out, err)
+    assert err.startswith("ponfabric: cannot write output: "), err
+
+
+@pytest.mark.parametrize("failure", test_startup.WRITE_FAILURES)
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["summary", "--help"]], ids=" ".join)
+def test_help_that_cannot_be_written_exits_one_with_one_line(argv, failure):
+    """Help follows the commands' rule where its write fails, on every
+    Python: argparse alone would exit 0 having written nothing (3.11 on),
+    print the help on stderr where stdout is closed, or print a traceback
+    (3.10)."""
+    code, out, err = test_startup.run_to(failure, "-m", "ponfabric.cli", *argv)
     assert_one_line_failure(code, out, err)
     assert err.startswith("ponfabric: cannot write output: "), err

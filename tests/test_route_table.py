@@ -3,8 +3,8 @@ in ``oracles`` on the fabric the spec builds, and the aggregated sums of
 ``assign`` against the per-pair reference on the built graph, at drawn
 link capacities and on seeded flow lines; the block sums of each traffic
 pattern against its per-server matrix; the closed-form all-pairs
-histogram against every pair resolved on the built graph; ``keys``,
-``parts`` and ``route`` of one table against each other; and the size of
+histogram against every pair resolved on the built graph; ``keys`` and
+``route`` of one table against each other; and the size of
 what ``assign`` and its table keep, which grows with servers, racks and
 direct links, not with rack pairs or flows."""
 
@@ -43,11 +43,11 @@ from ponfabric import (
     generate_traffic,
     parse_scenario,
     resolve_route,
-    route_to_external,
     serialize_scenario,
 )
 
-from ponfabric.topology import direct_link, edge_link, fabric_size, server_id, uplinks
+from ponfabric.errors import UnknownServer
+from ponfabric.topology import EXTERNAL, direct_link, edge_link, fabric_size, link_id, server_id, uplinks
 from test_census import owcpon_specs as census_specs
 
 POLICIES = [
@@ -129,7 +129,8 @@ def test_routes_match_reference(graph, policy, order):
     """Every ordered pair of endpoints routed by the table of the spec,
     in shuffled order, and every endpoint's route to the external gateway,
     against the graph walk on the fabric the spec builds, errors included;
-    an id that is not text is no server either."""
+    an id that is not text is no server either.  No policy changes the way
+    out: relay fallback off and no direct preference give the same route."""
     ids = endpoints(graph) + [7]
     pairs = list(itertools.product(ids, repeat=2))
     order.shuffle(pairs)  # memoised pieces must not depend on resolution order
@@ -141,10 +142,11 @@ def test_routes_match_reference(graph, policy, order):
         assert outcome(lambda: resolve_route(graph.spec, src, dst, policy)) == outcome(
             lambda: oracles.reference_route(graph, src, dst, policy)
         )
+    tables = [RouteTable(graph.spec, other) for other in POLICIES]
     for src in ids:
-        assert outcome(lambda: route_to_external(graph.spec, src)) == outcome(
-            lambda: oracles.reference_route_to_external(graph, src)
-        ), src
+        expected = outcome(lambda: oracles.reference_route_to_external(graph, src))
+        assert outcome(lambda: resolve_route(graph.spec, src, EXTERNAL)) == expected, src
+        assert all(outcome(lambda: other.route(src, EXTERNAL)) == expected for other in tables), src
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -386,35 +388,41 @@ JUNCTIONS = {
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(spec=owcpon_specs(), policy=st.sampled_from(POLICIES))
-def test_keys_parts_and_route_agree(spec, policy):
+def test_keys_and_route_agree(spec, policy):
     """On every ordered pair of the spec's servers and of two ids that name
-    none, ``keys``, ``parts`` and ``route`` raise alike, or name the same
-    route: the racks and edge links of its two servers, the junction of its
-    class, the direct link's racks for a direct pair alone, and the links up
-    to the junction and down from it between the edge links."""
+    none, ``keys`` and ``route`` raise alike, or name the same route: the
+    racks and edge links of its two servers, the junction of its class, the
+    direct link's racks for a direct pair alone, and the links up to the
+    junction and down from it between the edge links.  To the external
+    gateway, ``keys`` refuses the destination after the source, and
+    ``route`` takes the source leaf's links up to the OLT, then the OLT's."""
     table = RouteTable(spec, policy)
     racks, servers = range(spec.num_racks), range(spec.servers_per_rack)
-    ids = [server_id(rack, i) for rack in racks for i in servers] + ["nosuch", f"rack{spec.num_racks}/server0"]
-    for src, dst in itertools.product(ids, repeat=2):
-        keys = outcome(lambda: table.keys(src, dst))
-        parts, route = outcome(lambda: table.parts(src, dst)), outcome(lambda: table.route(src, dst))
+    names = [server_id(rack, i) for rack in racks for i in servers]
+    ids = names + ["nosuch", f"rack{spec.num_racks}/server0"]
+    for src, dst in itertools.product(ids, [*ids, EXTERNAL]):
+        keys, route = outcome(lambda: table.keys(src, dst)), outcome(lambda: table.route(src, dst))
+        if dst == EXTERNAL and src in names:
+            assert keys == (UnknownServer, str(UnknownServer(EXTERNAL)))
+            rack, out_link = edge_link(spec, src)
+            assert route.links == (out_link, *uplinks(spec, rack, "olt"), link_id("olt", EXTERNAL))
+            assert route.path_class is PathClass.EXTERNAL
+            continue
         if keys is None:  # the same server
-            assert parts is None and route.links == () and route.path_class is PathClass.SAME_SERVER
+            assert route.links == () and route.path_class is PathClass.SAME_SERVER
             continue
         if len(keys) == 2:  # what it raised
-            assert parts == route == keys, (src, dst)
+            assert route == keys, (src, dst)
             continue
         out_link, path_class, rack_a, rack_b, junction, direct, in_link = keys
         assert (rack_a, out_link) == edge_link(spec, src) and (rack_b, in_link) == edge_link(spec, dst)
         assert junction == JUNCTIONS[path_class] and (direct is not None) == (junction == "nic")
-        if junction is None:
-            stretches = ()
-        else:
+        middle = ()
+        if junction is not None:
             up, down = uplinks(spec, rack_a, junction), uplinks(spec, rack_b, junction)[::-1]
-            stretches = (up, (direct_link(spec, *direct),), down) if direct else (up, down)
+            middle = (*up, direct_link(spec, *direct), *down) if direct else (*up, *down)
             assert {rack_a, rack_b} == set(direct or (rack_a, rack_b))
-        assert parts == (out_link, path_class, stretches, in_link), (src, dst)
-        assert route.links == (out_link, *itertools.chain(*stretches), in_link)
+        assert route.links == (out_link, *middle, in_link), (src, dst)
         assert route.path_class is path_class
 
 

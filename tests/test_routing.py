@@ -13,9 +13,9 @@ from ponfabric import (
     all_pairs_summary,
     build_owc_pon,
     resolve_route,
-    route_to_external,
 )
 from ponfabric.errors import NoRoute, PolicyExcluded, UnknownServer
+from ponfabric.topology import EXTERNAL
 
 from test_topology import admissible_owcpon
 
@@ -99,18 +99,18 @@ class TestTraditionalRouting:
 
     def test_no_external_gateway(self, default_traditional):
         with pytest.raises(NoRoute):
-            route_to_external(default_traditional.spec, "rack0/server0")
+            resolve_route(default_traditional.spec, "rack0/server0", EXTERNAL)
 
 
 class TestRouteToExternal:
     def test_from_non_gateway_ap(self, default_owcpon):
-        route = route_to_external(default_owcpon.spec, "rack2/server0")
+        route = resolve_route(default_owcpon.spec, "rack2/server0", EXTERNAL)
         assert route.path_class is PathClass.EXTERNAL
         assert route.hop_count == 8
         assert route.nodes[-1] == "external"
 
     def test_from_gateway_ap(self, default_owcpon):
-        route = route_to_external(default_owcpon.spec, "rack0/server0")
+        route = resolve_route(default_owcpon.spec, "rack0/server0", EXTERNAL)
         assert route.hop_count == 6
 
 
@@ -246,7 +246,7 @@ class TestShortestPathOracle:
     def test_external_routes_agree(self, default_owcpon):
         nxg = oracles.to_networkx(default_owcpon)
         for src in ("rack0/server0", "rack3/server7", "rack4/server2"):
-            route = route_to_external(default_owcpon.spec, src)
+            route = resolve_route(default_owcpon.spec, src, EXTERNAL)
             assert route.hop_count == oracles.oracle_external_hop_count(
                 default_owcpon, nxg, src
             )

@@ -169,6 +169,12 @@ MATRIX = [
         ROUTES | {"route_table"},
         {"power", "traffic", "benchmark", "graph", "writers"},
     ),
+    (
+        ["route", "rack1/server0", "external"],
+        "route-external",
+        ROUTES | {"route_table"},
+        {"power", "traffic", "benchmark", "graph", "writers"},
+    ),
     (["summary"], "summary", ROUTES, {"power", "traffic", "benchmark", *SPLIT_OFF}),
     (
         ["simulate", "--top", "10"],
@@ -186,7 +192,12 @@ MATRIX = [
 ]
 
 
-@pytest.mark.parametrize("argv, golden, loads, skips", MATRIX, ids=[row[0][0] for row in MATRIX])
+# A row's id is its golden's name where that starts with the command word,
+# else the command word.
+MATRIX_IDS = [golden if golden.startswith(argv[0]) else argv[0] for argv, golden, *_ in MATRIX]
+
+
+@pytest.mark.parametrize("argv, golden, loads, skips", MATRIX, ids=MATRIX_IDS)
 def test_each_command_loads_only_the_modules_it_runs(argv, golden, loads, skips):
     """Run in a fresh interpreter, where no earlier command has bound the
     CLI's names: a command that forgot to bind one fails here, though it
@@ -483,7 +494,7 @@ ALL = [
     "closed_form_power", "default_scenario", "device_census", "errors", "fabric_links",
     "fabric_size", "format_percent", "format_rational", "generate_traffic", "owc_pon_power",
     "parse_scenario", "power", "power_reduction", "render", "resolve_route", "resolved_catalog",
-    "route_to_external", "routing", "run_benchmark", "scaling_sweep", "scenario",
+    "routing", "run_benchmark", "scaling_sweep", "scenario",
     "serialize_scenario", "topology", "traditional_power", "traffic", "validate", "version",
 ]
 
@@ -494,7 +505,7 @@ SOURCES = {
     "power": "CATALOG PowerCatalog PowerReport PowerRow SweepPoint SweepResult format_percent "
     "owc_pon_power power_reduction scaling_sweep traditional_power",
     "render": "Document OutputFormat Table format_rational render",
-    "route_table": "Route RouteTable resolve_route route_to_external",
+    "route_table": "Route RouteTable resolve_route",
     "routing": "PathClass all_pairs_summary",
     "scenario": "HotspotRackPattern IntraRackHeavyPattern NicCountMode PROFILES PowerOptions RoutingPolicy "
     "Scenario TrafficSection UniformPattern default_scenario parse_scenario serialize_scenario",

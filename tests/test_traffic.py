@@ -22,6 +22,7 @@ from ponfabric import (
     resolve_route,
 )
 from ponfabric.errors import NoRoute, PolicyExcluded, UnknownRack, UnknownServer
+from ponfabric.topology import server_id
 
 
 SPEC = OwcPonSpec()  # 8 racks of 8 servers in 2 groups
@@ -68,15 +69,15 @@ class TestGenerateTraffic:
 
     def test_blocks_run_in_sorted_order_of_first_entry(self):
         spec = OwcPonSpec(num_racks=12, servers_per_rack=2, num_groups=3, aps_per_group=4)
-        blocks = list(generate_traffic(UniformPattern(Fraction(1)), spec).blocks())
-        firsts = [(srcs[0], dsts[srcs[0] == dsts[0]]) for srcs, dsts, _ in blocks]
+        demands = generate_traffic(UniformPattern(Fraction(1)), spec).demands
+        firsts = [(server_id(a, 0), server_id(b, int(a == b))) for a, b in demands]
         assert firsts == sorted(firsts)
         assert firsts[:3] == [
             ("rack0/server0", "rack0/server1"),
             ("rack0/server0", "rack1/server0"),
             ("rack0/server0", "rack10/server0"),
         ]
-        assert blocks[1][:2] == (("rack0/server0", "rack0/server1"), ("rack1/server0", "rack1/server1"))
+        assert list(demands)[:3] == [(0, 0), (0, 1), (0, 10)]
 
     def test_one_server_per_rack_sends_nothing_inside_a_rack(self):
         spec = OwcPonSpec(servers_per_rack=1)
