@@ -30,8 +30,8 @@ _IMPORTS = {
     ".route_table": "RouteTable resolve_route",
     ".routing": "all_pairs_summary",
     ".scenario": "Scenario check_digits default_scenario parse_scenario selected_specs",
-    ".topology": "Architecture LinkKind OwcPonSpec census_table check_size device_census link_id validate",
-    ".traffic": "TrafficMatrix assign bottlenecks generate_traffic",
+    ".topology": "Architecture OwcPonSpec census_table check_size device_census link_id validate",
+    ".traffic": "TrafficMatrix assign generate_traffic load_tables",
     "pathlib": "Path",
 }
 _BASE = (".errors", ".render", ".scenario", ".topology", "pathlib")  # what every command reads
@@ -350,32 +350,13 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
         flows = scenario.traffic.flows
         matrix = TrafficMatrix({(src, dst): mbps for src, dst, mbps in flows}, scale=1000)
     report = assign(RouteTable(spec, scenario.policy), matrix, scenario.capacities)
-    # ``fabric_links`` gives every link of a kind that kind's capacity
-    capacity = scenario.capacities.for_kind
-    texts = {kind: (kind.value, format_rational(capacity(kind))) for kind in LinkKind}
     meta = (
         ("demand_entries", matrix.demand_entries()),
         ("total_demand_gbps", format_rational(matrix.total_demand())),
         ("max_utilization", format_rational(report.max_utilization)),
         ("saturated_links", len(report.saturated)),
     )
-    loads = Table(
-        "link_loads",
-        ("link", "kind", "capacity_gbps", "load_gbps", "utilization"),
-        tuple(
-            (link, *texts[kind], format_rational(load), format_rational(utilization))
-            for link, kind, _, load, utilization in report.rows
-        ),
-    )
-    top = Table(
-        "bottlenecks",
-        ("link", "utilization"),
-        tuple(
-            (row.link_id, format_rational(row.utilization))
-            for row in bottlenecks(report, args.top)
-        ),
-    )
-    return Document("traffic assignment", meta, (loads, top)), EXIT_OK
+    return Document("traffic assignment", meta, load_tables(report, args.top)), EXIT_OK
 
 
 def _parse_count_list(text: str, what: str) -> list[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 SCHEMA = "ponfabric/1"
@@ -25,7 +26,13 @@ class OutputFormat(Enum):
 
 def format_rational(value: Fraction) -> str:
     """Exact decimal when the value terminates, ``p/q`` otherwise."""
-    num, den = value.numerator, value.denominator
+    return format_ratio(value.numerator, value.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """``format_rational`` of ``num / den`` (``den`` positive), with no ``Fraction`` made."""
+    if (common := gcd(num, den)) > 1:
+        num, den = num // common, den // common
     digits = _places(den)
     if digits is None:
         return f"{num}/{den}"

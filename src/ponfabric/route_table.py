@@ -88,7 +88,7 @@ class RouteTable:
         one to the gateway takes the links up to the OLT, then the OLT's."""
         spec = self.spec
         if dst == EXTERNAL:  # the policy has no say: there is one way out
-            rack, out_link = self._server(src)
+            rack, out_link = self.server(src)
             if not self._owcpon:
                 raise NoRoute("the traditional fabric has no modeled external gateway")
             links = (out_link, *uplinks(spec, rack, "olt"), link_id(OLT, EXTERNAL))
@@ -115,8 +115,8 @@ class RouteTable:
         pair breaks decides the error.
         """
         servers, policy = self._servers, self.policy
-        rack_a, out_link = servers.get(src) or self._server(src)
-        rack_b, in_link = servers.get(dst) or self._server(dst)
+        rack_a, out_link = servers.get(src) or self.server(src)
+        rack_b, in_link = servers.get(dst) or self.server(dst)
         if src == dst:
             return None
         if rack_a == rack_b:
@@ -136,8 +136,9 @@ class RouteTable:
             raise PolicyExcluded("both inter-group mechanisms are disabled")
         return out_link, path_class, rack_a, rack_b, junction, direct, in_link
 
-    def _server(self, server: str) -> tuple[int, str]:
-        """(rack, edge link id) of a server of the fabric, from its id."""
+    def server(self, server: str) -> tuple[int, str]:
+        """(rack, edge link id) of a server of the fabric, from its id;
+        raises ``UnknownServer`` for an id that names none."""
         return self._servers.setdefault(server, edge_link(self.spec, server))
 
     def _direct(self, rack_a: int, rack_b: int) -> tuple[int, int] | None:

@@ -174,8 +174,20 @@ _FLOW_LINE = r"^([!-~]+)[ \t]+([!-~]+)[ \t]+([0-9]{1,397})(?:\.([0-9]{1,3}))?\n"
 
 
 class TrafficSection(NamedTuple):
+    """``flows`` holds (src, dst, Mb/s), each pair once, in the file order
+    of its first line; sections compare and hash as their sorted flows."""
+
     pattern: TrafficPattern | None = None
-    flows: tuple[tuple[str, str, int], ...] = ()  # (src, dst, Mb/s)
+    flows: tuple[tuple[str, str, int], ...] = ()
+
+    def __eq__(self, other) -> bool:
+        same = type(other) is TrafficSection and self.pattern == other.pattern
+        return same and sorted(self.flows) == sorted(other.flows)
+
+    __ne__ = object.__ne__  # the inverse of ``__eq__``; tuple's ``!=`` compares in order
+
+    def __hash__(self) -> int:
+        return hash((self.pattern, frozenset(self.flows)))
 
 
 class Scenario(NamedTuple):
@@ -532,8 +544,7 @@ def parse_scenario(text: str) -> Scenario:
     if pattern_entry is not None:
         traffic = TrafficSection(pattern=_parse_pattern(*pattern_entry))
     elif flows:
-        flow_list = [(src, dst, mbps) for (src, dst), mbps in flows.items()]
-        traffic = TrafficSection(flows=tuple(sorted(flow_list)))
+        traffic = TrafficSection(flows=tuple([(src, dst, mbps) for (src, dst), mbps in flows.items()]))
 
     return base._replace(
         **fields.pop("", {}),
@@ -567,7 +578,7 @@ def serialize_scenario(scenario: Scenario) -> str:
             if isinstance(pattern, kind):
                 args = (to_text(arg) for (_, to_text), arg in zip(codecs, pattern))
                 lines.append(f"pattern = {name} {' '.join(args)}")
-        for src, dst, mbps in scenario.traffic.flows:
+        for src, dst, mbps in sorted(scenario.traffic.flows):
             lines.append(f"flow = {src} {dst} {_decimal_text(Fraction(mbps, 1000))}")
 
     return "\n".join(lines[1:]) + "\n"

@@ -8,16 +8,17 @@ pattern is one block per rack pair with demand, made from the spec alone
 ``topology.server_id``, routes are read as keys that a ``RouteTable`` of
 the fabric's spec resolves (see ``routing``), their links are named
 through ``topology``, and loads are reported on the links that spec
-builds, listed by ``graph.fabric_links``.  No graph is built.  Demands
-are fluid: an entry's rate is added to every link of its route, in exact
-rational arithmetic.  Demands exceeding capacity are reported as
-utilization above one, never dropped; this is an analyzer, not an
-admission controller.
+builds, listed by ``graph.wire``.  No graph is built.  Demands are fluid:
+an entry's rate is added to every link of its route, exactly.  Demands
+exceeding capacity are reported as utilization above one, never dropped;
+this is an analyzer, not an admission controller.
 
 Sums run over integer numerators scaled to the least common multiple of
 the rates' denominators, per edge link, per rack and junction and per
-direct link, and are divided once at the end, which is exact and avoids
-one ``Fraction`` normalisation per hop.
+direct link, and each link's load stays in those integer units: the
+report's rows (``LinkRows``) make a ``LinkLoad`` only when one is read,
+utilizations are compared as integers, and ``load_tables`` writes the
+texts of each distinct (units, kind) once.
 """
 
 from __future__ import annotations
@@ -26,17 +27,18 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import attrgetter
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .errors import RoutingError, ScenarioError, UnknownRack, in_pair
-from .graph import fabric_links
+from .graph import wire
+from .render import Table, format_ratio, format_rational
 from .route_table import RouteTable
 from .route_table import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
 # The pattern records are defined with the scenario that holds them.
 from .scenario import HotspotRackPattern, IntraRackHeavyPattern, TrafficPattern, UniformPattern
 from .topology import FabricSpec, LinkCapacities, LinkKind, check_count, check_rate, checked
-from .topology import direct_link, edge_link, server_id, uplinks
+from .topology import direct_link, edge_link, link_id, server_id, uplinks
 
 #: Most rack-pair blocks a traffic pattern may make (1,024 racks under
 #: uniform traffic make 1,048,576).
@@ -48,12 +50,12 @@ class TrafficMatrix(NamedTuple):
     """Sparse (src server, dst server) -> demand map: explicit flow lines,
     each entry ``demands[pair] / scale`` Gb/s, its demand
     an int or a ``Fraction`` (``scale=1000`` takes Mb/s).  The entries are
-    kept in sorted pair order."""
+    kept as given, in their order: neither sorted nor copied."""
 
     demands: Mapping[tuple[str, str], int | Fraction]
     scale: int = 1
 
-    def _checked(self) -> TrafficMatrix:
+    def _checked(self) -> None:
         check_count(self.scale, "scale", minimum=1)
         demands = self.demands
         rates = demands.values()
@@ -61,10 +63,6 @@ class TrafficMatrix(NamedTuple):
             for (src, dst), rate in demands.items():
                 if check_rate(rate, f"demand for {src} -> {dst}") < 0:
                     raise ValueError(f"negative demand for {src} -> {dst}")
-        pairs = sorted(demands)
-        if pairs == list(demands):  # as parsed flow lines come
-            return self._make((dict(demands), self.scale))
-        return self._make(({pair: demands[pair] for pair in pairs}, self.scale))
 
     def demand_entries(self) -> int:
         return len(self.demands)
@@ -151,12 +149,68 @@ class LinkLoad(namedtuple("LinkLoad", "link_id kind capacity load utilization"))
         return self[:4]
 
 
-class LinkLoadReport(NamedTuple):
-    """Per-link aggregate loads, one row per link, sorted by link id."""
+#: The link kinds, in the order of ``LinkCapacities``' fields, which
+#: ``LinkRows`` indexes them by.
+KINDS = tuple(map(LinkKind, LinkCapacities._fields))
 
-    rows: tuple[LinkLoad, ...]
+
+class LinkRows:
+    """``assign``'s rows, one ``LinkLoad`` per link in link id order, each
+    made when it is read.  ``links`` holds each link's id and the index of
+    its kind in ``KINDS``, ``units`` its load in units of 1/``scale`` Gb/s,
+    and ``capacities`` each kind's capacity.  The rows compare, hash and
+    print as the tuple of the ``LinkLoad``s they stand for."""
+
+    __slots__ = ("links", "units", "scale", "capacities")
+
+    def __init__(self, links: list, units: list[int], scale: int, capacities: LinkCapacities):
+        self.links, self.units, self.scale, self.capacities = links, units, scale, capacities
+
+    def __len__(self) -> int:
+        return len(self.links)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        link_id, kind = self.links[index]
+        load = Fraction(self.units[index], self.scale)
+        return LinkLoad(link_id, KINDS[kind], self.capacities[kind], load)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.links)))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, LinkRows) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class LinkLoadReport(NamedTuple):
+    """Per-link aggregate loads, one row per link, sorted by link id;
+    ``assign`` gives its rows as a ``LinkRows``."""
+
+    rows: tuple[LinkLoad, ...] | LinkRows
     max_utilization: Fraction
     saturated: tuple[str, ...]
+
+
+def _weights(capacities: LinkCapacities) -> tuple[list[int], int]:
+    """Each link kind's weight, by its index in ``KINDS``, and a whole: a
+    link of a kind carrying ``units`` of 1/scale Gb/s is at the utilization
+    ``units * weight / (scale * whole)``, so utilizations compare as
+    integers."""
+    whole = lcm(*(capacity.numerator for capacity in capacities))
+    return [capacity.denominator * (whole // capacity.numerator) for capacity in capacities], whole
+
+
+def _id_and_kind(kind: LinkKind, capacity: Fraction):
+    """``wire``'s maker of the (id, kind index) of ``kind`` links."""
+    index = KINDS.index(kind)
+    return lambda a, b: (link_id(a, b), index)
 
 
 def assign(
@@ -178,14 +232,20 @@ def assign(
     and n - 1 per direction within one.  Each (rack, junction) and each
     direct link with units becomes its links once, at the end.  So a flow
     costs a handful of integer sums, a pattern O(rack pairs) of them, and
-    the links O(servers + racks + direct links) expansions.  Entries run in
-    sorted order, and blocks in the sorted order of their first entries, so
-    a routing error names the first failing ``src -> dst`` entry in sorted
-    order.
+    the links O(servers + racks + direct links) expansions.  The links keep
+    their units: ``max_utilization`` and ``saturated`` come from one
+    integer pass over them, and the rows are a ``LinkRows``.
+
+    Both ends of every entry must be servers; an entry with no rate, or
+    from a server to itself, takes no route, so no policy fails it.
+    Entries run in the order given, blocks in the sorted order of their
+    first entries; when one fails, flow entries run again in sorted order,
+    so a routing error names the first failing ``src -> dst`` entry in
+    sorted order.
     """
     # every demand is a whole number of units of 1/step
     step = lcm(*{rate.denominator for rate in matrix.demands.values()})
-    spec, keys, flows = table.spec, table.keys, isinstance(matrix, TrafficMatrix)
+    spec, flows = table.spec, isinstance(matrix, TrafficMatrix)
     # units per rack, up or down, by junction (None within a rack)
     halves = {junction: [0] * spec.num_racks for junction in (None, "switch", "nic", "olt")}
     link_units: dict[str, int] = {}  # per link: flows' edge links first
@@ -195,24 +255,13 @@ def assign(
         racks = set(chain.from_iterable(matrix.demands))
         ids = {rack: (server_id(rack, 0), server_id(rack, 1)) for rack in racks}  # each rack's first two
         entries = (((ids[a][0], ids[b][a == b]), rate) for (a, b), rate in entries)
-    last_rate = None  # pattern blocks share their rate objects
-    for (src, dst), rate in entries:
-        if not rate or src == dst:
-            continue
-        try:
-            out_link, _, rack_a, rack_b, junction, direct, in_link = keys(src, dst)
-        except RoutingError as exc:
-            raise in_pair(exc, src, dst) from exc
-        if rate is not last_rate:
-            last_rate, units = rate, rate.numerator * (step // rate.denominator)
-        if flows:
-            link_units[out_link] = link_units.get(out_link, 0) + units
-            link_units[in_link] = link_units.get(in_link, 0) + units
-        sums = halves[junction]
-        sums[rack_a] += units
-        sums[rack_b] += units
-        if direct:
-            direct_units[direct] = direct_units.get(direct, 0) + units
+    accumulators = table, step, flows, halves, link_units, direct_units
+    try:
+        _add_units(entries, *accumulators)
+    except RoutingError:
+        if flows:  # the entries ran as given: fail on the first in sorted order
+            _add_units(sorted(entries), *accumulators)
+        raise
 
     within, weight = halves.pop(None), 1  # weight: the server pairs an entry stands for
     if not flows:
@@ -229,28 +278,93 @@ def assign(
     for racks, units in direct_units.items():
         link_id = direct_link(spec, *racks)
         link_units[link_id] = link_units.get(link_id, 0) + units * weight
-    links = sorted(fabric_links(spec, capacities), key=lambda link: link.id)
+    links = sorted(wire(spec, capacities, _id_and_kind)[1], key=itemgetter(0))
+    loads = [link_units.get(link_id, 0) for link_id, _ in links]
+    weights, whole = _weights(capacities)
     scale = step * matrix.scale  # units per Gb/s
-    rows, saturated, top = [], [], (0, 1)  # top: the highest utilization, in ints
-    for link_id, _, _, kind, capacity in links:
-        units = link_units.get(link_id, 0)
-        over, under = units * capacity.denominator, scale * capacity.numerator  # utilization
-        load, utilization = Fraction(units, scale), Fraction(over, under)
-        rows.append(LinkLoad._make((link_id, kind, capacity, load, utilization)))
-        if over > under:
+    full, peak, saturated = scale * whole, 0, []  # utilizations of 1 and the highest, over scale * whole
+    for (link_id, kind), units in zip(links, loads):
+        utilization = units * weights[kind]
+        if utilization > full:
             saturated.append(link_id)
-        if over * top[1] > top[0] * under:
-            top = over, under
-    return LinkLoadReport(tuple(rows), Fraction(*top), tuple(saturated))
+        if utilization > peak:
+            peak = utilization
+    rows = LinkRows(links, loads, scale, capacities)
+    return LinkLoadReport(rows, Fraction(peak, full), tuple(saturated))
+
+
+def _add_units(entries, table, step, flows, halves, link_units, direct_units) -> None:
+    """Add each entry of ``entries`` to ``assign``'s sums, in units of
+    1/``step``; raises for the first that fails, naming it."""
+    keys, server = table.keys, table.server
+    last_rate = None  # pattern blocks share their rate objects
+    for (src, dst), rate in entries:
+        try:
+            if not rate or src == dst:  # no route, but both ends must be servers
+                server(src), server(dst)
+                continue
+            out_link, _, rack_a, rack_b, junction, direct, in_link = keys(src, dst)
+        except RoutingError as exc:
+            raise in_pair(exc, src, dst) from exc
+        if rate is not last_rate:
+            last_rate, units = rate, rate.numerator * (step // rate.denominator)
+        if flows:
+            link_units[out_link] = link_units.get(out_link, 0) + units
+            link_units[in_link] = link_units.get(in_link, 0) + units
+        sums = halves[junction]
+        sums[rack_a] += units
+        sums[rack_b] += units
+        if direct:
+            direct_units[direct] = direct_units.get(direct, 0) + units
 
 
 def bottlenecks(report: LinkLoadReport, top_n: int) -> list[LinkLoad]:
-    """The ``top_n`` loaded links by utilization, descending.
+    """The ``top_n`` loaded links of ``assign``'s report by utilization,
+    descending.
 
     Ties break by ascending link id; links without load never appear.
     """
-    from heapq import nlargest  # here, so only simulate pays for importing it
+    rows = report.rows
+    return [rows[i] for i in _ranked(rows, top_n)]
 
-    loaded = (row for row in report.rows if row.load > 0)  # in link id order
-    # ``nlargest`` is stable: rows of equal utilization keep their id order
-    return nlargest(max(top_n, 0), loaded, key=attrgetter("utilization"))
+
+def _ranked(rows: LinkRows, top_n: int) -> list[int]:
+    """The indices of ``bottlenecks``' rows.  Utilizations compare as
+    integers (``_weights``): the links at least as loaded as the
+    ``top_n``-th, in link id order, then sorted by utilization, which keeps
+    the id order of ties."""
+    weights = _weights(rows.capacities)[0]
+    keys = [units * weights[kind] for (_, kind), units in zip(rows.links, rows.units)]
+    top = sorted(keys, reverse=True)[: max(top_n, 0)]
+    if not top:
+        return []
+    least = max(top[-1], 1)  # a link without load is no bottleneck
+    chosen = [i for i, key in enumerate(keys) if key >= least]
+    chosen.sort(key=keys.__getitem__, reverse=True)  # stable: ties keep their id order
+    return chosen[:top_n]
+
+
+def load_tables(report: LinkLoadReport, top_n: int) -> tuple[Table, Table]:
+    """``simulate``'s ``link_loads`` and ``bottlenecks`` tables of
+    ``assign``'s report.  A row's kind, capacity, load and utilization
+    texts are made once per distinct (units, kind) and shared by every
+    link that has them, and a bottleneck's utilization text is its row's."""
+    rows = report.rows
+    scale = rows.scale
+    # per kind: its texts, its capacity's denominator and scale * numerator
+    kinds = [
+        (kind.value, format_rational(capacity), capacity.denominator, scale * capacity.numerator)
+        for kind, capacity in zip(KINDS, rows.capacities)
+    ]
+    texts: list[dict[int, tuple[str, str, str, str]]] = [{} for _ in KINDS]  # per kind, by units
+    cells = []
+    for (link_id, kind), units in zip(rows.links, rows.units):
+        row = texts[kind].get(units)
+        if row is None:
+            kind_text, capacity_text, den, under = kinds[kind]
+            load, utilization = format_ratio(units, scale), format_ratio(units * den, under)
+            row = texts[kind][units] = kind_text, capacity_text, load, utilization
+        cells.append((link_id, *row))
+    columns = ("link", "kind", "capacity_gbps", "load_gbps", "utilization")
+    top = tuple((cells[i][0], cells[i][4]) for i in _ranked(rows, top_n))
+    return Table("link_loads", columns, tuple(cells)), Table("bottlenecks", ("link", "utilization"), top)

@@ -1,7 +1,9 @@
 """The JSON and CSV writers of ``render``, which loads this module only
 when one of those formats is asked for; a table needs neither.  Each
-writer also imports its standard-library module (``json``, ``csv``) on
-first use, so a CSV document loads no ``json``.
+writer also imports what it needs of the standard library on first use:
+the JSON writer only ``json``'s C string encoder (``_json``), unless a
+value other than a ``str`` or an ``int`` needs ``json.dumps``, and the
+CSV writer ``csv``.  So a CSV document loads no ``json``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,10 @@ def _render_json(doc: Document) -> str:
     last one's.
     """
     global _quote
-    from json.encoder import encode_basestring_ascii as _quote  # json loads on first use
+    try:  # the C function that ``json.encoder`` re-exports, without loading ``json``
+        from _json import encode_basestring_ascii as _quote
+    except ImportError:
+        from json.encoder import encode_basestring_ascii as _quote
 
     out = ['{\n  "schema": ', _json_value(SCHEMA, "  "), ',\n  "title": ', _json_value(doc.title, "  ")]
     out.append(',\n  "meta": {')

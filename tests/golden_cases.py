@@ -20,8 +20,10 @@ pattern (zero rates, intra fractions 0 and 1, a hotspot rack the fabric
 lacks), relay fallback off, no direct links and explicit direct links;
 and ``simulate`` of explicit flow lines on a 64-rack fabric
 (``tests/golden/flows64*.scenario``): every path class, duplicate lines,
-zero rates and a self flow, then the same lines without relay fallback
-and with a flow to a node that is not a server.
+zero rates and a self flow, then the same lines without relay fallback,
+with a flow to a node that is not a server, and with two flows that take
+no route (a zero rate, and a node to itself) but name a node that is not
+a server.
 """
 
 import contextlib
@@ -52,7 +54,7 @@ SIM64 = (
     "explicit",
 )
 SIM64_SCENARIOS = tuple(f"tests/golden/sim64/{name}.scenario" for name in SIM64)
-FLOWS64 = ("flows64", "flows64_relay_off", "flows64_non_server")
+FLOWS64 = ("flows64", "flows64_relay_off", "flows64_non_server", "flows64_unrouted_non_server")
 FLOWS64_SCENARIOS = tuple(f"tests/golden/{name}.scenario" for name in FLOWS64)
 SCENARIOS = (
     PAPER_TRAFFIC,

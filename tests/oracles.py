@@ -25,6 +25,15 @@ closed-form ``all_pairs_summary`` to ``reference_all_pairs`` on the built
 graph, errors included; ``outcome`` turns a raised error into a
 comparable value.
 
+``reference_cmd_simulate`` is ``simulate`` as it was before link loads
+stayed integers: the built graph, a pattern's per-server matrix through
+``reference_assign``, one ``Fraction`` load and utilization per link,
+each formatted on its own, and ``reference_bottlenecks``, the
+``nlargest`` ranking of ``Fraction`` utilizations.
+``tests/test_simulate_document.py`` holds whole ``simulate`` documents
+to it.  ``reference_assign`` requires both ends of every entry to be
+servers, as ``assign`` does, even where the entry takes no route.
+
 ``reference_format_rational`` is the ``Fraction`` arithmetic that
 ``render.format_rational`` replaced with integer arithmetic on the
 numerator and denominator.  ``reference_render_json`` is the
@@ -71,6 +80,7 @@ import weakref
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import nlargest
 from typing import Sequence
 
 import networkx as nx
@@ -565,12 +575,16 @@ def reference_generate_traffic(pattern: TrafficPattern, graph: NetworkGraph) -> 
 
 
 def reference_assign(graph, matrix, policy=RoutingPolicy()):
-    """Link loads by routing each demand entry and adding its rate per hop."""
+    """Link loads by routing each demand entry and adding its rate per hop,
+    one ``Fraction`` row per link.  Both ends of every entry must be
+    servers, even where the entry takes no route: one with no rate, or
+    from a server to itself."""
     loads = {}
     for (src, dst), rate in sorted(matrix.demands.items()):
-        if rate == 0 or src == dst:
-            continue
         try:
+            _server(graph, src), _server(graph, dst)
+            if rate == 0 or src == dst:
+                continue
             route = reference_route(graph, src, dst, policy)
         except RoutingError as exc:
             raise in_pair(exc, src, dst) from exc
@@ -584,6 +598,54 @@ def reference_assign(graph, matrix, policy=RoutingPolicy()):
     max_utilization = max((row.utilization for row in rows), default=Fraction(0))
     saturated = tuple(row.link_id for row in rows if row.utilization > 1)
     return LinkLoadReport(rows, max_utilization, saturated)
+
+
+def reference_bottlenecks(report, top_n: int) -> list:
+    """The ``top_n`` loaded rows by ``Fraction`` utilization, descending,
+    ties by ascending link id (``nlargest`` is stable)."""
+    loaded = (row for row in report.rows if row.load > 0)  # in link id order
+    return nlargest(max(top_n, 0), loaded, key=lambda row: row.utilization)
+
+
+def reference_cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
+    """``simulate`` on the built graph: a pattern's per-server matrix, or
+    the flows' ``Fraction`` matrix in Gb/s, through ``reference_assign``,
+    with each row's texts formatted from its ``Fraction``s and the
+    bottlenecks by ``reference_bottlenecks``."""
+    if scenario.traffic is None:
+        raise ScenarioError("simulate needs a [traffic] section in the scenario")
+    if Architecture.OWC_PON not in scenario.architectures:
+        raise ScenarioError("this command needs the owcpon architecture selected")
+    graph = build_owc_pon(scenario.owcpon, scenario.capacities)
+    if scenario.traffic.pattern is not None:
+        try:
+            matrix = reference_generate_traffic(scenario.traffic.pattern, graph)
+        except UnknownRack as exc:
+            raise ScenarioError(f"traffic pattern: {exc}") from exc
+    else:
+        matrix = TrafficMatrix({(src, dst): gbps for src, dst, gbps in scenario.traffic.flows})
+    report = reference_assign(graph, matrix, scenario.policy)
+    meta = (
+        ("demand_entries", len(matrix.demands)),
+        ("total_demand_gbps", reference_format_rational(sum(matrix.demands.values(), Fraction(0)))),
+        ("max_utilization", reference_format_rational(report.max_utilization)),
+        ("saturated_links", len(report.saturated)),
+    )
+    text = reference_format_rational
+    loads = Table(
+        "link_loads",
+        ("link", "kind", "capacity_gbps", "load_gbps", "utilization"),
+        tuple(
+            (row.link_id, row.kind.value, text(row.capacity), text(row.load), text(row.utilization))
+            for row in report.rows
+        ),
+    )
+    top = Table(
+        "bottlenecks",
+        ("link", "utilization"),
+        tuple((row.link_id, text(row.utilization)) for row in reference_bottlenecks(report, args.top)),
+    )
+    return Document("traffic assignment", meta, (loads, top)), EXIT_OK
 
 
 def reference_render_json(doc: Document) -> str:

@@ -239,6 +239,29 @@ def test_a_flow_to_the_external_gateway_exits_three(tmp_path, capsys):
     assert err == "ponfabric: evaluation error: rack0/server0 -> external: not a server node: 'external'\n"
 
 
+def test_flow_lines_in_descending_order_fail_on_the_first_in_sorted_order(tmp_path, capsys):
+    """Flow lines run in file order, and run again in sorted order when one
+    fails, so the error names the first failing pair in sorted order: here
+    the last failing line of the file, not the first."""
+    flows = [
+        "rack7/server0 ghost 1",  # not a server
+        "rack5/server0 rack1/server0 1",  # direct
+        "rack3/server0 rack3/server1 1",
+        "rack1/server0 rack6/server0 1",  # no direct link, and relay fallback off
+        "rack0/server0 rack4/server0 2",  # direct
+    ]
+    assert flows == sorted(flows, reverse=True)
+    text = "[options]\nprofile = reproduction\nrelay_fallback = false\n\n[traffic]\n"
+    path = write_scenario(tmp_path, text + "".join(f"flow = {flow}\n" for flow in flows))
+    code, out, err = run(capsys, "-s", path, "simulate")
+    assert (code, out) == (3, "")
+    pair = "rack1/server0 -> rack6/server0"
+    assert err == (
+        f"ponfabric: evaluation error: {pair}: no direct link between the APs of "
+        f"{pair.replace(' -> ', ' and ')}, and relay fallback is disabled\n"
+    )
+
+
 def test_sweep_command(capsys):
     code, out, _ = run(capsys, "--format", "json", "sweep", "--racks", "4,8,16")
     assert code == 0

@@ -133,12 +133,26 @@ def test_a_table_command_loads_neither_json_nor_csv():
     assert not writers, sorted(writers)
 
 
-@pytest.mark.parametrize("fmt, other", [("json", "csv"), ("csv", "json")])
-def test_a_json_or_csv_command_loads_the_writers_and_its_format_only(fmt, other):
+@pytest.mark.parametrize(
+    "fmt, loads, skips",
+    [("json", "_json", {"json", "csv"}), ("csv", "csv", {"json", "_json"})],
+    ids=["json-csv", "csv-json"],
+)
+def test_a_json_or_csv_command_loads_the_writers_and_its_format_only(fmt, loads, skips):
+    """JSON takes its string encoder from ``_json``, the C module that
+    ``json.encoder`` re-exports it from, so it loads no ``json`` package."""
     exit_code, added, _ = cli_modules("-f", fmt, "summary")
     assert exit_code == 0
-    assert {"ponfabric.writers", fmt} <= added, sorted(added)
-    assert other not in added
+    assert {"ponfabric.writers", loads} <= added, sorted(added)
+    assert not added & skips, sorted(added & skips)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_simulate_loads_no_heapq(fmt):
+    """``bottlenecks`` ranks integer utilizations with ``sorted``."""
+    exit_code, added, _ = cli_modules("-f", fmt, "-s", str(GOLDEN / "flows64.scenario"), "simulate", "--top", "3")
+    assert exit_code == 0
+    assert not added & {"heapq", "_heapq"}, sorted(added & {"heapq", "_heapq"})
 
 
 PAPER = str(ROOT / "perfbench" / "scenarios" / "paper_traffic.scenario")

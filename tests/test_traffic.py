@@ -170,13 +170,30 @@ class TestAssign:
             {
                 ("rack3/server0", "ghost"): Fraction(1),  # UnknownServer
                 ("rack2/server0", "rack5/server0"): Fraction(1),  # PolicyExcluded, sorts first
-                ("rack1/server0", "ghost"): Fraction(0),  # no demand: never routed
+                ("rack1/server0", "rack6/server0"): Fraction(0),  # no demand: no route to exclude
                 ("rack1/server0", "rack3/server0"): Fraction(1),  # same group: routes
                 ("rack0/server1", "rack0/server2"): Fraction(1),  # routes
             }
         )
         with pytest.raises(PolicyExcluded, match=r"^rack2/server0 -> rack5/server0: both"):
             assign(RouteTable(SPEC, policy), matrix)
+
+    @pytest.mark.parametrize(
+        "src, dst, rate, name",
+        [
+            ("rack0/server0", "external", 0, "external"),
+            ("external", "external", 1, "external"),
+            ("bogus", "bogus", 1, "bogus"),
+            ("rack0/server0", "rack99/server0", 0, "rack99/server0"),
+            ("rack99/server0", "rack0/server0", Fraction(0), "rack99/server0"),
+        ],
+    )
+    def test_an_entry_without_a_route_still_names_two_servers(self, src, dst, rate, name):
+        """An entry with no rate, or from an id to itself, takes no route,
+        but each of its ends must be a server."""
+        with pytest.raises(UnknownServer) as caught:
+            assign(RouteTable(SPEC), TrafficMatrix({(src, dst): rate}))
+        assert str(caught.value) == f"{src} -> {dst}: not a server node: {name!r}"
 
     def test_total_demand_mixed_denominators(self):
         matrix = TrafficMatrix(
