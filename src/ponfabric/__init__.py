@@ -7,7 +7,7 @@ The public names resolve on access (PEP 562): ``import ponfabric`` loads
 only ``ponfabric.version``, and each submodule loads when one of its
 names is first read."""
 
-import sys
+from .version import __version__  # every process reads it
 
 
 def _read_through(namespace: dict, homes: dict[str, str]):
@@ -41,7 +41,7 @@ _EXPORTS = {
     ".benchmark": "closed_form_power resolved_catalog run_benchmark",
     ".power": "CATALOG PowerCatalog PowerReport PowerRow SweepPoint SweepResult format_percent owc_pon_power "
     "power_reduction scaling_sweep traditional_power",
-    ".render": "Document OutputFormat Table format_rational render",
+    ".document": "Document OutputFormat Table format_rational render",
     ".graph": "Link NetworkGraph Node build_owc_pon build_traditional fabric_links",
     ".route_table": "Route RouteTable resolve_route",
     ".routing": "PathClass all_pairs_summary",
@@ -58,19 +58,3 @@ __getattr__ = _read_through(globals(), _EXPORTS)
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
-
-
-class _Package(type(sys)):
-    """Importing a submodule binds it as an attribute of the package, which
-    would make ``ponfabric.render`` the module ``render``, not the function
-    of that name, once ``ponfabric.render`` is imported.  That binding is
-    skipped, so the function is read through ``__getattr__`` like any name."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if not (name == "render" and isinstance(value, type(sys))):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
-
-from .version import __version__  # noqa: E402  (every process reads it)

@@ -13,6 +13,7 @@ that commands which price nothing need not load this module.
 from __future__ import annotations
 
 from . import _read_through
+from .document import Document, Table, format_rational
 from .errors import ScenarioError, ValidationFailed
 from .power import (
     CATALOG,
@@ -24,7 +25,6 @@ from .power import (
     power_reduction,
     traditional_power,
 )
-from .render import Document, Table, format_rational
 from .scenario import Scenario, selected_specs, serialize_scenario
 from .topology import Architecture, DeviceKind, census_table, device_census, validate
 from .version import __version__

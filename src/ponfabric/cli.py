@@ -26,7 +26,7 @@ _IMPORTS = {
     ".errors": "BadAdjacency PonFabricError ScenarioError SpecMismatch UnknownRack ValidationFailed",
     ".graph": "wire",
     ".power": "format_percent power_reduction scaling_sweep",
-    ".render": "Document OutputFormat Table format_rational render",
+    ".document": "Document OutputFormat Table format_rational render",
     ".route_table": "RouteTable resolve_route",
     ".routing": "all_pairs_summary",
     ".scenario": "Scenario check_digits default_scenario parse_scenario selected_specs",
@@ -34,7 +34,7 @@ _IMPORTS = {
     ".traffic": "TrafficMatrix assign generate_traffic load_tables",
     "pathlib": "Path",
 }
-_BASE = (".errors", ".render", ".scenario", ".topology", "pathlib")  # what every command reads
+_BASE = (".errors", ".document", ".scenario", ".topology", "pathlib")  # what every command reads
 __getattr__ = _read_through(globals(), _IMPORTS)
 
 EXIT_OK = 0
@@ -87,8 +87,7 @@ def _argument(*flags: str, **keywords) -> tuple:
 
 
 _FORMATS = ("json", "csv", "table")  # OutputFormat's values, in its order
-# ``main`` answers the argv of this flag alone itself, where argparse would
-# print the version on one line.
+# ``main`` answers the argv of this flag alone itself, on one line.
 _VERSION = _argument("--version", action="version", version=f"ponfabric {__version__}")
 # Each command's help and arguments, in the order ``--help`` lists the
 # commands, and the global options under ``None``: the flags and keywords
@@ -143,13 +142,16 @@ def _build_parser():
     class _Parser(argparse.ArgumentParser):
         """Usage errors exit 1, not argparse's 2, which validation findings
         exit with; like every failure they print one line (``--help`` shows
-        the usage).  Help is written as a command's output is, by ``_write``."""
+        the usage).  Help and the version are written by ``_write``."""
 
         def error(self, message):
             self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
-        def print_help(self, file=None):
-            _write(self.format_help(), file or sys.stdout)
+        def _print_message(self, message, file=None):
+            if file is sys.stdout:
+                _write(message, file)
+            else:
+                super()._print_message(message, file)
 
     parser = _Parser(prog="ponfabric", description=_ARGUMENTS[None][0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -419,16 +421,6 @@ def _cmd_benchmark(scenario: Scenario, args) -> tuple[Document, int]:
     return run_benchmark(scenario), EXIT_OK
 
 
-def _width() -> int:
-    """The width argparse wraps text to, as ``shutil.get_terminal_size``
-    reads it: ``COLUMNS``, or 80 where stdout is no terminal, less 2.  It
-    is 0 where argparse is left to read it: on a terminal, or for a
-    ``COLUMNS`` that is not a plain count."""
-    if columns := os.environ.get("COLUMNS"):
-        return int(columns) - 2 if columns.isdecimal() and len(columns) < 9 else 0
-    return 0 if sys.__stdout__ is not None and sys.__stdout__.isatty() else 78
-
-
 def _write(text: str, stream) -> None:
     """Write ``text`` to ``stream`` and flush it.  If that fails, the
     stream's descriptor is pointed at ``os.devnull`` before the error is
@@ -448,19 +440,14 @@ def _write(text: str, stream) -> None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     flags, keywords = _VERSION
-    if argv == list(flags) and len(keywords["version"]) <= max(_width(), 11):
-        # what argparse's version action prints where it fits one line: to
-        # stderr if stdout is closed, and a failed write ignored
-        try:
-            _write(keywords["version"] + "\n", sys.stdout or sys.stderr)
-        except OSError:
-            pass
-        return EXIT_OK
     try:
+        if argv == list(flags):
+            _write(keywords["version"] + "\n", sys.stdout)
+            return EXIT_OK
         args = _parse(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except OSError as exc:  # help not written
+    except OSError as exc:  # help or the version not written
         print(f"ponfabric: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

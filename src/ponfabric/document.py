@@ -1,4 +1,4 @@
-"""Deterministic emission of result documents.
+"""Result documents and their deterministic emission.
 
 Every CLI command produces a ``Document`` (scalar metadata plus named
 tables) which renders to a fixed-width table, CSV, or versioned JSON.

@@ -169,7 +169,8 @@ def wire(
     traditional = isinstance(spec, TraditionalSpec)
     if not traditional:
         _check_owc_pon(spec)
-    wired, owc, fiber = (link(kind, capacities.for_kind(kind)) for kind in LinkKind)
+    # the capacities' fields are named by the kinds' values, in their order
+    wired, owc, fiber = (link(LinkKind(name), c) for name, c in zip(capacities._fields, capacities))
     planes = () if traditional else range(spec.transceiver_multiplier)
     # Ids made once and shared by every link and node that names them.
     racks = range(spec.num_racks)

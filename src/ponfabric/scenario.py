@@ -33,8 +33,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple, Union
 
+from .document import OutputFormat, format_rational
 from .errors import InvalidValue, ParseError, UnknownKey
-from .render import OutputFormat, format_rational
 from .topology import (
     Architecture,
     DeviceKind,
@@ -168,9 +168,9 @@ MAX_DIGITS = 400
 _DECIMAL_RE = re.compile(r"^[0-9]+(\.[0-9]{1,3})?$")
 _PAIR_RE = re.compile(r"^([0-9]+)\.([0-9]+)-([0-9]+)\.([0-9]+)$")
 # Whole lines of "\n"-joined flow line values: two ids and a rate of at
-# most 400 digits, in printable ASCII apart from blanks and tabs.  It is
-# compiled on first use, so only files with flow lines pay for that.
-_FLOW_LINE = r"^([!-~]+)[ \t]+([!-~]+)[ \t]+([0-9]{1,397})(?:\.([0-9]{1,3}))?\n"
+# most ``MAX_DIGITS`` digits in all, in printable ASCII apart from blanks
+# and tabs.  It is compiled on first use, so only flow lines pay for it.
+_FLOW_LINE = rf"^([!-~]+)[ \t]+([!-~]+)[ \t]+([0-9]{{1,{MAX_DIGITS - 3}}})(?:\.([0-9]{{1,3}}))?\n"
 
 
 class TrafficSection(NamedTuple):

@@ -31,8 +31,8 @@ from fractions import Fraction
 from functools import wraps
 from typing import NamedTuple, Union
 
+from .document import Table
 from .errors import BadAdjacency, ScenarioError, SpecMismatch, UnknownServer
-from .render import Table
 
 
 def checked(record: type) -> type:
@@ -104,9 +104,6 @@ class LinkCapacities(NamedTuple):
             if check_rate(value, name) <= 0:
                 raise ValueError(f"{name} capacity must be positive")
         return self._make(map(Fraction, self))
-
-    def for_kind(self, kind: LinkKind) -> Fraction:
-        return getattr(self, kind.value)  # the fields are named by the kinds' values
 
 
 @checked

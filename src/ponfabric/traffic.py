@@ -30,9 +30,9 @@ from math import lcm
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
+from .document import Table, format_ratio, format_rational
 from .errors import RoutingError, ScenarioError, UnknownRack, in_pair
 from .graph import wire
-from .render import Table, format_ratio, format_rational
 from .route_table import RouteTable
 from .route_table import resolve_route  # noqa: F401  (perfbench/traced.py wraps traffic.resolve_route)
 # The pattern records are defined with the scenario that holds them.

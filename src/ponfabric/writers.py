@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 from typing import Iterable
 
-from .render import SCHEMA, Document, Table
+from .document import SCHEMA, Document, Table
 
 
 def _render_json(doc: Document) -> str:

@@ -4,9 +4,10 @@ without pytest.
 
 Every golden case runs in this process and must print its recorded
 stdout, byte for byte, with its recorded exit code.  Then, each in a
-subprocess, help (``--help``, ``-h`` and ``summary --help``) is written to
-a closed stdout, to ``/dev/full`` and to a pipe whose reader has closed,
-and each command to ``/dev/full``.  Each of those must exit 1 with one
+subprocess, help (``--help``, ``-h`` and ``summary --help``) and the
+version (``--version`` alone and after ``-s x``) are written to a closed
+stdout, to ``/dev/full`` and to a pipe whose reader has closed, and each
+command to ``/dev/full``.  Each of those must exit 1 with one
 stderr line, ``ponfabric: cannot write output: ...``, and no
 ``Traceback`` or ``Exception ignored``.
 
@@ -27,7 +28,8 @@ sys.path.insert(0, str(SRC))
 
 import golden_cases  # noqa: E402  (it imports the package from SRC)
 
-HELP = (["--help"], ["-h"], ["summary", "--help"])
+# What the command line answers without running a command.
+ANSWERS = (["--help"], ["-h"], ["summary", "--help"], ["--version"], ["-s", "x", "--version"])
 # One golden case per command, each of which exits 0.
 COMMANDS = (
     "build", "validate", "power", "compare", "route", "route-external", "summary",
@@ -73,7 +75,7 @@ def main() -> int:
             print(f"golden {case_id}: stdout or exit code differs", file=sys.stderr)
             failed += 1
     failures = FAILURES if os.path.exists("/dev/full") else ("closed", "broken")
-    cases = [(failure, argv) for argv in HELP for failure in failures]
+    cases = [(failure, argv) for argv in ANSWERS for failure in failures]
     if "full" in failures:
         cases += [("full", golden_cases.argv(f"{case}.table")) for case in COMMANDS]
     for failure, argv in cases:

@@ -129,6 +129,7 @@ from ponfabric import (
 )
 from ponfabric.benchmark import power_table
 from ponfabric.cli import EXIT_OK, EXIT_VALIDATION
+from ponfabric.document import SCHEMA
 from ponfabric.errors import (
     InvalidValue,
     MissingCatalogEntry,
@@ -146,7 +147,6 @@ from ponfabric.errors import (
     in_pair,
 )
 from ponfabric.power import _report
-from ponfabric.render import SCHEMA
 from ponfabric.scenario import MAX_DIGITS, STRUCTURAL_KINDS
 from ponfabric.topology import census_table
 from ponfabric.version import __version__

@@ -576,7 +576,9 @@ class TestTableAgainstReference:
         text = "[options]\nprofile = reproduction\n[traffic]\n" + flows
         assert outcome(parse_scenario, text) == outcome(reference_parse, text)
 
-    @pytest.mark.parametrize("rate", ["9" * 397 + ".125", "9" * 399 + ".5", "9" * 400, "1\xa02"])
+    @pytest.mark.parametrize(
+        "rate", ["9" * (MAX_DIGITS - 3) + ".125", "9" * (MAX_DIGITS - 1) + ".5", "9" * MAX_DIGITS, "1\xa02"]
+    )
     def test_flow_rates_the_one_regex_read_leaves_parse_alike(self, rate):
         """Rates near the digit limit and a non-ASCII blank, which the
         line-by-line read of the flow lines takes."""

@@ -11,6 +11,7 @@ import io
 import importlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ import pytest
 import oracles
 import ponfabric
 from ponfabric import OutputFormat, __version__
-from ponfabric.cli import _build_parser
+from ponfabric.cli import _FORMATS, _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -128,7 +129,7 @@ def test_version_help_and_usage_errors_load_only_the_package_and_version(argv, c
 def test_a_table_command_loads_neither_json_nor_csv():
     exit_code, added, _ = cli_modules("-f", "table", "summary")
     assert exit_code == 0
-    assert "ponfabric.render" in added
+    assert "ponfabric.document" in added
     writers = added & {"json", "csv", "ponfabric.writers"}
     assert not writers, sorted(writers)
 
@@ -163,7 +164,7 @@ GOLDEN = ROOT / "tests" / "golden"
 # those that list a fabric's rows the walk (``graph``), and those that
 # resolve routes the route table (``route_table``).  A table loads no
 # writer (``writers``).
-READS = {"errors", "render", "scenario", "topology"}
+READS = {"errors", "document", "scenario", "topology"}
 ROUTES = READS | {"routing"}
 PRICES = READS | {"power", "benchmark"}
 SPLIT_OFF = {"graph", "route_table", "writers"}
@@ -272,25 +273,51 @@ REFERENCE_VERSION = (
 )
 
 
-@pytest.mark.parametrize(
-    "stdout, columns",
-    [("pipe", None), ("pipe", "80"), ("pipe", "17"), ("pipe", "16"), ("pipe", "10")]
-    + [(failure, None) for failure in WRITE_FAILURES],
-)
-def test_version_prints_what_argparse_prints(stdout, columns):
-    """``main`` answers ``--version`` where argparse prints it on one line
-    (17 columns or more), and argparse answers it where it wraps the line.
-    Either way the bytes and the exit code are argparse's, and so they are
-    where the write fails: argparse then writes to stderr if stdout is
-    closed, and else ignores the failure.  With buffered stdout, the
-    failure shows at the flush, where the answer ignores it as well."""
-    env = {"PYTHONUNBUFFERED": "1"} | ({"COLUMNS": columns} if columns else {})
-    done = run_to(stdout, "-m", "ponfabric.cli", "--version", **env)
-    assert done[0] == 0 and "Traceback" not in done[2], done
-    assert run_to(stdout, "-m", "ponfabric.cli", "--version", **env | {"PYTHONUNBUFFERED": ""}) == done
-    if stdout != "pipe" and sys.version_info < (3, 11):
-        pytest.skip("argparse ignores a failed write from Python 3.11 on")
-    assert done == run_to(stdout, "-c", REFERENCE_VERSION, **env)
+@pytest.mark.parametrize("columns", [None, "80", "17", "16", "10"])
+def test_version_prints_one_line_at_any_width(columns):
+    """``main`` answers ``--version`` alone on one line, where argparse
+    would wrap it below 17 columns; at 17 or more the bytes are argparse's."""
+    env = {"COLUMNS": columns} if columns else {}
+    done = run_to("pipe", "-m", "ponfabric.cli", "--version", **env)
+    assert done == (0, f"ponfabric {__version__}\n", "")
+    if columns not in ("16", "10"):
+        assert done == run_to("pipe", "-c", REFERENCE_VERSION, **env)
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["-s", "x", "--version"]], ids=" ".join)
+@pytest.mark.parametrize("stdout", WRITE_FAILURES)
+def test_version_not_written_exits_one_with_one_line(stdout, argv):
+    """The version is written as a command's output is, whether ``main`` or
+    argparse answers it: a write that fails exits 1 with one stderr line,
+    on every Python version.  With buffered stdout, the failure shows at
+    the flush, which ``_write`` makes."""
+    for unbuffered in ("", "1"):
+        done = run_to(stdout, "-m", "ponfabric.cli", *argv, PYTHONUNBUFFERED=unbuffered)
+        assert done[0] == 1 and done[2].startswith("ponfabric: cannot write output: "), done
+        assert len(done[2].splitlines()) == 1, done
+
+
+def test_version_on_a_terminal_prints_one_line_and_loads_no_argparse():
+    """On a terminal of 10 columns, where argparse would wrap the version,
+    ``main`` prints it on one line, and loads no argparse to do it."""
+    pty, termios, fcntl = (pytest.importorskip(name) for name in ("pty", "termios", "fcntl"))
+    master, terminal = pty.openpty()
+    try:
+        fcntl.ioctl(terminal, termios.TIOCSWINSZ, struct.pack("HHHH", 24, 10, 0, 0))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", CLI_AS_MAIN, "--version"],
+                stdout=terminal, stderr=subprocess.PIPE, text=True, env=ENV, timeout=60,
+            )
+        finally:
+            os.close(terminal)
+        printed = os.read(master, 1024)
+    finally:
+        os.close(master)
+    last = done.stderr.splitlines()[-1].split()
+    assert (done.returncode, last[0]) == (0, "modules:"), done.stderr
+    assert printed == f"ponfabric {__version__}\r\n".encode()  # the terminal ends lines with CR LF
+    assert not (set(last[1:]) - bare_modules()) & PARSER
 
 
 def test_a_name_patched_after_a_command_reaches_the_next_one():
@@ -440,8 +467,7 @@ def test_a_module_answers_for_no_name_it_neither_defines_nor_imports():
     check = (
         "import sys\n"
         "import ponfabric.topology, ponfabric.routing\n"
-        "render = sys.modules['ponfabric.render']  # ``ponfabric.render`` is the function\n"
-        "for module, name in [(ponfabric.topology, 'Node'), (render, '_render_json'), "
+        "for module, name in [(ponfabric.topology, 'Node'), (ponfabric.document, '_render_json'), "
         "(ponfabric.routing, 'RouteTable')]:\n"
         "    assert not hasattr(module, name), (module.__name__, name)\n"
         f"assert not set({SPLIT_OFF_PATHS!r}) & set(sys.modules)\n"
@@ -456,7 +482,7 @@ def test_a_module_answers_for_no_name_it_neither_defines_nor_imports():
         ("ponfabric", "graph", "build_owc_pon"),
         ("ponfabric.cli", "graph", "wire"),
         ("ponfabric.power", "graph", "build_owc_pon"),
-        ("ponfabric", "render", "render"),
+        ("ponfabric", "document", "render"),
     ],
 )
 def test_a_lazy_name_reads_its_home_module_on_each_access(module, home, name):
@@ -493,6 +519,7 @@ def test_the_entry_point_prints_what_the_module_prints(argv):
 def test_the_format_choices_are_the_output_formats_in_order():
     (action,) = [action for action in _build_parser()._actions if action.dest == "format"]
     assert list(action.choices) == [fmt.value for fmt in OutputFormat]
+    assert _FORMATS == tuple(fmt.value for fmt in OutputFormat)
 
 
 # ``ponfabric.__all__`` before its names were resolved on first access.
@@ -518,7 +545,7 @@ SOURCES = {
     "graph": "Link NetworkGraph Node build_owc_pon build_traditional fabric_links",
     "power": "CATALOG PowerCatalog PowerReport PowerRow SweepPoint SweepResult format_percent "
     "owc_pon_power power_reduction scaling_sweep traditional_power",
-    "render": "Document OutputFormat Table format_rational render",
+    "document": "Document OutputFormat Table format_rational render",
     "route_table": "Route RouteTable resolve_route",
     "routing": "PathClass all_pairs_summary",
     "scenario": "HotspotRackPattern IntraRackHeavyPattern NicCountMode PROFILES PowerOptions RoutingPolicy "
@@ -544,14 +571,14 @@ def test_each_name_is_the_object_its_submodule_defines():
         assert getattr(ponfabric, name) is importlib.import_module(f"ponfabric.{name}"), name
 
 
-@pytest.mark.parametrize("first", ["ponfabric.render", "ponfabric.scenario", "ponfabric.cli", "ponfabric"])
+@pytest.mark.parametrize("first", ["ponfabric.document", "ponfabric.scenario", "ponfabric.cli", "ponfabric"])
 def test_render_is_the_function_in_any_import_order(first):
     check = (
         f"import {first}\n"
         "from ponfabric import render\n"
-        "import ponfabric, ponfabric.render as imported\n"
+        "import ponfabric, ponfabric.document\n"
         "assert render.__name__ == 'render' and callable(render), render\n"
-        "assert ponfabric.render is render is imported\n"
+        "assert ponfabric.render is render is ponfabric.document.render\n"
     )
     done = run("-c", check)
     assert done.returncode == 0, done.stderr
