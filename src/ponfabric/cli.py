@@ -235,14 +235,19 @@ def _owcpon_spec(scenario: Scenario) -> OwcPonSpec:
 
 
 def _node_row(node_id, kind, rack="", group="", ap="", is_gateway=False) -> tuple:
-    """The ``nodes_<arch>`` row of a node, from ``Node``'s fields."""
-    return node_id, kind.value, rack, group, ap, "yes" if is_gateway else ""
+    """The ``nodes_<arch>`` row of a node, from ``Node``'s fields.  The kind's
+    text is read as ``_value_``, the attribute behind ``value``: no Python
+    code runs to read it."""
+    return node_id, kind._value_, rack, group, ap, "yes" if is_gateway else ""
 
 
 def _row_linker(kind, capacity):
-    """A maker of the ``links_<arch>`` rows of ``kind`` links at ``capacity``."""
-    kind_text, capacity_text = kind.value, format_rational(capacity)  # made once
-    return lambda a, b: (link_id(a, b), kind_text, capacity_text)
+    """A maker of the ``links_<arch>`` rows of ``kind`` links at ``capacity``:
+    the only Python call per link makes its id."""
+    from itertools import repeat, starmap
+
+    texts = repeat(kind.value), repeat(format_rational(capacity))  # made once
+    return lambda ends: zip(starmap(link_id, ends), *texts)
 
 
 @_command("build", ".graph")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
@@ -94,7 +95,9 @@ def _render_table(doc: Document) -> str:
     for table in doc.tables:
         lines.append("")
         lines.append(f"-- {table.name} --")
-        cells = [tuple(map(str, row)) for row in table.rows]
+        cells = table.rows  # a row is copied only if a cell in it is not a str
+        if not set(map(type, chain.from_iterable(cells))) <= {str}:
+            cells = [row if set(map(type, row)) <= {str} else tuple(map(str, row)) for row in cells]
         widths = [
             max([len(col)] + [len(row[i]) for row in cells])
             for i, col in enumerate(table.columns)

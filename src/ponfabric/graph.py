@@ -10,8 +10,9 @@ other command reads the spec through ``topology``'s arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from itertools import chain, combinations, product, repeat, starmap
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .topology import EXTERNAL, OLT, Architecture, DeviceKind, FabricSpec, IndexMatched
@@ -116,11 +117,11 @@ _SERVER_TXRX, _RACK_TXRX = DeviceKind.SERVER_TRANSCEIVER, DeviceKind.RACK_TRANSC
 _AP_TXRX, _NIC, _SWITCH = DeviceKind.AP_TRANSCEIVER, DeviceKind.NIC, DeviceKind.OPTICAL_SWITCH
 
 
-def _linker(kind: LinkKind, capacity: Fraction) -> Callable[[str, str], Link]:
-    """``wire``'s maker of ``kind`` links from ``a`` to ``b`` at
-    ``capacity``; its links skip ``Link``'s checks (see ``Link``)."""
+def _linker(kind: LinkKind, capacity: Fraction) -> Callable[[Iterable], list[Link]]:
+    """``wire``'s maker of ``kind`` links at ``capacity``, from ``a`` to
+    ``b`` for each ``(a, b)``; its links skip ``Link``'s checks (see ``Link``)."""
     make = Link._make
-    return lambda a, b: make((link_id(a, b), a, b, kind, capacity))
+    return lambda ends: [make((link_id(a, b), a, b, kind, capacity)) for a, b in ends]
 
 
 def build_traditional(
@@ -162,7 +163,9 @@ def wire(
 ) -> tuple[list, list]:
     """The (nodes, links) of the fabric ``spec`` builds, in the builder's
     order, from the given makers: ``link(kind, capacity)`` is called once
-    per link kind and returns the maker of its links from ``a`` to ``b``;
+    per link kind and returns the maker of its links, which takes the
+    ``(a, b)`` ends of a run of them and returns the links from ``a`` to
+    ``b`` in that order;
     ``node`` takes ``Node``'s fields, the unset ones left out by name (no
     nodes without it).  Node ids are the very strings the links are made
     from.  Raises the builder's errors for an inadmissible spec."""
@@ -188,10 +191,9 @@ def wire(
             nodes += [node(rtx, _RACK_TXRX, r) for rtx in rtxs]
     links = []
     for leaf, rack_servers, rtxs in zip(leaves, servers, rooftops):
-        links += [wired(server, leaf) for server in rack_servers]
-        links += [wired(rtx, leaf) for rtx in rtxs]
+        links += wired(zip(rack_servers + rtxs, repeat(leaf)))
     if traditional:
-        return nodes, links + [wired(leaf, spine) for leaf in leaves for spine in spines]
+        return nodes, links + list(wired(product(leaves, spines)))
 
     per_group, gateway = spec.aps_per_group, spec.gateway_ap_index
     aps = [(g, a) for g in range(spec.num_groups) for a in range(per_group)]
@@ -207,18 +209,14 @@ def wire(
                 nodes += [node(atx, _AP_TXRX, group=g, ap=a, is_gateway=on_gateway) for atx in atxs]
             nodes.append(node(switch, _SWITCH, group=g))
         nodes += [node(OLT, DeviceKind.OLT), node(EXTERNAL, DeviceKind.EXTERNAL_GATEWAY)]
-    for atxs, nic in zip(ceilings, nics):
-        links += [fiber(atx, nic) for atx in atxs]
-    for rtxs, atxs in zip(rooftops, ceilings):  # rack r beams to AP r, in group-major order
-        links += map(owc, rtxs, atxs)
-    for switch, group_nics in zip(switches, groups):
-        links += [fiber(nic, switch) for nic in group_nics]
-    links += [fiber(group_nics[gateway], OLT) for group_nics in groups]
+    links += fiber(chain.from_iterable(map(zip, ceilings, map(repeat, nics))))
+    links += owc(chain.from_iterable(map(zip, rooftops, ceilings)))  # rack r beams to AP r
+    links += fiber(chain.from_iterable(map(zip, groups, map(repeat, switches))))
+    links += fiber(zip(map(itemgetter(gateway), groups), repeat(OLT)))
     if isinstance(spec.adjacency, IndexMatched):  # same-index APs of every group pair
-        pairs = itertools.combinations(groups, 2)
-        links += [fiber(a, b) for g1, g2 in pairs for a, b in zip(g1, g2)]
+        links += fiber(chain.from_iterable(starmap(zip, combinations(groups, 2))))
     else:
         pairs = getattr(spec.adjacency, "pairs", ())
-        links += [fiber(groups[g1][a1], groups[g2][a2]) for (g1, a1), (g2, a2) in pairs]
-    links.append(fiber(OLT, EXTERNAL))
+        links += fiber((groups[g1][a1], groups[g2][a2]) for (g1, a1), (g2, a2) in pairs)
+    links += fiber([(OLT, EXTERNAL)])
     return nodes, links

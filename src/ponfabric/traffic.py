@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat, starmap
 from math import lcm
 from operator import itemgetter
 from typing import Mapping, NamedTuple
@@ -209,8 +209,8 @@ def _weights(capacities: LinkCapacities) -> tuple[list[int], int]:
 
 def _id_and_kind(kind: LinkKind, capacity: Fraction):
     """``wire``'s maker of the (id, kind index) of ``kind`` links."""
-    index = KINDS.index(kind)
-    return lambda a, b: (link_id(a, b), index)
+    index = repeat(KINDS.index(kind))
+    return lambda ends: zip(starmap(link_id, ends), index)
 
 
 def assign(

@@ -37,8 +37,10 @@ servers, as ``assign`` does, even where the entry takes no route.
 ``reference_format_rational`` is the ``Fraction`` arithmetic that
 ``render.format_rational`` replaced with integer arithmetic on the
 numerator and denominator.  ``reference_render_json`` is the
-``json.dumps`` call that ``render._render_json``'s row templates replaced;
-``tests/test_render.py`` holds the templates to it.
+``json.dumps`` call that ``writers._render_json``'s row templates replaced,
+and ``reference_render_table`` is the table writer that copied every row
+as text before ``document._render_table`` copied only the rows with a cell
+that is not a ``str``; ``tests/test_render.py`` holds both writers to them.
 
 ``reference_parse_scenario`` and ``reference_serialize_scenario`` are the
 hand-written scenario parser and serializer that the key table replaced;
@@ -659,6 +661,31 @@ def reference_render_json(doc: Document) -> str:
         },
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_render_table(doc: Document) -> str:
+    lines = [doc.title, "=" * len(doc.title)]
+    if doc.meta:
+        width = max(len(key) for key, _ in doc.meta)
+        for key, value in doc.meta:
+            text = str(value)
+            if "\n" in text:
+                lines.append(f"{key}:")
+                lines.extend(f"    {part}" for part in text.splitlines())
+            else:
+                lines.append(f"{key.ljust(width)}  {text}")
+    for table in doc.tables:
+        lines.append("")
+        lines.append(f"-- {table.name} --")
+        cells = [tuple(map(str, row)) for row in table.rows]
+        widths = [
+            max([len(col)] + [len(row[i]) for row in cells])
+            for i, col in enumerate(table.columns)
+        ]
+        lines.append("  ".join(map(str.ljust, table.columns, widths)))
+        lines.append("  ".join("-" * width for width in widths))
+        lines.extend("  ".join(map(str.ljust, row, widths)) for row in cells)
+    return "\n".join(lines) + "\n"
 
 
 def reference_format_rational(value: Fraction) -> str:

@@ -1,18 +1,28 @@
-"""JSON rendering against the ``json.dumps`` call it replaced.
+"""Rendering against the writers it replaced.
 
-``render`` writes JSON from per-table row templates; the differential tests
-hold it to ``oracles.reference_render_json`` on generated documents: empty
-parts, repeated keys, awkward text and every cell type the encoder takes.
+``render`` writes JSON from per-run row templates, and the fixed-width
+table from rows copied only where a cell is not a ``str``; the
+differential tests hold them to ``oracles.reference_render_json``, the
+``json.dumps`` call, and to ``oracles.reference_render_table``, on
+generated documents: empty parts, repeated keys, awkward text, every cell
+type the encoder takes, and columns that keep one cell over runs of rows.
 """
 
+import contextlib
+import io
+import json
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import ponfabric.writers as writers
 from ponfabric import Document, OutputFormat, Table, render
+from ponfabric.cli import main
 from ponfabric.scenario import MAX_DIGITS
 
 # Characters that need escaping, that a %-template or a format string would
@@ -20,7 +30,7 @@ from ponfabric.scenario import MAX_DIGITS
 awkward = st.sampled_from('"\\%{}\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600/')
 text = st.text(st.one_of(awkward, st.characters()), max_size=6)
 # A few short names, so repeated columns, table names and meta keys are common.
-names = st.one_of(st.sampled_from(["", "a", "b", "%s", "%", "{}", "{0}", '"']), text)
+names = st.one_of(st.sampled_from(["", "a", "b", "%s", "%", "%%", "{}", "{0}", '"']), text)
 scalars = st.one_of(
     text,
     st.integers(-(10**MAX_DIGITS) + 1, 10**MAX_DIGITS - 1),
@@ -33,13 +43,35 @@ PRINTABLE = "".join(c for c in map(chr, range(32, 127)) if c not in '"\\')
 values = st.one_of(
     scalars, st.lists(scalars, max_size=3), st.dictionaries(names, scalars, max_size=2)
 )
+# Cells that compare and hash equal across types, and text that a
+# %-template would misread, among all the others.
+cells = st.one_of(
+    st.sampled_from([1, True, 1.0, 0, False, 0.0, -0.0, "", "%", "%s", "%%"]), values
+)
+
+
+@st.composite
+def columns(draw, count):
+    """``count`` cells of one column: one cell throughout, runs of one cell
+    each, or a cell per row."""
+    shape = draw(st.sampled_from(["constant", "runs", "rows"]))
+    if shape == "constant":
+        return [draw(cells)] * count
+    if shape == "rows":
+        return draw(st.lists(cells, min_size=count, max_size=count))
+    drawn = []
+    while len(drawn) < count:
+        drawn += [draw(cells)] * draw(st.integers(1, 12))
+    return drawn[:count]
 
 
 @st.composite
 def tables(draw):
-    columns = tuple(draw(st.lists(names, max_size=4)))
-    row = st.tuples(*[values] * len(columns))
-    return Table(draw(names), columns, tuple(draw(st.lists(row, max_size=3))))
+    heads = tuple(draw(st.lists(names, max_size=4)))
+    count = draw(st.integers(0, 50))
+    drawn = [draw(columns(count)) for _ in heads]
+    rows = tuple(zip(*drawn)) if heads else ((),) * count
+    return Table(draw(names), heads, rows)
 
 
 documents = st.builds(
@@ -50,12 +82,30 @@ documents = st.builds(
 )
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(doc=documents)
-@example(doc=Document(""))
-@example(doc=Document("t", tables=(Table("empty", ("a", "b"), ()), Table("bare", (), ((), ())))))
-@example(
-    doc=Document(
+def fabric_scale_slice() -> Document:
+    """The JSON ``build`` document of ``perfbench/scenarios/fabric_scale.scenario``,
+    read back, with each table cut to its first 2,600 rows: both nodes
+    tables and the owcpon links, in four runs of one link kind, whole, and
+    the traditional links' first rows, all of one kind."""
+    scenario = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios" / "fabric_scale.scenario"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["-s", str(scenario), "-f", "json", "build"]) == 0
+    data = json.loads(out.getvalue())
+    return Document(
+        data["title"],
+        tuple(data["meta"].items()),
+        tuple(
+            Table(name, tuple(rows[0]), tuple(tuple(row.values()) for row in rows[:2600]))
+            for name, rows in data["tables"].items()
+        ),
+    )
+
+
+EXAMPLES = [
+    Document(""),
+    Document("t", tables=(Table("empty", ("a", "b"), ()), Table("bare", (), ((), ())))),
+    Document(
         "dup",
         (("k", 1), ("j", None), ("k", "last")),
         (
@@ -63,13 +113,11 @@ documents = st.builds(
             Table("u", ("%s", "%%", "{}"), (("%d", "{0}", '"\\'),)),
             Table("t", ("c",), ((3,),)),
         ),
-    )
-)
-# Both sides of the plain-column check: columns of long printable ASCII
-# text, quoted in the row template, and columns where one cell needs the
-# encoder, or is not a str, among plain ones.
-@example(
-    doc=Document(
+    ),
+    # Both sides of the plain-column check: columns of long printable ASCII
+    # text, quoted in the row template, and columns where one cell needs the
+    # encoder, or is not a str, among plain ones.
+    Document(
         "plain",
         tables=(
             Table(
@@ -82,10 +130,8 @@ documents = st.builds(
                 ),
             ),
         ),
-    )
-)
-@example(
-    doc=Document(
+    ),
+    Document(
         "mixed",
         tables=(
             Table(
@@ -99,10 +145,49 @@ documents = st.builds(
                 ),
             ),
         ),
-    )
-)
-def test_json_matches_reference(doc):
-    assert render(doc, OutputFormat.JSON) == oracles.reference_render_json(doc)
+    ),
+    # Every column constant, one row with no columns, and cells of one
+    # column that compare equal across types.
+    Document("constant", tables=(Table("", ("",), (("",), ("",))), Table("one", (), ((),)))),
+    Document(
+        "equal",
+        tables=(
+            Table(
+                "t",
+                ("a", "%s", "%%"),
+                tuple((cell, "%s", "%") for cell in [1, True, 1.0, 1, 0, False, "", 0.0, -0.0, 0]),
+            ),
+        ),
+    ),
+    fabric_scale_slice(),
+]
+
+
+def with_examples(test):
+    for doc in EXAMPLES:
+        test = example(doc=doc)(test)
+    return test
+
+
+# The writer's own threshold, and runs of as few as one and four rows, so
+# that small tables are cut into runs of rows too.
+RUNS = pytest.mark.parametrize("run", [writers._RUN, 1, 4])
+
+
+@RUNS
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(doc=documents)
+@with_examples
+def test_json_matches_reference(run, doc):
+    with mock.patch.object(writers, "_RUN", run):
+        assert render(doc, OutputFormat.JSON) == oracles.reference_render_json(doc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(doc=documents)
+@with_examples
+def test_table_matches_reference(doc):
+    assert render(doc, OutputFormat.TABLE) == oracles.reference_render_table(doc)
 
 
 @pytest.mark.parametrize(

@@ -367,17 +367,33 @@ def test_importtime_lists_every_package_module_a_command_loads():
     assert "ponfabric.routing" in loaded
 
 
+def compiled_lines(*argv: str) -> tuple[int, set[str]]:
+    """The lines of the package's source files that the CLI compiles on
+    ``argv`` without bytecode files, ``cli.py`` included, and the names of
+    the modules they hold."""
+    exit_code, added, _ = cli_modules(*argv)
+    assert exit_code == 0
+    package = [name for name in added if name.partition(".")[0] == "ponfabric"]
+    names = {name.partition(".")[2] or "__init__" for name in package} | {"cli"}
+    files = [SRC / "ponfabric" / f"{name}.py" for name in sorted(names)]
+    return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files), names
+
+
 def test_a_paper_scale_summary_compiles_at_most_1900_lines():
     """Without bytecode files, each package module a process loads is
     compiled from source, ``cli.py`` included: a paper-scale ``summary``
     must not compile the walk, the route table or the writers."""
-    exit_code, added, _ = cli_modules("-s", PAPER, "summary")
-    assert exit_code == 0
-    package = [name for name in added if name.partition(".")[0] == "ponfabric"]
-    names = {name.partition(".")[2] or "__init__" for name in package}
-    files = [SRC / "ponfabric" / f"{name}.py" for name in sorted(names | {"cli"})]
-    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
+    lines, names = compiled_lines("-s", PAPER, "summary")
     assert lines <= 1900, (lines, sorted(names))
+
+
+def test_a_paper_scale_json_build_compiles_at_most_2150_lines():
+    """A JSON ``build`` compiles the walk (``graph``) and the writers as well:
+    ``writers`` is compiled by every JSON and CSV process, ``simulate``'s
+    included, so each line it grows by costs them all."""
+    lines, names = compiled_lines("-s", PAPER, "-f", "json", "build")
+    assert {"graph", "writers"} <= names
+    assert lines <= 2150, (lines, sorted(names))
 
 
 # Names defined in one module and imported, as the same object, by modules
