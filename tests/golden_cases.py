@@ -23,7 +23,8 @@ and ``simulate`` of explicit flow lines on a 64-rack fabric
 zero rates and a self flow, then the same lines without relay fallback,
 with a flow to a node that is not a server, and with two flows that take
 no route (a zero rate, and a node to itself) but name a node that is not
-a server.
+a server; and ``benchmark`` on the same lines with both architectures
+selected, whose scenario table lists them sorted and summed.
 """
 
 import contextlib
@@ -56,6 +57,7 @@ SIM64 = (
 SIM64_SCENARIOS = tuple(f"tests/golden/sim64/{name}.scenario" for name in SIM64)
 FLOWS64 = ("flows64", "flows64_relay_off", "flows64_non_server", "flows64_unrouted_non_server")
 FLOWS64_SCENARIOS = tuple(f"tests/golden/{name}.scenario" for name in FLOWS64)
+FLOWS64_BOTH = "tests/golden/flows64_both.scenario"
 SCENARIOS = (
     PAPER_TRAFFIC,
     FABRIC_SCALE,
@@ -64,6 +66,7 @@ SCENARIOS = (
     SUMMARY_EXPLICIT,
     *SIM64_SCENARIOS,
     *FLOWS64_SCENARIOS,
+    FLOWS64_BOTH,
 )
 
 CASES = {
@@ -105,6 +108,7 @@ CASES = {
         f"{name}-simulate": ("-s", path, "simulate", "--top", "10")
         for name, path in zip(FLOWS64, FLOWS64_SCENARIOS)
     },
+    "flows64_both-benchmark": ("-s", FLOWS64_BOTH, "benchmark"),
 }
 FORMATS = ("table", "csv", "json")
 IDS = [f"{case}.{fmt}" for case in CASES for fmt in FORMATS]
