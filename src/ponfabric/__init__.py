@@ -42,7 +42,7 @@ _EXPORTS = {
     ".power": "CATALOG PowerCatalog PowerReport PowerRow SweepPoint SweepResult format_percent owc_pon_power "
     "power_reduction scaling_sweep traditional_power",
     ".document": "Document OutputFormat Table format_rational render",
-    ".graph": "Link NetworkGraph Node build_owc_pon build_traditional fabric_links",
+    ".graph": "Link NetworkGraph Node build_owc_pon build_traditional",
     ".route_table": "Route RouteTable resolve_route",
     ".routing": "PathClass all_pairs_summary",
     ".scenario": "HotspotRackPattern IntraRackHeavyPattern NicCountMode PROFILES PowerOptions RoutingPolicy "

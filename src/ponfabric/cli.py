@@ -354,8 +354,7 @@ def _cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
         except UnknownRack as exc:
             raise ScenarioError(f"traffic pattern: {exc}") from exc
     else:
-        flows = scenario.traffic.flows
-        matrix = TrafficMatrix({(src, dst): mbps for src, dst, mbps in flows}, scale=1000)
+        matrix = TrafficMatrix(scenario.traffic.flows, scale=1000)
     report = assign(RouteTable(spec, scenario.policy), matrix, scenario.capacities)
     meta = (
         ("demand_entries", matrix.demand_entries()),

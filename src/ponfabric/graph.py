@@ -1,9 +1,9 @@
 """The fabric walk and the graph API built from it.
 
 A fabric's nodes and links come from its spec alone, by one walk
-(``wire``) that the builders, ``fabric_links`` and ``build``'s rows all
-share; its ids are spelled by ``topology``'s id scheme.  Graphs are
-immutable once built, and identical specs build identical graphs.  Only
+(``wire``) that the builders, ``build``'s rows and ``simulate``'s link
+list all share; its ids are spelled by ``topology``'s id scheme.  Graphs
+are immutable once built, and identical specs build identical graphs.  Only
 ``build``, ``simulate`` and library callers load this module: every
 other command reads the spec through ``topology``'s arithmetic.
 """
@@ -149,13 +149,6 @@ def build_owc_pon(
     one external gateway hangs off the OLT.
     """
     return NetworkGraph(*wire(spec, capacities, _linker, Node), spec)
-
-
-def fabric_links(spec: FabricSpec, capacities: LinkCapacities = LinkCapacities()) -> list[Link]:
-    """The links of the fabric ``spec`` builds, in the builder's order and
-    by its ids, without its nodes; raises the builder's errors for an
-    inadmissible spec."""
-    return wire(spec, capacities, _linker)[1]
 
 
 def wire(

@@ -21,8 +21,8 @@ section.
 Numbers are exact: counts are integers, and every decimal (watts, Gb/s,
 fractions) allows at most three fractional digits so it converts to
 integer milli-units without rounding; flow rates stay in those integer
-Mb/s.  ``serialize_scenario`` emits a fully resolved canonical form;
-parsing it back yields an equal Scenario.
+Mb/s, summed per (src, dst) pair.  ``serialize_scenario`` emits a fully
+resolved canonical form; parsing it back yields an equal Scenario.
 """
 
 from __future__ import annotations
@@ -174,20 +174,14 @@ _FLOW_LINE = rf"^([!-~]+)[ \t]+([!-~]+)[ \t]+([0-9]{{1,{MAX_DIGITS - 3}}})(?:\.(
 
 
 class TrafficSection(NamedTuple):
-    """``flows`` holds (src, dst, Mb/s), each pair once, in the file order
-    of its first line; sections compare and hash as their sorted flows."""
+    """``flows`` maps each (src, dst) pair to its Mb/s, in the file order
+    of its first line; a section hashes as its pattern and flow items."""
 
     pattern: TrafficPattern | None = None
-    flows: tuple[tuple[str, str, int], ...] = ()
-
-    def __eq__(self, other) -> bool:
-        same = type(other) is TrafficSection and self.pattern == other.pattern
-        return same and sorted(self.flows) == sorted(other.flows)
-
-    __ne__ = object.__ne__  # the inverse of ``__eq__``; tuple's ``!=`` compares in order
+    flows: dict[tuple[str, str], int] = {}
 
     def __hash__(self) -> int:
-        return hash((self.pattern, frozenset(self.flows)))
+        return hash((self.pattern, frozenset(self.flows.items())))
 
 
 class Scenario(NamedTuple):
@@ -417,7 +411,8 @@ def _parse_pattern(value: str, lineno: int) -> TrafficPattern:
 def _parse_flows(values: list[str], linenos: list[int]) -> dict[tuple[str, str], int]:
     """Each pair's Mb/s, summed over its flow lines.  One regex reads the
     lines of printable ASCII; if it misses any, every line is read on its
-    own, and the first malformed one, in line order, raises."""
+    own, and the first malformed one, in line order, raises; then the
+    first line that ends a pair's sum too long to write back raises."""
     found = re.findall(_FLOW_LINE, "\n".join(values) + "\n", re.M) if values else []
     if len(found) < len(values):
         found = []
@@ -432,6 +427,13 @@ def _parse_flows(values: list[str], linenos: list[int]) -> dict[tuple[str, str],
     for src, dst, whole, frac in found:
         pair = src, dst
         flows[pair] = flows.get(pair, 0) + int(whole + frac.ljust(3, "0"))
+    if flows and max(flows.values()) >= 10**MAX_DIGITS:  # no smaller sum has too many digits
+        last = {(src, dst): lineno for (src, dst, *_), lineno in zip(found, linenos)}
+        for (src, dst), lineno in sorted(last.items(), key=lambda item: item[1]):
+            digits = len(_decimal_text(Fraction(flows[src, dst], 1000)).replace(".", ""))
+            if digits > MAX_DIGITS:
+                message = f"flow {src} -> {dst} sums to {digits} digits; numbers are limited to {MAX_DIGITS}"
+                raise InvalidValue(message, lineno)
     return flows
 
 
@@ -489,7 +491,8 @@ def parse_scenario(text: str) -> Scenario:
     ``profile``, or neither a profile nor ``select``; each ``KEY_TABLE``
     row in table order (the ``owcpon.pairs`` row checks that pairs come
     with, and only with, ``adjacency = explicit``); catalog overrides in
-    ``CATALOG_KEYS`` order; the traffic section.
+    ``CATALOG_KEYS`` order; malformed flow lines, in line order, then a
+    flow sum too long to write; the rest of the traffic section.
     """
     entries, raw_flows, flow_lines = _scan(text)
 
@@ -544,7 +547,7 @@ def parse_scenario(text: str) -> Scenario:
     if pattern_entry is not None:
         traffic = TrafficSection(pattern=_parse_pattern(*pattern_entry))
     elif flows:
-        traffic = TrafficSection(flows=tuple([(src, dst, mbps) for (src, dst), mbps in flows.items()]))
+        traffic = TrafficSection(flows=flows)
 
     return base._replace(
         **fields.pop("", {}),
@@ -578,7 +581,7 @@ def serialize_scenario(scenario: Scenario) -> str:
             if isinstance(pattern, kind):
                 args = (to_text(arg) for (_, to_text), arg in zip(codecs, pattern))
                 lines.append(f"pattern = {name} {' '.join(args)}")
-        for src, dst, mbps in sorted(scenario.traffic.flows):
+        for (src, dst), mbps in sorted(scenario.traffic.flows.items()):
             lines.append(f"flow = {src} {dst} {_decimal_text(Fraction(mbps, 1000))}")
 
     return "\n".join(lines[1:]) + "\n"

@@ -1,17 +1,17 @@
 """Flow-level traffic assignment onto resolved routes.
 
-Demand comes as flow entries, one server sending a rate to another
-(``TrafficMatrix``), or in blocks, each server of a source rack sending
-one rate to each server of a destination rack but itself: a traffic
-pattern is one block per rack pair with demand, made from the spec alone
-(``RackBlocks``).  No id is spelled here: servers are named by
-``topology.server_id``, routes are read as keys that a ``RouteTable`` of
-the fabric's spec resolves (see ``routing``), their links are named
-through ``topology``, and loads are reported on the links that spec
-builds, listed by ``graph.wire``.  No graph is built.  Demands are fluid:
-an entry's rate is added to every link of its route, exactly.  Demands
-exceeding capacity are reported as utilization above one, never dropped;
-this is an analyzer, not an admission controller.
+Demand maps (src server, dst server) pairs to rates: flow entries, one
+server sending a rate to another (``TrafficMatrix``), or blocks keyed by
+their first entry, each server of a source rack sending one rate to each
+server of a destination rack but itself: a traffic pattern is one block per
+rack pair with demand, made from the spec alone (``RackBlocks``).  No id is
+spelled here: servers are named by ``topology.server_id``, routes are read
+as keys that a ``RouteTable`` of the fabric's spec resolves (see
+``routing``), their links are named through ``topology``, and loads are
+reported on the links that spec builds, listed by ``graph.wire``.  No graph
+is built.  Demands are fluid: an entry's rate is added to every link of its
+route, exactly.  Demands exceeding capacity are reported as utilization
+above one, never dropped; this is an analyzer, not an admission controller.
 
 Sums run over integer numerators scaled to the least common multiple of
 the rates' denominators, per edge link, per rack and junction and per
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, repeat, starmap
+from itertools import repeat, starmap
 from math import lcm
 from operator import itemgetter
 from typing import Mapping, NamedTuple
@@ -72,15 +72,14 @@ class TrafficMatrix(NamedTuple):
 
 
 class RackBlocks(NamedTuple):
-    """Pattern demand: every server of rack ``a`` sends ``demands[(a, b)]``
-    Gb/s to every server of rack ``b`` but itself.  ``demands`` holds the
-    blocks with demand in the sorted order of their first entries,
-    ``(server_id(a, 0), server_id(b, 0))``, as ``generate_traffic`` builds
-    it; ``entries`` and ``total`` count the server pairs and sum their
-    Gb/s."""
+    """Pattern demand: every server of rack ``a`` sends ``demands[first]``
+    Gb/s to every server of rack ``b`` but itself, keyed and sorted by the
+    block's first entry, ``first``: ``(server_id(a, 0), server_id(b, 0))``,
+    or ``server_id(a, 1)`` within a rack, as ``generate_traffic`` builds it;
+    ``entries`` and ``total`` count the server pairs and sum their Gb/s."""
 
     servers_per_rack: int
-    demands: Mapping[tuple[int, int], Fraction]
+    demands: Mapping[tuple[str, str], Fraction]
     entries: int
     total: Fraction
     scale = 1  # demands are in Gb/s
@@ -120,13 +119,13 @@ def generate_traffic(pattern: TrafficPattern, spec: FabricSpec) -> RackBlocks:
             f"over the {DEMAND_BUDGET} budget"
         )
 
-    order = sorted(range(racks), key=lambda r: server_id(r, 0)) if servers else []
+    order = sorted((server_id(r, 0), r) for r in range(racks)) if servers else []
     demands = {}
-    for a in order:
-        for b in order if sink is None else (sink,):
+    for src, a in order:
+        for dst, b in order if sink is None else ((server_id(sink, 0), sink),):
             rate = intra if a == b else inter
             if rate and (a != b or servers > 1):
-                demands[(a, b)] = rate
+                demands[(src, dst if a != b else server_id(a, 1))] = rate
     intra_pairs = intra_blocks * servers * (servers - 1)  # n(n-1) per rack
     inter_pairs = inter_blocks * servers * servers
     total = intra * intra_pairs + inter * inter_pairs
@@ -251,10 +250,6 @@ def assign(
     link_units: dict[str, int] = {}  # per link: flows' edge links first
     direct_units: dict[tuple[int, int], int] = {}  # per direct link, by its racks
     entries = matrix.demands.items()
-    if not flows:  # a block's first entry stands for the block
-        racks = set(chain.from_iterable(matrix.demands))
-        ids = {rack: (server_id(rack, 0), server_id(rack, 1)) for rack in racks}  # each rack's first two
-        entries = (((ids[a][0], ids[b][a == b]), rate) for (a, b), rate in entries)
     accumulators = table, step, flows, halves, link_units, direct_units
     try:
         _add_units(entries, *accumulators)

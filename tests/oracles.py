@@ -45,8 +45,10 @@ that is not a ``str``; ``tests/test_render.py`` holds both writers to them.
 ``reference_parse_scenario`` and ``reference_serialize_scenario`` are the
 hand-written scenario parser and serializer that the key table replaced;
 the scenario differential tests hold the table to them.  The reference
-parser sums flow rates as ``Fraction``s of Gb/s; ``in_mbps`` turns them
-into the integer Mb/s that ``parse_scenario`` keeps.
+parser sums flow rates as ``Fraction``s of Gb/s into a map from each
+(src, dst) pair, and refuses a sum whose text would have more digits than
+a scenario number may, as ``parse_scenario`` does; ``in_mbps`` turns the
+rates into the integer Mb/s that ``parse_scenario`` keeps.
 
 ``reference_census``, ``reference_validate``, ``reference_run_benchmark``,
 ``reference_cmd_power``, ``reference_cmd_validate``, ``reference_cmd_build``
@@ -625,7 +627,7 @@ def reference_cmd_simulate(scenario: Scenario, args) -> tuple[Document, int]:
         except UnknownRack as exc:
             raise ScenarioError(f"traffic pattern: {exc}") from exc
     else:
-        matrix = TrafficMatrix({(src, dst): gbps for src, dst, gbps in scenario.traffic.flows})
+        matrix = TrafficMatrix(scenario.traffic.flows)
     report = reference_assign(graph, matrix, scenario.policy)
     meta = (
         ("demand_entries", len(matrix.demands)),
@@ -942,12 +944,12 @@ def in_mbps(scenario: Scenario) -> Scenario:
     each of which must be a whole number."""
     if scenario.traffic is None or not scenario.traffic.flows:
         return scenario
-    flows = []
-    for src, dst, gbps in scenario.traffic.flows:
+    flows = {}
+    for pair, gbps in scenario.traffic.flows.items():
         mbps = gbps * 1000
         assert type(gbps) is Fraction and mbps.denominator == 1, gbps
-        flows.append((src, dst, mbps.numerator))
-    return scenario._replace(traffic=scenario.traffic._replace(flows=tuple(flows)))
+        flows[pair] = mbps.numerator
+    return scenario._replace(traffic=scenario.traffic._replace(flows=flows))
 
 
 def reference_parse_scenario(text: str) -> Scenario:
@@ -956,8 +958,10 @@ def reference_parse_scenario(text: str) -> Scenario:
     A file holding only ``profile = reproduction`` under ``[options]``
     resolves to the complete benchmark scenario; an empty file is an
     error because nothing selects an architecture.  Flow rates are summed
-    as ``Fraction``s of Gb/s: ``in_mbps`` gives the record ``parse_scenario``
-    returns, which holds them in integer Mb/s.
+    per pair as ``Fraction``s of Gb/s, and a pair whose sum is written with
+    more than ``MAX_DIGITS`` digits is refused, named by its last line (of
+    several, the one whose last line comes first): ``in_mbps`` gives the
+    record ``parse_scenario`` returns, which holds the rates in integer Mb/s.
     """
     entries, raw_flows = _scan(text)
     table = _Entries(entries)
@@ -1083,12 +1087,22 @@ def reference_parse_scenario(text: str) -> Scenario:
 
     pattern_entry = table.raw("traffic", "pattern")
     flows: dict[tuple[str, str], Fraction] = {}
+    last: dict[tuple[str, str], int] = {}  # each pair's last line
     for value, lineno in raw_flows:
         tokens = value.split()
         if len(tokens) != 3:
             raise InvalidValue("expected 'flow = <src> <dst> <gbps>'", lineno)
         src, dst, rate = tokens[0], tokens[1], _parse_decimal(tokens[2], lineno)
         flows[(src, dst)] = flows.get((src, dst), Fraction(0)) + rate
+        last[(src, dst)] = lineno
+    # a sum must parse back: at most MAX_DIGITS digits as written
+    for (src, dst), lineno in sorted(last.items(), key=lambda item: item[1]):
+        digits = len(format_decimal(flows[(src, dst)]).replace(".", ""))
+        if digits > MAX_DIGITS:
+            raise InvalidValue(
+                f"flow {src} -> {dst} sums to {digits} digits; numbers are limited to {MAX_DIGITS}",
+                lineno,
+            )
     if pattern_entry is not None and flows:
         raise InvalidValue(
             "a traffic section takes either a pattern or flow lines, not both",
@@ -1098,9 +1112,7 @@ def reference_parse_scenario(text: str) -> Scenario:
     if pattern_entry is not None:
         traffic = TrafficSection(pattern=_parse_pattern(*pattern_entry))
     elif flows:
-        traffic = TrafficSection(
-            flows=tuple((src, dst, flows[(src, dst)]) for src, dst in sorted(flows))
-        )
+        traffic = TrafficSection(flows=flows)
 
     return Scenario(
         architectures=selection,
@@ -1198,7 +1210,7 @@ def reference_serialize_scenario(scenario: Scenario) -> str:
                 "pattern = intra_rack_heavy "
                 f"{format_decimal(pattern.intra_fraction)} {format_decimal(pattern.gbps)}"
             )
-        for src, dst, mbps in scenario.traffic.flows:
+        for (src, dst), mbps in sorted(scenario.traffic.flows.items()):
             lines.append(f"flow = {src} {dst} {format_decimal(Fraction(mbps, 1000))}")
 
     return "\n".join(lines) + "\n"

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 import oracles
 import ponfabric.benchmark
 import ponfabric.graph
+import ponfabric.scenario
 import ponfabric.topology
+import ponfabric.traffic
 from ponfabric import OwcPonSpec, TraditionalSpec, TrafficMatrix, cli
 from ponfabric.cli import main
 from ponfabric.scenario import MAX_DIGITS
@@ -226,6 +228,32 @@ def test_simulate_with_flows(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["meta"]["total_demand_gbps"] == "2.5"
+
+
+def test_simulate_hands_assign_the_parsed_flow_map(capsys, monkeypatch):
+    """``simulate`` of flow lines hands ``assign`` a matrix whose
+    ``demands`` is the very map ``parse_scenario`` keeps in
+    ``TrafficSection.flows``, in Mb/s: no flow container is built between."""
+    parsed, handed = [], []
+    parse, assign = ponfabric.scenario.parse_scenario, ponfabric.traffic.assign
+    monkeypatch.setattr(ponfabric.scenario, "parse_scenario", lambda text: parsed.append(parse(text)) or parsed[0])
+    monkeypatch.setattr(ponfabric.traffic, "assign", lambda *args: handed.append(args[1]) or assign(*args))
+    path = str(golden_cases.GOLDEN / "flows64.scenario")
+    assert run(capsys, "-s", path, "simulate")[0] == 0
+    (scenario,), (matrix,) = parsed, handed
+    assert matrix.demands is scenario.traffic.flows and matrix.scale == 1000
+    assert len(matrix.demands) == 17
+
+
+def test_benchmark_refuses_flow_sums_too_long_to_write(tmp_path, capsys):
+    """Two lines of one pair may sum past the longest rate a line holds;
+    ``benchmark`` would list that sum in its scenario table as a line that
+    does not parse, so the scenario is refused, on the pair's last line."""
+    rate = "9" * (MAX_DIGITS - 3) + ".999"
+    text = f"[options]\nprofile = reproduction\n\n[traffic]\nflow = a b {rate}\nflow = a b {rate}\n"
+    code, out, err = run(capsys, "-s", write_scenario(tmp_path, text), "benchmark")
+    assert (code, out) == (1, "")
+    assert err == "ponfabric: scenario error: line 6: flow a -> b sums to 401 digits; numbers are limited to 400\n"
 
 
 def test_a_flow_to_the_external_gateway_exits_three(tmp_path, capsys):

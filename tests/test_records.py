@@ -91,8 +91,8 @@ RECORDS = {
         "Route(nodes=('a', 'b'), links=('a--b',), path_class=<PathClass.INTRA_RACK: 'intra_rack'>)",
     ),
     "TrafficSection": (
-        lambda: TrafficSection(flows=(("a", "b", Fraction(1, 2)),)),
-        "TrafficSection(pattern=None, flows=(('a', 'b', Fraction(1, 2)),))",
+        lambda: TrafficSection(flows={("a", "b"): Fraction(1, 2)}),
+        "TrafficSection(pattern=None, flows={('a', 'b'): Fraction(1, 2)})",
     ),
     "Scenario": (
         lambda: Scenario(),

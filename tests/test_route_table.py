@@ -323,16 +323,15 @@ def test_seeded_flow_lines_match_reference(seed):
     assert scenario == oracles.in_mbps(reference)
     assert len(scenario.traffic.flows) < 1000  # some lines were summed
     graph = build_owc_pon(scenario.owcpon)
-    exact = TrafficMatrix({(src, dst): gbps for src, dst, gbps in reference.traffic.flows})
-    check_flow_lines(graph, scenario.traffic.flows, exact)
+    check_flow_lines(graph, scenario.traffic.flows, TrafficMatrix(reference.traffic.flows))
 
 
 def check_flow_lines(graph, flows, exact):
     """The parsed ``flows`` as ``simulate`` assigns them, in a matrix at
     ``scale=1000``, against ``reference_assign`` of the ``Fraction`` matrix
     ``exact`` of the same flows, under all four policies, errors included."""
-    assert all(type(mbps) is int for _, _, mbps in flows)
-    matrix = TrafficMatrix({(src, dst): mbps for src, dst, mbps in flows}, scale=1000)
+    assert all(type(mbps) is int for mbps in flows.values())
+    matrix = TrafficMatrix(flows, scale=1000)
     assert matrix.demand_entries() == exact.demand_entries()
     assert matrix.total_demand() == exact.total_demand()
     for policy in POLICIES:

@@ -117,10 +117,10 @@ class TestParse:
             "flow = rack2/server0 rack3/server0 2\n"
         )
         scenario = parse_scenario(text)
-        assert scenario.traffic.flows == (  # in Mb/s
-            ("rack0/server0", "rack1/server1", 2000),
-            ("rack2/server0", "rack3/server0", 2000),
-        )
+        assert scenario.traffic.flows == {  # in Mb/s
+            ("rack0/server0", "rack1/server1"): 2000,
+            ("rack2/server0", "rack3/server0"): 2000,
+        }
 
     def test_flow_error_names_the_first_bad_line(self):
         """Of 5,000 flow lines, the only bad rate, on the last line, is
@@ -133,6 +133,17 @@ class TestParse:
         lines[2] = "flow = rack0/server0 1"
         with pytest.raises(InvalidValue, match="^line 7: expected 'flow = <src> <dst> <gbps>'"):
             parse_scenario(head + "\n".join(lines) + "\n")
+
+    def test_flow_lines_in_any_order_give_one_scenario(self):
+        """The same flow lines in two orders: equal scenarios, equal hashes
+        and the same canonical text, whose flow lines are sorted."""
+        head = "[options]\nprofile = reproduction\n\n[traffic]\n"
+        lines = ["flow = b a 1", "flow = a b 0.5", "flow = a c 2", "flow = a b 1.25"]
+        first, second = (parse_scenario(head + "\n".join(order) + "\n") for order in (lines, lines[::-1]))
+        assert list(first.traffic.flows) != list(second.traffic.flows)  # each in its file order
+        assert first == second and hash(first) == hash(second)
+        assert serialize_scenario(first) == serialize_scenario(second)
+        assert serialize_scenario(first).endswith("flow = a b 1.75\nflow = a c 2\nflow = b a 1\n")
 
     def test_pattern_and_flows_conflict(self):
         text = (
@@ -283,11 +294,7 @@ pattern_strategy = st.one_of(
 
 flow_strategy = st.dictionaries(  # rates in Mb/s
     st.tuples(node_ids, node_ids), counts(1, 2_000_000), min_size=1, max_size=4
-).map(
-    lambda flows: TrafficSection(
-        flows=tuple((src, dst, rate) for (src, dst), rate in sorted(flows.items()))
-    )
-)
+).map(lambda flows: TrafficSection(flows=flows))
 
 traffic_strategy = st.one_of(
     st.none(),
@@ -384,7 +391,7 @@ class TestRoundTrip:
 
 def flow_rate_text(rate: Fraction) -> str:
     """The rate of a flow line of ``rate`` Gb/s as ``serialize_scenario`` writes it."""
-    scenario = Scenario(traffic=TrafficSection(flows=(("a", "b", rate * 1000),)))
+    scenario = Scenario(traffic=TrafficSection(flows={("a", "b"): rate * 1000}))
     return serialize_scenario(scenario).splitlines()[-1].removeprefix("flow = a b ")
 
 
@@ -636,6 +643,30 @@ class TestTableAgainstReference:
         text = f"[options]\nprofile = reproduction\n[traffic]\nflow = a b 1\nflow = a b {rate}\n"
         with pytest.raises(InvalidValue, match="^line 5: numbers are limited to 400 digits, got 401$"):
             parse_scenario(text)
+
+    def test_flow_sums_too_long_to_write_are_refused(self):
+        """A pair's lines may sum to a rate written with more digits than a
+        line may hold, which would not parse back: the pair is refused,
+        named by its last line, and of two such pairs the one whose last
+        line comes first.  A long sum that is written short enough parses
+        and round-trips."""
+        rate = "9" * (MAX_DIGITS - 3) + ".999"
+        head = "[options]\nprofile = reproduction\n[traffic]\n"  # three lines
+        lines = [f"flow = a b {rate}", f"flow = c d {rate}", "flow = c d 0.001", f"flow = a b {rate}"]
+        text = head + "\n".join(lines) + "\n"
+        with pytest.raises(InvalidValue, match="^line 7: flow a -> b sums to 401 digits; numbers are limited to 400$"):
+            parse_scenario(text)
+        assert outcome(parse_scenario, text) == outcome(reference_parse, text)
+        lines[2] = "flow = c d 1"
+        text = head + "\n".join(lines) + "\n"
+        with pytest.raises(InvalidValue, match="^line 6: flow c -> d sums to 401 digits; numbers are limited to 400$"):
+            parse_scenario(text)
+        assert outcome(parse_scenario, text) == outcome(reference_parse, text)
+        text = head + f"flow = c d {rate}\nflow = c d 0.001\n"
+        scenario = parse_scenario(text)
+        assert scenario.traffic.flows == {("c", "d"): 10**MAX_DIGITS}
+        assert serialize_scenario(scenario).endswith(f"flow = c d 1{'0' * (MAX_DIGITS - 3)}\n")
+        assert parse_scenario(serialize_scenario(scenario)) == scenario == reference_parse(text)
 
     @settings(max_examples=200, derandomize=True)
     @given(text=raw_texts)

@@ -87,6 +87,16 @@ def test_version_runs_as_a_module():
     assert (done.returncode, done.stdout, done.stderr) == (0, f"ponfabric {__version__}\n", "")
 
 
+def test_the_package_states_the_project_version():
+    """The version ``--version`` prints is ``pyproject.toml``'s ``[project]
+    version``, read line by line, as no TOML reader comes with Python 3.10."""
+    lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    table = lines[lines.index("[project]") + 1 :]
+    table = table[: next((i for i, line in enumerate(table) if line.startswith("[")), len(table))]
+    versions = [value.strip() for key, _, value in (line.partition("=") for line in table) if key.strip() == "version"]
+    assert versions == [f'"{__version__}"']
+
+
 # Runs ``python -m ponfabric.cli`` on its arguments, as ``-m`` does, then
 # names on a last stderr line the modules its interpreter holds.
 CLI_AS_MAIN = (
@@ -548,7 +558,7 @@ ALL = [
     "SweepPoint", "SweepResult", "Table", "TraditionalSpec",
     "TrafficMatrix", "TrafficSection", "UniformPattern", "Violation", "all_pairs_summary",
     "assign", "benchmark", "bottlenecks", "build_owc_pon", "build_traditional",
-    "closed_form_power", "default_scenario", "device_census", "errors", "fabric_links",
+    "closed_form_power", "default_scenario", "device_census", "errors",
     "fabric_size", "format_percent", "format_rational", "generate_traffic", "owc_pon_power",
     "parse_scenario", "power", "power_reduction", "render", "resolve_route", "resolved_catalog",
     "routing", "run_benchmark", "scaling_sweep", "scenario",
@@ -558,7 +568,7 @@ ALL = [
 # The submodule that defines each name.
 SOURCES = {
     "benchmark": "closed_form_power resolved_catalog run_benchmark",
-    "graph": "Link NetworkGraph Node build_owc_pon build_traditional fabric_links",
+    "graph": "Link NetworkGraph Node build_owc_pon build_traditional",
     "power": "CATALOG PowerCatalog PowerReport PowerRow SweepPoint SweepResult format_percent "
     "owc_pon_power power_reduction scaling_sweep traditional_power",
     "document": "Document OutputFormat Table format_rational render",
