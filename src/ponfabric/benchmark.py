@@ -1,13 +1,13 @@
 """Scenario-driven evaluation: ``closed_form_power`` counts, judges and
 prices each selected fabric once, for ``power``, ``compare`` and ``benchmark``.
 
-``run_benchmark`` returns the benchmark document itself: census tables,
-per-kind power subtotals, the exact reduction fraction and its one-decimal
-rendering, and the scenario's canonical lines, so the same scenario always
-renders to the same bytes.  No command builds a graph; ``build`` and
-``simulate``, which list a fabric's rows, stay under ``GRAPH_BUDGET``
-(``check_size``), which live next to ``fabric_size`` in ``topology`` so
-that commands which price nothing need not load this module.
+``comparison`` writes the paper's comparison for ``compare`` and
+``benchmark``.  ``run_benchmark`` returns the benchmark document itself:
+census tables, that comparison and the scenario's canonical lines, so the
+same scenario always renders to the same bytes.  No command builds a
+graph; ``build`` and ``simulate``, which list a fabric's rows, stay under
+``GRAPH_BUDGET`` (``check_size``), which live next to ``fabric_size`` in
+``topology`` so that commands which price nothing need not load this module.
 """
 
 from __future__ import annotations
@@ -79,26 +79,31 @@ def power_table(name: str, report: PowerReport) -> Table:
     return Table(name, ("device", "quantity", "unit_mw", "subtotal_mw", "included"), tuple(rows))
 
 
+def comparison(
+    priced: dict[Architecture, tuple[dict[DeviceKind, int], PowerReport]], total_key: str
+) -> tuple[tuple, tuple[Table, Table]]:
+    """The meta rows from the traditional total (under ``total_key``) to the exact
+    reduction, and both power tables, of ``closed_form_power``'s two fabrics."""
+    (_, traditional), (_, proposed) = priced.values()
+    reduction = power_reduction(traditional, proposed)
+    meta = (
+        (total_key, traditional.total_mw),
+        ("proposed_total_mw", proposed.total_mw),
+        ("reduction_percent", format_percent(reduction)),
+        ("reduction_fraction", format_rational(reduction)),
+    )
+    return meta, (power_table("power_traditional", traditional), power_table("power_owcpon", proposed))
+
+
 def run_benchmark(scenario: Scenario) -> Document:
     """Both architectures under one scenario: their censuses, their power
     tables, the reduction, and the scenario that produced them."""
     if len(scenario.architectures) != 2:
         raise ScenarioError("the benchmark needs both architectures selected")
-    (trad_census, trad_report), (owc_census, owc_report) = closed_form_power(scenario).values()
-    reduction = power_reduction(trad_report, owc_report)
-    meta = (
-        ("version", __version__),
-        ("traditional_total_mw", trad_report.total_mw),
-        ("proposed_total_mw", owc_report.total_mw),
-        ("reduction_percent", format_percent(reduction)),
-        ("reduction_fraction", format_rational(reduction)),
-    )
-    tables = [
-        census_table("census_traditional", trad_census),
-        census_table("census_owcpon", owc_census),
-        power_table("power_traditional", trad_report),
-        power_table("power_owcpon", owc_report),
-    ]
+    priced = closed_form_power(scenario)
+    meta, power_tables = comparison(priced, "traditional_total_mw")
+    tables = [census_table(f"census_{arch.value}", census) for arch, (census, _) in priced.items()]
+    tables += power_tables
     if scenario.options.nic_count_mode is NicCountMode.PER_SERVER:
         note = (
             "non-reproducing: per-server NIC counting inflates the NIC term; "
@@ -107,4 +112,4 @@ def run_benchmark(scenario: Scenario) -> Document:
         tables.append(Table("notes", ("note",), ((note,),)))
     lines = serialize_scenario(scenario).splitlines()
     tables.append(Table("scenario", ("line",), tuple((line,) for line in lines)))
-    return Document("power consumption benchmark", meta, tuple(tables))
+    return Document("power consumption benchmark", (("version", __version__), *meta), tuple(tables))

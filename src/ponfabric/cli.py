@@ -22,10 +22,10 @@ from .version import __version__
 # the ``_BASE`` modules, and each command those of the modules it lists;
 # until then each is read from its module on access.
 _IMPORTS = {
-    ".benchmark": "closed_form_power power_table resolved_catalog run_benchmark",
+    ".benchmark": "closed_form_power comparison power_table resolved_catalog run_benchmark",
     ".errors": "BadAdjacency PonFabricError ScenarioError SpecMismatch UnknownRack ValidationFailed",
     ".graph": "wire",
-    ".power": "format_percent power_reduction scaling_sweep",
+    ".power": "format_percent scaling_sweep",
     ".document": "Document OutputFormat Table format_rational render",
     ".route_table": "RouteTable resolve_route",
     ".routing": "all_pairs_summary",
@@ -299,22 +299,11 @@ def _cmd_power(scenario: Scenario, args) -> tuple[Document, int]:
     return Document("power evaluation", tuple(meta), tuple(tables)), EXIT_OK
 
 
-@_command("compare", ".benchmark", ".power")
+@_command("compare", ".benchmark")
 def _cmd_compare(scenario: Scenario, args) -> tuple[Document, int]:
     if len(scenario.architectures) != 2:
         raise ScenarioError("compare needs both architectures selected")
-    (_, traditional), (_, proposed) = closed_form_power(scenario).values()
-    reduction = power_reduction(traditional, proposed)
-    meta = (
-        ("baseline_total_mw", traditional.total_mw),
-        ("proposed_total_mw", proposed.total_mw),
-        ("reduction_percent", format_percent(reduction)),
-        ("reduction_fraction", format_rational(reduction)),
-    )
-    tables = (
-        power_table("power_traditional", traditional),
-        power_table("power_owcpon", proposed),
-    )
+    meta, tables = comparison(closed_form_power(scenario), "baseline_total_mw")
     return Document("architecture comparison", meta, tables), EXIT_OK
 
 
@@ -425,15 +414,20 @@ def _cmd_benchmark(scenario: Scenario, args) -> tuple[Document, int]:
     return run_benchmark(scenario), EXIT_OK
 
 
+_SLICE = 1 << 20  # characters of text ``_write`` hands the stream at a time
+
+
 def _write(text: str, stream) -> None:
-    """Write ``text`` to ``stream`` and flush it.  If that fails, the
-    stream's descriptor is pointed at ``os.devnull`` before the error is
-    raised, so that the flush at exit writes nothing and reports nothing.
+    """Write ``text`` to ``stream`` a slice at a time, so that no more than
+    a slice is encoded at once, and flush it.  If that fails, the stream's
+    descriptor is pointed at ``os.devnull`` before the error is raised, so
+    that the flush at exit or close writes nothing and reports nothing.
     A closed stream (None) raises ``OSError``."""
     if stream is None:
         raise OSError("stdout is closed")
     try:
-        stream.write(text)
+        for start in range(0, len(text), _SLICE):
+            stream.write(text[start : start + _SLICE])
         stream.flush()
     except OSError:
         with open(os.devnull, "wb") as devnull:
@@ -476,7 +470,8 @@ def main(argv: list[str] | None = None) -> int:
     text = render(document, fmt)
     try:
         if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                _write(text, out)
         else:
             _write(text, sys.stdout)
     except OSError as exc:

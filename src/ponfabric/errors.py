@@ -51,21 +51,17 @@ class ValidationFailed(PonFabricError):
         super().__init__(f"{architecture.value}: {summary}")
 
 
-class PowerModelError(PonFabricError):
-    """Base class for power evaluation failures."""
-
-
-class MissingCatalogEntry(PowerModelError):
+class MissingCatalogEntry(PonFabricError):
     def __init__(self, kind):
         self.kind = kind
         super().__init__(f"no catalog entry for {kind.value}")
 
 
-class MissingOlt(PowerModelError):
+class MissingOlt(PonFabricError):
     """The backhaul power formula charges a single OLT; the census has none."""
 
 
-class ZeroBaseline(PowerModelError):
+class ZeroBaseline(PonFabricError):
     """Reduction is undefined when the baseline consumes zero power."""
 
 
@@ -96,11 +92,7 @@ def in_pair(error: RoutingError, src: str, dst: str) -> RoutingError:
     return type(error)(f"{context}{error}")
 
 
-class TrafficError(PonFabricError):
-    """Base class for traffic generation failures."""
-
-
-class UnknownRack(TrafficError):
+class UnknownRack(PonFabricError):
     def __init__(self, rack: int):
         self.rack = rack
         super().__init__(f"rack {rack} does not exist in the graph")

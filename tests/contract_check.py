@@ -7,8 +7,9 @@ stdout, byte for byte, with its recorded exit code.  Then, each in a
 subprocess, help (``--help``, ``-h`` and ``summary --help``) and the
 version (``--version`` alone and after ``-s x``) are written to a closed
 stdout, to ``/dev/full`` and to a pipe whose reader has closed, and each
-command to ``/dev/full``.  Each of those must exit 1 with one
-stderr line, ``ponfabric: cannot write output: ...``, and no
+command to ``/dev/full``, both as its stdout and as its ``--out`` file,
+and with ``--out`` naming a directory.  Each of those must exit 1 with
+one stderr line, ``ponfabric: cannot write output: ...``, and no
 ``Traceback`` or ``Exception ignored``.
 
     python tests/contract_check.py
@@ -21,6 +22,7 @@ failed, else 0.
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -42,9 +44,14 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.en
 def run_to(failure: str, argv: list[str]) -> tuple[int, str]:
     """The exit code and stderr of ``python -m ponfabric.cli`` on ``argv``,
     its stdout closed (``closed``), ``/dev/full`` (``full``) or a pipe whose
-    reader has closed (``broken``)."""
+    reader has closed (``broken``), or with ``--out`` naming ``failure``
+    itself, a path other than those three words."""
+    if failure not in FAILURES:
+        argv = ["--out", failure, *argv]
     command = dict(args=[sys.executable, "-m", "ponfabric.cli", *argv], stderr=subprocess.PIPE, env=ENV, timeout=60)
-    if failure == "closed":
+    if failure not in FAILURES:
+        done = subprocess.run(**command, stdout=subprocess.PIPE)
+    elif failure == "closed":
         done = subprocess.run(**command, preexec_fn=lambda: os.close(1))
     elif failure == "full":
         with open("/dev/full", "wb") as full:
@@ -76,12 +83,17 @@ def main() -> int:
             failed += 1
     failures = FAILURES if os.path.exists("/dev/full") else ("closed", "broken")
     cases = [(failure, argv) for argv in ANSWERS for failure in failures]
+    outs = [tempfile.mkdtemp()]  # a directory
     if "full" in failures:
         cases += [("full", golden_cases.argv(f"{case}.table")) for case in COMMANDS]
+        outs.append("/dev/full")
+    cases += [(out, golden_cases.argv(f"{case}.table")) for case in COMMANDS for out in outs]
     for failure, argv in cases:
         if problem := write_failure(failure, argv):
-            print(f"{' '.join(argv)} to {failure} stdout: {problem}", file=sys.stderr)
+            where = f"{failure} stdout" if failure in FAILURES else f"--out {failure}"
+            print(f"{' '.join(argv)} to {where}: {problem}", file=sys.stderr)
             failed += 1
+    os.rmdir(outs[0])
     checked = len(golden_cases.IDS) + len(cases)
     print(f"Python {sys.version.split()[0]}: {checked} cases, {failed} failed")
     return 1 if failed else 0

@@ -8,10 +8,12 @@ small fabric."""
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import ponfabric.benchmark
 from oracles import outcome
 from ponfabric import (
     Architecture,
@@ -40,7 +42,7 @@ from ponfabric import (
     scaling_sweep,
     validate,
 )
-from ponfabric.cli import _cmd_benchmark, _cmd_build, _cmd_compare, _cmd_power, _cmd_validate
+from ponfabric.cli import _IMPORTS, _cmd_benchmark, _cmd_build, _cmd_compare, _cmd_power, _cmd_validate
 
 
 traditional_specs = st.builds(
@@ -276,6 +278,26 @@ def test_compare_agrees_with_the_benchmark(scenario):
     assert meta == {name: value for name, value in benchmarked.meta if name != "version"}
     power_tables = tuple(table for table in benchmarked.tables if table.name.startswith("power_"))
     assert compared.tables == power_tables
+
+
+@pytest.mark.parametrize(
+    "command, total_key", [(_cmd_compare, "baseline_total_mw"), (_cmd_benchmark, "traditional_total_mw")]
+)
+def test_compare_and_the_benchmark_write_the_comparison_through_one_function(monkeypatch, command, total_key):
+    """Both documents take their reduction rows and power tables from one
+    call of ``benchmark.comparison``, and the CLI binds no ``power_reduction``."""
+    calls = []
+
+    def comparison(priced, key):
+        calls.append(key)
+        return real(priced, key)
+
+    real = ponfabric.benchmark.comparison
+    monkeypatch.setattr(ponfabric.benchmark, "comparison", comparison)
+    document, _ = command(Scenario(), None)
+    assert calls == [total_key]
+    assert document.meta[-4][0] == total_key
+    assert "power_reduction" not in " ".join(_IMPORTS.values()).split()
 
 
 @settings(max_examples=250, derandomize=True, deadline=None)

@@ -555,6 +555,37 @@ def test_fabric_scale_json_build_prints_the_benchmark_digest(capsys, no_graphs):
     assert digest == expected["committed"]["fabric_scale/build"]["sha256"]
 
 
+class Pieces(io.StringIO):
+    """A text stream that keeps each piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+def test_output_is_written_a_slice_at_a_time(tmp_path, monkeypatch):
+    """The 3 MB JSON ``build`` of the benchmark reaches stdout in pieces of
+    at most 1 MiB of text, so no more than that is encoded at once; they
+    join to the bytes whose digest ``perfbench/expected.json`` holds, and
+    ``--out`` writes the same bytes to its file."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    expected = json.loads((perfbench / "expected.json").read_text(encoding="utf-8"))
+    argv = ["-s", str(perfbench / "scenarios" / "fabric_scale.scenario"), "-f", "json"]
+    stdout = Pieces()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([*argv, "build"]) == 0
+    assert len(stdout.pieces) > 1 and max(map(len, stdout.pieces)) <= 1 << 20
+    printed = "".join(stdout.pieces).encode("utf-8")
+    assert hashlib.sha256(printed).hexdigest() == expected["committed"]["fabric_scale/build"]["sha256"]
+    target, written = tmp_path / "build.json", len(stdout.pieces)
+    assert main([*argv, "--out", str(target), "build"]) == 0
+    assert len(stdout.pieces) == written and target.read_bytes() == printed
+
+
 @pytest.mark.parametrize(
     "argv",
     [
